@@ -35,10 +35,8 @@ from .walk import (
     default_alpha,
     default_steps,
     log_weight,
-    neighbor,
     run_walk,
     step,
-    weight,
 )
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "errors",
     "find_independent_rows",
     "log_weight",
-    "neighbor",
     "normalize",
     "phase1_vertex",
     "pivot_across_facet",
@@ -75,7 +72,6 @@ __all__ = [
     "solve",
     "step",
     "vertex_of_basis",
-    "weight",
 ]
 
 __version__ = "0.1.0"

@@ -242,9 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--trace", default=None,
-                         help="write a line-delimited JSON walk trace here "
-                              "(every attempt; the step counter restarts "
-                              "per walk)")
+                         help="write a line-delimited JSON walk trace here: "
+                              "one record per step of every attempt (the step "
+                              "counter restarts per walk); lazy steps have "
+                              "log_weight_proposal null; tracing never "
+                              "changes the walk")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

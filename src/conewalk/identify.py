@@ -54,23 +54,3 @@ def extract_element(lp: NormalizedLP, basis: Basis, c_prime: np.ndarray,
     gap = float(np.linalg.norm(lp.c - c_prime))
     return IdentifiedElement(row=best, mu=mu, c_prime=np.asarray(c_prime, float),
                              gap=gap, qualifying=qualifying)
-
-
-def check_lemma4(lp: NormalizedLP, basis: Basis, basis_prime: Basis,
-                 c: np.ndarray, c_prime: np.ndarray, delta: float, *,
-                 slack: float = 1e-9) -> bool:
-    """Numeric check that the gap dominates delta times every foreign coefficient.
-
-    For bases optimal for c and c' respectively, every row of basis_prime
-    outside basis with positive coefficient mu_k must satisfy
-    ||c - c'|| >= delta * mu_k - slack.
-    """
-    basis_prime = tuple(sorted(basis_prime))
-    mu = solve_square(basis_matrix(lp, basis_prime).T,
-                      np.asarray(c_prime, dtype=float))
-    gap = float(np.linalg.norm(np.asarray(c, float) - np.asarray(c_prime, float)))
-    foreign = set(basis_prime) - set(basis)
-    for row, m in zip(basis_prime, mu):
-        if row in foreign and m > 0.0 and gap < delta * m - slack:
-            return False
-    return True

@@ -15,8 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooLarge
+from .geometry import solve_square
 from .lp import ENUMERATION_LIMIT, LinearProgram, NormalizedLP
-from .simplex import Basis, Vertex
+from .simplex import Basis, Vertex, basis_matrix
 from .tolerances import SINGULAR_TOL
 
 SUBDET_LIMIT = 10**7
@@ -235,3 +236,23 @@ def default_radius(lp: NormalizedLP, *, limit: int = ENUMERATION_LIMIT) -> float
     for _, x in _all_basic_points(lp, limit):
         worst = max(worst, float(np.linalg.norm(x)))
     return 2.0 * worst + 1.0
+
+
+def check_lemma4(lp: NormalizedLP, basis: Basis, basis_prime: Basis,
+                 c: np.ndarray, c_prime: np.ndarray, delta: float, *,
+                 slack: float = 1e-9) -> bool:
+    """Numeric check that the gap dominates delta times every foreign coefficient.
+
+    For bases optimal for c and c' respectively, every row of basis_prime
+    outside basis with positive coefficient mu_k must satisfy
+    ||c - c'|| >= delta * mu_k - slack.
+    """
+    basis_prime = tuple(sorted(basis_prime))
+    mu = solve_square(basis_matrix(lp, basis_prime).T,
+                      np.asarray(c_prime, dtype=float))
+    gap = float(np.linalg.norm(np.asarray(c, float) - np.asarray(c_prime, float)))
+    foreign = set(basis_prime) - set(basis)
+    for row, m in zip(basis_prime, mu):
+        if row in foreign and m > 0.0 and gap < delta * m - slack:
+            return False
+    return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, NamedTuple
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,18 +134,10 @@ def log_volume(lp: NormalizedLP, basis: Basis) -> float:
     return math.log(det) - 2.0 * lp.n * math.log(lp.n)
 
 
-def log_weight(lp: NormalizedLP, alpha: float, cell: Parallelepiped, *,
-               _log_vol: float | None = None) -> float:
-    """log f(cell); never underflows, unlike weight()."""
+def log_weight(lp: NormalizedLP, alpha: float, cell: Parallelepiped) -> float:
+    """log f(cell) from scratch: the reference for the walk's incremental values."""
     z = center(lp, cell)
-    lv = log_volume(lp, cell.basis) if _log_vol is None else _log_vol
-    return -float(np.sum(np.abs(z - alpha * lp.c))) + lv
-
-
-def weight(lp: NormalizedLP, alpha: float, cell: Parallelepiped) -> float:
-    """f(cell) = exp(-||z - alpha*c||_1) * vol(cell).  May underflow to 0."""
-    lw = log_weight(lp, alpha, cell)
-    return math.exp(lw) if lw > -745.0 else 0.0
+    return -float(np.sum(np.abs(z - alpha * lp.c))) + log_volume(lp, cell.basis)
 
 
 class _WalkCache:
@@ -187,28 +179,32 @@ class _WalkCache:
         return out
 
 
-def neighbor(lp: NormalizedLP, v: Vertex, cell: Parallelepiped,
-             direction: Direction, *, _cache: _WalkCache | None = None,
-             ) -> tuple[Parallelepiped, Vertex, bool]:
-    """The facet-adjacent cell in the given direction.
+def _propose(cache: _WalkCache, ac: np.ndarray, vertex: Vertex, basis: Basis,
+             index: Sequence[int], z: np.ndarray, l1: float, log_vol: float,
+             pos: int, sign: int) -> tuple:
+    """The facet-adjacent cell of (basis, index) across coordinate pos, sign.
 
     Moving inward (-1) at lattice coordinate 0 crosses the cone facet: the
     vertex pivots, and the shared-facet grid identifies the new cell's
     coordinates (staying rows keep theirs, the entering row starts at 0).
+    Returns (vertex, basis, index, z, l1, log_vol, dlog) of the proposal,
+    where index is None when the move stays in the cone (the caller then
+    adds sign to index[pos]) and dlog = log f(proposal) - log f(current).
     """
-    row, sign = direction
-    pos = cell.basis.index(row)
-    k = cell.index[pos]
-    if sign > 0 or k > 0:
-        new_index = list(cell.index)
-        new_index[pos] += sign
-        return Parallelepiped(cell.basis, tuple(new_index)), v, False
-
-    v_new = _cache.pivot(v, row) if _cache is not None \
-        else pivot_across_facet(lp, v, row)
-    coords = dict(zip(cell.basis, cell.index))
-    new_index = tuple(coords.get(r, 0) for r in v_new.basis)
-    return Parallelepiped(v_new.basis, new_index), v_new, True
+    if sign > 0 or index[pos] > 0:
+        z_new = z + sign * cache.scaled_rows(basis)[pos]
+        l1_new = float(np.sum(np.abs(z_new - ac)))
+        return vertex, basis, None, z_new, l1_new, log_vol, l1 - l1_new
+    new_vertex = cache.pivot(vertex, basis[pos])
+    new_basis = new_vertex.basis
+    coords = dict(zip(basis, index))
+    new_index = [coords.get(r, 0) for r in new_basis]
+    rows = cache.scaled_rows(new_basis)
+    z_new = rows.T @ (np.array(new_index, dtype=float) + 0.5)
+    l1_new = float(np.sum(np.abs(z_new - ac)))
+    log_vol_new = cache.log_volume(new_basis)
+    return (new_vertex, new_basis, new_index, z_new, l1_new, log_vol_new,
+            (l1 - l1_new) + (log_vol_new - log_vol))
 
 
 def _accepts(u: float, dlog: float) -> bool:
@@ -216,38 +212,47 @@ def _accepts(u: float, dlog: float) -> bool:
     return math.log(2.0 * u) < min(0.0, dlog)
 
 
+def _draw(rng: np.random.Generator, n: int) -> tuple[int, int, float]:
+    """One step's randomness: direction (pos, sign) over 2n choices, then the coin."""
+    choice = int(rng.integers(0, 2 * n))
+    u = float(rng.random())
+    return choice // 2, +1 if choice % 2 == 0 else -1, u
+
+
 def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
          rng: np.random.Generator, *, _cache: _WalkCache | None = None,
          ) -> tuple[WalkState, StepInfo]:
-    """One lazy Metropolis step.
+    """One lazy Metropolis step, through the proposal kernel run_walk uses.
 
     Picks one of the 2n facet neighbors uniformly, then moves there with
-    probability (1/2) * min(1, f(P')/f(P)), evaluated in log space.
+    probability (1/2) * min(1, f(P')/f(P)), evaluated in log space.  The
+    center of the current cell is recomputed from scratch.  Unlike
+    run_walk, the proposal is evaluated on lazy steps too, so that the
+    returned StepInfo always describes it.
     """
     if cfg.alpha is None:
         raise ValueError("walk config must be resolved before stepping")
     cache = _cache if _cache is not None else _WalkCache(lp)
     v, cell = state
-    n = lp.n
+    pos, sign, u = _draw(rng, lp.n)
+    ac = cfg.alpha * lp.c
+    z = center(lp, cell)
+    l1 = float(np.sum(np.abs(z - ac)))
+    log_vol = cache.log_volume(cell.basis)
+    v_new, basis_new, index_new, _, l1_new, log_vol_new, dlog = _propose(
+        cache, ac, v, cell.basis, cell.index, z, l1, log_vol, pos, sign)
+    pivoted = index_new is not None
+    if not pivoted:
+        index_new = list(cell.index)
+        index_new[pos] += sign
+    proposal = Parallelepiped(basis_new, tuple(index_new))
 
-    choice = int(rng.integers(0, 2 * n))
-    direction = (cell.basis[choice // 2], +1 if choice % 2 == 0 else -1)
-    proposal, v_new, pivoted = neighbor(lp, v, cell, direction, _cache=cache)
-
-    lw = log_weight(lp, cfg.alpha, cell, _log_vol=cache.log_volume(cell.basis))
-    lw_new = log_weight(lp, cfg.alpha, proposal,
-                        _log_vol=cache.log_volume(proposal.basis))
-
-    u = float(rng.random())
-    if u >= 0.5:
-        lazy, accepted = True, False
-    else:
-        accepted = _accepts(u, lw_new - lw)
-        lazy = False
-
-    info = StepInfo(direction=direction, proposal=proposal, accepted=accepted,
-                    pivoted=pivoted and accepted, lazy=lazy,
-                    log_weight=lw, log_weight_proposal=lw_new)
+    lazy = u >= 0.5
+    accepted = not lazy and _accepts(u, dlog)
+    info = StepInfo(direction=(cell.basis[pos], sign), proposal=proposal,
+                    accepted=accepted, pivoted=pivoted and accepted, lazy=lazy,
+                    log_weight=-l1 + log_vol,
+                    log_weight_proposal=-l1_new + log_vol_new)
     if accepted:
         return WalkState(v_new, proposal), info
     return state, info
@@ -264,9 +269,14 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     (the current basis is then optimal); otherwise it performs one step.
     The membership test is applied once more after the final step.
 
-    The loop is an inlined equivalent of step(): one direction draw and one
-    coin per iteration in the same order, with the cell center and its
-    l1 distance to alpha*c maintained incrementally.
+    Each step draws a direction and a coin, as step() does.  A lazy coin
+    ends the step without evaluating the proposal; otherwise the proposal
+    comes from the same kernel as step()'s, with the cell center and its
+    l1 distance to alpha*c maintained incrementally and recomputed exactly
+    every _RESYNC_INTERVAL-th step when that step is not lazy.  With
+    cfg.trace set, one JSON record per step is written after the step; a
+    lazy step's record has log_weight_proposal null.  Tracing never
+    changes the walk.
     """
     cfg = cfg.resolved(lp.n, delta)
     if lp.n < 4:
@@ -288,63 +298,44 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                       c_prime=np.zeros(n), current_vertex=start,
                       stopped_with_c_in_cone=False)
 
+    in_cone = cache.objective_in_cone(basis)  # changes only when basis does
     for it in range(cfg.steps + 1):
-        if cache.objective_in_cone(basis):
+        if in_cone:
             out.stopped_with_c_in_cone = True
             break
         if it == cfg.steps:
             break
 
-        choice = int(rng.integers(0, 2 * n))
-        u = float(rng.random())
-        pos = choice // 2
-        sign = +1 if choice % 2 == 0 else -1
+        pos, sign, u = _draw(rng, n)
         row = basis[pos]
-        lazy = u >= 0.5
+        lw = -l1 + log_vol
         out.steps_taken += 1
+        accepted = pivoted = False
 
-        if lazy and not tracing:
+        if u >= 0.5:
             out.lazy_stays += 1
-            continue
-
-        pivot_move = sign < 0 and index[pos] == 0
-        if not pivot_move:
-            z_new = z + sign * cache.scaled_rows(basis)[pos]
-            l1_new = float(np.sum(np.abs(z_new - ac)))
-            dlog = l1 - l1_new
-            new_vertex, new_basis, log_vol_new = vertex, basis, log_vol
-            new_index = None
+            lw_proposal = None
         else:
-            new_vertex = cache.pivot(vertex, row)
-            new_basis = new_vertex.basis
-            coords = dict(zip(basis, index))
-            new_index = [coords.get(r, 0) for r in new_basis]
-            rows = cache.scaled_rows(new_basis)
-            z_new = rows.T @ (np.array(new_index, dtype=float) + 0.5)
-            l1_new = float(np.sum(np.abs(z_new - ac)))
-            log_vol_new = cache.log_volume(new_basis)
-            dlog = (l1 - l1_new) + (log_vol_new - log_vol)
-        lw_before = -l1 + log_vol
-        lw_proposal = -l1_new + log_vol_new
-
-        accepted = not lazy and _accepts(u, dlog)
-        if accepted:
-            if pivot_move:
-                vertex, basis, log_vol = new_vertex, new_basis, log_vol_new
-                index = new_index
-                out.pivots += 1
+            (new_vertex, new_basis, new_index, z_new, l1_new, log_vol_new,
+             dlog) = _propose(cache, ac, vertex, basis, index, z, l1, log_vol,
+                              pos, sign)
+            lw_proposal = -l1_new + log_vol_new
+            accepted = _accepts(u, dlog)
+            if accepted:
+                if new_index is None:
+                    index[pos] += sign
+                else:
+                    vertex, basis, index = new_vertex, new_basis, new_index
+                    in_cone = cache.objective_in_cone(basis)
+                    pivoted = True
+                    out.pivots += 1
+                z, l1, log_vol = z_new, l1_new, log_vol_new
+                out.accepted_moves += 1
             else:
-                index[pos] += sign
-            z, l1 = z_new, l1_new
-            out.accepted_moves += 1
-        elif lazy:
-            out.lazy_stays += 1
-        else:
-            out.rejected_moves += 1
-
-        if out.steps_taken % _RESYNC_INTERVAL == 0:
-            z = center(lp, Parallelepiped(basis, tuple(index)))
-            l1 = float(np.sum(np.abs(z - ac)))
+                out.rejected_moves += 1
+            if out.steps_taken % _RESYNC_INTERVAL == 0:
+                z = center(lp, Parallelepiped(basis, tuple(index)))
+                l1 = float(np.sum(np.abs(z - ac)))
 
         if tracing:
             cfg.trace.write(json_line({
@@ -352,10 +343,10 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 "basis": list(basis),
                 "k": list(index),
                 "direction": [row, sign],
-                "log_weight": lw_before,
+                "log_weight": lw,
                 "log_weight_proposal": lw_proposal,
                 "accepted": accepted,
-                "pivoted": accepted and pivot_move,
+                "pivoted": pivoted,
             }))
 
     out.final = Parallelepiped(basis, tuple(index))

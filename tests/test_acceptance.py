@@ -12,7 +12,6 @@ import pytest
 import conewalk.reduction as reduction_module
 from conewalk.cli import main, write_lp_file
 from conewalk.errors import Infeasible, Unbounded
-from conewalk.identify import check_lemma4
 from conewalk.lp import (
     LinearProgram,
     check_nondegenerate,
@@ -20,6 +19,7 @@ from conewalk.lp import (
     normalize,
 )
 from conewalk.oracle import (
+    check_lemma4,
     default_radius,
     enumerate_vertices,
     laplace_tail_check,

@@ -3,13 +3,12 @@ import pytest
 
 from conewalk.errors import NoLargeCoefficient
 from conewalk.identify import (
-    check_lemma4,
     coefficient_threshold,
     extract_element,
     verify_problem1,
 )
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
-from conewalk.oracle import enumerate_vertices
+from conewalk.oracle import check_lemma4, enumerate_vertices
 from conewalk.simplex import vertex_of_basis
 from conewalk.walk import WalkConfig, run_walk
 

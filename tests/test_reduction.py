@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,29 @@ class TestSolve:
         assert a.basis == b.basis
         assert a.pivots == b.pivots
         np.testing.assert_array_equal(a.x, b.x)
+
+    def test_trace_does_not_change_the_solve(self):
+        # a lazy step's proposal here would pivot into a degenerate tie;
+        # tracing used to evaluate it and raise DegeneratePivot
+        lp = tu_instance_generator("network", 4, 20, 522376955)
+        plain = solve(lp, WalkConfig(seed=2))
+        traced = solve(lp, WalkConfig(seed=2, trace=io.StringIO()))
+        assert traced.basis == plain.basis
+        assert traced.x.tobytes() == plain.x.tobytes()
+        assert (traced.pivots, traced.retries, traced.steps_per_level) == \
+            (plain.pivots, plain.retries, plain.steps_per_level)
+
+    def test_trace_does_not_change_a_verdict(self):
+        # unbounded along x_0: the rows bounding it from above are dropped
+        base = tu_instance_generator("network", 4, 14, 769354564)
+        keep = base.A[:, 0] <= 0.0
+        c = base.c.copy()
+        c[0] = abs(c[0])
+        lp = LinearProgram(A=base.A[keep], b=base.b[keep], c=c)
+        with pytest.raises(Unbounded):
+            solve(lp, WalkConfig(seed=1))
+        with pytest.raises(Unbounded):
+            solve(lp, WalkConfig(seed=1, trace=io.StringIO()))
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])

@@ -5,20 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from conewalk.lp import delta_bruteforce
+from conewalk.lp import delta_bruteforce, normalize
+from conewalk.oracle import default_radius, tu_instance_generator
+from conewalk.phase1 import augmented_lp, bounding_box, phase1_vertex
 from conewalk.simplex import vertex_of_basis
 from conewalk.walk import (
     Parallelepiped,
     WalkConfig,
     WalkState,
+    _WalkCache,
     center,
     default_alpha,
     default_steps,
     log_weight,
-    neighbor,
     run_walk,
     step,
-    weight,
 )
 
 from conftest import SQRT2
@@ -36,6 +37,22 @@ class QueuedRng:
 
     def random(self):
         return self.uniform_draws.pop(0)
+
+
+# A coin this small accepts every proposal whose log-weight ratio exceeds
+# log(2e-300), i.e. every move on the small instances below.
+ALWAYS = 1e-300
+
+
+def move(lp, v, cell, direction, alpha=1.0):
+    """Take the given direction with step(); returns (state, StepInfo)."""
+    row, sign = direction
+    choice = 2 * cell.basis.index(row) + (0 if sign > 0 else 1)
+    cfg = WalkConfig(alpha=alpha, steps=1)
+    state, info = step(lp, cfg, WalkState(v, cell),
+                       QueuedRng([choice], [ALWAYS]))
+    assert info.accepted and info.direction == direction
+    return state, info
 
 
 class TestParallelepiped:
@@ -69,7 +86,8 @@ class TestWeight:
         # alpha*c equals the cell center, so only the volume factor remains
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
         alpha = SQRT2 / 8.0
-        assert weight(unit_square, alpha, cell) == pytest.approx(1.0 / 16.0)
+        assert math.exp(log_weight(unit_square, alpha, cell)) == \
+            pytest.approx(1.0 / 16.0)
 
     def test_volume_factor(self, unit_square):
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
@@ -91,18 +109,25 @@ class TestWeight:
         assert diff == pytest.approx(expected, abs=1e-12)
 
     def test_log_weight_never_underflows(self, unit_square):
+        # f itself underflows to 0 this far from alpha*c; the step still
+        # compares finite log weights
+        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
-        lw = log_weight(unit_square, 1e6, cell)
-        assert math.isfinite(lw)
-        assert weight(unit_square, 1e6, cell) == 0.0
+        _, info = move(unit_square, v, cell, (0, +1), alpha=1e6)
+        for lw, c in ((info.log_weight, cell),
+                      (info.log_weight_proposal, info.proposal)):
+            assert math.isfinite(lw)
+            assert math.exp(lw) == 0.0
+            assert lw == pytest.approx(log_weight(unit_square, 1e6, c),
+                                       abs=1e-9)
 
 
 class TestNeighbor:
     def test_outward_same_cone(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
-        new_cell, new_v, pivoted = neighbor(unit_square, v, cell, (0, +1))
-        assert not pivoted
+        (new_v, new_cell), info = move(unit_square, v, cell, (0, +1))
+        assert not info.pivoted
         assert new_cell.basis == (0, 1)
         assert new_cell.index == (1, 0)
         assert new_v is v
@@ -110,15 +135,15 @@ class TestNeighbor:
     def test_inward_within_cone(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(2, 0))
-        new_cell, _, pivoted = neighbor(unit_square, v, cell, (0, -1))
-        assert not pivoted
+        (_, new_cell), info = move(unit_square, v, cell, (0, -1))
+        assert not info.pivoted
         assert new_cell.index == (1, 0)
 
     def test_cross_cone_pivot(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 5))
-        new_cell, new_v, pivoted = neighbor(unit_square, v, cell, (0, -1))
-        assert pivoted
+        (new_v, new_cell), info = move(unit_square, v, cell, (0, -1))
+        assert info.pivoted
         assert new_v.basis == (1, 2)
         np.testing.assert_allclose(new_v.point, [0.0, 1.0], atol=1e-12)
         # shared row 1 keeps its coordinate, entering row 2 starts at 0
@@ -129,11 +154,11 @@ class TestNeighbor:
     def test_pivot_reversible(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 3))
-        new_cell, new_v, _ = neighbor(unit_square, v, cell, (0, -1))
+        (new_v, new_cell), _ = move(unit_square, v, cell, (0, -1))
         entering = next(iter(set(new_cell.basis) - set(cell.basis)))
-        back_cell, back_v, pivoted = neighbor(unit_square, new_v, new_cell,
-                                              (entering, -1))
-        assert pivoted
+        (back_v, back_cell), info = move(unit_square, new_v, new_cell,
+                                         (entering, -1))
+        assert info.pivoted
         assert back_cell == cell
         assert back_v.basis == v.basis
         np.testing.assert_allclose(back_v.point, v.point, atol=1e-12)
@@ -142,7 +167,7 @@ class TestNeighbor:
         # the shared facet has identical corner sets seen from both cells
         v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 4))
-        new_cell, _, _ = neighbor(unit_square, v, cell, (0, -1))
+        (_, new_cell), _ = move(unit_square, v, cell, (0, -1))
         n = unit_square.n
         scale = 1.0 / n**2
 
@@ -256,6 +281,11 @@ class TestRunWalk:
                                "accepted", "pivoted"}
         for ln in lines:
             assert all(k >= 0 for k in json.loads(ln)["k"])
+        # lazy steps never evaluate their proposal
+        lazy = [r for r in map(json.loads, lines)
+                if r["log_weight_proposal"] is None]
+        assert len(lazy) == out.lazy_stays > 0
+        assert not any(r["accepted"] or r["pivoted"] for r in lazy)
 
     def test_detailed_balance_on_sampled_pairs(self, unit_square):
         # Q(P) p(P,P') == Q(P') p(P',P) for every sampled neighbor pair
@@ -267,9 +297,12 @@ class TestRunWalk:
         for _ in range(400):
             row = cell.basis[int(rng.integers(0, n))]
             sign = +1 if rng.random() < 0.5 else -1
-            prop, v2, _ = neighbor(unit_square, v, cell, (row, sign))
-            lw1 = log_weight(unit_square, alpha, cell)
-            lw2 = log_weight(unit_square, alpha, prop)
+            (v2, prop), info = move(unit_square, v, cell, (row, sign), alpha)
+            lw1, lw2 = info.log_weight, info.log_weight_proposal
+            assert lw1 == pytest.approx(log_weight(unit_square, alpha, cell),
+                                        abs=1e-9)
+            assert lw2 == pytest.approx(log_weight(unit_square, alpha, prop),
+                                        abs=1e-9)
             flow12 = lw1 + min(0.0, lw2 - lw1)
             flow21 = lw2 + min(0.0, lw1 - lw2)
             assert flow12 == pytest.approx(flow21, abs=1e-9)
@@ -284,16 +317,64 @@ class TestRunWalk:
         rng = np.random.default_rng(5)
         for _ in range(300):
             row = cell.basis[int(rng.integers(0, unit_square.n))]
-            prop, v2, pivoted = neighbor(unit_square, v, cell, (row, -1))
-            if pivoted:
-                lv1 = log_weight(unit_square, 1.0, cell) \
+            (v2, prop), info = move(unit_square, v, cell, (row, -1))
+            if info.pivoted:
+                lv1 = info.log_weight \
                     + np.sum(np.abs(center(unit_square, cell) - unit_square.c))
-                lv2 = log_weight(unit_square, 1.0, prop) \
+                lv2 = info.log_weight_proposal \
                     + np.sum(np.abs(center(unit_square, prop) - unit_square.c))
                 assert math.exp(lv2 - lv1) >= delta - 1e-9
                 seen += 1
             v, cell = v2, prop
         assert seen > 10
+
+
+class TestReplay:
+    def test_traced_run_walk_replays_through_step(self):
+        # every non-lazy trace record, fed back through step() with the
+        # walk's own draws, reproduces the record
+        nlp = normalize(tu_instance_generator("interval", 4, 14, seed=77))
+        box = bounding_box(nlp, default_radius(nlp))
+        lp = augmented_lp(nlp, box)
+        start = phase1_vertex(nlp, box)
+        seed = 5  # walks its whole budget, through a resync at step 4096
+        cfg = WalkConfig(steps=9000, seed=seed).resolved(
+            lp.n, delta_bruteforce(lp).delta)
+        buf = io.StringIO()
+        out = run_walk(lp, WalkConfig(alpha=cfg.alpha, steps=cfg.steps,
+                                      seed=seed, trace=buf), start)
+        records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
+        assert len(records) == out.steps_taken
+
+        draws = np.random.default_rng(seed)
+        cache = _WalkCache(lp)
+        state = WalkState(start, Parallelepiped(start.basis, (0,) * lp.n))
+        replayed = 0
+        for rec in records:
+            choice, u = int(draws.integers(0, 2 * lp.n)), float(draws.random())
+            if rec["log_weight_proposal"] is None:
+                assert u >= 0.5
+                assert (tuple(rec["basis"]), tuple(rec["k"])) == \
+                    (state.cell.basis, state.cell.index)
+                continue
+            before = state.cell
+            state, info = step(lp, cfg, state, QueuedRng([choice], [u]),
+                               _cache=cache)
+            assert list(info.direction) == rec["direction"]
+            assert list(state.cell.basis) == rec["basis"]
+            assert list(state.cell.index) == rec["k"]
+            assert info.accepted == rec["accepted"]
+            assert info.pivoted == rec["pivoted"]
+            assert info.log_weight == pytest.approx(rec["log_weight"], abs=1e-9)
+            assert info.log_weight_proposal == pytest.approx(
+                rec["log_weight_proposal"], abs=1e-9)
+            assert rec["log_weight"] == pytest.approx(
+                log_weight(lp, cfg.alpha, before), abs=1e-9)
+            assert rec["log_weight_proposal"] == pytest.approx(
+                log_weight(lp, cfg.alpha, info.proposal), abs=1e-9)
+            replayed += 1
+        assert state.cell == out.final
+        assert replayed > 4000 and out.pivots > 50
 
 
 class TestDefaults:

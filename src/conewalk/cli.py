@@ -17,9 +17,11 @@ import numpy as np
 from . import jsonio
 from .errors import ConewalkError, Infeasible, TooLarge, Unbounded
 from .lp import (
+    DeltaCertificate,
     LinearProgram,
     delta_bruteforce,
     delta_integer_bound,
+    delta_value_and_method,
     normalize,
 )
 from .reduction import solve
@@ -84,28 +86,30 @@ def _auto_or(value: str, kind, what: str):
         raise CliError(f"--{what} must be a number or 'auto'") from exc
 
 
-def _resolve_delta(spec: str, lp: LinearProgram, raw: dict) -> tuple[float, str]:
+def _resolve_delta(spec: str, lp: LinearProgram,
+                   raw: dict) -> DeltaCertificate | float:
+    """The certificate for 'brute', 'bound' and 'auto'; a typed number as is.
+
+    A certificate lets solve size the box from it; a bare number is only a
+    claim, which solve certifies by brute force before it sizes the box.
+    """
     if spec == "brute":
-        cert = delta_bruteforce(normalize(lp))
-        return cert.delta, cert.method.value
+        return delta_bruteforce(normalize(lp))
     if spec == "bound":
         if not raw.get("integral") or "Delta" not in raw:
             raise CliError("--delta bound needs 'integral': true and a "
                            "'Delta' field in the instance file")
-        cert = delta_integer_bound(lp.A, int(raw["Delta"]))
-        return cert.delta, cert.method.value
+        return delta_integer_bound(lp.A, int(raw["Delta"]))
     if spec == "auto":
         try:
-            cert = delta_bruteforce(normalize(lp))
-            return cert.delta, cert.method.value
+            return delta_bruteforce(normalize(lp))
         except TooLarge:
             if raw.get("integral") and "Delta" in raw:
-                cert = delta_integer_bound(lp.A, int(raw["Delta"]))
-                return cert.delta, cert.method.value
+                return delta_integer_bound(lp.A, int(raw["Delta"]))
             raise CliError("instance too large for brute-force delta; pass "
                            "--delta <value> or add an integral Delta field")
     try:
-        return float(spec), "provided"
+        return float(spec)
     except ValueError as exc:
         raise CliError("--delta must be a number, 'auto', 'brute' or "
                        "'bound'") from exc
@@ -116,7 +120,8 @@ def _error_report(message: str) -> dict:
 
 
 def _solve_once(lp: LinearProgram, raw: dict, args) -> tuple[dict, int]:
-    delta_value, delta_method = _resolve_delta(args.delta, lp, raw)
+    delta = _resolve_delta(args.delta, lp, raw)
+    delta_value, delta_method = delta_value_and_method(delta)
     trace_stream = open(args.trace, "w") if getattr(args, "trace", None) else None
     cfg = WalkConfig(
         alpha=_auto_or(args.alpha, float, "alpha"),
@@ -126,7 +131,7 @@ def _solve_once(lp: LinearProgram, raw: dict, args) -> tuple[dict, int]:
         trace=trace_stream,
     )
     try:
-        report = solve(lp, cfg, delta=delta_value, radius=args.radius_value,
+        report = solve(lp, cfg, delta=delta, radius=args.radius_value,
                        max_retries=args.max_retries)
     except Infeasible as exc:
         return ({"status": "infeasible", "witness_iteration": exc.iteration,

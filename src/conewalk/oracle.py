@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exhaustive basis enumeration, exact
 integer sub-determinants, inverse-CDF Monte Carlo.  These routines validate
 the solver and generate test instances; they never feed the solver's own
-computations except for the default box radius.
+computations.
 """
 from __future__ import annotations
 
@@ -230,7 +230,8 @@ def default_radius(lp: NormalizedLP, *, limit: int = ENUMERATION_LIMIT) -> float
 
     Twice the largest basic-point norm plus one; every vertex of the region
     (and of any row-subset region) is a basic point, so the box built from
-    this radius strictly encloses them all.
+    this radius strictly encloses them all.  Ground truth for tests; solve
+    uses the closed-form ``phase1.certified_radius``.
     """
     worst = 1.0
     for _, x in _all_basic_points(lp, limit):

@@ -2,7 +2,9 @@
 
 An enclosing box reuses n linearly independent rows of the constraint matrix
 as slab directions, so augmenting with its 2n rows never introduces new
-directions beyond negations and the row-separation property is preserved.
+directions beyond negations and the row-separation property is preserved:
+the boxed system has the input's delta.  Its radius follows in closed form
+from a certified delta, so no basic system is ever solved to size it.
 A vertex of the boxed system is grown one constraint at a time; an optimum
 of the boxed program touching the box certifies unboundedness.
 """
@@ -12,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
+from .errors import Infeasible, RankDeficient, Unbounded
 from .geometry import dist_to_span, solve_square
-from .lp import NormalizedLP, delta_bruteforce
+from .lp import DeltaCertificate, NormalizedLP, delta_bruteforce
 from .simplex import Vertex, bland_simplex, vertex_of_basis
-from .tolerances import SPAN_TOL, feas_tol_for
+from .tolerances import SPAN_TOL
 from .walk import WalkConfig
 
 
@@ -55,6 +57,23 @@ def bounding_box(lp: NormalizedLP, radius: float) -> BoundingBox:
                        gamma=np.full(n, float(radius)))
 
 
+def certified_radius(lp: NormalizedLP,
+                     delta: float | DeltaCertificate) -> float:
+    """A ball radius that strictly holds every basic point of the instance.
+
+    Column j of A_B^{-1} has norm 1/dist(a_j, span(B minus j)) <= 1/delta,
+    so every basic point satisfies ||x|| <= n * max|b| / delta; one more
+    keeps them strictly inside.  Only a certificate may size the box: a
+    bare float is a claim, and one that is too large would shrink the box
+    onto a vertex and turn a bounded program into an "unbounded" verdict,
+    so the input is certified by brute force instead (which may raise
+    TooLarge).
+    """
+    if not isinstance(delta, DeltaCertificate):
+        delta = delta_bruteforce(lp)
+    return lp.n * float(np.max(np.abs(lp.b))) / delta.delta + 1.0
+
+
 def box_constraint_rows(lp: NormalizedLP, box: BoundingBox,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """The 2n box rows: gamma sides first, then negated beta sides."""
@@ -83,11 +102,13 @@ def phase1_vertex(lp: NormalizedLP, box: BoundingBox) -> Vertex:
     program infeasible, with the iteration index as witness.
 
     The returned vertex's basis indexes the augmented system (original rows
-    first, then the box rows).
+    first, then the box rows).  The test uses the input's tolerance: box
+    corners are exact up to rounding of order radius * eps, and a tolerance
+    that grew with the radius would let real infeasibility through.
     """
     m, n = lp.m, lp.n
     A_box, b_box = box_constraint_rows(lp, box)
-    ftol = feas_tol_for(np.concatenate([lp.b, b_box]))
+    ftol = lp.feas_tol()
 
     # Box-first ordering keeps row positions stable while constraints append.
     v = vertex_of_basis(
@@ -119,31 +140,25 @@ def _box_row_implied(lp: NormalizedLP, direction: np.ndarray, rhs: float,
 
 def solve_bounded(lp: NormalizedLP, box: BoundingBox, cfg: WalkConfig,
                   start: Vertex, delta: float, *, max_retries: int,
-                  ) -> tuple[tuple[int, ...], list, float]:
+                  ) -> tuple[tuple[int, ...], list]:
     """Run the recursion on the boxed system and strip the box again.
 
-    Returns (basis positions in the original rows, per-level stats, the
-    separation value used for the boxed system).  An optimum touching a box
-    row that the original rows do not imply certifies unboundedness;
-    degenerate contact is treated as unbounded as well.
+    The walk runs at the given delta, which the box rows keep.  Returns
+    (basis positions in the original rows, per-level stats).  An optimum
+    touching a box row that the original rows do not imply certifies
+    unboundedness; degenerate contact is treated as unbounded as well.
+    Contact is judged at the input's tolerance, as in phase1_vertex.
     """
     from .reduction import _solve_level
 
     aug = augmented_lp(lp, box)
-    try:
-        delta_aug = delta_bruteforce(aug).delta
-    except TooLarge:
-        # Box rows only negate existing directions, which changes neither
-        # the candidate spans nor the distances.
-        delta_aug = delta
-
     levels: list = []
-    basis_aug = _solve_level(aug, delta_aug, cfg, start,
+    basis_aug = _solve_level(aug, delta, cfg, start,
                              base_seed=cfg.seed, level=0,
                              max_retries=max_retries, levels_out=levels)
     x = solve_square(aug.A[list(basis_aug)], aug.b[list(basis_aug)])
 
-    ftol = feas_tol_for(aug.b)
+    ftol = lp.feas_tol()
     m = lp.m
     for p in range(m, aug.m):
         if abs(float(aug.A[p] @ x - aug.b[p])) <= ftol:
@@ -154,4 +169,4 @@ def solve_bounded(lp: NormalizedLP, box: BoundingBox, cfg: WalkConfig,
     if any(p >= m for p in basis_aug):
         raise Unbounded("optimal basis uses an artificial box row",
                         box_row=next(p for p in basis_aug if p >= m) - m)
-    return tuple(sorted(basis_aug)), levels, delta_aug
+    return tuple(sorted(basis_aug)), levels

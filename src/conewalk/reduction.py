@@ -28,6 +28,7 @@ from .lp import (
     LinearProgram,
     NormalizedLP,
     delta_bruteforce,
+    delta_value_and_method,
     normalize,
 )
 from .simplex import Vertex, basis_matrix, cone_membership, vertex_of_basis
@@ -255,29 +256,28 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     Normalizes, certifies the row separation (brute force unless supplied),
     finds an initial vertex or a certified infeasibility, reduces to a
     bounded instance via an enclosing box, and runs the walk-driven
-    recursion.  Raises Infeasible or Unbounded with certificates, and
-    RetriesExhausted if every walk attempt at some level fails.
+    recursion.  The box radius, unless supplied, comes in closed form from
+    the certified delta; a bare float delta drives the walk but is
+    certified by brute force before it may size the box.  Raises
+    Infeasible or Unbounded with certificates, and RetriesExhausted if
+    every walk attempt at some level fails.
     """
     from . import phase1 as _phase1
-    from .oracle import default_radius
 
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
 
     if delta is None:
-        cert = delta_bruteforce(nlp)
-        delta_value, delta_method = cert.delta, cert.method.value
-    elif isinstance(delta, DeltaCertificate):
-        delta_value, delta_method = delta.delta, delta.method.value
-    else:
-        delta_value, delta_method = float(delta), "provided"
+        delta = delta_bruteforce(nlp)
+    delta_value, delta_method = delta_value_and_method(delta)
     if not (0.0 < delta_value <= 1.0 + 1e-9):
         raise ValueError(f"delta must lie in (0, 1], got {delta_value!r}")
 
-    box_radius = default_radius(nlp) if radius is None else float(radius)
-    box = _phase1.bounding_box(nlp, box_radius)
+    if radius is None:
+        radius = _phase1.certified_radius(nlp, delta)
+    box = _phase1.bounding_box(nlp, float(radius))
     start = _phase1.phase1_vertex(nlp, box)  # raises Infeasible
-    basis, levels, _ = _phase1.solve_bounded(
+    basis, levels = _phase1.solve_bounded(
         nlp, box, cfg, start, delta_value, max_retries=max_retries)
 
     x = solve_square(basis_matrix(nlp, basis), nlp.b[list(basis)])

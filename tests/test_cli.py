@@ -106,6 +106,21 @@ class TestSolveCommand:
         assert report["delta"] == pytest.approx(0.75)
         assert report["delta_method"] == "provided"
 
+    @pytest.mark.parametrize("spec", ["auto", "brute", "bound"])
+    def test_certificate_sizes_the_box_without_a_second_brute_force(
+            self, capsys, square_file, monkeypatch, spec):
+        # a bare float would make solve certify delta again for the box
+        import conewalk.phase1 as phase1_module
+
+        def forbidden(lp):
+            raise AssertionError("delta certified twice")
+
+        monkeypatch.setattr(phase1_module, "delta_bruteforce", forbidden)
+        code, out = run_cli(capsys, ["solve", "--input", square_file,
+                                     "--delta", spec])
+        assert code == 0
+        assert json.loads(out)["status"] == "optimal"
+
     def test_trace_file(self, capsys, square_file, tmp_path):
         trace = tmp_path / "trace.jsonl"
         code, out = run_cli(capsys, ["solve", "--input", square_file,

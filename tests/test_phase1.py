@@ -3,19 +3,41 @@ import pytest
 
 from conewalk.errors import Infeasible, Unbounded
 from conewalk.geometry import det_abs
-from conewalk.lp import LinearProgram, delta_bruteforce, normalize
-from conewalk.oracle import enumerate_vertices
+from conewalk.lp import (
+    ENUMERATION_LIMIT,
+    DeltaCertificate,
+    DeltaMethod,
+    LinearProgram,
+    delta_bruteforce,
+    normalize,
+)
+from conewalk.oracle import (
+    _all_basic_points,
+    enumerate_vertices,
+    pad_redundant,
+    tu_instance_generator,
+)
 from conewalk.phase1 import (
     augmented_lp,
     bounding_box,
     box_constraint_rows,
+    certified_radius,
     find_independent_rows,
     phase1_vertex,
 )
 from conewalk.reduction import solve
 from conewalk.walk import WalkConfig
 
-from conftest import bounded_random_lp
+from conftest import bounded_random_lp, rotate_instance
+
+# A certificate far below the square's true separation of 1: the closed-form
+# radius is then 2001, against a largest basic-point norm of sqrt(2).
+LOOSE = DeltaCertificate(delta=1e-3, method=DeltaMethod.INTEGER_BOUND)
+
+
+def _largest_basic_norm(nlp):
+    return max(float(np.linalg.norm(x))
+               for _, x in _all_basic_points(nlp, ENUMERATION_LIMIT))
 
 
 class TestFindIndependentRows:
@@ -61,6 +83,43 @@ class TestBoundingBox:
     def test_rejects_nonpositive_radius(self, unit_square):
         with pytest.raises(ValueError):
             bounding_box(unit_square, 0.0)
+
+
+class TestCertifiedRadius:
+    """The closed-form radius holds every basic point the oracle finds."""
+
+    # n=5 pads to 30 rows: C(42, 5) basic systems would need ~0.7 GB.
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("n,padded_m", [(2, 42), (3, 42), (4, 42), (5, 30)])
+    def test_dominates_basic_points(self, kind, n, padded_m):
+        base = tu_instance_generator(kind, n, 2 * n + 4, 10 * n)
+        for lp in (base, pad_redundant(base, padded_m, n)):
+            nlp = normalize(lp)
+            radius = certified_radius(nlp, delta_bruteforce(nlp))
+            assert radius > _largest_basic_norm(nlp)
+
+    def test_dominates_under_rotation_and_row_scaling(self):
+        rng = np.random.default_rng(5)
+        for seed in range(6):
+            lp = rotate_instance(
+                tu_instance_generator("network", 3, 10, seed), 70 + seed)
+            scale = np.exp(rng.uniform(-3.0, 3.0, size=lp.m))
+            nlp = normalize(LinearProgram(A=lp.A * scale[:, None],
+                                          b=lp.b * scale, c=lp.c))
+            radius = certified_radius(nlp, delta_bruteforce(nlp))
+            assert radius > _largest_basic_norm(nlp)
+
+    def test_closed_form(self, unit_square):
+        cert = delta_bruteforce(unit_square)
+        assert certified_radius(unit_square, cert) == pytest.approx(
+            2 * 1.0 / cert.delta + 1.0)
+        assert certified_radius(unit_square, LOOSE) == pytest.approx(2001.0)
+
+    def test_bare_float_is_certified_first(self, triangle):
+        # a claimed separation above the true one would shrink the box
+        cert = delta_bruteforce(triangle)
+        assert certified_radius(triangle, 1.0) == certified_radius(triangle, cert)
+        assert certified_radius(triangle, 1e-3) == certified_radius(triangle, cert)
 
 
 class TestAugmentedLp:
@@ -157,6 +216,23 @@ class TestSolveBoundedViaSolve:
             b=[2.0, 2.0, 0.0, 0.0], c=[3.0, 4.0])
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=0), radius=1.0)
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5])
+    def test_small_infeasibility_survives_a_large_box(self, gap):
+        # with LOOSE the box is 1000 times wider than the square; a
+        # tolerance scaled by it would swallow the gap and fail later
+        lp = LinearProgram(
+            A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]],
+            b=[1.0, 1.0, 0.0, 0.0, -(1.0 + gap)], c=[1.0, 1.0])
+        with pytest.raises(Infeasible) as exc_info:
+            solve(lp, WalkConfig(seed=0), delta=LOOSE)
+        assert exc_info.value.iteration == 5
+
+    def test_unbounded_with_a_large_box(self):
+        lp = LinearProgram(A=[[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                           b=[0.0, 1.0, 0.0], c=[1.0, 0.0])
+        with pytest.raises(Unbounded):
+            solve(lp, WalkConfig(seed=0), delta=LOOSE)
 
     def test_explicit_radius_still_solves(self, unit_square):
         rep = solve(unit_square, WalkConfig(seed=0), radius=10.0)

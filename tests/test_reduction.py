@@ -3,9 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from conewalk.errors import Infeasible, ObjectiveVanishes, Unbounded
-from conewalk.lp import LinearProgram, delta_bruteforce, normalize
-from conewalk.oracle import enumerate_vertices, tu_instance_generator
+from conewalk.errors import Infeasible, ObjectiveVanishes, TooLarge, Unbounded
+from conewalk.lp import (
+    LinearProgram,
+    delta_bruteforce,
+    delta_integer_bound,
+    normalize,
+)
+from conewalk.oracle import enumerate_vertices, pad_redundant, tu_instance_generator
 from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import WalkConfig
@@ -212,6 +217,37 @@ class TestSolve:
             solve(lp, WalkConfig(seed=1))
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=1, trace=io.StringIO()))
+
+    def test_provided_delta_drives_the_walk(self, monkeypatch):
+        # the boxed system used to be re-certified by brute force, and the
+        # walk ran at that value while the report claimed the caller's
+        import conewalk.reduction as reduction_module
+        seen = []
+        real_run_walk = reduction_module.run_walk
+
+        def spy(nlp, cfg, start, delta=None):
+            seen.append(delta)
+            return real_run_walk(nlp, cfg, start, delta=delta)
+
+        monkeypatch.setattr(reduction_module, "run_walk", spy)
+        lp = tu_instance_generator("network", 3, 8, 5)
+        rep = solve(lp, WalkConfig(seed=0), delta=0.3)
+        assert seen and all(d == 0.3 for d in seen)
+        assert rep.delta == 0.3
+        assert rep.alpha == 4.0 * lp.n**3 / 0.3
+
+    @pytest.mark.parametrize("m", [112, 1000])
+    def test_many_padded_rows(self, m):
+        # the box no longer enumerates C(m, n) basic systems; delta=None
+        # still does, through the input's brute-force certificate
+        base = tu_instance_generator("network", 4, 16, 7)
+        lp = pad_redundant(base, m, 7)
+        optimum = enumerate_vertices(normalize(base)).optimal_point
+        rep = solve(lp, WalkConfig(seed=0), delta=delta_integer_bound(lp.A, 1))
+        assert lp.is_feasible(rep.x, tol=1e-9)
+        assert rep.value == pytest.approx(float(lp.c @ optimum), abs=1e-9)
+        with pytest.raises(TooLarge):
+            solve(lp, WalkConfig(seed=0))
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])

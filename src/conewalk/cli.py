@@ -2,12 +2,14 @@
 
 Instances travel as JSON files; reports are single-line JSON on stdout with
 17-significant-digit floats, so identical flags produce identical bytes.
-Exit codes: 0 optimal, 1 error, 2 infeasible, 3 unbounded.
+Exit codes: 0 optimal, 1 error (also for malformed arguments), 2 infeasible,
+3 unbounded.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -35,6 +37,47 @@ EXIT_UNBOUNDED = 3
 
 class CliError(ConewalkError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError, so they end in the JSON error record and
+    exit 1 instead of argparse's exit 2, which would read as infeasible."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _checked(kind, ok, requirement: str, *, auto: bool = False):
+    """An argparse type: ``kind(text)`` if it meets ``ok``; 'auto' -> None."""
+    def parse(text: str):
+        if auto and text == "auto":
+            return None
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        also = " or 'auto'" if auto else ""
+        raise argparse.ArgumentTypeError(
+            f"must be {requirement}{also}, got {text!r}")
+    return parse
+
+
+def _non_negative(value: int) -> bool:
+    return value >= 0
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+_delta_number = _checked(float, lambda v: 0.0 < v <= 1.0,
+                         "'auto', 'brute', 'bound' or a number in (0, 1]")
+
+
+def _delta_spec(text: str) -> str | float:
+    return text if text in ("auto", "brute", "bound") else _delta_number(text)
 
 
 def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
@@ -77,22 +120,15 @@ def write_lp_file(path: str, lp: LinearProgram, *, name: str = "",
     Path(path).write_text(jsonio.json_line(record))
 
 
-def _auto_or(value: str, kind, what: str):
-    if value == "auto":
-        return None
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise CliError(f"--{what} must be a number or 'auto'") from exc
-
-
-def _resolve_delta(spec: str, lp: LinearProgram,
+def _resolve_delta(spec: str | float, lp: LinearProgram,
                    raw: dict) -> DeltaCertificate | float:
     """The certificate for 'brute', 'bound' and 'auto'; a typed number as is.
 
     A certificate lets solve size the box from it; a bare number is only a
     claim, which solve certifies by brute force before it sizes the box.
     """
+    if isinstance(spec, float):
+        return spec
     if spec == "brute":
         return delta_bruteforce(normalize(lp))
     if spec == "bound":
@@ -100,19 +136,13 @@ def _resolve_delta(spec: str, lp: LinearProgram,
             raise CliError("--delta bound needs 'integral': true and a "
                            "'Delta' field in the instance file")
         return delta_integer_bound(lp.A, int(raw["Delta"]))
-    if spec == "auto":
-        try:
-            return delta_bruteforce(normalize(lp))
-        except TooLarge:
-            if raw.get("integral") and "Delta" in raw:
-                return delta_integer_bound(lp.A, int(raw["Delta"]))
-            raise CliError("instance too large for brute-force delta; pass "
-                           "--delta <value> or add an integral Delta field")
     try:
-        return float(spec)
-    except ValueError as exc:
-        raise CliError("--delta must be a number, 'auto', 'brute' or "
-                       "'bound'") from exc
+        return delta_bruteforce(normalize(lp))
+    except TooLarge:
+        if raw.get("integral") and "Delta" in raw:
+            return delta_integer_bound(lp.A, int(raw["Delta"]))
+        raise CliError("instance too large for brute-force delta; pass "
+                       "--delta <value> or add an integral Delta field")
 
 
 def _error_report(message: str) -> dict:
@@ -124,15 +154,14 @@ def _solve_once(lp: LinearProgram, raw: dict, args) -> tuple[dict, int]:
     delta_value, delta_method = delta_value_and_method(delta)
     trace_stream = open(args.trace, "w") if getattr(args, "trace", None) else None
     cfg = WalkConfig(
-        alpha=_auto_or(args.alpha, float, "alpha"),
-        steps=_auto_or(args.steps, int, "steps"),
+        alpha=args.alpha,
+        steps=args.steps,
         seed=args.seed,
         step_constant=args.step_constant,
         trace=trace_stream,
     )
     try:
-        report = solve(lp, cfg, delta=delta, radius=args.radius_value,
-                       max_retries=args.max_retries)
+        report = solve(lp, cfg, delta=delta, max_retries=args.max_retries)
     except Infeasible as exc:
         return ({"status": "infeasible", "witness_iteration": exc.iteration,
                  "witness_value": exc.value, "delta": delta_value,
@@ -224,22 +253,28 @@ def cmd_walk_stats(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", default="auto",
+    p.add_argument("--seed", default=0,
+                   type=_checked(int, _non_negative, "a non-negative integer"))
+    p.add_argument("--steps", default=None,
+                   type=_checked(int, _non_negative, "a non-negative integer",
+                                 auto=True),
                    help="walk steps per level (default: auto)")
-    p.add_argument("--step-constant", dest="step_constant", type=float,
-                   default=1.0, help="constant C in the auto step budget")
-    p.add_argument("--alpha", default="auto",
+    p.add_argument("--step-constant", dest="step_constant", default=1.0,
+                   type=_checked(float, _positive, "a positive number"),
+                   help="constant C in the auto step budget")
+    p.add_argument("--alpha", default=None,
+                   type=_checked(float, _positive, "a positive number",
+                                 auto=True),
                    help="objective scaling (default: auto)")
-    p.add_argument("--delta", default="auto",
-                   help="row separation: a number, 'auto', 'brute' or 'bound'")
-    p.add_argument("--radius", default="auto",
-                   help="bounding-box radius (default: auto)")
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=10)
+    p.add_argument("--delta", default="auto", type=_delta_spec,
+                   help="row separation: a number in (0, 1], 'auto', "
+                        "'brute' or 'bound'")
+    p.add_argument("--max-retries", dest="max_retries", default=10,
+                   type=_checked(int, _non_negative, "a non-negative integer"))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conewalk",
         description="Randomized-walk simplex solver for max c^T x, Ax <= b")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="aggregate solver runs over many seeds")
     p_stats.add_argument("--input", action="append", required=True,
                          help="instance file (repeatable)")
-    p_stats.add_argument("--seeds", type=int, default=100)
+    p_stats.add_argument("--seeds", default=100,
+                         type=_checked(int, lambda v: v >= 1,
+                                       "a positive integer"))
     _add_solver_flags(p_stats)
     p_stats.set_defaults(func=cmd_walk_stats)
     return parser
@@ -276,8 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "radius"):
-            args.radius_value = _auto_or(args.radius, float, "radius")
         return args.func(args)
     except CliError as exc:
         print(jsonio.dumps(_error_report(str(exc))))

@@ -12,18 +12,17 @@ from .errors import NotUnitVector, SingularMatrix
 from .tolerances import NORM_TOL, SINGULAR_TOL
 
 
-def solve_square(matrix: np.ndarray, rhs: np.ndarray, *,
-                 singular_tol: float = SINGULAR_TOL) -> np.ndarray:
+def solve_square(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs for square nonsingular M.
 
     Raises SingularMatrix when the LU factorization produces a pivot of
-    magnitude <= singular_tol.
+    magnitude <= SINGULAR_TOL.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) <= singular_tol:
-        raise SingularMatrix(f"no acceptable pivot (tol={singular_tol:g})")
+    if np.min(np.abs(np.diag(lu))) <= SINGULAR_TOL:
+        raise SingularMatrix(f"no acceptable pivot (tol={SINGULAR_TOL:g})")
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
@@ -32,11 +31,11 @@ def det_abs(matrix: np.ndarray) -> float:
     return abs(float(np.linalg.det(np.asarray(matrix, dtype=float))))
 
 
-def orthonormal_basis(vectors, *, singular_tol: float = SINGULAR_TOL) -> np.ndarray:
+def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormal basis of the span of the given vectors, as matrix rows.
 
     Modified Gram-Schmidt with one re-orthogonalization pass; vectors that do
-    not grow the rank (residual norm <= singular_tol) are dropped.
+    not grow the rank (residual norm <= SINGULAR_TOL) are dropped.
     """
     basis: list[np.ndarray] = []
     for v in vectors:
@@ -45,7 +44,7 @@ def orthonormal_basis(vectors, *, singular_tol: float = SINGULAR_TOL) -> np.ndar
             for q in basis:
                 w -= (q @ w) * q
         norm = float(np.linalg.norm(w))
-        if norm > singular_tol:
+        if norm > SINGULAR_TOL:
             basis.append(w / norm)
     if not basis:
         return np.empty((0, len(np.atleast_1d(vectors[0])) if len(vectors) else 0))
@@ -68,21 +67,21 @@ def dist_to_span(v: np.ndarray, span_vectors) -> float:
     return float(np.linalg.norm(r))
 
 
-def _check_unit(a: np.ndarray, norm_tol: float) -> np.ndarray:
+def _check_unit(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > norm_tol:
-        raise NotUnitVector(f"norm {norm!r} deviates from 1 beyond {norm_tol:g}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NotUnitVector(f"norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
     return a
 
 
-def rotation_to_e1(a: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray:
+def rotation_to_e1(a: np.ndarray) -> np.ndarray:
     """Orthonormal U with a^T U = e_1^T, for unit a.
 
     Built from a single Householder reflection; the reflector uses the
     sign-stable pivot a +/- e_1 so the construction never cancels.
     """
-    a = _check_unit(a, norm_tol)
+    a = _check_unit(a)
     n = a.shape[0]
     sign = 1.0 if a[0] >= 0.0 else -1.0
     v = a.copy()
@@ -92,11 +91,3 @@ def rotation_to_e1(a: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray:
         # The reflection maps a to -e_1; flip the first output coordinate.
         u[:, 0] = -u[:, 0]
     return u
-
-
-def project_out(v: np.ndarray, a: np.ndarray, *,
-                norm_tol: float = NORM_TOL) -> np.ndarray:
-    """Component of v orthogonal to the unit vector a."""
-    a = _check_unit(a, norm_tol)
-    v = np.asarray(v, dtype=float)
-    return v - (a @ v) * a

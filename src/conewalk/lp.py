@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import geometry
 from .errors import (
     NonIntegerEntries,
     NotUnitVector,
@@ -25,7 +24,6 @@ from .errors import (
 from .tolerances import NORM_TOL, SINGULAR_TOL, SPAN_TOL, feas_tol_for
 
 BRUTE_FORCE_LIMIT = 10**7
-ENUMERATION_LIMIT = 10**6
 
 
 def _frozen_array(obj, name, value, dtype=float):
@@ -214,23 +212,3 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
     n = A_int.shape[1]
     return DeltaCertificate(delta=1.0 / (n * int(Delta) ** 2),
                             method=DeltaMethod.INTEGER_BOUND, Delta=int(Delta))
-
-
-def check_nondegenerate(lp: NormalizedLP, *,
-                        limit: int = ENUMERATION_LIMIT) -> bool:
-    """True iff every vertex of {Ax <= b} has exactly n tight rows."""
-    m, n = lp.m, lp.n
-    if math.comb(m, n) > limit:
-        raise TooLarge(f"C({m},{n}) exceeds the enumeration budget")
-    tol = lp.feas_tol()
-    for rows in itertools.combinations(range(m), n):
-        sub = lp.A[list(rows)]
-        if geometry.det_abs(sub) <= SINGULAR_TOL:
-            continue
-        x = np.linalg.solve(sub, lp.b[list(rows)])
-        if not lp.is_feasible(x, tol=tol):
-            continue
-        tight = int(np.sum(np.abs(lp.A @ x - lp.b) <= tol))
-        if tight != n:
-            return False
-    return True

@@ -15,11 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooLarge
-from .geometry import solve_square
-from .lp import ENUMERATION_LIMIT, LinearProgram, NormalizedLP
+from .geometry import det_abs, solve_square
+from .lp import LinearProgram, NormalizedLP
 from .simplex import Basis, Vertex, basis_matrix
 from .tolerances import SINGULAR_TOL
 
+ENUMERATION_LIMIT = 10**6
 SUBDET_LIMIT = 10**7
 DEDUPE_TOL = 1e-7
 
@@ -69,6 +70,26 @@ def enumerate_vertices(lp: NormalizedLP, *,
                              optimal_basis=vertices[best].basis,
                              optimal_value=values[best],
                              optimal_point=vertices[best].point)
+
+
+def check_nondegenerate(lp: NormalizedLP, *,
+                        limit: int = ENUMERATION_LIMIT) -> bool:
+    """True iff every vertex of {Ax <= b} has exactly n tight rows."""
+    m, n = lp.m, lp.n
+    if math.comb(m, n) > limit:
+        raise TooLarge(f"C({m},{n}) exceeds the enumeration budget")
+    tol = lp.feas_tol()
+    for rows in itertools.combinations(range(m), n):
+        sub = lp.A[list(rows)]
+        if det_abs(sub) <= SINGULAR_TOL:
+            continue
+        x = np.linalg.solve(sub, lp.b[list(rows)])
+        if not lp.is_feasible(x, tol=tol):
+            continue
+        tight = int(np.sum(np.abs(lp.A @ x - lp.b) <= tol))
+        if tight != n:
+            return False
+    return True
 
 
 def _int_det(rows: list[list[int]]) -> int:

@@ -1,16 +1,14 @@
 """Initial vertex, infeasibility certification, and the boundedness box.
 
-An enclosing box reuses n linearly independent rows of the constraint matrix
-as slab directions, so augmenting with its 2n rows never introduces new
-directions beyond negations and the row-separation property is preserved:
-the boxed system has the input's delta.  Its radius follows in closed form
-from a certified delta, so no basic system is ever solved to size it.
-A vertex of the boxed system is grown one constraint at a time; an optimum
-of the boxed program touching the box certifies unboundedness.
+The boxed program is the input's rows followed by 2n slab rows along n
+linearly independent input rows.  It introduces no direction beyond
+negations, so the row-separation property is preserved: the boxed program
+has the input's delta.  The box radius follows in closed form from a
+certified delta, so no basic system is ever solved to size it.  A vertex
+of the boxed program is grown one constraint at a time; an optimum of the
+boxed program touching the box certifies unboundedness.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +18,6 @@ from .lp import DeltaCertificate, NormalizedLP, delta_bruteforce
 from .simplex import Vertex, bland_simplex, vertex_of_basis
 from .tolerances import SPAN_TOL
 from .walk import WalkConfig
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Slabs beta_i <= a_i^T x <= gamma_i along independent constraint rows."""
-
-    direction_rows: tuple[int, ...]
-    beta: np.ndarray
-    gamma: np.ndarray
 
 
 def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
@@ -42,19 +31,25 @@ def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
     raise RankDeficient("fewer than n independent rows; invalid instance")
 
 
-def bounding_box(lp: NormalizedLP, radius: float) -> BoundingBox:
-    """Box [-radius, radius] along each chosen direction.
+def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
+    """The boxed program: lp's rows, then the 2n box rows.
 
-    The directions are unit vectors, so the box contains the ball of the
-    given radius; the caller guarantees that ball holds every basic point.
+    The box is the slabs |a_i^T x| <= radius along n independent rows:
+    their directions first, then their negations, with labels continuing
+    after lp's.  The directions are unit vectors, so the box contains the
+    ball of the given radius; the caller guarantees that ball holds every
+    basic point.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    rows = find_independent_rows(lp)
-    n = lp.n
-    return BoundingBox(direction_rows=rows,
-                       beta=np.full(n, -float(radius)),
-                       gamma=np.full(n, float(radius)))
+    dirs = lp.A[list(find_independent_rows(lp))]
+    next_label = max(lp.row_labels) + 1
+    return NormalizedLP(
+        A=np.vstack([lp.A, dirs, -dirs]),
+        b=np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]),
+        c=lp.c,
+        row_labels=lp.row_labels + tuple(range(next_label, next_label + 2 * lp.n)),
+    )
 
 
 def certified_radius(lp: NormalizedLP,
@@ -74,40 +69,23 @@ def certified_radius(lp: NormalizedLP,
     return lp.n * float(np.max(np.abs(lp.b))) / delta.delta + 1.0
 
 
-def box_constraint_rows(lp: NormalizedLP, box: BoundingBox,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The 2n box rows: gamma sides first, then negated beta sides."""
-    dirs = lp.A[list(box.direction_rows)]
-    return np.vstack([dirs, -dirs]), np.concatenate([box.gamma, -box.beta])
-
-
-def augmented_lp(lp: NormalizedLP, box: BoundingBox) -> NormalizedLP:
-    """Original rows followed by the 2n box rows, still unit-normalized."""
-    A_box, b_box = box_constraint_rows(lp, box)
-    next_label = max(lp.row_labels) + 1
-    return NormalizedLP(
-        A=np.vstack([lp.A, A_box]),
-        b=np.concatenate([lp.b, b_box]),
-        c=lp.c,
-        row_labels=lp.row_labels + tuple(range(next_label, next_label + 2 * lp.n)),
-    )
-
-
-def phase1_vertex(lp: NormalizedLP, box: BoundingBox) -> Vertex:
+def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     """Grow a vertex of P intersected with the box, or certify infeasibility.
 
-    Starting from the box corner with all gamma sides tight, constraint i is
-    brought in by minimizing a_i^T x over the region satisfying the box and
-    the first i-1 constraints; a minimum above b_i certifies the whole
-    program infeasible, with the iteration index as witness.
+    ``boxed`` is ``bounding_box(lp, radius)``.  Starting from the box corner
+    where the n box rows along the directions (not their negations) are
+    tight, constraint i is brought in by minimizing a_i^T x over the region
+    satisfying the box and the first i-1 constraints; a minimum above b_i
+    certifies the whole program infeasible, with the iteration index as
+    witness.
 
-    The returned vertex's basis indexes the augmented system (original rows
+    The returned vertex's basis indexes the boxed program (original rows
     first, then the box rows).  The test uses the input's tolerance: box
     corners are exact up to rounding of order radius * eps, and a tolerance
     that grew with the radius would let real infeasibility through.
     """
     m, n = lp.m, lp.n
-    A_box, b_box = box_constraint_rows(lp, box)
+    A_box, b_box = boxed.A[m:], boxed.b[m:]
     ftol = lp.feas_tol()
 
     # Box-first ordering keeps row positions stable while constraints append.
@@ -138,10 +116,10 @@ def _box_row_implied(lp: NormalizedLP, direction: np.ndarray, rhs: float,
     return bool(np.any(same & (lp.b <= rhs + ftol)))
 
 
-def solve_bounded(lp: NormalizedLP, box: BoundingBox, cfg: WalkConfig,
+def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
                   start: Vertex, delta: float, *, max_retries: int,
                   ) -> tuple[tuple[int, ...], list]:
-    """Run the recursion on the boxed system and strip the box again.
+    """Run the recursion on the boxed program and strip the box again.
 
     The walk runs at the given delta, which the box rows keep.  Returns
     (basis positions in the original rows, per-level stats).  An optimum
@@ -151,22 +129,21 @@ def solve_bounded(lp: NormalizedLP, box: BoundingBox, cfg: WalkConfig,
     """
     from .reduction import _solve_level
 
-    aug = augmented_lp(lp, box)
     levels: list = []
-    basis_aug = _solve_level(aug, delta, cfg, start,
-                             base_seed=cfg.seed, level=0,
-                             max_retries=max_retries, levels_out=levels)
-    x = solve_square(aug.A[list(basis_aug)], aug.b[list(basis_aug)])
+    basis = _solve_level(boxed, delta, cfg, start,
+                         base_seed=cfg.seed, level=0,
+                         max_retries=max_retries, levels_out=levels)
+    x = solve_square(boxed.A[list(basis)], boxed.b[list(basis)])
 
     ftol = lp.feas_tol()
     m = lp.m
-    for p in range(m, aug.m):
-        if abs(float(aug.A[p] @ x - aug.b[p])) <= ftol:
-            if not _box_row_implied(lp, aug.A[p], float(aug.b[p]), ftol):
+    for p in range(m, boxed.m):
+        if abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
+            if not _box_row_implied(lp, boxed.A[p], float(boxed.b[p]), ftol):
                 raise Unbounded(
                     "optimum of the boxed system lies on the artificial box",
                     box_row=p - m)
-    if any(p >= m for p in basis_aug):
+    if any(p >= m for p in basis):
         raise Unbounded("optimal basis uses an artificial box row",
-                        box_row=next(p for p in basis_aug if p >= m) - m)
-    return tuple(sorted(basis_aug)), levels
+                        box_row=next(p for p in basis if p >= m) - m)
+    return tuple(sorted(basis)), levels

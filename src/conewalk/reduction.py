@@ -33,7 +33,7 @@ from .lp import (
 )
 from .simplex import Vertex, basis_matrix, cone_membership, vertex_of_basis
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, run_walk
+from .walk import WalkConfig, default_alpha, run_walk
 
 DUPLICATE_TOL = 1e-9
 DEFAULT_MAX_RETRIES = 10
@@ -249,18 +249,17 @@ def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
 
 def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
           delta: float | DeltaCertificate | None = None,
-          radius: float | None = None,
           max_retries: int = DEFAULT_MAX_RETRIES) -> SolveReport:
     """Solve max c^T x s.t. Ax <= b end to end.
 
     Normalizes, certifies the row separation (brute force unless supplied),
     finds an initial vertex or a certified infeasibility, reduces to a
     bounded instance via an enclosing box, and runs the walk-driven
-    recursion.  The box radius, unless supplied, comes in closed form from
-    the certified delta; a bare float delta drives the walk but is
-    certified by brute force before it may size the box.  Raises
-    Infeasible or Unbounded with certificates, and RetriesExhausted if
-    every walk attempt at some level fails.
+    recursion.  The box radius comes in closed form from the certified
+    delta; a bare float delta drives the walk but is certified by brute
+    force before it may size the box.  Raises Infeasible or Unbounded with
+    certificates, and RetriesExhausted if every walk attempt at some level
+    fails.
     """
     from . import phase1 as _phase1
 
@@ -273,12 +272,10 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     if not (0.0 < delta_value <= 1.0 + 1e-9):
         raise ValueError(f"delta must lie in (0, 1], got {delta_value!r}")
 
-    if radius is None:
-        radius = _phase1.certified_radius(nlp, delta)
-    box = _phase1.bounding_box(nlp, float(radius))
-    start = _phase1.phase1_vertex(nlp, box)  # raises Infeasible
+    boxed = _phase1.bounding_box(nlp, _phase1.certified_radius(nlp, delta))
+    start = _phase1.phase1_vertex(nlp, boxed)  # raises Infeasible
     basis, levels = _phase1.solve_bounded(
-        nlp, box, cfg, start, delta_value, max_retries=max_retries)
+        nlp, boxed, cfg, start, delta_value, max_retries=max_retries)
 
     x = solve_square(basis_matrix(nlp, basis), nlp.b[list(basis)])
     if not nlp.is_feasible(x):
@@ -293,7 +290,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         delta=delta_value,
         delta_method=delta_method,
         alpha=cfg.alpha if cfg.alpha is not None
-        else 4.0 * nlp.n**3 / delta_value,
+        else default_alpha(nlp.n, delta_value),
         steps_per_level=tuple(s.steps_taken for s in levels),
         pivots=sum(s.pivots for s in levels),
         retries=sum(s.retries for s in levels),

@@ -56,15 +56,14 @@ def vertex_of_basis(lp: NormalizedLP, basis: Basis) -> Vertex:
     return Vertex(point=x, basis=basis)
 
 
-def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray, *,
-                    cone_tol: float = CONE_TOL) -> ConeResult:
+def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray) -> ConeResult:
     """Does w lie in the cone spanned by the basis rows?
 
-    Solves A_B^T mu = w; membership allows coefficients down to -cone_tol.
+    Solves A_B^T mu = w; membership allows coefficients down to -CONE_TOL.
     """
     basis = tuple(sorted(basis))
     mu = solve_square(basis_matrix(lp, basis).T, np.asarray(w, dtype=float))
-    return ConeResult(inside=bool(np.all(mu >= -cone_tol)), coeffs=mu)
+    return ConeResult(inside=bool(np.all(mu >= -CONE_TOL)), coeffs=mu)
 
 
 def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
@@ -106,15 +105,14 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
     return Vertex(point=v.point + t_min * d, basis=new_basis)
 
 
-def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,
-                  max_pivots: int | None = None) -> Vertex:
+def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray) -> Vertex:
     """Deterministic reference simplex: maximize objective^T x from start.
 
     Always leaves the facet of the smallest-index row with a negative conic
     coefficient; optimality is certified by cone membership of the objective.
+    Gives up after 10 * C(m, n) pivots.
     """
-    if max_pivots is None:
-        max_pivots = 10 * math.comb(lp.m, lp.n)
+    max_pivots = 10 * math.comb(lp.m, lp.n)
     v = start
     for _ in range(max_pivots + 1):
         res = cone_membership(lp, v.basis, objective)

@@ -1,15 +1,13 @@
 """Numeric tolerances used across the package.
 
-All values are module-level configuration; functions take keyword overrides
-where a caller may reasonably want a different setting.
+Each value is a module-level constant, read directly where it applies; no
+function takes an override of one.  Only the feasibility tolerance varies
+per program: it scales with the right-hand side (feas_tol_for).
 """
 
 # Smallest acceptable pivot magnitude in an LU factorization; also the rank
 # threshold for span growth.
 SINGULAR_TOL = 1e-10
-
-# Residual bound for linear solves, relative to (1 + ||rhs||_inf).
-SOLVE_TOL = 1e-9
 
 # Allowed deviation from unit Euclidean norm.
 NORM_TOL = 1e-9

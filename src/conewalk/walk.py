@@ -67,12 +67,14 @@ class WalkConfig:
                 alpha = default_alpha(n, delta)
             if steps is None:
                 steps = default_steps(n, delta, self.step_constant)
+        if not alpha > 0.0:
+            raise ValueError("alpha must be > 0")
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
         if delta is not None and alpha < 2.0 * n**3 / delta:
             warnings.warn(
                 f"alpha={alpha:g} is below 2*n^3/delta={2 * n**3 / delta:g}; "
                 "the failure-probability guarantee degrades", stacklevel=2)
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
         return replace(self, alpha=float(alpha), steps=int(steps))
 
 

@@ -14,12 +14,12 @@ from conewalk.cli import main, write_lp_file
 from conewalk.errors import Infeasible, Unbounded
 from conewalk.lp import (
     LinearProgram,
-    check_nondegenerate,
     delta_bruteforce,
     normalize,
 )
 from conewalk.oracle import (
     check_lemma4,
+    check_nondegenerate,
     default_radius,
     enumerate_vertices,
     laplace_tail_check,
@@ -27,7 +27,7 @@ from conewalk.oracle import (
     pad_redundant,
     tu_instance_generator,
 )
-from conewalk.phase1 import augmented_lp, bounding_box, phase1_vertex
+from conewalk.phase1 import bounding_box, phase1_vertex
 from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import vertex_of_basis
 from conewalk.walk import Parallelepiped, WalkConfig, WalkState, _WalkCache, step
@@ -196,9 +196,8 @@ def walk_samples():
     """Neighbor pairs observed on an n=4 instance, for criteria 4-6."""
     lp = tu_instance_generator("interval", 4, 14, seed=77)
     nlp = normalize(lp)
-    box = bounding_box(nlp, default_radius(nlp))
-    aug = augmented_lp(nlp, box)
-    start = phase1_vertex(nlp, box)
+    aug = bounding_box(nlp, default_radius(nlp))
+    start = phase1_vertex(nlp, aug)
     delta = delta_bruteforce(aug).delta
     alpha = 4.0 * aug.n**3 / delta
 

@@ -180,6 +180,43 @@ class TestSolveCommand:
         assert float(match.group(1)) == json.loads(out)["value"]
 
 
+class TestMalformedArguments:
+    """Usage errors end in the JSON error record and exit 1, never in
+    argparse's exit 2 (which reads as infeasible) or a bare traceback."""
+
+    def assert_usage_error(self, capsys, argv, mention):
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert mention in report["error"]
+
+    @pytest.mark.parametrize("argv,mention", [
+        (["solve"], "--input"),
+        ([], "command"),
+        (["solve", "--input", "x.json", "--seed", "x"], "--seed"),
+        (["solve", "--input", "x.json", "--radius", "5"], "--radius"),
+    ])
+    def test_argparse_errors(self, capsys, argv, mention):
+        self.assert_usage_error(capsys, argv, mention)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta", "0"), ("--delta", "2"), ("--delta", "nan"),
+        ("--steps", "-3"), ("--step-constant", "0"),
+        ("--max-retries", "-1"), ("--alpha", "0"), ("--alpha", "-5"),
+        ("--seed", "-1"),
+    ])
+    def test_out_of_range_numbers(self, capsys, square_file, flag, value):
+        for command in ("solve", "walk-stats"):
+            self.assert_usage_error(
+                capsys, [command, "--input", square_file, flag, value], flag)
+
+    def test_zero_seeds(self, capsys, square_file):
+        self.assert_usage_error(
+            capsys, ["walk-stats", "--input", square_file, "--seeds", "0"],
+            "--seeds")
+
+
 class TestVerifyDeltaCommand:
     def test_square_brute(self, capsys, square_file):
         code, out = run_cli(capsys, ["verify-delta", "--input", square_file])

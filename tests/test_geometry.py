@@ -5,7 +5,6 @@ from conewalk.errors import NotUnitVector, SingularMatrix
 from conewalk.geometry import (
     det_abs,
     dist_to_span,
-    project_out,
     rotation_to_e1,
     solve_square,
 )
@@ -135,33 +134,3 @@ class TestRotationToE1:
     def test_not_unit_raises(self):
         with pytest.raises(NotUnitVector):
             rotation_to_e1([2.0, 0.0])
-
-
-class TestProjectOut:
-    def test_parallel(self):
-        np.testing.assert_allclose(project_out([1.0, 0.0], [1.0, 0.0]),
-                                   [0.0, 0.0], atol=1e-12)
-
-    def test_axis(self):
-        np.testing.assert_allclose(project_out([1.0, 1.0], [1.0, 0.0]),
-                                   [0.0, 1.0], atol=1e-12)
-
-    def test_diagonal(self):
-        # v - (a.v) a with a = (1,1)/sqrt(2), v = (2,1): a.v = 3/sqrt(2)
-        a = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(project_out([2.0, 1.0], a), [0.5, -0.5],
-                                   atol=1e-12)
-
-    def test_orthogonality_property(self):
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 6))
-            a = rng.standard_normal(n)
-            a /= np.linalg.norm(a)
-            v = rng.standard_normal(n)
-            r = project_out(v, a)
-            assert abs(a @ r) <= 1e-9 * (np.linalg.norm(v) + 1.0)
-
-    def test_not_unit_raises(self):
-        with pytest.raises(NotUnitVector):
-            project_out([1.0, 0.0], [0.5, 0.0])

@@ -14,11 +14,11 @@ from conewalk.geometry import dist_to_span
 from conewalk.lp import (
     DeltaMethod,
     LinearProgram,
-    check_nondegenerate,
     delta_bruteforce,
     delta_integer_bound,
     normalize,
 )
+from conewalk.oracle import check_nondegenerate
 
 from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instance
 

@@ -4,7 +4,6 @@ import pytest
 from conewalk.errors import Infeasible, Unbounded
 from conewalk.geometry import det_abs
 from conewalk.lp import (
-    ENUMERATION_LIMIT,
     DeltaCertificate,
     DeltaMethod,
     LinearProgram,
@@ -12,20 +11,20 @@ from conewalk.lp import (
     normalize,
 )
 from conewalk.oracle import (
+    ENUMERATION_LIMIT,
     _all_basic_points,
     enumerate_vertices,
     pad_redundant,
     tu_instance_generator,
 )
 from conewalk.phase1 import (
-    augmented_lp,
     bounding_box,
-    box_constraint_rows,
     certified_radius,
     find_independent_rows,
     phase1_vertex,
+    solve_bounded,
 )
-from conewalk.reduction import solve
+from conewalk.reduction import DEFAULT_MAX_RETRIES, solve
 from conewalk.walk import WalkConfig
 
 from conftest import bounded_random_lp, rotate_instance
@@ -59,26 +58,28 @@ class TestFindIndependentRows:
 
 class TestBoundingBox:
     def test_square_slabs(self, unit_square):
-        box = bounding_box(unit_square, 1.0)
-        assert box.direction_rows == (0, 1)
-        np.testing.assert_allclose(box.gamma, [1.0, 1.0])
-        np.testing.assert_allclose(box.beta, [-1.0, -1.0])
+        boxed = bounding_box(unit_square, 1.0)
+        m, n = unit_square.m, unit_square.n
+        dirs = unit_square.A[[0, 1]]
+        assert np.array_equal(boxed.A[m:], np.vstack([dirs, -dirs]))
+        assert np.array_equal(boxed.b[m:], np.full(2 * n, 1.0))
 
     def test_contains_the_ball(self, unit_square):
         # |a.x| <= ||x|| for unit a, so the R-slabs contain the R-ball
-        box = bounding_box(unit_square, 2.0)
-        A_box, b_box = box_constraint_rows(unit_square, box)
+        boxed = bounding_box(unit_square, 2.0)
+        m = unit_square.m
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(2)
             x *= 2.0 * rng.random() / np.linalg.norm(x)
-            assert np.all(A_box @ x <= b_box + 1e-12)
+            assert np.all(boxed.A[m:] @ x <= boxed.b[m:] + 1e-12)
 
     def test_contains_square_corners(self, unit_square):
-        box = bounding_box(unit_square, 2.0)
-        A_box, b_box = box_constraint_rows(unit_square, box)
+        boxed = bounding_box(unit_square, 2.0)
+        m = unit_square.m
         for corner in ([0, 0], [0, 1], [1, 0], [1, 1]):
-            assert np.all(A_box @ np.array(corner, float) <= b_box + 1e-12)
+            x = np.array(corner, float)
+            assert np.all(boxed.A[m:] @ x <= boxed.b[m:] + 1e-12)
 
     def test_rejects_nonpositive_radius(self, unit_square):
         with pytest.raises(ValueError):
@@ -123,29 +124,39 @@ class TestCertifiedRadius:
 
 
 class TestAugmentedLp:
-    def test_shape_and_labels(self, unit_square):
-        box = bounding_box(unit_square, 2.0)
-        aug = augmented_lp(unit_square, box)
-        assert aug.m == unit_square.m + 4
-        assert aug.row_labels == (1, 2, 3, 4, 5, 6, 7, 8)
-        np.testing.assert_allclose(aug.A[:4], unit_square.A)
+    """The boxed program: the input's rows, then the directions, then
+    their negations."""
+
+    def test_shape_and_labels(self):
+        nlp = normalize(tu_instance_generator("network", 3, 10, 4))
+        boxed = bounding_box(nlp, 2.5)
+        m, n = nlp.m, nlp.n
+        assert (boxed.m, boxed.n) == (m + 2 * n, n)
+        assert boxed.row_labels == tuple(range(1, m + 2 * n + 1))
+        assert np.array_equal(boxed.A[:m], nlp.A)
+        assert np.array_equal(boxed.b[:m], nlp.b)
+        assert np.array_equal(boxed.c, nlp.c)
+        dirs = nlp.A[list(find_independent_rows(nlp))]
+        assert np.array_equal(boxed.A[m:], np.vstack([dirs, -dirs]))
+        assert np.array_equal(boxed.b[m:], np.full(2 * n, 2.5))
 
     def test_separation_survives_augmentation(self, unit_square):
         # box rows only negate existing directions
-        box = bounding_box(unit_square, 2.0)
-        aug = augmented_lp(unit_square, box)
-        assert delta_bruteforce(aug).delta == pytest.approx(
+        boxed = bounding_box(unit_square, 2.0)
+        assert delta_bruteforce(boxed).delta == pytest.approx(
             delta_bruteforce(unit_square).delta, abs=1e-9)
+        nlp = normalize(tu_instance_generator("interval", 3, 10, 6))
+        assert delta_bruteforce(bounding_box(nlp, 7.0)).delta == pytest.approx(
+            delta_bruteforce(nlp).delta, abs=1e-9)
 
 
 class TestPhase1Vertex:
     def test_square_returns_a_vertex_of_the_region(self, unit_square):
-        box = bounding_box(unit_square, 2.0)
-        v = phase1_vertex(unit_square, box)
-        aug = augmented_lp(unit_square, box)
-        assert aug.is_feasible(v.point)
-        # exactly n rows of the augmented system are tight
-        tight = np.sum(np.abs(aug.A @ v.point - aug.b) <= aug.feas_tol())
+        boxed = bounding_box(unit_square, 2.0)
+        v = phase1_vertex(unit_square, boxed)
+        assert boxed.is_feasible(v.point)
+        # exactly n rows of the boxed program are tight
+        tight = np.sum(np.abs(boxed.A @ v.point - boxed.b) <= boxed.feas_tol())
         assert tight == unit_square.n
         corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert any(np.allclose(v.point, c, atol=1e-9) for c in corners)
@@ -155,9 +166,9 @@ class TestPhase1Vertex:
         lp = normalize(LinearProgram(
             A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             b=[0.0, -1.0, 1.0, 0.0], c=[1.0, 1.0]))
-        box = bounding_box(lp, 2.0)
+        boxed = bounding_box(lp, 2.0)
         with pytest.raises(Infeasible) as exc_info:
-            phase1_vertex(lp, box)
+            phase1_vertex(lp, boxed)
         assert exc_info.value.iteration == 2
         # the witness value is the certified minimum of row 2 over the
         # previous region: min(-x) for x in [-2, 0] is 0 > -1
@@ -167,14 +178,13 @@ class TestPhase1Vertex:
         lp = normalize(LinearProgram(
             A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             b=[0.0, -1.0, 1.0, 0.0], c=[1.0, 1.0]))
-        box = bounding_box(lp, 2.0)
+        boxed = bounding_box(lp, 2.0)
         with pytest.raises(Infeasible) as exc_info:
-            phase1_vertex(lp, box)
+            phase1_vertex(lp, boxed)
         i = exc_info.value.iteration - 1
-        A_box, b_box = box_constraint_rows(lp, box)
         region = normalize(LinearProgram(
-            A=np.vstack([A_box, lp.A[:i]]),
-            b=np.concatenate([b_box, lp.b[:i]]),
+            A=np.vstack([boxed.A[lp.m:], lp.A[:i]]),
+            b=np.concatenate([boxed.b[lp.m:], lp.b[:i]]),
             c=lp.c))
         res = enumerate_vertices(region)
         best = min(float(lp.A[i] @ v.point) for v in res.vertices)
@@ -187,16 +197,14 @@ class TestPhase1Vertex:
         lp = normalize(LinearProgram(
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
             b=[5.0, 5.0, 5.0, 5.0], c=[1.0, 1.0]))
-        box = bounding_box(lp, 1.0)
-        v = phase1_vertex(lp, box)
+        v = phase1_vertex(lp, bounding_box(lp, 1.0))
         np.testing.assert_allclose(np.abs(v.point), [1.0, 1.0], atol=1e-9)
         assert lp.is_feasible(v.point)
 
     def test_feasible_random_instances(self):
         for seed in range(10):
             nlp = bounded_random_lp(3, 3, seed + 40)
-            box = bounding_box(nlp, 4.0)
-            v = phase1_vertex(nlp, box)
+            v = phase1_vertex(nlp, bounding_box(nlp, 4.0))
             assert nlp.is_feasible(v.point)
             assert np.all(np.abs(v.point) <= 4.0 + 1e-7)
 
@@ -209,13 +217,19 @@ class TestSolveBoundedViaSolve:
             solve(lp, WalkConfig(seed=0))
 
     def test_degenerate_box_contact_is_unbounded(self):
-        # a bounded square, but the caller-supplied radius grazes the
-        # optimal vertex: conservatively reported unbounded
-        lp = LinearProgram(
+        # a box of radius 1 cuts the square [0, 2]^2 below its optimum
+        # (2, 2): the boxed optimum (1, 1) lies on box rows that no input
+        # row implies, so a box too small reports a bounded program
+        # unbounded.  solve's certified radius never builds such a box.
+        nlp = normalize(LinearProgram(
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-            b=[2.0, 2.0, 0.0, 0.0], c=[3.0, 4.0])
+            b=[2.0, 2.0, 0.0, 0.0], c=[3.0, 4.0]))
+        boxed = bounding_box(nlp, 1.0)
+        start = phase1_vertex(nlp, boxed)
         with pytest.raises(Unbounded):
-            solve(lp, WalkConfig(seed=0), radius=1.0)
+            solve_bounded(nlp, boxed, WalkConfig(seed=0), start,
+                          delta_bruteforce(nlp).delta,
+                          max_retries=DEFAULT_MAX_RETRIES)
 
     @pytest.mark.parametrize("gap", [1e-4, 1e-5])
     def test_small_infeasibility_survives_a_large_box(self, gap):
@@ -233,7 +247,3 @@ class TestSolveBoundedViaSolve:
                            b=[0.0, 1.0, 0.0], c=[1.0, 0.0])
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=0), delta=LOOSE)
-
-    def test_explicit_radius_still_solves(self, unit_square):
-        rep = solve(unit_square, WalkConfig(seed=0), radius=10.0)
-        assert rep.basis == (0, 1)

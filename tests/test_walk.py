@@ -7,7 +7,7 @@ import pytest
 
 from conewalk.lp import delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
-from conewalk.phase1 import augmented_lp, bounding_box, phase1_vertex
+from conewalk.phase1 import bounding_box, phase1_vertex
 from conewalk.simplex import vertex_of_basis
 from conewalk.walk import (
     Parallelepiped,
@@ -334,9 +334,8 @@ class TestReplay:
         # every non-lazy trace record, fed back through step() with the
         # walk's own draws, reproduces the record
         nlp = normalize(tu_instance_generator("interval", 4, 14, seed=77))
-        box = bounding_box(nlp, default_radius(nlp))
-        lp = augmented_lp(nlp, box)
-        start = phase1_vertex(nlp, box)
+        lp = bounding_box(nlp, default_radius(nlp))
+        start = phase1_vertex(nlp, lp)
         seed = 5  # walks its whole budget, through a resync at step 4096
         cfg = WalkConfig(steps=9000, seed=seed).resolved(
             lp.n, delta_bruteforce(lp).delta)
@@ -388,6 +387,11 @@ class TestDefaults:
 
     def test_default_alpha(self):
         assert default_alpha(2, 1.0) == pytest.approx(32.0)
+
+    def test_nonpositive_alpha_rejected(self):
+        for alpha in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                WalkConfig(alpha=alpha, steps=5).resolved(2, 1.0)
 
     def test_alpha_warning_below_threshold(self, unit_square):
         cfg = WalkConfig(alpha=1.0, steps=5)

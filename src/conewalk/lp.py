@@ -98,6 +98,34 @@ class NormalizedLP(LinearProgram):
             raise NotUnitVector("objective must have unit norm")
 
 
+def _derived(parent: NormalizedLP, A: np.ndarray, b: np.ndarray,
+             row_labels: tuple[int, ...]) -> NormalizedLP:
+    """A program built from a validated one without re-running validation.
+
+    The NormalizedLP constructor checks finiteness, unit rows and
+    objective, shapes and full column rank (an SVD).  A program derived
+    from a validated ``parent`` keeps all of these when the caller
+    guarantees that:
+
+    - every row of ``A`` is a row of ``parent.A`` or its exact negation,
+      so it is finite, nonzero and of unit norm;
+    - ``A`` holds n linearly independent rows, so m >= n and A has full
+      column rank;
+    - ``b`` is finite with one entry per row, and ``row_labels`` has one
+      label per row.
+
+    The objective is ``parent.c``.  The arrays are stored as read-only
+    views, not copies, so the caller must not write to them afterwards.
+    """
+    lp = object.__new__(NormalizedLP)
+    for name, value in (("A", A), ("b", b), ("c", parent.c)):
+        view = np.asarray(value, dtype=float).view()
+        view.flags.writeable = False
+        object.__setattr__(lp, name, view)
+    object.__setattr__(lp, "row_labels", tuple(row_labels))
+    return lp
+
+
 class DeltaMethod(Enum):
     BRUTE_FORCE = "brute_force"
     INTEGER_BOUND = "integer_bound"
@@ -164,24 +192,46 @@ def _subset_distances(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.linalg.norm(resid, axis=2), full_rank
 
 
+def _distinct_directions(A: np.ndarray) -> np.ndarray:
+    """Positions of the first row of each distinct direction, ascending.
+
+    A row and its exact negation are one direction.  Rows are compared
+    exactly, with no tolerance: each is flipped so that its first nonzero
+    entry is positive (negation is exact in floating point, so a row and
+    its negation flip to the same values) and ``+ 0.0`` turns -0.0 into 0.0.
+    """
+    first_nonzero = A[np.arange(A.shape[0]), np.argmax(A != 0.0, axis=1)]
+    canonical = A * np.where(first_nonzero < 0.0, -1.0, 1.0)[:, None] + 0.0
+    seen: dict[tuple[float, ...], int] = {}
+    for i, row in enumerate(map(tuple, canonical.tolist())):
+        seen.setdefault(row, i)
+    return np.fromiter(seen.values(), dtype=int, count=len(seen))
+
+
 def delta_bruteforce(lp: NormalizedLP, *,
                      limit: int = BRUTE_FORCE_LIMIT) -> DeltaCertificate:
-    """Exact row separation by subset enumeration.
+    """Exact row separation by subset enumeration over distinct directions.
 
     Minimizes the distance from each row to the span of every subset of at
     most n-1 other rows, skipping rows that lie inside the span (distance
-    <= SPAN_TOL).  The returned witness (row, subset) re-evaluates to the
-    reported value.
+    <= SPAN_TOL).  Repeated rows and exact negations add neither a span nor
+    a distance, so only the first occurrence of each of the d distinct
+    directions is enumerated: C(d, n-1) * d work, whatever the padding.
+    The returned witness (row, subset) is in input row positions and
+    re-evaluates to the reported value.
     """
-    m, n = lp.m, lp.n
-    if math.comb(m, n - 1) * m > limit:
-        raise TooLarge(f"C({m},{n - 1})*{m} exceeds the enumeration budget")
-    A = lp.A
+    n = lp.n
+    rows = _distinct_directions(lp.A)
+    d = len(rows)
+    if math.comb(d, n - 1) * d > limit:
+        raise TooLarge(f"C({d},{n - 1})*{d} over {d} distinct row directions "
+                       "exceeds the enumeration budget")
+    A = lp.A[rows]
     # Empty subset: the span is {0}, every unit row is at distance 1.
     best = 1.0
     best_witness = (0, ())
     for k in range(1, n):
-        idx = np.array(list(itertools.combinations(range(m), k)), dtype=int)
+        idx = np.array(list(itertools.combinations(range(d), k)), dtype=int)
         dists, full_rank = _subset_distances(A, idx)
         dists = dists[full_rank]
         keep = idx[full_rank]
@@ -190,10 +240,10 @@ def delta_bruteforce(lp: NormalizedLP, *,
             continue
         masked = np.where(mask, dists, np.inf)
         flat = int(np.argmin(masked))
-        k_i, j = divmod(flat, m)
+        k_i, j = divmod(flat, d)
         if masked[k_i, j] < best:
             best = float(masked[k_i, j])
-            best_witness = (j, tuple(int(t) for t in keep[k_i]))
+            best_witness = (int(rows[j]), tuple(int(rows[t]) for t in keep[k_i]))
     return DeltaCertificate(delta=best, method=DeltaMethod.BRUTE_FORCE,
                             witness=best_witness)
 

@@ -10,11 +10,13 @@ boxed program touching the box certifies unboundedness.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import Infeasible, RankDeficient, Unbounded
 from .geometry import dist_to_span, solve_square
-from .lp import DeltaCertificate, NormalizedLP, delta_bruteforce
+from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
 from .simplex import Vertex, bland_simplex, vertex_of_basis
 from .tolerances import SPAN_TOL
 from .walk import WalkConfig
@@ -38,16 +40,17 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
     their directions first, then their negations, with labels continuing
     after lp's.  The directions are unit vectors, so the box contains the
     ball of the given radius; the caller guarantees that ball holds every
-    basic point.
+    basic point.  Every row is one of lp's rows or its negation, so the
+    boxed program inherits lp's validation.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     dirs = lp.A[list(find_independent_rows(lp))]
     next_label = max(lp.row_labels) + 1
-    return NormalizedLP(
+    return _derived(
+        lp,
         A=np.vstack([lp.A, dirs, -dirs]),
         b=np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]),
-        c=lp.c,
         row_labels=lp.row_labels + tuple(range(next_label, next_label + 2 * lp.n)),
     )
 
@@ -85,17 +88,22 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     that grew with the radius would let real infeasibility through.
     """
     m, n = lp.m, lp.n
-    A_box, b_box = boxed.A[m:], boxed.b[m:]
     ftol = lp.feas_tol()
 
-    # Box-first ordering keeps row positions stable while constraints append.
-    v = vertex_of_basis(
-        NormalizedLP(A=A_box, b=b_box, c=lp.c, row_labels=()),
-        tuple(range(n)))
+    # Box-first ordering keeps row positions stable while constraints
+    # append: the region before constraint i is the first 2n + i rows.
+    # Validating the box rows once shows that each such prefix holds n
+    # independent rows; the prefixes themselves are not re-validated.
+    box = NormalizedLP(A=boxed.A[m:], b=boxed.b[m:], c=lp.c,
+                       row_labels=boxed.row_labels[m:])
+    ordered = _derived(boxed, A=np.vstack([box.A, lp.A]),
+                       b=np.concatenate([box.b, lp.b]),
+                       row_labels=box.row_labels + lp.row_labels)
+    v = vertex_of_basis(box, tuple(range(n)))
     for i in range(m):
-        region = NormalizedLP(A=np.vstack([A_box, lp.A[:i]]),
-                              b=np.concatenate([b_box, lp.b[:i]]),
-                              c=lp.c, row_labels=())
+        k = 2 * n + i
+        region = _derived(ordered, A=ordered.A[:k], b=ordered.b[:k],
+                          row_labels=ordered.row_labels[:k])
         v = bland_simplex(region, v, -lp.A[i])
         value = float(lp.A[i] @ v.point)
         if value > lp.b[i] + ftol:

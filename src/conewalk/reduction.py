@@ -263,6 +263,8 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     """
     from . import phase1 as _phase1
 
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
 

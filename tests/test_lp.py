@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conewalk.lp import (
     delta_integer_bound,
     normalize,
 )
-from conewalk.oracle import check_nondegenerate
+from conewalk.oracle import check_nondegenerate, pad_redundant, tu_instance_generator
 
 from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instance
 
@@ -169,6 +170,84 @@ class TestDeltaBruteforce:
                 for i in range(nlp.n):
                     others = [rows[k] for k in range(nlp.n) if k != i]
                     assert cert.delta <= dist_to_span(rows[i], others) + 1e-9
+
+
+def first_occurrences(A) -> list[int]:
+    """Rows equal, exactly, to no earlier row or to its negation."""
+    return [i for i in range(len(A))
+            if not any(np.array_equal(A[p], A[i]) or np.array_equal(A[p], -A[i])
+                       for p in range(i))]
+
+
+def with_repeated_rows(seed: int):
+    """Random rows, then exact duplicates, negations and scaled copies."""
+    rng = np.random.default_rng(seed)
+    base = random_lp(5, 3, seed)
+    picks = rng.integers(0, base.m, size=6)
+    extra = [base.A[picks[0]], base.A[picks[1]], -base.A[picks[2]],
+             -base.A[picks[3]], 3.7 * base.A[picks[4]], 0.25 * base.A[picks[5]]]
+    order = rng.permutation(base.m + len(extra))
+    A = np.vstack([base.A, extra])[order]
+    return normalize(LinearProgram(A=A, b=rng.standard_normal(len(A)),
+                                   c=base.c))
+
+
+def repeated_direction_instances():
+    for kind in ("box", "interval", "network"):
+        base = tu_instance_generator(kind, 3, 8, 3)
+        yield normalize(base)
+        yield normalize(pad_redundant(base, 20, 3))
+    yield normalize(pad_redundant(tu_instance_generator("network", 4, 10, 2),
+                                  14, 2))
+    for seed in range(6):
+        yield with_repeated_rows(seed)
+
+
+class TestDeltaOverDistinctDirections:
+    """The enumeration runs over the first row of each distinct direction."""
+
+    def test_matches_reference_loop(self):
+        for nlp in repeated_direction_instances():
+            cert = delta_bruteforce(nlp)
+            assert abs(cert.delta - brute_delta_reference(nlp)) <= 1e-12
+
+    def test_witness_reevaluates_at_first_occurrences(self):
+        for nlp in repeated_direction_instances():
+            cert = delta_bruteforce(nlp)
+            j, subset = cert.witness
+            first = first_occurrences(nlp.A)
+            assert j in first and set(subset) <= set(first)
+            d = dist_to_span(nlp.A[j], [nlp.A[i] for i in subset])
+            assert d == pytest.approx(cert.delta, abs=1e-9)
+
+    def test_padding_does_not_change_delta(self):
+        base = tu_instance_generator("network", 4, 12, 9)
+        padded = pad_redundant(base, 200, 9)
+        assert delta_bruteforce(normalize(padded)).delta == \
+            delta_bruteforce(normalize(base)).delta
+
+    def test_budget_counts_distinct_directions(self):
+        # the square has d = 2 directions: C(2, 1) * 2 = 4
+        square = make_square()
+        with pytest.raises(TooLarge):
+            delta_bruteforce(square, limit=1)
+        delta_bruteforce(square, limit=4)
+        with pytest.raises(TooLarge):
+            delta_bruteforce(square, limit=3)
+        padded = normalize(pad_redundant(square, 100, 0))
+        assert delta_bruteforce(padded, limit=4).delta == 1.0
+
+    def test_many_distinct_directions_too_large(self):
+        nlp = random_lp(30, 4, 0)
+        budget = math.comb(30, 3) * 30
+        delta_bruteforce(nlp, limit=budget)
+        with pytest.raises(TooLarge):
+            delta_bruteforce(nlp, limit=budget - 1)
+        doubled = normalize(LinearProgram(
+            A=np.vstack([nlp.A, -nlp.A]), b=np.concatenate([nlp.b, nlp.b]),
+            c=nlp.c))
+        with pytest.raises(TooLarge):
+            delta_bruteforce(doubled, limit=budget - 1)
 
 
 class TestDeltaIntegerBound:

@@ -7,6 +7,7 @@ from conewalk.lp import (
     DeltaCertificate,
     DeltaMethod,
     LinearProgram,
+    NormalizedLP,
     delta_bruteforce,
     normalize,
 )
@@ -85,6 +86,21 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             bounding_box(unit_square, 0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+    def test_rejects_nonfinite_or_negative_radius(self, unit_square, radius):
+        with pytest.raises(ValueError, match="radius"):
+            bounding_box(unit_square, radius)
+
+    def test_passes_public_validation(self):
+        # built without re-validation, it must still be a valid program
+        for lp in (tu_instance_generator("network", 4, 16, 3),
+                   pad_redundant(tu_instance_generator("box", 3, 8, 5), 30, 5)):
+            nlp = normalize(lp)
+            boxed = bounding_box(nlp, 9.0)
+            NormalizedLP(A=boxed.A, b=boxed.b, c=boxed.c,
+                         row_labels=boxed.row_labels)
+            assert not boxed.A.flags.writeable and not boxed.b.flags.writeable
+
 
 class TestCertifiedRadius:
     """The closed-form radius holds every basic point the oracle finds."""
@@ -151,6 +167,35 @@ class TestAugmentedLp:
 
 
 class TestPhase1Vertex:
+    def test_regions_are_valid_prefixes_of_the_box_first_program(
+            self, monkeypatch):
+        import conewalk.phase1 as phase1_module
+
+        regions = []
+        real = phase1_module.bland_simplex
+
+        def checked(region, start, objective):
+            # the public constructor re-runs every check the region skipped
+            NormalizedLP(A=region.A, b=region.b, c=region.c,
+                         row_labels=region.row_labels)
+            regions.append(region)
+            return real(region, start, objective)
+
+        monkeypatch.setattr(phase1_module, "bland_simplex", checked)
+        lp = pad_redundant(tu_instance_generator("network", 4, 14, 11), 30, 11)
+        rep = solve(lp, WalkConfig(seed=0))
+        nlp = normalize(lp)
+        m, n = nlp.m, nlp.n
+        assert len(regions) == m
+        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+        box_first_A = np.vstack([boxed.A[m:], nlp.A])
+        box_first_b = np.concatenate([boxed.b[m:], nlp.b])
+        for i, region in enumerate(regions):
+            assert np.array_equal(region.A, box_first_A[:2 * n + i])
+            assert np.array_equal(region.b, box_first_b[:2 * n + i])
+            assert np.array_equal(region.c, nlp.c)
+        assert lp.is_feasible(rep.x, tol=1e-9)
+
     def test_square_returns_a_vertex_of_the_region(self, unit_square):
         boxed = bounding_box(unit_square, 2.0)
         v = phase1_vertex(unit_square, boxed)

@@ -238,16 +238,35 @@ class TestSolve:
 
     @pytest.mark.parametrize("m", [112, 1000])
     def test_many_padded_rows(self, m):
-        # the box no longer enumerates C(m, n) basic systems; delta=None
-        # still does, through the input's brute-force certificate
+        # padding repeats directions, so neither the box nor the brute-force
+        # certificate, which enumerates distinct directions only, grows with m
         base = tu_instance_generator("network", 4, 16, 7)
         lp = pad_redundant(base, m, 7)
         optimum = enumerate_vertices(normalize(base)).optimal_point
-        rep = solve(lp, WalkConfig(seed=0), delta=delta_integer_bound(lp.A, 1))
-        assert lp.is_feasible(rep.x, tol=1e-9)
-        assert rep.value == pytest.approx(float(lp.c @ optimum), abs=1e-9)
+        for delta in (delta_integer_bound(lp.A, 1), None):
+            rep = solve(lp, WalkConfig(seed=0), delta=delta)
+            assert lp.is_feasible(rep.x, tol=1e-9)
+            assert rep.value == pytest.approx(float(lp.c @ optimum), abs=1e-9)
+        assert rep.delta == delta_bruteforce(normalize(base)).delta
+        assert rep.delta_method == "brute_force"
+
+    def test_many_distinct_directions_too_large(self):
+        # 4 box directions and 108 random ones at n=4: C(112, 3) * 112 > 10^7
+        lp = bounded_random_lp(4, 108, 3)
         with pytest.raises(TooLarge):
             solve(lp, WalkConfig(seed=0))
+
+    def test_negative_max_retries_rejected_before_any_work(self, monkeypatch):
+        import conewalk.reduction as reduction_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve did work before checking max_retries")
+
+        monkeypatch.setattr(reduction_module, "normalize", forbidden)
+        lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                           b=[1.0, 1.0, 0.0, 0.0], c=[1.0, 1.0])
+        with pytest.raises(ValueError, match="max_retries"):
+            solve(lp, WalkConfig(seed=0), max_retries=-1)
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])

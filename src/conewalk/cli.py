@@ -145,12 +145,16 @@ def _resolve_delta(spec: str | float, lp: LinearProgram,
                        "--delta <value> or add an integral Delta field")
 
 
+def _describe(exc: ConewalkError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _error_report(message: str) -> dict:
     return {"status": "error", "error": message}
 
 
-def _solve_once(lp: LinearProgram, raw: dict, args) -> tuple[dict, int]:
-    delta = _resolve_delta(args.delta, lp, raw)
+def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
+                args) -> tuple[dict, int]:
     delta_value, delta_method = delta_value_and_method(delta)
     trace_stream = open(args.trace, "w") if getattr(args, "trace", None) else None
     cfg = WalkConfig(
@@ -194,7 +198,7 @@ def _solve_once(lp: LinearProgram, raw: dict, args) -> tuple[dict, int]:
 
 def cmd_solve(args) -> int:
     lp, raw = load_lp_file(args.input)
-    report, code = _solve_once(lp, raw, args)
+    report, code = _solve_once(lp, _resolve_delta(args.delta, lp, raw), args)
     print(jsonio.dumps(report))
     return code
 
@@ -222,18 +226,23 @@ def cmd_walk_stats(args) -> int:
     instances = []
     for path in args.input:
         lp, raw = load_lp_file(path)
+        delta = _resolve_delta(args.delta, lp, raw)
         per_seed = []
         base = args.seed
         for seed in range(base, base + args.seeds):
             run_args = argparse.Namespace(**{**vars(args), "seed": seed,
                                              "trace": None})
-            report, code = _solve_once(lp, raw, run_args)
-            per_seed.append({
-                "seed": seed,
-                "status": report["status"],
-                "pivots": report.get("walk", {}).get("pivots"),
-                "retries": report.get("walk", {}).get("retries"),
-            })
+            try:
+                report, _ = _solve_once(lp, delta, run_args)
+            except ConewalkError as exc:  # this seed failed; keep the others
+                record = {**_error_report(_describe(exc)),
+                          "pivots": None, "retries": None}
+            else:
+                walk = report.get("walk", {})
+                record = {"status": report["status"],
+                          "pivots": walk.get("pivots"),
+                          "retries": walk.get("retries")}
+            per_seed.append({"seed": seed, **record})
         solved = [r for r in per_seed if r["status"] == "optimal"]
         pivot_counts = [r["pivots"] for r in solved]
         instances.append({
@@ -318,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         print(jsonio.dumps(_error_report(str(exc))))
         return EXIT_ERROR
     except ConewalkError as exc:
-        print(jsonio.dumps(_error_report(f"{type(exc).__name__}: {exc}")))
+        print(jsonio.dumps(_error_report(_describe(exc))))
         return EXIT_ERROR
 
 

@@ -70,8 +70,12 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
     """Cross the facet of the leaving row to the unique neighboring vertex.
 
     The edge direction d satisfies a_j^T d = 0 for the staying rows and
-    a_leaving^T d = -1; the entering row wins the ratio test.  Ties within
-    RATIO_TOL are rejected as degeneracy rather than broken silently.
+    a_leaving^T d = -1.  The candidates are the non-basis rows j with
+    a_j^T d > RATIO_TOL, each with the ratio t_j = slack_j / a_j^T d; the
+    entering row is the candidate of least ratio.  If any other candidate's
+    ratio is within RATIO_TOL of that least one, the pivot is degenerate and
+    raises rather than picks.  The rule reads only the set of (row, ratio)
+    pairs, so it does not depend on the order of the rows.
     """
     basis = v.basis
     if leaving not in basis:
@@ -83,23 +87,17 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
 
     advance = lp.A @ d
     slack = lp.b - lp.A @ v.point
-    entering = -1
-    t_min = math.inf
-    tie = False
-    for j in range(lp.m):
-        if j in basis or advance[j] <= RATIO_TOL:
-            continue
-        t = slack[j] / advance[j]
-        if t < t_min - RATIO_TOL:
-            t_min = t
-            entering = j
-            tie = False
-        elif t <= t_min + RATIO_TOL:
-            tie = True
-    if entering < 0:
+    candidate = advance > RATIO_TOL
+    candidate[list(basis)] = False
+    rows = candidate.nonzero()[0]
+    if rows.size == 0:
         raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
-    if tie:
+    t = slack[rows] / advance[rows]
+    k = int(t.argmin())
+    t_min = t[k]
+    if np.count_nonzero(t <= t_min + RATIO_TOL) > 1:
         raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
+    entering = int(rows[k])
 
     new_basis = tuple(sorted(set(basis) - {leaving} | {entering}))
     return Vertex(point=v.point + t_min * d, basis=new_basis)

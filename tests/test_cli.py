@@ -288,3 +288,59 @@ class TestWalkStatsCommand:
         stats = json.loads(out)
         assert len(stats["instances"]) == 2
         assert stats["instances"][1]["median_pivots"] is None
+
+    def test_delta_certified_once_per_instance(self, capsys, square_file,
+                                               infeasible_file, monkeypatch):
+        import conewalk.cli as cli_module
+
+        calls = []
+
+        def counting(lp):
+            calls.append(lp.m)
+            return original(lp)
+
+        original = cli_module.delta_bruteforce
+        monkeypatch.setattr(cli_module, "delta_bruteforce", counting)
+        code, _ = run_cli(capsys, ["walk-stats", "--input", square_file,
+                                   "--input", infeasible_file, "--seeds", "3"])
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_failed_seed_is_recorded(self, capsys, square_file, monkeypatch):
+        import conewalk.cli as cli_module
+        from conewalk.errors import RetriesExhausted
+
+        original = cli_module.solve
+
+        def failing_on_seed_1(lp, cfg, **kwargs):
+            if cfg.seed == 1:
+                raise RetriesExhausted("walk failed verification 3 times")
+            return original(lp, cfg, **kwargs)
+
+        monkeypatch.setattr(cli_module, "solve", failing_on_seed_1)
+        code, out = run_cli(capsys, ["walk-stats", "--input", square_file,
+                                     "--seeds", "3"])
+        assert code == 0
+        inst = json.loads(out)["instances"][0]
+        failed = inst["per_seed"][1]
+        assert failed == {"seed": 1, "status": "error",
+                          "error": "RetriesExhausted: walk failed "
+                                   "verification 3 times",
+                          "pivots": None, "retries": None}
+        solved = [r for r in inst["per_seed"] if r["status"] == "optimal"]
+        assert [r["seed"] for r in solved] == [0, 2]
+        assert inst["success_rate"] == pytest.approx(
+            sum(r["retries"] == 0 for r in solved) / 3)
+        assert inst["mean_pivots"] == pytest.approx(
+            np.mean([r["pivots"] for r in solved]))
+
+    def test_cli_error_still_aborts(self, capsys, square_file,
+                                    infeasible_file):
+        # the infeasible file has no Delta field, so '--delta bound' is unusable
+        code, out = run_cli(capsys, ["walk-stats", "--input", square_file,
+                                     "--input", infeasible_file,
+                                     "--delta", "bound", "--seeds", "2"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert "Delta" in report["error"]

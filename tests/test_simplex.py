@@ -1,20 +1,108 @@
+import math
+
 import numpy as np
 import pytest
 
+import conewalk.simplex as simplex_module
+import conewalk.walk as walk_module
 from conewalk.errors import (
+    ConewalkError,
     DegeneratePivot,
     InfeasibleBasis,
+    UnboundedEdge,
     UnboundedLP,
 )
-from conewalk.lp import LinearProgram, normalize
+from conewalk.geometry import solve_square
+from conewalk.lp import LinearProgram, NormalizedLP, normalize
+from conewalk.oracle import pad_redundant, tu_instance_generator
+from conewalk.reduction import solve
 from conewalk.simplex import (
+    Vertex,
+    basis_matrix,
     bland_simplex,
     cone_membership,
     pivot_across_facet,
     vertex_of_basis,
 )
+from conewalk.tolerances import RATIO_TOL
+from conewalk.walk import WalkConfig
 
-from conftest import SQRT2
+from conftest import SQRT2, bounded_random_lp
+
+
+def running_min_pivot(lp, v, leaving):
+    """The former ratio test: a running minimum over rows in index order.
+
+    Kept as a reference.  Whether it reports a near-tie depends on the
+    order of the rows; when it reports none, its entering row is the unique
+    least ratio.
+    """
+    basis = v.basis
+    local = basis.index(leaving)
+    rhs = np.zeros(lp.n)
+    rhs[local] = -1.0
+    d = solve_square(basis_matrix(lp, basis), rhs)
+
+    advance = lp.A @ d
+    slack = lp.b - lp.A @ v.point
+    entering = -1
+    t_min = math.inf
+    tie = False
+    for j in range(lp.m):
+        if j in basis or advance[j] <= RATIO_TOL:
+            continue
+        t = slack[j] / advance[j]
+        if t < t_min - RATIO_TOL:
+            t_min = t
+            entering = j
+            tie = False
+        elif t <= t_min + RATIO_TOL:
+            tie = True
+    if entering < 0:
+        raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
+    if tie:
+        raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
+
+    new_basis = tuple(sorted(set(basis) - {leaving} | {entering}))
+    return Vertex(point=v.point + t_min * d, basis=new_basis)
+
+
+def near_tie_square(cuts):
+    """The unit square plus the cuts x <= 1 - eps, in the given order."""
+    rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    return NormalizedLP(A=rows + [[1.0, 0.0]] * len(cuts),
+                        b=[1.0, 1.0, 0.0, 0.0] + [1.0 - eps for eps in cuts],
+                        c=[1.0 / SQRT2, 1.0 / SQRT2])
+
+
+def pivoted_vertices(lp, seed):
+    """(program, vertex, source) for each vertex a short solve pivots from.
+
+    Records the calls phase 1 makes through the simplex module and those
+    the walk makes through its own import, before they run.
+    """
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, source in ((simplex_module, "phase1"),
+                               (walk_module, "walk")):
+            def recording(prog, v, leaving, inner=module.pivot_across_facet,
+                          source=source):
+                seen.setdefault((id(prog), v.basis), (prog, v, source))
+                return inner(prog, v, leaving)
+            mp.setattr(module, "pivot_across_facet", recording)
+        try:
+            solve(lp, WalkConfig(seed=seed, steps=300), max_retries=0)
+        except ConewalkError:
+            pass
+    return list(seen.values())
+
+
+def pivot_instances():
+    for seed in range(3):
+        yield bounded_random_lp(3, 6, seed), seed
+    for seed in range(3):
+        base = tu_instance_generator("network", 4, 12, seed)
+        yield pad_redundant(base, 42, seed), seed
 
 
 class TestVertexOfBasis:
@@ -149,3 +237,62 @@ class TestBlandSimplex:
             obj = np.asarray(obj)
             v = bland_simplex(lp, vertex_of_basis(lp, basis), obj)
             assert cone_membership(lp, v.basis, obj).inside
+
+
+class TestRatioTestRule:
+    @pytest.mark.parametrize("cuts", [(6e-10, 1.2e-9), (1.2e-9, 6e-10)])
+    def test_near_tie_raises_in_either_row_order(self, cuts):
+        # from (0, 1) along +x the two cuts block at t = 1 - 1.2e-9 and
+        # 1 - 6e-10, closer together than RATIO_TOL
+        lp = near_tie_square(cuts)
+        v = vertex_of_basis(lp, (1, 2))
+        with pytest.raises(DegeneratePivot):
+            pivot_across_facet(lp, v, 2)
+
+    @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
+    def test_row_order_does_not_change_the_pivot(self, lp, seed):
+        rng = np.random.default_rng(seed)
+        pairs = pivoted_vertices(lp, seed)
+        assert pairs
+        for prog, v, _ in pairs:
+            others = np.array([j for j in range(prog.m) if j not in v.basis])
+            perm = np.arange(prog.m)
+            perm[others] = rng.permutation(others)
+            permuted = NormalizedLP(A=prog.A[perm], b=prog.b[perm], c=prog.c)
+            for leaving in v.basis:
+                try:
+                    w = pivot_across_facet(prog, v, leaving)
+                except (DegeneratePivot, UnboundedEdge) as exc:
+                    with pytest.raises(type(exc)):
+                        pivot_across_facet(permuted, v, leaving)
+                    continue
+                wp = pivot_across_facet(permuted, v, leaving)
+                assert sorted(perm[list(wp.basis)]) == list(w.basis)
+                np.testing.assert_allclose(wp.point, w.point, rtol=0,
+                                           atol=1e-12)
+
+    @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
+    def test_agrees_bitwise_with_running_minimum_without_ties(self, lp, seed):
+        pairs = pivoted_vertices(lp, seed)
+        assert {source for _, _, source in pairs} == {"phase1", "walk"}
+        for prog, v, _ in pairs:
+            for leaving in v.basis:
+                try:
+                    ref = running_min_pivot(prog, v, leaving)
+                except (DegeneratePivot, UnboundedEdge) as exc:
+                    # a tie the running minimum sees is a tie of the set
+                    with pytest.raises(type(exc)):
+                        pivot_across_facet(prog, v, leaving)
+                    continue
+                w = pivot_across_facet(prog, v, leaving)
+                assert w.basis == ref.basis
+                assert w.point.tobytes() == ref.point.tobytes()
+
+    def test_running_minimum_misses_a_chained_tie(self):
+        # the reference enters the 1.2e-9 cut silently in this row order,
+        # although the other cut is 6e-10 away
+        lp = near_tie_square((6e-10, 1.2e-9))
+        v = vertex_of_basis(lp, (1, 2))
+        assert running_min_pivot(lp, v, 2).basis == (1, 5)
+        with pytest.raises(DegeneratePivot):
+            running_min_pivot(near_tie_square((1.2e-9, 6e-10)), v, 2)

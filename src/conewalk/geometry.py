@@ -6,7 +6,7 @@ no sparsity, no factorization reuse.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NotUnitVector, SingularMatrix
 from .tolerances import NORM_TOL, SINGULAR_TOL
@@ -15,15 +15,21 @@ from .tolerances import NORM_TOL, SINGULAR_TOL
 def solve_square(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs for square nonsingular M.
 
-    Raises SingularMatrix when the LU factorization produces a pivot of
-    magnitude <= SINGULAR_TOL.
+    LU with partial pivoting through LAPACK's dgetrf/dgetrs, called directly:
+    scipy.linalg.lu_factor/lu_solve make the same two calls, with argument
+    checks that cost more than the solve itself at desk scale.  Raises
+    SingularMatrix when the factorization produces a pivot of magnitude
+    <= SINGULAR_TOL.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) <= SINGULAR_TOL:
+    lu, piv, info = dgetrf(np.asarray(matrix, dtype=float))
+    if info < 0:
+        raise ValueError(f"dgetrf: illegal value in argument {-info}")
+    if np.abs(lu.diagonal()).min() <= SINGULAR_TOL:
         raise SingularMatrix(f"no acceptable pivot (tol={SINGULAR_TOL:g})")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, info = dgetrs(lu, piv, np.asarray(rhs, dtype=float))
+    if info < 0:
+        raise ValueError(f"dgetrs: illegal value in argument {-info}")
+    return x
 
 
 def det_abs(matrix: np.ndarray) -> float:

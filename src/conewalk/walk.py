@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, NamedTuple, Sequence
+from itertools import chain
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +137,13 @@ def log_volume(lp: NormalizedLP, basis: Basis) -> float:
     return math.log(det) - 2.0 * lp.n * math.log(lp.n)
 
 
+def _center_l1(lp: NormalizedLP, cell: Parallelepiped, ac: list[float]
+               ) -> tuple[list[float], float]:
+    """The cell center as a float list, and its l1 distance to ac = alpha*c."""
+    z = center(lp, cell)
+    return z.tolist(), float(np.sum(np.abs(z - ac)))
+
+
 def log_weight(lp: NormalizedLP, alpha: float, cell: Parallelepiped) -> float:
     """log f(cell) from scratch: the reference for the walk's incremental values."""
     z = center(lp, cell)
@@ -151,6 +159,7 @@ class _WalkCache:
         self.c_inside: dict[Basis, bool] = {}
         self.pivots: dict[tuple[Basis, int], Vertex] = {}
         self.rows: dict[Basis, np.ndarray] = {}
+        self.lists: dict[Basis, list[list[float]]] = {}
 
     def log_volume(self, basis: Basis) -> float:
         lv = self.log_vol.get(basis)
@@ -164,6 +173,13 @@ class _WalkCache:
         if rows is None:
             rows = self.rows[basis] = \
                 np.ascontiguousarray(self.lp.A[list(basis)]) / self.lp.n**2
+        return rows
+
+    def row_lists(self, basis: Basis) -> list[list[float]]:
+        """scaled_rows(basis) as Python float lists, for the in-cone moves."""
+        rows = self.lists.get(basis)
+        if rows is None:
+            rows = self.lists[basis] = self.scaled_rows(basis).tolist()
         return rows
 
     def objective_in_cone(self, basis: Basis) -> bool:
@@ -181,8 +197,8 @@ class _WalkCache:
         return out
 
 
-def _propose(cache: _WalkCache, ac: np.ndarray, vertex: Vertex, basis: Basis,
-             index: Sequence[int], z: np.ndarray, l1: float, log_vol: float,
+def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex, basis: Basis,
+             index: Sequence[int], z: list[float], l1: float, log_vol: float,
              pos: int, sign: int) -> tuple:
     """The facet-adjacent cell of (basis, index) across coordinate pos, sign.
 
@@ -192,10 +208,22 @@ def _propose(cache: _WalkCache, ac: np.ndarray, vertex: Vertex, basis: Basis,
     Returns (vertex, basis, index, z, l1, log_vol, dlog) of the proposal,
     where index is None when the move stays in the cone (the caller then
     adds sign to index[pos]) and dlog = log f(proposal) - log f(current).
+
+    The center z and ac = alpha*c are float lists.  A move inside the cone
+    adds or subtracts one scaled row elementwise and sums the n terms of the
+    l1 distance left to right.  For n <= 7 that is np.sum's order (it adds
+    fewer than 8 terms one by one), so the bits equal those of the numpy
+    expressions used on a pivot and in _center_l1.
     """
     if sign > 0 or index[pos] > 0:
-        z_new = z + sign * cache.scaled_rows(basis)[pos]
-        l1_new = float(np.sum(np.abs(z_new - ac)))
+        row = cache.row_lists(basis)[pos]
+        if sign > 0:
+            z_new = [zi + ri for zi, ri in zip(z, row)]
+        else:
+            z_new = [zi - ri for zi, ri in zip(z, row)]
+        l1_new = 0.0
+        for zi, ai in zip(z_new, ac):
+            l1_new += abs(zi - ai)
         return vertex, basis, None, z_new, l1_new, log_vol, l1 - l1_new
     new_vertex = cache.pivot(vertex, basis[pos])
     new_basis = new_vertex.basis
@@ -205,13 +233,13 @@ def _propose(cache: _WalkCache, ac: np.ndarray, vertex: Vertex, basis: Basis,
     z_new = rows.T @ (np.array(new_index, dtype=float) + 0.5)
     l1_new = float(np.sum(np.abs(z_new - ac)))
     log_vol_new = cache.log_volume(new_basis)
-    return (new_vertex, new_basis, new_index, z_new, l1_new, log_vol_new,
-            (l1 - l1_new) + (log_vol_new - log_vol))
+    return (new_vertex, new_basis, new_index, z_new.tolist(), l1_new,
+            log_vol_new, (l1 - l1_new) + (log_vol_new - log_vol))
 
 
 def _accepts(u: float, dlog: float) -> bool:
     """Lazy Metropolis rule: move iff u < (1/2) * min(1, exp(dlog))."""
-    return math.log(2.0 * u) < min(0.0, dlog)
+    return math.log(2.0 * u) < (dlog if dlog < 0.0 else 0.0)
 
 
 def _draw(rng: np.random.Generator, n: int) -> tuple[int, int, float]:
@@ -219,6 +247,42 @@ def _draw(rng: np.random.Generator, n: int) -> tuple[int, int, float]:
     choice = int(rng.integers(0, 2 * n))
     u = float(rng.random())
     return choice // 2, +1 if choice % 2 == 0 else -1, u
+
+
+_DRAW_BLOCK = 1024  # raw 64-bit words read from the bit generator at a time
+
+
+def _draws(bitgen: np.random.BitGenerator, n: int
+           ) -> Iterator[tuple[int, int, float]]:
+    """_draw(np.random.Generator(bitgen), n), step after step (2n <= 2^32).
+
+    Reads the raw 64-bit words in blocks and decodes them as the Generator
+    does for PCG64:
+    - integers(0, k), k = 2n, takes 32-bit halves of words: the low half of
+      a new word first, its high half kept for the next integer.  Lemire's
+      rule maps a half x to (x*k) >> 32 and takes the next half instead
+      while (x*k) mod 2^32 < 2^32 mod k.
+    - random() takes a whole new word w, returns (w >> 11) * 2^-53 and
+      leaves a kept half for the next integer.
+    """
+    k = 2 * n
+    threshold = (1 << 32) % k
+    blocks = iter(lambda: bitgen.random_raw(_DRAW_BLOCK).tolist(), None)
+    word = chain.from_iterable(blocks).__next__  # endless
+    half = None
+    while True:
+        while True:
+            if half is None:
+                w = word()
+                x, half = w & 0xFFFFFFFF, w >> 32
+            else:
+                x, half = half, None
+            m = x * k
+            if m & 0xFFFFFFFF >= threshold:
+                break
+        choice = m >> 32
+        yield (choice // 2, +1 if choice % 2 == 0 else -1,
+               (word() >> 11) * 2.0**-53)
 
 
 def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
@@ -237,9 +301,8 @@ def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
     cache = _cache if _cache is not None else _WalkCache(lp)
     v, cell = state
     pos, sign, u = _draw(rng, lp.n)
-    ac = cfg.alpha * lp.c
-    z = center(lp, cell)
-    l1 = float(np.sum(np.abs(z - ac)))
+    ac = (cfg.alpha * lp.c).tolist()
+    z, l1 = _center_l1(lp, cell, ac)
     log_vol = cache.log_volume(cell.basis)
     v_new, basis_new, index_new, _, l1_new, log_vol_new, dlog = _propose(
         cache, ac, v, cell.basis, cell.index, z, l1, log_vol, pos, sign)
@@ -271,51 +334,43 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     (the current basis is then optimal); otherwise it performs one step.
     The membership test is applied once more after the final step.
 
-    Each step draws a direction and a coin, as step() does.  A lazy coin
-    ends the step without evaluating the proposal; otherwise the proposal
-    comes from the same kernel as step()'s, with the cell center and its
-    l1 distance to alpha*c maintained incrementally and recomputed exactly
-    every _RESYNC_INTERVAL-th step when that step is not lazy.  With
-    cfg.trace set, one JSON record per step is written after the step; a
-    lazy step's record has log_weight_proposal null.  Tracing never
-    changes the walk.
+    Each step takes a direction and a coin: the values step()'s _draw takes
+    from np.random.default_rng(cfg.seed), which _draws reads from the same
+    bit generator in blocks.  A lazy coin ends the step without evaluating
+    the proposal; otherwise the proposal comes from the same kernel as
+    step()'s, with the cell center and its l1 distance to alpha*c maintained
+    incrementally and recomputed exactly every _RESYNC_INTERVAL-th step when
+    that step is not lazy.  With cfg.trace set, one JSON record per step is
+    written after the step; a lazy step's record has log_weight_proposal
+    null.  Tracing never changes the walk.
     """
     cfg = cfg.resolved(lp.n, delta)
     if lp.n < 4:
         warnings.warn(f"n={lp.n} < 4: the neighboring-cell weight-ratio bound "
                       "degrades; the walk itself is unaffected", stacklevel=2)
-    rng = np.random.default_rng(cfg.seed)
-    cache = _WalkCache(lp)
     n = lp.n
-    ac = cfg.alpha * lp.c
-    tracing = cfg.trace is not None
+    draws = _draws(np.random.PCG64(cfg.seed), n)
+    cache = _WalkCache(lp)
+    ac = (cfg.alpha * lp.c).tolist()
+    trace = cfg.trace
 
     vertex = start
     basis = start.basis
     index = [0] * n
-    z = center(lp, Parallelepiped(basis, tuple(index)))
-    l1 = float(np.sum(np.abs(z - ac)))
+    z, l1 = _center_l1(lp, Parallelepiped(basis, tuple(index)), ac)
     log_vol = cache.log_volume(basis)
-    out = WalkOutcome(final=Parallelepiped(basis, tuple(index)),
-                      c_prime=np.zeros(n), current_vertex=start,
-                      stopped_with_c_in_cone=False)
+    steps = pivots = accepted_moves = rejected_moves = lazy_stays = 0
 
     in_cone = cache.objective_in_cone(basis)  # changes only when basis does
-    for it in range(cfg.steps + 1):
-        if in_cone:
-            out.stopped_with_c_in_cone = True
-            break
-        if it == cfg.steps:
-            break
-
-        pos, sign, u = _draw(rng, n)
-        row = basis[pos]
-        lw = -l1 + log_vol
-        out.steps_taken += 1
+    while not in_cone and steps < cfg.steps:
+        pos, sign, u = next(draws)
+        steps += 1
+        if trace is not None:
+            row, lw = basis[pos], -l1 + log_vol
         accepted = pivoted = False
 
         if u >= 0.5:
-            out.lazy_stays += 1
+            lazy_stays += 1
             lw_proposal = None
         else:
             (new_vertex, new_basis, new_index, z_new, l1_new, log_vol_new,
@@ -330,18 +385,17 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                     vertex, basis, index = new_vertex, new_basis, new_index
                     in_cone = cache.objective_in_cone(basis)
                     pivoted = True
-                    out.pivots += 1
+                    pivots += 1
                 z, l1, log_vol = z_new, l1_new, log_vol_new
-                out.accepted_moves += 1
+                accepted_moves += 1
             else:
-                out.rejected_moves += 1
-            if out.steps_taken % _RESYNC_INTERVAL == 0:
-                z = center(lp, Parallelepiped(basis, tuple(index)))
-                l1 = float(np.sum(np.abs(z - ac)))
+                rejected_moves += 1
+            if steps % _RESYNC_INTERVAL == 0:
+                z, l1 = _center_l1(lp, Parallelepiped(basis, tuple(index)), ac)
 
-        if tracing:
-            cfg.trace.write(json_line({
-                "step": out.steps_taken,
+        if trace is not None:
+            trace.write(json_line({
+                "step": steps,
                 "basis": list(basis),
                 "k": list(index),
                 "direction": [row, sign],
@@ -351,7 +405,9 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 "pivoted": pivoted,
             }))
 
-    out.final = Parallelepiped(basis, tuple(index))
-    out.current_vertex = vertex
-    out.c_prime = center(lp, out.final) / cfg.alpha
-    return out
+    final = Parallelepiped(basis, tuple(index))
+    return WalkOutcome(final=final, c_prime=center(lp, final) / cfg.alpha,
+                       current_vertex=vertex, stopped_with_c_in_cone=in_cone,
+                       steps_taken=steps, pivots=pivots,
+                       accepted_moves=accepted_moves,
+                       rejected_moves=rejected_moves, lazy_stays=lazy_stays)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conewalk.errors import NotUnitVector, SingularMatrix
 from conewalk.geometry import (
@@ -42,6 +45,40 @@ class TestSolveSquare:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             solve_square([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_bits_as_lu_factor_lu_solve(self, n):
+        # the direct LAPACK calls against scipy's wrappers around them, also
+        # on the transposed view cone_membership passes
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            M = rng.standard_normal((n, n))
+            rhs = rng.standard_normal(n)
+            for A in (M, M.T):
+                ref = scipy.linalg.lu_solve(
+                    scipy.linalg.lu_factor(A, check_finite=False), rhs,
+                    check_finite=False)
+                x = solve_square(A, rhs)
+                assert x.shape == ref.shape
+                assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("M", [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        np.zeros((4, 4)),
+    ])
+    def test_exactly_singular_raises_without_warning(self, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                solve_square(M, np.ones(len(M)))
+
+    def test_nearly_singular_raises(self):
+        # the second pivot is 1e-12, below SINGULAR_TOL; at 1e-8 it solves
+        with pytest.raises(SingularMatrix):
+            solve_square([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 2.0])
+        x = solve_square([[1.0, 1.0], [1.0, 1.0 + 1e-8]], [1.0, 2.0])
+        np.testing.assert_allclose(x, [1.0 - 1e8, 1e8], rtol=1e-6)
 
     def test_round_trip_property(self):
         for seed in range(50):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from conewalk.walk import (
     WalkConfig,
     WalkState,
     _WalkCache,
+    _draws,
+    _propose,
     center,
     default_alpha,
     default_steps,
@@ -232,6 +235,46 @@ class TestStep:
                                   b.rejected_moves, b.lazy_stays)
 
 
+class TestBlockDraws:
+    """run_walk's _draws must give rng.integers(0, 2n), then rng.random()."""
+
+    # k = 2n for n = 1..8, and k = 3 * 2^30, where Lemire's rule rejects a
+    # quarter of the 32-bit halves (2^32 mod k = 2^30)
+    @pytest.mark.parametrize("n", [*range(1, 9), 3 * 2**29])
+    def test_values_match_the_generator(self, n):
+        seed = np.random.SeedSequence([20260, n % 7, n % 3])  # as _solve_level
+        rng = np.random.default_rng(seed)
+        draws = _draws(np.random.PCG64(seed), n)
+        steps = 50_001  # over 10^5 values, across about 73 blocks of words
+        for _ in range(steps):
+            choice, u = int(rng.integers(0, 2 * n)), float(rng.random())
+            pos, sign, v = next(draws)
+            assert (2 * pos + (0 if sign > 0 else 1), v) == (choice, u)
+
+
+class TestInConeMove:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_scalar_move_has_the_numpy_bits(self, n):
+        # _propose's float-list move against z + sign*row and
+        # np.sum(np.abs(z_new - ac)), the expressions of its pivot branch
+        rng = np.random.default_rng(n)
+        lp = SimpleNamespace(A=rng.standard_normal((n, n)), n=n)
+        cache = _WalkCache(lp)
+        basis = tuple(range(n))
+        rows = cache.scaled_rows(basis)
+        for _ in range(2000):
+            scale = 10.0 ** rng.integers(-3, 4, size=n)
+            z = rng.standard_normal(n) * scale
+            ac = rng.standard_normal(n) * 100.0
+            pos, sign = int(rng.integers(0, n)), int(rng.choice((-1, 1)))
+            *_, z_new, l1_new, _, _ = _propose(
+                cache, ac.tolist(), None, basis, [1] * n, z.tolist(), 0.0,
+                0.0, pos, sign)
+            ref = z + sign * rows[pos]
+            assert np.array(z_new).tobytes() == ref.tobytes()
+            assert l1_new == float(np.sum(np.abs(ref - ac)))
+
+
 class TestRunWalk:
     def test_stops_immediately_when_optimal(self, unit_square):
         start = vertex_of_basis(unit_square, (0, 1))
@@ -330,13 +373,20 @@ class TestRunWalk:
 
 
 class TestReplay:
-    def test_traced_run_walk_replays_through_step(self):
+    # (kind, n, m, generator seed, walk seed); each walk uses its whole
+    # budget, through a resync at step 4096
+    @pytest.mark.parametrize("kind, n, m, gen_seed, seed", [
+        pytest.param("interval", 3, 10, 14, 0, id="n=3"),
+        pytest.param("interval", 4, 14, 77, 5, id="n=4"),
+        pytest.param("interval", 5, 12, 1, 0, id="n=5"),
+    ])
+    def test_traced_run_walk_replays_through_step(self, kind, n, m, gen_seed,
+                                                  seed):
         # every non-lazy trace record, fed back through step() with the
         # walk's own draws, reproduces the record
-        nlp = normalize(tu_instance_generator("interval", 4, 14, seed=77))
+        nlp = normalize(tu_instance_generator(kind, n, m, seed=gen_seed))
         lp = bounding_box(nlp, default_radius(nlp))
         start = phase1_vertex(nlp, lp)
-        seed = 5  # walks its whole budget, through a resync at step 4096
         cfg = WalkConfig(steps=9000, seed=seed).resolved(
             lp.n, delta_bruteforce(lp).delta)
         buf = io.StringIO()

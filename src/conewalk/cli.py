@@ -26,7 +26,7 @@ from .lp import (
     delta_value_and_method,
     normalize,
 )
-from .reduction import solve
+from .reduction import DEFAULT_MAX_RETRIES, solve
 from .walk import WalkConfig
 
 EXIT_OPTIMAL = 0
@@ -141,8 +141,9 @@ def _resolve_delta(spec: str | float, lp: LinearProgram,
     except TooLarge:
         if raw.get("integral") and "Delta" in raw:
             return delta_integer_bound(lp.A, int(raw["Delta"]))
-        raise CliError("instance too large for brute-force delta; pass "
-                       "--delta <value> or add an integral Delta field")
+        raise CliError("instance too large for brute-force delta; add "
+                       "'integral': true and a 'Delta' field to the instance "
+                       "file")
 
 
 def _describe(exc: ConewalkError) -> str:
@@ -161,7 +162,6 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
         alpha=args.alpha,
         steps=args.steps,
         seed=args.seed,
-        step_constant=args.step_constant,
         trace=trace_stream,
     )
     try:
@@ -268,9 +268,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    type=_checked(int, _non_negative, "a non-negative integer",
                                  auto=True),
                    help="walk steps per level (default: auto)")
-    p.add_argument("--step-constant", dest="step_constant", default=1.0,
-                   type=_checked(float, _positive, "a positive number"),
-                   help="constant C in the auto step budget")
     p.add_argument("--alpha", default=None,
                    type=_checked(float, _positive, "a positive number",
                                  auto=True),
@@ -278,7 +275,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", default="auto", type=_delta_spec,
                    help="row separation: a number in (0, 1], 'auto', "
                         "'brute' or 'bound'")
-    p.add_argument("--max-retries", dest="max_retries", default=10,
+    p.add_argument("--max-retries", dest="max_retries",
+                   default=DEFAULT_MAX_RETRIES,
                    type=_checked(int, _non_negative, "a non-negative integer"))
 
 

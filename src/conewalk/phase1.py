@@ -92,19 +92,20 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
 
     # Box-first ordering keeps row positions stable while constraints
     # append: the region before constraint i is the first 2n + i rows.
-    # Validating the box rows once shows that each such prefix holds n
-    # independent rows; the prefixes themselves are not re-validated.
-    box = NormalizedLP(A=boxed.A[m:], b=boxed.b[m:], c=lp.c,
-                       row_labels=boxed.row_labels[m:])
-    ordered = _derived(boxed, A=np.vstack([box.A, lp.A]),
-                       b=np.concatenate([box.b, lp.b]),
-                       row_labels=box.row_labels + lp.row_labels)
-    v = vertex_of_basis(box, tuple(range(n)))
+    # bounding_box took the box directions from find_independent_rows, so
+    # every prefix, the 2n box rows alone included, holds n independent
+    # rows and is derived from boxed without re-validation.
+    ordered = _derived(boxed, A=np.vstack([boxed.A[m:], lp.A]),
+                       b=np.concatenate([boxed.b[m:], lp.b]),
+                       row_labels=boxed.row_labels[m:] + lp.row_labels)
+
+    def prefix(k: int) -> NormalizedLP:
+        return _derived(ordered, A=ordered.A[:k], b=ordered.b[:k],
+                        row_labels=ordered.row_labels[:k])
+
+    v = vertex_of_basis(prefix(2 * n), tuple(range(n)))
     for i in range(m):
-        k = 2 * n + i
-        region = _derived(ordered, A=ordered.A[:k], b=ordered.b[:k],
-                          row_labels=ordered.row_labels[:k])
-        v = bland_simplex(region, v, -lp.A[i])
+        v = bland_simplex(prefix(2 * n + i), v, -lp.A[i])
         value = float(lp.A[i] @ v.point)
         if value > lp.b[i] + ftol:
             raise Infeasible(
@@ -117,41 +118,31 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     return Vertex(point=v.point, basis=remapped)
 
 
-def _box_row_implied(lp: NormalizedLP, direction: np.ndarray, rhs: float,
-                     ftol: float) -> bool:
-    """Is some original row at least as tight as this box row?"""
-    same = np.max(np.abs(lp.A - direction), axis=1) <= 1e-9
-    return bool(np.any(same & (lp.b <= rhs + ftol)))
-
-
 def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
                   start: Vertex, delta: float, *, max_retries: int,
-                  ) -> tuple[tuple[int, ...], list]:
+                  ) -> tuple[tuple[int, ...], np.ndarray, tuple]:
     """Run the recursion on the boxed program and strip the box again.
 
-    The walk runs at the given delta, which the box rows keep.  Returns
-    (basis positions in the original rows, per-level stats).  An optimum
-    touching a box row that the original rows do not imply certifies
-    unboundedness; degenerate contact is treated as unbounded as well.
-    Contact is judged at the input's tolerance, as in phase1_vertex.
+    The walk runs at the given delta, which the box rows keep.  Returns the
+    sorted basis positions in the original rows, the optimum x solved from
+    them, and the per-level stats.  The first box row that lies in the basis
+    or is tight at x certifies unboundedness.  Contact is judged at the
+    input's tolerance, as in phase1_vertex; degenerate contact counts too.
+    No input row can hide a tight box row: the certified radius exceeds
+    max|b| by at least 1, so a box row that an input row implies is slack
+    by at least 1 at every feasible point.
     """
+    # Lazy: reduction imports phase1; perfbench's patch points pin the split.
     from .reduction import _solve_level
 
-    levels: list = []
-    basis = _solve_level(boxed, delta, cfg, start,
-                         base_seed=cfg.seed, level=0,
-                         max_retries=max_retries, levels_out=levels)
+    basis, levels = _solve_level(boxed, delta, cfg, start, base_seed=cfg.seed,
+                                 level=0, max_retries=max_retries)
+    basis = tuple(sorted(basis))
     x = solve_square(boxed.A[list(basis)], boxed.b[list(basis)])
-
     ftol = lp.feas_tol()
-    m = lp.m
-    for p in range(m, boxed.m):
-        if abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
-            if not _box_row_implied(lp, boxed.A[p], float(boxed.b[p]), ftol):
-                raise Unbounded(
-                    "optimum of the boxed system lies on the artificial box",
-                    box_row=p - m)
-    if any(p >= m for p in basis):
-        raise Unbounded("optimal basis uses an artificial box row",
-                        box_row=next(p for p in basis if p >= m) - m)
-    return tuple(sorted(basis)), levels
+    for p in range(lp.m, boxed.m):
+        if p in basis or abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
+            raise Unbounded(
+                "optimum of the boxed system lies on the artificial box",
+                box_row=p - lp.m)
+    return basis, x, levels

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import phase1
 from .errors import (
     ConewalkError,
     NoLargeCoefficient,
@@ -21,7 +22,7 @@ from .errors import (
     TooLarge,
     UnboundedLP,
 )
-from .geometry import rotation_to_e1, solve_square
+from .geometry import rotation_to_e1
 from .identify import extract_element, verify_problem1
 from .lp import (
     DeltaCertificate,
@@ -31,7 +32,7 @@ from .lp import (
     delta_value_and_method,
     normalize,
 )
-from .simplex import Vertex, basis_matrix, cone_membership, vertex_of_basis
+from .simplex import Vertex, cone_membership, vertex_of_basis
 from .tolerances import OBJ_TOL, SPAN_TOL
 from .walk import WalkConfig, default_alpha, run_walk
 
@@ -185,7 +186,12 @@ def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
     return (best,)
 
 
-def _stats_from(outcome, n, retries, fixed_label) -> LevelStats:
+def _level_stats(n: int, retries: int, outcome, fixed_label) -> LevelStats:
+    """One level's record; ``outcome`` is None for the walk-free 1-D base."""
+    if outcome is None:
+        return LevelStats(n=n, retries=retries, steps_taken=0, pivots=0,
+                          accepted_moves=0, rejected_moves=0, lazy_stays=0,
+                          stopped_with_c_in_cone=True, fixed_label=fixed_label)
     return LevelStats(
         n=n, retries=retries, steps_taken=outcome.steps_taken,
         pivots=outcome.pivots, accepted_moves=outcome.accepted_moves,
@@ -196,51 +202,44 @@ def _stats_from(outcome, n, retries, fixed_label) -> LevelStats:
 
 def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
                  *, base_seed: int, level: int, max_retries: int,
-                 levels_out: list[LevelStats]) -> tuple[int, ...]:
-    """Recursive core: returns optimal-basis row positions of this instance."""
+                 ) -> tuple[tuple[int, ...], tuple[LevelStats, ...]]:
+    """Recursive core: optimal-basis row positions of this instance, and the
+    stats of this level followed by those of the levels below it."""
     if lp.n == 1:
-        basis = _solve_direct_1d(lp)
-        levels_out.append(LevelStats(
-            n=1, retries=0, steps_taken=0, pivots=0, accepted_moves=0,
-            rejected_moves=0, lazy_stays=0, stopped_with_c_in_cone=True,
-            fixed_label=None))
-        return basis
+        return _solve_direct_1d(lp), (_level_stats(1, 0, None, None),)
 
     for retry in range(max_retries + 1):
         seed = np.random.SeedSequence([base_seed, level, retry])
         outcome = run_walk(lp, replace(cfg, seed=seed), start, delta=delta)
 
         if outcome.stopped_with_c_in_cone:
-            levels_out.append(_stats_from(outcome, lp.n, retry, None))
-            return outcome.final.basis
+            return (outcome.final.basis,
+                    (_level_stats(lp.n, retry, outcome, None),))
 
-        if verify_problem1(lp, outcome.final.basis, outcome.c_prime, delta):
-            try:
-                element = extract_element(lp, outcome.final.basis,
-                                          outcome.c_prime, delta)
-            except NoLargeCoefficient:
-                continue  # tolerance breach; treat as a failed attempt
-            try:
-                reduced, next_start, step = reduce_lp(
-                    lp, element.row, outcome.current_vertex)
-            except ObjectiveVanishes:
-                # c is parallel to the fixed row: the whole face is optimal,
-                # so the current vertex's tight rows already form a basis.
-                levels_out.append(_stats_from(outcome, lp.n, retry,
-                                              lp.row_labels[element.row]))
-                return outcome.current_vertex.basis
-            levels_out.append(_stats_from(outcome, lp.n, retry,
-                                          lp.row_labels[element.row]))
-            try:
-                sub_delta = delta_bruteforce(reduced).delta
-            except TooLarge:
-                sub_delta = delta  # still valid one dimension down
-            sub_basis = _solve_level(
-                reduced, sub_delta, cfg, next_start, base_seed=base_seed,
-                level=level + 1, max_retries=max_retries,
-                levels_out=levels_out)
-            mapped = {step.index_map[p] for p in sub_basis}
-            return tuple(sorted(mapped | {element.row}))
+        if not verify_problem1(lp, outcome.final.basis, outcome.c_prime, delta):
+            continue
+        try:
+            element = extract_element(lp, outcome.final.basis,
+                                      outcome.c_prime, delta)
+        except NoLargeCoefficient:
+            continue  # tolerance breach; treat as a failed attempt
+        stats = _level_stats(lp.n, retry, outcome, lp.row_labels[element.row])
+        try:
+            reduced, next_start, step = reduce_lp(
+                lp, element.row, outcome.current_vertex)
+        except ObjectiveVanishes:
+            # c is parallel to the fixed row: the whole face is optimal,
+            # so the current vertex's tight rows already form a basis.
+            return outcome.current_vertex.basis, (stats,)
+        try:
+            sub_delta = delta_bruteforce(reduced).delta
+        except TooLarge:
+            sub_delta = delta  # still valid one dimension down
+        sub_basis, sub_levels = _solve_level(
+            reduced, sub_delta, cfg, next_start, base_seed=base_seed,
+            level=level + 1, max_retries=max_retries)
+        mapped = {step.index_map[p] for p in sub_basis}
+        return tuple(sorted(mapped | {element.row})), (stats,) + sub_levels
 
     raise RetriesExhausted(
         f"walk failed verification {max_retries + 1} times at level {level} "
@@ -261,8 +260,6 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     certificates, and RetriesExhausted if every walk attempt at some level
     fails.
     """
-    from . import phase1 as _phase1
-
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
     cfg = cfg or WalkConfig()
@@ -274,12 +271,11 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     if not (0.0 < delta_value <= 1.0 + 1e-9):
         raise ValueError(f"delta must lie in (0, 1], got {delta_value!r}")
 
-    boxed = _phase1.bounding_box(nlp, _phase1.certified_radius(nlp, delta))
-    start = _phase1.phase1_vertex(nlp, boxed)  # raises Infeasible
-    basis, levels = _phase1.solve_bounded(
+    boxed = phase1.bounding_box(nlp, phase1.certified_radius(nlp, delta))
+    start = phase1.phase1_vertex(nlp, boxed)  # raises Infeasible
+    basis, x, levels = phase1.solve_bounded(
         nlp, boxed, cfg, start, delta_value, max_retries=max_retries)
 
-    x = solve_square(basis_matrix(nlp, basis), nlp.b[list(basis)])
     if not nlp.is_feasible(x):
         raise ConewalkError("reconstructed optimum is infeasible")
     if not cone_membership(nlp, basis, nlp.c).inside:
@@ -297,5 +293,5 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         pivots=sum(s.pivots for s in levels),
         retries=sum(s.retries for s in levels),
         seed=cfg.seed,
-        levels=tuple(levels),
+        levels=levels,
     )

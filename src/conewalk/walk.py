@@ -55,7 +55,6 @@ class WalkConfig:
     alpha: float | None = None
     steps: int | None = None
     seed: int = 0
-    step_constant: float = 1.0
     trace: IO[str] | None = None
 
     def resolved(self, n: int, delta: float | None) -> "WalkConfig":
@@ -67,7 +66,7 @@ class WalkConfig:
             if alpha is None:
                 alpha = default_alpha(n, delta)
             if steps is None:
-                steps = default_steps(n, delta, self.step_constant)
+                steps = default_steps(n, delta)
         if not alpha > 0.0:
             raise ValueError("alpha must be > 0")
         if steps < 0:
@@ -117,11 +116,11 @@ def default_alpha(n: int, delta: float) -> float:
     return 4.0 * n**3 / delta
 
 
-def default_steps(n: int, delta: float, step_constant: float = 1.0) -> int:
-    """Step budget ceil(C * n^5.5 / delta^3)."""
-    if not (n >= 1 and 0.0 < delta <= 1.0 and step_constant > 0.0):
-        raise ValueError("need n >= 1, 0 < delta <= 1, C > 0")
-    return math.ceil(step_constant * n**5.5 / delta**3)
+def default_steps(n: int, delta: float) -> int:
+    """Step budget ceil(n^5.5 / delta^3)."""
+    if not (n >= 1 and 0.0 < delta <= 1.0):
+        raise ValueError("need n >= 1, 0 < delta <= 1")
+    return math.ceil(n**5.5 / delta**3)
 
 
 def center(lp: NormalizedLP, cell: Parallelepiped) -> np.ndarray:

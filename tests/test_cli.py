@@ -37,6 +37,19 @@ def unbounded_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def wide_file(tmp_path):
+    """n=4: 8 box rows and 120 seeded Gaussian rows give 124 distinct row
+    directions, past the brute-force delta budget (C(124,3)*124 > 10^7)."""
+    rng = np.random.default_rng(7)
+    A = np.vstack([np.eye(4), -np.eye(4), rng.standard_normal((120, 4))])
+    b = np.concatenate([np.ones(8), 1.0 + rng.random(120)])
+    path = tmp_path / "wide.json"
+    write_lp_file(str(path), LinearProgram(A=A, b=b, c=np.ones(4)),
+                  name="wide")
+    return str(path)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -121,6 +134,27 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["status"] == "optimal"
 
+    def test_over_budget_auto_names_only_the_integral_delta_route(
+            self, capsys, wide_file):
+        code, out = run_cli(capsys, ["solve", "--input", wide_file])
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error",
+            "error": "instance too large for brute-force delta; add "
+                     "'integral': true and a 'Delta' field to the instance "
+                     "file"}
+
+    def test_typed_delta_over_budget_is_too_large(self, capsys, wide_file):
+        # A typed number is only a claim: the box is still sized from the
+        # brute-force certificate, so it cannot get past the budget.
+        code, out = run_cli(capsys, ["solve", "--input", wide_file,
+                                     "--delta", "0.05"])
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error",
+            "error": "TooLarge: C(124,3)*124 over 124 distinct row "
+                     "directions exceeds the enumeration budget"}
+
     def test_trace_file(self, capsys, square_file, tmp_path):
         trace = tmp_path / "trace.jsonl"
         code, out = run_cli(capsys, ["solve", "--input", square_file,
@@ -196,13 +230,15 @@ class TestMalformedArguments:
         ([], "command"),
         (["solve", "--input", "x.json", "--seed", "x"], "--seed"),
         (["solve", "--input", "x.json", "--radius", "5"], "--radius"),
+        (["solve", "--input", "x.json", "--step-constant", "0"],
+         "--step-constant"),
     ])
     def test_argparse_errors(self, capsys, argv, mention):
         self.assert_usage_error(capsys, argv, mention)
 
     @pytest.mark.parametrize("flag,value", [
         ("--delta", "0"), ("--delta", "2"), ("--delta", "nan"),
-        ("--steps", "-3"), ("--step-constant", "0"),
+        ("--steps", "-3"),
         ("--max-retries", "-1"), ("--alpha", "0"), ("--alpha", "-5"),
         ("--seed", "-1"),
     ])

@@ -36,7 +36,7 @@ class TestVerifyProblem1:
         start = vertex_of_basis(unit_square, (2, 3))
         good = 0
         for seed in range(100):
-            out = run_walk(unit_square, WalkConfig(seed=seed, step_constant=8.0),
+            out = run_walk(unit_square, WalkConfig(seed=seed, steps=363),
                            start, delta=1.0)
             c_prime = unit_square.c if out.stopped_with_c_in_cone else out.c_prime
             if verify_problem1(unit_square, out.final.basis, c_prime, 1.0):

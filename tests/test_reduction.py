@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conewalk
 from conewalk.errors import Infeasible, ObjectiveVanishes, TooLarge, Unbounded
 from conewalk.lp import (
     LinearProgram,
@@ -311,10 +316,9 @@ class TestIdentifyAndRecurse:
             return fake
 
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
-        levels = []
-        basis = reduction_module._solve_level(
+        basis, levels = reduction_module._solve_level(
             lp, 1.0, WalkConfig(alpha=alpha, steps=46), start,
-            base_seed=0, level=0, max_retries=2, levels_out=levels)
+            base_seed=0, level=0, max_retries=2)
         assert basis == (0, 1)  # the true optimal basis for c
         assert calls == [2]     # one walk; the 1-d tail is solved directly
         assert len(levels) == 2
@@ -340,5 +344,14 @@ class TestIdentifyAndRecurse:
         with pytest.raises(RetriesExhausted):
             reduction_module._solve_level(
                 unit_square, 1.0, WalkConfig(alpha=32.0, steps=46), start,
-                base_seed=0, level=0, max_retries=3, levels_out=[])
+                base_seed=0, level=0, max_retries=3)
         assert len(attempts) == 4  # the first try plus three retries
+
+
+@pytest.mark.parametrize("module", ["conewalk.phase1", "conewalk.reduction"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # reduction imports phase1 at module top; phase1 reaches back into
+    # reduction only inside solve_bounded, so either may be imported first.
+    src = str(Path(conewalk.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -293,13 +293,14 @@ class TestRunWalk:
 
     def test_square_hits_optimum_for_most_seeds(self, unit_square):
         # brute-force optimum is (1,1); 100 seeds.  The single-walk success
-        # rate saturates near 2/3 at step_constant=1 (measured), so the
-        # 95-percent claim is pinned at step_constant=8.
+        # rate saturates near 2/3 at the default ceil(2^5.5) = 46 steps
+        # (measured), so the 95-percent claim is pinned at eight times that
+        # budget, ceil(8 * 2^5.5) = 363 steps.
         start = vertex_of_basis(unit_square, (2, 3))
         hits = 0
         for seed in range(100):
             out = run_walk(unit_square,
-                           WalkConfig(seed=seed, step_constant=8.0),
+                           WalkConfig(seed=seed, steps=363),
                            start, delta=1.0)
             if out.stopped_with_c_in_cone and out.final.basis == (0, 1):
                 hits += 1

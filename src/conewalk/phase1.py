@@ -60,8 +60,11 @@ def certified_radius(lp: NormalizedLP,
     """A ball radius that strictly holds every basic point of the instance.
 
     Column j of A_B^{-1} has norm 1/dist(a_j, span(B minus j)) <= 1/delta,
-    so every basic point satisfies ||x|| <= n * max|b| / delta; one more
-    keeps them strictly inside.  Only a certificate may size the box: a
+    so every basic point satisfies ||x|| <= n * max|b| / delta.  The margin
+    beyond that is 1, or twice the input's feasibility tolerance when that
+    is larger, so every box row is slack at every basic point by more than
+    the tolerance at which solve_bounded judges contact.  Only a
+    certificate may size the box: a
     bare float is a claim, and one that is too large would shrink the box
     onto a vertex and turn a bounded program into an "unbounded" verdict,
     so the input is certified by brute force instead (which may raise
@@ -69,7 +72,8 @@ def certified_radius(lp: NormalizedLP,
     """
     if not isinstance(delta, DeltaCertificate):
         delta = delta_bruteforce(lp)
-    return lp.n * float(np.max(np.abs(lp.b))) / delta.delta + 1.0
+    margin = max(1.0, 2.0 * lp.feas_tol())
+    return lp.n * float(np.max(np.abs(lp.b))) / delta.delta + margin
 
 
 def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
@@ -128,9 +132,9 @@ def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
     them, and the per-level stats.  The first box row that lies in the basis
     or is tight at x certifies unboundedness.  Contact is judged at the
     input's tolerance, as in phase1_vertex; degenerate contact counts too.
-    No input row can hide a tight box row: the certified radius exceeds
-    max|b| by at least 1, so a box row that an input row implies is slack
-    by at least 1 at every feasible point.
+    No input row can hide a tight box row: a basis without box rows gives
+    a basic point of the input, and certified_radius leaves every box row
+    slack there by more than that tolerance.
     """
     # Lazy: reduction imports phase1; perfbench's patch points pin the split.
     from .reduction import _solve_level

@@ -132,6 +132,16 @@ class TestCertifiedRadius:
             2 * 1.0 / cert.delta + 1.0)
         assert certified_radius(unit_square, LOOSE) == pytest.approx(2001.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e7, 1e12])
+    def test_margin_exceeds_the_contact_tolerance(self, scale):
+        # at n=1 the bound n*max|b|/delta is met by the optimum itself, so
+        # only the margin keeps the box row slack there
+        nlp = normalize(LinearProgram(A=[[1.0], [-1.0]], b=[scale, 0.0],
+                                      c=[1.0]))
+        margin = certified_radius(nlp, delta_bruteforce(nlp)) - scale
+        assert margin >= 1.0
+        assert margin > nlp.feas_tol()
+
     def test_bare_float_is_certified_first(self, triangle):
         # a claimed separation above the true one would shrink the box
         cert = delta_bruteforce(triangle)
@@ -275,6 +285,16 @@ class TestSolveBoundedViaSolve:
             solve_bounded(nlp, boxed, WalkConfig(seed=0), start,
                           delta_bruteforce(nlp).delta,
                           max_retries=DEFAULT_MAX_RETRIES)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e12])
+    def test_large_rhs_optimum_is_not_box_contact(self, scale):
+        # the feasibility tolerance 1e-7 * (1 + max|b|) exceeds 1 here; a
+        # margin of 1 would leave the box row within it of the optimum
+        lp = LinearProgram(A=[[1.0], [-1.0]], b=[scale, 0.0], c=[1.0])
+        rep = solve(lp, WalkConfig(seed=0))
+        assert rep.basis == (0,)
+        assert rep.x.tolist() == [scale]
+        assert rep.value == scale
 
     @pytest.mark.parametrize("gap", [1e-4, 1e-5])
     def test_small_infeasibility_survives_a_large_box(self, gap):

@@ -8,10 +8,12 @@ Exit codes: 0 optimal, 1 error (also for malformed arguments), 2 infeasible,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +122,18 @@ def write_lp_file(path: str, lp: LinearProgram, *, name: str = "",
     Path(path).write_text(jsonio.json_line(record))
 
 
+def _integral_bound(lp: LinearProgram, raw: dict,
+                    why: str) -> DeltaCertificate:
+    """The integral-data certificate from the file's 'integral' and 'Delta'.
+
+    A file without them raises CliError: why, then the fields to add.
+    """
+    if not raw.get("integral") or "Delta" not in raw:
+        raise CliError(f"{why}; add 'integral': true and a 'Delta' field to "
+                       "the instance file")
+    return delta_integer_bound(lp.A, int(raw["Delta"]))
+
+
 def _resolve_delta(spec: str | float, lp: LinearProgram,
                    raw: dict) -> DeltaCertificate | float:
     """The certificate for 'brute', 'bound' and 'auto'; a typed number as is.
@@ -132,18 +146,12 @@ def _resolve_delta(spec: str | float, lp: LinearProgram,
     if spec == "brute":
         return delta_bruteforce(normalize(lp))
     if spec == "bound":
-        if not raw.get("integral") or "Delta" not in raw:
-            raise CliError("--delta bound needs 'integral': true and a "
-                           "'Delta' field in the instance file")
-        return delta_integer_bound(lp.A, int(raw["Delta"]))
+        return _integral_bound(lp, raw, "--delta bound needs integral data")
     try:
         return delta_bruteforce(normalize(lp))
     except TooLarge:
-        if raw.get("integral") and "Delta" in raw:
-            return delta_integer_bound(lp.A, int(raw["Delta"]))
-        raise CliError("instance too large for brute-force delta; add "
-                       "'integral': true and a 'Delta' field to the instance "
-                       "file")
+        return _integral_bound(lp, raw,
+                               "instance too large for brute-force delta")
 
 
 def _describe(exc: ConewalkError) -> str:
@@ -155,29 +163,19 @@ def _error_report(message: str) -> dict:
 
 
 def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
-                args) -> tuple[dict, int]:
+                cfg: WalkConfig, max_retries: int) -> tuple[dict, int]:
     delta_value, delta_method = delta_value_and_method(delta)
-    trace_stream = open(args.trace, "w") if getattr(args, "trace", None) else None
-    cfg = WalkConfig(
-        alpha=args.alpha,
-        steps=args.steps,
-        seed=args.seed,
-        trace=trace_stream,
-    )
     try:
-        report = solve(lp, cfg, delta=delta, max_retries=args.max_retries)
+        report = solve(lp, cfg, delta=delta, max_retries=max_retries)
     except Infeasible as exc:
         return ({"status": "infeasible", "witness_iteration": exc.iteration,
                  "witness_value": exc.value, "delta": delta_value,
-                 "delta_method": delta_method, "seed": args.seed},
+                 "delta_method": delta_method, "seed": cfg.seed},
                 EXIT_INFEASIBLE)
     except Unbounded as exc:
         return ({"status": "unbounded", "box_row": exc.box_row,
                  "delta": delta_value, "delta_method": delta_method,
-                 "seed": args.seed}, EXIT_UNBOUNDED)
-    finally:
-        if trace_stream is not None:
-            trace_stream.close()
+                 "seed": cfg.seed}, EXIT_UNBOUNDED)
     labels = [lp.row_labels[p] for p in report.basis]
     return ({
         "status": "optimal",
@@ -198,7 +196,12 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
 
 def cmd_solve(args) -> int:
     lp, raw = load_lp_file(args.input)
-    report, code = _solve_once(lp, _resolve_delta(args.delta, lp, raw), args)
+    delta = _resolve_delta(args.delta, lp, raw)
+    opened = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+    with opened as trace:
+        cfg = WalkConfig(alpha=args.alpha, steps=args.steps, seed=args.seed,
+                         trace=trace)
+        report, code = _solve_once(lp, delta, cfg, args.max_retries)
     print(jsonio.dumps(report))
     return code
 
@@ -212,10 +215,7 @@ def cmd_verify_delta(args) -> int:
                   "witness_row": lp.row_labels[j],
                   "witness_subset": [lp.row_labels[i] for i in subset]}
     else:
-        if not raw.get("integral") or "Delta" not in raw:
-            raise CliError("method 'bound' needs 'integral': true and a "
-                           "'Delta' field in the instance file")
-        cert = delta_integer_bound(lp.A, int(raw["Delta"]))
+        cert = _integral_bound(lp, raw, "--method bound needs integral data")
         record = {"delta": cert.delta, "method": cert.method.value,
                   "Delta": cert.Delta}
     print(jsonio.dumps(record))
@@ -223,17 +223,16 @@ def cmd_verify_delta(args) -> int:
 
 
 def cmd_walk_stats(args) -> int:
+    cfg = WalkConfig(alpha=args.alpha, steps=args.steps, seed=args.seed)
     instances = []
     for path in args.input:
         lp, raw = load_lp_file(path)
         delta = _resolve_delta(args.delta, lp, raw)
         per_seed = []
-        base = args.seed
-        for seed in range(base, base + args.seeds):
-            run_args = argparse.Namespace(**{**vars(args), "seed": seed,
-                                             "trace": None})
+        for seed in range(cfg.seed, cfg.seed + args.seeds):
             try:
-                report, _ = _solve_once(lp, delta, run_args)
+                report, _ = _solve_once(lp, delta, replace(cfg, seed=seed),
+                                        args.max_retries)
             except ConewalkError as exc:  # this seed failed; keep the others
                 record = {**_error_report(_describe(exc)),
                           "pivots": None, "retries": None}

@@ -9,6 +9,11 @@ between facet-adjacent cells, weighting a cell P by
 with z_P the cell center.  Crossing a cone facet is a simplex pivot, so the
 walk drives the vertex bookkeeping for free.  As soon as the objective lies
 in the current cone, the current basis is optimal and the walk stops.
+
+step() and run_walk share one arithmetic at every n: a center is taken by
+_center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
+row to a neighbor's center; an l1 distance is taken by _l1, left to right.
+center() and log_weight() are from-scratch references for tests.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import add, sub
 from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -124,7 +130,7 @@ def default_steps(n: int, delta: float) -> int:
 
 
 def center(lp: NormalizedLP, cell: Parallelepiped) -> np.ndarray:
-    """Cell center: sum over basis rows of (k_i + 1/2)/n^2 * a_i."""
+    """Cell center from scratch: sum over basis rows of (k_i + 1/2)/n^2 * a_i."""
     coeffs = (np.array(cell.index, dtype=float) + 0.5) / lp.n**2
     return basis_matrix(lp, cell.basis).T @ coeffs
 
@@ -136,57 +142,44 @@ def log_volume(lp: NormalizedLP, basis: Basis) -> float:
     return math.log(det) - 2.0 * lp.n * math.log(lp.n)
 
 
-def _center_l1(lp: NormalizedLP, cell: Parallelepiped, ac: list[float]
-               ) -> tuple[list[float], float]:
-    """The cell center as a float list, and its l1 distance to ac = alpha*c."""
-    z = center(lp, cell)
-    return z.tolist(), float(np.sum(np.abs(z - ac)))
-
-
 def log_weight(lp: NormalizedLP, alpha: float, cell: Parallelepiped) -> float:
     """log f(cell) from scratch: the reference for the walk's incremental values."""
     z = center(lp, cell)
     return -float(np.sum(np.abs(z - alpha * lp.c))) + log_volume(lp, cell.basis)
 
 
+@dataclass(frozen=True)
+class _BasisRecord:
+    """What the walk uses of one basis, computed the first time it needs it."""
+
+    basis: Basis
+    rows: np.ndarray              # cell edges a_i / n^2, in sorted basis order
+    row_lists: list[list[float]]  # rows as float lists, for in-cone moves
+    log_vol: float                # log of the cell volume
+    in_cone: bool                 # c lies in the basis cone: the basis is optimal
+
+
 class _WalkCache:
-    """Per-walk memo: basis-level quantities and pivot results."""
+    """Per-walk memo: one _BasisRecord per basis, and the pivot results."""
 
     def __init__(self, lp: NormalizedLP):
         self.lp = lp
-        self.log_vol: dict[Basis, float] = {}
-        self.c_inside: dict[Basis, bool] = {}
+        self.records: dict[Basis, _BasisRecord] = {}
         self.pivots: dict[tuple[Basis, int], Vertex] = {}
-        self.rows: dict[Basis, np.ndarray] = {}
-        self.lists: dict[Basis, list[list[float]]] = {}
 
-    def log_volume(self, basis: Basis) -> float:
-        lv = self.log_vol.get(basis)
-        if lv is None:
-            lv = self.log_vol[basis] = log_volume(self.lp, basis)
-        return lv
+    def record(self, basis: Basis) -> _BasisRecord:
+        rec = self.records.get(basis)
+        if rec is None:
+            lp = self.lp
+            rows = np.ascontiguousarray(lp.A[list(basis)]) / lp.n**2
+            rec = self.records[basis] = _BasisRecord(
+                basis, rows, rows.tolist(), log_volume(lp, basis),
+                cone_membership(lp, basis, lp.c).inside)
+        return rec
 
     def scaled_rows(self, basis: Basis) -> np.ndarray:
         """Cell edge vectors a_i / n^2, one per basis row (sorted order)."""
-        rows = self.rows.get(basis)
-        if rows is None:
-            rows = self.rows[basis] = \
-                np.ascontiguousarray(self.lp.A[list(basis)]) / self.lp.n**2
-        return rows
-
-    def row_lists(self, basis: Basis) -> list[list[float]]:
-        """scaled_rows(basis) as Python float lists, for the in-cone moves."""
-        rows = self.lists.get(basis)
-        if rows is None:
-            rows = self.lists[basis] = self.scaled_rows(basis).tolist()
-        return rows
-
-    def objective_in_cone(self, basis: Basis) -> bool:
-        inside = self.c_inside.get(basis)
-        if inside is None:
-            inside = self.c_inside[basis] = cone_membership(
-                self.lp, basis, self.lp.c).inside
-        return inside
+        return self.record(basis).rows
 
     def pivot(self, vertex: Vertex, leaving: int) -> Vertex:
         key = (vertex.basis, leaving)
@@ -196,44 +189,49 @@ class _WalkCache:
         return out
 
 
-def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex, basis: Basis,
-             index: Sequence[int], z: list[float], l1: float, log_vol: float,
-             pos: int, sign: int) -> tuple:
-    """The facet-adjacent cell of (basis, index) across coordinate pos, sign.
+def _center(rec: _BasisRecord, index: Sequence[int]) -> list[float]:
+    """The walk's one center rule: rows^T (k + 1/2), as a float list."""
+    return (rec.rows.T @ (np.array(index, dtype=float) + 0.5)).tolist()
+
+
+def _l1(z: list[float], ac: list[float]) -> float:
+    """The walk's one l1 rule: sum of |z_i - ac_i|, left to right."""
+    total = 0.0
+    for zi, ai in zip(z, ac):
+        total += abs(zi - ai)
+    return total
+
+
+def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
+             rec: _BasisRecord, index: Sequence[int], z: list[float],
+             l1: float, pos: int, sign: int) -> tuple:
+    """The facet-adjacent cell of (rec.basis, index) across coordinate pos, sign.
 
     Moving inward (-1) at lattice coordinate 0 crosses the cone facet: the
     vertex pivots, and the shared-facet grid identifies the new cell's
     coordinates (staying rows keep theirs, the entering row starts at 0).
-    Returns (vertex, basis, index, z, l1, log_vol, dlog) of the proposal,
-    where index is None when the move stays in the cone (the caller then
-    adds sign to index[pos]) and dlog = log f(proposal) - log f(current).
+    Returns (vertex, rec, index, z, l1, dlog) of the proposal, where index
+    is None when the move stays in the cone (the caller then adds sign to
+    index[pos]) and dlog = log f(proposal) - log f(current).
 
     The center z and ac = alpha*c are float lists.  A move inside the cone
-    adds or subtracts one scaled row elementwise and sums the n terms of the
-    l1 distance left to right.  For n <= 7 that is np.sum's order (it adds
-    fewer than 8 terms one by one), so the bits equal those of the numpy
-    expressions used on a pivot and in _center_l1.
+    adds or subtracts one scaled row elementwise; a pivot takes the new
+    cell's center by _center.  Both take the l1 distance by _l1.
     """
     if sign > 0 or index[pos] > 0:
-        row = cache.row_lists(basis)[pos]
-        if sign > 0:
-            z_new = [zi + ri for zi, ri in zip(z, row)]
-        else:
-            z_new = [zi - ri for zi, ri in zip(z, row)]
-        l1_new = 0.0
-        for zi, ai in zip(z_new, ac):
-            l1_new += abs(zi - ai)
-        return vertex, basis, None, z_new, l1_new, log_vol, l1 - l1_new
+        row = rec.row_lists[pos]
+        z_new = list(map(add if sign > 0 else sub, z, row))
+        l1_new = _l1(z_new, ac)
+        return vertex, rec, None, z_new, l1_new, l1 - l1_new
+    basis = rec.basis
     new_vertex = cache.pivot(vertex, basis[pos])
-    new_basis = new_vertex.basis
+    new_rec = cache.record(new_vertex.basis)
     coords = dict(zip(basis, index))
-    new_index = [coords.get(r, 0) for r in new_basis]
-    rows = cache.scaled_rows(new_basis)
-    z_new = rows.T @ (np.array(new_index, dtype=float) + 0.5)
-    l1_new = float(np.sum(np.abs(z_new - ac)))
-    log_vol_new = cache.log_volume(new_basis)
-    return (new_vertex, new_basis, new_index, z_new.tolist(), l1_new,
-            log_vol_new, (l1 - l1_new) + (log_vol_new - log_vol))
+    new_index = [coords.get(r, 0) for r in new_rec.basis]
+    z_new = _center(new_rec, new_index)
+    l1_new = _l1(z_new, ac)
+    return (new_vertex, new_rec, new_index, z_new, l1_new,
+            (l1 - l1_new) + (new_rec.log_vol - rec.log_vol))
 
 
 def _accepts(u: float, dlog: float) -> bool:
@@ -291,9 +289,10 @@ def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
 
     Picks one of the 2n facet neighbors uniformly, then moves there with
     probability (1/2) * min(1, f(P')/f(P)), evaluated in log space.  The
-    center of the current cell is recomputed from scratch.  Unlike
-    run_walk, the proposal is evaluated on lazy steps too, so that the
-    returned StepInfo always describes it.
+    center of the current cell is taken afresh by _center, and its l1
+    distance by _l1: the rules run_walk uses, at every n.  Unlike run_walk,
+    the proposal is evaluated on lazy steps too, so that the returned
+    StepInfo always describes it.
     """
     if cfg.alpha is None:
         raise ValueError("walk config must be resolved before stepping")
@@ -301,22 +300,23 @@ def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
     v, cell = state
     pos, sign, u = _draw(rng, lp.n)
     ac = (cfg.alpha * lp.c).tolist()
-    z, l1 = _center_l1(lp, cell, ac)
-    log_vol = cache.log_volume(cell.basis)
-    v_new, basis_new, index_new, _, l1_new, log_vol_new, dlog = _propose(
-        cache, ac, v, cell.basis, cell.index, z, l1, log_vol, pos, sign)
+    rec = cache.record(cell.basis)
+    z = _center(rec, cell.index)
+    l1 = _l1(z, ac)
+    v_new, rec_new, index_new, _, l1_new, dlog = _propose(
+        cache, ac, v, rec, cell.index, z, l1, pos, sign)
     pivoted = index_new is not None
     if not pivoted:
         index_new = list(cell.index)
         index_new[pos] += sign
-    proposal = Parallelepiped(basis_new, tuple(index_new))
+    proposal = Parallelepiped(rec_new.basis, tuple(index_new))
 
     lazy = u >= 0.5
     accepted = not lazy and _accepts(u, dlog)
     info = StepInfo(direction=(cell.basis[pos], sign), proposal=proposal,
                     accepted=accepted, pivoted=pivoted and accepted, lazy=lazy,
-                    log_weight=-l1 + log_vol,
-                    log_weight_proposal=-l1_new + log_vol_new)
+                    log_weight=-l1 + rec.log_vol,
+                    log_weight_proposal=-l1_new + rec_new.log_vol)
     if accepted:
         return WalkState(v_new, proposal), info
     return state, info
@@ -337,16 +337,14 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     from np.random.default_rng(cfg.seed), which _draws reads from the same
     bit generator in blocks.  A lazy coin ends the step without evaluating
     the proposal; otherwise the proposal comes from the same kernel as
-    step()'s, with the cell center and its l1 distance to alpha*c maintained
-    incrementally and recomputed exactly every _RESYNC_INTERVAL-th step when
-    that step is not lazy.  With cfg.trace set, one JSON record per step is
-    written after the step; a lazy step's record has log_weight_proposal
-    null.  Tracing never changes the walk.
+    step()'s.  The cell center is kept incrementally, and taken afresh by
+    _center at the start, on a pivot and every _RESYNC_INTERVAL-th step that
+    is not lazy; every l1 distance to alpha*c is taken by _l1.  With
+    cfg.trace set, one JSON record per step is written after the step; a
+    lazy step's record has log_weight_proposal null.  Tracing never changes
+    the walk.
     """
     cfg = cfg.resolved(lp.n, delta)
-    if lp.n < 4:
-        warnings.warn(f"n={lp.n} < 4: the neighboring-cell weight-ratio bound "
-                      "degrades; the walk itself is unaffected", stacklevel=2)
     n = lp.n
     draws = _draws(np.random.PCG64(cfg.seed), n)
     cache = _WalkCache(lp)
@@ -354,48 +352,46 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     trace = cfg.trace
 
     vertex = start
-    basis = start.basis
+    rec = cache.record(start.basis)
     index = [0] * n
-    z, l1 = _center_l1(lp, Parallelepiped(basis, tuple(index)), ac)
-    log_vol = cache.log_volume(basis)
+    z = _center(rec, index)
+    l1 = _l1(z, ac)
     steps = pivots = accepted_moves = rejected_moves = lazy_stays = 0
 
-    in_cone = cache.objective_in_cone(basis)  # changes only when basis does
-    while not in_cone and steps < cfg.steps:
+    while not rec.in_cone and steps < cfg.steps:
         pos, sign, u = next(draws)
         steps += 1
         if trace is not None:
-            row, lw = basis[pos], -l1 + log_vol
+            row, lw = rec.basis[pos], -l1 + rec.log_vol
         accepted = pivoted = False
 
         if u >= 0.5:
             lazy_stays += 1
             lw_proposal = None
         else:
-            (new_vertex, new_basis, new_index, z_new, l1_new, log_vol_new,
-             dlog) = _propose(cache, ac, vertex, basis, index, z, l1, log_vol,
-                              pos, sign)
-            lw_proposal = -l1_new + log_vol_new
+            new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
+                cache, ac, vertex, rec, index, z, l1, pos, sign)
+            lw_proposal = -l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
             if accepted:
                 if new_index is None:
                     index[pos] += sign
                 else:
-                    vertex, basis, index = new_vertex, new_basis, new_index
-                    in_cone = cache.objective_in_cone(basis)
+                    vertex, index = new_vertex, new_index
                     pivoted = True
                     pivots += 1
-                z, l1, log_vol = z_new, l1_new, log_vol_new
+                rec, z, l1 = new_rec, z_new, l1_new
                 accepted_moves += 1
             else:
                 rejected_moves += 1
             if steps % _RESYNC_INTERVAL == 0:
-                z, l1 = _center_l1(lp, Parallelepiped(basis, tuple(index)), ac)
+                z = _center(rec, index)
+                l1 = _l1(z, ac)
 
         if trace is not None:
             trace.write(json_line({
                 "step": steps,
-                "basis": list(basis),
+                "basis": list(rec.basis),
                 "k": list(index),
                 "direction": [row, sign],
                 "log_weight": lw,
@@ -404,9 +400,9 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 "pivoted": pivoted,
             }))
 
-    final = Parallelepiped(basis, tuple(index))
+    final = Parallelepiped(rec.basis, tuple(index))
     return WalkOutcome(final=final, c_prime=center(lp, final) / cfg.alpha,
-                       current_vertex=vertex, stopped_with_c_in_cone=in_cone,
+                       current_vertex=vertex, stopped_with_c_in_cone=rec.in_cone,
                        steps_taken=steps, pivots=pivots,
                        accepted_moves=accepted_moves,
                        rejected_moves=rejected_moves, lazy_stays=lazy_stays)

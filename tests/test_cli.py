@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from conewalk.cli import main, write_lp_file
 from conewalk.lp import LinearProgram
 
 from conftest import SQRT2, make_square
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture
@@ -57,6 +61,15 @@ def run_cli(capsys, argv):
 
 
 class TestSolveCommand:
+    def test_shipped_instance_solves_with_warnings_as_errors(self, capsys):
+        # n = 2: the walk warns about nothing the user could act on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, [
+                "solve", "--input", str(INSTANCES / "unit-square.json")])
+        assert code == 0
+        assert json.loads(out)["status"] == "optimal"
+
     def test_square(self, capsys, square_file):
         code, out = run_cli(capsys, ["solve", "--input", square_file,
                                      "--seed", "0"])

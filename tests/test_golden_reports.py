@@ -32,7 +32,7 @@ RTOL = 1e-12
 def fresh_record(name: str, seed: int) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         code = main(["solve", "--input", str(INSTANCES / name),
                      "--seed", str(seed)])
     return {"instance": name, "seed": seed, "exit": code,

@@ -1,14 +1,14 @@
 import io
 import json
 import math
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conewalk.lp import delta_bruteforce, normalize
+from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
-from conewalk.phase1 import bounding_box, phase1_vertex
+from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
 from conewalk.simplex import vertex_of_basis
 from conewalk.walk import (
     Parallelepiped,
@@ -16,6 +16,7 @@ from conewalk.walk import (
     WalkState,
     _WalkCache,
     _draws,
+    _l1,
     _propose,
     center,
     default_alpha,
@@ -25,7 +26,7 @@ from conewalk.walk import (
     step,
 )
 
-from conftest import SQRT2
+from conftest import SQRT2, bounded_random_lp, rotate_instance
 
 
 class QueuedRng:
@@ -253,26 +254,39 @@ class TestBlockDraws:
 
 
 class TestInConeMove:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_scalar_move_has_the_numpy_bits(self, n):
-        # _propose's float-list move against z + sign*row and
-        # np.sum(np.abs(z_new - ac)), the expressions of its pivot branch
+        # _propose's float-list move against the numpy z + sign*row, and the
+        # l1 of both of its branches (a move in the cone, a pivot) against
+        # _l1 of the numpy center, bit for bit
         rng = np.random.default_rng(n)
-        lp = SimpleNamespace(A=rng.standard_normal((n, n)), n=n)
+        box = LinearProgram(A=np.vstack([np.eye(n), -np.eye(n)]),
+                            b=1.0 + rng.random(2 * n), c=rng.standard_normal(n))
+        lp = normalize(rotate_instance(box, seed=n))
         cache = _WalkCache(lp)
-        basis = tuple(range(n))
-        rows = cache.scaled_rows(basis)
+        basis = tuple(range(n))  # a corner of the rotated box
+        vertex = vertex_of_basis(lp, basis)
+        rec = cache.record(basis)
         for _ in range(2000):
             scale = 10.0 ** rng.integers(-3, 4, size=n)
             z = rng.standard_normal(n) * scale
-            ac = rng.standard_normal(n) * 100.0
+            ac = (rng.standard_normal(n) * 100.0).tolist()
             pos, sign = int(rng.integers(0, n)), int(rng.choice((-1, 1)))
-            *_, z_new, l1_new, _, _ = _propose(
-                cache, ac.tolist(), None, basis, [1] * n, z.tolist(), 0.0,
-                0.0, pos, sign)
-            ref = z + sign * rows[pos]
+            *_, index, z_new, l1_new, _ = _propose(
+                cache, ac, vertex, rec, [1] * n, z.tolist(), 0.0, pos, sign)
+            ref = z + sign * rec.rows[pos]
+            assert index is None
             assert np.array(z_new).tobytes() == ref.tobytes()
-            assert l1_new == float(np.sum(np.abs(ref - ac)))
+            assert l1_new == _l1(ref.tolist(), ac)
+
+            index = rng.integers(0, 5, size=n).tolist()
+            index[pos] = 0
+            _, new_rec, new_index, z_new, l1_new, _ = _propose(
+                cache, ac, vertex, rec, index, z.tolist(), 0.0, pos, -1)
+            ref = new_rec.rows.T @ (np.array(new_index, dtype=float) + 0.5)
+            assert new_rec.basis != basis
+            assert np.array(z_new).tobytes() == ref.tobytes()
+            assert l1_new == _l1(ref.tolist(), ac)
 
 
 class TestRunWalk:
@@ -373,20 +387,31 @@ class TestRunWalk:
         assert seen > 10
 
 
+def tu_boxed(kind, n, m, gen_seed):
+    """A unimodular instance and its box of radius default_radius."""
+    nlp = normalize(tu_instance_generator(kind, n, m, seed=gen_seed))
+    return nlp, bounding_box(nlp, default_radius(nlp))
+
+
+def random_boxed(n, extra_rows, gen_seed):
+    """A bounded random instance and its box of radius certified_radius."""
+    nlp = bounded_random_lp(n, extra_rows, gen_seed)
+    return nlp, bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+
+
 class TestReplay:
-    # (kind, n, m, generator seed, walk seed); each walk uses its whole
-    # budget, through a resync at step 4096
-    @pytest.mark.parametrize("kind, n, m, gen_seed, seed", [
-        pytest.param("interval", 3, 10, 14, 0, id="n=3"),
-        pytest.param("interval", 4, 14, 77, 5, id="n=4"),
-        pytest.param("interval", 5, 12, 1, 0, id="n=5"),
+    # (boxed instance, walk seed); each walk uses its whole budget, through
+    # a resync at step 4096
+    @pytest.mark.parametrize("boxed, seed", [
+        pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 0, id="n=3"),
+        pytest.param(partial(tu_boxed, "interval", 4, 14, 77), 5, id="n=4"),
+        pytest.param(partial(tu_boxed, "interval", 5, 12, 1), 0, id="n=5"),
+        pytest.param(partial(random_boxed, 8, 6, 0), 0, id="n=8"),
     ])
-    def test_traced_run_walk_replays_through_step(self, kind, n, m, gen_seed,
-                                                  seed):
+    def test_traced_run_walk_replays_through_step(self, boxed, seed):
         # every non-lazy trace record, fed back through step() with the
         # walk's own draws, reproduces the record
-        nlp = normalize(tu_instance_generator(kind, n, m, seed=gen_seed))
-        lp = bounding_box(nlp, default_radius(nlp))
+        nlp, lp = boxed()
         start = phase1_vertex(nlp, lp)
         cfg = WalkConfig(steps=9000, seed=seed).resolved(
             lp.n, delta_bruteforce(lp).delta)
@@ -399,6 +424,9 @@ class TestReplay:
         draws = np.random.default_rng(seed)
         cache = _WalkCache(lp)
         state = WalkState(start, Parallelepiped(start.basis, (0,) * lp.n))
+        # log_weight sums the n terms in numpy's order: allow n roundings,
+        # which exceed 1e-9 at n=8, where |log f| reaches 3e7
+        reference_tol = {"abs": 1e-9, "rel": lp.n * np.finfo(float).eps}
         replayed = 0
         for rec in records:
             choice, u = int(draws.integers(0, 2 * lp.n)), float(draws.random())
@@ -419,9 +447,9 @@ class TestReplay:
             assert info.log_weight_proposal == pytest.approx(
                 rec["log_weight_proposal"], abs=1e-9)
             assert rec["log_weight"] == pytest.approx(
-                log_weight(lp, cfg.alpha, before), abs=1e-9)
+                log_weight(lp, cfg.alpha, before), **reference_tol)
             assert rec["log_weight_proposal"] == pytest.approx(
-                log_weight(lp, cfg.alpha, info.proposal), abs=1e-9)
+                log_weight(lp, cfg.alpha, info.proposal), **reference_tol)
             replayed += 1
         assert state.cell == out.final
         assert replayed > 4000 and out.pivots > 50

@@ -90,6 +90,8 @@ def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CliError(f"{path} must hold a JSON object")
     for key in ("n", "m", "A", "b", "c"):
         if key not in raw:
             raise CliError(f"{path} is missing required field {key!r}")
@@ -126,12 +128,16 @@ def _integral_bound(lp: LinearProgram, raw: dict,
                     why: str) -> DeltaCertificate:
     """The integral-data certificate from the file's 'integral' and 'Delta'.
 
-    A file without them raises CliError: why, then the fields to add.
+    A file without them raises CliError: why, then the fields to add.  So
+    does a 'Delta' that is not a JSON integer >= 1.
     """
     if not raw.get("integral") or "Delta" not in raw:
         raise CliError(f"{why}; add 'integral': true and a 'Delta' field to "
                        "the instance file")
-    return delta_integer_bound(lp.A, int(raw["Delta"]))
+    Delta = raw["Delta"]
+    if type(Delta) is not int or Delta < 1:
+        raise CliError(f"'Delta' must be an integer >= 1, got {Delta!r}")
+    return delta_integer_bound(lp.A, Delta)
 
 
 def _resolve_delta(spec: str | float, lp: LinearProgram,
@@ -176,10 +182,9 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
         return ({"status": "unbounded", "box_row": exc.box_row,
                  "delta": delta_value, "delta_method": delta_method,
                  "seed": cfg.seed}, EXIT_UNBOUNDED)
-    labels = [lp.row_labels[p] for p in report.basis]
     return ({
         "status": "optimal",
-        "basis": labels,
+        "basis": [p + 1 for p in report.basis],
         "x": [float(t) for t in report.x],
         "value": report.value,
         "delta": delta_value,
@@ -212,8 +217,8 @@ def cmd_verify_delta(args) -> int:
         cert = delta_bruteforce(normalize(lp))
         j, subset = cert.witness
         record = {"delta": cert.delta, "method": cert.method.value,
-                  "witness_row": lp.row_labels[j],
-                  "witness_subset": [lp.row_labels[i] for i in subset]}
+                  "witness_row": j + 1,
+                  "witness_subset": [i + 1 for i in subset]}
     else:
         cert = _integral_bound(lp, raw, "--method bound needs integral data")
         record = {"delta": cert.delta, "method": cert.method.value,

@@ -26,7 +26,7 @@ class NonIntegerEntries(ConewalkError):
 
 
 class TooLarge(ConewalkError):
-    """Enumeration budget exceeded; the instance is not desk-scale."""
+    """Enumeration budget or float range exceeded: not desk-scale."""
 
 
 class RankDeficient(ConewalkError):

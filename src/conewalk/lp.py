@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,14 +37,12 @@ def _frozen_array(obj, name, value, dtype=float):
 class LinearProgram:
     """max c^T x subject to A x <= b, with m >= n and A of full column rank.
 
-    ``row_labels`` carries the caller-facing (1-based) identity of each row
-    through normalization, augmentation and dimension reduction.
+    A row is identified by its position in A, 0-based.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    row_labels: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         A = _frozen_array(self, "A", self.A)
@@ -64,10 +62,6 @@ class LinearProgram:
             raise ZeroRow("constraint matrix has an all-zero row")
         if np.linalg.matrix_rank(A) < n:
             raise RankDeficient("A does not have full column rank")
-        if not self.row_labels:
-            object.__setattr__(self, "row_labels", tuple(range(1, m + 1)))
-        elif len(self.row_labels) != m:
-            raise ValueError("row_labels length mismatch")
 
     @property
     def m(self) -> int:
@@ -98,8 +92,7 @@ class NormalizedLP(LinearProgram):
             raise NotUnitVector("objective must have unit norm")
 
 
-def _derived(parent: NormalizedLP, A: np.ndarray, b: np.ndarray,
-             row_labels: tuple[int, ...]) -> NormalizedLP:
+def _derived(parent: NormalizedLP, A: np.ndarray, b: np.ndarray) -> NormalizedLP:
     """A program built from a validated one without re-running validation.
 
     The NormalizedLP constructor checks finiteness, unit rows and
@@ -111,8 +104,7 @@ def _derived(parent: NormalizedLP, A: np.ndarray, b: np.ndarray,
       so it is finite, nonzero and of unit norm;
     - ``A`` holds n linearly independent rows, so m >= n and A has full
       column rank;
-    - ``b`` is finite with one entry per row, and ``row_labels`` has one
-      label per row.
+    - ``b`` is finite with one entry per row.
 
     The objective is ``parent.c``.  The arrays are stored as read-only
     views, not copies, so the caller must not write to them afterwards.
@@ -122,7 +114,6 @@ def _derived(parent: NormalizedLP, A: np.ndarray, b: np.ndarray,
         view = np.asarray(value, dtype=float).view()
         view.flags.writeable = False
         object.__setattr__(lp, name, view)
-    object.__setattr__(lp, "row_labels", tuple(row_labels))
     return lp
 
 
@@ -171,7 +162,6 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
         A=lp.A / row_norms[:, None],
         b=lp.b / row_norms,
         c=lp.c / c_norm,
-        row_labels=lp.row_labels,
     )
 
 
@@ -257,8 +247,8 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
     A_int = np.asarray(A_int)
     if not np.all(np.equal(np.mod(A_int, 1), 0)):
         raise NonIntegerEntries("matrix entries must be integral")
-    if int(Delta) < 1:
-        raise ValueError("Delta must be a positive integer")
+    if not (float(Delta).is_integer() and Delta >= 1):
+        raise ValueError(f"Delta must be a positive integer, got {Delta!r}")
     n = A_int.shape[1]
     return DeltaCertificate(delta=1.0 / (n * int(Delta) ** 2),
                             method=DeltaMethod.INTEGER_BOUND, Delta=int(Delta))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import Infeasible, RankDeficient, Unbounded
+from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
 from .geometry import dist_to_span, solve_square
 from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
 from .simplex import Vertex, bland_simplex, vertex_of_basis
@@ -37,22 +37,16 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
     """The boxed program: lp's rows, then the 2n box rows.
 
     The box is the slabs |a_i^T x| <= radius along n independent rows:
-    their directions first, then their negations, with labels continuing
-    after lp's.  The directions are unit vectors, so the box contains the
-    ball of the given radius; the caller guarantees that ball holds every
-    basic point.  Every row is one of lp's rows or its negation, so the
-    boxed program inherits lp's validation.
+    their directions first, then their negations.  The directions are unit
+    vectors, so the box contains the ball of the given radius; the caller
+    guarantees that ball holds every basic point.  Every row is one of lp's
+    rows or its negation, so the boxed program inherits lp's validation.
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     dirs = lp.A[list(find_independent_rows(lp))]
-    next_label = max(lp.row_labels) + 1
-    return _derived(
-        lp,
-        A=np.vstack([lp.A, dirs, -dirs]),
-        b=np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]),
-        row_labels=lp.row_labels + tuple(range(next_label, next_label + 2 * lp.n)),
-    )
+    return _derived(lp, A=np.vstack([lp.A, dirs, -dirs]),
+                    b=np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]))
 
 
 def certified_radius(lp: NormalizedLP,
@@ -68,12 +62,17 @@ def certified_radius(lp: NormalizedLP,
     bare float is a claim, and one that is too large would shrink the box
     onto a vertex and turn a bounded program into an "unbounded" verdict,
     so the input is certified by brute force instead (which may raise
-    TooLarge).
+    TooLarge).  A radius past the float range raises TooLarge too.
     """
     if not isinstance(delta, DeltaCertificate):
         delta = delta_bruteforce(lp)
-    margin = max(1.0, 2.0 * lp.feas_tol())
-    return lp.n * float(np.max(np.abs(lp.b))) / delta.delta + margin
+    b_max = float(np.max(np.abs(lp.b)))
+    radius = lp.n * b_max / delta.delta + max(1.0, 2.0 * lp.feas_tol())
+    if not math.isfinite(radius):
+        raise TooLarge(f"box radius n * max|b| / delta is not finite: "
+                       f"n={lp.n}, max|b|={b_max:.6g}, "
+                       f"delta={delta.delta:.6g}")
+    return radius
 
 
 def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
@@ -100,12 +99,10 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     # every prefix, the 2n box rows alone included, holds n independent
     # rows and is derived from boxed without re-validation.
     ordered = _derived(boxed, A=np.vstack([boxed.A[m:], lp.A]),
-                       b=np.concatenate([boxed.b[m:], lp.b]),
-                       row_labels=boxed.row_labels[m:] + lp.row_labels)
+                       b=np.concatenate([boxed.b[m:], lp.b]))
 
     def prefix(k: int) -> NormalizedLP:
-        return _derived(ordered, A=ordered.A[:k], b=ordered.b[:k],
-                        row_labels=ordered.row_labels[:k])
+        return _derived(ordered, A=ordered.A[:k], b=ordered.b[:k])
 
     v = vertex_of_basis(prefix(2 * n), tuple(range(n)))
     for i in range(m):

@@ -45,7 +45,6 @@ class ReductionStep:
     """Bookkeeping for one reduction: enough to lift points back up."""
 
     fixed_row: int                 # parent row position set to equality
-    fixed_label: int
     b_fixed: float
     U: np.ndarray                  # orthonormal, parent row -> first unit vector
     scale_factors: np.ndarray      # per kept row, all >= 1
@@ -118,11 +117,10 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
         A=np.array([slot[0] for slot in slots]),
         b=np.array([slot[1] for slot in slots]),
         c=objective / obj_norm,
-        row_labels=tuple(lp.row_labels[p] for p in index_map),
     )
     step = ReductionStep(
-        fixed_row=fixed, fixed_label=lp.row_labels[fixed], b_fixed=b_fixed,
-        U=U, scale_factors=np.array([slot[3] for slot in slots]),
+        fixed_row=fixed, b_fixed=b_fixed, U=U,
+        scale_factors=np.array([slot[3] for slot in slots]),
         index_map=index_map, dropped=tuple(dropped), merged=tuple(merged),
     )
 
@@ -152,7 +150,7 @@ class LevelStats:
     rejected_moves: int
     lazy_stays: int
     stopped_with_c_in_cone: bool
-    fixed_label: int | None  # label of the row fixed afterwards, if any
+    fixed_row: int | None  # level-0 row position fixed afterwards, if any
 
 
 @dataclass
@@ -186,18 +184,18 @@ def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
     return (best,)
 
 
-def _level_stats(n: int, retries: int, outcome, fixed_label) -> LevelStats:
+def _level_stats(n: int, retries: int, outcome, fixed_row) -> LevelStats:
     """One level's record; ``outcome`` is None for the walk-free 1-D base."""
     if outcome is None:
         return LevelStats(n=n, retries=retries, steps_taken=0, pivots=0,
                           accepted_moves=0, rejected_moves=0, lazy_stays=0,
-                          stopped_with_c_in_cone=True, fixed_label=fixed_label)
+                          stopped_with_c_in_cone=True, fixed_row=fixed_row)
     return LevelStats(
         n=n, retries=retries, steps_taken=outcome.steps_taken,
         pivots=outcome.pivots, accepted_moves=outcome.accepted_moves,
         rejected_moves=outcome.rejected_moves, lazy_stays=outcome.lazy_stays,
         stopped_with_c_in_cone=outcome.stopped_with_c_in_cone,
-        fixed_label=fixed_label)
+        fixed_row=fixed_row)
 
 
 def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
@@ -223,7 +221,7 @@ def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
                                       outcome.c_prime, delta)
         except NoLargeCoefficient:
             continue  # tolerance breach; treat as a failed attempt
-        stats = _level_stats(lp.n, retry, outcome, lp.row_labels[element.row])
+        stats = _level_stats(lp.n, retry, outcome, element.row)
         try:
             reduced, next_start, step = reduce_lp(
                 lp, element.row, outcome.current_vertex)
@@ -239,7 +237,9 @@ def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
             reduced, sub_delta, cfg, next_start, base_seed=base_seed,
             level=level + 1, max_retries=max_retries)
         mapped = {step.index_map[p] for p in sub_basis}
-        return tuple(sorted(mapped | {element.row})), (stats,) + sub_levels
+        lifted = tuple(replace(s, fixed_row=step.index_map[s.fixed_row])
+                       if s.fixed_row is not None else s for s in sub_levels)
+        return tuple(sorted(mapped | {element.row})), (stats,) + lifted
 
     raise RetriesExhausted(
         f"walk failed verification {max_retries + 1} times at level {level} "

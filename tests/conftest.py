@@ -34,8 +34,7 @@ def rotate_instance(lp: LinearProgram, seed: int) -> LinearProgram:
     """Rotate the coordinate system; the row geometry is preserved."""
     rng = np.random.default_rng(seed)
     q = random_rotation(lp.n, rng)
-    return LinearProgram(A=lp.A @ q, b=lp.b.copy(), c=q.T @ lp.c,
-                         row_labels=lp.row_labels)
+    return LinearProgram(A=lp.A @ q, b=lp.b.copy(), c=q.T @ lp.c)
 
 
 def random_lp(m: int, n: int, seed: int) -> NormalizedLP:

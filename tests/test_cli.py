@@ -60,6 +60,18 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def assert_one_error_record(capsys, argv, mention):
+    """Exit 1 with one JSON error record on stdout and nothing on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    line, = captured.out.splitlines()
+    record = json.loads(line)
+    assert record["status"] == "error"
+    assert mention in record["error"]
+
+
 class TestSolveCommand:
     def test_shipped_instance_solves_with_warnings_as_errors(self, capsys):
         # n = 2: the walk warns about nothing the user could act on
@@ -109,6 +121,22 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["status"] == "error"
         assert "missing" in report["error"]
+
+    @pytest.mark.parametrize("text", ["5", "true", "null", '"nmAbc"',
+                                      '["n", "m", "A", "b", "c"]'])
+    def test_non_object_input(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert_one_error_record(capsys, ["solve", "--input", str(bad)],
+                                "must hold a JSON object")
+
+    def test_box_radius_past_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        write_lp_file(str(path), LinearProgram(
+            A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            b=[1e308, 1.0, 0.0, 0.0], c=[1.0, 1.0]))
+        assert_one_error_record(capsys, ["solve", "--input", str(path)],
+                                "TooLarge: box radius")
 
     def test_unreadable_input(self, capsys, tmp_path):
         code, out = run_cli(capsys, ["solve", "--input",
@@ -292,6 +320,19 @@ class TestVerifyDeltaCommand:
         record = json.loads(out)
         assert record["delta"] == pytest.approx(0.5)
         assert record["Delta"] == 1
+
+    @pytest.mark.parametrize("Delta", ["x", 0, -3, 1.5, True, "2"])
+    @pytest.mark.parametrize("argv", [["solve", "--delta", "bound"],
+                                      ["verify-delta", "--method", "bound"]])
+    def test_bound_rejects_a_malformed_Delta(self, capsys, tmp_path, argv,
+                                             Delta):
+        path = tmp_path / "square.json"
+        record = json.loads((INSTANCES / "unit-square.json").read_text())
+        path.write_text(json.dumps({**record, "integral": True,
+                                    "Delta": Delta}))
+        assert_one_error_record(
+            capsys, argv + ["--input", str(path)],
+            f"'Delta' must be an integer >= 1, got {Delta!r}")
 
     def test_bound_requires_integral_metadata(self, capsys, tmp_path):
         path = tmp_path / "plain.json"

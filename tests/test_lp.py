@@ -25,10 +25,6 @@ from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instan
 
 
 class TestLinearProgram:
-    def test_default_labels_are_one_based(self):
-        lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0], c=[1.0, 0.0])
-        assert lp.row_labels == (1, 2)
-
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroRow):
             LinearProgram(A=[[1.0, 0.0], [0.0, 0.0]], b=[1.0, 1.0], c=[1.0, 0.0])
@@ -266,6 +262,11 @@ class TestDeltaIntegerBound:
     def test_non_integer_rejected(self):
         with pytest.raises(NonIntegerEntries):
             delta_integer_bound(np.array([[0.5, 1.0]]), 1)
+
+    @pytest.mark.parametrize("Delta", [1.5, 0, -3])
+    def test_non_integral_or_small_Delta_rejected(self, Delta):
+        with pytest.raises(ValueError, match="Delta"):
+            delta_integer_bound(np.eye(2), Delta)
 
     def test_bound_never_beats_bruteforce(self):
         # the exact separation dominates the sub-determinant bound

@@ -97,8 +97,7 @@ class TestBoundingBox:
                    pad_redundant(tu_instance_generator("box", 3, 8, 5), 30, 5)):
             nlp = normalize(lp)
             boxed = bounding_box(nlp, 9.0)
-            NormalizedLP(A=boxed.A, b=boxed.b, c=boxed.c,
-                         row_labels=boxed.row_labels)
+            NormalizedLP(A=boxed.A, b=boxed.b, c=boxed.c)
             assert not boxed.A.flags.writeable and not boxed.b.flags.writeable
 
 
@@ -153,12 +152,11 @@ class TestAugmentedLp:
     """The boxed program: the input's rows, then the directions, then
     their negations."""
 
-    def test_shape_and_labels(self):
+    def test_shape_and_rows(self):
         nlp = normalize(tu_instance_generator("network", 3, 10, 4))
         boxed = bounding_box(nlp, 2.5)
         m, n = nlp.m, nlp.n
         assert (boxed.m, boxed.n) == (m + 2 * n, n)
-        assert boxed.row_labels == tuple(range(1, m + 2 * n + 1))
         assert np.array_equal(boxed.A[:m], nlp.A)
         assert np.array_equal(boxed.b[:m], nlp.b)
         assert np.array_equal(boxed.c, nlp.c)
@@ -186,8 +184,7 @@ class TestPhase1Vertex:
 
         def checked(region, start, objective):
             # the public constructor re-runs every check the region skipped
-            NormalizedLP(A=region.A, b=region.b, c=region.c,
-                         row_labels=region.row_labels)
+            NormalizedLP(A=region.A, b=region.b, c=region.c)
             regions.append(region)
             return real(region, start, objective)
 

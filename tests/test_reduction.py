@@ -107,11 +107,11 @@ class TestReduceLp:
         with pytest.raises(ValueError):
             reduce_lp(unit_square, 2, v)
 
-    def test_labels_follow_rows(self, unit_square):
+    def test_index_map_follows_rows(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
-        reduced, _, step = reduce_lp(unit_square, 0, v)
-        assert reduced.row_labels == (2, 4)
-        assert step.fixed_label == 1
+        _, _, step = reduce_lp(unit_square, 0, v)
+        assert step.index_map == (1, 3)
+        assert step.fixed_row == 0
 
     def test_duplicate_rows_merge_keeping_tighter(self):
         # two rows that project to the same direction; the tighter one wins
@@ -261,6 +261,13 @@ class TestSolve:
         with pytest.raises(TooLarge):
             solve(lp, WalkConfig(seed=0))
 
+    def test_box_radius_past_the_float_range_is_too_large(self):
+        # n * max|b| / delta = 2e308 overflows to inf
+        lp = LinearProgram(A=np.vstack([np.eye(2), -np.eye(2)]),
+                           b=[1e308, 1.0, 0.0, 0.0], c=[1.0, 1.0])
+        with pytest.raises(TooLarge, match="radius"):
+            solve(lp, WalkConfig(seed=0))
+
     def test_negative_max_retries_rejected_before_any_work(self, monkeypatch):
         import conewalk.reduction as reduction_module
 
@@ -322,9 +329,47 @@ class TestIdentifyAndRecurse:
         assert basis == (0, 1)  # the true optimal basis for c
         assert calls == [2]     # one walk; the 1-d tail is solved directly
         assert len(levels) == 2
-        assert levels[0].fixed_label == 1
+        assert levels[0].fixed_row == 0
         assert levels[0].stopped_with_c_in_cone is False
         assert levels[1].n == 1
+
+    def test_fixed_rows_are_level_0_positions(self, monkeypatch):
+        import conewalk.reduction as reduction_module
+        from conewalk.geometry import solve_square
+        from conewalk.simplex import basis_matrix
+        from conewalk.walk import Parallelepiped, WalkOutcome, center
+
+        # the unit cube with its lower faces first, so every reduction
+        # shifts the positions of the rows that are fixed after it
+        lp = normalize(LinearProgram(
+            A=np.vstack([-np.eye(3), np.eye(3)]), b=[0, 0, 0, 1, 1, 1],
+            c=[1.0, 0.5, 0.25]))
+        start = vertex_of_basis(lp, (3, 4, 5))  # the corner (1, 1, 1)
+        alpha = 32.0
+        calls = []
+
+        def fake_run_walk(nlp, cfg, start_vertex, delta=None):
+            # a cell of the start vertex's cone whose center over alpha is
+            # the objective up to rounding: verification passes at once
+            calls.append(nlp.n)
+            basis = start_vertex.basis
+            mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
+            index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
+            cell = Parallelepiped(basis=basis, index=tuple(index))
+            return WalkOutcome(final=cell, c_prime=center(nlp, cell) / alpha,
+                               current_vertex=start_vertex,
+                               stopped_with_c_in_cone=False, steps_taken=46)
+
+        monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
+        basis, levels = reduction_module._solve_level(
+            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start,
+            base_seed=0, level=0, max_retries=2)
+        assert basis == (3, 4, 5)
+        assert calls == [3, 2]  # two reductions; the 1-d tail is direct
+        assert [s.n for s in levels] == [3, 2, 1]
+        fixed = [s.fixed_row for s in levels if s.fixed_row is not None]
+        assert fixed == [3, 4]  # e1 at level 0, then e2 at level 1
+        assert all(0 <= p < lp.m and p in basis for p in fixed)
 
     def test_retries_exhaust_on_persistent_failure(self, monkeypatch,
                                                    unit_square):

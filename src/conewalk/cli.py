@@ -128,10 +128,11 @@ def _integral_bound(lp: LinearProgram, raw: dict,
                     why: str) -> DeltaCertificate:
     """The integral-data certificate from the file's 'integral' and 'Delta'.
 
-    A file without them raises CliError: why, then the fields to add.  So
-    does a 'Delta' that is not a JSON integer >= 1.
+    A file without them raises CliError: why, then the fields to add; only
+    JSON true enables the bound.  So does a 'Delta' that is not a JSON
+    integer >= 1.
     """
-    if not raw.get("integral") or "Delta" not in raw:
+    if raw.get("integral") is not True or "Delta" not in raw:
         raise CliError(f"{why}; add 'integral': true and a 'Delta' field to "
                        "the instance file")
     Delta = raw["Delta"]
@@ -194,6 +195,7 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
             "steps_per_level": list(report.steps_per_level),
             "pivots": report.pivots,
             "retries": report.retries,
+            "terms": sum(s.terms for s in report.levels),
         },
         "seed": report.seed,
     }, EXIT_OPTIMAL)
@@ -271,7 +273,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", default=None,
                    type=_checked(int, _non_negative, "a non-negative integer",
                                  auto=True),
-                   help="walk steps per level (default: auto)")
+                   help="walk budget of one attempt per level, inside "
+                        "which the walk restarts (default: auto)")
     p.add_argument("--alpha", default=None,
                    type=_checked(float, _positive, "a positive number",
                                  auto=True),
@@ -281,7 +284,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         "'brute' or 'bound'")
     p.add_argument("--max-retries", dest="max_retries",
                    default=DEFAULT_MAX_RETRIES,
-                   type=_checked(int, _non_negative, "a non-negative integer"))
+                   type=_checked(int, _non_negative, "a non-negative integer"),
+                   help="walk attempts per level after the first before "
+                        "giving up; an attempt fails only once it has run "
+                        "its whole budget (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--trace", default=None,
                          help="write a line-delimited JSON walk trace here: "
-                              "one record per step of every attempt (the step "
-                              "counter restarts per walk); lazy steps have "
+                              "one record per step of every walk, restarts "
+                              "included (the step counter restarts per "
+                              "walk); lazy steps have "
                               "log_weight_proposal null; tracing never "
                               "changes the walk")
     _add_solver_flags(p_solve)

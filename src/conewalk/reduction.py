@@ -10,12 +10,14 @@ or a single dimension remains.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 import numpy as np
 
 from . import phase1
 from .errors import (
     ConewalkError,
+    DegeneratePivot,
     NoLargeCoefficient,
     ObjectiveVanishes,
     RetriesExhausted,
@@ -34,10 +36,25 @@ from .lp import (
 )
 from .simplex import Vertex, cone_membership, vertex_of_basis
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, default_alpha, run_walk
+from .walk import WalkConfig, WalkOutcome, _WalkCache, default_alpha, run_walk
 
 DUPLICATE_TOL = 1e-9
 DEFAULT_MAX_RETRIES = 10
+RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
+
+
+def luby(t: int) -> int:
+    """Term t >= 1 of Luby's universal restart sequence 1, 1, 2, 1, 1, 2, 4, 1, ...
+
+    Luby, Sinclair & Zuckerman (1993): restarting a Las Vegas algorithm
+    after luby(1), luby(2), ... units of work costs at most a log factor
+    over the best fixed cutoff.
+    """
+    while True:
+        k = t.bit_length()  # 2^(k-1) <= t <= 2^k - 1
+        if t == (1 << k) - 1:
+            return 1 << (k - 1)
+        t -= (1 << (k - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -140,17 +157,24 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
 
 @dataclass
 class LevelStats:
-    """Walk statistics for one recursion level."""
+    """Walk statistics for one recursion level.
+
+    The counters sum over every walk the level started: each attempt runs
+    as restarts (terms), and all of them count.  A term that ends on a
+    DegeneratePivot adds to degenerate_ends only; its steps are not counted.
+    """
 
     n: int
-    retries: int
-    steps_taken: int
-    pivots: int
-    accepted_moves: int
-    rejected_moves: int
-    lazy_stays: int
-    stopped_with_c_in_cone: bool
-    fixed_row: int | None  # level-0 row position fixed afterwards, if any
+    retries: int = 0               # failed full-budget attempts
+    steps_taken: int = 0
+    pivots: int = 0
+    accepted_moves: int = 0
+    rejected_moves: int = 0
+    lazy_stays: int = 0
+    terms: int = 0                 # walks started
+    degenerate_ends: int = 0       # short terms ended on DegeneratePivot
+    stopped_with_c_in_cone: bool = False  # the level's last walk did
+    fixed_row: int | None = None   # level-0 row position fixed afterwards
 
 
 @dataclass
@@ -184,18 +208,38 @@ def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
     return (best,)
 
 
-def _level_stats(n: int, retries: int, outcome, fixed_row) -> LevelStats:
-    """One level's record; ``outcome`` is None for the walk-free 1-D base."""
-    if outcome is None:
-        return LevelStats(n=n, retries=retries, steps_taken=0, pivots=0,
-                          accepted_moves=0, rejected_moves=0, lazy_stays=0,
-                          stopped_with_c_in_cone=True, fixed_row=fixed_row)
-    return LevelStats(
-        n=n, retries=retries, steps_taken=outcome.steps_taken,
-        pivots=outcome.pivots, accepted_moves=outcome.accepted_moves,
-        rejected_moves=outcome.rejected_moves, lazy_stays=outcome.lazy_stays,
-        stopped_with_c_in_cone=outcome.stopped_with_c_in_cone,
-        fixed_row=fixed_row)
+def _attempt(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
+             cache: _WalkCache, stats: LevelStats, entropy: list[int],
+             ) -> WalkOutcome:
+    """One attempt: walks from start on Luby's schedule until one stops with
+    c in the cone or runs the whole budget cfg.steps.
+
+    Term t walks min(RESTART_UNIT * luby(t), cfg.steps) steps on
+    SeedSequence(entropy + [t]).  The in-cone stop is an exact optimality
+    certificate, so a restart only costs work.  A short term that ends on a
+    DegeneratePivot is restarted like any other; a full-budget one raises.
+    Every term's counters are added to stats.
+    """
+    for term in count(1):
+        steps = min(RESTART_UNIT * luby(term), cfg.steps)
+        seed = np.random.SeedSequence([*entropy, term])
+        stats.terms += 1
+        try:
+            outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps), start,
+                               delta=delta, _cache=cache)
+        except DegeneratePivot:
+            if steps == cfg.steps:
+                raise
+            stats.degenerate_ends += 1
+            continue
+        stats.steps_taken += outcome.steps_taken
+        stats.pivots += outcome.pivots
+        stats.accepted_moves += outcome.accepted_moves
+        stats.rejected_moves += outcome.rejected_moves
+        stats.lazy_stays += outcome.lazy_stays
+        stats.stopped_with_c_in_cone = outcome.stopped_with_c_in_cone
+        if outcome.stopped_with_c_in_cone or steps == cfg.steps:
+            return outcome
 
 
 def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
@@ -204,15 +248,18 @@ def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
     """Recursive core: optimal-basis row positions of this instance, and the
     stats of this level followed by those of the levels below it."""
     if lp.n == 1:
-        return _solve_direct_1d(lp), (_level_stats(1, 0, None, None),)
+        return _solve_direct_1d(lp), (LevelStats(n=1, stopped_with_c_in_cone=True),)
 
+    walk_cfg = cfg.resolved(lp.n, delta)  # once per level: warns once
+    cache = _WalkCache(lp)  # shared by every walk at this level
+    stats = LevelStats(n=lp.n)
     for retry in range(max_retries + 1):
-        seed = np.random.SeedSequence([base_seed, level, retry])
-        outcome = run_walk(lp, replace(cfg, seed=seed), start, delta=delta)
+        stats.retries = retry
+        outcome = _attempt(lp, delta, walk_cfg, start, cache, stats,
+                           [base_seed, level, retry])
 
         if outcome.stopped_with_c_in_cone:
-            return (outcome.final.basis,
-                    (_level_stats(lp.n, retry, outcome, None),))
+            return outcome.final.basis, (stats,)
 
         if not verify_problem1(lp, outcome.final.basis, outcome.c_prime, delta):
             continue
@@ -221,7 +268,7 @@ def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
                                       outcome.c_prime, delta)
         except NoLargeCoefficient:
             continue  # tolerance breach; treat as a failed attempt
-        stats = _level_stats(lp.n, retry, outcome, element.row)
+        stats.fixed_row = element.row
         try:
             reduced, next_start, step = reduce_lp(
                 lp, element.row, outcome.current_vertex)

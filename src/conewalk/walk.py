@@ -160,7 +160,8 @@ class _BasisRecord:
 
 
 class _WalkCache:
-    """Per-walk memo: one _BasisRecord per basis, and the pivot results."""
+    """Memo of one program's walks: one _BasisRecord per basis, and the
+    pivot results."""
 
     def __init__(self, lp: NormalizedLP):
         self.lp = lp
@@ -326,7 +327,8 @@ _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
 
 
 def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
-             delta: float | None = None) -> WalkOutcome:
+             delta: float | None = None, _cache: _WalkCache | None = None,
+             ) -> WalkOutcome:
     """Run the walk from the apex cell of the start vertex's cone.
 
     Each iteration first stops if the objective lies in the current cone
@@ -343,11 +345,18 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     cfg.trace set, one JSON record per step is written after the step; a
     lazy step's record has log_weight_proposal null.  Tracing never changes
     the walk.
+
+    _cache is a _WalkCache of lp shared with other walks: its records and
+    pivots depend only on lp, so sharing it changes no step.  A caller that
+    passes it has already resolved cfg against delta, once for all those
+    walks, so cfg is used as it is.
     """
-    cfg = cfg.resolved(lp.n, delta)
+    if _cache is None:
+        cfg, cache = cfg.resolved(lp.n, delta), _WalkCache(lp)
+    else:
+        cache = _cache
     n = lp.n
     draws = _draws(np.random.PCG64(cfg.seed), n)
-    cache = _WalkCache(lp)
     ac = (cfg.alpha * lp.c).tolist()
     trace = cfg.trace
 

@@ -334,6 +334,19 @@ class TestVerifyDeltaCommand:
             capsys, argv + ["--input", str(path)],
             f"'Delta' must be an integer >= 1, got {Delta!r}")
 
+    @pytest.mark.parametrize("integral", ["no", 1, "true"])
+    @pytest.mark.parametrize("argv", [["solve", "--delta", "bound"],
+                                      ["verify-delta", "--method", "bound"]])
+    def test_bound_needs_integral_to_be_json_true(self, capsys, tmp_path,
+                                                  argv, integral):
+        path = tmp_path / "square.json"
+        record = json.loads((INSTANCES / "unit-square.json").read_text())
+        path.write_text(json.dumps({**record, "integral": integral,
+                                    "Delta": 1}))
+        assert_one_error_record(
+            capsys, argv + ["--input", str(path)],
+            "add 'integral': true and a 'Delta' field")
+
     def test_bound_requires_integral_metadata(self, capsys, tmp_path):
         path = tmp_path / "plain.json"
         lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],

@@ -230,9 +230,9 @@ class TestSolve:
         seen = []
         real_run_walk = reduction_module.run_walk
 
-        def spy(nlp, cfg, start, delta=None):
+        def spy(nlp, cfg, start, delta=None, _cache=None):
             seen.append(delta)
-            return real_run_walk(nlp, cfg, start, delta=delta)
+            return real_run_walk(nlp, cfg, start, delta=delta, _cache=_cache)
 
         monkeypatch.setattr(reduction_module, "run_walk", spy)
         lp = tu_instance_generator("network", 3, 8, 5)
@@ -318,7 +318,7 @@ class TestIdentifyAndRecurse:
                            rejected_moves=16, lazy_stays=10)
         calls = []
 
-        def fake_run_walk(nlp, cfg, start_vertex, delta=None):
+        def fake_run_walk(nlp, cfg, start_vertex, delta=None, _cache=None):
             calls.append(nlp.n)
             return fake
 
@@ -348,7 +348,7 @@ class TestIdentifyAndRecurse:
         alpha = 32.0
         calls = []
 
-        def fake_run_walk(nlp, cfg, start_vertex, delta=None):
+        def fake_run_walk(nlp, cfg, start_vertex, delta=None, _cache=None):
             # a cell of the start vertex's cone whose center over alpha is
             # the objective up to rounding: verification passes at once
             calls.append(nlp.n)
@@ -385,12 +385,151 @@ class TestIdentifyAndRecurse:
         attempts = []
         monkeypatch.setattr(
             reduction_module, "run_walk",
-            lambda nlp, cfg, s, delta=None: attempts.append(1) or fake)
+            lambda nlp, cfg, s, delta=None, _cache=None:
+            attempts.append(1) or fake)
         with pytest.raises(RetriesExhausted):
             reduction_module._solve_level(
                 unit_square, 1.0, WalkConfig(alpha=32.0, steps=46), start,
                 base_seed=0, level=0, max_retries=3)
         assert len(attempts) == 4  # the first try plus three retries
+
+
+class TestRestarts:
+    """Each attempt walks on Luby's schedule, capped at the budget."""
+
+    def test_luby_sequence(self):
+        from conewalk.reduction import luby
+        assert [luby(t) for t in range(1, 16)] == \
+            [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+    @staticmethod
+    def recording_walk(monkeypatch, lp, start, *, in_cone_at=None,
+                       degenerate_at=()):
+        """Fake run_walk on lp: records (cfg.steps, cfg.seed) per call and
+        returns an outcome of cfg.steps steps, far from alpha*c, that stops
+        in the cone on call number in_cone_at; raises DegeneratePivot on the
+        calls numbered in degenerate_at."""
+        import conewalk.reduction as reduction_module
+        from conewalk.errors import DegeneratePivot
+        from conewalk.walk import Parallelepiped, WalkOutcome, center
+
+        cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
+        calls = []
+
+        def fake_run_walk(nlp, cfg, s, delta=None, _cache=None):
+            calls.append((cfg.steps, cfg.seed))
+            if len(calls) in degenerate_at:
+                raise DegeneratePivot("ratio-test tie")
+            return WalkOutcome(final=cell, c_prime=center(lp, cell) / cfg.alpha,
+                               current_vertex=start,
+                               stopped_with_c_in_cone=len(calls) == in_cone_at,
+                               steps_taken=cfg.steps, pivots=1,
+                               accepted_moves=cfg.steps)
+
+        monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
+        return calls
+
+    def solve_level(self, lp, start, steps, max_retries):
+        import conewalk.reduction as reduction_module
+        return reduction_module._solve_level(
+            lp, 1.0, WalkConfig(alpha=32.0, steps=steps), start,
+            base_seed=7, level=0, max_retries=max_retries)
+
+    def test_terms_follow_the_schedule_capped_at_the_budget(
+            self, monkeypatch, unit_square):
+        import conewalk.reduction as reduction_module
+        from conewalk.errors import RetriesExhausted
+        from conewalk.reduction import RESTART_UNIT, luby
+
+        start = vertex_of_basis(unit_square, (2, 3))
+        calls = self.recording_walk(monkeypatch, unit_square, start)
+        verified = []
+        real_verify = reduction_module.verify_problem1
+
+        def spy_verify(*args):
+            verified.append(calls[-1][0])
+            return real_verify(*args)
+
+        monkeypatch.setattr(reduction_module, "verify_problem1", spy_verify)
+        budget, max_retries = 300, 2
+        with pytest.raises(RetriesExhausted):
+            self.solve_level(unit_square, start, budget, max_retries)
+
+        # 64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64, 128, 256, 300
+        series = [min(RESTART_UNIT * luby(t), budget) for t in range(1, 16)]
+        assert series[-1] == budget and budget not in series[:-1]
+        assert RESTART_UNIT == 64
+        assert [steps for steps, _ in calls] == series * (max_retries + 1)
+        # only the full-budget terms are paper attempts: they alone are
+        # verified, and max_retries + 1 of them exhaust the level
+        assert verified == [budget] * (max_retries + 1)
+        entropies = [tuple(seed.entropy) for _, seed in calls]
+        assert entropies == [(7, 0, retry, t) for retry in range(max_retries + 1)
+                             for t in range(1, 16)]
+        assert len(set(entropies)) == len(calls)
+
+    def test_counters_sum_over_terms_and_attempts(self, monkeypatch,
+                                                  unit_square):
+        start = vertex_of_basis(unit_square, (2, 3))
+        # budget 100: terms of 64 and 64 steps, then the full budget; the
+        # first attempt fails, the second stops in the cone in its 2nd term
+        calls = self.recording_walk(monkeypatch, unit_square, start,
+                                    in_cone_at=5)
+        _, levels = self.solve_level(unit_square, start, 100, 3)
+        assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
+        (stats,) = levels
+        assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
+        assert stats.steps_taken == stats.accepted_moves == 356
+        assert stats.pivots == 5
+        assert stats.stopped_with_c_in_cone
+
+    def test_short_term_degenerate_pivot_moves_on(self, monkeypatch,
+                                                  unit_square):
+        start = vertex_of_basis(unit_square, (2, 3))
+        calls = self.recording_walk(monkeypatch, unit_square, start,
+                                    in_cone_at=3, degenerate_at=(2,))
+        basis, levels = self.solve_level(unit_square, start, 1000, 0)
+        assert basis == start.basis
+        assert [steps for steps, _ in calls] == [64, 64, 128]
+        (stats,) = levels
+        assert (stats.terms, stats.degenerate_ends, stats.retries) == (3, 1, 0)
+        assert stats.steps_taken == 64 + 128  # the ended term is not counted
+
+    def test_full_budget_degenerate_pivot_propagates(self, monkeypatch,
+                                                     unit_square):
+        from conewalk.errors import DegeneratePivot
+        start = vertex_of_basis(unit_square, (2, 3))
+        calls = self.recording_walk(monkeypatch, unit_square, start,
+                                    degenerate_at=(3,))
+        with pytest.raises(DegeneratePivot):
+            self.solve_level(unit_square, start, 100, 5)
+        assert [steps for steps, _ in calls] == [64, 64, 100]
+
+    def test_low_alpha_warns_once_per_level(self):
+        import warnings
+
+        lp = tu_instance_generator("network", 3, 10, 0)
+        delta = delta_bruteforce(normalize(lp)).delta
+        cfg = WalkConfig(seed=0, alpha=1.5 * lp.n**3 / delta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = solve(lp, cfg)
+        assert [s.terms for s in rep.levels] == [3]
+        assert [str(w.message).split(" ")[0] for w in caught] == \
+            [f"alpha={cfg.alpha:g}"]
+
+    def test_trace_holds_every_counted_step(self):
+        # a budget of 100 steps fails some attempts: retried and restarted
+        # walks are all traced and all counted
+        lp = tu_instance_generator("network", 3, 10, 3)
+        buf = io.StringIO()
+        rep = solve(lp, WalkConfig(seed=0, steps=100, trace=buf),
+                    max_retries=30)
+        records = [ln for ln in buf.getvalue().splitlines() if ln]
+        assert rep.retries > 0 and rep.levels[0].terms > rep.retries + 1
+        assert len(records) == sum(rep.steps_per_level)
+        assert sum('"step": 1,' in ln for ln in records) == \
+            sum(s.terms for s in rep.levels)
 
 
 @pytest.mark.parametrize("module", ["conewalk.phase1", "conewalk.reduction"])

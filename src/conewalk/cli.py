@@ -28,7 +28,7 @@ from .lp import (
     delta_value_and_method,
     normalize,
 )
-from .reduction import DEFAULT_MAX_RETRIES, solve
+from .reduction import MAX_RETRIES, solve
 from .walk import WalkConfig
 
 EXIT_OPTIMAL = 0
@@ -170,10 +170,10 @@ def _error_report(message: str) -> dict:
 
 
 def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
-                cfg: WalkConfig, max_retries: int) -> tuple[dict, int]:
+                cfg: WalkConfig) -> tuple[dict, int]:
     delta_value, delta_method = delta_value_and_method(delta)
     try:
-        report = solve(lp, cfg, delta=delta, max_retries=max_retries)
+        report = solve(lp, cfg, delta=delta)
     except Infeasible as exc:
         return ({"status": "infeasible", "witness_iteration": exc.iteration,
                  "witness_value": exc.value, "delta": delta_value,
@@ -208,7 +208,7 @@ def cmd_solve(args) -> int:
     with opened as trace:
         cfg = WalkConfig(alpha=args.alpha, steps=args.steps, seed=args.seed,
                          trace=trace)
-        report, code = _solve_once(lp, delta, cfg, args.max_retries)
+        report, code = _solve_once(lp, delta, cfg)
     print(jsonio.dumps(report))
     return code
 
@@ -238,8 +238,7 @@ def cmd_walk_stats(args) -> int:
         per_seed = []
         for seed in range(cfg.seed, cfg.seed + args.seeds):
             try:
-                report, _ = _solve_once(lp, delta, replace(cfg, seed=seed),
-                                        args.max_retries)
+                report, _ = _solve_once(lp, delta, replace(cfg, seed=seed))
             except ConewalkError as exc:  # this seed failed; keep the others
                 record = {**_error_report(_describe(exc)),
                           "pivots": None, "retries": None}
@@ -273,8 +272,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", default=None,
                    type=_checked(int, _non_negative, "a non-negative integer",
                                  auto=True),
-                   help="walk budget of one attempt per level, inside "
-                        "which the walk restarts (default: auto)")
+                   help="walk budget of one attempt at each level, inside "
+                        f"which the walk restarts; {MAX_RETRIES + 1} failed "
+                        "attempts at a level raise RetriesExhausted "
+                        "(default: auto)")
     p.add_argument("--alpha", default=None,
                    type=_checked(float, _positive, "a positive number",
                                  auto=True),
@@ -282,12 +283,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", default="auto", type=_delta_spec,
                    help="row separation: a number in (0, 1], 'auto', "
                         "'brute' or 'bound'")
-    p.add_argument("--max-retries", dest="max_retries",
-                   default=DEFAULT_MAX_RETRIES,
-                   type=_checked(int, _non_negative, "a non-negative integer"),
-                   help="walk attempts per level after the first before "
-                        "giving up; an attempt fails only once it has run "
-                        "its whole budget (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

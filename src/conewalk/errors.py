@@ -42,7 +42,15 @@ class UnboundedEdge(ConewalkError):
 
 
 class DegeneratePivot(ConewalkError):
-    """Two ratio-test candidates tie; the instance violates non-degeneracy."""
+    """Two ratio-test candidates tie; the instance violates non-degeneracy.
+
+    Out of run_walk it carries ``walked``, the WalkOutcome of the steps the
+    walk completed before the tie; elsewhere ``walked`` is None.
+    """
+
+    def __init__(self, message: str, walked=None) -> None:
+        super().__init__(message)
+        self.walked = walked
 
 
 class UnboundedLP(ConewalkError):
@@ -62,7 +70,7 @@ class ObjectiveVanishes(ConewalkError):
 
 
 class RetriesExhausted(ConewalkError):
-    """All walk attempts at some recursion level failed verification."""
+    """Every walk attempt at some level of the reduction loop failed."""
 
 
 class Infeasible(ConewalkError):

@@ -132,7 +132,7 @@ class DeltaCertificate:
     Delta: int | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= 1.0 + NORM_TOL):
+        if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
 
 

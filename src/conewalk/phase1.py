@@ -120,9 +120,9 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
 
 
 def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
-                  start: Vertex, delta: float, *, max_retries: int,
+                  start: Vertex, delta: float,
                   ) -> tuple[tuple[int, ...], np.ndarray, tuple]:
-    """Run the recursion on the boxed program and strip the box again.
+    """Run the level loop on the boxed program and strip the box again.
 
     The walk runs at the given delta, which the box rows keep.  Returns the
     sorted basis positions in the original rows, the optimum x solved from
@@ -134,11 +134,9 @@ def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
     slack there by more than that tolerance.
     """
     # Lazy: reduction imports phase1; perfbench's patch points pin the split.
-    from .reduction import _solve_level
+    from .reduction import _solve_levels
 
-    basis, levels = _solve_level(boxed, delta, cfg, start, base_seed=cfg.seed,
-                                 level=0, max_retries=max_retries)
-    basis = tuple(sorted(basis))
+    basis, levels = _solve_levels(boxed, delta, cfg, start)
     x = solve_square(boxed.A[list(basis)], boxed.b[list(basis)])
     ftol = lp.feas_tol()
     for p in range(lp.m, boxed.m):

@@ -1,11 +1,11 @@
-"""Dimension reduction around a fixed optimal row, and the recursive solver.
+"""Dimension reduction around a fixed optimal row, and the solver's level loop.
 
 Once one row of the optimal basis is certified, its constraint is set to
 equality: coordinates rotate so the fixed row becomes the first unit vector,
 the first variable is substituted away, and the remaining rows are projected,
-rescaled to unit length and deduplicated.  The solver recurses on the
+rescaled to unit length and deduplicated.  The solver loops on the
 (n-1)-dimensional instance until the walk identifies a whole basis at once
-or a single dimension remains.
+or a single dimension remains: at most n rounds.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .tolerances import OBJ_TOL, SPAN_TOL
 from .walk import WalkConfig, WalkOutcome, _WalkCache, default_alpha, run_walk
 
 DUPLICATE_TOL = 1e-9
-DEFAULT_MAX_RETRIES = 10
+MAX_RETRIES = 10  # failed full-budget attempts per level after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
 
 
@@ -57,46 +57,27 @@ def luby(t: int) -> int:
         t -= (1 << (k - 1)) - 1
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """Bookkeeping for one reduction: enough to lift points back up."""
-
-    fixed_row: int                 # parent row position set to equality
-    b_fixed: float
-    U: np.ndarray                  # orthonormal, parent row -> first unit vector
-    scale_factors: np.ndarray      # per kept row, all >= 1
-    index_map: tuple[int, ...]     # reduced row position -> parent row position
-    dropped: tuple[int, ...]       # parent rows parallel to the fixed row
-    merged: tuple[int, ...]        # parent rows merged into a tighter duplicate
-
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        """Map a reduced-space point back to parent coordinates."""
-        return self.U @ np.concatenate(([self.b_fixed], np.asarray(y, float)))
-
-
 def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
-              ) -> tuple[NormalizedLP, Vertex, ReductionStep]:
+              ) -> tuple[NormalizedLP, Vertex, tuple[int, ...]]:
     """Fix one basis row of v to equality and project the instance down.
 
     Rows that project to zero are parallel to the fixed row and are dropped;
     rows that project to the same direction are merged keeping the tighter
-    right-hand side.  The image of v (with the fixed row removed from its
-    basis) starts the next level.
+    right-hand side.  Returns the reduced program, the image of v (with the
+    fixed row removed from its basis), which starts the next level, and the
+    index map: reduced row position -> lp row position.
     """
     if lp.n < 2:
         raise ValueError("cannot reduce a one-dimensional instance")
     if fixed not in v.basis:
         raise ValueError(f"row {fixed} is not in the basis of the given vertex")
 
-    a_fixed = lp.A[fixed]
     b_fixed = float(lp.b[fixed])
-    U = rotation_to_e1(a_fixed)
+    U = rotation_to_e1(lp.A[fixed])
     rotated = lp.A @ U
     ftol = lp.feas_tol()
 
-    dropped: list[int] = []
-    slots: list[list] = []  # [direction, rhs, parent, scale]
-    merged: list[int] = []
+    slots: list[list] = []  # [direction, rhs, lp row]
     for i in range(lp.m):
         if i == fixed:
             continue
@@ -108,20 +89,16 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
                 raise ConewalkError(
                     f"row {i} contradicts the fixed constraint; the face is "
                     "empty, which a feasible vertex rules out")
-            dropped.append(i)
             continue
         direction = projected / norm
         rhs /= norm
         for slot in slots:
             if np.max(np.abs(slot[0] - direction)) <= DUPLICATE_TOL:
                 if rhs < slot[1]:
-                    merged.append(slot[2])
-                    slot[1], slot[2], slot[3] = rhs, i, 1.0 / norm
-                else:
-                    merged.append(i)
+                    slot[1], slot[2] = rhs, i
                 break
         else:
-            slots.append([direction, rhs, i, 1.0 / norm])
+            slots.append([direction, rhs, i])
 
     objective = (lp.c @ U)[1:]
     obj_norm = float(np.linalg.norm(objective))
@@ -135,11 +112,6 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
         b=np.array([slot[1] for slot in slots]),
         c=objective / obj_norm,
     )
-    step = ReductionStep(
-        fixed_row=fixed, b_fixed=b_fixed, U=U,
-        scale_factors=np.array([slot[3] for slot in slots]),
-        index_map=index_map, dropped=tuple(dropped), merged=tuple(merged),
-    )
 
     parent_to_reduced = {p: pos for pos, p in enumerate(index_map)}
     try:
@@ -152,16 +124,18 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
     if float(np.max(np.abs(start.point - image))) > 1e-7 * (1.0 + np.max(np.abs(image))):
         raise ConewalkError("reduced start vertex drifted from the image of "
                             "the parent vertex")
-    return reduced, start, step
+    return reduced, start, index_map
 
 
 @dataclass
 class LevelStats:
-    """Walk statistics for one recursion level.
+    """Walk statistics for one level of the reduction loop.
 
     The counters sum over every walk the level started: each attempt runs
     as restarts (terms), and all of them count.  A term that ends on a
-    DegeneratePivot adds to degenerate_ends only; its steps are not counted.
+    DegeneratePivot counts in degenerate_ends and adds the steps it
+    completed; the step whose pivot tied wrote no trace record and is not
+    counted, so accepted + rejected + lazy == steps_taken still holds.
     """
 
     n: int
@@ -208,58 +182,49 @@ def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
     return (best,)
 
 
-def _attempt(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
-             cache: _WalkCache, stats: LevelStats, entropy: list[int],
-             ) -> WalkOutcome:
-    """One attempt: walks from start on Luby's schedule until one stops with
-    c in the cone or runs the whole budget cfg.steps.
+def _walk_level(lp: NormalizedLP, delta: float, cfg: WalkConfig,
+                start: Vertex, level: int,
+                ) -> tuple[WalkOutcome, int | None, LevelStats]:
+    """Walk one level: the last walk's outcome, the lp row it identifies
+    (None when it stopped with c in the cone), and the level's stats.
 
-    Term t walks min(RESTART_UNIT * luby(t), cfg.steps) steps on
-    SeedSequence(entropy + [t]).  The in-cone stop is an exact optimality
-    certificate, so a restart only costs work.  A short term that ends on a
-    DegeneratePivot is restarted like any other; a full-budget one raises.
-    Every term's counters are added to stats.
+    An attempt is a series of terms on Luby's schedule: term t walks
+    min(RESTART_UNIT * luby(t), budget) steps from start on
+    SeedSequence([cfg.seed, level, retry, t]), budget being the resolved
+    cfg.steps.  The in-cone stop is an exact optimality certificate, so a
+    restart only costs work.  The series ends at the first term that stops
+    in the cone or runs the whole budget; only that full-budget term is a
+    paper attempt, verified, and MAX_RETRIES + 1 failed ones raise
+    RetriesExhausted.  A short term that ends on a DegeneratePivot is
+    restarted like any other; a full-budget one raises.
     """
-    for term in count(1):
-        steps = min(RESTART_UNIT * luby(term), cfg.steps)
-        seed = np.random.SeedSequence([*entropy, term])
-        stats.terms += 1
-        try:
-            outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps), start,
-                               delta=delta, _cache=cache)
-        except DegeneratePivot:
-            if steps == cfg.steps:
-                raise
-            stats.degenerate_ends += 1
-            continue
-        stats.steps_taken += outcome.steps_taken
-        stats.pivots += outcome.pivots
-        stats.accepted_moves += outcome.accepted_moves
-        stats.rejected_moves += outcome.rejected_moves
-        stats.lazy_stays += outcome.lazy_stays
-        stats.stopped_with_c_in_cone = outcome.stopped_with_c_in_cone
-        if outcome.stopped_with_c_in_cone or steps == cfg.steps:
-            return outcome
-
-
-def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
-                 *, base_seed: int, level: int, max_retries: int,
-                 ) -> tuple[tuple[int, ...], tuple[LevelStats, ...]]:
-    """Recursive core: optimal-basis row positions of this instance, and the
-    stats of this level followed by those of the levels below it."""
-    if lp.n == 1:
-        return _solve_direct_1d(lp), (LevelStats(n=1, stopped_with_c_in_cone=True),)
-
     walk_cfg = cfg.resolved(lp.n, delta)  # once per level: warns once
     cache = _WalkCache(lp)  # shared by every walk at this level
     stats = LevelStats(n=lp.n)
-    for retry in range(max_retries + 1):
+    for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
-        outcome = _attempt(lp, delta, walk_cfg, start, cache, stats,
-                           [base_seed, level, retry])
-
-        if outcome.stopped_with_c_in_cone:
-            return outcome.final.basis, (stats,)
+        for term in count(1):
+            steps = min(RESTART_UNIT * luby(term), walk_cfg.steps)
+            seed = np.random.SeedSequence([cfg.seed, level, retry, term])
+            stats.terms += 1
+            try:
+                outcome = run_walk(lp, replace(walk_cfg, seed=seed, steps=steps),
+                                   start, _cache=cache)
+            except DegeneratePivot as exc:
+                if steps == walk_cfg.steps:
+                    raise
+                stats.degenerate_ends += 1
+                outcome = exc.walked  # the steps before the tie
+            stats.steps_taken += outcome.steps_taken
+            stats.pivots += outcome.pivots
+            stats.accepted_moves += outcome.accepted_moves
+            stats.rejected_moves += outcome.rejected_moves
+            stats.lazy_stays += outcome.lazy_stays
+            stats.stopped_with_c_in_cone = outcome.stopped_with_c_in_cone
+            if outcome.stopped_with_c_in_cone:
+                return outcome, None, stats
+            if steps == walk_cfg.steps:
+                break
 
         if not verify_problem1(lp, outcome.final.basis, outcome.c_prime, delta):
             continue
@@ -268,60 +233,80 @@ def _solve_level(lp: NormalizedLP, delta: float, cfg: WalkConfig, start: Vertex,
                                       outcome.c_prime, delta)
         except NoLargeCoefficient:
             continue  # tolerance breach; treat as a failed attempt
-        stats.fixed_row = element.row
-        try:
-            reduced, next_start, step = reduce_lp(
-                lp, element.row, outcome.current_vertex)
-        except ObjectiveVanishes:
-            # c is parallel to the fixed row: the whole face is optimal,
-            # so the current vertex's tight rows already form a basis.
-            return outcome.current_vertex.basis, (stats,)
-        try:
-            sub_delta = delta_bruteforce(reduced).delta
-        except TooLarge:
-            sub_delta = delta  # still valid one dimension down
-        sub_basis, sub_levels = _solve_level(
-            reduced, sub_delta, cfg, next_start, base_seed=base_seed,
-            level=level + 1, max_retries=max_retries)
-        mapped = {step.index_map[p] for p in sub_basis}
-        lifted = tuple(replace(s, fixed_row=step.index_map[s.fixed_row])
-                       if s.fixed_row is not None else s for s in sub_levels)
-        return tuple(sorted(mapped | {element.row})), (stats,) + lifted
+        return outcome, element.row, stats
 
     raise RetriesExhausted(
-        f"walk failed verification {max_retries + 1} times at level {level} "
+        f"walk failed verification {MAX_RETRIES + 1} times at level {level} "
         f"(n={lp.n})")
 
 
+def _solve_levels(lp: NormalizedLP, delta: float, cfg: WalkConfig,
+                  start: Vertex,
+                  ) -> tuple[tuple[int, ...], tuple[LevelStats, ...]]:
+    """The paper's loop: the sorted optimal-basis row positions of lp, and
+    the stats of every level, top first.
+
+    Each round walks the current level.  A walk that stops with c in the
+    cone completes the basis; otherwise the identified row is fixed and the
+    program reduced one dimension, at the reduced program's delta when it
+    can be certified.  One dimension left is solved directly.  top maps the
+    current level's rows to lp's positions.
+    """
+    top = tuple(range(lp.m))
+    fixed: list[int] = []
+    levels: list[LevelStats] = []
+    while lp.n > 1:
+        outcome, row, stats = _walk_level(lp, delta, cfg, start, len(levels))
+        levels.append(stats)
+        if row is None:
+            basis = outcome.final.basis
+            break
+        stats.fixed_row = top[row]
+        try:
+            lp, start, index_map = reduce_lp(lp, row, outcome.current_vertex)
+        except ObjectiveVanishes:
+            # c is parallel to the fixed row: the whole face is optimal,
+            # so the current vertex's tight rows already form a basis.
+            basis = outcome.current_vertex.basis
+            break
+        fixed.append(top[row])
+        top = tuple(top[p] for p in index_map)
+        try:
+            delta = delta_bruteforce(lp).delta
+        except TooLarge:
+            pass  # the level above's delta is still valid one dimension down
+    else:
+        basis = _solve_direct_1d(lp)
+        levels.append(LevelStats(n=1, stopped_with_c_in_cone=True))
+    return tuple(sorted(fixed + [top[p] for p in basis])), tuple(levels)
+
+
 def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
-          delta: float | DeltaCertificate | None = None,
-          max_retries: int = DEFAULT_MAX_RETRIES) -> SolveReport:
+          delta: float | DeltaCertificate | None = None) -> SolveReport:
     """Solve max c^T x s.t. Ax <= b end to end.
 
     Normalizes, certifies the row separation (brute force unless supplied),
     finds an initial vertex or a certified infeasibility, reduces to a
     bounded instance via an enclosing box, and runs the walk-driven
-    recursion.  The box radius comes in closed form from the certified
+    level loop.  The box radius comes in closed form from the certified
     delta; a bare float delta drives the walk but is certified by brute
     force before it may size the box.  Raises Infeasible or Unbounded with
-    certificates, and RetriesExhausted if every walk attempt at some level
-    fails.
+    certificates, and RetriesExhausted if MAX_RETRIES + 1 walk attempts at
+    some level fail.  A delta outside (0, 1] raises ValueError before any
+    work.
     """
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
+    if delta is not None and not 0.0 < delta_value_and_method(delta)[0] <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
 
     if delta is None:
         delta = delta_bruteforce(nlp)
     delta_value, delta_method = delta_value_and_method(delta)
-    if not (0.0 < delta_value <= 1.0 + 1e-9):
-        raise ValueError(f"delta must lie in (0, 1], got {delta_value!r}")
 
     boxed = phase1.bounding_box(nlp, phase1.certified_radius(nlp, delta))
     start = phase1.phase1_vertex(nlp, boxed)  # raises Infeasible
-    basis, x, levels = phase1.solve_bounded(
-        nlp, boxed, cfg, start, delta_value, max_retries=max_retries)
+    basis, x, levels = phase1.solve_bounded(nlp, boxed, cfg, start, delta_value)
 
     if not nlp.is_feasible(x):
         raise ConewalkError("reconstructed optimum is infeasible")

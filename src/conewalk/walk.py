@@ -26,7 +26,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConewalkError
+from .errors import ConewalkError, DegeneratePivot
 from .geometry import det_abs
 from .jsonio import json_line
 from .lp import NormalizedLP
@@ -327,8 +327,7 @@ _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
 
 
 def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
-             delta: float | None = None, _cache: _WalkCache | None = None,
-             ) -> WalkOutcome:
+             _cache: _WalkCache | None = None) -> WalkOutcome:
     """Run the walk from the apex cell of the start vertex's cone.
 
     Each iteration first stops if the objective lies in the current cone
@@ -346,15 +345,15 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     lazy step's record has log_weight_proposal null.  Tracing never changes
     the walk.
 
-    _cache is a _WalkCache of lp shared with other walks: its records and
-    pivots depend only on lp, so sharing it changes no step.  A caller that
-    passes it has already resolved cfg against delta, once for all those
-    walks, so cfg is used as it is.
+    cfg must be resolved, as for step().  A pivot into a ratio-test tie
+    raises DegeneratePivot carrying the outcome of the steps completed
+    before it; the tied step wrote no record and is not counted.  _cache is
+    a _WalkCache of lp shared with other walks: its records and pivots
+    depend only on lp, so sharing it changes no step.
     """
-    if _cache is None:
-        cfg, cache = cfg.resolved(lp.n, delta), _WalkCache(lp)
-    else:
-        cache = _cache
+    if cfg.alpha is None or cfg.steps is None:
+        raise ValueError("walk config must be resolved before walking")
+    cache = _cache if _cache is not None else _WalkCache(lp)
     n = lp.n
     draws = _draws(np.random.PCG64(cfg.seed), n)
     ac = (cfg.alpha * lp.c).tolist()
@@ -366,6 +365,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     z = _center(rec, index)
     l1 = _l1(z, ac)
     steps = pivots = accepted_moves = rejected_moves = lazy_stays = 0
+    tie = None
 
     while not rec.in_cone and steps < cfg.steps:
         pos, sign, u = next(draws)
@@ -378,8 +378,12 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
             lazy_stays += 1
             lw_proposal = None
         else:
-            new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
-                cache, ac, vertex, rec, index, z, l1, pos, sign)
+            try:
+                new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
+                    cache, ac, vertex, rec, index, z, l1, pos, sign)
+            except DegeneratePivot as exc:
+                tie, steps = exc, steps - 1  # the tied step changed nothing
+                break
             lw_proposal = -l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
             if accepted:
@@ -410,8 +414,13 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
             }))
 
     final = Parallelepiped(rec.basis, tuple(index))
-    return WalkOutcome(final=final, c_prime=center(lp, final) / cfg.alpha,
-                       current_vertex=vertex, stopped_with_c_in_cone=rec.in_cone,
-                       steps_taken=steps, pivots=pivots,
-                       accepted_moves=accepted_moves,
-                       rejected_moves=rejected_moves, lazy_stays=lazy_stays)
+    outcome = WalkOutcome(final=final, c_prime=center(lp, final) / cfg.alpha,
+                          current_vertex=vertex,
+                          stopped_with_c_in_cone=rec.in_cone,
+                          steps_taken=steps, pivots=pivots,
+                          accepted_moves=accepted_moves,
+                          rejected_moves=rejected_moves, lazy_stays=lazy_stays)
+    if tie is not None:
+        tie.walked = outcome
+        raise tie
+    return outcome

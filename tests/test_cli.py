@@ -273,14 +273,17 @@ class TestMalformedArguments:
         (["solve", "--input", "x.json", "--radius", "5"], "--radius"),
         (["solve", "--input", "x.json", "--step-constant", "0"],
          "--step-constant"),
+        (["solve", "--input", "x.json", "--max-retries", "3"],
+         "--max-retries"),
+        (["walk-stats", "--input", "x.json", "--max-retries", "3"],
+         "--max-retries"),
     ])
     def test_argparse_errors(self, capsys, argv, mention):
         self.assert_usage_error(capsys, argv, mention)
 
     @pytest.mark.parametrize("flag,value", [
         ("--delta", "0"), ("--delta", "2"), ("--delta", "nan"),
-        ("--steps", "-3"),
-        ("--max-retries", "-1"), ("--alpha", "0"), ("--alpha", "-5"),
+        ("--steps", "-3"), ("--alpha", "0"), ("--alpha", "-5"),
         ("--seed", "-1"),
     ])
     def test_out_of_range_numbers(self, capsys, square_file, flag, value):

@@ -13,6 +13,7 @@ from conewalk.errors import (
 )
 from conewalk.geometry import dist_to_span
 from conewalk.lp import (
+    DeltaCertificate,
     DeltaMethod,
     LinearProgram,
     delta_bruteforce,
@@ -274,6 +275,17 @@ class TestDeltaIntegerBound:
         assert delta_bruteforce(square).delta >= \
             delta_integer_bound(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]),
                                 1).delta - 1e-9
+
+
+class TestDeltaCertificate:
+    @pytest.mark.parametrize("delta", [1.0 + 5e-10, 0.0, -0.5, float("nan")])
+    def test_out_of_range_rejected(self, delta):
+        # (0, 1] exactly: the walk's step budget takes no larger value
+        with pytest.raises(ValueError, match="delta"):
+            DeltaCertificate(delta=delta, method=DeltaMethod.BRUTE_FORCE)
+
+    def test_one_accepted(self):
+        assert DeltaCertificate(1.0, DeltaMethod.BRUTE_FORCE).delta == 1.0
 
 
 class TestCheckNondegenerate:

@@ -25,7 +25,7 @@ from conewalk.phase1 import (
     phase1_vertex,
     solve_bounded,
 )
-from conewalk.reduction import DEFAULT_MAX_RETRIES, solve
+from conewalk.reduction import solve
 from conewalk.walk import WalkConfig
 
 from conftest import bounded_random_lp, rotate_instance
@@ -280,8 +280,7 @@ class TestSolveBoundedViaSolve:
         start = phase1_vertex(nlp, boxed)
         with pytest.raises(Unbounded):
             solve_bounded(nlp, boxed, WalkConfig(seed=0), start,
-                          delta_bruteforce(nlp).delta,
-                          max_retries=DEFAULT_MAX_RETRIES)
+                          delta_bruteforce(nlp).delta)
 
     @pytest.mark.parametrize("scale", [1e7, 1e12])
     def test_large_rhs_optimum_is_not_box_contact(self, scale):

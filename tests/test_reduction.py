@@ -26,11 +26,10 @@ from conftest import SQRT2, bounded_random_lp
 class TestReduceLp:
     def test_square_fix_right_edge(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
-        reduced, start, step = reduce_lp(unit_square, 0, v)
+        reduced, start, index_map = reduce_lp(unit_square, 0, v)
         # one dimension, rows from e2 and -e2; -e1 drops as parallel
         assert reduced.n == 1
-        assert step.dropped == (2,)
-        assert step.index_map == (1, 3)
+        assert index_map == (1, 3)
         np.testing.assert_allclose(reduced.A, [[1.0], [-1.0]])
         np.testing.assert_allclose(reduced.b, [1.0, 0.0])
         np.testing.assert_allclose(start.point, [1.0])
@@ -39,9 +38,9 @@ class TestReduceLp:
     def test_square_fix_top_edge(self, unit_square):
         # fixed row is e2: the rotation swaps coordinates up to sign
         v = vertex_of_basis(unit_square, (0, 1))
-        reduced, start, step = reduce_lp(unit_square, 1, v)
+        reduced, start, index_map = reduce_lp(unit_square, 1, v)
         assert reduced.n == 1
-        assert step.dropped == (3,)
+        assert index_map == (0, 2)  # -e2 drops as parallel
         # remaining coordinate runs along -x: interval [-1, 0]
         feasible = [reduced.is_feasible(np.array([t]))
                     for t in (-1.5, -0.5, 0.5)]
@@ -50,8 +49,8 @@ class TestReduceLp:
 
     def test_scale_factors_at_least_one(self, triangle):
         v = vertex_of_basis(triangle, (0, 2))
-        reduced, _, step = reduce_lp(triangle, 2, v)
-        assert np.all(step.scale_factors >= 1.0 - 1e-12)
+        reduced, _, _ = reduce_lp(triangle, 2, v)
+        # each kept row is a projection, of norm <= 1, scaled back to unit
         np.testing.assert_allclose(np.linalg.norm(reduced.A, axis=1), 1.0)
 
     def test_triangle_separation_preserved(self, triangle):
@@ -80,6 +79,8 @@ class TestReduceLp:
         assert violations == 0
 
     def test_round_trip_lift(self):
+        # the reduced optimum's basis, mapped up and joined with the fixed
+        # row, is the parent's optimal basis, as the level loop lifts it
         for seed in range(15):
             nlp = bounded_random_lp(3, 2, seed + 600)
             res = enumerate_vertices(nlp)
@@ -87,12 +88,12 @@ class TestReduceLp:
             v = vertex_of_basis(nlp, opt)
             fixed = opt[0]
             try:
-                reduced, _, step = reduce_lp(nlp, fixed, v)
+                reduced, _, index_map = reduce_lp(nlp, fixed, v)
             except ObjectiveVanishes:
                 continue
             sub = enumerate_vertices(reduced)
-            lifted = step.lift(sub.optimal_point)
-            np.testing.assert_allclose(lifted, res.optimal_point, atol=1e-7)
+            mapped = {index_map[p] for p in sub.optimal_basis} | {fixed}
+            assert tuple(sorted(mapped)) == tuple(sorted(opt))
 
     def test_objective_vanishes(self):
         lp = normalize(LinearProgram(
@@ -109,9 +110,9 @@ class TestReduceLp:
 
     def test_index_map_follows_rows(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
-        _, _, step = reduce_lp(unit_square, 0, v)
-        assert step.index_map == (1, 3)
-        assert step.fixed_row == 0
+        _, _, index_map = reduce_lp(unit_square, 0, v)
+        assert index_map == (1, 3)
+        assert 0 not in index_map  # the fixed row
 
     def test_duplicate_rows_merge_keeping_tighter(self):
         # two rows that project to the same direction; the tighter one wins
@@ -122,11 +123,11 @@ class TestReduceLp:
             c=[1.0 / SQRT2, 1.0 / SQRT2]))
         v = vertex_of_basis(lp, (0, 1))
         # fixing x=1: row 4 becomes y <= 1.1, dominated by row 1's y <= 1
-        reduced, _, step = reduce_lp(lp, 0, v)
-        assert step.merged == (4,)
-        pos = step.index_map.index(1)
+        reduced, _, index_map = reduce_lp(lp, 0, v)
+        assert index_map == (1, 3)  # row 2 dropped, row 4 merged into row 1
+        pos = index_map.index(1)
         assert reduced.b[pos] == pytest.approx(1.0)
-        assert 4 not in step.index_map
+        assert 4 not in index_map
 
 
 class TestSolve:
@@ -230,14 +231,14 @@ class TestSolve:
         seen = []
         real_run_walk = reduction_module.run_walk
 
-        def spy(nlp, cfg, start, delta=None, _cache=None):
-            seen.append(delta)
-            return real_run_walk(nlp, cfg, start, delta=delta, _cache=_cache)
+        def spy(nlp, cfg, start, _cache=None):
+            seen.append(cfg.alpha)
+            return real_run_walk(nlp, cfg, start, _cache=_cache)
 
         monkeypatch.setattr(reduction_module, "run_walk", spy)
         lp = tu_instance_generator("network", 3, 8, 5)
         rep = solve(lp, WalkConfig(seed=0), delta=0.3)
-        assert seen and all(d == 0.3 for d in seen)
+        assert seen and all(a == 4.0 * lp.n**3 / 0.3 for a in seen)
         assert rep.delta == 0.3
         assert rep.alpha == 4.0 * lp.n**3 / 0.3
 
@@ -268,17 +269,19 @@ class TestSolve:
         with pytest.raises(TooLarge, match="radius"):
             solve(lp, WalkConfig(seed=0))
 
-    def test_negative_max_retries_rejected_before_any_work(self, monkeypatch):
+    def test_out_of_range_delta_rejected_before_any_work(self, monkeypatch):
+        # (0, 1] is the one range: the walk's step budget accepts no more
         import conewalk.reduction as reduction_module
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("solve did work before checking max_retries")
+            raise AssertionError("solve did work before checking delta")
 
         monkeypatch.setattr(reduction_module, "normalize", forbidden)
         lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
                            b=[1.0, 1.0, 0.0, 0.0], c=[1.0, 1.0])
-        with pytest.raises(ValueError, match="max_retries"):
-            solve(lp, WalkConfig(seed=0), max_retries=-1)
+        for delta in (1.0 + 5e-10, 0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                solve(lp, WalkConfig(seed=0), delta=delta)
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])
@@ -289,7 +292,7 @@ class TestSolve:
 
 
 class TestIdentifyAndRecurse:
-    """The walk-timeout path: verify, extract one row, recurse one level down.
+    """The walk-timeout path: verify, extract one row, go one level down.
 
     Generic instances stop with the objective inside the current cone, so
     this branch is driven with a synthetic walk outcome: a cell deep in a
@@ -318,14 +321,14 @@ class TestIdentifyAndRecurse:
                            rejected_moves=16, lazy_stays=10)
         calls = []
 
-        def fake_run_walk(nlp, cfg, start_vertex, delta=None, _cache=None):
+        def fake_run_walk(nlp, cfg, start_vertex, _cache=None):
             calls.append(nlp.n)
             return fake
 
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
-        basis, levels = reduction_module._solve_level(
-            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start,
-            base_seed=0, level=0, max_retries=2)
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
+        basis, levels = reduction_module._solve_levels(
+            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start)
         assert basis == (0, 1)  # the true optimal basis for c
         assert calls == [2]     # one walk; the 1-d tail is solved directly
         assert len(levels) == 2
@@ -348,7 +351,7 @@ class TestIdentifyAndRecurse:
         alpha = 32.0
         calls = []
 
-        def fake_run_walk(nlp, cfg, start_vertex, delta=None, _cache=None):
+        def fake_run_walk(nlp, cfg, start_vertex, _cache=None):
             # a cell of the start vertex's cone whose center over alpha is
             # the objective up to rounding: verification passes at once
             calls.append(nlp.n)
@@ -361,9 +364,9 @@ class TestIdentifyAndRecurse:
                                stopped_with_c_in_cone=False, steps_taken=46)
 
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
-        basis, levels = reduction_module._solve_level(
-            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start,
-            base_seed=0, level=0, max_retries=2)
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
+        basis, levels = reduction_module._solve_levels(
+            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start)
         assert basis == (3, 4, 5)
         assert calls == [3, 2]  # two reductions; the 1-d tail is direct
         assert [s.n for s in levels] == [3, 2, 1]
@@ -385,12 +388,11 @@ class TestIdentifyAndRecurse:
         attempts = []
         monkeypatch.setattr(
             reduction_module, "run_walk",
-            lambda nlp, cfg, s, delta=None, _cache=None:
-            attempts.append(1) or fake)
+            lambda nlp, cfg, s, _cache=None: attempts.append(1) or fake)
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 3)
         with pytest.raises(RetriesExhausted):
-            reduction_module._solve_level(
-                unit_square, 1.0, WalkConfig(alpha=32.0, steps=46), start,
-                base_seed=0, level=0, max_retries=3)
+            reduction_module._solve_levels(
+                unit_square, 1.0, WalkConfig(alpha=32.0, steps=46), start)
         assert len(attempts) == 4  # the first try plus three retries
 
 
@@ -408,7 +410,7 @@ class TestRestarts:
         """Fake run_walk on lp: records (cfg.steps, cfg.seed) per call and
         returns an outcome of cfg.steps steps, far from alpha*c, that stops
         in the cone on call number in_cone_at; raises DegeneratePivot on the
-        calls numbered in degenerate_at."""
+        calls numbered in degenerate_at, after half of cfg.steps."""
         import conewalk.reduction as reduction_module
         from conewalk.errors import DegeneratePivot
         from conewalk.walk import Parallelepiped, WalkOutcome, center
@@ -416,24 +418,27 @@ class TestRestarts:
         cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
         calls = []
 
-        def fake_run_walk(nlp, cfg, s, delta=None, _cache=None):
+        def fake_run_walk(nlp, cfg, s, _cache=None):
             calls.append((cfg.steps, cfg.seed))
+            steps = cfg.steps // 2 if len(calls) in degenerate_at else cfg.steps
+            outcome = WalkOutcome(final=cell,
+                                  c_prime=center(lp, cell) / cfg.alpha,
+                                  current_vertex=start,
+                                  stopped_with_c_in_cone=len(calls) == in_cone_at,
+                                  steps_taken=steps, pivots=1,
+                                  accepted_moves=steps)
             if len(calls) in degenerate_at:
-                raise DegeneratePivot("ratio-test tie")
-            return WalkOutcome(final=cell, c_prime=center(lp, cell) / cfg.alpha,
-                               current_vertex=start,
-                               stopped_with_c_in_cone=len(calls) == in_cone_at,
-                               steps_taken=cfg.steps, pivots=1,
-                               accepted_moves=cfg.steps)
+                raise DegeneratePivot("ratio-test tie", walked=outcome)
+            return outcome
 
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
         return calls
 
-    def solve_level(self, lp, start, steps, max_retries):
+    def solve_levels(self, monkeypatch, lp, start, steps, max_retries):
         import conewalk.reduction as reduction_module
-        return reduction_module._solve_level(
-            lp, 1.0, WalkConfig(alpha=32.0, steps=steps), start,
-            base_seed=7, level=0, max_retries=max_retries)
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", max_retries)
+        return reduction_module._solve_levels(
+            lp, 1.0, WalkConfig(alpha=32.0, steps=steps, seed=7), start)
 
     def test_terms_follow_the_schedule_capped_at_the_budget(
             self, monkeypatch, unit_square):
@@ -453,7 +458,8 @@ class TestRestarts:
         monkeypatch.setattr(reduction_module, "verify_problem1", spy_verify)
         budget, max_retries = 300, 2
         with pytest.raises(RetriesExhausted):
-            self.solve_level(unit_square, start, budget, max_retries)
+            self.solve_levels(monkeypatch, unit_square, start, budget,
+                              max_retries)
 
         # 64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64, 128, 256, 300
         series = [min(RESTART_UNIT * luby(t), budget) for t in range(1, 16)]
@@ -475,7 +481,7 @@ class TestRestarts:
         # first attempt fails, the second stops in the cone in its 2nd term
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=5)
-        _, levels = self.solve_level(unit_square, start, 100, 3)
+        _, levels = self.solve_levels(monkeypatch, unit_square, start, 100, 3)
         assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
         (stats,) = levels
         assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
@@ -488,12 +494,16 @@ class TestRestarts:
         start = vertex_of_basis(unit_square, (2, 3))
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=3, degenerate_at=(2,))
-        basis, levels = self.solve_level(unit_square, start, 1000, 0)
+        basis, levels = self.solve_levels(monkeypatch, unit_square, start,
+                                          1000, 0)
         assert basis == start.basis
         assert [steps for steps, _ in calls] == [64, 64, 128]
         (stats,) = levels
         assert (stats.terms, stats.degenerate_ends, stats.retries) == (3, 1, 0)
-        assert stats.steps_taken == 64 + 128  # the ended term is not counted
+        # the ended term counts the 32 steps it completed before the tie
+        assert stats.steps_taken == stats.accepted_moves == 64 + 32 + 128
+        assert stats.pivots == 3
+        assert stats.stopped_with_c_in_cone
 
     def test_full_budget_degenerate_pivot_propagates(self, monkeypatch,
                                                      unit_square):
@@ -502,7 +512,7 @@ class TestRestarts:
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     degenerate_at=(3,))
         with pytest.raises(DegeneratePivot):
-            self.solve_level(unit_square, start, 100, 5)
+            self.solve_levels(monkeypatch, unit_square, start, 100, 5)
         assert [steps for steps, _ in calls] == [64, 64, 100]
 
     def test_low_alpha_warns_once_per_level(self):
@@ -518,18 +528,33 @@ class TestRestarts:
         assert [str(w.message).split(" ")[0] for w in caught] == \
             [f"alpha={cfg.alpha:g}"]
 
-    def test_trace_holds_every_counted_step(self):
+    def test_trace_holds_every_counted_step(self, monkeypatch):
         # a budget of 100 steps fails some attempts: retried and restarted
         # walks are all traced and all counted
+        import conewalk.reduction as reduction_module
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 30)
         lp = tu_instance_generator("network", 3, 10, 3)
         buf = io.StringIO()
-        rep = solve(lp, WalkConfig(seed=0, steps=100, trace=buf),
-                    max_retries=30)
+        rep = solve(lp, WalkConfig(seed=0, steps=100, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         assert rep.retries > 0 and rep.levels[0].terms > rep.retries + 1
         assert len(records) == sum(rep.steps_per_level)
         assert sum('"step": 1,' in ln for ln in records) == \
             sum(s.terms for s in rep.levels)
+
+    def test_trace_holds_the_steps_of_degenerate_terms(self):
+        # 15 of this solve's 20 terms end on a degenerate pivot, after 750
+        # traced steps; they count too, but not the tied steps themselves
+        lp = tu_instance_generator("network", 4, 20, 540969447)
+        buf = io.StringIO()
+        rep = solve(lp, WalkConfig(seed=1654847469, trace=buf))
+        records = [ln for ln in buf.getvalue().splitlines() if ln]
+        (stats,) = rep.levels
+        assert (stats.terms, stats.degenerate_ends) == (20, 15)
+        assert len(records) == sum(rep.steps_per_level) == 1336
+        assert stats.accepted_moves + stats.rejected_moves + \
+            stats.lazy_stays == stats.steps_taken
+        assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
 
 
 @pytest.mark.parametrize("module", ["conewalk.phase1", "conewalk.reduction"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conewalk.reduction as reduction_module
 import conewalk.simplex as simplex_module
 import conewalk.walk as walk_module
 from conewalk.errors import (
@@ -90,8 +91,9 @@ def pivoted_vertices(lp, seed):
                 seen.setdefault((id(prog), v.basis), (prog, v, source))
                 return inner(prog, v, leaving)
             mp.setattr(module, "pivot_across_facet", recording)
+        mp.setattr(reduction_module, "MAX_RETRIES", 0)
         try:
-            solve(lp, WalkConfig(seed=seed, steps=300), max_retries=0)
+            solve(lp, WalkConfig(seed=seed, steps=300))
         except ConewalkError:
             pass
     return list(seen.values())

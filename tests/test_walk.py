@@ -228,8 +228,8 @@ class TestStep:
     def test_seeded_replay(self, unit_square):
         cfg = WalkConfig(alpha=32.0, steps=25, seed=123)
         start = vertex_of_basis(unit_square, (2, 3))
-        a = run_walk(unit_square, cfg, start, delta=1.0)
-        b = run_walk(unit_square, cfg, start, delta=1.0)
+        a = run_walk(unit_square, cfg.resolved(2, 1.0), start)
+        b = run_walk(unit_square, cfg.resolved(2, 1.0), start)
         assert a.final == b.final
         assert (a.steps_taken, a.pivots, a.accepted_moves, a.rejected_moves,
                 a.lazy_stays) == (b.steps_taken, b.pivots, b.accepted_moves,
@@ -243,7 +243,7 @@ class TestBlockDraws:
     # quarter of the 32-bit halves (2^32 mod k = 2^30)
     @pytest.mark.parametrize("n", [*range(1, 9), 3 * 2**29])
     def test_values_match_the_generator(self, n):
-        seed = np.random.SeedSequence([20260, n % 7, n % 3])  # as _solve_level
+        seed = np.random.SeedSequence([20260, n % 7, n % 3])  # as _walk_level
         rng = np.random.default_rng(seed)
         draws = _draws(np.random.PCG64(seed), n)
         steps = 50_001  # over 10^5 values, across about 73 blocks of words
@@ -292,10 +292,18 @@ class TestInConeMove:
 class TestRunWalk:
     def test_stops_immediately_when_optimal(self, unit_square):
         start = vertex_of_basis(unit_square, (0, 1))
-        out = run_walk(unit_square, WalkConfig(seed=1), start, delta=1.0)
+        out = run_walk(unit_square, WalkConfig(seed=1).resolved(2, 1.0), start)
         assert out.stopped_with_c_in_cone
         assert out.steps_taken == 0
         assert out.pivots == 0
+
+    @pytest.mark.parametrize("cfg", [WalkConfig(seed=1),
+                                     WalkConfig(alpha=32.0, seed=1),
+                                     WalkConfig(steps=10, seed=1)])
+    def test_unresolved_config_rejected(self, unit_square, cfg):
+        start = vertex_of_basis(unit_square, (2, 3))
+        with pytest.raises(ValueError, match="resolved"):
+            run_walk(unit_square, cfg, start)
 
     def test_zero_steps_returns_start_cell(self, unit_square):
         start = vertex_of_basis(unit_square, (2, 3))
@@ -314,8 +322,8 @@ class TestRunWalk:
         hits = 0
         for seed in range(100):
             out = run_walk(unit_square,
-                           WalkConfig(seed=seed, steps=363),
-                           start, delta=1.0)
+                           WalkConfig(seed=seed, steps=363).resolved(2, 1.0),
+                           start)
             if out.stopped_with_c_in_cone and out.final.basis == (0, 1):
                 hits += 1
         assert hits >= 95

@@ -298,7 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "one record per step of every walk, restarts "
                               "included (the step counter restarts per "
                               "walk); lazy steps have "
-                              "log_weight_proposal null; tracing never "
+                              "log_weight_proposal null; basis positions "
+                              "are 0-based in the program the walk runs "
+                              "on, at the first level the kept rows (the "
+                              "tightest of each direction, in the order "
+                              "the directions first occur) "
+                              "and then the box rows; tracing never "
                               "changes the walk")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)

@@ -21,7 +21,13 @@ from .errors import (
     ZeroObjective,
     ZeroRow,
 )
-from .tolerances import NORM_TOL, SINGULAR_TOL, SPAN_TOL, feas_tol_for
+from .tolerances import (
+    DUPLICATE_TOL,
+    NORM_TOL,
+    SINGULAR_TOL,
+    SPAN_TOL,
+    feas_tol_for,
+)
 
 BRUTE_FORCE_LIMIT = 10**7
 
@@ -182,20 +188,60 @@ def _subset_distances(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.linalg.norm(resid, axis=2), full_rank
 
 
+def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Position of the tightest row of each distinct direction of (A, b).
+
+    Unit rows share a direction when all their entries agree within
+    DUPLICATE_TOL; a row and its negation are two directions.  Of the rows
+    of one direction only the one with the least right-hand side, the
+    earliest of equals, can be tight at a feasible point, so keeping it
+    alone leaves the region A x <= b unchanged, up to 2 * DUPLICATE_TOL *
+    ||x||_1 for a copy merged within the tolerance: the parallel-row step
+    of LP presolve (Andersen & Andersen 1995).  The directions come in the
+    order of their first rows, and a row joins the first direction whose
+    first row it is within the tolerance of.
+
+    Byte-equal rows are grouped by one dict pass; only the first rows of
+    those groups are then compared within the tolerance.
+    """
+    groups: dict[bytes, int] = {}
+    firsts: list[int] = []    # first row of each byte-equal group
+    tightest: list[int] = []  # tightest row of each byte-equal group
+    for i, row in enumerate(A):
+        g = groups.setdefault(row.tobytes(), len(firsts))
+        if g == len(firsts):
+            firsts.append(i)
+            tightest.append(i)
+        elif b[i] < b[tightest[g]]:
+            tightest[g] = i
+    directions = np.empty((len(firsts), A.shape[1]))  # of the kept rows
+    kept: list[int] = []
+    for first, i in zip(firsts, tightest):
+        k = len(kept)
+        near = np.abs(directions[:k] - A[first]).max(axis=1) <= DUPLICATE_TOL
+        if near.any():
+            s = int(near.argmax())
+            if (b[i], i) < (b[kept[s]], kept[s]):
+                kept[s] = i
+        else:
+            directions[k] = A[first]
+            kept.append(i)
+    return np.array(kept, dtype=int)
+
+
 def _distinct_directions(A: np.ndarray) -> np.ndarray:
     """Positions of the first row of each distinct direction, ascending.
 
-    A row and its exact negation are one direction.  Rows are compared
-    exactly, with no tolerance: each is flipped so that its first nonzero
-    entry is positive (negation is exact in floating point, so a row and
-    its negation flip to the same values) and ``+ 0.0`` turns -0.0 into 0.0.
+    The directions of tightest_rows, where in addition a row and its
+    negation are one direction: each row is flipped so that its first
+    nonzero entry is positive (negation is exact in floating point, so a
+    row and its negation flip to the same values) and ``+ 0.0`` turns -0.0
+    into 0.0.  With equal right-hand sides the tightest row of a direction
+    is its first.
     """
     first_nonzero = A[np.arange(A.shape[0]), np.argmax(A != 0.0, axis=1)]
     canonical = A * np.where(first_nonzero < 0.0, -1.0, 1.0)[:, None] + 0.0
-    seen: dict[tuple[float, ...], int] = {}
-    for i, row in enumerate(map(tuple, canonical.tolist())):
-        seen.setdefault(row, i)
-    return np.fromiter(seen.values(), dtype=int, count=len(seen))
+    return tightest_rows(canonical, np.zeros(A.shape[0]))
 
 
 def delta_bruteforce(lp: NormalizedLP, *,

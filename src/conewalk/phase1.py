@@ -1,12 +1,15 @@
 """Initial vertex, infeasibility certification, and the boundedness box.
 
-The boxed program is the input's rows followed by 2n slab rows along n
-linearly independent input rows.  It introduces no direction beyond
-negations, so the row-separation property is preserved: the boxed program
-has the input's delta.  The box radius follows in closed form from a
-certified delta, so no basic system is ever solved to size it.  A vertex
-of the boxed program is grown one constraint at a time; an optimum of the
-boxed program touching the box certifies unboundedness.
+solve calls these on the walked program, the input's kept rows: the
+tightest row of each direction, in the order the directions first occur
+(lp.tightest_rows).  The boxed program is the walked program's rows
+followed by 2n slab rows along n linearly independent rows of it.  It
+introduces no direction beyond negations, so the row-separation property
+is preserved: the boxed program has the input's delta.  The box radius
+follows in closed form from a certified delta, so no basic system is ever
+solved to size it.  A vertex of the boxed program is grown one constraint
+at a time; an optimum of the boxed program touching the box certifies
+unboundedness.
 """
 from __future__ import annotations
 
@@ -75,6 +78,15 @@ def certified_radius(lp: NormalizedLP,
     return radius
 
 
+def infeasibility(row: int, value: float, rhs: float) -> Infeasible:
+    """The certificate that 0-based row ``row`` cannot be satisfied: its
+    minimum over the previous region is ``value`` > ``rhs``."""
+    return Infeasible(
+        f"constraint {row + 1} cannot be satisfied: its minimum over "
+        f"the previous region is {value:.12g} > {rhs:.12g}",
+        iteration=row + 1, value=value)
+
+
 def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     """Grow a vertex of P intersected with the box, or certify infeasibility.
 
@@ -83,7 +95,10 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     tight, constraint i is brought in by minimizing a_i^T x over the region
     satisfying the box and the first i-1 constraints; a minimum above b_i
     certifies the whole program infeasible, with the iteration index as
-    witness.
+    witness.  solve passes its walked program, the tightest row of each
+    direction: that region is still cut by input rows, so it holds every
+    feasible point in the box, and the box holds every vertex.  solve
+    reports row i's input position.
 
     The returned vertex's basis indexes the boxed program (original rows
     first, then the box rows).  The test uses the input's tolerance: box
@@ -109,10 +124,7 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
         v = bland_simplex(prefix(2 * n + i), v, -lp.A[i])
         value = float(lp.A[i] @ v.point)
         if value > lp.b[i] + ftol:
-            raise Infeasible(
-                f"constraint {i + 1} cannot be satisfied: its minimum over "
-                f"the previous region is {value:.12g} > {lp.b[i]:.12g}",
-                iteration=i + 1, value=value)
+            raise infeasibility(i, value, float(lp.b[i]))
         # The minimizer is already a vertex of the grown region; keep it.
 
     remapped = tuple(p - 2 * n if p >= 2 * n else m + p for p in v.basis)

@@ -2,10 +2,14 @@
 
 Once one row of the optimal basis is certified, its constraint is set to
 equality: coordinates rotate so the fixed row becomes the first unit vector,
-the first variable is substituted away, and the remaining rows are projected,
-rescaled to unit length and deduplicated.  The solver loops on the
-(n-1)-dimensional instance until the walk identifies a whole basis at once
-or a single dimension remains: at most n rounds.
+the first variable is substituted away, and the remaining rows are projected
+and rescaled to unit length.  The solver loops on the (n-1)-dimensional
+instance until the walk identifies a whole basis at once or a single
+dimension remains: at most n rounds.
+
+One rule, lp.tightest_rows, keeps only the tightest row of each direction:
+solve applies it to the normalized input before phase 1, and reduce_lp to
+the projected rows of every level.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from . import phase1
 from .errors import (
     ConewalkError,
     DegeneratePivot,
+    Infeasible,
     NoLargeCoefficient,
     ObjectiveVanishes,
     RetriesExhausted,
@@ -30,15 +35,16 @@ from .lp import (
     DeltaCertificate,
     LinearProgram,
     NormalizedLP,
+    _derived,
     delta_bruteforce,
     delta_value_and_method,
     normalize,
+    tightest_rows,
 )
 from .simplex import Vertex, cone_membership, vertex_of_basis
 from .tolerances import OBJ_TOL, SPAN_TOL
 from .walk import WalkConfig, WalkOutcome, _WalkCache, default_alpha, run_walk
 
-DUPLICATE_TOL = 1e-9
 MAX_RETRIES = 10  # failed full-budget attempts per level after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
 
@@ -62,10 +68,11 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
     """Fix one basis row of v to equality and project the instance down.
 
     Rows that project to zero are parallel to the fixed row and are dropped;
-    rows that project to the same direction are merged keeping the tighter
-    right-hand side.  Returns the reduced program, the image of v (with the
-    fixed row removed from its basis), which starts the next level, and the
-    index map: reduced row position -> lp row position.
+    of the rows that project to one direction, only the tightest is kept
+    (lp.tightest_rows, the rule solve applies to the input).  Returns the
+    reduced program, the image of v (with the fixed row removed from its
+    basis), which starts the next level, and the index map: reduced row
+    position -> lp row position.
     """
     if lp.n < 2:
         raise ValueError("cannot reduce a one-dimensional instance")
@@ -77,28 +84,24 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
     rotated = lp.A @ U
     ftol = lp.feas_tol()
 
-    slots: list[list] = []  # [direction, rhs, lp row]
+    rows, directions, rhs = [], [], []  # the rows not parallel to the fixed
     for i in range(lp.m):
         if i == fixed:
             continue
         projected = rotated[i, 1:]
-        rhs = float(lp.b[i] - rotated[i, 0] * b_fixed)
+        row_rhs = float(lp.b[i] - rotated[i, 0] * b_fixed)
         norm = float(np.linalg.norm(projected))
         if norm <= SPAN_TOL:
-            if rhs < -ftol:
+            if row_rhs < -ftol:
                 raise ConewalkError(
                     f"row {i} contradicts the fixed constraint; the face is "
                     "empty, which a feasible vertex rules out")
             continue
-        direction = projected / norm
-        rhs /= norm
-        for slot in slots:
-            if np.max(np.abs(slot[0] - direction)) <= DUPLICATE_TOL:
-                if rhs < slot[1]:
-                    slot[1], slot[2] = rhs, i
-                break
-        else:
-            slots.append([direction, rhs, i])
+        rows.append(i)
+        directions.append(projected / norm)
+        rhs.append(row_rhs / norm)
+    directions, rhs = np.array(directions), np.array(rhs)
+    kept = tightest_rows(directions, rhs)
 
     objective = (lp.c @ U)[1:]
     obj_norm = float(np.linalg.norm(objective))
@@ -106,12 +109,9 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
         raise ObjectiveVanishes("projected objective is numerically zero; "
                                 "every vertex of the fixed face is optimal")
 
-    index_map = tuple(slot[2] for slot in slots)
-    reduced = NormalizedLP(
-        A=np.array([slot[0] for slot in slots]),
-        b=np.array([slot[1] for slot in slots]),
-        c=objective / obj_norm,
-    )
+    index_map = tuple(rows[k] for k in kept)
+    reduced = NormalizedLP(A=directions[kept], b=rhs[kept],
+                           c=objective / obj_norm)
 
     parent_to_reduced = {p: pos for pos, p in enumerate(index_map)}
     try:
@@ -148,7 +148,7 @@ class LevelStats:
     terms: int = 0                 # walks started
     degenerate_ends: int = 0       # short terms ended on DegeneratePivot
     stopped_with_c_in_cone: bool = False  # the level's last walk did
-    fixed_row: int | None = None   # level-0 row position fixed afterwards
+    fixed_row: int | None = None   # input position of the row fixed next
 
 
 @dataclass
@@ -285,28 +285,48 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
           delta: float | DeltaCertificate | None = None) -> SolveReport:
     """Solve max c^T x s.t. Ax <= b end to end.
 
-    Normalizes, certifies the row separation (brute force unless supplied),
-    finds an initial vertex or a certified infeasibility, reduces to a
-    bounded instance via an enclosing box, and runs the walk-driven
-    level loop.  The box radius comes in closed form from the certified
-    delta; a bare float delta drives the walk but is certified by brute
-    force before it may size the box.  Raises Infeasible or Unbounded with
-    certificates, and RetriesExhausted if MAX_RETRIES + 1 walk attempts at
-    some level fail.  A delta outside (0, 1] raises ValueError before any
-    work.
+    Normalizes and keeps the tightest row of each direction
+    (lp.tightest_rows), which leaves the region unchanged.  The rest runs
+    on the kept rows, the walked program: it certifies the row
+    separation (brute force unless supplied), finds an initial vertex or a
+    certified infeasibility, reduces to a bounded instance via an
+    enclosing box, and runs the walk-driven level loop.  The box radius
+    comes in closed form from the certified delta; a bare float delta
+    drives the walk but is certified by brute force before it may size
+    the box.  Reported positions (basis, the Infeasible witness,
+    LevelStats.fixed_row) are input positions, and the optimum is
+    certified against every input row.  Raises Infeasible or Unbounded
+    with certificates, and RetriesExhausted if MAX_RETRIES + 1 walk
+    attempts at some level fail.  A delta outside (0, 1] raises ValueError
+    before any work.
     """
     if delta is not None and not 0.0 < delta_value_and_method(delta)[0] <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
+    # A kept row takes the place of its direction's first row, so the
+    # directions, and with them the box rows, come in the input's order;
+    # each dropped row repeats a kept direction, so the kept rows still
+    # span R^n.
+    kept = tightest_rows(nlp.A, nlp.b)
+    walked = _derived(nlp, A=nlp.A[kept], b=nlp.b[kept])
 
     if delta is None:
-        delta = delta_bruteforce(nlp)
+        delta = delta_bruteforce(walked)
     delta_value, delta_method = delta_value_and_method(delta)
 
-    boxed = phase1.bounding_box(nlp, phase1.certified_radius(nlp, delta))
-    start = phase1.phase1_vertex(nlp, boxed)  # raises Infeasible
-    basis, x, levels = phase1.solve_bounded(nlp, boxed, cfg, start, delta_value)
+    boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, delta))
+    try:
+        start = phase1.phase1_vertex(walked, boxed)
+    except Infeasible as exc:
+        row = int(kept[exc.iteration - 1])
+        raise phase1.infeasibility(row, exc.value, float(nlp.b[row])) from None
+    basis, x, levels = phase1.solve_bounded(walked, boxed, cfg, start,
+                                            delta_value)
+    basis = tuple(sorted(int(kept[p]) for p in basis))
+    for stats in levels:  # no box row is fixed once solve_bounded returns
+        if stats.fixed_row is not None:
+            stats.fixed_row = int(kept[stats.fixed_row])
 
     if not nlp.is_feasible(x):
         raise ConewalkError("reconstructed optimum is infeasible")

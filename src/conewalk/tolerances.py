@@ -28,6 +28,12 @@ RATIO_TOL = 1e-9
 # Threshold below which a projected objective counts as vanished.
 OBJ_TOL = 1e-9
 
+# Unit rows whose entries all differ by at most this share one direction.
+# Unit rows that are not parallel lie at least delta apart, so some entry
+# differs by delta / sqrt(n) or more: any value far below that merges only
+# copies, such as [3, -3] and [1, -1], which normalize an ulp apart.
+DUPLICATE_TOL = 1e-9
+
 
 def feas_tol_for(b) -> float:
     """Feasibility tolerance scaled to the magnitude of the right-hand side."""

@@ -22,7 +22,7 @@ from conewalk.cli import main
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 GOLDEN = Path(__file__).with_name("golden_solve_reports.jsonl")
 NAMES = ("halfplane-ray.json", "infeasible-strip.json", "network-n3.json",
-         "unit-square.json")
+         "network-n3-padded.json", "unit-square.json")
 SEEDS = (0, 1, 2)
 EXACT = {"status", "basis", "steps_per_level", "pivots", "retries",
          "box_row", "witness_iteration", "delta_method"}
@@ -69,6 +69,13 @@ def test_golden_file_covers_every_instance_and_seed():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_solve_matches_golden_report(name, seed):
     assert_matches(fresh_record(name, seed), golden_records()[(name, seed)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_slack_copies_leave_the_report_unchanged(seed):
+    # network-n3-padded appends 12 slack copies of network-n3's rows
+    assert fresh_record("network-n3-padded.json", seed)["report"] == \
+        fresh_record("network-n3.json", seed)["report"]
 
 
 if __name__ == "__main__":

@@ -19,8 +19,10 @@ from conewalk.lp import (
     delta_bruteforce,
     delta_integer_bound,
     normalize,
+    tightest_rows,
 )
 from conewalk.oracle import check_nondegenerate, pad_redundant, tu_instance_generator
+from conewalk.tolerances import DUPLICATE_TOL
 
 from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instance
 
@@ -245,6 +247,87 @@ class TestDeltaOverDistinctDirections:
             c=nlp.c))
         with pytest.raises(TooLarge):
             delta_bruteforce(doubled, limit=budget - 1)
+
+    def test_budget_counts_a_scaled_copy_once(self):
+        # [3, -3] normalizes an ulp away from [1, -1]: one direction, so
+        # d = 3 (the axes and the diagonal) and the budget is C(3, 1) * 3
+        nlp = normalize(LinearProgram(
+            A=[[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [3, -3]],
+            b=[1, 1, 0, 0, 0.5, 1.5], c=[1, 1]))
+        assert not np.array_equal(nlp.A[4], nlp.A[5])
+        cert = delta_bruteforce(nlp, limit=9)
+        j, subset = cert.witness
+        assert j in (0, 1, 4) and set(subset) <= {0, 1, 4}
+
+
+def pairwise_merge(A, b):
+    """Reference: the pairwise loop reduce_lp used to merge rows.  Each row
+    joins the first earlier direction within DUPLICATE_TOL of that
+    direction's first row, and replaces its kept row if strictly tighter."""
+    slots = []  # [first row, least rhs, its position]
+    for i, row in enumerate(A):
+        for slot in slots:
+            if np.max(np.abs(slot[0] - row)) <= DUPLICATE_TOL:
+                if b[i] < slot[1]:
+                    slot[1], slot[2] = b[i], i
+                break
+        else:
+            slots.append([row, b[i], i])
+    return [slot[2] for slot in slots]
+
+
+class TestTightestRows:
+    """The one rule for rows that repeat a direction."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_the_pairwise_loop(self, seed):
+        # rows drawn from a few directions: exact copies, copies an ulp or
+        # 1e-12 away, sign-flipped zeros and right-hand sides that tie
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        dirs = rng.standard_normal((int(rng.integers(1, 6)), n))
+        dirs[:, 0] = np.where(rng.random(len(dirs)) < 0.3, 0.0, dirs[:, 0])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        picks = rng.integers(0, len(dirs), size=int(rng.integers(1, 40)))
+        A = dirs[picks] + rng.choice([0.0, 1e-16, 1e-12], size=(len(picks), 1))
+        A[A == 0.0] *= rng.choice([1.0, -1.0], size=int(np.sum(A == 0.0)))
+        b = rng.integers(0, 4, size=len(picks)) / 4.0
+        assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
+
+    def test_keeps_the_least_rhs_in_first_occurrence_order(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
+                      [1.0, 0.0]])
+        b = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+        assert tightest_rows(A, b).tolist() == [2, 1]
+
+    def test_equal_rhs_keep_the_earliest(self):
+        A = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        assert tightest_rows(A, np.array([1.0, 2.0, 1.0, 2.0])).tolist() \
+            == [0, 1]
+
+    def test_negation_is_another_direction(self):
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        assert tightest_rows(A, np.zeros(3)).tolist() == [0, 1, 2]
+
+    def test_merges_within_the_tolerance(self):
+        u = np.array([0.6, 0.8])
+        A = np.array([u, u + DUPLICATE_TOL / 2, u, u + 4 * DUPLICATE_TOL,
+                      [-0.0, 1.0], [0.0, 1.0]])
+        b = np.array([1.0, 0.5, 2.0, 0.1, 3.0, 2.0])
+        # rows 0-2 are one direction, row 3 is too far; -0.0 equals 0.0
+        assert tightest_rows(A, b).tolist() == [1, 3, 5]
+
+    def test_region_is_unchanged(self):
+        # the base repeats a network cut, so even it loses a row
+        base = tu_instance_generator("network", 4, 14, 11)
+        nlp = normalize(pad_redundant(base, 30, 11))
+        kept = tightest_rows(nlp.A, nlp.b)
+        assert len(kept) == 13
+        walked = LinearProgram(A=nlp.A[kept], b=nlp.b[kept], c=nlp.c)
+        points = np.random.default_rng(11).uniform(-1.5, 1.5, size=(4000, 4))
+        inside = [walked.is_feasible(x, tol=0.0) for x in points]
+        assert inside == [nlp.is_feasible(x, tol=0.0) for x in points]
+        assert 0 < sum(inside) < len(points)
 
 
 class TestDeltaIntegerBound:

@@ -10,6 +10,7 @@ from conewalk.lp import (
     NormalizedLP,
     delta_bruteforce,
     normalize,
+    tightest_rows,
 )
 from conewalk.oracle import (
     ENUMERATION_LIMIT,
@@ -191,12 +192,16 @@ class TestPhase1Vertex:
         monkeypatch.setattr(phase1_module, "bland_simplex", checked)
         lp = pad_redundant(tu_instance_generator("network", 4, 14, 11), 30, 11)
         rep = solve(lp, WalkConfig(seed=0))
+        # phase 1 walks the kept rows: the tightest of each direction
         nlp = normalize(lp)
-        m, n = nlp.m, nlp.n
-        assert len(regions) == m
-        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
-        box_first_A = np.vstack([boxed.A[m:], nlp.A])
-        box_first_b = np.concatenate([boxed.b[m:], nlp.b])
+        kept = tightest_rows(nlp.A, nlp.b)
+        walked = NormalizedLP(A=nlp.A[kept], b=nlp.b[kept], c=nlp.c)
+        m, n = walked.m, walked.n
+        assert (m, len(regions)) == (13, 13)
+        boxed = bounding_box(walked, certified_radius(
+            walked, delta_bruteforce(walked)))
+        box_first_A = np.vstack([boxed.A[m:], walked.A])
+        box_first_b = np.concatenate([boxed.b[m:], walked.b])
         for i, region in enumerate(regions):
             assert np.array_equal(region.A, box_first_A[:2 * n + i])
             assert np.array_equal(region.b, box_first_b[:2 * n + i])

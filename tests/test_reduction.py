@@ -23,6 +23,31 @@ from conewalk.walk import WalkConfig
 from conftest import SQRT2, bounded_random_lp
 
 
+def identifying_walk(alpha, calls=None):
+    """A fake run_walk for the identification path.
+
+    It stops in a cell of the start vertex's cone whose center over alpha
+    is the objective up to rounding, so verification passes at once.  The
+    dimension of each walked program is appended to ``calls``.
+    """
+    from conewalk.geometry import solve_square
+    from conewalk.simplex import basis_matrix
+    from conewalk.walk import Parallelepiped, WalkOutcome, center
+
+    def fake_run_walk(nlp, cfg, start_vertex, _cache=None):
+        if calls is not None:
+            calls.append(nlp.n)
+        basis = start_vertex.basis
+        mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
+        index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
+        cell = Parallelepiped(basis=basis, index=tuple(index))
+        return WalkOutcome(final=cell, c_prime=center(nlp, cell) / alpha,
+                           current_vertex=start_vertex,
+                           stopped_with_c_in_cone=False, steps_taken=46)
+
+    return fake_run_walk
+
+
 class TestReduceLp:
     def test_square_fix_right_edge(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
@@ -338,9 +363,6 @@ class TestIdentifyAndRecurse:
 
     def test_fixed_rows_are_level_0_positions(self, monkeypatch):
         import conewalk.reduction as reduction_module
-        from conewalk.geometry import solve_square
-        from conewalk.simplex import basis_matrix
-        from conewalk.walk import Parallelepiped, WalkOutcome, center
 
         # the unit cube with its lower faces first, so every reduction
         # shifts the positions of the rows that are fixed after it
@@ -350,20 +372,8 @@ class TestIdentifyAndRecurse:
         start = vertex_of_basis(lp, (3, 4, 5))  # the corner (1, 1, 1)
         alpha = 32.0
         calls = []
-
-        def fake_run_walk(nlp, cfg, start_vertex, _cache=None):
-            # a cell of the start vertex's cone whose center over alpha is
-            # the objective up to rounding: verification passes at once
-            calls.append(nlp.n)
-            basis = start_vertex.basis
-            mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
-            index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
-            cell = Parallelepiped(basis=basis, index=tuple(index))
-            return WalkOutcome(final=cell, c_prime=center(nlp, cell) / alpha,
-                               current_vertex=start_vertex,
-                               stopped_with_c_in_cone=False, steps_taken=46)
-
-        monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
+        monkeypatch.setattr(reduction_module, "run_walk",
+                            identifying_walk(alpha, calls))
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
         basis, levels = reduction_module._solve_levels(
             lp, 1.0, WalkConfig(alpha=alpha, steps=46), start)
@@ -373,6 +383,21 @@ class TestIdentifyAndRecurse:
         fixed = [s.fixed_row for s in levels if s.fixed_row is not None]
         assert fixed == [3, 4]  # e1 at level 0, then e2 at level 1
         assert all(0 <= p < lp.m and p in basis for p in fixed)
+
+    def test_fixed_rows_are_input_positions(self, monkeypatch):
+        import conewalk.reduction as reduction_module
+
+        # the unit cube after a slack copy of x <= 1, which solve drops:
+        # every walked position is one less than its input position
+        lp = LinearProgram(A=np.vstack([[1, 0, 0], np.eye(3), -np.eye(3)]),
+                           b=[5, 1, 1, 1, 0, 0, 0], c=[1.0, 0.5, 0.25])
+        alpha = 64.0
+        monkeypatch.setattr(reduction_module, "run_walk",
+                            identifying_walk(alpha))
+        rep = solve(lp, WalkConfig(alpha=alpha, steps=46, seed=0))
+        assert rep.basis == (1, 2, 3)
+        fixed = [s.fixed_row for s in rep.levels if s.fixed_row is not None]
+        assert fixed == [1, 2]  # x <= 1, then y <= 1; walked at 0 and 1
 
     def test_retries_exhaust_on_persistent_failure(self, monkeypatch,
                                                    unit_square):
@@ -518,13 +543,14 @@ class TestRestarts:
     def test_low_alpha_warns_once_per_level(self):
         import warnings
 
-        lp = tu_instance_generator("network", 3, 10, 0)
+        # no row of this instance repeats a direction, so all 10 are walked
+        lp = tu_instance_generator("network", 3, 10, 4)
         delta = delta_bruteforce(normalize(lp)).delta
         cfg = WalkConfig(seed=0, alpha=1.5 * lp.n**3 / delta)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = solve(lp, cfg)
-        assert [s.terms for s in rep.levels] == [3]
+        assert [s.terms for s in rep.levels] == [4]
         assert [str(w.message).split(" ")[0] for w in caught] == \
             [f"alpha={cfg.alpha:g}"]
 
@@ -543,18 +569,79 @@ class TestRestarts:
             sum(s.terms for s in rep.levels)
 
     def test_trace_holds_the_steps_of_degenerate_terms(self):
-        # 15 of this solve's 20 terms end on a degenerate pivot, after 750
-        # traced steps; they count too, but not the tied steps themselves
-        lp = tu_instance_generator("network", 4, 20, 540969447)
+        # 5 of this solve's 8 terms end on a degenerate pivot; their traced
+        # steps count too, but not the tied steps themselves.  No row of
+        # the instance repeats a direction, so all 15 are walked.
+        lp = tu_instance_generator("network", 4, 15, 766077746)
         buf = io.StringIO()
-        rep = solve(lp, WalkConfig(seed=1654847469, trace=buf))
+        rep = solve(lp, WalkConfig(seed=1606168144, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         (stats,) = rep.levels
-        assert (stats.terms, stats.degenerate_ends) == (20, 15)
-        assert len(records) == sum(rep.steps_per_level) == 1336
+        assert (stats.terms, stats.degenerate_ends) == (8, 5)
+        assert len(records) == sum(rep.steps_per_level) == 565
         assert stats.accepted_moves + stats.rejected_moves + \
             stats.lazy_stays == stats.steps_taken
         assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
+
+
+class TestParallelRows:
+    """solve keeps the tightest row of each direction and reports input
+    positions."""
+
+    SQUARE_A = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+    @pytest.mark.parametrize("c,basis", [((1, 1), (0, 1)), ((-1, 1), (1, 2)),
+                                         ((1, -1), (0, 3))])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_copy_of_an_edge(self, c, basis, seed):
+        # x <= 1 twice: the two rows tie in every ratio test they enter
+        lp = LinearProgram(A=self.SQUARE_A + [[1, 0]], b=[1, 1, 0, 0, 1], c=c)
+        rep = solve(lp, WalkConfig(seed=seed))
+        assert rep.basis == basis  # the earlier of the tied copies
+        best = enumerate_vertices(normalize(lp)).optimal_point
+        assert rep.value == pytest.approx(float(np.dot(c, best)), abs=1e-12)
+
+    @pytest.mark.parametrize("c", [(1, -2), (2, -1), (1, -3), (3, -1),
+                                   (1, -1.5), (1.5, -1), (1, -4), (4, -1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scaled_copy_within_the_tolerance(self, c, seed):
+        # [3, -3] <= 1.5 is x - y <= 0.5 again, but normalizes an ulp away
+        # from [1, -1], so only the tolerance pass merges the two
+        lp = LinearProgram(A=self.SQUARE_A + [[1, -1], [3, -3]],
+                           b=[1, 1, 0, 0, 0.5, 1.5], c=c)
+        rep = solve(lp, WalkConfig(seed=seed))
+        assert 4 in rep.basis and 5 not in rep.basis
+        best = enumerate_vertices(normalize(lp)).optimal_point
+        assert rep.value == pytest.approx(float(np.dot(c, best)), abs=1e-12)
+
+    def test_padded_report_equals_the_base_report(self):
+        import dataclasses
+
+        from conewalk import jsonio
+
+        # padding appends slack copies: the kept rows are the base's rows
+        base = tu_instance_generator("network", 3, 8, 838355994)
+        padded = pad_redundant(base, 42, 838355994)
+        cfg = WalkConfig(seed=1731453872)
+        reports = [jsonio.dumps(dataclasses.asdict(solve(lp, cfg)))
+                   for lp in (base, padded)]
+        assert reports[0] == reports[1]
+
+    def test_dropped_copy_before_its_kept_twin(self):
+        # row 0 is a slack copy of row 4 and row 5 an exact one
+        lp = LinearProgram(A=[[1, 0]] + self.SQUARE_A[1:] + [[1, 0], [1, 0]],
+                           b=[5, 1, 0, 0, 1, 1], c=[1, 1])
+        assert solve(lp, WalkConfig(seed=0)).basis == (1, 4)
+
+    def test_infeasible_witness_is_an_input_position(self):
+        # x >= 2 (row 3) against x <= 1 (row 4); row 3 takes the place of
+        # its slack copy x >= 0 (row 1), so phase 1 walks rows 0, 3, 2, 4
+        # and meets x <= 1 fourth
+        lp = LinearProgram(A=[[0, 1], [-1, 0], [0, -1], [-1, 0], [1, 0]],
+                           b=[1, 0, 0, -2, 1], c=[1, 1])
+        with pytest.raises(Infeasible, match="^constraint 5 ") as info:
+            solve(lp, WalkConfig(seed=0))
+        assert (info.value.iteration, info.value.value) == (5, 2.0)
 
 
 @pytest.mark.parametrize("module", ["conewalk.phase1", "conewalk.reduction"])

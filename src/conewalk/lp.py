@@ -1,8 +1,9 @@
 """LP instances, row normalization, and row-separation (delta) certification.
 
-The central quantity is the minimum distance from any constraint row to the
-span of up to n-1 other rows, restricted to rows outside that span.  All
-walk parameters are derived from it.
+The central quantity, delta, is the minimum distance from any constraint row
+to a hyperplane spanned by n-1 other rows, restricted to rows outside that
+hyperplane (Brunsch and Roeglin's separation).  All walk parameters are
+derived from it.
 """
 from __future__ import annotations
 
@@ -174,10 +175,12 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
 def _subset_distances(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances from every row of A to the spans of the given row subsets.
 
-    ``idx`` has shape (K, k).  Returns (dists, full_rank) where dists is
-    (K, m) and full_rank marks subsets whose rows are independent; distances
-    for rank-deficient subsets are meaningless (their spans are duplicates of
-    smaller subsets) and must be ignored by the caller.
+    ``idx`` has shape (K, k); delta_bruteforce passes every subset of k =
+    n-1 rows, so the spans are hyperplanes.  Returns (dists, full_rank)
+    where dists is (K, m) and full_rank marks subsets whose rows are
+    independent; a rank-deficient subset spans less than a hyperplane, which
+    a full-rank subset's hyperplane covers at no greater distance, so the
+    caller ignores its distances.
     """
     S = A[idx]                                  # (K, k, n)
     q, r = np.linalg.qr(S.transpose(0, 2, 1))   # q: (K, n, k)
@@ -246,15 +249,20 @@ def _distinct_directions(A: np.ndarray) -> np.ndarray:
 
 def delta_bruteforce(lp: NormalizedLP, *,
                      limit: int = BRUTE_FORCE_LIMIT) -> DeltaCertificate:
-    """Exact row separation by subset enumeration over distinct directions.
+    """Exact row separation by enumerating hyperplanes over distinct directions.
 
-    Minimizes the distance from each row to the span of every subset of at
-    most n-1 other rows, skipping rows that lie inside the span (distance
-    <= SPAN_TOL).  Repeated rows and exact negations add neither a span nor
-    a distance, so only the first occurrence of each of the d distinct
-    directions is enumerated: C(d, n-1) * d work, whatever the padding.
-    The returned witness (row, subset) is in input row positions and
-    re-evaluates to the reported value.
+    delta is the least distance from a row to a hyperplane spanned by n-1
+    other rows, over the rows that lie outside it (distance > SPAN_TOL).
+    Spans of fewer rows add nothing: if a span S misses row a, extend S and
+    a with other rows to a basis of R^n; the hyperplane spanned by S and
+    the added rows still misses a and, holding S, is no farther from it.
+    Repeated rows and exact negations add neither a hyperplane nor a
+    distance, so only the first occurrence of each of the d distinct
+    directions is enumerated: C(d, n-1) subsets times d rows, whatever the
+    padding.  With no hyperplane closer than 1, as always at n = 1, delta
+    is 1 with witness (0, ()); otherwise the witness (row, subset) holds
+    n-1 subset rows, in input row positions, and re-evaluates to the
+    reported value.
     """
     n = lp.n
     rows = _distinct_directions(lp.A)
@@ -262,24 +270,16 @@ def delta_bruteforce(lp: NormalizedLP, *,
     if math.comb(d, n - 1) * d > limit:
         raise TooLarge(f"C({d},{n - 1})*{d} over {d} distinct row directions "
                        "exceeds the enumeration budget")
-    A = lp.A[rows]
-    # Empty subset: the span is {0}, every unit row is at distance 1.
     best = 1.0
     best_witness = (0, ())
-    for k in range(1, n):
-        idx = np.array(list(itertools.combinations(range(d), k)), dtype=int)
-        dists, full_rank = _subset_distances(A, idx)
-        dists = dists[full_rank]
-        keep = idx[full_rank]
-        mask = dists > SPAN_TOL
-        if not np.any(mask):
-            continue
-        masked = np.where(mask, dists, np.inf)
-        flat = int(np.argmin(masked))
-        k_i, j = divmod(flat, d)
-        if masked[k_i, j] < best:
-            best = float(masked[k_i, j])
-            best_witness = (int(rows[j]), tuple(int(rows[t]) for t in keep[k_i]))
+    if n > 1:
+        idx = np.array(list(itertools.combinations(range(d), n - 1)), dtype=int)
+        dists, full_rank = _subset_distances(lp.A[rows], idx)
+        masked = np.where(full_rank[:, None] & (dists > SPAN_TOL), dists, np.inf)
+        k, j = divmod(int(np.argmin(masked)), d)
+        if masked[k, j] < best:
+            best = float(masked[k, j])
+            best_witness = (int(rows[j]), tuple(int(rows[t]) for t in idx[k]))
     return DeltaCertificate(delta=best, method=DeltaMethod.BRUTE_FORCE,
                             witness=best_witness)
 
@@ -289,6 +289,7 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
 
     ``Delta`` must be at least the maximum absolute sub-determinant of the
     matrix (caller-certified, or computed by the oracle module when small).
+    A bound too small to form as a float raises TooLarge.
     """
     A_int = np.asarray(A_int)
     if not np.all(np.equal(np.mod(A_int, 1), 0)):
@@ -296,5 +297,10 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
     if not (float(Delta).is_integer() and Delta >= 1):
         raise ValueError(f"Delta must be a positive integer, got {Delta!r}")
     n = A_int.shape[1]
-    return DeltaCertificate(delta=1.0 / (n * int(Delta) ** 2),
-                            method=DeltaMethod.INTEGER_BOUND, Delta=int(Delta))
+    try:
+        delta = 1.0 / (n * int(Delta) ** 2)
+    except OverflowError:
+        raise TooLarge(f"the bound 1/(n * Delta^2) is below the float range: "
+                       f"n={n}, Delta of {len(str(Delta))} digits") from None
+    return DeltaCertificate(delta=delta, method=DeltaMethod.INTEGER_BOUND,
+                            Delta=int(Delta))

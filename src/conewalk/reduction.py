@@ -26,7 +26,6 @@ from .errors import (
     NoLargeCoefficient,
     ObjectiveVanishes,
     RetriesExhausted,
-    TooLarge,
     UnboundedLP,
 )
 from .geometry import rotation_to_e1
@@ -248,9 +247,10 @@ def _solve_levels(lp: NormalizedLP, delta: float, cfg: WalkConfig,
 
     Each round walks the current level.  A walk that stops with c in the
     cone completes the basis; otherwise the identified row is fixed and the
-    program reduced one dimension, at the reduced program's delta when it
-    can be certified.  One dimension left is solved directly.  top maps the
-    current level's rows to lp's positions.
+    program reduced one dimension.  Every level walks at the given delta:
+    reduce_lp never lowers the separation, so lp's delta holds at every
+    level and is certified once, by the caller.  One dimension left is
+    solved directly.  top maps the current level's rows to lp's positions.
     """
     top = tuple(range(lp.m))
     fixed: list[int] = []
@@ -271,10 +271,6 @@ def _solve_levels(lp: NormalizedLP, delta: float, cfg: WalkConfig,
             break
         fixed.append(top[row])
         top = tuple(top[p] for p in index_map)
-        try:
-            delta = delta_bruteforce(lp).delta
-        except TooLarge:
-            pass  # the level above's delta is still valid one dimension down
     else:
         basis = _solve_direct_1d(lp)
         levels.append(LevelStats(n=1, stopped_with_c_in_cone=True))
@@ -288,16 +284,18 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     Normalizes and keeps the tightest row of each direction
     (lp.tightest_rows), which leaves the region unchanged.  The rest runs
     on the kept rows, the walked program: it certifies the row
-    separation (brute force unless supplied), finds an initial vertex or a
-    certified infeasibility, reduces to a bounded instance via an
-    enclosing box, and runs the walk-driven level loop.  The box radius
+    separation once (brute force unless supplied), finds an initial vertex
+    or a certified infeasibility, reduces to a bounded instance via an
+    enclosing box, and runs the walk-driven level loop, every level at
+    that delta, which SolveReport.delta reports.  The box radius
     comes in closed form from the certified delta; a bare float delta
     drives the walk but is certified by brute force before it may size
     the box.  Reported positions (basis, the Infeasible witness,
     LevelStats.fixed_row) are input positions, and the optimum is
     certified against every input row.  Raises Infeasible or Unbounded
-    with certificates, and RetriesExhausted if MAX_RETRIES + 1 walk
-    attempts at some level fail.  A delta outside (0, 1] raises ValueError
+    with certificates, RetriesExhausted if MAX_RETRIES + 1 walk attempts
+    at some level fail, and TooLarge if delta is too small for a finite box
+    radius or walk parameters.  A delta outside (0, 1] raises ValueError
     before any work.
     """
     if delta is not None and not 0.0 < delta_value_and_method(delta)[0] <= 1.0:

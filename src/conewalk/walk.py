@@ -26,7 +26,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConewalkError, DegeneratePivot
+from .errors import ConewalkError, DegeneratePivot, TooLarge
 from .geometry import det_abs
 from .jsonio import json_line
 from .lp import NormalizedLP
@@ -64,7 +64,11 @@ class WalkConfig:
     trace: IO[str] | None = None
 
     def resolved(self, n: int, delta: float | None) -> "WalkConfig":
-        """Fill in the auto fields; requires delta when any field is auto."""
+        """Fill in the auto fields; requires delta when any field is auto.
+
+        A delta so small that alpha or the step budget leaves the float
+        range raises TooLarge.
+        """
         alpha, steps = self.alpha, self.steps
         if alpha is None or steps is None:
             if delta is None:
@@ -77,6 +81,8 @@ class WalkConfig:
             raise ValueError("alpha must be > 0")
         if steps < 0:
             raise ValueError("steps must be >= 0")
+        if not math.isfinite(alpha):
+            raise TooLarge(f"alpha is not a finite float: n={n}, delta={delta!r}")
         if delta is not None and alpha < 2.0 * n**3 / delta:
             warnings.warn(
                 f"alpha={alpha:g} is below 2*n^3/delta={2 * n**3 / delta:g}; "
@@ -123,10 +129,14 @@ def default_alpha(n: int, delta: float) -> float:
 
 
 def default_steps(n: int, delta: float) -> int:
-    """Step budget ceil(n^5.5 / delta^3)."""
+    """Step budget ceil(n^5.5 / delta^3); TooLarge past the float range."""
     if not (n >= 1 and 0.0 < delta <= 1.0):
         raise ValueError("need n >= 1, 0 < delta <= 1")
-    return math.ceil(n**5.5 / delta**3)
+    budget = n**5.5 / delta**3 if delta**3 > 0.0 else math.inf
+    if budget == math.inf:
+        raise TooLarge(f"step budget n^5.5/delta^3 is not a finite float: "
+                       f"n={n}, delta={delta!r}")
+    return math.ceil(budget)
 
 
 def center(lp: NormalizedLP, cell: Parallelepiped) -> np.ndarray:

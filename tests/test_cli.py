@@ -138,6 +138,24 @@ class TestSolveCommand:
         assert_one_error_record(capsys, ["solve", "--input", str(path)],
                                 "TooLarge: box radius")
 
+    @pytest.mark.parametrize("Delta, argv, mention", [
+        (10**60, ["solve", "--delta", "bound"], "TooLarge: step budget"),
+        (3 * 10**153, ["solve", "--delta", "bound", "--steps", "10"],
+         "TooLarge: alpha"),
+        (10**200, ["verify-delta", "--method", "bound"],
+         "TooLarge: the bound 1/(n * Delta^2)"),
+    ], ids=["steps", "alpha", "bound"])
+    def test_delta_too_small_for_floats(self, capsys, tmp_path, Delta, argv,
+                                        mention):
+        # delta = 1/(2 Delta^2): delta^3 underflows, 4 n^3 / delta
+        # overflows, and 1/(2 * 10^400) is no float
+        path = tmp_path / "huge-Delta.json"
+        sq = make_square()
+        write_lp_file(str(path), LinearProgram(A=sq.A, b=sq.b, c=sq.c),
+                      integral=True, Delta=Delta)
+        assert_one_error_record(capsys, [*argv, "--input", str(path)],
+                                mention)
+
     def test_unreadable_input(self, capsys, tmp_path):
         code, out = run_cli(capsys, ["solve", "--input",
                                      str(tmp_path / "nope.json")])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import conewalk.lp as lp_module
 from conewalk.errors import (
     NonIntegerEntries,
     RankDeficient,
@@ -169,6 +170,64 @@ class TestDeltaBruteforce:
                 for i in range(nlp.n):
                     others = [rows[k] for k in range(nlp.n) if k != i]
                     assert cert.delta <= dist_to_span(rows[i], others) + 1e-9
+
+
+def hyperplane_cases():
+    """Random programs at n = 2..6, then TU programs at n = 2..5, rotated
+    and not."""
+    for n in range(2, 7):
+        for seed in range(2):
+            yield random_lp(n + 2, n, seed)
+    for n in range(2, 6):
+        for seed, kind in enumerate(("box", "interval", "network")):
+            base = tu_instance_generator(kind, n, 2 * n + 1, seed)
+            yield normalize(base)
+            yield normalize(rotate_instance(base, seed))
+
+
+class TestHyperplanesOnly:
+    """delta is taken over the hyperplanes spanned by n-1 rows alone."""
+
+    def test_matches_every_subset_size(self):
+        # brute_delta_reference also takes spans of 0..n-2 rows; it rounds
+        # differently (dist_to_span), so the two agree to rounding, either way
+        for nlp in hyperplane_cases():
+            ref = brute_delta_reference(nlp)
+            assert abs(delta_bruteforce(nlp).delta - ref) <= 1e-12 * ref
+
+    def test_one_enumeration_of_n_minus_1_subsets(self, monkeypatch):
+        shapes = []
+        original = lp_module._subset_distances
+
+        def spy(A, idx):
+            shapes.append(idx.shape)
+            return original(A, idx)
+
+        monkeypatch.setattr(lp_module, "_subset_distances", spy)
+        for nlp in hyperplane_cases():
+            shapes.clear()
+            delta_bruteforce(nlp)
+            d = len(lp_module._distinct_directions(nlp.A))
+            assert shapes == [(math.comb(d, nlp.n - 1), nlp.n - 1)]
+        shapes.clear()
+        cert = delta_bruteforce(normalize(LinearProgram(
+            A=[[1.0], [-1.0], [2.0]], b=[1.0, 0.0, 3.0], c=[1.0])))
+        assert shapes == []
+        assert (cert.delta, cert.witness) == (1.0, (0, ()))
+
+    def test_witness_is_a_hyperplane(self):
+        # row 1 alone spans a line exactly as close to row 7 as the plane
+        # of rows 0 and 1; the witness is the plane
+        nlp = normalize(tu_instance_generator("interval", 3, 8, 0))
+        cert = delta_bruteforce(nlp)
+        assert cert.delta < 1.0
+        assert cert.witness == (7, (0, 1))
+        for nlp in hyperplane_cases():
+            cert = delta_bruteforce(nlp)
+            j, subset = cert.witness
+            assert len(subset) == (nlp.n - 1 if cert.delta < 1.0 else 0)
+            d = dist_to_span(nlp.A[j], [nlp.A[i] for i in subset])
+            assert d == pytest.approx(cert.delta, abs=1e-9)
 
 
 def first_occurrences(A) -> list[int]:
@@ -351,6 +410,12 @@ class TestDeltaIntegerBound:
     def test_non_integral_or_small_Delta_rejected(self, Delta):
         with pytest.raises(ValueError, match="Delta"):
             delta_integer_bound(np.eye(2), Delta)
+
+    def test_bound_past_the_float_range_is_too_large(self):
+        # 1/(2 * 10^400) is no float; 10^150 still gives one
+        with pytest.raises(TooLarge, match="float range"):
+            delta_integer_bound(np.eye(2), 10**200)
+        assert delta_integer_bound(np.eye(2), 10**150).delta == 0.5e-300
 
     def test_bound_never_beats_bruteforce(self):
         # the exact separation dominates the sub-determinant bound

@@ -384,6 +384,35 @@ class TestIdentifyAndRecurse:
         assert fixed == [3, 4]  # e1 at level 0, then e2 at level 1
         assert all(0 <= p < lp.m and p in basis for p in fixed)
 
+    def test_levels_walk_at_the_given_delta(self, monkeypatch):
+        import conewalk.reduction as reduction_module
+
+        # the cube run above, which reduces twice: delta is certified by
+        # the caller, once, and every level verifies at it
+        lp = normalize(LinearProgram(
+            A=np.vstack([-np.eye(3), np.eye(3)]), b=[0, 0, 0, 1, 1, 1],
+            c=[1.0, 0.5, 0.25]))
+        certified, verified = [], []
+        monkeypatch.setattr(reduction_module, "run_walk",
+                            identifying_walk(128.0))
+        monkeypatch.setattr(reduction_module, "delta_bruteforce",
+                            lambda *a, **k: certified.append(a) or 1.0)
+        original = reduction_module.verify_problem1
+
+        def verify(nlp, basis, c_prime, delta):
+            verified.append((nlp.n, delta))
+            return original(nlp, basis, c_prime, delta)
+
+        monkeypatch.setattr(reduction_module, "verify_problem1", verify)
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
+        basis, levels = reduction_module._solve_levels(
+            lp, 0.75, WalkConfig(alpha=128.0, steps=46),
+            vertex_of_basis(lp, (3, 4, 5)))
+        assert basis == (3, 4, 5)
+        assert [s.n for s in levels] == [3, 2, 1]
+        assert certified == []
+        assert verified == [(3, 0.75), (2, 0.75)]
+
     def test_fixed_rows_are_input_positions(self, monkeypatch):
         import conewalk.reduction as reduction_module
 

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conewalk.errors import TooLarge
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
@@ -484,6 +485,21 @@ class TestDefaults:
         cfg = WalkConfig(alpha=1.0, steps=5)
         with pytest.warns(UserWarning, match="alpha"):
             cfg.resolved(2, 1.0)
+
+    @pytest.mark.parametrize("delta", [1e-121, 1e-104])
+    def test_step_budget_past_the_float_range(self, delta):
+        # delta^3 underflows to 0, or to a subnormal that n^5.5 overflows
+        with pytest.raises(TooLarge, match="step budget"):
+            default_steps(2, delta)
+        with pytest.raises(TooLarge, match="step budget"):
+            WalkConfig(alpha=1.0).resolved(2, delta)
+
+    def test_alpha_past_the_float_range(self):
+        # 4 n^3 / delta overflows: no walk runs at alpha = inf
+        with pytest.raises(TooLarge, match="alpha"):
+            WalkConfig(steps=10).resolved(2, 5.6e-308)
+        with pytest.raises(TooLarge, match="alpha"):
+            WalkConfig(alpha=math.inf, steps=10).resolved(2, 1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -204,31 +204,44 @@ def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     order of their first rows, and a row joins the first direction whose
     first row it is within the tolerance of.
 
-    Byte-equal rows are grouped by one dict pass; only the first rows of
-    those groups are then compared within the tolerance.
+    Byte-equal rows are grouped by one dict pass; the first rows of those
+    groups are then compared pairwise within the tolerance, in blocks of
+    about 2^20 entry differences, and a group joins the first earlier group
+    near it that opened a direction.
     """
+    rhs = b.tolist()
+    raw = np.ascontiguousarray(A, dtype=float).tobytes()
+    width = 8 * A.shape[1]  # bytes per row
     groups: dict[bytes, int] = {}
     firsts: list[int] = []    # first row of each byte-equal group
     tightest: list[int] = []  # tightest row of each byte-equal group
-    for i, row in enumerate(A):
-        g = groups.setdefault(row.tobytes(), len(firsts))
+    for i in range(A.shape[0]):
+        g = groups.setdefault(raw[i * width:(i + 1) * width], len(firsts))
         if g == len(firsts):
             firsts.append(i)
             tightest.append(i)
-        elif b[i] < b[tightest[g]]:
+        elif rhs[i] < rhs[tightest[g]]:
             tightest[g] = i
-    directions = np.empty((len(firsts), A.shape[1]))  # of the kept rows
+    heads = A.T[:, firsts]  # the groups' first rows, one column each
+    n, g = heads.shape
+    earlier: dict[int, list[int]] = {}  # group -> earlier groups near it
+    block = max(1, (1 << 20) // max(1, g * n))
+    for lo in range(0, g, block):
+        diff = np.abs(heads[:, lo:lo + block, None] - heads[:, None, :])
+        later, near = np.nonzero(diff.max(axis=0) <= DUPLICATE_TOL)
+        later += lo
+        before = near < later
+        for j, p in zip(later[before].tolist(), near[before].tolist()):
+            earlier.setdefault(j, []).append(p)  # p ascending per j
+    slot: dict[int, int] = {}  # group that opened a direction -> kept position
     kept: list[int] = []
-    for first, i in zip(firsts, tightest):
-        k = len(kept)
-        near = np.abs(directions[:k] - A[first]).max(axis=1) <= DUPLICATE_TOL
-        if near.any():
-            s = int(near.argmax())
-            if (b[i], i) < (b[kept[s]], kept[s]):
-                kept[s] = i
-        else:
-            directions[k] = A[first]
+    for j, i in enumerate(tightest):
+        s = next((slot[p] for p in earlier.get(j, ()) if p in slot), None)
+        if s is None:
+            slot[j] = len(kept)
             kept.append(i)
+        elif (rhs[i], i) < (rhs[kept[s]], kept[s]):
+            kept[s] = i
     return np.array(kept, dtype=int)
 
 

@@ -65,14 +65,17 @@ def certified_radius(lp: NormalizedLP,
     bare float is a claim, and one that is too large would shrink the box
     onto a vertex and turn a bounded program into an "unbounded" verdict,
     so the input is certified by brute force instead (which may raise
-    TooLarge).  A radius past the float range raises TooLarge too.
+    TooLarge).  A radius whose box-corner slacks, about 2 * radius + max|b|,
+    leave the float range raises TooLarge too: phase 1 could not subtract
+    them.
     """
     if not isinstance(delta, DeltaCertificate):
         delta = delta_bruteforce(lp)
     b_max = float(np.max(np.abs(lp.b)))
     radius = lp.n * b_max / delta.delta + max(1.0, 2.0 * lp.feas_tol())
-    if not math.isfinite(radius):
-        raise TooLarge(f"box radius n * max|b| / delta is not finite: "
+    if not math.isfinite(2.0 * radius + b_max):
+        raise TooLarge(f"box radius n * max|b| / delta leaves the box-corner "
+                       f"slacks 2 * radius + max|b| past the float range: "
                        f"n={lp.n}, max|b|={b_max:.6g}, "
                        f"delta={delta.delta:.6g}")
     return radius

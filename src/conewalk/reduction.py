@@ -191,11 +191,15 @@ def _walk_level(lp: NormalizedLP, delta: float, cfg: WalkConfig,
     min(RESTART_UNIT * luby(t), budget) steps from start on
     SeedSequence([cfg.seed, level, retry, t]), budget being the resolved
     cfg.steps.  The in-cone stop is an exact optimality certificate, so a
-    restart only costs work.  The series ends at the first term that stops
-    in the cone or runs the whole budget; only that full-budget term is a
-    paper attempt, verified, and MAX_RETRIES + 1 failed ones raise
-    RetriesExhausted.  A short term that ends on a DegeneratePivot is
-    restarted like any other; a full-budget one raises.
+    restart only costs work, and a short term (fewer steps than the budget)
+    may follow any weight: it walks f_beta with beta = n^2, the paper's
+    weight on cells of edge 1, which pulls it toward alpha*c (walk module
+    docstring).  The series ends at the first term that stops in the cone
+    or runs the whole budget; only that full-budget term is a paper
+    attempt: it walks the paper's weight (beta = 1) and alpha, it is
+    verified, and MAX_RETRIES + 1 failed ones raise RetriesExhausted.  A
+    short term that ends on a DegeneratePivot is restarted like any other;
+    a full-budget one raises.
     """
     walk_cfg = cfg.resolved(lp.n, delta)  # once per level: warns once
     cache = _WalkCache(lp)  # shared by every walk at this level
@@ -205,12 +209,14 @@ def _walk_level(lp: NormalizedLP, delta: float, cfg: WalkConfig,
         for term in count(1):
             steps = min(RESTART_UNIT * luby(term), walk_cfg.steps)
             seed = np.random.SeedSequence([cfg.seed, level, retry, term])
+            full = steps == walk_cfg.steps  # the paper's attempt
             stats.terms += 1
             try:
                 outcome = run_walk(lp, replace(walk_cfg, seed=seed, steps=steps),
-                                   start, _cache=cache)
+                                   start, _cache=cache,
+                                   _beta=1.0 if full else float(lp.n**2))
             except DegeneratePivot as exc:
-                if steps == walk_cfg.steps:
+                if full:
                     raise
                 stats.degenerate_ends += 1
                 outcome = exc.walked  # the steps before the tie
@@ -222,7 +228,7 @@ def _walk_level(lp: NormalizedLP, delta: float, cfg: WalkConfig,
             stats.stopped_with_c_in_cone = outcome.stopped_with_c_in_cone
             if outcome.stopped_with_c_in_cone:
                 return outcome, None, stats
-            if steps == walk_cfg.steps:
+            if full:
                 break
 
         if not verify_problem1(lp, outcome.final.basis, outcome.c_prime, delta):

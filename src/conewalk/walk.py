@@ -14,6 +14,18 @@ step() and run_walk share one arithmetic at every n: a center is taken by
 _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
+
+The stop is an exact certificate, so the walk is sound under any weight;
+the weight only decides how fast it gets there.  The solver's short restart
+terms therefore walk with the l1 term scaled by beta = n^2,
+
+    f_beta(P) = exp(-beta * ||z_P - alpha*c||_1) * (1/n^2)^n * |det(A_B)|,
+
+which is f, up to a constant factor, on cells of edge 1 (centers n^2 z_P)
+with target n^2 alpha*c: near the apex one step then moves the l1 term by
+up to about sqrt(n) instead of sqrt(n)/n^2, so the pull toward alpha*c is
+felt.  run_walk takes beta through a private keyword; step(), run_walk's
+default and the solver's full-budget terms walk f itself, beta = 1.
 """
 from __future__ import annotations
 
@@ -215,7 +227,8 @@ def _l1(z: list[float], ac: list[float]) -> float:
 
 def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
              rec: _BasisRecord, index: Sequence[int], z: list[float],
-             l1: float, pos: int, sign: int) -> tuple:
+             l1: float, pos: int, sign: int, beta: float = 1.0,
+             ) -> tuple:
     """The facet-adjacent cell of (rec.basis, index) across coordinate pos, sign.
 
     Moving inward (-1) at lattice coordinate 0 crosses the cone facet: the
@@ -223,7 +236,8 @@ def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
     coordinates (staying rows keep theirs, the entering row starts at 0).
     Returns (vertex, rec, index, z, l1, dlog) of the proposal, where index
     is None when the move stays in the cone (the caller then adds sign to
-    index[pos]) and dlog = log f(proposal) - log f(current).
+    index[pos]) and dlog = log f_beta(proposal) - log f_beta(current)
+    = beta * (l1 - l1_new) + (log_vol_new - log_vol); beta = 1 is f.
 
     The center z and ac = alpha*c are float lists.  A move inside the cone
     adds or subtracts one scaled row elementwise; a pivot takes the new
@@ -233,7 +247,7 @@ def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
         row = rec.row_lists[pos]
         z_new = list(map(add if sign > 0 else sub, z, row))
         l1_new = _l1(z_new, ac)
-        return vertex, rec, None, z_new, l1_new, l1 - l1_new
+        return vertex, rec, None, z_new, l1_new, beta * (l1 - l1_new)
     basis = rec.basis
     new_vertex = cache.pivot(vertex, basis[pos])
     new_rec = cache.record(new_vertex.basis)
@@ -242,7 +256,7 @@ def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
     z_new = _center(new_rec, new_index)
     l1_new = _l1(z_new, ac)
     return (new_vertex, new_rec, new_index, z_new, l1_new,
-            (l1 - l1_new) + (new_rec.log_vol - rec.log_vol))
+            beta * (l1 - l1_new) + (new_rec.log_vol - rec.log_vol))
 
 
 def _accepts(u: float, dlog: float) -> bool:
@@ -303,7 +317,7 @@ def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
     center of the current cell is taken afresh by _center, and its l1
     distance by _l1: the rules run_walk uses, at every n.  Unlike run_walk,
     the proposal is evaluated on lazy steps too, so that the returned
-    StepInfo always describes it.
+    StepInfo always describes it.  The weight is the paper's f (beta = 1).
     """
     if cfg.alpha is None:
         raise ValueError("walk config must be resolved before stepping")
@@ -337,7 +351,8 @@ _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
 
 
 def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
-             _cache: _WalkCache | None = None) -> WalkOutcome:
+             _cache: _WalkCache | None = None,
+             _beta: float = 1.0) -> WalkOutcome:
     """Run the walk from the apex cell of the start vertex's cone.
 
     Each iteration first stops if the objective lies in the current cone
@@ -354,6 +369,11 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     cfg.trace set, one JSON record per step is written after the step; a
     lazy step's record has log_weight_proposal null.  Tracing never changes
     the walk.
+
+    _beta scales the l1 term of the weight the walk follows, f_beta (see
+    the module docstring); the default 1 is the paper's f.  The trace's
+    log_weight and log_weight_proposal are those of f_beta,
+    -beta * l1 + log_vol, the weights the accept rule compared.
 
     cfg must be resolved, as for step().  A pivot into a ratio-test tie
     raises DegeneratePivot carrying the outcome of the steps completed
@@ -381,7 +401,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
         pos, sign, u = next(draws)
         steps += 1
         if trace is not None:
-            row, lw = rec.basis[pos], -l1 + rec.log_vol
+            row, lw = rec.basis[pos], -_beta * l1 + rec.log_vol
         accepted = pivoted = False
 
         if u >= 0.5:
@@ -390,11 +410,11 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
         else:
             try:
                 new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
-                    cache, ac, vertex, rec, index, z, l1, pos, sign)
+                    cache, ac, vertex, rec, index, z, l1, pos, sign, _beta)
             except DegeneratePivot as exc:
                 tie, steps = exc, steps - 1  # the tied step changed nothing
                 break
-            lw_proposal = -l1_new + new_rec.log_vol
+            lw_proposal = -_beta * l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
             if accepted:
                 if new_index is None:

@@ -138,6 +138,19 @@ class TestSolveCommand:
         assert_one_error_record(capsys, ["solve", "--input", str(path)],
                                 "TooLarge: box radius")
 
+    def test_box_corner_slacks_past_the_float_range(self, capsys, tmp_path):
+        # delta = 1e-308 gives a finite radius of 1e308, but phase 1 would
+        # overflow on the corner slacks and end in a DegeneratePivot
+        path = tmp_path / "huge-1d.json"
+        write_lp_file(str(path), LinearProgram(A=[[1.0], [-1.0]],
+                                               b=[1.0, 0.0], c=[1.0]),
+                      integral=True, Delta=10**154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_error_record(
+                capsys, ["solve", "--delta", "bound", "--input", str(path)],
+                "TooLarge: box radius")
+
     @pytest.mark.parametrize("Delta, argv, mention", [
         (10**60, ["solve", "--delta", "bound"], "TooLarge: step budget"),
         (3 * 10**153, ["solve", "--delta", "bound", "--steps", "10"],

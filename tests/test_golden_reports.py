@@ -3,7 +3,9 @@
 ``golden_solve_reports.jsonl`` holds one record per instance file and seed:
 the exit code and the report.  Counts, bases, statuses and the delta method
 must match exactly; every other number within 1e-12 relative.  Regenerate
-the file only when the random stream changes, and say so in CHANGES.md:
+the file only when the walk changes (its random stream or its weight),
+check that every basis, x and value stays byte for byte, and say so in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """

@@ -353,6 +353,18 @@ class TestTightestRows:
         b = rng.integers(0, 4, size=len(picks)) / 4.0
         assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
 
+    def test_blocked_comparison_agrees_with_the_pairwise_loop(self):
+        # 400 byte-distinct rows at n = 8 are compared in two blocks; the
+        # near copies in the second block must find their first rows in
+        # the first
+        rng = np.random.default_rng(3)
+        dirs = rng.standard_normal((300, 8))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        A = np.vstack([dirs, dirs[rng.integers(0, 300, size=100)] + 1e-12])
+        b = rng.integers(0, 4, size=len(A)) / 4.0
+        assert 400**2 * 8 > 1 << 20
+        assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
+
     def test_keeps_the_least_rhs_in_first_occurrence_order(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
                       [1.0, 0.0]])

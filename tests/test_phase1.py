@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conewalk.errors import Infeasible, Unbounded
+from conewalk.errors import Infeasible, TooLarge, Unbounded
 from conewalk.geometry import det_abs
 from conewalk.lp import (
     DeltaCertificate,
@@ -9,6 +9,7 @@ from conewalk.lp import (
     LinearProgram,
     NormalizedLP,
     delta_bruteforce,
+    delta_integer_bound,
     normalize,
     tightest_rows,
 )
@@ -141,6 +142,16 @@ class TestCertifiedRadius:
         margin = certified_radius(nlp, delta_bruteforce(nlp)) - scale
         assert margin >= 1.0
         assert margin > nlp.feas_tol()
+
+    def test_corner_slacks_past_the_float_range_are_too_large(self):
+        # delta = 1/Delta^2 at n = 1: a radius of 1e308 is finite, but the
+        # box-corner slacks, about 2 * radius, are not; at 1e306 they are
+        nlp = normalize(LinearProgram(A=[[1.0], [-1.0]], b=[1.0, 0.0],
+                                      c=[1.0]))
+        with pytest.raises(TooLarge, match="box radius"):
+            certified_radius(nlp, delta_integer_bound(nlp.A, 10**154))
+        radius = certified_radius(nlp, delta_integer_bound(nlp.A, 10**153))
+        assert radius == pytest.approx(1e306)
 
     def test_bare_float_is_certified_first(self, triangle):
         # a claimed separation above the true one would shrink the box

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -34,7 +35,7 @@ def identifying_walk(alpha, calls=None):
     from conewalk.simplex import basis_matrix
     from conewalk.walk import Parallelepiped, WalkOutcome, center
 
-    def fake_run_walk(nlp, cfg, start_vertex, _cache=None):
+    def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
         if calls is not None:
             calls.append(nlp.n)
         basis = start_vertex.basis
@@ -256,9 +257,9 @@ class TestSolve:
         seen = []
         real_run_walk = reduction_module.run_walk
 
-        def spy(nlp, cfg, start, _cache=None):
+        def spy(nlp, cfg, start, _cache=None, _beta=1.0):
             seen.append(cfg.alpha)
-            return real_run_walk(nlp, cfg, start, _cache=_cache)
+            return real_run_walk(nlp, cfg, start, _cache=_cache, _beta=_beta)
 
         monkeypatch.setattr(reduction_module, "run_walk", spy)
         lp = tu_instance_generator("network", 3, 8, 5)
@@ -346,7 +347,7 @@ class TestIdentifyAndRecurse:
                            rejected_moves=16, lazy_stays=10)
         calls = []
 
-        def fake_run_walk(nlp, cfg, start_vertex, _cache=None):
+        def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
             calls.append(nlp.n)
             return fake
 
@@ -442,7 +443,8 @@ class TestIdentifyAndRecurse:
         attempts = []
         monkeypatch.setattr(
             reduction_module, "run_walk",
-            lambda nlp, cfg, s, _cache=None: attempts.append(1) or fake)
+            lambda nlp, cfg, s, _cache=None, _beta=1.0:
+            attempts.append(1) or fake)
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", 3)
         with pytest.raises(RetriesExhausted):
             reduction_module._solve_levels(
@@ -472,7 +474,7 @@ class TestRestarts:
         cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
         calls = []
 
-        def fake_run_walk(nlp, cfg, s, _cache=None):
+        def fake_run_walk(nlp, cfg, s, _cache=None, _beta=1.0):
             calls.append((cfg.steps, cfg.seed))
             steps = cfg.steps // 2 if len(calls) in degenerate_at else cfg.steps
             outcome = WalkOutcome(final=cell,
@@ -584,13 +586,13 @@ class TestRestarts:
             [f"alpha={cfg.alpha:g}"]
 
     def test_trace_holds_every_counted_step(self, monkeypatch):
-        # a budget of 100 steps fails some attempts: retried and restarted
-        # walks are all traced and all counted
+        # a budget of 100 steps fails some attempts at this seed: retried
+        # and restarted walks are all traced and all counted
         import conewalk.reduction as reduction_module
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", 30)
         lp = tu_instance_generator("network", 3, 10, 3)
         buf = io.StringIO()
-        rep = solve(lp, WalkConfig(seed=0, steps=100, trace=buf))
+        rep = solve(lp, WalkConfig(seed=2, steps=100, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         assert rep.retries > 0 and rep.levels[0].terms > rep.retries + 1
         assert len(records) == sum(rep.steps_per_level)
@@ -598,7 +600,7 @@ class TestRestarts:
             sum(s.terms for s in rep.levels)
 
     def test_trace_holds_the_steps_of_degenerate_terms(self):
-        # 5 of this solve's 8 terms end on a degenerate pivot; their traced
+        # 2 of this solve's 3 terms end on a degenerate pivot; their traced
         # steps count too, but not the tied steps themselves.  No row of
         # the instance repeats a direction, so all 15 are walked.
         lp = tu_instance_generator("network", 4, 15, 766077746)
@@ -606,11 +608,79 @@ class TestRestarts:
         rep = solve(lp, WalkConfig(seed=1606168144, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         (stats,) = rep.levels
-        assert (stats.terms, stats.degenerate_ends) == (8, 5)
-        assert len(records) == sum(rep.steps_per_level) == 565
+        assert (stats.terms, stats.degenerate_ends) == (3, 2)
+        assert len(records) == sum(rep.steps_per_level) == 105
         assert stats.accepted_moves + stats.rejected_moves + \
             stats.lazy_stays == stats.steps_taken
         assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
+
+
+class TestShortTermPull:
+    """Short Luby terms walk f_beta with beta = n^2; full-budget terms walk
+    the paper's f (beta = 1)."""
+
+    @staticmethod
+    def spy_walk(monkeypatch, force_beta=None):
+        """Wrap run_walk: records (walked program, cfg, start, _beta) per
+        term and, with force_beta set, walks every term at that beta."""
+        import conewalk.reduction as reduction_module
+        real_run_walk = reduction_module.run_walk
+        calls = []
+
+        def spy(nlp, cfg, start, _cache=None, _beta=1.0):
+            calls.append((nlp, cfg, start, _beta))
+            beta = _beta if force_beta is None else force_beta
+            return real_run_walk(nlp, cfg, start, _cache=_cache, _beta=beta)
+
+        monkeypatch.setattr(reduction_module, "run_walk", spy)
+        return calls
+
+    def test_beta_is_n_squared_on_short_terms_only(self, monkeypatch):
+        # a budget of 100 steps: terms of 64, 64, then the full budget;
+        # at this seed two attempts fail, the third stops in a short term
+        import conewalk.reduction as reduction_module
+        from conewalk.walk import Parallelepiped, center, log_volume
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 30)
+        calls = self.spy_walk(monkeypatch)
+        lp = tu_instance_generator("network", 3, 10, 3)
+        buf = io.StringIO()
+        rep = solve(lp, WalkConfig(seed=2, steps=100, trace=buf))
+        assert rep.retries == 2
+        assert [(cfg.steps, beta) for _, cfg, _, beta in calls] == \
+            [(64, 9.0), (64, 9.0), (100, 1.0)] * 2 + [(64, 9.0)]
+
+        # the first term's trace holds f_beta's weights, taken from scratch
+        nlp, cfg, start, _ = calls[0]
+        records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
+        first = records[:next(i for i, r in enumerate(records[1:], 1)
+                              if r["step"] == 1)]
+        assert len(first) == 64
+        cell = Parallelepiped(start.basis, (0,) * nlp.n)
+        for rec in first:
+            l1 = float(np.sum(np.abs(center(nlp, cell) - cfg.alpha * nlp.c)))
+            assert rec["log_weight"] == pytest.approx(
+                -nlp.n**2 * l1 + log_volume(nlp, cell.basis),
+                rel=1e-12, abs=1e-9)
+            cell = Parallelepiped(tuple(rec["basis"]), tuple(rec["k"]))
+
+    def test_pull_halves_the_walk_and_keeps_the_answers(self, monkeypatch):
+        # 20 unimodular instances at n = 4, 5, solved as they are and with
+        # every term forced to the paper's weight
+        instances = [tu_instance_generator(kind, n, 3 * n, seed)
+                     for kind in ("network", "interval") for n in (4, 5)
+                     for seed in range(5)]
+        steps = {}
+        answers = {}
+        for force_beta in (None, 1.0):
+            calls = self.spy_walk(monkeypatch, force_beta)
+            reports = [solve(lp, WalkConfig(seed=s % 5))
+                       for s, lp in enumerate(instances)]
+            steps[force_beta] = sum(sum(r.steps_per_level) for r in reports)
+            answers[force_beta] = [(r.basis, r.x.tobytes(), r.value)
+                                   for r in reports]
+            assert calls
+        assert answers[None] == answers[1.0]
+        assert 2 * steps[None] <= steps[1.0]
 
 
 class TestParallelRows:

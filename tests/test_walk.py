@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from conewalk.walk import (
     center,
     default_alpha,
     default_steps,
+    log_volume,
     log_weight,
     run_walk,
     step,
@@ -462,6 +464,62 @@ class TestReplay:
             replayed += 1
         assert state.cell == out.final
         assert replayed > 4000 and out.pivots > 50
+
+
+class TestPulledWeight:
+    """run_walk's private _beta scales the l1 term of the weight: f_beta."""
+
+    def test_step_walks_the_papers_weight(self, unit_square):
+        assert "_beta" not in inspect.signature(step).parameters
+        assert inspect.signature(run_walk).parameters["_beta"].default == 1.0
+        # an outward move from the apex, away from alpha*c: f's ratio is
+        # exp(-||a_2||_1 / n^2) = exp(-1/4), f_beta's with beta = n^2 would
+        # be exp(-1); a coin between the two accepts only under f
+        alpha = 32.0
+        start = vertex_of_basis(unit_square, (2, 3))
+        cell = Parallelepiped(basis=(2, 3), index=(0, 0))
+        choice = 2 * cell.basis.index(2)  # row 2 outward
+        u = 0.5 * math.exp(-0.5)
+        state, info = step(unit_square, WalkConfig(alpha=alpha, steps=1),
+                           WalkState(start, cell), QueuedRng([choice], [u]))
+        assert info.log_weight_proposal - info.log_weight == \
+            pytest.approx(-0.25)
+        assert info.accepted and state.cell.index == (1, 0)
+
+    @pytest.mark.parametrize("boxed, seed", [
+        pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 2, id="n=3"),
+        pytest.param(partial(tu_boxed, "interval", 5, 12, 1), 0, id="n=5"),
+    ])
+    def test_trace_records_the_pulled_weight(self, boxed, seed):
+        # every record's weights are f_beta's, -beta * l1 + log_vol with
+        # the center taken from scratch, so exp of their difference is the
+        # ratio the accept rule read
+        nlp, lp = boxed()
+        start = phase1_vertex(nlp, lp)
+        alpha = default_alpha(lp.n, delta_bruteforce(lp).delta)
+        beta = float(lp.n**2)
+        buf = io.StringIO()
+        out = run_walk(lp, WalkConfig(alpha=alpha, steps=400, seed=seed,
+                                      trace=buf), start, _beta=beta)
+        records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
+        assert len(records) == out.steps_taken > 100
+
+        def pulled(cell):
+            l1 = float(np.sum(np.abs(center(lp, cell) - alpha * lp.c)))
+            return -beta * l1 + log_volume(lp, cell.basis)
+
+        before = Parallelepiped(start.basis, (0,) * lp.n)
+        checked = 0
+        for rec in records:
+            after = Parallelepiped(tuple(rec["basis"]), tuple(rec["k"]))
+            assert rec["log_weight"] == pytest.approx(pulled(before),
+                                                      rel=1e-12, abs=1e-9)
+            if rec["accepted"]:
+                assert rec["log_weight_proposal"] == pytest.approx(
+                    pulled(after), rel=1e-12, abs=1e-9)
+                checked += 1
+            before = after
+        assert checked > 20 and out.pivots > 0
 
 
 class TestDefaults:

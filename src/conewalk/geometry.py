@@ -1,9 +1,15 @@
 """Dense linear-algebra primitives on small matrices.
 
 Everything here is double precision and sized for desk-scale instances;
-no sparsity, no factorization reuse.
+no sparsity.  One LU factorization (lu_factor) serves every solve with a
+matrix and with its transpose (lu_solve) and its log-determinant
+(log_abs_det): the solver factors each basis matrix A_B once and reads the
+vertex, the pivot's edge direction, the cone coefficients and the cell
+volume from those factors (simplex.factor_basis).
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -12,24 +18,48 @@ from .errors import NotUnitVector, SingularMatrix
 from .tolerances import NORM_TOL, SINGULAR_TOL
 
 
-def solve_square(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for square nonsingular M.
+class LU(NamedTuple):
+    """LU factors with partial pivoting of a square matrix, as dgetrf gives them."""
 
-    LU with partial pivoting through LAPACK's dgetrf/dgetrs, called directly:
-    scipy.linalg.lu_factor/lu_solve make the same two calls, with argument
-    checks that cost more than the solve itself at desk scale.  Raises
-    SingularMatrix when the factorization produces a pivot of magnitude
-    <= SINGULAR_TOL.
+    lu: np.ndarray
+    piv: np.ndarray
+
+
+def lu_factor(matrix: np.ndarray) -> LU:
+    """Factor a square nonsingular matrix through LAPACK's dgetrf.
+
+    Called directly: scipy.linalg.lu_factor makes the same call, with
+    argument checks that cost more than the factorization itself at desk
+    scale.  Raises SingularMatrix when a pivot has magnitude <= SINGULAR_TOL.
     """
     lu, piv, info = dgetrf(np.asarray(matrix, dtype=float))
     if info < 0:
         raise ValueError(f"dgetrf: illegal value in argument {-info}")
     if np.abs(lu.diagonal()).min() <= SINGULAR_TOL:
         raise SingularMatrix(f"no acceptable pivot (tol={SINGULAR_TOL:g})")
-    x, info = dgetrs(lu, piv, np.asarray(rhs, dtype=float))
+    return LU(lu, piv)
+
+
+def lu_solve(factors: LU, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve M x = rhs (trans=0) or M^T x = rhs (trans=1) from M's factors."""
+    x, info = dgetrs(factors.lu, factors.piv, np.asarray(rhs, dtype=float),
+                     trans=trans)
     if info < 0:
         raise ValueError(f"dgetrs: illegal value in argument {-info}")
     return x
+
+
+def log_abs_det(factors: LU) -> float:
+    """log |det M| from M's factors: the sum of log |u_ii| over U's diagonal."""
+    return float(np.log(np.abs(factors.lu.diagonal())).sum())
+
+
+def solve_square(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs for square nonsingular M: lu_factor, then lu_solve.
+
+    Raises SingularMatrix as lu_factor does.
+    """
+    return lu_solve(lu_factor(matrix), rhs)
 
 
 def det_abs(matrix: np.ndarray) -> float:
@@ -37,18 +67,28 @@ def det_abs(matrix: np.ndarray) -> float:
     return abs(float(np.linalg.det(np.asarray(matrix, dtype=float))))
 
 
+def residual(v, basis) -> np.ndarray:
+    """v minus its projection on the span of orthonormal rows, as a new array.
+
+    Modified Gram-Schmidt with one re-orthogonalization pass: the vector
+    orthonormal_basis would append for v, before normalizing.
+    """
+    w = np.array(v, dtype=float)
+    for _ in range(2):
+        for q in basis:
+            w -= (q @ w) * q
+    return w
+
+
 def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormal basis of the span of the given vectors, as matrix rows.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; vectors that do
-    not grow the rank (residual norm <= SINGULAR_TOL) are dropped.
+    Each vector's residual against the rows so far is appended, normalized,
+    when its norm exceeds SINGULAR_TOL; the others do not grow the rank.
     """
     basis: list[np.ndarray] = []
     for v in vectors:
-        w = np.array(v, dtype=float)
-        for _ in range(2):
-            for q in basis:
-                w -= (q @ w) * q
+        w = residual(v, basis)
         norm = float(np.linalg.norm(w))
         if norm > SINGULAR_TOL:
             basis.append(w / norm)
@@ -62,15 +102,9 @@ def dist_to_span(v: np.ndarray, span_vectors) -> float:
 
     An empty collection spans {0}, so the distance is ``||v||``.
     """
-    v = np.asarray(v, dtype=float)
     if len(span_vectors) == 0:
-        return float(np.linalg.norm(v))
-    basis = orthonormal_basis(span_vectors)
-    r = v.copy()
-    for _ in range(2):
-        for q in basis:
-            r -= (q @ r) * q
-    return float(np.linalg.norm(r))
+        return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    return float(np.linalg.norm(residual(v, orthonormal_basis(span_vectors))))
 
 
 def _check_unit(a: np.ndarray) -> np.ndarray:

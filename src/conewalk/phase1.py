@@ -18,19 +18,30 @@ import math
 import numpy as np
 
 from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
-from .geometry import dist_to_span, solve_square
+from .geometry import LU, residual, solve_square
 from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
-from .simplex import Vertex, bland_simplex, vertex_of_basis
+from .simplex import Basis, Vertex, bland_simplex, vertex_of_basis
 from .tolerances import SPAN_TOL
 from .walk import WalkConfig
 
 
 def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
-    """Lexicographically first set of n linearly independent rows."""
+    """Lexicographically first set of n linearly independent rows.
+
+    A row is chosen when its distance to the span of the rows chosen before
+    exceeds SPAN_TOL.  The orthonormal basis of that span grows by one row
+    per row chosen: the residual tested is the vector orthonormal_basis
+    would append for the row, so every distance is dist_to_span's, bit for
+    bit, and no basis is rebuilt.
+    """
     chosen: list[int] = []
+    onb: list[np.ndarray] = []
     for i in range(lp.m):
-        if dist_to_span(lp.A[i], lp.A[chosen] if chosen else []) > SPAN_TOL:
+        w = residual(lp.A[i], onb)
+        norm = float(np.linalg.norm(w))
+        if norm > SPAN_TOL:
             chosen.append(i)
+            onb.append(w / norm)
             if len(chosen) == lp.n:
                 return tuple(chosen)
     raise RankDeficient("fewer than n independent rows; invalid instance")
@@ -122,9 +133,12 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     def prefix(k: int) -> NormalizedLP:
         return _derived(ordered, A=ordered.A[:k], b=ordered.b[:k])
 
-    v = vertex_of_basis(prefix(2 * n), tuple(range(n)))
+    # Every prefix has ordered's rows at every position it holds, so one
+    # memo of basis factors serves them all: each basis is factored once.
+    factors: dict[Basis, LU] = {}
+    v = vertex_of_basis(prefix(2 * n), tuple(range(n)), _factors=factors)
     for i in range(m):
-        v = bland_simplex(prefix(2 * n + i), v, -lp.A[i])
+        v = bland_simplex(prefix(2 * n + i), v, -lp.A[i], _factors=factors)
         value = float(lp.A[i] @ v.point)
         if value > lp.b[i] + ftol:
             raise infeasibility(i, value, float(lp.b[i]))

@@ -15,6 +15,11 @@ _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
+The walk factors each basis it enters once (_WalkCache.record): the LU
+factors of A_B give the cell volume (log |det A_B|), the in-cone stop
+(A_B^T mu = c) and every pivot out of the basis (A_B d = -e_k).
+log_volume() takes the volume from scratch, through np.linalg.det, for tests.
+
 The stop is an exact certificate, so the walk is sound under any weight;
 the weight only decides how fast it gets there.  The solver's short restart
 terms therefore walk with the l1 term scaled by beta = n^2,
@@ -39,10 +44,17 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConewalkError, DegeneratePivot, TooLarge
-from .geometry import det_abs
+from .geometry import LU, det_abs, log_abs_det
 from .jsonio import json_line
 from .lp import NormalizedLP
-from .simplex import Basis, Vertex, basis_matrix, cone_membership, pivot_across_facet
+from .simplex import (
+    Basis,
+    Vertex,
+    basis_matrix,
+    cone_membership,
+    factor_basis,
+    pivot_across_facet,
+)
 
 Direction = tuple[int, int]  # (basis row, +1 outward / -1 toward the facet)
 
@@ -158,6 +170,9 @@ def center(lp: NormalizedLP, cell: Parallelepiped) -> np.ndarray:
 
 
 def log_volume(lp: NormalizedLP, basis: Basis) -> float:
+    """log of the cell volume (1/n^2)^n |det A_B| from scratch, through
+    np.linalg.det: the reference for the walk's records, which read it
+    from their LU factors."""
     det = det_abs(basis_matrix(lp, basis))
     if det <= 0.0:
         raise ConewalkError(f"basis {basis} is singular")
@@ -177,13 +192,19 @@ class _BasisRecord:
     basis: Basis
     rows: np.ndarray              # cell edges a_i / n^2, in sorted basis order
     row_lists: list[list[float]]  # rows as float lists, for in-cone moves
+    lu: LU                        # factors of A_B: its one factorization
     log_vol: float                # log of the cell volume
     in_cone: bool                 # c lies in the basis cone: the basis is optimal
 
 
 class _WalkCache:
     """Memo of one program's walks: one _BasisRecord per basis, and the
-    pivot results."""
+    pivot results.
+
+    A record factors its basis matrix A_B once; the factors give the cell
+    volume (log |det A_B| from U's diagonal), the cone test (A_B^T mu = c)
+    and every pivot out of the basis (A_B d = -e_k).
+    """
 
     def __init__(self, lp: NormalizedLP):
         self.lp = lp
@@ -195,9 +216,11 @@ class _WalkCache:
         if rec is None:
             lp = self.lp
             rows = np.ascontiguousarray(lp.A[list(basis)]) / lp.n**2
+            lu = factor_basis(lp, basis)
             rec = self.records[basis] = _BasisRecord(
-                basis, rows, rows.tolist(), log_volume(lp, basis),
-                cone_membership(lp, basis, lp.c).inside)
+                basis, rows, rows.tolist(), lu,
+                log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),
+                cone_membership(lp, basis, lp.c, _lu=lu).inside)
         return rec
 
     def scaled_rows(self, basis: Basis) -> np.ndarray:
@@ -208,7 +231,8 @@ class _WalkCache:
         key = (vertex.basis, leaving)
         out = self.pivots.get(key)
         if out is None:
-            out = self.pivots[key] = pivot_across_facet(self.lp, vertex, leaving)
+            out = self.pivots[key] = pivot_across_facet(
+                self.lp, vertex, leaving, _lu=self.record(vertex.basis).lu)
         return out
 
 

@@ -1,7 +1,17 @@
+from collections import Counter
+from itertools import count
+
 import numpy as np
 import pytest
 
+import conewalk.phase1 as phase1_module
+import conewalk.reduction as reduction_module
+import conewalk.simplex as simplex_module
+import conewalk.walk as walk_module
+from conewalk.errors import ConewalkError
 from conewalk.lp import LinearProgram, NormalizedLP, normalize
+from conewalk.oracle import tu_instance_generator
+from conewalk.walk import WalkConfig
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -62,6 +72,109 @@ def bounded_random_lp(n: int, extra_rows: int, seed: int) -> NormalizedLP:
     while np.linalg.norm(c) < 1e-3:
         c = rng.standard_normal(n)
     return normalize(LinearProgram(A=np.array(rows), b=np.array(rhs), c=c))
+
+
+def factor_instances() -> list[tuple[LinearProgram, int]]:
+    """(program, solve seed): 21 generator instances at n = 3, 4 and 5."""
+    return [(tu_instance_generator(kind, n, m, seed), seed)
+            for n, m, seeds in ((3, 10, 2), (4, 14, 2), (5, 14, 3))
+            for kind in ("box", "interval", "network")
+            for seed in range(seeds)]
+
+
+class SolveSpy:
+    """What one solve asks of its bases, recorded as it runs.
+
+    - factorizations: (scope, basis) -> how often factor_basis ran, scope
+      being ("phase1", k) inside the k-th phase1_vertex call, ("walk", k)
+      inside the k-th walk level, and None elsewhere;
+    - det_calls: how often np.linalg.det ran;
+    - pivots: (caller, program, vertex, leaving, result) for each
+      pivot_across_facet call phase 1 ("simplex", through bland_simplex)
+      and the walk ("walk") make, result being the Vertex or the type of
+      the error raised;
+    - cone_tests: (program, basis, w, inside) for each cone_membership call
+      made with the factors of a memo (phase 1's cone tests);
+    - caches: every _WalkCache the solve built.
+    """
+
+    def __init__(self, lp: LinearProgram, seed: int):
+        self.factorizations: Counter = Counter()
+        self.det_calls = 0
+        self.pivots: list[tuple] = []
+        self.cone_tests: list[tuple] = []
+        self.caches: list = []
+        scope, serial = [None], count()
+
+        def scoped(name, fn):
+            def run(*args, **kwargs):
+                outer, scope[0] = scope[0], (name, next(serial))
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    scope[0] = outer
+            return run
+
+        def det(*args, real=np.linalg.det):
+            self.det_calls += 1
+            return real(*args)
+
+        def cone(prog, basis, w, real=simplex_module.cone_membership, **kw):
+            res = real(prog, basis, w, **kw)
+            if kw:
+                self.cone_tests.append((prog, basis, np.array(w), res.inside))
+            return res
+
+        def cache(prog, real=reduction_module._WalkCache):
+            self.caches.append(real(prog))
+            return self.caches[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(phase1_module, "phase1_vertex",
+                       scoped("phase1", phase1_module.phase1_vertex))
+            mp.setattr(reduction_module, "_walk_level",
+                       scoped("walk", reduction_module._walk_level))
+            mp.setattr(np.linalg, "det", det)
+            mp.setattr(simplex_module, "cone_membership", cone)
+            mp.setattr(reduction_module, "_WalkCache", cache)
+            for module in (simplex_module, walk_module):
+                def factor(prog, basis, real=module.factor_basis):
+                    self.factorizations[scope[0], tuple(basis)] += 1
+                    return real(prog, basis)
+
+                def pivot(prog, v, leaving, real=module.pivot_across_facet,
+                          caller=module.__name__.rsplit(".", 1)[1], **kw):
+                    try:
+                        out = real(prog, v, leaving, **kw)
+                    except ConewalkError as exc:
+                        self.pivots.append((caller, prog, v, leaving,
+                                            type(exc)))
+                        raise
+                    self.pivots.append((caller, prog, v, leaving, out))
+                    return out
+                mp.setattr(module, "factor_basis", factor)
+                mp.setattr(module, "pivot_across_facet", pivot)
+            try:
+                reduction_module.solve(lp, WalkConfig(seed=seed))
+            except ConewalkError:
+                pass
+
+
+def same_pivot(prog, v, leaving, result):
+    """Does the standalone pivot give result: the same Vertex, bit for bit,
+    or the same error type?"""
+    if isinstance(result, type):
+        with pytest.raises(result):
+            simplex_module.pivot_across_facet(prog, v, leaving)
+        return True
+    ref = simplex_module.pivot_across_facet(prog, v, leaving)
+    return (ref.basis == result.basis
+            and ref.point.tobytes() == result.point.tobytes())
+
+
+@pytest.fixture(scope="session")
+def solve_spies() -> list[SolveSpy]:
+    return [SolveSpy(lp, seed) for lp, seed in factor_instances()]
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conewalk.errors import Infeasible, TooLarge, Unbounded
-from conewalk.geometry import det_abs
+from conewalk.errors import Infeasible, RankDeficient, TooLarge, Unbounded
+from conewalk.geometry import det_abs, dist_to_span
 from conewalk.lp import (
     DeltaCertificate,
     DeltaMethod,
@@ -28,9 +28,10 @@ from conewalk.phase1 import (
     solve_bounded,
 )
 from conewalk.reduction import solve
+from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
-from conftest import bounded_random_lp, rotate_instance
+from conftest import bounded_random_lp, random_rotation, rotate_instance
 
 # A certificate far below the square's true separation of 1: the closed-form
 # radius is then 2001, against a largest basic-point norm of sqrt(2).
@@ -42,7 +43,66 @@ def _largest_basic_norm(nlp):
                for _, x in _all_basic_points(nlp, ENUMERATION_LIMIT))
 
 
+def greedy_independent_rows(lp):
+    """The former rule, kept as the reference: each row's dist_to_span over
+    the rows chosen so far, which rebuilds their orthonormal basis."""
+    chosen = []
+    for i in range(lp.m):
+        if dist_to_span(lp.A[i], lp.A[chosen] if chosen else []) > SPAN_TOL:
+            chosen.append(i)
+            if len(chosen) == lp.n:
+                return tuple(chosen)
+    raise RankDeficient("fewer than n independent rows")
+
+
+def near_span_lp(n, seed):
+    """Rows whose residual to the span of the rows before lies within a
+    factor of 2 of SPAN_TOL, on both sides of it, then n generic rows.
+
+    Returns the program, the position of the first such row and its
+    residual.
+    """
+    rng = np.random.default_rng(seed)
+    q = random_rotation(n, rng)  # rows: an orthonormal basis of R^n
+    k = int(rng.integers(1, n))  # the first k rows of q span S
+    rows = list(q[:k])
+    eps = SPAN_TOL * 2.0 ** rng.uniform(-1.0, 1.0, size=3)
+    for e in eps:
+        # a unit vector of S plus e times a unit normal to S: its norm is
+        # 1 within an ulp, and its distance to S is e
+        s = rng.standard_normal(k) @ q[:k]
+        rows.append(s / np.linalg.norm(s) + e * q[k])
+    rows += list(q[rng.permutation(n)])
+    A = np.array(rows)
+    return NormalizedLP(A=A, b=np.ones(len(A)), c=q[0]), k, eps[0]
+
+
 class TestFindIndependentRows:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_greedy_reference_near_the_span_tolerance(self, n):
+        taken = skipped = 0
+        for seed in range(40):
+            lp, first, eps = near_span_lp(n, seed)
+            rows = find_independent_rows(lp)
+            assert rows == greedy_independent_rows(lp)
+            # the first near row is decided by the residual built in
+            assert (first in rows) == (eps > SPAN_TOL)
+            taken += first in rows
+            skipped += first not in rows
+        assert taken and skipped
+
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    def test_matches_the_greedy_reference_with_parallel_rows(self, kind):
+        for seed in range(8):
+            base = tu_instance_generator(kind, 4, 12, seed)
+            # box rows negate each other; padding repeats directions
+            for lp in (base, pad_redundant(base, 30, seed)):
+                A = np.vstack([-lp.A[::-1], lp.A])
+                for prog in (normalize(lp), normalize(LinearProgram(
+                        A=A, b=np.ones(len(A)), c=lp.c))):
+                    assert find_independent_rows(prog) == \
+                        greedy_independent_rows(prog)
+
     def test_square(self, unit_square):
         assert find_independent_rows(unit_square) == (0, 1)
 
@@ -194,11 +254,11 @@ class TestPhase1Vertex:
         regions = []
         real = phase1_module.bland_simplex
 
-        def checked(region, start, objective):
+        def checked(region, start, objective, **factors):
             # the public constructor re-runs every check the region skipped
             NormalizedLP(A=region.A, b=region.b, c=region.c)
             regions.append(region)
-            return real(region, start, objective)
+            return real(region, start, objective, **factors)
 
         monkeypatch.setattr(phase1_module, "bland_simplex", checked)
         lp = pad_redundant(tu_instance_generator("network", 4, 14, 11), 30, 11)

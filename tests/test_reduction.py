@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import conewalk
-from conewalk.errors import Infeasible, ObjectiveVanishes, TooLarge, Unbounded
+from conewalk.errors import (
+    DegeneratePivot,
+    Infeasible,
+    ObjectiveVanishes,
+    TooLarge,
+    Unbounded,
+)
 from conewalk.lp import (
     LinearProgram,
     delta_bruteforce,
@@ -315,6 +321,41 @@ class TestSolve:
         assert rep.basis == (0,)
         np.testing.assert_allclose(rep.x, [3.0])
         assert rep.value == pytest.approx(6.0)
+
+
+def _network(n, m, gen_seed):
+    return tu_instance_generator("network", n, m, gen_seed)
+
+
+# Solves a ratio-test tie still ends: (program, its region for the oracle,
+# solve seed, the facet the tied pivot leaves).  A lexicographic ratio test
+# should solve every one.
+DEGENERATE_SOLVES = [
+    pytest.param(_network(4, 16, 145401439), None, 1710842164, 12,
+                 id="network-n4-m16-gen145401439-solve1710842164"),
+    pytest.param(_network(4, 18, 1692237961), None, 786869279, 12,
+                 id="network-n4-m18-gen1692237961-solve786869279"),
+    pytest.param(_network(4, 20, 750225238), None, 272275497, 22,
+                 id="network-n4-m20-gen750225238-solve272275497"),
+    pytest.param(pad_redundant(_network(3, 12, 174693283), 42, 174693283),
+                 _network(3, 12, 174693283), 668160086, 11,
+                 id="padded-network-n3-m12-gen174693283-solve668160086"),
+]
+
+
+class TestKnownDegeneratePivots:
+    @pytest.mark.xfail(strict=True, raises=DegeneratePivot,
+                       reason="ratio-test tie; needs a lexicographic rule")
+    @pytest.mark.parametrize("lp, region, seed, facet", DEGENERATE_SOLVES)
+    def test_solves_to_the_oracle_optimum(self, lp, region, seed, facet):
+        try:
+            rep = solve(lp, WalkConfig(seed=seed))
+        except DegeneratePivot as exc:
+            # the same tie as before: another one fails the test
+            assert str(exc) == f"ratio-test tie leaving facet {facet}"
+            raise
+        best = enumerate_vertices(normalize(region or lp)).optimal_point
+        assert rep.value == pytest.approx(float(lp.c @ best), abs=1e-6)
 
 
 class TestIdentifyAndRecurse:

@@ -28,7 +28,7 @@ from conewalk.simplex import (
 from conewalk.tolerances import RATIO_TOL
 from conewalk.walk import WalkConfig
 
-from conftest import SQRT2, bounded_random_lp
+from conftest import SQRT2, bounded_random_lp, same_pivot
 
 
 def running_min_pivot(lp, v, leaving):
@@ -87,9 +87,9 @@ def pivoted_vertices(lp, seed):
         for module, source in ((simplex_module, "phase1"),
                                (walk_module, "walk")):
             def recording(prog, v, leaving, inner=module.pivot_across_facet,
-                          source=source):
+                          source=source, **factors):
                 seen.setdefault((id(prog), v.basis), (prog, v, source))
-                return inner(prog, v, leaving)
+                return inner(prog, v, leaving, **factors)
             mp.setattr(module, "pivot_across_facet", recording)
         mp.setattr(reduction_module, "MAX_RETRIES", 0)
         try:
@@ -299,3 +299,29 @@ class TestRatioTestRule:
         assert running_min_pivot(lp, v, 2).basis == (1, 5)
         with pytest.raises(DegeneratePivot):
             running_min_pivot(near_tie_square((1.2e-9, 6e-10)), v, 2)
+
+
+class TestFactorMemo:
+    """phase1_vertex factors each basis once, and what bland_simplex reads
+    from the memo is what the standalone functions compute afresh."""
+
+    def test_each_basis_is_factored_once_per_phase1_vertex(self, solve_spies):
+        bases = 0
+        for spy in solve_spies:
+            for (scope, basis), times in spy.factorizations.items():
+                if scope is not None and scope[0] == "phase1":
+                    assert times == 1, (scope, basis, times)
+                    bases += 1
+        assert bases > 2 * len(solve_spies)  # phase 1 pivoted
+
+    def test_memo_answers_equal_the_standalone_functions(self, solve_spies):
+        pivots = cone_tests = 0
+        for spy in solve_spies:
+            for caller, prog, v, leaving, result in spy.pivots:
+                if caller == "simplex":
+                    assert same_pivot(prog, v, leaving, result)
+                    pivots += 1
+            for prog, basis, w, inside in spy.cone_tests:
+                assert cone_membership(prog, basis, w).inside == inside
+                cone_tests += 1
+        assert pivots > 0 and cone_tests > pivots

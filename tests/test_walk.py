@@ -11,7 +11,7 @@ from conewalk.errors import TooLarge
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
-from conewalk.simplex import vertex_of_basis
+from conewalk.simplex import cone_membership, vertex_of_basis
 from conewalk.walk import (
     Parallelepiped,
     WalkConfig,
@@ -29,7 +29,7 @@ from conewalk.walk import (
     step,
 )
 
-from conftest import SQRT2, bounded_random_lp, rotate_instance
+from conftest import SQRT2, bounded_random_lp, rotate_instance, same_pivot
 
 
 class QueuedRng:
@@ -564,3 +564,34 @@ class TestDefaults:
             default_steps(0, 1.0)
         with pytest.raises(ValueError):
             default_steps(2, 0.0)
+
+
+class TestBasisRecords:
+    """A walk level factors each basis once, through its _BasisRecord, and
+    the record's answers are the standalone functions'."""
+
+    def test_each_basis_is_factored_once_per_level_without_det(
+            self, solve_spies):
+        bases = 0
+        for spy in solve_spies:
+            assert spy.det_calls == 0
+            for (scope, basis), times in spy.factorizations.items():
+                if scope is not None and scope[0] == "walk":
+                    assert times == 1, (scope, basis, times)
+                    bases += 1
+        assert bases > len(solve_spies)  # the walks pivoted
+
+    def test_records_equal_the_standalone_functions(self, solve_spies):
+        records = pivots = 0
+        for spy in solve_spies:
+            for cache in spy.caches:
+                lp = cache.lp
+                for basis, rec in cache.records.items():
+                    assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
+                    assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
+                    records += 1
+            for caller, prog, v, leaving, result in spy.pivots:
+                if caller == "walk":
+                    assert same_pivot(prog, v, leaving, result)
+                    pivots += 1
+        assert records > len(solve_spies) and pivots > 0

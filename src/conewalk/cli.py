@@ -272,10 +272,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", default=None,
                    type=_checked(int, _non_negative, "a non-negative integer",
                                  auto=True),
-                   help="walk budget of one attempt at each level, inside "
-                        f"which the walk restarts; {MAX_RETRIES + 1} failed "
-                        "attempts at a level raise RetriesExhausted "
-                        "(default: auto)")
+                   help="walk budget of one attempt, inside which the "
+                        f"walk restarts; {MAX_RETRIES + 1} failed attempts "
+                        "raise RetriesExhausted (default: auto)")
     p.add_argument("--alpha", default=None,
                    type=_checked(float, _positive, "a positive number",
                                  auto=True),
@@ -300,11 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "walk); lazy steps have "
                               "log_weight_proposal null; basis positions "
                               "are 0-based in the program the walk runs "
-                              "on, at the first level the kept rows (the "
-                              "tightest of each direction, in the order "
-                              "the directions first occur) "
-                              "and then the box rows; tracing never "
-                              "changes the walk")
+                              "on: the kept rows (the tightest of each "
+                              "direction, in the order the directions "
+                              "first occur) and then the box rows; "
+                              "tracing never changes the walk")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

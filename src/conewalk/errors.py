@@ -70,7 +70,7 @@ class ObjectiveVanishes(ConewalkError):
 
 
 class RetriesExhausted(ConewalkError):
-    """Every walk attempt at some level of the reduction loop failed."""
+    """Every full-budget walk attempt ended outside the optimal cone."""
 
 
 class Infeasible(ConewalkError):

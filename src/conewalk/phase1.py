@@ -14,15 +14,19 @@ unboundedness.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
-from .geometry import LU, residual, solve_square
+from .geometry import LU, lu_solve, residual, solve_square
 from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
 from .simplex import Basis, Vertex, bland_simplex, vertex_of_basis
 from .tolerances import SPAN_TOL
 from .walk import WalkConfig
+
+if TYPE_CHECKING:
+    from .reduction import LevelStats
 
 
 def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
@@ -150,27 +154,35 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
 
 def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
                   start: Vertex, delta: float,
-                  ) -> tuple[tuple[int, ...], np.ndarray, tuple]:
-    """Run the level loop on the boxed program and strip the box again.
+                  ) -> tuple[tuple[int, ...], np.ndarray, LevelStats]:
+    """Walk the boxed program to its optimum and strip the box again.
 
-    The walk runs at the given delta, which the box rows keep.  Returns the
-    sorted basis positions in the original rows, the optimum x solved from
-    them, and the per-level stats.  The first box row that lies in the basis
-    or is tight at x certifies unboundedness.  Contact is judged at the
+    The Las Vegas walk runs at the given delta, which the box rows keep; a
+    1-D program is solved directly instead.  Returns the sorted basis
+    positions in the original rows, the optimum x, and the walk's stats.
+    x is solved from the factors of the walk's final basis, which the walk
+    already holds.  The first box row that lies in the basis or is tight at
+    x certifies unboundedness.  Contact is judged at the
     input's tolerance, as in phase1_vertex; degenerate contact counts too.
     No input row can hide a tight box row: a basis without box rows gives
     a basic point of the input, and certified_radius leaves every box row
     slack there by more than that tolerance.
     """
     # Lazy: reduction imports phase1; perfbench's patch points pin the split.
-    from .reduction import _solve_levels
+    from .reduction import LevelStats, _las_vegas_walk, _solve_direct_1d
 
-    basis, levels = _solve_levels(boxed, delta, cfg, start)
-    x = solve_square(boxed.A[list(basis)], boxed.b[list(basis)])
+    if boxed.n == 1:
+        basis = _solve_direct_1d(boxed)
+        x = solve_square(boxed.A[list(basis)], boxed.b[list(basis)])
+        stats = LevelStats(n=1, stopped_with_c_in_cone=True)
+    else:
+        rec, stats = _las_vegas_walk(boxed, delta, cfg, start)
+        basis = rec.basis
+        x = lu_solve(rec.lu, boxed.b[list(basis)])
     ftol = lp.feas_tol()
     for p in range(lp.m, boxed.m):
         if p in basis or abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
             raise Unbounded(
                 "optimum of the boxed system lies on the artificial box",
                 box_row=p - lp.m)
-    return basis, x, levels
+    return basis, x, stats

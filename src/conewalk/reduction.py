@@ -1,15 +1,18 @@
-"""Dimension reduction around a fixed optimal row, and the solver's level loop.
+"""The solver, its Las Vegas walk, and dimension reduction as library code.
 
-Once one row of the optimal basis is certified, its constraint is set to
-equality: coordinates rotate so the fixed row becomes the first unit vector,
-the first variable is substituted away, and the remaining rows are projected
-and rescaled to unit length.  The solver loops on the (n-1)-dimensional
-instance until the walk identifies a whole basis at once or a single
-dimension remains: at most n rounds.
+solve normalizes, keeps the tightest row of each direction
+(lp.tightest_rows), certifies the row separation, boxes the program, finds
+a start vertex by phase 1 and runs one Las Vegas walk to an optimal basis,
+which it certifies against every input row.
 
-One rule, lp.tightest_rows, keeps only the tightest row of each direction:
-solve applies it to the normalized input before phase 1, and reduce_lp to
-the projected rows of every level.
+reduce_lp is the paper's reduction step: once one row of the optimal basis
+is certified (identify.extract_element), its constraint is set to
+equality, coordinates rotate so the fixed row becomes the first unit
+vector, the first variable is substituted away, and the remaining rows are
+projected and rescaled to unit length.  solve does not call it: at the
+paper's constants a full-budget walk cannot reach the verification ball
+that would certify the row (README, "How it works", step 5).  It merges
+the projected rows by the rule solve applies to the input.
 """
 from __future__ import annotations
 
@@ -23,13 +26,14 @@ from .errors import (
     ConewalkError,
     DegeneratePivot,
     Infeasible,
-    NoLargeCoefficient,
     ObjectiveVanishes,
     RetriesExhausted,
     UnboundedLP,
 )
 from .geometry import rotation_to_e1
-from .identify import extract_element, verify_problem1
+# Not called here: bound so that the spans perfbench/tracing.py PATCH_POINTS
+# names on this module keep resolving.
+from .identify import extract_element, verify_problem1  # noqa: F401
 from .lp import (
     DeltaCertificate,
     LinearProgram,
@@ -42,9 +46,9 @@ from .lp import (
 )
 from .simplex import Vertex, cone_membership, vertex_of_basis
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, WalkOutcome, _WalkCache, default_alpha, run_walk
+from .walk import WalkConfig, _BasisRecord, _WalkCache, default_alpha, run_walk
 
-MAX_RETRIES = 10  # failed full-budget attempts per level after the first
+MAX_RETRIES = 10  # failed full-budget attempts after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
 
 
@@ -128,10 +132,10 @@ def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,
 
 @dataclass
 class LevelStats:
-    """Walk statistics for one level of the reduction loop.
+    """Statistics of the solve's Las Vegas walk.
 
-    The counters sum over every walk the level started: each attempt runs
-    as restarts (terms), and all of them count.  A term that ends on a
+    The counters sum over every walk it started: each attempt runs as
+    restarts (terms), and all of them count.  A term that ends on a
     DegeneratePivot counts in degenerate_ends and adds the steps it
     completed; the step whose pivot tied wrote no trace record and is not
     counted, so accepted + rejected + lazy == steps_taken still holds.
@@ -146,13 +150,16 @@ class LevelStats:
     lazy_stays: int = 0
     terms: int = 0                 # walks started
     degenerate_ends: int = 0       # short terms ended on DegeneratePivot
-    stopped_with_c_in_cone: bool = False  # the level's last walk did
-    fixed_row: int | None = None   # input position of the row fixed next
+    stopped_with_c_in_cone: bool = False  # the last walk did
 
 
 @dataclass
 class SolveReport:
-    """Self-certifying solve result over the input program's rows."""
+    """Self-certifying solve result over the input program's rows.
+
+    levels holds one LevelStats, the walk's (a 1-D program is solved
+    directly, with no walk), and steps_per_level its step count.
+    """
 
     basis: tuple[int, ...]           # row positions in the input program
     x: np.ndarray
@@ -168,7 +175,7 @@ class SolveReport:
 
 
 def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
-    """One variable left: the tight constraint maximizing c is the basis."""
+    """One variable: the tight constraint maximizing c is the basis."""
     direction = 1.0 if lp.c[0] > 0 else -1.0
     candidates = [i for i in range(lp.m) if lp.A[i, 0] * direction > 0.5]
     if not candidates:
@@ -176,39 +183,38 @@ def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
     best = min(candidates, key=lambda i: lp.b[i])
     x = np.array([direction * lp.b[best]])
     if not lp.is_feasible(x):
-        raise ConewalkError("one-dimensional instance is infeasible; the "
-                            "reduction chain produced an empty face")
+        raise ConewalkError("one-dimensional instance is infeasible")
     return (best,)
 
 
-def _walk_level(lp: NormalizedLP, delta: float, cfg: WalkConfig,
-                start: Vertex, level: int,
-                ) -> tuple[WalkOutcome, int | None, LevelStats]:
-    """Walk one level: the last walk's outcome, the lp row it identifies
-    (None when it stopped with c in the cone), and the level's stats.
+def _las_vegas_walk(lp: NormalizedLP, delta: float, cfg: WalkConfig,
+                    start: Vertex) -> tuple[_BasisRecord, LevelStats]:
+    """Walk lp from start to an optimal basis: the basis's _BasisRecord,
+    whose LU factors give the vertex, and the walk's stats.
 
     An attempt is a series of terms on Luby's schedule: term t walks
     min(RESTART_UNIT * luby(t), budget) steps from start on
-    SeedSequence([cfg.seed, level, retry, t]), budget being the resolved
+    SeedSequence([cfg.seed, 0, retry, t]), budget being the resolved
     cfg.steps.  The in-cone stop is an exact optimality certificate, so a
     restart only costs work, and a short term (fewer steps than the budget)
     may follow any weight: it walks f_beta with beta = n^2, the paper's
     weight on cells of edge 1, which pulls it toward alpha*c (walk module
     docstring).  The series ends at the first term that stops in the cone
     or runs the whole budget; only that full-budget term is a paper
-    attempt: it walks the paper's weight (beta = 1) and alpha, it is
-    verified, and MAX_RETRIES + 1 failed ones raise RetriesExhausted.  A
-    short term that ends on a DegeneratePivot is restarted like any other;
-    a full-budget one raises.
+    attempt, walking the paper's weight (beta = 1) and alpha.  One that
+    ends outside the cone has failed, and MAX_RETRIES + 1 failed ones raise
+    RetriesExhausted.  A short term that ends on a DegeneratePivot is
+    restarted like any other; a full-budget one raises.
     """
-    walk_cfg = cfg.resolved(lp.n, delta)  # once per level: warns once
-    cache = _WalkCache(lp)  # shared by every walk at this level
+    walk_cfg = cfg.resolved(lp.n, delta)  # once per solve: warns once
+    cache = _WalkCache(lp)  # shared by every walk of the solve
     stats = LevelStats(n=lp.n)
     for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
         for term in count(1):
             steps = min(RESTART_UNIT * luby(term), walk_cfg.steps)
-            seed = np.random.SeedSequence([cfg.seed, level, retry, term])
+            # the constant 0 keeps each seed's stream, and the golden reports
+            seed = np.random.SeedSequence([cfg.seed, 0, retry, term])
             full = steps == walk_cfg.steps  # the paper's attempt
             stats.terms += 1
             try:
@@ -227,60 +233,13 @@ def _walk_level(lp: NormalizedLP, delta: float, cfg: WalkConfig,
             stats.lazy_stays += outcome.lazy_stays
             stats.stopped_with_c_in_cone = outcome.stopped_with_c_in_cone
             if outcome.stopped_with_c_in_cone:
-                return outcome, None, stats
+                return cache.record(outcome.final.basis), stats
             if full:
                 break
 
-        if not verify_problem1(lp, outcome.final.basis, outcome.c_prime, delta):
-            continue
-        try:
-            element = extract_element(lp, outcome.final.basis,
-                                      outcome.c_prime, delta)
-        except NoLargeCoefficient:
-            continue  # tolerance breach; treat as a failed attempt
-        return outcome, element.row, stats
-
     raise RetriesExhausted(
-        f"walk failed verification {MAX_RETRIES + 1} times at level {level} "
-        f"(n={lp.n})")
-
-
-def _solve_levels(lp: NormalizedLP, delta: float, cfg: WalkConfig,
-                  start: Vertex,
-                  ) -> tuple[tuple[int, ...], tuple[LevelStats, ...]]:
-    """The paper's loop: the sorted optimal-basis row positions of lp, and
-    the stats of every level, top first.
-
-    Each round walks the current level.  A walk that stops with c in the
-    cone completes the basis; otherwise the identified row is fixed and the
-    program reduced one dimension.  Every level walks at the given delta:
-    reduce_lp never lowers the separation, so lp's delta holds at every
-    level and is certified once, by the caller.  One dimension left is
-    solved directly.  top maps the current level's rows to lp's positions.
-    """
-    top = tuple(range(lp.m))
-    fixed: list[int] = []
-    levels: list[LevelStats] = []
-    while lp.n > 1:
-        outcome, row, stats = _walk_level(lp, delta, cfg, start, len(levels))
-        levels.append(stats)
-        if row is None:
-            basis = outcome.final.basis
-            break
-        stats.fixed_row = top[row]
-        try:
-            lp, start, index_map = reduce_lp(lp, row, outcome.current_vertex)
-        except ObjectiveVanishes:
-            # c is parallel to the fixed row: the whole face is optimal,
-            # so the current vertex's tight rows already form a basis.
-            basis = outcome.current_vertex.basis
-            break
-        fixed.append(top[row])
-        top = tuple(top[p] for p in index_map)
-    else:
-        basis = _solve_direct_1d(lp)
-        levels.append(LevelStats(n=1, stopped_with_c_in_cone=True))
-    return tuple(sorted(fixed + [top[p] for p in basis])), tuple(levels)
+        f"{MAX_RETRIES + 1} full-budget walk attempts ended outside the "
+        f"optimal cone (n={lp.n})")
 
 
 def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
@@ -292,17 +251,16 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     on the kept rows, the walked program: it certifies the row
     separation once (brute force unless supplied), finds an initial vertex
     or a certified infeasibility, reduces to a bounded instance via an
-    enclosing box, and runs the walk-driven level loop, every level at
-    that delta, which SolveReport.delta reports.  The box radius
-    comes in closed form from the certified delta; a bare float delta
-    drives the walk but is certified by brute force before it may size
-    the box.  Reported positions (basis, the Infeasible witness,
-    LevelStats.fixed_row) are input positions, and the optimum is
-    certified against every input row.  Raises Infeasible or Unbounded
-    with certificates, RetriesExhausted if MAX_RETRIES + 1 walk attempts
-    at some level fail, and TooLarge if delta is too small for a finite box
-    radius or walk parameters.  A delta outside (0, 1] raises ValueError
-    before any work.
+    enclosing box, and runs one Las Vegas walk at that delta, which
+    SolveReport.delta reports.  The box radius comes in closed form from
+    the certified delta; a bare float delta drives the walk but is
+    certified by brute force before it may size the box.  Reported
+    positions (basis and the Infeasible witness) are input positions, and
+    the optimum is certified against every input row.  Raises Infeasible
+    or Unbounded with certificates, RetriesExhausted if MAX_RETRIES + 1
+    full-budget walk attempts fail, and TooLarge if delta is too small for
+    a finite box radius or walk parameters.  A delta outside (0, 1] raises
+    ValueError before any work.
     """
     if delta is not None and not 0.0 < delta_value_and_method(delta)[0] <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
@@ -325,12 +283,9 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     except Infeasible as exc:
         row = int(kept[exc.iteration - 1])
         raise phase1.infeasibility(row, exc.value, float(nlp.b[row])) from None
-    basis, x, levels = phase1.solve_bounded(walked, boxed, cfg, start,
-                                            delta_value)
+    basis, x, stats = phase1.solve_bounded(walked, boxed, cfg, start,
+                                           delta_value)
     basis = tuple(sorted(int(kept[p]) for p in basis))
-    for stats in levels:  # no box row is fixed once solve_bounded returns
-        if stats.fixed_row is not None:
-            stats.fixed_row = int(kept[stats.fixed_row])
 
     if not nlp.is_feasible(x):
         raise ConewalkError("reconstructed optimum is infeasible")
@@ -345,9 +300,9 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         delta_method=delta_method,
         alpha=cfg.alpha if cfg.alpha is not None
         else default_alpha(nlp.n, delta_value),
-        steps_per_level=tuple(s.steps_taken for s in levels),
-        pivots=sum(s.pivots for s in levels),
-        retries=sum(s.retries for s in levels),
+        steps_per_level=(stats.steps_taken,),
+        pivots=stats.pivots,
+        retries=stats.retries,
         seed=cfg.seed,
-        levels=levels,
+        levels=(stats,),
     )

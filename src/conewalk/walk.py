@@ -8,7 +8,11 @@ between facet-adjacent cells, weighting a cell P by
 
 with z_P the cell center.  Crossing a cone facet is a simplex pivot, so the
 walk drives the vertex bookkeeping for free.  As soon as the objective lies
-in the current cone, the current basis is optimal and the walk stops.
+in the current cone, the current basis is optimal and the walk stops.  A
+walk that runs out of steps first returns its scaled center
+c' = z_P/alpha (WalkOutcome.c_prime), the input of the paper's
+identification step (conewalk.identify); solve does not run that step and
+counts such a walk as a failed attempt.
 
 step() and run_walk share one arithmetic at every n: a center is taken by
 _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled

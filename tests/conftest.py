@@ -87,7 +87,7 @@ class SolveSpy:
 
     - factorizations: (scope, basis) -> how often factor_basis ran, scope
       being ("phase1", k) inside the k-th phase1_vertex call, ("walk", k)
-      inside the k-th walk level, and None elsewhere;
+      inside the k-th Las Vegas walk, and None elsewhere;
     - det_calls: how often np.linalg.det ran;
     - pivots: (caller, program, vertex, leaving, result) for each
       pivot_across_facet call phase 1 ("simplex", through bland_simplex)
@@ -132,8 +132,8 @@ class SolveSpy:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(phase1_module, "phase1_vertex",
                        scoped("phase1", phase1_module.phase1_vertex))
-            mp.setattr(reduction_module, "_walk_level",
-                       scoped("walk", reduction_module._walk_level))
+            mp.setattr(reduction_module, "_las_vegas_walk",
+                       scoped("walk", reduction_module._las_vegas_walk))
             mp.setattr(np.linalg, "det", det)
             mp.setattr(simplex_module, "cone_membership", cone)
             mp.setattr(reduction_module, "_WalkCache", cache)

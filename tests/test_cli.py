@@ -468,7 +468,8 @@ class TestWalkStatsCommand:
 
         def failing_on_seed_1(lp, cfg, **kwargs):
             if cfg.seed == 1:
-                raise RetriesExhausted("walk failed verification 3 times")
+                raise RetriesExhausted("3 full-budget walk attempts ended "
+                                       "outside the optimal cone")
             return original(lp, cfg, **kwargs)
 
         monkeypatch.setattr(cli_module, "solve", failing_on_seed_1)
@@ -478,8 +479,8 @@ class TestWalkStatsCommand:
         inst = json.loads(out)["instances"][0]
         failed = inst["per_seed"][1]
         assert failed == {"seed": 1, "status": "error",
-                          "error": "RetriesExhausted: walk failed "
-                                   "verification 3 times",
+                          "error": "RetriesExhausted: 3 full-budget walk "
+                                   "attempts ended outside the optimal cone",
                           "pivots": None, "retries": None}
         solved = [r for r in inst["per_seed"] if r["status"] == "optimal"]
         assert [r["seed"] for r in solved] == [0, 2]

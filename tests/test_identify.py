@@ -9,8 +9,9 @@ from conewalk.identify import (
 )
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import check_lemma4, enumerate_vertices
-from conewalk.simplex import vertex_of_basis
-from conewalk.walk import WalkConfig, run_walk
+from conewalk.reduction import _solve_direct_1d, reduce_lp
+from conewalk.simplex import cone_membership, vertex_of_basis
+from conewalk.walk import Parallelepiped, WalkConfig, center, run_walk
 
 from conftest import SQRT2, bounded_random_lp
 
@@ -101,6 +102,36 @@ class TestExtractElement:
                 assert set(elem.qualifying) <= true_basis
                 checked += 1
         assert checked >= 100
+
+
+class TestIdentifyThenReduce:
+    """The paper's identification step run by hand on a synthetic walk
+    outcome: verify, extract one row, fix it, and solve the 1-D rest.
+    solve runs none of it; these are library entry points."""
+
+    def test_synthetic_cell_completes_the_optimal_basis(self):
+        eps = 0.05
+        c = np.array([1.0, eps]) / np.hypot(1.0, eps)
+        lp = normalize(LinearProgram(
+            A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            b=[1.0, 1.0, 0.0, 0.0], c=c))
+        start = vertex_of_basis(lp, (0, 3))  # the corner (1, 0)
+
+        # cell (127, 0) of the cone of rows {e1, -e2}: its center over
+        # alpha = 32 is 0.054 away from c, inside the delta/(2n) = 1/4 ball,
+        # while c itself lies in the adjacent cone of rows {e1, e2}
+        cell = Parallelepiped(basis=(0, 3), index=(127, 0))
+        c_prime = center(lp, cell) / 32.0
+        assert verify_problem1(lp, cell.basis, c_prime, 1.0)
+        elem = extract_element(lp, cell.basis, c_prime, 1.0)
+        assert elem.row == 0
+
+        reduced, _, index_map = reduce_lp(lp, elem.row, start)
+        assert reduced.n == 1
+        (p,) = _solve_direct_1d(reduced)
+        basis = tuple(sorted([elem.row, index_map[p]]))
+        assert basis == (0, 1)  # the true optimal basis for c
+        assert cone_membership(lp, basis, lp.c).inside
 
 
 class TestCheckLemma4:

@@ -384,3 +384,44 @@ class TestSolveBoundedViaSolve:
                            b=[0.0, 1.0, 0.0], c=[1.0, 0.0])
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=0), delta=LOOSE)
+
+    @staticmethod
+    def factorizations_outside_the_walk(monkeypatch, lp):
+        """Run solve_bounded on lp's boxed program; return how often
+        lu_factor ran outside run_walk, and how many walks ran."""
+        import conewalk.geometry as geometry_module
+        import conewalk.reduction as reduction_module
+        import conewalk.simplex as simplex_module
+
+        nlp = normalize(lp)
+        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+        start = phase1_vertex(nlp, boxed)
+        walking, outside, walks = [False], [], []
+
+        def walk(*args, real=reduction_module.run_walk, **kwargs):
+            walking[0] = True
+            walks.append(1)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                walking[0] = False
+
+        for module in (geometry_module, simplex_module):
+            def factor(matrix, real=module.lu_factor):
+                if not walking[0]:
+                    outside.append(1)
+                return real(matrix)
+            monkeypatch.setattr(module, "lu_factor", factor)
+        monkeypatch.setattr(reduction_module, "run_walk", walk)
+        solve_bounded(nlp, boxed, WalkConfig(seed=0), start,
+                      delta_bruteforce(nlp).delta)
+        return len(outside), len(walks)
+
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_x_comes_from_the_walks_factors(self, monkeypatch, kind, seed):
+        # the walk factored its final basis; x is solved with those factors
+        lp = tu_instance_generator(kind, 3, 9, seed)
+        outside, walks = self.factorizations_outside_the_walk(monkeypatch, lp)
+        assert walks > 0
+        assert outside == 0

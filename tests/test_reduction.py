@@ -30,27 +30,27 @@ from conewalk.walk import WalkConfig
 from conftest import SQRT2, bounded_random_lp
 
 
-def identifying_walk(alpha, calls=None):
-    """A fake run_walk for the identification path.
-
-    It stops in a cell of the start vertex's cone whose center over alpha
-    is the objective up to rounding, so verification passes at once.  The
-    dimension of each walked program is appended to ``calls``.
+def identifying_walk(alpha, outcomes):
+    """A fake run_walk whose every walk ends outside the cone, in a cell of
+    the start vertex's cone whose center over alpha is the objective up to
+    rounding: an outcome verify_problem1 would pass.  Each (walked
+    program, outcome) is appended to ``outcomes``.
     """
     from conewalk.geometry import solve_square
     from conewalk.simplex import basis_matrix
     from conewalk.walk import Parallelepiped, WalkOutcome, center
 
     def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
-        if calls is not None:
-            calls.append(nlp.n)
         basis = start_vertex.basis
         mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
         cell = Parallelepiped(basis=basis, index=tuple(index))
-        return WalkOutcome(final=cell, c_prime=center(nlp, cell) / alpha,
-                           current_vertex=start_vertex,
-                           stopped_with_c_in_cone=False, steps_taken=46)
+        outcome = WalkOutcome(final=cell, c_prime=center(nlp, cell) / alpha,
+                              current_vertex=start_vertex,
+                              stopped_with_c_in_cone=False,
+                              steps_taken=cfg.steps)
+        outcomes.append((nlp, outcome))
+        return outcome
 
     return fake_run_walk
 
@@ -358,141 +358,6 @@ class TestKnownDegeneratePivots:
         assert rep.value == pytest.approx(float(lp.c @ best), abs=1e-6)
 
 
-class TestIdentifyAndRecurse:
-    """The walk-timeout path: verify, extract one row, go one level down.
-
-    Generic instances stop with the objective inside the current cone, so
-    this branch is driven with a synthetic walk outcome: a cell deep in a
-    neighboring cone whose scaled center lands within the verification ball.
-    """
-
-    def test_extraction_recursion_finds_optimum(self, monkeypatch):
-        import conewalk.reduction as reduction_module
-        from conewalk.walk import Parallelepiped, WalkOutcome, center
-
-        eps = 0.05
-        c = np.array([1.0, eps]) / np.hypot(1.0, eps)
-        lp = normalize(LinearProgram(
-            A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-            b=[1.0, 1.0, 0.0, 0.0], c=c))
-        start = vertex_of_basis(lp, (0, 3))  # the corner (1, 0)
-        alpha = 32.0
-
-        # cell (127, 0) of the cone of rows {e1, -e2}: its center over alpha
-        # is 0.054 away from c, inside the delta/(2n) = 1/4 ball, while c
-        # itself lies in the adjacent cone of rows {e1, e2}
-        cell = Parallelepiped(basis=(0, 3), index=(127, 0))
-        fake = WalkOutcome(final=cell, c_prime=center(lp, cell) / alpha,
-                           current_vertex=start, stopped_with_c_in_cone=False,
-                           steps_taken=46, pivots=0, accepted_moves=20,
-                           rejected_moves=16, lazy_stays=10)
-        calls = []
-
-        def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
-            calls.append(nlp.n)
-            return fake
-
-        monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
-        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
-        basis, levels = reduction_module._solve_levels(
-            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start)
-        assert basis == (0, 1)  # the true optimal basis for c
-        assert calls == [2]     # one walk; the 1-d tail is solved directly
-        assert len(levels) == 2
-        assert levels[0].fixed_row == 0
-        assert levels[0].stopped_with_c_in_cone is False
-        assert levels[1].n == 1
-
-    def test_fixed_rows_are_level_0_positions(self, monkeypatch):
-        import conewalk.reduction as reduction_module
-
-        # the unit cube with its lower faces first, so every reduction
-        # shifts the positions of the rows that are fixed after it
-        lp = normalize(LinearProgram(
-            A=np.vstack([-np.eye(3), np.eye(3)]), b=[0, 0, 0, 1, 1, 1],
-            c=[1.0, 0.5, 0.25]))
-        start = vertex_of_basis(lp, (3, 4, 5))  # the corner (1, 1, 1)
-        alpha = 32.0
-        calls = []
-        monkeypatch.setattr(reduction_module, "run_walk",
-                            identifying_walk(alpha, calls))
-        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
-        basis, levels = reduction_module._solve_levels(
-            lp, 1.0, WalkConfig(alpha=alpha, steps=46), start)
-        assert basis == (3, 4, 5)
-        assert calls == [3, 2]  # two reductions; the 1-d tail is direct
-        assert [s.n for s in levels] == [3, 2, 1]
-        fixed = [s.fixed_row for s in levels if s.fixed_row is not None]
-        assert fixed == [3, 4]  # e1 at level 0, then e2 at level 1
-        assert all(0 <= p < lp.m and p in basis for p in fixed)
-
-    def test_levels_walk_at_the_given_delta(self, monkeypatch):
-        import conewalk.reduction as reduction_module
-
-        # the cube run above, which reduces twice: delta is certified by
-        # the caller, once, and every level verifies at it
-        lp = normalize(LinearProgram(
-            A=np.vstack([-np.eye(3), np.eye(3)]), b=[0, 0, 0, 1, 1, 1],
-            c=[1.0, 0.5, 0.25]))
-        certified, verified = [], []
-        monkeypatch.setattr(reduction_module, "run_walk",
-                            identifying_walk(128.0))
-        monkeypatch.setattr(reduction_module, "delta_bruteforce",
-                            lambda *a, **k: certified.append(a) or 1.0)
-        original = reduction_module.verify_problem1
-
-        def verify(nlp, basis, c_prime, delta):
-            verified.append((nlp.n, delta))
-            return original(nlp, basis, c_prime, delta)
-
-        monkeypatch.setattr(reduction_module, "verify_problem1", verify)
-        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
-        basis, levels = reduction_module._solve_levels(
-            lp, 0.75, WalkConfig(alpha=128.0, steps=46),
-            vertex_of_basis(lp, (3, 4, 5)))
-        assert basis == (3, 4, 5)
-        assert [s.n for s in levels] == [3, 2, 1]
-        assert certified == []
-        assert verified == [(3, 0.75), (2, 0.75)]
-
-    def test_fixed_rows_are_input_positions(self, monkeypatch):
-        import conewalk.reduction as reduction_module
-
-        # the unit cube after a slack copy of x <= 1, which solve drops:
-        # every walked position is one less than its input position
-        lp = LinearProgram(A=np.vstack([[1, 0, 0], np.eye(3), -np.eye(3)]),
-                           b=[5, 1, 1, 1, 0, 0, 0], c=[1.0, 0.5, 0.25])
-        alpha = 64.0
-        monkeypatch.setattr(reduction_module, "run_walk",
-                            identifying_walk(alpha))
-        rep = solve(lp, WalkConfig(alpha=alpha, steps=46, seed=0))
-        assert rep.basis == (1, 2, 3)
-        fixed = [s.fixed_row for s in rep.levels if s.fixed_row is not None]
-        assert fixed == [1, 2]  # x <= 1, then y <= 1; walked at 0 and 1
-
-    def test_retries_exhaust_on_persistent_failure(self, monkeypatch,
-                                                   unit_square):
-        import conewalk.reduction as reduction_module
-        from conewalk.errors import RetriesExhausted
-        from conewalk.walk import Parallelepiped, WalkOutcome, center
-
-        start = vertex_of_basis(unit_square, (2, 3))
-        cell = Parallelepiped(basis=(2, 3), index=(0, 0))  # far from alpha*c
-        fake = WalkOutcome(final=cell, c_prime=center(unit_square, cell) / 32,
-                           current_vertex=start, stopped_with_c_in_cone=False,
-                           steps_taken=46)
-        attempts = []
-        monkeypatch.setattr(
-            reduction_module, "run_walk",
-            lambda nlp, cfg, s, _cache=None, _beta=1.0:
-            attempts.append(1) or fake)
-        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 3)
-        with pytest.raises(RetriesExhausted):
-            reduction_module._solve_levels(
-                unit_square, 1.0, WalkConfig(alpha=32.0, steps=46), start)
-        assert len(attempts) == 4  # the first try plus three retries
-
-
 class TestRestarts:
     """Each attempt walks on Luby's schedule, capped at the budget."""
 
@@ -531,10 +396,10 @@ class TestRestarts:
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
         return calls
 
-    def solve_levels(self, monkeypatch, lp, start, steps, max_retries):
+    def walk(self, monkeypatch, lp, start, steps, max_retries):
         import conewalk.reduction as reduction_module
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", max_retries)
-        return reduction_module._solve_levels(
+        return reduction_module._las_vegas_walk(
             lp, 1.0, WalkConfig(alpha=32.0, steps=steps, seed=7), start)
 
     def test_terms_follow_the_schedule_capped_at_the_budget(
@@ -555,17 +420,16 @@ class TestRestarts:
         monkeypatch.setattr(reduction_module, "verify_problem1", spy_verify)
         budget, max_retries = 300, 2
         with pytest.raises(RetriesExhausted):
-            self.solve_levels(monkeypatch, unit_square, start, budget,
-                              max_retries)
+            self.walk(monkeypatch, unit_square, start, budget, max_retries)
 
         # 64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64, 128, 256, 300
         series = [min(RESTART_UNIT * luby(t), budget) for t in range(1, 16)]
         assert series[-1] == budget and budget not in series[:-1]
         assert RESTART_UNIT == 64
         assert [steps for steps, _ in calls] == series * (max_retries + 1)
-        # only the full-budget terms are paper attempts: they alone are
-        # verified, and max_retries + 1 of them exhaust the level
-        assert verified == [budget] * (max_retries + 1)
+        # only the full-budget terms are paper attempts: max_retries + 1 of
+        # them that end outside the cone exhaust the walk, unverified
+        assert verified == []
         entropies = [tuple(seed.entropy) for _, seed in calls]
         assert entropies == [(7, 0, retry, t) for retry in range(max_retries + 1)
                              for t in range(1, 16)]
@@ -578,9 +442,8 @@ class TestRestarts:
         # first attempt fails, the second stops in the cone in its 2nd term
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=5)
-        _, levels = self.solve_levels(monkeypatch, unit_square, start, 100, 3)
+        _, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
         assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
-        (stats,) = levels
         assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
         assert stats.steps_taken == stats.accepted_moves == 356
         assert stats.pivots == 5
@@ -591,11 +454,9 @@ class TestRestarts:
         start = vertex_of_basis(unit_square, (2, 3))
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=3, degenerate_at=(2,))
-        basis, levels = self.solve_levels(monkeypatch, unit_square, start,
-                                          1000, 0)
-        assert basis == start.basis
+        rec, stats = self.walk(monkeypatch, unit_square, start, 1000, 0)
+        assert rec.basis == start.basis
         assert [steps for steps, _ in calls] == [64, 64, 128]
-        (stats,) = levels
         assert (stats.terms, stats.degenerate_ends, stats.retries) == (3, 1, 0)
         # the ended term counts the 32 steps it completed before the tie
         assert stats.steps_taken == stats.accepted_moves == 64 + 32 + 128
@@ -609,8 +470,55 @@ class TestRestarts:
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     degenerate_at=(3,))
         with pytest.raises(DegeneratePivot):
-            self.solve_levels(monkeypatch, unit_square, start, 100, 5)
+            self.walk(monkeypatch, unit_square, start, 100, 5)
         assert [steps for steps, _ in calls] == [64, 64, 100]
+
+    def test_retries_exhaust_on_persistent_failure(self, monkeypatch,
+                                                   unit_square):
+        import conewalk.reduction as reduction_module
+        from conewalk.errors import RetriesExhausted
+        from conewalk.walk import Parallelepiped, WalkOutcome, center
+
+        start = vertex_of_basis(unit_square, (2, 3))
+        cell = Parallelepiped(basis=(2, 3), index=(0, 0))  # far from alpha*c
+        fake = WalkOutcome(final=cell, c_prime=center(unit_square, cell) / 32,
+                           current_vertex=start, stopped_with_c_in_cone=False,
+                           steps_taken=46)
+        attempts = []
+        monkeypatch.setattr(
+            reduction_module, "run_walk",
+            lambda nlp, cfg, s, _cache=None, _beta=1.0:
+            attempts.append(1) or fake)
+        with pytest.raises(RetriesExhausted):
+            self.walk(monkeypatch, unit_square, start, 46, 3)
+        assert len(attempts) == 4  # the first try plus three retries
+
+    def test_a_verifiable_full_budget_term_is_a_failed_attempt(
+            self, monkeypatch):
+        # every walk ends in a cell whose scaled center verification would
+        # pass; solve verifies nothing and reduces nothing, so each
+        # full-budget term is a failed attempt
+        import conewalk.reduction as reduction_module
+        from conewalk.errors import RetriesExhausted
+        from conewalk.identify import verify_problem1
+
+        lp = LinearProgram(A=np.vstack([np.eye(3), -np.eye(3)]),
+                           b=[1, 1, 1, 0, 0, 0], c=[1.0, 0.5, 0.25])
+        outcomes, called = [], []
+        monkeypatch.setattr(reduction_module, "run_walk",
+                            identifying_walk(64.0, outcomes))
+        for name in ("verify_problem1", "extract_element", "reduce_lp"):
+            def spy(*args, name=name, real=getattr(reduction_module, name)):
+                called.append(name)
+                return real(*args)
+            monkeypatch.setattr(reduction_module, name, spy)
+        monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
+        with pytest.raises(RetriesExhausted, match="^3 full-budget walk "):
+            solve(lp, WalkConfig(alpha=64.0, steps=46, seed=0), delta=1.0)
+        assert called == []
+        assert [o.steps_taken for _, o in outcomes] == [46] * 3
+        assert all(verify_problem1(nlp, o.final.basis, o.c_prime, 1.0)
+                   for nlp, o in outcomes)
 
     def test_low_alpha_warns_once_per_level(self):
         import warnings
@@ -654,6 +562,25 @@ class TestRestarts:
         assert stats.accepted_moves + stats.rejected_moves + \
             stats.lazy_stays == stats.steps_taken
         assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
+
+
+class TestOneDimension:
+    """A 1-D program is solved directly: its tightest bound along c."""
+
+    def test_solved_without_a_walk(self, monkeypatch):
+        # walked at the paper's budget, one step at n = 1 and delta = 1,
+        # 7 of these 200 seeds would exhaust their retries
+        import conewalk.reduction as reduction_module
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a 1-D program ran the walk")
+
+        monkeypatch.setattr(reduction_module, "run_walk", no_walk)
+        lp = LinearProgram(A=[[1.0], [-1.0]], b=[2.0, -1.0], c=[-1.0])
+        for seed in range(200):
+            rep = solve(lp, WalkConfig(seed=seed))
+            assert (rep.basis, rep.x.tolist(), rep.value) == ((1,), [1.0], -1.0)
+            assert [(s.n, s.terms) for s in rep.levels] == [(1, 0)]
 
 
 class TestShortTermPull:

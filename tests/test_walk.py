@@ -246,7 +246,7 @@ class TestBlockDraws:
     # quarter of the 32-bit halves (2^32 mod k = 2^30)
     @pytest.mark.parametrize("n", [*range(1, 9), 3 * 2**29])
     def test_values_match_the_generator(self, n):
-        seed = np.random.SeedSequence([20260, n % 7, n % 3])  # as _walk_level
+        seed = np.random.SeedSequence([20260, n % 7, n % 3])  # as _las_vegas_walk
         rng = np.random.default_rng(seed)
         draws = _draws(np.random.PCG64(seed), n)
         steps = 50_001  # over 10^5 values, across about 73 blocks of words
@@ -567,7 +567,7 @@ class TestDefaults:
 
 
 class TestBasisRecords:
-    """A walk level factors each basis once, through its _BasisRecord, and
+    """The Las Vegas walk factors each basis once, through its _BasisRecord, and
     the record's answers are the standalone functions'."""
 
     def test_each_basis_is_factored_once_per_level_without_det(

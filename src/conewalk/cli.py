@@ -147,16 +147,19 @@ def _resolve_delta(spec: str | float, lp: LinearProgram,
 
     A certificate lets solve size the box from it; a bare number is only a
     claim, which solve certifies by brute force before it sizes the box.
+    'auto' falls back to the integral bound only when the brute force is
+    over its budget, not when normalize raises TooLarge.
     """
     if isinstance(spec, float):
         return spec
-    if spec == "brute":
-        return delta_bruteforce(normalize(lp))
     if spec == "bound":
         return _integral_bound(lp, raw, "--delta bound needs integral data")
+    nlp = normalize(lp)
     try:
-        return delta_bruteforce(normalize(lp))
+        return delta_bruteforce(nlp)
     except TooLarge:
+        if spec == "brute":
+            raise
         return _integral_bound(lp, raw,
                                "instance too large for brute-force delta")
 

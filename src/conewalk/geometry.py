@@ -5,10 +5,11 @@ no sparsity.  One LU factorization (lu_factor) serves every solve with a
 matrix and with its transpose (lu_solve) and its log-determinant
 (log_abs_det): the solver factors each basis matrix A_B once and reads the
 vertex, the pivot's edge direction, the cone coefficients and the cell
-volume from those factors (simplex.factor_basis).
+volume from those factors (simplex.factor_basis), calling LAPACK directly.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,12 +31,14 @@ def lu_factor(matrix: np.ndarray) -> LU:
 
     Called directly: scipy.linalg.lu_factor makes the same call, with
     argument checks that cost more than the factorization itself at desk
-    scale.  Raises SingularMatrix when a pivot has magnitude <= SINGULAR_TOL.
+    scale; dgetrf copies the matrix itself.  Raises SingularMatrix when a
+    pivot has magnitude <= SINGULAR_TOL, unless one is NaN (as numpy's min).
     """
-    lu, piv, info = dgetrf(np.asarray(matrix, dtype=float))
+    lu, piv, info = dgetrf(matrix)
     if info < 0:
         raise ValueError(f"dgetrf: illegal value in argument {-info}")
-    if np.abs(lu.diagonal()).min() <= SINGULAR_TOL:
+    pivots = [abs(u) for u in lu.diagonal().tolist()]
+    if min(pivots) <= SINGULAR_TOL and not any(map(math.isnan, pivots)):
         raise SingularMatrix(f"no acceptable pivot (tol={SINGULAR_TOL:g})")
     return LU(lu, piv)
 

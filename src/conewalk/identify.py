@@ -15,6 +15,7 @@ from .errors import NoLargeCoefficient
 from .geometry import solve_square
 from .lp import NormalizedLP
 from .simplex import Basis, basis_matrix, cone_membership
+from .walk import Parallelepiped, center
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,12 @@ class IdentifiedElement:
     c_prime: np.ndarray
     gap: float                    # ||c - c'||_2
     qualifying: tuple[int, ...]   # every row clearing the threshold
+
+
+def scaled_center(lp: NormalizedLP, cell: Parallelepiped,
+                  alpha: float) -> np.ndarray:
+    """c' = z_P / alpha for a walk's final cell P: its input to Problem 1."""
+    return center(lp, cell) / alpha
 
 
 def coefficient_threshold(n: int, delta: float) -> float:

@@ -65,7 +65,9 @@ class LinearProgram:
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))
                 and np.all(np.isfinite(c))):
             raise ValueError("non-finite entries")
-        if np.any(np.linalg.norm(A, axis=1) <= SPAN_TOL):
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, not 0
+            row_norms = np.linalg.norm(A, axis=1)
+        if np.any(row_norms <= SPAN_TOL):
             raise ZeroRow("constraint matrix has an all-zero row")
         if np.linalg.matrix_rank(A) < n:
             raise RankDeficient("A does not have full column rank")
@@ -99,28 +101,27 @@ class NormalizedLP(LinearProgram):
             raise NotUnitVector("objective must have unit norm")
 
 
-def _derived(parent: NormalizedLP, A: np.ndarray, b: np.ndarray) -> NormalizedLP:
-    """A program built from a validated one without re-running validation.
+def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> NormalizedLP:
+    """A program built from validated data without re-running validation.
 
     The NormalizedLP constructor checks finiteness, unit rows and
     objective, shapes and full column rank (an SVD).  A program derived
-    from a validated ``parent`` keeps all of these when the caller
-    guarantees that:
+    from a validated parent keeps all of these when the caller guarantees
+    that:
 
-    - every row of ``A`` is a row of ``parent.A`` or its exact negation,
+    - every row of ``A`` is a row of the parent or its exact negation,
       so it is finite, nonzero and of unit norm;
     - ``A`` holds n linearly independent rows, so m >= n and A has full
       column rank;
-    - ``b`` is finite with one entry per row.
+    - ``b`` is finite with one entry per row, and ``c`` is the parent's.
 
-    The objective is ``parent.c``.  The arrays are stored as read-only
-    views, not copies, so the caller must not write to them afterwards.
+    normalize vouches for them itself.  The float arrays are made read-only
+    in place and stored as they are, not copied: the caller hands over
+    fresh arrays or slices of read-only ones.
     """
+    A.flags.writeable = b.flags.writeable = c.flags.writeable = False
     lp = object.__new__(NormalizedLP)
-    for name, value in (("A", A), ("b", b), ("c", parent.c)):
-        view = np.asarray(value, dtype=float).view()
-        view.flags.writeable = False
-        object.__setattr__(lp, name, view)
+    lp.__dict__.update(A=A, b=b, c=c)
     return lp
 
 
@@ -157,19 +158,26 @@ def delta_value_and_method(delta: float | DeltaCertificate) -> tuple[float, str]
 def normalize(lp: LinearProgram) -> NormalizedLP:
     """Scale every row (with its right-hand side) and the objective to unit norm.
 
-    The feasible region and the optimal face are unchanged.
+    The feasible region and the optimal face are unchanged.  What
+    LinearProgram validated survives the scaling (a positive row scaling
+    keeps the rank), and finite norms above SPAN_TOL scale to unit norms
+    within a few ulps, so NormalizedLP's validation is not run again.  A
+    norm or a scaled right-hand side past the float range raises TooLarge,
+    without a warning.
     """
-    row_norms = np.linalg.norm(lp.A, axis=1)
-    if np.any(row_norms <= SPAN_TOL):
-        raise ZeroRow("cannot normalize an all-zero row")
-    c_norm = float(np.linalg.norm(lp.c))
-    if c_norm <= SPAN_TOL:
-        raise ZeroObjective("objective vector is zero")
-    return NormalizedLP(
-        A=lp.A / row_norms[:, None],
-        b=lp.b / row_norms,
-        c=lp.c / c_norm,
-    )
+    with np.errstate(over="ignore"):
+        row_norms = np.linalg.norm(lp.A, axis=1)
+        if np.any(row_norms <= SPAN_TOL):
+            raise ZeroRow("cannot normalize an all-zero row")
+        c_norm = float(np.linalg.norm(lp.c))
+        if c_norm <= SPAN_TOL:
+            raise ZeroObjective("objective vector is zero")
+        A, b, c = lp.A / row_norms[:, None], lp.b / row_norms, lp.c / c_norm
+    if not (math.isfinite(c_norm) and np.isfinite(row_norms).all()
+            and np.isfinite(b).all()):
+        raise TooLarge("scaling to unit norms leaves the float range: a "
+                       "norm or a scaled right-hand side overflows")
+    return _derived(A, b, c)
 
 
 def _subset_distances(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

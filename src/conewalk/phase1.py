@@ -63,8 +63,9 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     dirs = lp.A[list(find_independent_rows(lp))]
-    return _derived(lp, A=np.vstack([lp.A, dirs, -dirs]),
-                    b=np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]))
+    return _derived(np.vstack([lp.A, dirs, -dirs]),
+                    np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]),
+                    lp.c)
 
 
 def certified_radius(lp: NormalizedLP,
@@ -130,12 +131,13 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     # append: the region before constraint i is the first 2n + i rows.
     # bounding_box took the box directions from find_independent_rows, so
     # every prefix, the 2n box rows alone included, holds n independent
-    # rows and is derived from boxed without re-validation.
-    ordered = _derived(boxed, A=np.vstack([boxed.A[m:], lp.A]),
-                       b=np.concatenate([boxed.b[m:], lp.b]))
+    # rows and is derived from boxed without re-validation: its arrays are
+    # read-only slices of ordered's.
+    ordered = _derived(np.vstack([boxed.A[m:], lp.A]),
+                       np.concatenate([boxed.b[m:], lp.b]), lp.c)
 
     def prefix(k: int) -> NormalizedLP:
-        return _derived(ordered, A=ordered.A[:k], b=ordered.b[:k])
+        return _derived(ordered.A[:k], ordered.b[:k], lp.c)
 
     # Every prefix has ordered's rows at every position it holds, so one
     # memo of basis factors serves them all: each basis is factored once.

@@ -271,7 +271,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     # each dropped row repeats a kept direction, so the kept rows still
     # span R^n.
     kept = tightest_rows(nlp.A, nlp.b)
-    walked = _derived(nlp, A=nlp.A[kept], b=nlp.b[kept])
+    walked = _derived(nlp.A[kept], nlp.b[kept], nlp.c)
 
     if delta is None:
         delta = delta_bruteforce(walked)

@@ -12,6 +12,8 @@ pivot_across_facet factor afresh unless handed the factors through the
 private keyword _lu; bland_simplex keeps one factorization per basis in a
 memo (a caller's, through _factors, or its own), so each pivot factors only
 the basis it arrives at.
+A_B is gathered with one take, a sorted basis is not sorted again, and a
+pivot builds its Vertex without __post_init__ (_vertex).
 """
 from __future__ import annotations
 
@@ -45,13 +47,22 @@ class Vertex:
         object.__setattr__(self, "basis", tuple(sorted(self.basis)))
 
 
+def _vertex(point: np.ndarray, basis: Basis) -> Vertex:
+    """Vertex(point, basis) for a float array and a sorted basis, which
+    __post_init__ would leave as they are, without running it."""
+    v = object.__new__(Vertex)
+    v.__dict__.update(point=point, basis=basis)
+    return v
+
+
 class ConeResult(NamedTuple):
     inside: bool
     coeffs: np.ndarray  # conic coefficients, aligned with the sorted basis
 
 
 def basis_matrix(lp: NormalizedLP, basis: Basis) -> np.ndarray:
-    return lp.A[list(basis)]
+    """A_B, a new array of the basis rows in the given order."""
+    return lp.A.take(basis, axis=0)
 
 
 def factor_basis(lp: NormalizedLP, basis: Basis) -> LU:
@@ -81,25 +92,26 @@ def vertex_of_basis(lp: NormalizedLP, basis: Basis, *,
     _factors is a memo of factors, as bland_simplex's.
     """
     basis = tuple(sorted(basis))
-    x = lu_solve(_factored(lp, basis, _factors), lp.b[list(basis)])
+    x = lu_solve(_factored(lp, basis, _factors), lp.b.take(basis))
     if not lp.is_feasible(x):
         worst = float(np.max(lp.A @ x - lp.b))
         raise InfeasibleBasis(f"basis {basis} violates a constraint by {worst:g}")
-    return Vertex(point=x, basis=basis)
+    return _vertex(x, basis)
 
 
 def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray, *,
                     _lu: LU | None = None) -> ConeResult:
     """Does w lie in the cone spanned by the basis rows?
 
-    Solves A_B^T mu = w with the factors of A_B (_lu, or factored afresh);
-    membership allows coefficients down to -CONE_TOL.
+    Solves A_B^T mu = w with the factors of A_B (_lu, or factored afresh,
+    rows in sorted basis order); membership allows coefficients down to
+    -CONE_TOL, and a NaN coefficient is outside.
     """
-    basis = tuple(sorted(basis))
     if _lu is None:
-        _lu = factor_basis(lp, basis)
+        _lu = factor_basis(lp, tuple(sorted(basis)))
     mu = lu_solve(_lu, w, trans=1)
-    return ConeResult(inside=bool((mu >= -CONE_TOL).all()), coeffs=mu)
+    return ConeResult(inside=all(m >= -CONE_TOL for m in mu.tolist()),
+                      coeffs=mu)
 
 
 def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
@@ -126,7 +138,7 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     advance = lp.A @ d
     slack = lp.b - lp.A @ v.point
     candidate = advance > RATIO_TOL
-    candidate[list(basis)] = False
+    candidate.put(basis, False)
     rows = candidate.nonzero()[0]
     if rows.size == 0:
         raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
@@ -137,8 +149,8 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
         raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
     entering = int(rows[k])
 
-    new_basis = tuple(sorted(set(basis) - {leaving} | {entering}))
-    return Vertex(point=v.point + t_min * d, basis=new_basis)
+    new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
+    return _vertex(v.point + t_min * d, new_basis)
 
 
 def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,
@@ -160,7 +172,7 @@ def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,
         res = cone_membership(lp, v.basis, objective, _lu=lu)
         if res.inside:
             return v
-        leaving = next(row for row, coeff in zip(v.basis, res.coeffs)
+        leaving = next(row for row, coeff in zip(v.basis, res.coeffs.tolist())
                        if coeff < -CONE_TOL)
         try:
             v = pivot_across_facet(lp, v, leaving, _lu=lu)

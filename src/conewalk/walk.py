@@ -9,19 +9,20 @@ between facet-adjacent cells, weighting a cell P by
 with z_P the cell center.  Crossing a cone facet is a simplex pivot, so the
 walk drives the vertex bookkeeping for free.  As soon as the objective lies
 in the current cone, the current basis is optimal and the walk stops.  A
-walk that runs out of steps first returns its scaled center
-c' = z_P/alpha (WalkOutcome.c_prime), the input of the paper's
-identification step (conewalk.identify); solve does not run that step and
-counts such a walk as a failed attempt.
+walk that runs out of steps first returns its final cell, whose scaled
+center c' = z_P/alpha (identify.scaled_center) is the input of the paper's
+identification step; solve does not run that step and counts such a walk
+as a failed attempt.
 
 step() and run_walk share one arithmetic at every n: a center is taken by
 _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
-The walk factors each basis it enters once (_WalkCache.record): the LU
-factors of A_B give the cell volume (log |det A_B|), the in-cone stop
-(A_B^T mu = c) and every pivot out of the basis (A_B d = -e_k).
+The walk factors each basis it enters once (_WalkCache.record): the rows
+A_B are gathered once, and their LU factors give the cell volume
+(log |det A_B|), the in-cone stop (A_B^T mu = c) and every pivot out of the
+basis (A_B d = -e_k).
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
 
 The stop is an exact certificate, so the walk is sound under any weight;
@@ -41,14 +42,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, sub
 from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConewalkError, DegeneratePivot, TooLarge
-from .geometry import LU, det_abs, log_abs_det
+from .geometry import LU, det_abs, log_abs_det, lu_factor
 from .jsonio import json_line
 from .lp import NormalizedLP
 from .simplex import (
@@ -56,7 +57,6 @@ from .simplex import (
     Vertex,
     basis_matrix,
     cone_membership,
-    factor_basis,
     pivot_across_facet,
 )
 
@@ -126,7 +126,6 @@ class WalkState(NamedTuple):
 @dataclass
 class WalkOutcome:
     final: Parallelepiped
-    c_prime: np.ndarray
     current_vertex: Vertex
     stopped_with_c_in_cone: bool
     steps_taken: int = 0
@@ -203,12 +202,7 @@ class _BasisRecord:
 
 class _WalkCache:
     """Memo of one program's walks: one _BasisRecord per basis, and the
-    pivot results.
-
-    A record factors its basis matrix A_B once; the factors give the cell
-    volume (log |det A_B| from U's diagonal), the cone test (A_B^T mu = c)
-    and every pivot out of the basis (A_B d = -e_k).
-    """
+    pivot results (see the module docstring)."""
 
     def __init__(self, lp: NormalizedLP):
         self.lp = lp
@@ -219,8 +213,9 @@ class _WalkCache:
         rec = self.records.get(basis)
         if rec is None:
             lp = self.lp
-            rows = np.ascontiguousarray(lp.A[list(basis)]) / lp.n**2
-            lu = factor_basis(lp, basis)
+            a_b = basis_matrix(lp, basis)
+            rows = a_b / lp.n**2
+            lu = lu_factor(a_b)
             rec = self.records[basis] = _BasisRecord(
                 basis, rows, rows.tolist(), lu,
                 log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),
@@ -299,15 +294,24 @@ def _draw(rng: np.random.Generator, n: int) -> tuple[int, int, float]:
     return choice // 2, +1 if choice % 2 == 0 else -1, u
 
 
-_DRAW_BLOCK = 1024  # raw 64-bit words read from the bit generator at a time
+_DRAW_BLOCK = 1024  # most raw 64-bit words read from the bit generator at once
 
 
-def _draws(bitgen: np.random.BitGenerator, n: int
+def _block_sizes(first: int) -> Iterator[int]:
+    """first, then doubling, up to _DRAW_BLOCK and _DRAW_BLOCK from then on."""
+    while first < _DRAW_BLOCK:
+        yield first
+        first *= 2
+    yield from repeat(_DRAW_BLOCK)
+
+
+def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
            ) -> Iterator[tuple[int, int, float]]:
     """_draw(np.random.Generator(bitgen), n), step after step (2n <= 2^32).
 
-    Reads the raw 64-bit words in blocks and decodes them as the Generator
-    does for PCG64:
+    Reads the raw 64-bit words in blocks (_block_sizes(first): the sizes
+    change when words are read, never which) and decodes them as the
+    Generator does for PCG64:
     - integers(0, k), k = 2n, takes 32-bit halves of words: the low half of
       a new word first, its high half kept for the next integer.  Lemire's
       rule maps a half x to (x*k) >> 32 and takes the next half instead
@@ -317,7 +321,7 @@ def _draws(bitgen: np.random.BitGenerator, n: int
     """
     k = 2 * n
     threshold = (1 << 32) % k
-    blocks = iter(lambda: bitgen.random_raw(_DRAW_BLOCK).tolist(), None)
+    blocks = (bitgen.random_raw(size).tolist() for size in _block_sizes(first))
     word = chain.from_iterable(blocks).__next__  # endless
     half = None
     while True:
@@ -389,9 +393,10 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
 
     Each step takes a direction and a coin: the values step()'s _draw takes
     from np.random.default_rng(cfg.seed), which _draws reads from the same
-    bit generator in blocks.  A lazy coin ends the step without evaluating
-    the proposal; otherwise the proposal comes from the same kernel as
-    step()'s.  The cell center is kept incrementally, and taken afresh by
+    bit generator in blocks, the first of 2 * cfg.steps words within [16,
+    _DRAW_BLOCK] (a step takes about 1.5).  A lazy coin ends the step
+    without evaluating the proposal; otherwise the proposal comes from the
+    same kernel as step()'s.  The cell center is kept incrementally, and taken afresh by
     _center at the start, on a pivot and every _RESYNC_INTERVAL-th step that
     is not lazy; every l1 distance to alpha*c is taken by _l1.  With
     cfg.trace set, one JSON record per step is written after the step; a
@@ -413,7 +418,8 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
         raise ValueError("walk config must be resolved before walking")
     cache = _cache if _cache is not None else _WalkCache(lp)
     n = lp.n
-    draws = _draws(np.random.PCG64(cfg.seed), n)
+    draws = _draws(np.random.PCG64(cfg.seed), n,
+                   min(_DRAW_BLOCK, max(16, 2 * cfg.steps)))
     ac = (cfg.alpha * lp.c).tolist()
     trace = cfg.trace
 
@@ -471,8 +477,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 "pivoted": pivoted,
             }))
 
-    final = Parallelepiped(rec.basis, tuple(index))
-    outcome = WalkOutcome(final=final, c_prime=center(lp, final) / cfg.alpha,
+    outcome = WalkOutcome(final=Parallelepiped(rec.basis, tuple(index)),
                           current_vertex=vertex,
                           stopped_with_c_in_cone=rec.in_cone,
                           steps_taken=steps, pivots=pivots,

@@ -85,9 +85,13 @@ def factor_instances() -> list[tuple[LinearProgram, int]]:
 class SolveSpy:
     """What one solve asks of its bases, recorded as it runs.
 
-    - factorizations: (scope, basis) -> how often factor_basis ran, scope
-      being ("phase1", k) inside the k-th phase1_vertex call, ("walk", k)
-      inside the k-th Las Vegas walk, and None elsewhere;
+    - factorizations: (scope, basis) -> how often the basis was factored,
+      scope being ("phase1", k) inside the k-th phase1_vertex call,
+      ("walk", k) inside the k-th Las Vegas walk, and None elsewhere.
+      simplex's factor_basis is counted by basis; the walk gathers A_B
+      itself and calls lu_factor, counted by A_B's bytes, which two bases
+      share only when their rows are equal, so a basis factored twice is
+      counted twice either way;
     - det_calls: how often np.linalg.det ran;
     - pivots: (caller, program, vertex, leaving, result) for each
       pivot_across_facet call phase 1 ("simplex", through bland_simplex)
@@ -137,11 +141,17 @@ class SolveSpy:
             mp.setattr(np.linalg, "det", det)
             mp.setattr(simplex_module, "cone_membership", cone)
             mp.setattr(reduction_module, "_WalkCache", cache)
-            for module in (simplex_module, walk_module):
-                def factor(prog, basis, real=module.factor_basis):
-                    self.factorizations[scope[0], tuple(basis)] += 1
-                    return real(prog, basis)
 
+            def factor(prog, basis, real=simplex_module.factor_basis):
+                self.factorizations[scope[0], tuple(basis)] += 1
+                return real(prog, basis)
+
+            def factor_rows(a_b, real=walk_module.lu_factor):
+                self.factorizations[scope[0], a_b.tobytes()] += 1
+                return real(a_b)
+            mp.setattr(simplex_module, "factor_basis", factor)
+            mp.setattr(walk_module, "lu_factor", factor_rows)
+            for module in (simplex_module, walk_module):
                 def pivot(prog, v, leaving, real=module.pivot_across_facet,
                           caller=module.__name__.rsplit(".", 1)[1], **kw):
                     try:
@@ -152,7 +162,6 @@ class SolveSpy:
                         raise
                     self.pivots.append((caller, prog, v, leaving, out))
                     return out
-                mp.setattr(module, "factor_basis", factor)
                 mp.setattr(module, "pivot_across_facet", pivot)
             try:
                 reduction_module.solve(lp, WalkConfig(seed=seed))

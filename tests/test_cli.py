@@ -155,6 +155,19 @@ class TestSolveCommand:
         assert_one_error_record(capsys, ["solve", "--input", str(path)],
                                 "TooLarge: box radius")
 
+    @pytest.mark.parametrize("argv", [["solve"], ["verify-delta"]])
+    def test_normalize_past_the_float_range(self, capsys, tmp_path, argv):
+        # the first row's right-hand side scales to 1e302 / 1e-8; --delta
+        # auto does not fall back to the integral bound for that
+        path = tmp_path / "overflow.json"
+        write_lp_file(str(path), LinearProgram(
+            A=[[1e-8, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            b=[1e302, 1.0, 0.0, 0.0], c=[1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_error_record(capsys, [*argv, "--input", str(path)],
+                                    "TooLarge: scaling to unit norms")
+
     def test_box_corner_slacks_past_the_float_range(self, capsys, tmp_path):
         # delta = 1e-308 gives a finite radius of 1e308, but phase 1 would
         # overflow on the corner slacks and end in a DegeneratePivot

@@ -1,16 +1,46 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf
 
 from conewalk.errors import NotUnitVector, SingularMatrix
+from conewalk.tolerances import SINGULAR_TOL
 from conewalk.geometry import (
     det_abs,
     dist_to_span,
+    lu_factor,
     rotation_to_e1,
     solve_square,
 )
+
+
+class TestPivotTest:
+    """lu_factor raises SingularMatrix exactly when numpy's
+    np.abs(diag(U)).min() <= SINGULAR_TOL: a NaN pivot hides the others."""
+
+    @pytest.mark.parametrize("diag", [
+        [1.0, 1e-12], [1e-12, 1.0], [1.0, 2.0], [math.nan, 1e-12],
+        [1e-12, math.nan], [math.nan, 1.0], [0.0, 1.0], [-1e-11, 3.0]])
+    def test_matches_numpys_min(self, diag):
+        matrix = np.diag(diag)
+        lu, _, _ = dgetrf(matrix)
+        singular = bool(np.abs(lu.diagonal()).min() <= SINGULAR_TOL)
+        if singular:
+            with pytest.raises(SingularMatrix):
+                lu_factor(matrix)
+        else:
+            assert lu_factor(matrix).lu.tobytes() == lu.tobytes()
+        assert singular == (not any(map(math.isnan, diag))
+                            and min(map(abs, diag)) <= SINGULAR_TOL)
+
+    def test_leaves_its_argument_alone(self):
+        matrix = np.array([[2.0, 1.0], [4.0, 3.0]])
+        lu_factor(matrix)
+        lu_factor(matrix.T)
+        assert matrix.tolist() == [[2.0, 1.0], [4.0, 3.0]]
 
 
 class TestSolveSquare:

@@ -5,13 +5,14 @@ from conewalk.errors import NoLargeCoefficient
 from conewalk.identify import (
     coefficient_threshold,
     extract_element,
+    scaled_center,
     verify_problem1,
 )
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import check_lemma4, enumerate_vertices
 from conewalk.reduction import _solve_direct_1d, reduce_lp
 from conewalk.simplex import cone_membership, vertex_of_basis
-from conewalk.walk import Parallelepiped, WalkConfig, center, run_walk
+from conewalk.walk import Parallelepiped, WalkConfig, run_walk
 
 from conftest import SQRT2, bounded_random_lp
 
@@ -37,10 +38,10 @@ class TestVerifyProblem1:
         start = vertex_of_basis(unit_square, (2, 3))
         good = 0
         for seed in range(100):
-            out = run_walk(unit_square,
-                           WalkConfig(seed=seed, steps=363).resolved(2, 1.0),
-                           start)
-            c_prime = unit_square.c if out.stopped_with_c_in_cone else out.c_prime
+            cfg = WalkConfig(seed=seed, steps=363).resolved(2, 1.0)
+            out = run_walk(unit_square, cfg, start)
+            c_prime = unit_square.c if out.stopped_with_c_in_cone \
+                else scaled_center(unit_square, out.final, cfg.alpha)
             if verify_problem1(unit_square, out.final.basis, c_prime, 1.0):
                 good += 1
         assert good >= 95
@@ -121,7 +122,7 @@ class TestIdentifyThenReduce:
         # alpha = 32 is 0.054 away from c, inside the delta/(2n) = 1/4 ball,
         # while c itself lies in the adjacent cone of rows {e1, e2}
         cell = Parallelepiped(basis=(0, 3), index=(127, 0))
-        c_prime = center(lp, cell) / 32.0
+        c_prime = scaled_center(lp, cell, 32.0)
         assert verify_problem1(lp, cell.basis, c_prime, 1.0)
         elem = extract_element(lp, cell.basis, c_prime, 1.0)
         assert elem.row == 0

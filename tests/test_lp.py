@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,41 @@ class TestNormalize:
         object.__setattr__(lp, "c", np.zeros(2))
         with pytest.raises(ZeroObjective):
             normalize(lp)
+
+    @pytest.mark.parametrize("A, b, c", [
+        # the scaled right-hand side 1e302 / 1e-8 overflows
+        ([[1e-8, 0], [0, 1], [-1, 0], [0, -1]], [1e302, 1, 0, 0], [1, 1]),
+        # the squares of the rows' entries overflow their norms
+        ([[1e200, 0], [0, 1e200], [-1e200, 0], [0, -1e200]], [1, 1, 0, 0],
+         [1, 1]),
+        # and the objective's
+        ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], [1e200, 1]),
+    ], ids=["rhs", "row-norm", "objective-norm"])
+    def test_scaling_past_the_float_range_is_too_large(self, A, b, c):
+        lp = LinearProgram(A=A, b=b, c=c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge, match="float range"):
+                normalize(lp)
+
+    def test_same_arrays_as_the_validating_constructor(self):
+        # normalize skips NormalizedLP's validation, not its arithmetic:
+        # the arrays are the validated constructor's, bit for bit, and
+        # read-only
+        for seed in range(20):
+            base = random_lp(8, 3 + seed % 3, seed)
+            scale = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, 8)
+            lp = LinearProgram(A=base.A * scale[:, None], b=base.b * scale,
+                               c=7.0 * base.c)
+            nlp = normalize(lp)
+            row_norms = np.linalg.norm(lp.A, axis=1)
+            ref = lp_module.NormalizedLP(
+                A=lp.A / row_norms[:, None], b=lp.b / row_norms,
+                c=lp.c / np.linalg.norm(lp.c))
+            for name in ("A", "b", "c"):
+                got, want = getattr(nlp, name), getattr(ref, name)
+                assert got.tobytes() == want.tobytes(), name
+                assert got.shape == want.shape and not got.flags.writeable
 
     def test_feasible_set_preserved(self):
         for seed in range(20):

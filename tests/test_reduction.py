@@ -38,15 +38,14 @@ def identifying_walk(alpha, outcomes):
     """
     from conewalk.geometry import solve_square
     from conewalk.simplex import basis_matrix
-    from conewalk.walk import Parallelepiped, WalkOutcome, center
+    from conewalk.walk import Parallelepiped, WalkOutcome
 
     def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
         basis = start_vertex.basis
         mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
         cell = Parallelepiped(basis=basis, index=tuple(index))
-        outcome = WalkOutcome(final=cell, c_prime=center(nlp, cell) / alpha,
-                              current_vertex=start_vertex,
+        outcome = WalkOutcome(final=cell, current_vertex=start_vertex,
                               stopped_with_c_in_cone=False,
                               steps_taken=cfg.steps)
         outcomes.append((nlp, outcome))
@@ -375,7 +374,7 @@ class TestRestarts:
         calls numbered in degenerate_at, after half of cfg.steps."""
         import conewalk.reduction as reduction_module
         from conewalk.errors import DegeneratePivot
-        from conewalk.walk import Parallelepiped, WalkOutcome, center
+        from conewalk.walk import Parallelepiped, WalkOutcome
 
         cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
         calls = []
@@ -384,7 +383,6 @@ class TestRestarts:
             calls.append((cfg.steps, cfg.seed))
             steps = cfg.steps // 2 if len(calls) in degenerate_at else cfg.steps
             outcome = WalkOutcome(final=cell,
-                                  c_prime=center(lp, cell) / cfg.alpha,
                                   current_vertex=start,
                                   stopped_with_c_in_cone=len(calls) == in_cone_at,
                                   steps_taken=steps, pivots=1,
@@ -477,11 +475,11 @@ class TestRestarts:
                                                    unit_square):
         import conewalk.reduction as reduction_module
         from conewalk.errors import RetriesExhausted
-        from conewalk.walk import Parallelepiped, WalkOutcome, center
+        from conewalk.walk import Parallelepiped, WalkOutcome
 
         start = vertex_of_basis(unit_square, (2, 3))
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))  # far from alpha*c
-        fake = WalkOutcome(final=cell, c_prime=center(unit_square, cell) / 32,
+        fake = WalkOutcome(final=cell,
                            current_vertex=start, stopped_with_c_in_cone=False,
                            steps_taken=46)
         attempts = []
@@ -500,7 +498,7 @@ class TestRestarts:
         # full-budget term is a failed attempt
         import conewalk.reduction as reduction_module
         from conewalk.errors import RetriesExhausted
-        from conewalk.identify import verify_problem1
+        from conewalk.identify import scaled_center, verify_problem1
 
         lp = LinearProgram(A=np.vstack([np.eye(3), -np.eye(3)]),
                            b=[1, 1, 1, 0, 0, 0], c=[1.0, 0.5, 0.25])
@@ -517,7 +515,8 @@ class TestRestarts:
             solve(lp, WalkConfig(alpha=64.0, steps=46, seed=0), delta=1.0)
         assert called == []
         assert [o.steps_taken for _, o in outcomes] == [46] * 3
-        assert all(verify_problem1(nlp, o.final.basis, o.c_prime, 1.0)
+        assert all(verify_problem1(nlp, o.final.basis,
+                                   scaled_center(nlp, o.final, 64.0), 1.0)
                    for nlp, o in outcomes)
 
     def test_low_alpha_warns_once_per_level(self):

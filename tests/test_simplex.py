@@ -25,7 +25,7 @@ from conewalk.simplex import (
     pivot_across_facet,
     vertex_of_basis,
 )
-from conewalk.tolerances import RATIO_TOL
+from conewalk.tolerances import CONE_TOL, RATIO_TOL
 from conewalk.walk import WalkConfig
 
 from conftest import SQRT2, bounded_random_lp, same_pivot
@@ -165,6 +165,16 @@ class TestConeMembership:
                 expected = np.zeros(2)
                 expected[pos] = 1.0
                 np.testing.assert_allclose(res.coeffs, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("w", [[math.nan, 1.0], [1.0, math.nan],
+                                   [-1.0, math.nan], [-1e-10, 1.0],
+                                   [-1e-8, 1.0]])
+    def test_inside_is_numpys_all_coefficients_test(self, unit_square, w):
+        # (mu >= -CONE_TOL).all(): a NaN coefficient is outside; the given
+        # basis is used unsorted only to factor afresh
+        res = cone_membership(unit_square, (1, 0), w)
+        assert res.inside == bool((res.coeffs >= -CONE_TOL).all())
+        assert res.inside == (w == [-1e-10, 1.0])
 
 
 class TestPivotAcrossFacet:

@@ -3,11 +3,13 @@ import io
 import json
 import math
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conewalk.errors import TooLarge
+from conewalk.identify import scaled_center
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
@@ -17,6 +19,7 @@ from conewalk.walk import (
     WalkConfig,
     WalkState,
     _WalkCache,
+    _block_sizes,
     _draws,
     _l1,
     _propose,
@@ -255,6 +258,31 @@ class TestBlockDraws:
             pos, sign, v = next(draws)
             assert (2 * pos + (0 if sign > 0 else 1), v) == (choice, u)
 
+    # run_walk's first block is 2 * steps words within [16, 1024], and the
+    # blocks double from there; budgets around one 64-step restart unit
+    @pytest.mark.parametrize("first", [1, 16, 64, 1024])
+    @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 5000])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_sized_blocks_give_the_generator_values(self, n, first, steps):
+        seed = np.random.SeedSequence([20261, n, first, steps])
+        rng = np.random.default_rng(seed)
+        bitgen = np.random.PCG64(seed)
+        untouched = bitgen.state
+        draws = _draws(bitgen, n, first)
+        got = [next(draws) for _ in range(steps)]
+        want = []
+        for _ in range(steps):
+            choice, u = int(rng.integers(0, 2 * n)), float(rng.random())
+            want.append((choice // 2, +1 if choice % 2 == 0 else -1, u))
+        assert got == want
+        if steps == 0:
+            assert bitgen.state == untouched  # a walk of no steps reads none
+
+    def test_block_sizes_double_up_to_the_cap(self):
+        assert list(islice(_block_sizes(16), 9)) == \
+            [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
+        assert list(islice(_block_sizes(1024), 2)) == [1024, 1024]
+
 
 class TestInConeMove:
     @pytest.mark.parametrize("n", range(1, 11))
@@ -313,8 +341,10 @@ class TestRunWalk:
         cfg = WalkConfig(alpha=32.0, steps=0, seed=5)
         out = run_walk(unit_square, cfg, start)
         assert out.final == Parallelepiped(basis=(2, 3), index=(0, 0))
+        # the apex cell of rows -e1, -e2 at n = 2: center -(1/2)/n^2 each
         np.testing.assert_allclose(
-            out.c_prime, center(unit_square, out.final) / 32.0)
+            scaled_center(unit_square, out.final, 32.0),
+            np.array([-0.125, -0.125]) / 32.0)
 
     def test_square_hits_optimum_for_most_seeds(self, unit_square):
         # brute-force optimum is (1,1); 100 seeds.  The single-walk success

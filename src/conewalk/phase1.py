@@ -1,32 +1,28 @@
 """Initial vertex, infeasibility certification, and the boundedness box.
 
-solve calls these on the walked program, the input's kept rows: the
-tightest row of each direction, in the order the directions first occur
-(lp.tightest_rows).  The boxed program is the walked program's rows
-followed by 2n slab rows along n linearly independent rows of it.  It
+solve (reduction.solve) calls these on the walked program, the input's
+kept rows: the tightest row of each direction, in the order the directions
+first occur (lp.tightest_rows).  The boxed program is the walked program's
+rows followed by 2n slab rows along n linearly independent rows of it.  It
 introduces no direction beyond negations, so the row-separation property
 is preserved: the boxed program has the input's delta.  The box radius
 follows in closed form from a certified delta, so no basic system is ever
 solved to size it.  A vertex of the boxed program is grown one constraint
-at a time; an optimum of the boxed program touching the box certifies
-unboundedness.
+at a time.  solve finds the boxed optimum itself; solve_bounded, the last
+step, reads x from its basis, and an optimum touching the box certifies
+unboundedness.  Nothing here imports the walk or the solver.
 """
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
-from .geometry import LU, lu_solve, residual, solve_square
+from .geometry import LU, lu_solve, residual
 from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
 from .simplex import Basis, Vertex, bland_simplex, vertex_of_basis
 from .tolerances import SPAN_TOL
-from .walk import WalkConfig
-
-if TYPE_CHECKING:
-    from .reduction import LevelStats
 
 
 def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
@@ -154,37 +150,25 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     return Vertex(point=v.point, basis=remapped)
 
 
-def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, cfg: WalkConfig,
-                  start: Vertex, delta: float,
-                  ) -> tuple[tuple[int, ...], np.ndarray, LevelStats]:
-    """Walk the boxed program to its optimum and strip the box again.
+def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, basis: Basis,
+                  lu: LU) -> np.ndarray:
+    """The boxed optimum's point x, or the box's verdict that lp is unbounded.
 
-    The Las Vegas walk runs at the given delta, which the box rows keep; a
-    1-D program is solved directly instead.  Returns the sorted basis
-    positions in the original rows, the optimum x, and the walk's stats.
-    x is solved from the factors of the walk's final basis, which the walk
-    already holds.  The first box row that lies in the basis or is tight at
-    x certifies unboundedness.  Contact is judged at the
-    input's tolerance, as in phase1_vertex; degenerate contact counts too.
-    No input row can hide a tight box row: a basis without box rows gives
-    a basic point of the input, and certified_radius leaves every box row
-    slack there by more than that tolerance.
+    basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``)
+    and lu the factors of its rows in that sorted order, as the walk or
+    Bland's rule left them: x is solved with them, and nothing is factored
+    again.  The first box row that lies in the basis or is tight at x
+    certifies unboundedness.  Contact is judged at the input's tolerance,
+    as in phase1_vertex; degenerate contact counts too.  No input row can
+    hide a tight box row: a basis without box rows gives a basic point of
+    the input, and certified_radius leaves every box row slack there by
+    more than that tolerance.
     """
-    # Lazy: reduction imports phase1; perfbench's patch points pin the split.
-    from .reduction import LevelStats, _las_vegas_walk, _solve_direct_1d
-
-    if boxed.n == 1:
-        basis = _solve_direct_1d(boxed)
-        x = solve_square(boxed.A[list(basis)], boxed.b[list(basis)])
-        stats = LevelStats(n=1, stopped_with_c_in_cone=True)
-    else:
-        rec, stats = _las_vegas_walk(boxed, delta, cfg, start)
-        basis = rec.basis
-        x = lu_solve(rec.lu, boxed.b[list(basis)])
+    x = lu_solve(lu, boxed.b[list(basis)])
     ftol = lp.feas_tol()
     for p in range(lp.m, boxed.m):
         if p in basis or abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
             raise Unbounded(
                 "optimum of the boxed system lies on the artificial box",
                 box_row=p - lp.m)
-    return basis, x, stats
+    return x

@@ -1,9 +1,11 @@
 """The solver, its Las Vegas walk, and dimension reduction as library code.
 
-solve normalizes, keeps the tightest row of each direction
-(lp.tightest_rows), certifies the row separation, boxes the program, finds
-a start vertex by phase 1 and runs one Las Vegas walk to an optimal basis,
-which it certifies against every input row.
+solve runs every stage of the solve in order: normalize, keep the tightest
+row of each direction (lp.tightest_rows), certify the row separation, box
+the program, find a start vertex by phase 1, resolve the walk parameters,
+take an optimal basis of the boxed program (one Las Vegas walk, or Bland's
+rule at n = 1), solve x and read the box's verdict (phase1.solve_bounded),
+and certify the optimum against every input row.
 
 reduce_lp is the paper's reduction step: once one row of the optimal basis
 is certified (identify.extract_element), its constraint is set to
@@ -28,9 +30,8 @@ from .errors import (
     Infeasible,
     ObjectiveVanishes,
     RetriesExhausted,
-    UnboundedLP,
 )
-from .geometry import rotation_to_e1
+from .geometry import LU, rotation_to_e1
 # Not called here: bound so that the spans perfbench/tracing.py PATCH_POINTS
 # names on this module keep resolving.
 from .identify import extract_element, verify_problem1  # noqa: F401
@@ -44,9 +45,15 @@ from .lp import (
     normalize,
     tightest_rows,
 )
-from .simplex import Vertex, cone_membership, vertex_of_basis
+from .simplex import (
+    Basis,
+    Vertex,
+    bland_simplex,
+    cone_membership,
+    vertex_of_basis,
+)
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, _BasisRecord, _WalkCache, default_alpha, run_walk
+from .walk import WalkConfig, _BasisRecord, _WalkCache, run_walk
 
 MAX_RETRIES = 10  # failed full-budget attempts after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
@@ -150,15 +157,14 @@ class LevelStats:
     lazy_stays: int = 0
     terms: int = 0                 # walks started
     degenerate_ends: int = 0       # short terms ended on DegeneratePivot
-    stopped_with_c_in_cone: bool = False  # the last walk did
 
 
 @dataclass
 class SolveReport:
     """Self-certifying solve result over the input program's rows.
 
-    levels holds one LevelStats, the walk's (a 1-D program is solved
-    directly, with no walk), and steps_per_level its step count.
+    levels holds one LevelStats, the walk's (a 1-D program is not walked:
+    its stats count nothing), and steps_per_level its step count.
     """
 
     basis: tuple[int, ...]           # row positions in the input program
@@ -174,51 +180,38 @@ class SolveReport:
     levels: tuple[LevelStats, ...]
 
 
-def _solve_direct_1d(lp: NormalizedLP) -> tuple[int, ...]:
-    """One variable: the tight constraint maximizing c is the basis."""
-    direction = 1.0 if lp.c[0] > 0 else -1.0
-    candidates = [i for i in range(lp.m) if lp.A[i, 0] * direction > 0.5]
-    if not candidates:
-        raise UnboundedLP("no constraint bounds the objective direction")
-    best = min(candidates, key=lambda i: lp.b[i])
-    x = np.array([direction * lp.b[best]])
-    if not lp.is_feasible(x):
-        raise ConewalkError("one-dimensional instance is infeasible")
-    return (best,)
-
-
-def _las_vegas_walk(lp: NormalizedLP, delta: float, cfg: WalkConfig,
+def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
                     start: Vertex) -> tuple[_BasisRecord, LevelStats]:
     """Walk lp from start to an optimal basis: the basis's _BasisRecord,
     whose LU factors give the vertex, and the walk's stats.
 
-    An attempt is a series of terms on Luby's schedule: term t walks
+    cfg is resolved (WalkConfig.resolved): its alpha and steps are set.  An
+    attempt is a series of terms on Luby's schedule: term t walks
     min(RESTART_UNIT * luby(t), budget) steps from start on
-    SeedSequence([cfg.seed, 0, retry, t]), budget being the resolved
-    cfg.steps.  The in-cone stop is an exact optimality certificate, so a
-    restart only costs work, and a short term (fewer steps than the budget)
-    may follow any weight: it walks f_beta with beta = n^2, the paper's
-    weight on cells of edge 1, which pulls it toward alpha*c (walk module
-    docstring).  The series ends at the first term that stops in the cone
-    or runs the whole budget; only that full-budget term is a paper
-    attempt, walking the paper's weight (beta = 1) and alpha.  One that
-    ends outside the cone has failed, and MAX_RETRIES + 1 failed ones raise
+    SeedSequence([cfg.seed, 0, retry, t]), budget being cfg.steps.  The
+    in-cone stop is an exact optimality certificate, so a restart only
+    costs work, and a short term (fewer steps than the budget) may follow
+    any weight: it walks f_beta with beta = n^2, the paper's weight on
+    cells of edge 1, which pulls it toward alpha*c (walk module docstring).
+    The series ends at the first term that stops in the cone or runs the
+    whole budget; only that full-budget term is a paper attempt, walking
+    the paper's weight (beta = 1) and alpha.  One that ends outside the
+    cone has failed, and MAX_RETRIES + 1 failed ones raise
     RetriesExhausted.  A short term that ends on a DegeneratePivot is
     restarted like any other; a full-budget one raises.
     """
-    walk_cfg = cfg.resolved(lp.n, delta)  # once per solve: warns once
     cache = _WalkCache(lp)  # shared by every walk of the solve
     stats = LevelStats(n=lp.n)
     for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
         for term in count(1):
-            steps = min(RESTART_UNIT * luby(term), walk_cfg.steps)
+            steps = min(RESTART_UNIT * luby(term), cfg.steps)
             # the constant 0 keeps each seed's stream, and the golden reports
             seed = np.random.SeedSequence([cfg.seed, 0, retry, term])
-            full = steps == walk_cfg.steps  # the paper's attempt
+            full = steps == cfg.steps  # the paper's attempt
             stats.terms += 1
             try:
-                outcome = run_walk(lp, replace(walk_cfg, seed=seed, steps=steps),
+                outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps),
                                    start, _cache=cache,
                                    _beta=1.0 if full else float(lp.n**2))
             except DegeneratePivot as exc:
@@ -231,7 +224,6 @@ def _las_vegas_walk(lp: NormalizedLP, delta: float, cfg: WalkConfig,
             stats.accepted_moves += outcome.accepted_moves
             stats.rejected_moves += outcome.rejected_moves
             stats.lazy_stays += outcome.lazy_stays
-            stats.stopped_with_c_in_cone = outcome.stopped_with_c_in_cone
             if outcome.stopped_with_c_in_cone:
                 return cache.record(outcome.final.basis), stats
             if full:
@@ -249,21 +241,26 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     Normalizes and keeps the tightest row of each direction
     (lp.tightest_rows), which leaves the region unchanged.  The rest runs
     on the kept rows, the walked program: it certifies the row
-    separation once (brute force unless supplied), finds an initial vertex
-    or a certified infeasibility, reduces to a bounded instance via an
-    enclosing box, and runs one Las Vegas walk at that delta, which
-    SolveReport.delta reports.  The box radius comes in closed form from
-    the certified delta; a bare float delta drives the walk but is
-    certified by brute force before it may size the box.  Reported
-    positions (basis and the Infeasible witness) are input positions, and
-    the optimum is certified against every input row.  Raises Infeasible
-    or Unbounded with certificates, RetriesExhausted if MAX_RETRIES + 1
-    full-budget walk attempts fail, and TooLarge if delta is too small for
-    a finite box radius or walk parameters.  A delta outside (0, 1] raises
-    ValueError before any work.
+    separation once (brute force unless supplied), reduces to a bounded
+    instance via an enclosing box, finds an initial vertex or a certified
+    infeasibility, and resolves the walk parameters at that delta, which
+    SolveReport.delta reports.  The boxed program's optimal basis comes
+    from one Las Vegas walk, or at n = 1 from Bland's rule started at the
+    phase-1 vertex (at most one pivot); phase1.solve_bounded solves x with
+    that basis's factors and reads the box's verdict.  The box radius comes
+    in closed form from the certified delta; a bare float delta drives the
+    walk but is certified by brute force before it may size the box.
+    Reported positions (basis and the Infeasible witness) are input
+    positions, and the optimum is certified against every input row.
+    Raises Infeasible or Unbounded with certificates, RetriesExhausted if
+    MAX_RETRIES + 1 full-budget walk attempts fail, and TooLarge if delta
+    is too small for a finite box radius or walk parameters, at every n.
+    A delta outside (0, 1] raises ValueError before any work.
     """
-    if delta is not None and not 0.0 < delta_value_and_method(delta)[0] <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    if delta is not None:
+        delta_value, delta_method = delta_value_and_method(delta)
+        if not 0.0 < delta_value <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
     # A kept row takes the place of its direction's first row, so the
@@ -275,7 +272,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
 
     if delta is None:
         delta = delta_bruteforce(walked)
-    delta_value, delta_method = delta_value_and_method(delta)
+        delta_value, delta_method = delta_value_and_method(delta)
 
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, delta))
     try:
@@ -283,8 +280,18 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     except Infeasible as exc:
         row = int(kept[exc.iteration - 1])
         raise phase1.infeasibility(row, exc.value, float(nlp.b[row])) from None
-    basis, x, stats = phase1.solve_bounded(walked, boxed, cfg, start,
-                                           delta_value)
+    walk_cfg = cfg.resolved(boxed.n, delta_value)  # once per solve: warns once
+    if boxed.n == 1:
+        # After the collapse each direction has one row and the box rows
+        # lie beyond the margin, so Bland's rule pivots at most once, with
+        # no tie; its memo holds the factors of the basis it returns.
+        factors: dict[Basis, LU] = {}
+        basis = bland_simplex(boxed, start, boxed.c, _factors=factors).basis
+        lu, stats = factors[basis], LevelStats(n=1)
+    else:
+        rec, stats = _las_vegas_walk(boxed, walk_cfg, start)
+        basis, lu = rec.basis, rec.lu
+    x = phase1.solve_bounded(walked, boxed, basis, lu)
     basis = tuple(sorted(int(kept[p]) for p in basis))
 
     if not nlp.is_feasible(x):
@@ -298,8 +305,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         value=float(lp.c @ x),
         delta=delta_value,
         delta_method=delta_method,
-        alpha=cfg.alpha if cfg.alpha is not None
-        else default_alpha(nlp.n, delta_value),
+        alpha=walk_cfg.alpha,
         steps_per_level=(stats.steps_taken,),
         pivots=stats.pivots,
         retries=stats.retries,

@@ -181,6 +181,20 @@ class TestSolveCommand:
                 capsys, ["solve", "--delta", "bound", "--input", str(path)],
                 "TooLarge: box radius")
 
+    def test_one_dimensional_walk_parameters_past_the_float_range(
+            self, capsys, tmp_path):
+        # delta = 1e-308 at n = 1: the box radius 1e-10 * 1e308 + 1 is
+        # finite, the step budget is not; no alpha = inf reaches the JSON
+        path = tmp_path / "huge-1d-steps.json"
+        write_lp_file(str(path), LinearProgram(A=[[1.0], [-1.0]],
+                                               b=[1e-10, 0.0], c=[1.0]),
+                      integral=True, Delta=10**154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_error_record(
+                capsys, ["solve", "--delta", "bound", "--input", str(path)],
+                "TooLarge: step budget")
+
     @pytest.mark.parametrize("Delta, argv, mention", [
         (10**60, ["solve", "--delta", "bound"], "TooLarge: step budget"),
         (3 * 10**153, ["solve", "--delta", "bound", "--steps", "10"],

@@ -10,8 +10,8 @@ from conewalk.identify import (
 )
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import check_lemma4, enumerate_vertices
-from conewalk.reduction import _solve_direct_1d, reduce_lp
-from conewalk.simplex import cone_membership, vertex_of_basis
+from conewalk.reduction import reduce_lp
+from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import Parallelepiped, WalkConfig, run_walk
 
 from conftest import SQRT2, bounded_random_lp
@@ -127,9 +127,9 @@ class TestIdentifyThenReduce:
         elem = extract_element(lp, cell.basis, c_prime, 1.0)
         assert elem.row == 0
 
-        reduced, _, index_map = reduce_lp(lp, elem.row, start)
+        reduced, reduced_start, index_map = reduce_lp(lp, elem.row, start)
         assert reduced.n == 1
-        (p,) = _solve_direct_1d(reduced)
+        (p,) = bland_simplex(reduced, reduced_start, reduced.c).basis
         basis = tuple(sorted([elem.row, index_map[p]]))
         assert basis == (0, 1)  # the true optimal basis for c
         assert cone_membership(lp, basis, lp.c).inside

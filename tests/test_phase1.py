@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conewalk.errors import Infeasible, RankDeficient, TooLarge, Unbounded
-from conewalk.geometry import det_abs, dist_to_span
+from conewalk.geometry import det_abs, dist_to_span, solve_square
 from conewalk.lp import (
     DeltaCertificate,
     DeltaMethod,
@@ -28,6 +28,7 @@ from conewalk.phase1 import (
     solve_bounded,
 )
 from conewalk.reduction import solve
+from conewalk.simplex import bland_simplex, factor_basis
 from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
@@ -353,10 +354,10 @@ class TestSolveBoundedViaSolve:
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
             b=[2.0, 2.0, 0.0, 0.0], c=[3.0, 4.0]))
         boxed = bounding_box(nlp, 1.0)
-        start = phase1_vertex(nlp, boxed)
-        with pytest.raises(Unbounded):
-            solve_bounded(nlp, boxed, WalkConfig(seed=0), start,
-                          delta_bruteforce(nlp).delta)
+        basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
+        with pytest.raises(Unbounded) as info:
+            solve_bounded(nlp, boxed, basis, factor_basis(boxed, basis))
+        assert info.value.box_row == 0  # x_1 <= 1, the first box row
 
     @pytest.mark.parametrize("scale", [1e7, 1e12])
     def test_large_rhs_optimum_is_not_box_contact(self, scale):
@@ -385,43 +386,82 @@ class TestSolveBoundedViaSolve:
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=0), delta=LOOSE)
 
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_x_is_solved_from_the_given_factors(self, kind, seed):
+        # bit for bit the solve of the tight system A_B x = b_B
+        nlp = normalize(tu_instance_generator(kind, 3, 9, seed))
+        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+        basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
+        x = solve_bounded(nlp, boxed, basis, factor_basis(boxed, basis))
+        rows = list(basis)
+        assert x.tobytes() == solve_square(boxed.A[rows], boxed.b[rows]).tobytes()
+
     @staticmethod
     def factorizations_outside_the_walk(monkeypatch, lp):
-        """Run solve_bounded on lp's boxed program; return how often
-        lu_factor ran outside run_walk, and how many walks ran."""
+        """Solve lp; return how often lu_factor ran after phase 1 and
+        before solve_bounded returned, outside run_walk, how many walks
+        ran, and whether solve_bounded got the factors of the walk's
+        record."""
         import conewalk.geometry as geometry_module
+        import conewalk.phase1 as phase1_module
         import conewalk.reduction as reduction_module
         import conewalk.simplex as simplex_module
+        import conewalk.walk as walk_module
 
-        nlp = normalize(lp)
-        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
-        start = phase1_vertex(nlp, boxed)
-        walking, outside, walks = [False], [], []
+        state = {"after_phase1": False, "walking": False}
+        outside, walks, records, given = [], [], [], []
+
+        def vertex(*args, real=phase1_module.phase1_vertex):
+            out = real(*args)
+            state["after_phase1"] = True
+            return out
 
         def walk(*args, real=reduction_module.run_walk, **kwargs):
-            walking[0] = True
+            state["walking"] = True
             walks.append(1)
             try:
                 return real(*args, **kwargs)
             finally:
-                walking[0] = False
+                state["walking"] = False
 
-        for module in (geometry_module, simplex_module):
+        def las_vegas(*args, real=reduction_module._las_vegas_walk):
+            rec, stats = real(*args)
+            records.append(rec)
+            return rec, stats
+
+        def bounded(lp, boxed, basis, lu, real=phase1_module.solve_bounded):
+            given.append(lu)
+            try:
+                return real(lp, boxed, basis, lu)
+            finally:
+                state["after_phase1"] = False
+
+        for module in (geometry_module, simplex_module, walk_module,
+                       phase1_module, reduction_module):
+            if not hasattr(module, "lu_factor"):
+                continue
+
             def factor(matrix, real=module.lu_factor):
-                if not walking[0]:
+                if state["after_phase1"] and not state["walking"]:
                     outside.append(1)
                 return real(matrix)
             monkeypatch.setattr(module, "lu_factor", factor)
+        monkeypatch.setattr(phase1_module, "phase1_vertex", vertex)
+        monkeypatch.setattr(phase1_module, "solve_bounded", bounded)
         monkeypatch.setattr(reduction_module, "run_walk", walk)
-        solve_bounded(nlp, boxed, WalkConfig(seed=0), start,
-                      delta_bruteforce(nlp).delta)
-        return len(outside), len(walks)
+        monkeypatch.setattr(reduction_module, "_las_vegas_walk", las_vegas)
+        solve(lp, WalkConfig(seed=0))
+        (rec,), (lu,) = records, given
+        return len(outside), len(walks), lu is rec.lu
 
     @pytest.mark.parametrize("kind", ["box", "interval", "network"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_x_comes_from_the_walks_factors(self, monkeypatch, kind, seed):
         # the walk factored its final basis; x is solved with those factors
         lp = tu_instance_generator(kind, 3, 9, seed)
-        outside, walks = self.factorizations_outside_the_walk(monkeypatch, lp)
+        outside, walks, same = self.factorizations_outside_the_walk(
+            monkeypatch, lp)
         assert walks > 0
         assert outside == 0
+        assert same

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -398,7 +399,7 @@ class TestRestarts:
         import conewalk.reduction as reduction_module
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", max_retries)
         return reduction_module._las_vegas_walk(
-            lp, 1.0, WalkConfig(alpha=32.0, steps=steps, seed=7), start)
+            lp, WalkConfig(alpha=32.0, steps=steps, seed=7), start)
 
     def test_terms_follow_the_schedule_capped_at_the_budget(
             self, monkeypatch, unit_square):
@@ -440,12 +441,12 @@ class TestRestarts:
         # first attempt fails, the second stops in the cone in its 2nd term
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=5)
-        _, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
+        rec, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
+        assert rec.basis == start.basis  # the in-cone term's final basis
         assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
         assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
         assert stats.steps_taken == stats.accepted_moves == 356
         assert stats.pivots == 5
-        assert stats.stopped_with_c_in_cone
 
     def test_short_term_degenerate_pivot_moves_on(self, monkeypatch,
                                                   unit_square):
@@ -459,7 +460,6 @@ class TestRestarts:
         # the ended term counts the 32 steps it completed before the tie
         assert stats.steps_taken == stats.accepted_moves == 64 + 32 + 128
         assert stats.pivots == 3
-        assert stats.stopped_with_c_in_cone
 
     def test_full_budget_degenerate_pivot_propagates(self, monkeypatch,
                                                      unit_square):
@@ -564,7 +564,8 @@ class TestRestarts:
 
 
 class TestOneDimension:
-    """A 1-D program is solved directly: its tightest bound along c."""
+    """A 1-D program is not walked: Bland's rule from the phase-1 vertex
+    takes its optimum, the tightest bound along c."""
 
     def test_solved_without_a_walk(self, monkeypatch):
         # walked at the paper's budget, one step at n = 1 and delta = 1,
@@ -580,6 +581,68 @@ class TestOneDimension:
             rep = solve(lp, WalkConfig(seed=seed))
             assert (rep.basis, rep.x.tolist(), rep.value) == ((1,), [1.0], -1.0)
             assert [(s.n, s.terms) for s in rep.levels] == [(1, 0)]
+
+    # (A, b, c) and the outcome recorded when a 1-D program was solved by
+    # picking its tightest bound along c: basis and x bytes, or the error
+    # type with its box row or phase-1 iteration.  "min-one-pivot" is the
+    # one whose phase-1 vertex is not optimal: Bland's rule pivots once.
+    PINNED = {
+        "max": (([[1.0], [-1.0]], [3.0, 0.0], [2.0]),
+                ((0,), "0000000000000840")),
+        "min-one-pivot": (([[2.0], [-1.0]], [4.0, -1.0], [-1.0]),
+                          ((1,), "000000000000f03f")),
+        "slack-copy": (([[1.0], [2.0], [-1.0], [-3.0]], [3.0, 5.0, 0.0, 3.0],
+                        [1.0]),
+                       ((1,), "0000000000000440")),
+        "three-rows": (([[-1.0], [1.0], [-2.0]], [0.5, 0.25, 3.0], [-3.0]),
+                       ((0,), "000000000000e0bf")),
+        "unbounded": (([[-1.0], [-2.0]], [0.0, 1.0], [1.0]),
+                      (Unbounded, 1)),
+        "infeasible": (([[1.0], [-1.0], [1.0]], [1.0, -2.0, 4.0], [1.0]),
+                       (Infeasible, 2)),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_outcomes(self, name):
+        (A, b, c), (want, detail) = self.PINNED[name]
+        lp = LinearProgram(A=A, b=b, c=c)
+        if isinstance(want, type):
+            with pytest.raises(want) as info:
+                solve(lp, WalkConfig(seed=0))
+            witness = getattr(info.value, "box_row", None)
+            assert (witness if witness is not None
+                    else info.value.iteration) == detail
+            return
+        rep = solve(lp, WalkConfig(seed=0))
+        assert (rep.basis, rep.x.tobytes().hex()) == (want, detail)
+        assert (rep.steps_per_level, rep.pivots, rep.alpha) == ((0,), 0, 4.0)
+
+    def test_walk_parameters_past_the_float_range_are_too_large(self):
+        # delta = 1e-308: the box radius 1e-10 * 1e308 + 1 is finite, but
+        # the step budget n^5.5/delta^3 is not, so resolving the walk
+        # parameters at n = 1 raises rather than report alpha = inf
+        lp = LinearProgram(A=[[1.0], [-1.0]], b=[1e-10, 0.0], c=[1.0])
+        delta = delta_integer_bound(lp.A, 10**154)
+        with pytest.raises(TooLarge, match="^step budget"):
+            solve(lp, WalkConfig(seed=0), delta=delta)
+        # with the budget given, alpha = 4 n^3 / delta overflows instead
+        with pytest.raises(TooLarge, match="^alpha"):
+            solve(lp, WalkConfig(seed=0, steps=10), delta=delta)
+        # a provided delta sizes no box, but still sets the budget, which
+        # leaves the float range below about 1.77e-103
+        assert solve(lp, WalkConfig(seed=0), delta=1.8e-103).basis == (0,)
+        with pytest.raises(TooLarge, match="^step budget"):
+            solve(lp, WalkConfig(seed=0), delta=1.75e-103)
+
+    def test_low_alpha_warns(self):
+        import warnings
+
+        lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = solve(lp, WalkConfig(seed=0, alpha=1.0))
+        assert rep.alpha == 1.0
+        assert [str(w.message).split(" ")[0] for w in caught] == ["alpha=1"]
 
 
 class TestShortTermPull:
@@ -712,8 +775,65 @@ class TestParallelRows:
 
 @pytest.mark.parametrize("module", ["conewalk.phase1", "conewalk.reduction"])
 def test_module_imports_first_in_a_fresh_interpreter(module):
-    # reduction imports phase1 at module top; phase1 reaches back into
-    # reduction only inside solve_bounded, so either may be imported first.
+    # reduction imports phase1 at module top and phase1 imports neither
+    # reduction nor walk, so either may be imported first.
     src = str(Path(conewalk.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def _package_imports(node, here):
+    """The package modules an import statement names, as file stems."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            if node.module is None or not node.module.startswith("conewalk"):
+                return []
+            parts = node.module.split(".")[1:]
+        else:
+            parts = node.module.split(".") if node.module else []
+        if parts:
+            return [parts[0]]
+        # "from . import name": a module of the package, or the package
+        return [a.name if a.name in here else "__init__" for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] if "." in a.name else "__init__"
+                for a in node.names if a.name.split(".")[0] == "conewalk"]
+    return []
+
+
+def test_package_import_graph_is_acyclic():
+    # Every package import sits at module level (TYPE_CHECKING blocks
+    # count), and those imports form no cycle: no module needs another
+    # that needs it back.
+    package = Path(conewalk.__file__).resolve().parent
+    trees = {f.stem: ast.parse(f.read_text()) for f in package.glob("*.py")}
+    graph, nested = {}, []
+    for name, tree in trees.items():
+        in_function = {id(inner) for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       for inner in ast.walk(node)}
+        graph[name] = set()
+        for node in ast.walk(tree):
+            targets = _package_imports(node, trees)
+            if id(node) in in_function:
+                nested += [(name, node.lineno, t) for t in targets]
+            else:
+                graph[name].update(targets)
+    assert nested == []
+
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(f"import cycle: {path[path.index(name):]}")
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

@@ -207,8 +207,11 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
 def cmd_solve(args) -> int:
     lp, raw = load_lp_file(args.input)
     delta = _resolve_delta(args.delta, lp, raw)
-    opened = open(args.trace, "w") if args.trace else contextlib.nullcontext()
-    with opened as trace:
+    try:
+        trace = open(args.trace, "w") if args.trace else None
+    except OSError as exc:
+        raise CliError(f"cannot write trace file {args.trace}: {exc}") from exc
+    with trace or contextlib.nullcontext():
         cfg = WalkConfig(alpha=args.alpha, steps=args.steps, seed=args.seed,
                          trace=trace)
         report, code = _solve_once(lp, delta, cfg)
@@ -302,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "walk); lazy steps have "
                               "log_weight_proposal null; basis positions "
                               "are 0-based in the program the walk runs "
-                              "on: the kept rows (the tightest of each "
-                              "direction, in the order the directions "
-                              "first occur) and then the box rows; "
+                              "on: the 2n box rows, then the kept rows "
+                              "(the tightest of each direction, in the "
+                              "order the directions first occur); "
                               "tracing never changes the walk")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)

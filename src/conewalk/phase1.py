@@ -2,15 +2,16 @@
 
 solve (reduction.solve) calls these on the walked program, the input's
 kept rows: the tightest row of each direction, in the order the directions
-first occur (lp.tightest_rows).  The boxed program is the walked program's
-rows followed by 2n slab rows along n linearly independent rows of it.  It
-introduces no direction beyond negations, so the row-separation property
-is preserved: the boxed program has the input's delta.  The box radius
-follows in closed form from a certified delta, so no basic system is ever
-solved to size it.  A vertex of the boxed program is grown one constraint
-at a time.  solve finds the boxed optimum itself; solve_bounded, the last
-step, reads x from its basis, and an optimum touching the box certifies
-unboundedness.  Nothing here imports the walk or the solver.
+first occur (lp.tightest_rows).  The boxed program is 2n slab rows along n
+linearly independent rows of it, then its rows, in one order every stage
+reads.  It introduces no direction beyond negations, so the row-separation
+property is preserved: the boxed program has the input's delta.  The box
+radius follows in closed form from a certified delta, so no basic system
+is ever solved to size it.  A vertex of the boxed program is grown one
+constraint at a time, on its prefixes.  solve finds the boxed optimum
+itself; solve_bounded, the last step, reads x from its basis, and an
+optimum touching the box certifies unboundedness.  Nothing here imports
+the walk or the solver.
 """
 from __future__ import annotations
 
@@ -48,19 +49,20 @@ def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
 
 
 def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
-    """The boxed program: lp's rows, then the 2n box rows.
+    """The boxed program: the 2n box rows, then lp's rows.
 
     The box is the slabs |a_i^T x| <= radius along n independent rows:
-    their directions first, then their negations.  The directions are unit
-    vectors, so the box contains the ball of the given radius; the caller
-    guarantees that ball holds every basic point.  Every row is one of lp's
-    rows or its negation, so the boxed program inherits lp's validation.
+    their directions, then their negations; lp's row i follows at 2n + i.
+    The directions are unit vectors, so the box contains the ball of the
+    given radius; the caller guarantees that ball holds every basic point.
+    Every row is one of lp's rows or its negation, so the boxed program
+    inherits lp's validation.
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     dirs = lp.A[list(find_independent_rows(lp))]
-    return _derived(np.vstack([lp.A, dirs, -dirs]),
-                    np.concatenate([lp.b, np.full(2 * lp.n, float(radius))]),
+    return _derived(np.vstack([dirs, -dirs, lp.A]),
+                    np.concatenate([np.full(2 * lp.n, float(radius)), lp.b]),
                     lp.c)
 
 
@@ -73,13 +75,12 @@ def certified_radius(lp: NormalizedLP,
     beyond that is 1, or twice the input's feasibility tolerance when that
     is larger, so every box row is slack at every basic point by more than
     the tolerance at which solve_bounded judges contact.  Only a
-    certificate may size the box: a
-    bare float is a claim, and one that is too large would shrink the box
-    onto a vertex and turn a bounded program into an "unbounded" verdict,
-    so the input is certified by brute force instead (which may raise
-    TooLarge).  A radius whose box-corner slacks, about 2 * radius + max|b|,
-    leave the float range raises TooLarge too: phase 1 could not subtract
-    them.
+    certificate may size the box: a bare float is a claim, and one that is
+    too large would shrink the box onto a vertex and turn a bounded program
+    into an "unbounded" verdict, so the input is certified by brute force
+    instead (which may raise TooLarge).  A radius whose box-corner slacks,
+    about 2 * radius + max|b|, leave the float range raises TooLarge too:
+    phase 1 could not subtract them.
     """
     if not isinstance(delta, DeltaCertificate):
         delta = delta_bruteforce(lp)
@@ -102,52 +103,44 @@ def infeasibility(row: int, value: float, rhs: float) -> Infeasible:
         iteration=row + 1, value=value)
 
 
-def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
+def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP, *,
+                  _factors: dict[Basis, LU] | None = None) -> Vertex:
     """Grow a vertex of P intersected with the box, or certify infeasibility.
 
     ``boxed`` is ``bounding_box(lp, radius)``.  Starting from the box corner
     where the n box rows along the directions (not their negations) are
     tight, constraint i is brought in by minimizing a_i^T x over the region
-    satisfying the box and the first i-1 constraints; a minimum above b_i
-    certifies the whole program infeasible, with the iteration index as
-    witness.  solve passes its walked program, the tightest row of each
-    direction: that region is still cut by input rows, so it holds every
-    feasible point in the box, and the box holds every vertex.  solve
-    reports row i's input position.
+    satisfying the box and the first i-1 constraints, the first 2n + i rows
+    of boxed; a minimum above b_i certifies the whole program infeasible,
+    with the iteration index as witness.  solve passes its walked program,
+    the tightest row of each direction: that region is still cut by input
+    rows, so it holds every feasible point in the box, and the box holds
+    every vertex.  solve reports row i's input position.
 
-    The returned vertex's basis indexes the boxed program (original rows
-    first, then the box rows).  The test uses the input's tolerance: box
-    corners are exact up to rounding of order radius * eps, and a tolerance
-    that grew with the radius would let real infeasibility through.
+    The vertex returned is boxed's.  A prefix has boxed's rows at its
+    positions, so one memo of basis factors (_factors, as bland_simplex's)
+    serves every prefix and boxed.  The test uses the input's tolerance:
+    box corners are exact up to rounding of order radius * eps, and a
+    tolerance growing with the radius would let real infeasibility through.
     """
-    m, n = lp.m, lp.n
+    n = lp.n
     ftol = lp.feas_tol()
+    factors = {} if _factors is None else _factors
 
-    # Box-first ordering keeps row positions stable while constraints
-    # append: the region before constraint i is the first 2n + i rows.
     # bounding_box took the box directions from find_independent_rows, so
     # every prefix, the 2n box rows alone included, holds n independent
-    # rows and is derived from boxed without re-validation: its arrays are
-    # read-only slices of ordered's.
-    ordered = _derived(np.vstack([boxed.A[m:], lp.A]),
-                       np.concatenate([boxed.b[m:], lp.b]), lp.c)
-
+    # rows: it is derived from boxed's read-only slices, unvalidated.
     def prefix(k: int) -> NormalizedLP:
-        return _derived(ordered.A[:k], ordered.b[:k], lp.c)
+        return _derived(boxed.A[:k], boxed.b[:k], lp.c)
 
-    # Every prefix has ordered's rows at every position it holds, so one
-    # memo of basis factors serves them all: each basis is factored once.
-    factors: dict[Basis, LU] = {}
     v = vertex_of_basis(prefix(2 * n), tuple(range(n)), _factors=factors)
-    for i in range(m):
+    for i in range(lp.m):
         v = bland_simplex(prefix(2 * n + i), v, -lp.A[i], _factors=factors)
         value = float(lp.A[i] @ v.point)
         if value > lp.b[i] + ftol:
             raise infeasibility(i, value, float(lp.b[i]))
         # The minimizer is already a vertex of the grown region; keep it.
-
-    remapped = tuple(p - 2 * n if p >= 2 * n else m + p for p in v.basis)
-    return Vertex(point=v.point, basis=remapped)
+    return v
 
 
 def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, basis: Basis,
@@ -155,9 +148,9 @@ def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, basis: Basis,
     """The boxed optimum's point x, or the box's verdict that lp is unbounded.
 
     basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``)
-    and lu the factors of its rows in that sorted order, as the walk or
-    Bland's rule left them: x is solved with them, and nothing is factored
-    again.  The first box row that lies in the basis or is tight at x
+    and lu the factors of its rows in that sorted order, from solve's memo:
+    x is solved with them, and nothing is factored again.  The first box
+    row (positions 0..2n-1) that lies in the basis or is tight at x
     certifies unboundedness.  Contact is judged at the input's tolerance,
     as in phase1_vertex; degenerate contact counts too.  No input row can
     hide a tight box row: a basis without box rows gives a basic point of
@@ -166,9 +159,9 @@ def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, basis: Basis,
     """
     x = lu_solve(lu, boxed.b[list(basis)])
     ftol = lp.feas_tol()
-    for p in range(lp.m, boxed.m):
+    for p in range(2 * lp.n):
         if p in basis or abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
             raise Unbounded(
                 "optimum of the boxed system lies on the artificial box",
-                box_row=p - lp.m)
+                box_row=p)
     return x

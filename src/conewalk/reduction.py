@@ -5,7 +5,8 @@ row of each direction (lp.tightest_rows), certify the row separation, box
 the program, find a start vertex by phase 1, resolve the walk parameters,
 take an optimal basis of the boxed program (one Las Vegas walk, or Bland's
 rule at n = 1), solve x and read the box's verdict (phase1.solve_bounded),
-and certify the optimum against every input row.
+and certify the optimum against every input row.  One memo of basis
+factors serves every stage, so no basis is factored twice in a solve.
 
 reduce_lp is the paper's reduction step: once one row of the optimal basis
 is certified (identify.extract_element), its constraint is set to
@@ -53,7 +54,7 @@ from .simplex import (
     vertex_of_basis,
 )
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, _BasisRecord, _WalkCache, run_walk
+from .walk import WalkConfig, _WalkCache, run_walk
 
 MAX_RETRIES = 10  # failed full-budget attempts after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
@@ -180,10 +181,10 @@ class SolveReport:
     levels: tuple[LevelStats, ...]
 
 
-def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
-                    start: Vertex) -> tuple[_BasisRecord, LevelStats]:
-    """Walk lp from start to an optimal basis: the basis's _BasisRecord,
-    whose LU factors give the vertex, and the walk's stats.
+def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex,
+                    factors: dict[Basis, LU]) -> tuple[Basis, LevelStats]:
+    """Walk lp from start to an optimal basis: the basis, whose LU the walk
+    left in the memo factors (_WalkCache), and the walk's stats.
 
     cfg is resolved (WalkConfig.resolved): its alpha and steps are set.  An
     attempt is a series of terms on Luby's schedule: term t walks
@@ -200,7 +201,7 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
     RetriesExhausted.  A short term that ends on a DegeneratePivot is
     restarted like any other; a full-budget one raises.
     """
-    cache = _WalkCache(lp)  # shared by every walk of the solve
+    cache = _WalkCache(lp, factors)  # shared by every walk of the solve
     stats = LevelStats(n=lp.n)
     for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
@@ -225,7 +226,7 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
             stats.rejected_moves += outcome.rejected_moves
             stats.lazy_stays += outcome.lazy_stays
             if outcome.stopped_with_c_in_cone:
-                return cache.record(outcome.final.basis), stats
+                return outcome.final.basis, stats
             if full:
                 break
 
@@ -247,9 +248,10 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     SolveReport.delta reports.  The boxed program's optimal basis comes
     from one Las Vegas walk, or at n = 1 from Bland's rule started at the
     phase-1 vertex (at most one pivot); phase1.solve_bounded solves x with
-    that basis's factors and reads the box's verdict.  The box radius comes
-    in closed form from the certified delta; a bare float delta drives the
-    walk but is certified by brute force before it may size the box.
+    that basis's factors, from the memo every stage shares, and reads the
+    box's verdict.  The box radius comes in closed form from the certified
+    delta; a bare float delta drives the walk but is certified by brute
+    force before it may size the box.
     Reported positions (basis and the Infeasible witness) are input
     positions, and the optimum is certified against every input row.
     Raises Infeasible or Unbounded with certificates, RetriesExhausted if
@@ -275,24 +277,23 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         delta_value, delta_method = delta_value_and_method(delta)
 
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, delta))
+    factors: dict[Basis, LU] = {}  # of boxed's bases, for every stage
     try:
-        start = phase1.phase1_vertex(walked, boxed)
+        start = phase1.phase1_vertex(walked, boxed, _factors=factors)
     except Infeasible as exc:
         row = int(kept[exc.iteration - 1])
         raise phase1.infeasibility(row, exc.value, float(nlp.b[row])) from None
     walk_cfg = cfg.resolved(boxed.n, delta_value)  # once per solve: warns once
     if boxed.n == 1:
-        # After the collapse each direction has one row and the box rows
-        # lie beyond the margin, so Bland's rule pivots at most once, with
-        # no tie; its memo holds the factors of the basis it returns.
-        factors: dict[Basis, LU] = {}
+        # After the collapse each direction has one row and the box rows lie
+        # beyond the margin: Bland's rule pivots at most once, with no tie.
         basis = bland_simplex(boxed, start, boxed.c, _factors=factors).basis
-        lu, stats = factors[basis], LevelStats(n=1)
+        stats = LevelStats(n=1)
     else:
-        rec, stats = _las_vegas_walk(boxed, walk_cfg, start)
-        basis, lu = rec.basis, rec.lu
-    x = phase1.solve_bounded(walked, boxed, basis, lu)
-    basis = tuple(sorted(int(kept[p]) for p in basis))
+        basis, stats = _las_vegas_walk(boxed, walk_cfg, start, factors)
+    x = phase1.solve_bounded(walked, boxed, basis, factors[basis])
+    # no box row is in the basis: solve_bounded raised Unbounded otherwise
+    basis = tuple(sorted(int(kept[p - 2 * boxed.n]) for p in basis))
 
     if not nlp.is_feasible(x):
         raise ConewalkError("reconstructed optimum is infeasible")

@@ -75,7 +75,7 @@ def _factored(lp: NormalizedLP, basis: Basis,
     """The factors of a sorted basis, factored at most once per memo.
 
     A memo holds for every program with the same rows at its bases'
-    positions, such as the prefixes of one program.
+    positions: solve's serves the boxed program, its prefixes and the walk.
     """
     if memo is None:
         return factor_basis(lp, basis)

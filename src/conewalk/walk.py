@@ -19,10 +19,10 @@ _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
-The walk factors each basis it enters once (_WalkCache.record): the rows
-A_B are gathered once, and their LU factors give the cell volume
-(log |det A_B|), the in-cone stop (A_B^T mu = c) and every pivot out of the
-basis (A_B d = -e_k).
+The walk factors each basis it enters once at most (_WalkCache.record):
+the rows A_B are gathered once, and their LU factors (from a memo phase 1
+shares) give the cell volume (log |det A_B|), the in-cone stop
+(A_B^T mu = c) and every pivot out of the basis (A_B d = -e_k).
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
 
 The stop is an exact certificate, so the walk is sound under any weight;
@@ -188,8 +188,7 @@ def log_weight(lp: NormalizedLP, alpha: float, cell: Parallelepiped) -> float:
     return -float(np.sum(np.abs(z - alpha * lp.c))) + log_volume(lp, cell.basis)
 
 
-@dataclass(frozen=True)
-class _BasisRecord:
+class _BasisRecord(NamedTuple):
     """What the walk uses of one basis, computed the first time it needs it."""
 
     basis: Basis
@@ -201,11 +200,13 @@ class _BasisRecord:
 
 
 class _WalkCache:
-    """Memo of one program's walks: one _BasisRecord per basis, and the
-    pivot results (see the module docstring)."""
+    """Memo of one program's walks: one _BasisRecord per basis, its LU read
+    from or added to factors (as simplex._factored), and the pivot results."""
 
-    def __init__(self, lp: NormalizedLP):
+    def __init__(self, lp: NormalizedLP,
+                 factors: dict[Basis, LU] | None = None):
         self.lp = lp
+        self.factors = {} if factors is None else factors
         self.records: dict[Basis, _BasisRecord] = {}
         self.pivots: dict[tuple[Basis, int], Vertex] = {}
 
@@ -215,7 +216,9 @@ class _WalkCache:
             lp = self.lp
             a_b = basis_matrix(lp, basis)
             rows = a_b / lp.n**2
-            lu = lu_factor(a_b)
+            lu = self.factors.get(basis)
+            if lu is None:
+                lu = self.factors[basis] = lu_factor(a_b)
             rec = self.records[basis] = _BasisRecord(
                 basis, rows, rows.tolist(), lu,
                 log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),

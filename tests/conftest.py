@@ -87,11 +87,18 @@ class SolveSpy:
 
     - factorizations: (scope, basis) -> how often the basis was factored,
       scope being ("phase1", k) inside the k-th phase1_vertex call,
-      ("walk", k) inside the k-th Las Vegas walk, and None elsewhere.
-      simplex's factor_basis is counted by basis; the walk gathers A_B
-      itself and calls lu_factor, counted by A_B's bytes, which two bases
-      share only when their rows are equal, so a basis factored twice is
-      counted twice either way;
+      ("walk", k) inside the k-th Las Vegas walk, ("bland", k) inside the
+      k-th bland_simplex call solve makes at n = 1, and None elsewhere (the
+      certificate against the input).  simplex's factor_basis is counted
+      by basis; the walk gathers A_B itself and calls lu_factor, counted by
+      A_B's bytes, which two bases share only when their rows are equal,
+      so a basis factored twice is counted twice either way;
+    - solve_factorizations: a basis as its set of constraints (a_p, b_p)
+      -> how often the solve factored it in any scope but None.  Phase 1,
+      Bland's rule and the walk all factor bases of the boxed program, and
+      this key names a basis alike in every row order; a box row repeats
+      an input row or its negation, but with the box radius as its
+      right-hand side;
     - det_calls: how often np.linalg.det ran;
     - pivots: (caller, program, vertex, leaving, result) for each
       pivot_across_facet call phase 1 ("simplex", through bland_simplex)
@@ -104,6 +111,7 @@ class SolveSpy:
 
     def __init__(self, lp: LinearProgram, seed: int):
         self.factorizations: Counter = Counter()
+        self.solve_factorizations: Counter = Counter()
         self.det_calls = 0
         self.pivots: list[tuple] = []
         self.cone_tests: list[tuple] = []
@@ -129,27 +137,43 @@ class SolveSpy:
                 self.cone_tests.append((prog, basis, np.array(w), res.inside))
             return res
 
-        def cache(prog, real=reduction_module._WalkCache):
-            self.caches.append(real(prog))
+        def cache(*args, real=reduction_module._WalkCache):
+            self.caches.append(real(*args))
             return self.caches[-1]
+
+        def counted(key, prog, basis):
+            self.factorizations[scope[0], key] += 1
+            if scope[0] is not None:
+                self.solve_factorizations[frozenset(
+                    (prog.A[p].tobytes(), float(prog.b[p])) for p in basis)] += 1
+
+        gathered = {}  # id(A_B) -> (A_B, program, basis) the walk gathered
+
+        def gather(prog, basis, real=walk_module.basis_matrix):
+            a_b = real(prog, basis)
+            gathered[id(a_b)] = a_b, prog, basis
+            return a_b
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(phase1_module, "phase1_vertex",
                        scoped("phase1", phase1_module.phase1_vertex))
             mp.setattr(reduction_module, "_las_vegas_walk",
                        scoped("walk", reduction_module._las_vegas_walk))
+            mp.setattr(reduction_module, "bland_simplex",
+                       scoped("bland", reduction_module.bland_simplex))
             mp.setattr(np.linalg, "det", det)
             mp.setattr(simplex_module, "cone_membership", cone)
             mp.setattr(reduction_module, "_WalkCache", cache)
 
             def factor(prog, basis, real=simplex_module.factor_basis):
-                self.factorizations[scope[0], tuple(basis)] += 1
+                counted(tuple(basis), prog, basis)
                 return real(prog, basis)
 
             def factor_rows(a_b, real=walk_module.lu_factor):
-                self.factorizations[scope[0], a_b.tobytes()] += 1
+                counted(a_b.tobytes(), *gathered.pop(id(a_b))[1:])
                 return real(a_b)
             mp.setattr(simplex_module, "factor_basis", factor)
+            mp.setattr(walk_module, "basis_matrix", gather)
             mp.setattr(walk_module, "lu_factor", factor_rows)
             for module in (simplex_module, walk_module):
                 def pivot(prog, v, leaving, real=module.pivot_across_facet,

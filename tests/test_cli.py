@@ -285,6 +285,27 @@ class TestSolveCommand:
             assert rec["step"] >= 1
             assert len(rec["basis"]) == 2
 
+    def test_unwritable_trace_path_is_one_error_record(self, capsys,
+                                                       square_file, tmp_path):
+        trace = tmp_path / "no-such-dir" / "t.jsonl"
+        assert_one_error_record(
+            capsys, ["solve", "--input", square_file, "--trace", str(trace)],
+            f"cannot write trace file {trace}")
+
+    def test_trace_positions_index_the_boxed_program(self, capsys, tmp_path):
+        # box rows at 0..2n-1, then the kept rows; the program is bounded,
+        # so every box row stays slack and no walk basis holds one
+        path = INSTANCES / "network-n3.json"
+        trace = tmp_path / "trace.jsonl"
+        code, _ = run_cli(capsys, ["solve", "--input", str(path), "--seed",
+                                   "0", "--trace", str(trace)])
+        assert code == 0
+        spec = json.loads(path.read_text())
+        records = [json.loads(ln) for ln in trace.read_text().splitlines()]
+        assert records
+        assert all(2 * spec["n"] <= p < 2 * spec["n"] + spec["m"]
+                   for r in records for p in r["basis"])
+
     def test_trace_includes_retried_attempts(self, capsys, square_file,
                                              tmp_path):
         # the step counter restarts with every walk attempt, so the number

@@ -28,7 +28,7 @@ from conewalk.phase1 import (
     solve_bounded,
 )
 from conewalk.reduction import solve
-from conewalk.simplex import bland_simplex, factor_basis
+from conewalk.simplex import bland_simplex, factor_basis, vertex_of_basis
 from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
@@ -123,27 +123,42 @@ class TestFindIndependentRows:
 class TestBoundingBox:
     def test_square_slabs(self, unit_square):
         boxed = bounding_box(unit_square, 1.0)
-        m, n = unit_square.m, unit_square.n
+        n = unit_square.n
         dirs = unit_square.A[[0, 1]]
-        assert np.array_equal(boxed.A[m:], np.vstack([dirs, -dirs]))
-        assert np.array_equal(boxed.b[m:], np.full(2 * n, 1.0))
+        assert np.array_equal(boxed.A[:2 * n], np.vstack([dirs, -dirs]))
+        assert np.array_equal(boxed.b[:2 * n], np.full(2 * n, 1.0))
 
     def test_contains_the_ball(self, unit_square):
         # |a.x| <= ||x|| for unit a, so the R-slabs contain the R-ball
         boxed = bounding_box(unit_square, 2.0)
-        m = unit_square.m
+        n = unit_square.n
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(2)
             x *= 2.0 * rng.random() / np.linalg.norm(x)
-            assert np.all(boxed.A[m:] @ x <= boxed.b[m:] + 1e-12)
+            assert np.all(boxed.A[:2 * n] @ x <= boxed.b[:2 * n] + 1e-12)
 
     def test_contains_square_corners(self, unit_square):
         boxed = bounding_box(unit_square, 2.0)
-        m = unit_square.m
+        n = unit_square.n
         for corner in ([0, 0], [0, 1], [1, 0], [1, 1]):
             x = np.array(corner, float)
-            assert np.all(boxed.A[m:] @ x <= boxed.b[m:] + 1e-12)
+            assert np.all(boxed.A[:2 * n] @ x <= boxed.b[:2 * n] + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    def test_box_rows_come_first(self, kind):
+        # position p < 2n is box row p, position 2n + i is lp's row i
+        for seed in range(4):
+            nlp = normalize(pad_redundant(
+                tu_instance_generator(kind, 4, 12, seed), 30, seed))
+            boxed = bounding_box(nlp, 6.5)
+            n = nlp.n
+            dirs = nlp.A[list(find_independent_rows(nlp))]
+            assert np.array_equal(boxed.A[:n], dirs)
+            assert np.array_equal(boxed.A[n:2 * n], -dirs)
+            assert np.array_equal(boxed.b[:2 * n], np.full(2 * n, 6.5))
+            assert np.array_equal(boxed.A[2 * n:], nlp.A)
+            assert np.array_equal(boxed.b[2 * n:], nlp.b)
 
     def test_rejects_nonpositive_radius(self, unit_square):
         with pytest.raises(ValueError):
@@ -222,20 +237,20 @@ class TestCertifiedRadius:
 
 
 class TestAugmentedLp:
-    """The boxed program: the input's rows, then the directions, then
-    their negations."""
+    """The boxed program: the directions, then their negations, then the
+    input's rows."""
 
     def test_shape_and_rows(self):
         nlp = normalize(tu_instance_generator("network", 3, 10, 4))
         boxed = bounding_box(nlp, 2.5)
         m, n = nlp.m, nlp.n
         assert (boxed.m, boxed.n) == (m + 2 * n, n)
-        assert np.array_equal(boxed.A[:m], nlp.A)
-        assert np.array_equal(boxed.b[:m], nlp.b)
+        assert np.array_equal(boxed.A[2 * n:], nlp.A)
+        assert np.array_equal(boxed.b[2 * n:], nlp.b)
         assert np.array_equal(boxed.c, nlp.c)
         dirs = nlp.A[list(find_independent_rows(nlp))]
-        assert np.array_equal(boxed.A[m:], np.vstack([dirs, -dirs]))
-        assert np.array_equal(boxed.b[m:], np.full(2 * n, 2.5))
+        assert np.array_equal(boxed.A[:2 * n], np.vstack([dirs, -dirs]))
+        assert np.array_equal(boxed.b[:2 * n], np.full(2 * n, 2.5))
 
     def test_separation_survives_augmentation(self, unit_square):
         # box rows only negate existing directions
@@ -272,11 +287,9 @@ class TestPhase1Vertex:
         assert (m, len(regions)) == (13, 13)
         boxed = bounding_box(walked, certified_radius(
             walked, delta_bruteforce(walked)))
-        box_first_A = np.vstack([boxed.A[m:], walked.A])
-        box_first_b = np.concatenate([boxed.b[m:], walked.b])
         for i, region in enumerate(regions):
-            assert np.array_equal(region.A, box_first_A[:2 * n + i])
-            assert np.array_equal(region.b, box_first_b[:2 * n + i])
+            assert np.array_equal(region.A, boxed.A[:2 * n + i])
+            assert np.array_equal(region.b, boxed.b[:2 * n + i])
             assert np.array_equal(region.c, nlp.c)
         assert lp.is_feasible(rep.x, tol=1e-9)
 
@@ -289,6 +302,25 @@ class TestPhase1Vertex:
         assert tight == unit_square.n
         corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert any(np.allclose(v.point, c, atol=1e-9) for c in corners)
+
+    def test_returns_a_vertex_of_the_boxed_program(self, unit_square):
+        # the basis indexes boxed as it is: its tight system there gives the
+        # point, bit for bit on the square, whose pivots are exact
+        boxed = bounding_box(unit_square, 2.0)
+        v = phase1_vertex(unit_square, boxed)
+        assert v.point.tobytes() == \
+            vertex_of_basis(boxed, v.basis).point.tobytes()
+        # elsewhere the point sums pivot steps, so rounding may part them
+        for kind in ("box", "interval", "network"):
+            for seed in range(6):
+                nlp = normalize(tu_instance_generator(kind, 4, 14, seed))
+                radius = certified_radius(nlp, delta_bruteforce(nlp))
+                boxed = bounding_box(nlp, radius)
+                v = phase1_vertex(nlp, boxed)
+                assert boxed.is_feasible(v.point)
+                np.testing.assert_allclose(
+                    v.point, vertex_of_basis(boxed, v.basis).point,
+                    rtol=0.0, atol=1e-12 * radius)
 
     def test_infeasible_with_witness(self):
         # x <= 0 and -x <= -1 cannot both hold; y is boxed to keep rank
@@ -311,10 +343,10 @@ class TestPhase1Vertex:
         with pytest.raises(Infeasible) as exc_info:
             phase1_vertex(lp, boxed)
         i = exc_info.value.iteration - 1
-        region = normalize(LinearProgram(
-            A=np.vstack([boxed.A[lp.m:], lp.A[:i]]),
-            b=np.concatenate([boxed.b[lp.m:], lp.b[:i]]),
-            c=lp.c))
+        # the region before row i: the box rows and lp's first i rows
+        region = normalize(LinearProgram(A=boxed.A[:2 * lp.n + i],
+                                         b=boxed.b[:2 * lp.n + i], c=lp.c))
+        assert np.array_equal(region.A[2 * lp.n:], lp.A[:i])
         res = enumerate_vertices(region)
         best = min(float(lp.A[i] @ v.point) for v in res.vertices)
         assert best == pytest.approx(exc_info.value.value, abs=1e-9)
@@ -410,10 +442,10 @@ class TestSolveBoundedViaSolve:
         import conewalk.walk as walk_module
 
         state = {"after_phase1": False, "walking": False}
-        outside, walks, records, given = [], [], [], []
+        outside, walks, caches, records, given = [], [], [], [], []
 
-        def vertex(*args, real=phase1_module.phase1_vertex):
-            out = real(*args)
+        def vertex(*args, real=phase1_module.phase1_vertex, **kwargs):
+            out = real(*args, **kwargs)
             state["after_phase1"] = True
             return out
 
@@ -425,10 +457,14 @@ class TestSolveBoundedViaSolve:
             finally:
                 state["walking"] = False
 
+        def cache(*args, real=reduction_module._WalkCache):
+            caches.append(real(*args))
+            return caches[-1]
+
         def las_vegas(*args, real=reduction_module._las_vegas_walk):
-            rec, stats = real(*args)
-            records.append(rec)
-            return rec, stats
+            basis, stats = real(*args)
+            records.append(caches[-1].records[basis])
+            return basis, stats
 
         def bounded(lp, boxed, basis, lu, real=phase1_module.solve_bounded):
             given.append(lu)
@@ -451,6 +487,7 @@ class TestSolveBoundedViaSolve:
         monkeypatch.setattr(phase1_module, "solve_bounded", bounded)
         monkeypatch.setattr(reduction_module, "run_walk", walk)
         monkeypatch.setattr(reduction_module, "_las_vegas_walk", las_vegas)
+        monkeypatch.setattr(reduction_module, "_WalkCache", cache)
         solve(lp, WalkConfig(seed=0))
         (rec,), (lu,) = records, given
         return len(outside), len(walks), lu is rec.lu

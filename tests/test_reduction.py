@@ -28,7 +28,7 @@ from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import WalkConfig
 
-from conftest import SQRT2, bounded_random_lp
+from conftest import SQRT2, SolveSpy, bounded_random_lp
 
 
 def identifying_walk(alpha, outcomes):
@@ -328,10 +328,12 @@ def _network(n, m, gen_seed):
 
 
 # Solves a ratio-test tie still ends: (program, its region for the oracle,
-# solve seed, the facet the tied pivot leaves).  A lexicographic ratio test
-# should solve every one.
+# solve seed, the facet the tied pivot leaves, a position in the boxed
+# program: the 2n box rows, then the kept rows).  The first tie is in a walk
+# term, the other three in phase 1.  A lexicographic ratio test should solve
+# every one.
 DEGENERATE_SOLVES = [
-    pytest.param(_network(4, 16, 145401439), None, 1710842164, 12,
+    pytest.param(_network(4, 16, 145401439), None, 1710842164, 20,
                  id="network-n4-m16-gen145401439-solve1710842164"),
     pytest.param(_network(4, 18, 1692237961), None, 786869279, 12,
                  id="network-n4-m18-gen1692237961-solve786869279"),
@@ -399,7 +401,7 @@ class TestRestarts:
         import conewalk.reduction as reduction_module
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", max_retries)
         return reduction_module._las_vegas_walk(
-            lp, WalkConfig(alpha=32.0, steps=steps, seed=7), start)
+            lp, WalkConfig(alpha=32.0, steps=steps, seed=7), start, {})
 
     def test_terms_follow_the_schedule_capped_at_the_budget(
             self, monkeypatch, unit_square):
@@ -441,8 +443,8 @@ class TestRestarts:
         # first attempt fails, the second stops in the cone in its 2nd term
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=5)
-        rec, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
-        assert rec.basis == start.basis  # the in-cone term's final basis
+        basis, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
+        assert basis == start.basis  # the in-cone term's final basis
         assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
         assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
         assert stats.steps_taken == stats.accepted_moves == 356
@@ -453,8 +455,8 @@ class TestRestarts:
         start = vertex_of_basis(unit_square, (2, 3))
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=3, degenerate_at=(2,))
-        rec, stats = self.walk(monkeypatch, unit_square, start, 1000, 0)
-        assert rec.basis == start.basis
+        basis, stats = self.walk(monkeypatch, unit_square, start, 1000, 0)
+        assert basis == start.basis
         assert [steps for steps, _ in calls] == [64, 64, 128]
         assert (stats.terms, stats.degenerate_ends, stats.retries) == (3, 1, 0)
         # the ended term counts the 32 steps it completed before the tie
@@ -643,6 +645,28 @@ class TestOneDimension:
             rep = solve(lp, WalkConfig(seed=0, alpha=1.0))
         assert rep.alpha == 1.0
         assert [str(w.message).split(" ")[0] for w in caught] == ["alpha=1"]
+
+
+class TestOneFactorMemo:
+    """solve keeps one memo of basis factors: phase 1, Bland's rule at n = 1
+    and the walk read the boxed program's rows at the same positions, so a
+    solve factors each basis at most once, the start basis included."""
+
+    def test_each_basis_is_factored_once_per_solve(self, solve_spies):
+        for spy in solve_spies:
+            assert spy.caches  # the solve walked
+            assert max(spy.solve_factorizations.values()) == 1
+
+    @pytest.mark.parametrize("name", ["max", "min-one-pivot", "slack-copy",
+                                      "three-rows"])
+    def test_one_dimension_factors_each_basis_once(self, name):
+        (A, b, c), _ = TestOneDimension.PINNED[name]
+        spy = SolveSpy(LinearProgram(A=A, b=b, c=c), seed=0)
+        assert not spy.caches  # Bland's rule, not the walk
+        assert max(spy.solve_factorizations.values()) == 1
+        # the one-pivot program's second basis is factored by Bland's rule
+        assert any(scope[0] == "bland" for scope, _ in spy.factorizations
+                   if scope is not None) == (name == "min-one-pivot")
 
 
 class TestShortTermPull:

@@ -625,3 +625,29 @@ class TestBasisRecords:
                     assert same_pivot(prog, v, leaving, result)
                     pivots += 1
         assert records > len(solve_spies) and pivots > 0
+
+    def test_record_is_an_immutable_named_tuple(self, unit_square):
+        rec = _WalkCache(unit_square).record((0, 1))
+        assert rec._fields == ("basis", "rows", "row_lists", "lu", "log_vol",
+                               "in_cone")
+        with pytest.raises(AttributeError):
+            rec.log_vol = 0.0
+
+    def test_records_read_and_fill_the_given_memo(self, monkeypatch,
+                                                  unit_square):
+        import conewalk.walk as walk_module
+        from conewalk.simplex import factor_basis
+
+        lu = factor_basis(unit_square, (0, 1))
+        factors = {(0, 1): lu}
+        calls = []
+
+        def counted(a_b, real=walk_module.lu_factor):
+            calls.append(a_b.tobytes())
+            return real(a_b)
+
+        monkeypatch.setattr(walk_module, "lu_factor", counted)
+        cache = _WalkCache(unit_square, factors)
+        assert cache.record((0, 1)).lu is lu and calls == []
+        rec = cache.record((1, 2))
+        assert factors[(1, 2)] is rec.lu and len(calls) == 1

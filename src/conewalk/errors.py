@@ -44,13 +44,9 @@ class UnboundedEdge(ConewalkError):
 class DegeneratePivot(ConewalkError):
     """Two ratio-test candidates tie; the instance violates non-degeneracy.
 
-    Out of run_walk it carries ``walked``, the WalkOutcome of the steps the
-    walk completed before the tie; elsewhere ``walked`` is None.
+    run_walk does not raise it: a tie ends the walk, and WalkOutcome.tie
+    holds the message it would carry.
     """
-
-    def __init__(self, message: str, walked=None) -> None:
-        super().__init__(message)
-        self.walked = walked
 
 
 class UnboundedLP(ConewalkError):

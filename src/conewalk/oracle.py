@@ -220,7 +220,6 @@ def tu_instance_generator(kind: str, n: int, m: int, seed: int) -> LinearProgram
             rows.append(row)
             rhs.append(float(cut_rhs[j]))
 
-    c = np.zeros(n)
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     c = signs * (1.0 + rng.integers(0, 64, size=n)) / 64.0
     return LinearProgram(A=np.array(rows), b=np.array(rhs), c=c)

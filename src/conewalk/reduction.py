@@ -143,10 +143,11 @@ class LevelStats:
     """Statistics of the solve's Las Vegas walk.
 
     The counters sum over every walk it started: each attempt runs as
-    restarts (terms), and all of them count.  A term that ends on a
-    DegeneratePivot counts in degenerate_ends and adds the steps it
-    completed; the step whose pivot tied wrote no trace record and is not
-    counted, so accepted + rejected + lazy == steps_taken still holds.
+    restarts (terms), and all of them count.  A short term that ends on a
+    ratio-test tie (its WalkOutcome.tie is set) counts in degenerate_ends
+    and adds the steps it completed; the step whose pivot tied wrote no
+    trace record and is not counted, so accepted + rejected + lazy ==
+    steps_taken still holds.
     """
 
     n: int
@@ -157,7 +158,7 @@ class LevelStats:
     rejected_moves: int = 0
     lazy_stays: int = 0
     terms: int = 0                 # walks started
-    degenerate_ends: int = 0       # short terms ended on DegeneratePivot
+    degenerate_ends: int = 0       # short terms ended on a ratio-test tie
 
 
 @dataclass
@@ -198,8 +199,9 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex,
     whole budget; only that full-budget term is a paper attempt, walking
     the paper's weight (beta = 1) and alpha.  One that ends outside the
     cone has failed, and MAX_RETRIES + 1 failed ones raise
-    RetriesExhausted.  A short term that ends on a DegeneratePivot is
-    restarted like any other; a full-budget one raises.
+    RetriesExhausted.  A short term that ends on a ratio-test tie is
+    restarted like any other; a full-budget one raises DegeneratePivot
+    with the tie's message.
     """
     cache = _WalkCache(lp, factors)  # shared by every walk of the solve
     stats = LevelStats(n=lp.n)
@@ -211,20 +213,18 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex,
             seed = np.random.SeedSequence([cfg.seed, 0, retry, term])
             full = steps == cfg.steps  # the paper's attempt
             stats.terms += 1
-            try:
-                outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps),
-                                   start, _cache=cache,
-                                   _beta=1.0 if full else float(lp.n**2))
-            except DegeneratePivot as exc:
-                if full:
-                    raise
-                stats.degenerate_ends += 1
-                outcome = exc.walked  # the steps before the tie
+            outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps),
+                               start, _cache=cache,
+                               _beta=1.0 if full else float(lp.n**2))
             stats.steps_taken += outcome.steps_taken
             stats.pivots += outcome.pivots
             stats.accepted_moves += outcome.accepted_moves
             stats.rejected_moves += outcome.rejected_moves
             stats.lazy_stays += outcome.lazy_stays
+            if outcome.tie is not None:
+                if full:
+                    raise DegeneratePivot(outcome.tie)
+                stats.degenerate_ends += 1
             if outcome.stopped_with_c_in_cone:
                 return outcome.final.basis, stats
             if full:

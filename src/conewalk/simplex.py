@@ -12,13 +12,11 @@ pivot_across_facet factor afresh unless handed the factors through the
 private keyword _lu; bland_simplex keeps one factorization per basis in a
 memo (a caller's, through _factors, or its own), so each pivot factors only
 the basis it arrives at.
-A_B is gathered with one take, a sorted basis is not sorted again, and a
-pivot builds its Vertex without __post_init__ (_vertex).
+A_B is gathered with one take, and a sorted basis is not sorted again.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,22 +35,9 @@ from .tolerances import CONE_TOL, RATIO_TOL
 Basis = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class Vertex:
-    point: np.ndarray
-    basis: Basis
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "basis", tuple(sorted(self.basis)))
-
-
-def _vertex(point: np.ndarray, basis: Basis) -> Vertex:
-    """Vertex(point, basis) for a float array and a sorted basis, which
-    __post_init__ would leave as they are, without running it."""
-    v = object.__new__(Vertex)
-    v.__dict__.update(point=point, basis=basis)
-    return v
+class Vertex(NamedTuple):
+    point: np.ndarray  # float
+    basis: Basis       # sorted
 
 
 class ConeResult(NamedTuple):
@@ -96,7 +81,7 @@ def vertex_of_basis(lp: NormalizedLP, basis: Basis, *,
     if not lp.is_feasible(x):
         worst = float(np.max(lp.A @ x - lp.b))
         raise InfeasibleBasis(f"basis {basis} violates a constraint by {worst:g}")
-    return _vertex(x, basis)
+    return Vertex(x, basis)
 
 
 def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray, *,
@@ -150,7 +135,7 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     entering = int(rows[k])
 
     new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
-    return _vertex(v.point + t_min * d, new_basis)
+    return Vertex(v.point + t_min * d, new_basis)
 
 
 def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,

@@ -12,7 +12,9 @@ in the current cone, the current basis is optimal and the walk stops.  A
 walk that runs out of steps first returns its final cell, whose scaled
 center c' = z_P/alpha (identify.scaled_center) is the input of the paper's
 identification step; solve does not run that step and counts such a walk
-as a failed attempt.
+as a failed attempt.  A pivot into a ratio-test tie (a degenerate vertex)
+also ends the walk: run_walk returns its outcome with the tie's message
+in WalkOutcome.tie, where step() raises DegeneratePivot.
 
 step() and run_walk share one arithmetic at every n: a center is taken by
 _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
@@ -125,14 +127,18 @@ class WalkState(NamedTuple):
 
 @dataclass
 class WalkOutcome:
+    """How a walk ended: its final cell, whether c lies in that cell's
+    cone, the message of the ratio-test tie that ended it (None when none
+    did), and its step counters."""
+
     final: Parallelepiped
-    current_vertex: Vertex
     stopped_with_c_in_cone: bool
     steps_taken: int = 0
     pivots: int = 0
     accepted_moves: int = 0
     rejected_moves: int = 0
     lazy_stays: int = 0
+    tie: str | None = None
 
     def counters_consistent(self) -> bool:
         return self.accepted_moves + self.rejected_moves + self.lazy_stays \
@@ -412,8 +418,9 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     -beta * l1 + log_vol, the weights the accept rule compared.
 
     cfg must be resolved, as for step().  A pivot into a ratio-test tie
-    raises DegeneratePivot carrying the outcome of the steps completed
-    before it; the tied step wrote no record and is not counted.  _cache is
+    ends the walk: the outcome counts the steps completed before it and
+    holds the DegeneratePivot's message in tie, and the tied step wrote no
+    record and is not counted.  run_walk never raises on a tie.  _cache is
     a _WalkCache of lp shared with other walks: its records and pivots
     depend only on lp, so sharing it changes no step.
     """
@@ -449,7 +456,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
                     cache, ac, vertex, rec, index, z, l1, pos, sign, _beta)
             except DegeneratePivot as exc:
-                tie, steps = exc, steps - 1  # the tied step changed nothing
+                tie, steps = str(exc), steps - 1  # the tied step changed nothing
                 break
             lw_proposal = -_beta * l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
@@ -480,13 +487,9 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 "pivoted": pivoted,
             }))
 
-    outcome = WalkOutcome(final=Parallelepiped(rec.basis, tuple(index)),
-                          current_vertex=vertex,
-                          stopped_with_c_in_cone=rec.in_cone,
-                          steps_taken=steps, pivots=pivots,
-                          accepted_moves=accepted_moves,
-                          rejected_moves=rejected_moves, lazy_stays=lazy_stays)
-    if tie is not None:
-        tie.walked = outcome
-        raise tie
-    return outcome
+    return WalkOutcome(final=Parallelepiped(rec.basis, tuple(index)),
+                       stopped_with_c_in_cone=rec.in_cone,
+                       steps_taken=steps, pivots=pivots,
+                       accepted_moves=accepted_moves,
+                       rejected_moves=rejected_moves, lazy_stays=lazy_stays,
+                       tie=tie)

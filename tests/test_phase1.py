@@ -322,6 +322,24 @@ class TestPhase1Vertex:
                     v.point, vertex_of_basis(boxed, v.basis).point,
                     rtol=0.0, atol=1e-12 * radius)
 
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_start_point_stays_within_rounding_of_its_basis_solve(
+            self, kind, n):
+        # the walk starts from the point phase 1's pivots summed, not from
+        # the solve of its basis: on the programs solve boxes they part by
+        # at most about 1e-16 * (1 + radius) (15 of these 54 differ at all),
+        # and solving the basis afresh moved no tie and no solve outcome
+        for seed in range(6):
+            nlp = normalize(tu_instance_generator(kind, n, 2 * n + 6, seed))
+            kept = tightest_rows(nlp.A, nlp.b)
+            walked = NormalizedLP(A=nlp.A[kept], b=nlp.b[kept], c=nlp.c)
+            radius = certified_radius(walked, delta_bruteforce(walked))
+            boxed = bounding_box(walked, radius)
+            v = phase1_vertex(walked, boxed)
+            drift = np.max(np.abs(v.point - vertex_of_basis(boxed, v.basis).point))
+            assert drift <= 1e-13 * (1.0 + radius), (seed, drift, radius)
+
     def test_infeasible_with_witness(self):
         # x <= 0 and -x <= -1 cannot both hold; y is boxed to keep rank
         lp = normalize(LinearProgram(

@@ -46,8 +46,7 @@ def identifying_walk(alpha, outcomes):
         mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
         cell = Parallelepiped(basis=basis, index=tuple(index))
-        outcome = WalkOutcome(final=cell, current_vertex=start_vertex,
-                              stopped_with_c_in_cone=False,
+        outcome = WalkOutcome(final=cell, stopped_with_c_in_cone=False,
                               steps_taken=cfg.steps)
         outcomes.append((nlp, outcome))
         return outcome
@@ -373,10 +372,9 @@ class TestRestarts:
                        degenerate_at=()):
         """Fake run_walk on lp: records (cfg.steps, cfg.seed) per call and
         returns an outcome of cfg.steps steps, far from alpha*c, that stops
-        in the cone on call number in_cone_at; raises DegeneratePivot on the
-        calls numbered in degenerate_at, after half of cfg.steps."""
+        in the cone on call number in_cone_at; ends on a ratio-test tie on
+        the calls numbered in degenerate_at, after half of cfg.steps."""
         import conewalk.reduction as reduction_module
-        from conewalk.errors import DegeneratePivot
         from conewalk.walk import Parallelepiped, WalkOutcome
 
         cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
@@ -386,12 +384,11 @@ class TestRestarts:
             calls.append((cfg.steps, cfg.seed))
             steps = cfg.steps // 2 if len(calls) in degenerate_at else cfg.steps
             outcome = WalkOutcome(final=cell,
-                                  current_vertex=start,
                                   stopped_with_c_in_cone=len(calls) == in_cone_at,
                                   steps_taken=steps, pivots=1,
                                   accepted_moves=steps)
             if len(calls) in degenerate_at:
-                raise DegeneratePivot("ratio-test tie", walked=outcome)
+                outcome.tie = "ratio-test tie"
             return outcome
 
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
@@ -481,8 +478,7 @@ class TestRestarts:
 
         start = vertex_of_basis(unit_square, (2, 3))
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))  # far from alpha*c
-        fake = WalkOutcome(final=cell,
-                           current_vertex=start, stopped_with_c_in_cone=False,
+        fake = WalkOutcome(final=cell, stopped_with_c_in_cone=False,
                            steps_taken=46)
         attempts = []
         monkeypatch.setattr(
@@ -563,6 +559,28 @@ class TestRestarts:
         assert stats.accepted_moves + stats.rejected_moves + \
             stats.lazy_stays == stats.steps_taken
         assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
+
+    def test_a_tie_ended_term_returns_its_outcome(self, monkeypatch):
+        # the solve above: run_walk returns the two tied terms' outcomes,
+        # tie set, instead of raising, and every term's steps are reported
+        import conewalk.reduction as reduction_module
+        outcomes = []
+        real_run_walk = reduction_module.run_walk
+
+        def spy(*args, **kwargs):
+            outcomes.append(real_run_walk(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(reduction_module, "run_walk", spy)
+        lp = tu_instance_generator("network", 4, 15, 766077746)
+        rep = solve(lp, WalkConfig(seed=1606168144))
+        assert [o.tie for o in outcomes] == [
+            "ratio-test tie leaving facet 14",
+            "ratio-test tie leaving facet 16", None]
+        for o in outcomes[:2]:
+            assert not o.stopped_with_c_in_cone
+            assert o.counters_consistent()
+        assert sum(o.steps_taken for o in outcomes) == sum(rep.steps_per_level)
 
 
 class TestOneDimension:

@@ -3,9 +3,11 @@
 Everything here is double precision and sized for desk-scale instances;
 no sparsity.  One LU factorization (lu_factor) serves every solve with a
 matrix and with its transpose (lu_solve) and its log-determinant
-(log_abs_det): the solver factors each basis matrix A_B once and reads the
-vertex, the pivot's edge direction, the cone coefficients and the cell
-volume from those factors (simplex.factor_basis), calling LAPACK directly.
+(log_abs_det), calling LAPACK directly.  Two functions call lu_factor:
+simplex.basis_factors, which factors each basis matrix A_B of a program
+once and serves the vertex, the pivot's edge direction, the cone
+coefficients and the cell volume from those factors, and solve_square, the
+one-off solve that identify and oracle use.
 """
 from __future__ import annotations
 

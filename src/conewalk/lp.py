@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -69,7 +69,11 @@ class LinearProgram:
             row_norms = np.linalg.norm(A, axis=1)
         if np.any(row_norms <= SPAN_TOL):
             raise ZeroRow("constraint matrix has an all-zero row")
-        if np.linalg.matrix_rank(A) < n:
+        # the rank of normalize's unit rows, so scaling a row cannot change
+        # it; a row whose norm overflows is scaled by its largest entry
+        scale = np.where(np.isfinite(row_norms), row_norms,
+                         np.abs(A).max(axis=1))
+        if np.linalg.matrix_rank(A / scale[:, None]) < n:
             raise RankDeficient("A does not have full column rank")
 
     @property
@@ -90,7 +94,14 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedLP(LinearProgram):
-    """A LinearProgram whose rows and objective all have unit Euclidean norm."""
+    """A LinearProgram whose rows and objective all have unit Euclidean norm.
+
+    lu_memo maps a sorted basis to the LU factors of A_B; only
+    simplex.basis_factors reads and fills it.  It starts empty, unless
+    _derived makes the program a prefix of another.
+    """
+
+    lu_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -101,7 +112,8 @@ class NormalizedLP(LinearProgram):
             raise NotUnitVector("objective must have unit norm")
 
 
-def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> NormalizedLP:
+def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+             prefix_of: NormalizedLP | None = None) -> NormalizedLP:
     """A program built from validated data without re-running validation.
 
     The NormalizedLP constructor checks finiteness, unit rows and
@@ -117,11 +129,13 @@ def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> NormalizedLP:
 
     normalize vouches for them itself.  The float arrays are made read-only
     in place and stored as they are, not copied: the caller hands over
-    fresh arrays or slices of read-only ones.
+    fresh arrays or slices of read-only ones.  The lu_memo is empty, or
+    prefix_of's, whose first rows the caller guarantees ``A`` to be.
     """
     A.flags.writeable = b.flags.writeable = c.flags.writeable = False
     lp = object.__new__(NormalizedLP)
-    lp.__dict__.update(A=A, b=b, c=c)
+    lp.__dict__.update(A=A, b=b, c=c, lu_memo={} if prefix_of is None
+                       else prefix_of.lu_memo)
     return lp
 
 
@@ -310,12 +324,14 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
 
     ``Delta`` must be at least the maximum absolute sub-determinant of the
     matrix (caller-certified, or computed by the oracle module when small).
-    A bound too small to form as a float raises TooLarge.
+    A bound too small to form as a float raises TooLarge, at any size of
+    Delta: an int is integral without a float conversion.
     """
     A_int = np.asarray(A_int)
     if not np.all(np.equal(np.mod(A_int, 1), 0)):
         raise NonIntegerEntries("matrix entries must be integral")
-    if not (float(Delta).is_integer() and Delta >= 1):
+    if not ((isinstance(Delta, int) or float(Delta).is_integer())
+            and Delta >= 1):
         raise ValueError(f"Delta must be a positive integer, got {Delta!r}")
     n = A_int.shape[1]
     try:

@@ -8,10 +8,11 @@ reads.  It introduces no direction beyond negations, so the row-separation
 property is preserved: the boxed program has the input's delta.  The box
 radius follows in closed form from a certified delta, so no basic system
 is ever solved to size it.  A vertex of the boxed program is grown one
-constraint at a time, on its prefixes.  solve finds the boxed optimum
-itself; solve_bounded, the last step, reads x from its basis, and an
-optimum touching the box certifies unboundedness.  Nothing here imports
-the walk or the solver.
+constraint at a time, on its prefixes, which share the boxed program's
+memo of basis factors (lp.NormalizedLP.lu_memo).  solve finds the boxed
+optimum itself; solve_bounded, the last step, reads x from its basis's
+factors in that memo, and an optimum touching the box certifies
+unboundedness.  Nothing here imports the walk or the solver.
 """
 from __future__ import annotations
 
@@ -20,9 +21,15 @@ import math
 import numpy as np
 
 from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
-from .geometry import LU, lu_solve, residual
+from .geometry import lu_solve, residual
 from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
-from .simplex import Basis, Vertex, bland_simplex, vertex_of_basis
+from .simplex import (
+    Basis,
+    Vertex,
+    basis_factors,
+    bland_simplex,
+    vertex_of_basis,
+)
 from .tolerances import SPAN_TOL
 
 
@@ -56,7 +63,7 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
     The directions are unit vectors, so the box contains the ball of the
     given radius; the caller guarantees that ball holds every basic point.
     Every row is one of lp's rows or its negation, so the boxed program
-    inherits lp's validation.
+    inherits lp's validation.  Its memo of basis factors starts empty.
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -103,8 +110,7 @@ def infeasibility(row: int, value: float, rhs: float) -> Infeasible:
         iteration=row + 1, value=value)
 
 
-def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP, *,
-                  _factors: dict[Basis, LU] | None = None) -> Vertex:
+def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     """Grow a vertex of P intersected with the box, or certify infeasibility.
 
     ``boxed`` is ``bounding_box(lp, radius)``.  Starting from the box corner
@@ -118,24 +124,24 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP, *,
     every vertex.  solve reports row i's input position.
 
     The vertex returned is boxed's.  A prefix has boxed's rows at its
-    positions, so one memo of basis factors (_factors, as bland_simplex's)
-    serves every prefix and boxed.  The test uses the input's tolerance:
-    box corners are exact up to rounding of order radius * eps, and a
-    tolerance growing with the radius would let real infeasibility through.
+    positions, so it shares boxed's memo of basis factors: each basis is
+    factored once for every prefix and boxed.  The test uses the input's
+    tolerance: box corners are exact up to rounding of order radius * eps,
+    and a tolerance growing with the radius would let real infeasibility
+    through.
     """
     n = lp.n
     ftol = lp.feas_tol()
-    factors = {} if _factors is None else _factors
 
     # bounding_box took the box directions from find_independent_rows, so
     # every prefix, the 2n box rows alone included, holds n independent
     # rows: it is derived from boxed's read-only slices, unvalidated.
     def prefix(k: int) -> NormalizedLP:
-        return _derived(boxed.A[:k], boxed.b[:k], lp.c)
+        return _derived(boxed.A[:k], boxed.b[:k], lp.c, prefix_of=boxed)
 
-    v = vertex_of_basis(prefix(2 * n), tuple(range(n)), _factors=factors)
+    v = vertex_of_basis(prefix(2 * n), tuple(range(n)))
     for i in range(lp.m):
-        v = bland_simplex(prefix(2 * n + i), v, -lp.A[i], _factors=factors)
+        v = bland_simplex(prefix(2 * n + i), v, -lp.A[i])
         value = float(lp.A[i] @ v.point)
         if value > lp.b[i] + ftol:
             raise infeasibility(i, value, float(lp.b[i]))
@@ -143,21 +149,21 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP, *,
     return v
 
 
-def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP, basis: Basis,
-                  lu: LU) -> np.ndarray:
+def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP,
+                  basis: Basis) -> np.ndarray:
     """The boxed optimum's point x, or the box's verdict that lp is unbounded.
 
-    basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``)
-    and lu the factors of its rows in that sorted order, from solve's memo:
-    x is solved with them, and nothing is factored again.  The first box
-    row (positions 0..2n-1) that lies in the basis or is tight at x
-    certifies unboundedness.  Contact is judged at the input's tolerance,
+    basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``),
+    and x is solved with its factors in boxed's memo: solve's search left
+    them there, so nothing is factored again.  The first box row (positions
+    0..2n-1) that lies in the basis or is tight at x certifies
+    unboundedness.  Contact is judged at the input's tolerance,
     as in phase1_vertex; degenerate contact counts too.  No input row can
     hide a tight box row: a basis without box rows gives a basic point of
     the input, and certified_radius leaves every box row slack there by
     more than that tolerance.
     """
-    x = lu_solve(lu, boxed.b[list(basis)])
+    x = lu_solve(basis_factors(boxed, basis), boxed.b[list(basis)])
     ftol = lp.feas_tol()
     for p in range(2 * lp.n):
         if p in basis or abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:

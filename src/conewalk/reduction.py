@@ -5,8 +5,9 @@ row of each direction (lp.tightest_rows), certify the row separation, box
 the program, find a start vertex by phase 1, resolve the walk parameters,
 take an optimal basis of the boxed program (one Las Vegas walk, or Bland's
 rule at n = 1), solve x and read the box's verdict (phase1.solve_bounded),
-and certify the optimum against every input row.  One memo of basis
-factors serves every stage, so no basis is factored twice in a solve.
+and certify the optimum against every input row.  The boxed program's
+memo of basis factors (simplex.basis_factors) serves every stage after
+the box, so no basis is factored twice in a solve.
 
 reduce_lp is the paper's reduction step: once one row of the optimal basis
 is certified (identify.extract_element), its constraint is set to
@@ -32,7 +33,7 @@ from .errors import (
     ObjectiveVanishes,
     RetriesExhausted,
 )
-from .geometry import LU, rotation_to_e1
+from .geometry import rotation_to_e1
 # Not called here: bound so that the spans perfbench/tracing.py PATCH_POINTS
 # names on this module keep resolving.
 from .identify import extract_element, verify_problem1  # noqa: F401
@@ -182,10 +183,10 @@ class SolveReport:
     levels: tuple[LevelStats, ...]
 
 
-def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex,
-                    factors: dict[Basis, LU]) -> tuple[Basis, LevelStats]:
-    """Walk lp from start to an optimal basis: the basis, whose LU the walk
-    left in the memo factors (_WalkCache), and the walk's stats.
+def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
+                    start: Vertex) -> tuple[Basis, LevelStats]:
+    """Walk lp from start to an optimal basis: the basis, whose factors the
+    walk left in lp's memo, and the walk's stats.
 
     cfg is resolved (WalkConfig.resolved): its alpha and steps are set.  An
     attempt is a series of terms on Luby's schedule: term t walks
@@ -203,7 +204,7 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex,
     restarted like any other; a full-budget one raises DegeneratePivot
     with the tie's message.
     """
-    cache = _WalkCache(lp, factors)  # shared by every walk of the solve
+    cache = _WalkCache(lp)  # shared by every walk of the solve
     stats = LevelStats(n=lp.n)
     for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
@@ -248,7 +249,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     SolveReport.delta reports.  The boxed program's optimal basis comes
     from one Las Vegas walk, or at n = 1 from Bland's rule started at the
     phase-1 vertex (at most one pivot); phase1.solve_bounded solves x with
-    that basis's factors, from the memo every stage shares, and reads the
+    that basis's factors, from the boxed program's memo, and reads the
     box's verdict.  The box radius comes in closed form from the certified
     delta; a bare float delta drives the walk but is certified by brute
     force before it may size the box.
@@ -277,9 +278,8 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         delta_value, delta_method = delta_value_and_method(delta)
 
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, delta))
-    factors: dict[Basis, LU] = {}  # of boxed's bases, for every stage
     try:
-        start = phase1.phase1_vertex(walked, boxed, _factors=factors)
+        start = phase1.phase1_vertex(walked, boxed)
     except Infeasible as exc:
         row = int(kept[exc.iteration - 1])
         raise phase1.infeasibility(row, exc.value, float(nlp.b[row])) from None
@@ -287,11 +287,11 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     if boxed.n == 1:
         # After the collapse each direction has one row and the box rows lie
         # beyond the margin: Bland's rule pivots at most once, with no tie.
-        basis = bland_simplex(boxed, start, boxed.c, _factors=factors).basis
+        basis = bland_simplex(boxed, start, boxed.c).basis
         stats = LevelStats(n=1)
     else:
-        basis, stats = _las_vegas_walk(boxed, walk_cfg, start, factors)
-    x = phase1.solve_bounded(walked, boxed, basis, factors[basis])
+        basis, stats = _las_vegas_walk(boxed, walk_cfg, start)
+    x = phase1.solve_bounded(walked, boxed, basis)
     # no box row is in the basis: solve_bounded raised Unbounded otherwise
     basis = tuple(sorted(int(kept[p - 2 * boxed.n]) for p in basis))
 

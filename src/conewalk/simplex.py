@@ -5,13 +5,11 @@ independent; the vertex it determines is the solution of the corresponding
 tight system.  Pivoting moves to the unique neighboring vertex across a
 chosen facet via the standard ratio test.
 
-One LU factorization of A_B (factor_basis) serves everything asked of a
-basis: its vertex and a pivot's edge direction solve with A_B, its cone
-coefficients with A_B^T.  vertex_of_basis, cone_membership and
-pivot_across_facet factor afresh unless handed the factors through the
-private keyword _lu; bland_simplex keeps one factorization per basis in a
-memo (a caller's, through _factors, or its own), so each pivot factors only
-the basis it arrives at.
+One LU factorization of A_B serves everything asked of a basis: its vertex
+and a pivot's edge direction solve with A_B, its cone coefficients with
+A_B^T.  basis_factors is the one place the solver factors a basis: it keeps
+the factors in the program's lu_memo, so a program factors each basis once
+whoever asks, and phase 1's prefixes share the boxed program's memo.
 A_B is gathered with one take, and a sorted basis is not sorted again.
 """
 from __future__ import annotations
@@ -50,62 +48,44 @@ def basis_matrix(lp: NormalizedLP, basis: Basis) -> np.ndarray:
     return lp.A.take(basis, axis=0)
 
 
-def factor_basis(lp: NormalizedLP, basis: Basis) -> LU:
-    """LU factors of A_B, rows in the (sorted) basis order."""
-    return lu_factor(basis_matrix(lp, basis))
-
-
-def _factored(lp: NormalizedLP, basis: Basis,
-              memo: dict[Basis, LU] | None) -> LU:
-    """The factors of a sorted basis, factored at most once per memo.
-
-    A memo holds for every program with the same rows at its bases'
-    positions: solve's serves the boxed program, its prefixes and the walk.
-    """
-    if memo is None:
-        return factor_basis(lp, basis)
-    lu = memo.get(basis)
+def basis_factors(lp: NormalizedLP, basis: Basis) -> LU:
+    """LU factors of A_B, rows in the (sorted) basis order: read from
+    lp.lu_memo, or factored and kept there."""
+    lu = lp.lu_memo.get(basis)
     if lu is None:
-        lu = memo[basis] = factor_basis(lp, basis)
+        lu = lp.lu_memo[basis] = lu_factor(basis_matrix(lp, basis))
     return lu
 
 
-def vertex_of_basis(lp: NormalizedLP, basis: Basis, *,
-                    _factors: dict[Basis, LU] | None = None) -> Vertex:
-    """Solve the tight system of a basis and verify it is feasible.
-
-    _factors is a memo of factors, as bland_simplex's.
-    """
+def vertex_of_basis(lp: NormalizedLP, basis: Basis) -> Vertex:
+    """Solve the tight system of a basis and verify it is feasible."""
     basis = tuple(sorted(basis))
-    x = lu_solve(_factored(lp, basis, _factors), lp.b.take(basis))
+    x = lu_solve(basis_factors(lp, basis), lp.b.take(basis))
     if not lp.is_feasible(x):
         worst = float(np.max(lp.A @ x - lp.b))
         raise InfeasibleBasis(f"basis {basis} violates a constraint by {worst:g}")
     return Vertex(x, basis)
 
 
-def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray, *,
-                    _lu: LU | None = None) -> ConeResult:
+def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray,
+                    ) -> ConeResult:
     """Does w lie in the cone spanned by the basis rows?
 
-    Solves A_B^T mu = w with the factors of A_B (_lu, or factored afresh,
-    rows in sorted basis order); membership allows coefficients down to
-    -CONE_TOL, and a NaN coefficient is outside.
+    Solves A_B^T mu = w with the factors of A_B, rows in sorted basis
+    order; membership allows coefficients down to -CONE_TOL, and a NaN
+    coefficient is outside.
     """
-    if _lu is None:
-        _lu = factor_basis(lp, tuple(sorted(basis)))
-    mu = lu_solve(_lu, w, trans=1)
+    mu = lu_solve(basis_factors(lp, tuple(sorted(basis))), w, trans=1)
     return ConeResult(inside=all(m >= -CONE_TOL for m in mu.tolist()),
                       coeffs=mu)
 
 
-def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
-                       _lu: LU | None = None) -> Vertex:
+def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
     """Cross the facet of the leaving row to the unique neighboring vertex.
 
     The edge direction d satisfies a_j^T d = 0 for the staying rows and
-    a_leaving^T d = -1; it is solved with the factors of v's basis (_lu, or
-    factored afresh).  The candidates are the non-basis rows j with
+    a_leaving^T d = -1; it is solved with the factors of v's basis.  The
+    candidates are the non-basis rows j with
     a_j^T d > RATIO_TOL, each with the ratio t_j = slack_j / a_j^T d; the
     entering row is the candidate of least ratio.  If any other candidate's
     ratio is within RATIO_TOL of that least one, the pivot is degenerate and
@@ -118,7 +98,7 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
-    d = lu_solve(_lu if _lu is not None else factor_basis(lp, basis), rhs)
+    d = lu_solve(basis_factors(lp, basis), rhs)
 
     advance = lp.A @ d
     slack = lp.b - lp.A @ v.point
@@ -138,29 +118,25 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     return Vertex(v.point + t_min * d, new_basis)
 
 
-def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,
-                  _factors: dict[Basis, LU] | None = None) -> Vertex:
+def bland_simplex(lp: NormalizedLP, start: Vertex,
+                  objective: np.ndarray) -> Vertex:
     """Deterministic reference simplex: maximize objective^T x from start.
 
     Always leaves the facet of the smallest-index row with a negative conic
     coefficient; optimality is certified by cone membership of the objective.
     Gives up after 10 * C(m, n) pivots.  Each basis is factored once, and
-    its factors serve both its cone test and its pivot.  _factors is a memo
-    of factors to read and fill, valid for lp (see _factored); without one
-    the call keeps its own.
+    its factors serve both its cone test and its pivot.
     """
     max_pivots = 10 * math.comb(lp.m, lp.n)
-    factors = {} if _factors is None else _factors
     v = start
     for _ in range(max_pivots + 1):
-        lu = _factored(lp, v.basis, factors)
-        res = cone_membership(lp, v.basis, objective, _lu=lu)
+        res = cone_membership(lp, v.basis, objective)
         if res.inside:
             return v
         leaving = next(row for row, coeff in zip(v.basis, res.coeffs.tolist())
                        if coeff < -CONE_TOL)
         try:
-            v = pivot_across_facet(lp, v, leaving, _lu=lu)
+            v = pivot_across_facet(lp, v, leaving)
         except UnboundedEdge as exc:
             raise UnboundedLP("objective improves along an unbounded edge") from exc
     raise IterationLimit(f"exceeded {max_pivots} pivots")

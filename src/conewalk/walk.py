@@ -21,10 +21,10 @@ _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
-The walk factors each basis it enters once at most (_WalkCache.record):
-the rows A_B are gathered once, and their LU factors (from a memo phase 1
-shares) give the cell volume (log |det A_B|), the in-cone stop
-(A_B^T mu = c) and every pivot out of the basis (A_B d = -e_k).
+The walk keeps one record per basis it enters (_WalkCache.record): the
+scaled rows A_B / n^2, the cell volume (log |det A_B|) and the in-cone stop
+(A_B^T mu = c).  Those and every pivot out of the basis (A_B d = -e_k) read
+the program's LU factors of A_B (simplex.basis_factors), shared with phase 1.
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
 
 The stop is an exact certificate, so the walk is sound under any weight;
@@ -51,12 +51,13 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConewalkError, DegeneratePivot, TooLarge
-from .geometry import LU, det_abs, log_abs_det, lu_factor
+from .geometry import det_abs, log_abs_det
 from .jsonio import json_line
 from .lp import NormalizedLP
 from .simplex import (
     Basis,
     Vertex,
+    basis_factors,
     basis_matrix,
     cone_membership,
     pivot_across_facet,
@@ -200,19 +201,16 @@ class _BasisRecord(NamedTuple):
     basis: Basis
     rows: np.ndarray              # cell edges a_i / n^2, in sorted basis order
     row_lists: list[list[float]]  # rows as float lists, for in-cone moves
-    lu: LU                        # factors of A_B: its one factorization
     log_vol: float                # log of the cell volume
     in_cone: bool                 # c lies in the basis cone: the basis is optimal
 
 
 class _WalkCache:
-    """Memo of one program's walks: one _BasisRecord per basis, its LU read
-    from or added to factors (as simplex._factored), and the pivot results."""
+    """Memo of one program's walks: one _BasisRecord per basis, and the
+    pivot results."""
 
-    def __init__(self, lp: NormalizedLP,
-                 factors: dict[Basis, LU] | None = None):
+    def __init__(self, lp: NormalizedLP):
         self.lp = lp
-        self.factors = {} if factors is None else factors
         self.records: dict[Basis, _BasisRecord] = {}
         self.pivots: dict[tuple[Basis, int], Vertex] = {}
 
@@ -220,15 +218,11 @@ class _WalkCache:
         rec = self.records.get(basis)
         if rec is None:
             lp = self.lp
-            a_b = basis_matrix(lp, basis)
-            rows = a_b / lp.n**2
-            lu = self.factors.get(basis)
-            if lu is None:
-                lu = self.factors[basis] = lu_factor(a_b)
+            rows = basis_matrix(lp, basis) / lp.n**2
             rec = self.records[basis] = _BasisRecord(
-                basis, rows, rows.tolist(), lu,
-                log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),
-                cone_membership(lp, basis, lp.c, _lu=lu).inside)
+                basis, rows, rows.tolist(),
+                log_abs_det(basis_factors(lp, basis)) - 2.0 * lp.n * math.log(lp.n),
+                cone_membership(lp, basis, lp.c).inside)
         return rec
 
     def scaled_rows(self, basis: Basis) -> np.ndarray:
@@ -239,8 +233,7 @@ class _WalkCache:
         key = (vertex.basis, leaving)
         out = self.pivots.get(key)
         if out is None:
-            out = self.pivots[key] = pivot_across_facet(
-                self.lp, vertex, leaving, _lu=self.record(vertex.basis).lu)
+            out = self.pivots[key] = pivot_across_facet(self.lp, vertex, leaving)
         return out
 
 

@@ -4,6 +4,7 @@ from itertools import count
 import numpy as np
 import pytest
 
+import conewalk.geometry as geometry_module
 import conewalk.phase1 as phase1_module
 import conewalk.reduction as reduction_module
 import conewalk.simplex as simplex_module
@@ -14,6 +15,9 @@ from conewalk.oracle import tu_instance_generator
 from conewalk.walk import WalkConfig
 
 SQRT2 = float(np.sqrt(2.0))
+# the modules of the solve path: a spy hooks the names each one imports
+PACKAGE_MODULES = (geometry_module, simplex_module, phase1_module,
+                   walk_module, reduction_module)
 
 
 def make_square() -> NormalizedLP:
@@ -85,27 +89,27 @@ def factor_instances() -> list[tuple[LinearProgram, int]]:
 class SolveSpy:
     """What one solve asks of its bases, recorded as it runs.
 
-    - factorizations: (scope, basis) -> how often the basis was factored,
-      scope being ("phase1", k) inside the k-th phase1_vertex call,
+    - factorizations: (scope, basis) -> how often lu_factor factored the
+      basis, scope being ("phase1", k) inside the k-th phase1_vertex call,
       ("walk", k) inside the k-th Las Vegas walk, ("bland", k) inside the
       k-th bland_simplex call solve makes at n = 1, and None elsewhere (the
-      certificate against the input).  simplex's factor_basis is counted
-      by basis; the walk gathers A_B itself and calls lu_factor, counted by
-      A_B's bytes, which two bases share only when their rows are equal,
-      so a basis factored twice is counted twice either way;
+      certificate against the input).  Every module's lu_factor is
+      counted, each call charged to the basis whose basis_factors call is
+      running;
+    - stray_factorizations: how often lu_factor ran outside basis_factors;
     - solve_factorizations: a basis as its set of constraints (a_p, b_p)
       -> how often the solve factored it in any scope but None.  Phase 1,
       Bland's rule and the walk all factor bases of the boxed program, and
-      this key names a basis alike in every row order; a box row repeats
-      an input row or its negation, but with the box radius as its
-      right-hand side;
+      this key names a basis alike in every program that holds its rows; a
+      box row repeats an input row or its negation, but with the box
+      radius as its right-hand side;
     - det_calls: how often np.linalg.det ran;
     - pivots: (caller, program, vertex, leaving, result) for each
       pivot_across_facet call phase 1 ("simplex", through bland_simplex)
       and the walk ("walk") make, result being the Vertex or the type of
       the error raised;
     - cone_tests: (program, basis, w, inside) for each cone_membership call
-      made with the factors of a memo (phase 1's cone tests);
+      bland_simplex makes (phase 1's cone tests);
     - caches: every _WalkCache the solve built.
     """
 
@@ -116,7 +120,9 @@ class SolveSpy:
         self.pivots: list[tuple] = []
         self.cone_tests: list[tuple] = []
         self.caches: list = []
+        self.stray_factorizations = 0
         scope, serial = [None], count()
+        factoring = [None]  # (program, basis) of the running basis_factors
 
         def scoped(name, fn):
             def run(*args, **kwargs):
@@ -131,28 +137,20 @@ class SolveSpy:
             self.det_calls += 1
             return real(*args)
 
-        def cone(prog, basis, w, real=simplex_module.cone_membership, **kw):
-            res = real(prog, basis, w, **kw)
-            if kw:
-                self.cone_tests.append((prog, basis, np.array(w), res.inside))
+        def cone(prog, basis, w, real=simplex_module.cone_membership):
+            res = real(prog, basis, w)
+            self.cone_tests.append((prog, basis, np.array(w), res.inside))
             return res
 
         def cache(*args, real=reduction_module._WalkCache):
             self.caches.append(real(*args))
             return self.caches[-1]
 
-        def counted(key, prog, basis):
-            self.factorizations[scope[0], key] += 1
+        def counted(prog, basis):
+            self.factorizations[scope[0], basis] += 1
             if scope[0] is not None:
                 self.solve_factorizations[frozenset(
                     (prog.A[p].tobytes(), float(prog.b[p])) for p in basis)] += 1
-
-        gathered = {}  # id(A_B) -> (A_B, program, basis) the walk gathered
-
-        def gather(prog, basis, real=walk_module.basis_matrix):
-            a_b = real(prog, basis)
-            gathered[id(a_b)] = a_b, prog, basis
-            return a_b
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(phase1_module, "phase1_vertex",
@@ -164,22 +162,28 @@ class SolveSpy:
             mp.setattr(np.linalg, "det", det)
             mp.setattr(simplex_module, "cone_membership", cone)
             mp.setattr(reduction_module, "_WalkCache", cache)
-
-            def factor(prog, basis, real=simplex_module.factor_basis):
-                counted(tuple(basis), prog, basis)
-                return real(prog, basis)
-
-            def factor_rows(a_b, real=walk_module.lu_factor):
-                counted(a_b.tobytes(), *gathered.pop(id(a_b))[1:])
-                return real(a_b)
-            mp.setattr(simplex_module, "factor_basis", factor)
-            mp.setattr(walk_module, "basis_matrix", gather)
-            mp.setattr(walk_module, "lu_factor", factor_rows)
+            for module in PACKAGE_MODULES:
+                if hasattr(module, "basis_factors"):
+                    def factors(prog, basis, real=module.basis_factors):
+                        outer, factoring[0] = factoring[0], (prog, basis)
+                        try:
+                            return real(prog, basis)
+                        finally:
+                            factoring[0] = outer
+                    mp.setattr(module, "basis_factors", factors)
+                if hasattr(module, "lu_factor"):
+                    def factor(matrix, real=module.lu_factor):
+                        if factoring[0] is None:
+                            self.stray_factorizations += 1
+                        else:
+                            counted(*factoring[0])
+                        return real(matrix)
+                    mp.setattr(module, "lu_factor", factor)
             for module in (simplex_module, walk_module):
                 def pivot(prog, v, leaving, real=module.pivot_across_facet,
-                          caller=module.__name__.rsplit(".", 1)[1], **kw):
+                          caller=module.__name__.rsplit(".", 1)[1]):
                     try:
-                        out = real(prog, v, leaving, **kw)
+                        out = real(prog, v, leaving)
                     except ConewalkError as exc:
                         self.pivots.append((caller, prog, v, leaving,
                                             type(exc)))
@@ -193,9 +197,16 @@ class SolveSpy:
                 pass
 
 
+def afresh(prog: NormalizedLP) -> NormalizedLP:
+    """A copy of prog with an empty memo of basis factors: what the copy
+    answers is factored afresh."""
+    return NormalizedLP(A=prog.A, b=prog.b, c=prog.c)
+
+
 def same_pivot(prog, v, leaving, result):
-    """Does the standalone pivot give result: the same Vertex, bit for bit,
-    or the same error type?"""
+    """Does the standalone pivot, on a copy of prog that factors afresh,
+    give result: the same Vertex, bit for bit, or the same error type?"""
+    prog = afresh(prog)
     if isinstance(result, type):
         with pytest.raises(result):
             simplex_module.pivot_across_facet(prog, v, leaving)

@@ -201,7 +201,13 @@ class TestSolveCommand:
          "TooLarge: alpha"),
         (10**200, ["verify-delta", "--method", "bound"],
          "TooLarge: the bound 1/(n * Delta^2)"),
-    ], ids=["steps", "alpha", "bound"])
+        # 401 digits: Delta itself is past the float range
+        (10**400, ["verify-delta", "--method", "bound"],
+         "TooLarge: the bound 1/(n * Delta^2)"),
+        (10**400, ["solve", "--delta", "bound"],
+         "TooLarge: the bound 1/(n * Delta^2)"),
+    ], ids=["steps", "alpha", "bound", "bound-401-digits",
+            "solve-401-digits"])
     def test_delta_too_small_for_floats(self, capsys, tmp_path, Delta, argv,
                                         mention):
         # delta = 1/(2 Delta^2): delta^3 underflows, 4 n^3 / delta

@@ -24,7 +24,9 @@ from conewalk.lp import (
     tightest_rows,
 )
 from conewalk.oracle import check_nondegenerate, pad_redundant, tu_instance_generator
+from conewalk.reduction import solve
 from conewalk.tolerances import DUPLICATE_TOL
+from conewalk.walk import WalkConfig
 
 from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instance
 
@@ -37,6 +39,14 @@ class TestLinearProgram:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             LinearProgram(A=[[1.0, 0.0], [2.0, 0.0]], b=[1.0, 1.0], c=[1.0, 0.0])
+
+    @pytest.mark.parametrize("s", [1e15, 1e16])
+    def test_rank_is_judged_on_the_unit_rows(self, s):
+        # normalize makes the same program at every s > 0: the cut
+        # x + y <= 1.5 of the unit square, whose optimum is (0.5, 1)
+        lp = LinearProgram(A=[[s, s], [1, 0], [0, 1], [-1, 0], [0, -1]],
+                           b=[1.5 * s, 1, 1, 0, 0], c=[1, 2])
+        assert solve(lp, WalkConfig(seed=0)).value == 2.5
 
     def test_arrays_are_immutable(self):
         lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0], c=[1.0, 0.0])
@@ -463,6 +473,9 @@ class TestDeltaIntegerBound:
         # 1/(2 * 10^400) is no float; 10^150 still gives one
         with pytest.raises(TooLarge, match="float range"):
             delta_integer_bound(np.eye(2), 10**200)
+        # 10^400 is past the float range itself, not only its square
+        with pytest.raises(TooLarge, match="401 digits"):
+            delta_integer_bound(np.eye(2), 10**400)
         assert delta_integer_bound(np.eye(2), 10**150).delta == 0.5e-300
 
     def test_bound_never_beats_bruteforce(self):

@@ -28,7 +28,7 @@ from conewalk.phase1 import (
     solve_bounded,
 )
 from conewalk.reduction import solve
-from conewalk.simplex import bland_simplex, factor_basis, vertex_of_basis
+from conewalk.simplex import bland_simplex, vertex_of_basis
 from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
@@ -270,11 +270,11 @@ class TestPhase1Vertex:
         regions = []
         real = phase1_module.bland_simplex
 
-        def checked(region, start, objective, **factors):
+        def checked(region, start, objective):
             # the public constructor re-runs every check the region skipped
             NormalizedLP(A=region.A, b=region.b, c=region.c)
             regions.append(region)
-            return real(region, start, objective, **factors)
+            return real(region, start, objective)
 
         monkeypatch.setattr(phase1_module, "bland_simplex", checked)
         lp = pad_redundant(tu_instance_generator("network", 4, 14, 11), 30, 11)
@@ -406,7 +406,7 @@ class TestSolveBoundedViaSolve:
         boxed = bounding_box(nlp, 1.0)
         basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
         with pytest.raises(Unbounded) as info:
-            solve_bounded(nlp, boxed, basis, factor_basis(boxed, basis))
+            solve_bounded(nlp, boxed, basis)
         assert info.value.box_row == 0  # x_1 <= 1, the first box row
 
     @pytest.mark.parametrize("scale", [1e7, 1e12])
@@ -439,11 +439,13 @@ class TestSolveBoundedViaSolve:
     @pytest.mark.parametrize("kind", ["box", "interval", "network"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_x_is_solved_from_the_given_factors(self, kind, seed):
-        # bit for bit the solve of the tight system A_B x = b_B
+        # from the factors Bland's rule left in boxed's memo, bit for bit
+        # the solve of the tight system A_B x = b_B
         nlp = normalize(tu_instance_generator(kind, 3, 9, seed))
         boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
         basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
-        x = solve_bounded(nlp, boxed, basis, factor_basis(boxed, basis))
+        assert basis in boxed.lu_memo
+        x = solve_bounded(nlp, boxed, basis)
         rows = list(basis)
         assert x.tobytes() == solve_square(boxed.A[rows], boxed.b[rows]).tobytes()
 
@@ -451,8 +453,8 @@ class TestSolveBoundedViaSolve:
     def factorizations_outside_the_walk(monkeypatch, lp):
         """Solve lp; return how often lu_factor ran after phase 1 and
         before solve_bounded returned, outside run_walk, how many walks
-        ran, and whether solve_bounded got the factors of the walk's
-        record."""
+        ran, and whether the walk had left the factors of its final basis
+        in the memo of the program solve_bounded got."""
         import conewalk.geometry as geometry_module
         import conewalk.phase1 as phase1_module
         import conewalk.reduction as reduction_module
@@ -460,7 +462,7 @@ class TestSolveBoundedViaSolve:
         import conewalk.walk as walk_module
 
         state = {"after_phase1": False, "walking": False}
-        outside, walks, caches, records, given = [], [], [], [], []
+        outside, walks, caches, records, memoized = [], [], [], [], []
 
         def vertex(*args, real=phase1_module.phase1_vertex, **kwargs):
             out = real(*args, **kwargs)
@@ -484,10 +486,10 @@ class TestSolveBoundedViaSolve:
             records.append(caches[-1].records[basis])
             return basis, stats
 
-        def bounded(lp, boxed, basis, lu, real=phase1_module.solve_bounded):
-            given.append(lu)
+        def bounded(lp, boxed, basis, real=phase1_module.solve_bounded):
+            memoized.append(basis in boxed.lu_memo)
             try:
-                return real(lp, boxed, basis, lu)
+                return real(lp, boxed, basis)
             finally:
                 state["after_phase1"] = False
 
@@ -507,8 +509,8 @@ class TestSolveBoundedViaSolve:
         monkeypatch.setattr(reduction_module, "_las_vegas_walk", las_vegas)
         monkeypatch.setattr(reduction_module, "_WalkCache", cache)
         solve(lp, WalkConfig(seed=0))
-        (rec,), (lu,) = records, given
-        return len(outside), len(walks), lu is rec.lu
+        (_,), (same,) = records, memoized  # one Las Vegas walk
+        return len(outside), len(walks), same
 
     @pytest.mark.parametrize("kind", ["box", "interval", "network"])
     @pytest.mark.parametrize("seed", [0, 1])

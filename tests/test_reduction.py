@@ -398,7 +398,7 @@ class TestRestarts:
         import conewalk.reduction as reduction_module
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", max_retries)
         return reduction_module._las_vegas_walk(
-            lp, WalkConfig(alpha=32.0, steps=steps, seed=7), start, {})
+            lp, WalkConfig(alpha=32.0, steps=steps, seed=7), start)
 
     def test_terms_follow_the_schedule_capped_at_the_budget(
             self, monkeypatch, unit_square):
@@ -666,14 +666,16 @@ class TestOneDimension:
 
 
 class TestOneFactorMemo:
-    """solve keeps one memo of basis factors: phase 1, Bland's rule at n = 1
-    and the walk read the boxed program's rows at the same positions, so a
-    solve factors each basis at most once, the start basis included."""
+    """The boxed program keeps one memo of basis factors: phase 1's
+    prefixes, Bland's rule at n = 1 and the walk read its rows at the same
+    positions, so a solve factors each basis at most once, the start basis
+    included, and never outside basis_factors."""
 
     def test_each_basis_is_factored_once_per_solve(self, solve_spies):
         for spy in solve_spies:
             assert spy.caches  # the solve walked
             assert max(spy.solve_factorizations.values()) == 1
+            assert spy.stray_factorizations == 0
 
     @pytest.mark.parametrize("name", ["max", "min-one-pivot", "slack-copy",
                                       "three-rows"])
@@ -682,6 +684,7 @@ class TestOneFactorMemo:
         spy = SolveSpy(LinearProgram(A=A, b=b, c=c), seed=0)
         assert not spy.caches  # Bland's rule, not the walk
         assert max(spy.solve_factorizations.values()) == 1
+        assert spy.stray_factorizations == 0
         # the one-pivot program's second basis is factored by Bland's rule
         assert any(scope[0] == "bland" for scope, _ in spy.factorizations
                    if scope is not None) == (name == "min-one-pivot")
@@ -841,6 +844,34 @@ def _package_imports(node, here):
         return [a.name.split(".")[1] if "." in a.name else "__init__"
                 for a in node.names if a.name.split(".")[0] == "conewalk"]
     return []
+
+
+def test_one_function_factors_a_basis():
+    # lu_factor is named only by simplex.basis_factors, which keeps every
+    # program's factors in its memo, and by geometry.solve_square, the
+    # one-off solve identify and oracle use; and no function takes an LU or
+    # a memo of factors through a private parameter.  A second factor path
+    # has to break one of these.
+    package = Path(conewalk.__file__).resolve().parent
+    users, private = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # id(node) -> the innermost function around it
+        for fn in ast.walk(tree):  # breadth first: outer functions first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+                args = fn.args
+                private += [(path.stem, fn.name, a.arg) for a in (
+                    *args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg)
+                    if a is not None and a.arg in ("_lu", "_factors")]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "lu_factor"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "lu_factor"):
+                users.add((path.stem, owner.get(id(node))))
+    assert users == {("simplex", "basis_factors"), ("geometry", "solve_square")}
+    assert private == []
 
 
 def test_package_import_graph_is_acyclic():

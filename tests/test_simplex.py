@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conewalk.phase1 as phase1_module
 import conewalk.reduction as reduction_module
 import conewalk.simplex as simplex_module
 import conewalk.walk as walk_module
@@ -14,11 +15,13 @@ from conewalk.errors import (
     UnboundedLP,
 )
 from conewalk.geometry import solve_square
-from conewalk.lp import LinearProgram, NormalizedLP, normalize
+from conewalk.lp import LinearProgram, NormalizedLP, delta_bruteforce, normalize
 from conewalk.oracle import pad_redundant, tu_instance_generator
-from conewalk.reduction import solve
+from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
+from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import (
     Vertex,
+    basis_factors,
     basis_matrix,
     bland_simplex,
     cone_membership,
@@ -28,7 +31,7 @@ from conewalk.simplex import (
 from conewalk.tolerances import CONE_TOL, RATIO_TOL
 from conewalk.walk import WalkConfig
 
-from conftest import SQRT2, bounded_random_lp, same_pivot
+from conftest import SQRT2, afresh, bounded_random_lp, same_pivot
 
 
 def running_min_pivot(lp, v, leaving):
@@ -87,9 +90,9 @@ def pivoted_vertices(lp, seed):
         for module, source in ((simplex_module, "phase1"),
                                (walk_module, "walk")):
             def recording(prog, v, leaving, inner=module.pivot_across_facet,
-                          source=source, **factors):
+                          source=source):
                 seen.setdefault((id(prog), v.basis), (prog, v, source))
-                return inner(prog, v, leaving, **factors)
+                return inner(prog, v, leaving)
             mp.setattr(module, "pivot_across_facet", recording)
         mp.setattr(reduction_module, "MAX_RETRIES", 0)
         try:
@@ -311,9 +314,49 @@ class TestRatioTestRule:
             running_min_pivot(near_tie_square((1.2e-9, 6e-10)), v, 2)
 
 
+class TestMemoScope:
+    """A program owns its memo of basis factors: phase 1's prefixes share
+    the boxed program's, and every other program starts with its own,
+    empty one."""
+
+    def test_a_prefix_returns_the_boxed_programs_factors(self, monkeypatch):
+        regions = []
+        real = phase1_module.bland_simplex
+
+        def recording(region, start, objective):
+            regions.append(region)
+            return real(region, start, objective)
+
+        monkeypatch.setattr(phase1_module, "bland_simplex", recording)
+        nlp = normalize(tu_instance_generator("network", 4, 14, 0))
+        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+        phase1_vertex(nlp, boxed)
+        shared = 0
+        for region in regions:
+            for basis, lu in list(boxed.lu_memo.items()):
+                if max(basis) < region.m:
+                    assert basis_factors(region, basis) is lu
+                    shared += 1
+        assert len(regions) == nlp.m and shared > nlp.m
+
+    def test_new_programs_start_with_an_empty_memo(self, unit_square):
+        v = vertex_of_basis(unit_square, (0, 1))
+        assert set(unit_square.lu_memo) == {(0, 1)}
+        nlp = normalize(LinearProgram(A=unit_square.A, b=unit_square.b,
+                                      c=unit_square.c))
+        boxed = bounding_box(unit_square, 2.0)
+        reduced, start, _ = reduce_lp(unit_square, 0, v)
+        assert nlp.lu_memo == {} and boxed.lu_memo == {}
+        # reduce_lp solved its start vertex on the reduced program, and
+        # nothing else
+        assert set(reduced.lu_memo) == {start.basis}
+        assert set(unit_square.lu_memo) == {(0, 1)}
+
+
 class TestFactorMemo:
     """phase1_vertex factors each basis once, and what bland_simplex reads
-    from the memo is what the standalone functions compute afresh."""
+    from the memo is what the standalone functions compute on a copy of the
+    program that factors afresh."""
 
     def test_each_basis_is_factored_once_per_phase1_vertex(self, solve_spies):
         bases = 0
@@ -332,6 +375,6 @@ class TestFactorMemo:
                     assert same_pivot(prog, v, leaving, result)
                     pivots += 1
             for prog, basis, w, inside in spy.cone_tests:
-                assert cone_membership(prog, basis, w).inside == inside
+                assert cone_membership(afresh(prog), basis, w).inside == inside
                 cone_tests += 1
         assert pivots > 0 and cone_tests > pivots

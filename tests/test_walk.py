@@ -32,7 +32,13 @@ from conewalk.walk import (
     step,
 )
 
-from conftest import SQRT2, bounded_random_lp, rotate_instance, same_pivot
+from conftest import (
+    SQRT2,
+    afresh,
+    bounded_random_lp,
+    rotate_instance,
+    same_pivot,
+)
 
 
 class QueuedRng:
@@ -597,8 +603,9 @@ class TestDefaults:
 
 
 class TestBasisRecords:
-    """The Las Vegas walk factors each basis once, through its _BasisRecord, and
-    the record's answers are the standalone functions'."""
+    """The Las Vegas walk factors each basis once, through the program's
+    memo, and its records' answers are the standalone functions' on a copy
+    that factors afresh."""
 
     def test_each_basis_is_factored_once_per_level_without_det(
             self, solve_spies):
@@ -615,7 +622,7 @@ class TestBasisRecords:
         records = pivots = 0
         for spy in solve_spies:
             for cache in spy.caches:
-                lp = cache.lp
+                lp = afresh(cache.lp)
                 for basis, rec in cache.records.items():
                     assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
                     assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
@@ -628,26 +635,28 @@ class TestBasisRecords:
 
     def test_record_is_an_immutable_named_tuple(self, unit_square):
         rec = _WalkCache(unit_square).record((0, 1))
-        assert rec._fields == ("basis", "rows", "row_lists", "lu", "log_vol",
+        assert rec._fields == ("basis", "rows", "row_lists", "log_vol",
                                "in_cone")
         with pytest.raises(AttributeError):
             rec.log_vol = 0.0
 
     def test_records_read_and_fill_the_given_memo(self, monkeypatch,
                                                   unit_square):
-        import conewalk.walk as walk_module
-        from conewalk.simplex import factor_basis
+        # the memo is the program's: a basis factored before the walk is
+        # not factored again, and a new one is left in the memo
+        import conewalk.simplex as simplex_module
 
-        lu = factor_basis(unit_square, (0, 1))
-        factors = {(0, 1): lu}
+        lu = simplex_module.basis_factors(unit_square, (0, 1))
         calls = []
 
-        def counted(a_b, real=walk_module.lu_factor):
+        def counted(a_b, real=simplex_module.lu_factor):
             calls.append(a_b.tobytes())
             return real(a_b)
 
-        monkeypatch.setattr(walk_module, "lu_factor", counted)
-        cache = _WalkCache(unit_square, factors)
-        assert cache.record((0, 1)).lu is lu and calls == []
-        rec = cache.record((1, 2))
-        assert factors[(1, 2)] is rec.lu and len(calls) == 1
+        monkeypatch.setattr(simplex_module, "lu_factor", counted)
+        cache = _WalkCache(unit_square)
+        cache.record((0, 1))
+        assert unit_square.lu_memo[(0, 1)] is lu and calls == []
+        cache.record((1, 2))
+        assert set(unit_square.lu_memo) == {(0, 1), (1, 2)}
+        assert len(calls) == 1

@@ -99,7 +99,7 @@ def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
         A = np.array(raw["A"], dtype=float)
         b = np.array(raw["b"], dtype=float)
         c = np.array(raw["c"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{path} has malformed arrays: {exc}") from exc
     if A.shape != (raw["m"], raw["n"]) or b.shape != (raw["m"],) \
             or c.shape != (raw["n"],):
@@ -207,14 +207,16 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
 def cmd_solve(args) -> int:
     lp, raw = load_lp_file(args.input)
     delta = _resolve_delta(args.delta, lp, raw)
+    # the solve itself does no I/O: an OSError here comes from opening,
+    # writing or closing the trace
     try:
         trace = open(args.trace, "w") if args.trace else None
+        with trace or contextlib.nullcontext():
+            cfg = WalkConfig(alpha=args.alpha, steps=args.steps,
+                             seed=args.seed, trace=trace)
+            report, code = _solve_once(lp, delta, cfg)
     except OSError as exc:
         raise CliError(f"cannot write trace file {args.trace}: {exc}") from exc
-    with trace or contextlib.nullcontext():
-        cfg = WalkConfig(alpha=args.alpha, steps=args.steps, seed=args.seed,
-                         trace=trace)
-        report, code = _solve_once(lp, delta, cfg)
     print(jsonio.dumps(report))
     return code
 

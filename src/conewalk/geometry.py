@@ -3,11 +3,10 @@
 Everything here is double precision and sized for desk-scale instances;
 no sparsity.  One LU factorization (lu_factor) serves every solve with a
 matrix and with its transpose (lu_solve) and its log-determinant
-(log_abs_det), calling LAPACK directly.  Two functions call lu_factor:
+(log_abs_det), calling LAPACK directly.  One function calls lu_factor:
 simplex.basis_factors, which factors each basis matrix A_B of a program
 once and serves the vertex, the pivot's edge direction, the cone
-coefficients and the cell volume from those factors, and solve_square, the
-one-off solve that identify and oracle use.
+coefficients and the cell volume from those factors.
 """
 from __future__ import annotations
 
@@ -57,14 +56,6 @@ def lu_solve(factors: LU, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
 def log_abs_det(factors: LU) -> float:
     """log |det M| from M's factors: the sum of log |u_ii| over U's diagonal."""
     return float(np.log(np.abs(factors.lu.diagonal())).sum())
-
-
-def solve_square(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for square nonsingular M: lu_factor, then lu_solve.
-
-    Raises SingularMatrix as lu_factor does.
-    """
-    return lu_solve(lu_factor(matrix), rhs)
 
 
 def det_abs(matrix: np.ndarray) -> float:

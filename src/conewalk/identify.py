@@ -3,7 +3,8 @@
 When a vector c' close to the objective (gap below delta/(2n)) lies in the
 cone of a basis B', at least one conic coefficient of c' over B' exceeds
 (1/n)(1 - delta/(2n)), and every row achieving that belongs to the true
-optimal basis.
+optimal basis.  verify_problem1 and extract_element read those coefficients
+from one solve with the program's factors of A_B (simplex.cone_membership).
 """
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLargeCoefficient
-from .geometry import solve_square
 from .lp import NormalizedLP
-from .simplex import Basis, basis_matrix, cone_membership
+from .simplex import Basis, cone_membership
 from .walk import Parallelepiped, center
 
 
@@ -50,7 +50,7 @@ def extract_element(lp: NormalizedLP, basis: Basis, c_prime: np.ndarray,
                     delta: float) -> IdentifiedElement:
     """Pick the certified optimal row: largest coefficient, ties to smallest index."""
     basis = tuple(sorted(basis))
-    mu = solve_square(basis_matrix(lp, basis).T, np.asarray(c_prime, dtype=float))
+    mu = cone_membership(lp, basis, np.asarray(c_prime, dtype=float)).coeffs
     threshold = coefficient_threshold(lp.n, delta)
     qualifying = tuple(row for row, m in zip(basis, mu) if m > threshold)
     if not qualifying:

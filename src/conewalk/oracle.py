@@ -3,7 +3,8 @@
 Everything here is deliberately naive: exhaustive basis enumeration, exact
 integer sub-determinants, inverse-CDF Monte Carlo.  These routines validate
 the solver and generate test instances; they never feed the solver's own
-computations.
+computations.  Their linear algebra is numpy's alone (np.linalg.det and
+np.linalg.solve), not the solver's LAPACK wrappers or its basis factors.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooLarge
-from .geometry import det_abs, solve_square
 from .lp import LinearProgram, NormalizedLP
 from .simplex import Basis, Vertex, basis_matrix
 from .tolerances import SINGULAR_TOL
@@ -75,19 +75,10 @@ def enumerate_vertices(lp: NormalizedLP, *,
 def check_nondegenerate(lp: NormalizedLP, *,
                         limit: int = ENUMERATION_LIMIT) -> bool:
     """True iff every vertex of {Ax <= b} has exactly n tight rows."""
-    m, n = lp.m, lp.n
-    if math.comb(m, n) > limit:
-        raise TooLarge(f"C({m},{n}) exceeds the enumeration budget")
     tol = lp.feas_tol()
-    for rows in itertools.combinations(range(m), n):
-        sub = lp.A[list(rows)]
-        if det_abs(sub) <= SINGULAR_TOL:
-            continue
-        x = np.linalg.solve(sub, lp.b[list(rows)])
-        if not lp.is_feasible(x, tol=tol):
-            continue
-        tight = int(np.sum(np.abs(lp.A @ x - lp.b) <= tol))
-        if tight != n:
+    for _, x in _all_basic_points(lp, limit):
+        if (lp.is_feasible(x, tol=tol)
+                and int(np.sum(np.abs(lp.A @ x - lp.b) <= tol)) != lp.n):
             return False
     return True
 
@@ -269,8 +260,8 @@ def check_lemma4(lp: NormalizedLP, basis: Basis, basis_prime: Basis,
     ||c - c'|| >= delta * mu_k - slack.
     """
     basis_prime = tuple(sorted(basis_prime))
-    mu = solve_square(basis_matrix(lp, basis_prime).T,
-                      np.asarray(c_prime, dtype=float))
+    mu = np.linalg.solve(basis_matrix(lp, basis_prime).T,
+                         np.asarray(c_prime, dtype=float))
     gap = float(np.linalg.norm(np.asarray(c, float) - np.asarray(c_prime, float)))
     foreign = set(basis_prime) - set(basis)
     for row, m in zip(basis_prime, mu):

@@ -7,9 +7,10 @@ chosen facet via the standard ratio test.
 
 One LU factorization of A_B serves everything asked of a basis: its vertex
 and a pivot's edge direction solve with A_B, its cone coefficients with
-A_B^T.  basis_factors is the one place the solver factors a basis: it keeps
-the factors in the program's lu_memo, so a program factors each basis once
-whoever asks, and phase 1's prefixes share the boxed program's memo.
+A_B^T.  basis_factors is the only code in the package that factors a
+matrix: it keeps the factors in the program's lu_memo, so a program factors
+each basis once whoever asks, and phase 1's prefixes share the boxed
+program's memo.
 A_B is gathered with one take, and a sorted basis is not sorted again.
 """
 from __future__ import annotations

@@ -147,6 +147,18 @@ class TestSolveCommand:
         assert_one_error_record(capsys, ["solve", "--input", str(bad)],
                                 "must hold a JSON object")
 
+    @pytest.mark.parametrize("field", ["A", "b", "c"])
+    def test_number_past_the_float_range_is_malformed(self, capsys, tmp_path,
+                                                      field):
+        raw = {"n": 2, "m": 4, "A": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+               "b": [1, 1, 0, 0], "c": [1, 1]}
+        row = raw[field][0] if field == "A" else raw[field]
+        row[0] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert_one_error_record(capsys, ["solve", "--input", str(path)],
+                                f"{path} has malformed arrays: ")
+
     def test_box_radius_past_the_float_range(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         write_lp_file(str(path), LinearProgram(
@@ -297,6 +309,15 @@ class TestSolveCommand:
         assert_one_error_record(
             capsys, ["solve", "--input", square_file, "--trace", str(trace)],
             f"cannot write trace file {trace}")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs a device whose writes fail")
+    def test_failed_trace_write_is_one_error_record(self, capsys):
+        # the path opens, but every write to it fails with ENOSPC
+        assert_one_error_record(
+            capsys, ["solve", "--input", str(INSTANCES / "network-n3.json"),
+                     "--seed", "0", "--trace", "/dev/full"],
+            "cannot write trace file /dev/full: ")
 
     def test_trace_positions_index_the_boxed_program(self, capsys, tmp_path):
         # box rows at 0..2n-1, then the kept rows; the program is bounded,

@@ -12,8 +12,8 @@ from conewalk.geometry import (
     det_abs,
     dist_to_span,
     lu_factor,
+    lu_solve,
     rotation_to_e1,
-    solve_square,
 )
 
 
@@ -44,12 +44,14 @@ class TestPivotTest:
 
 
 class TestSolveSquare:
+    """Solving M x = rhs for square M: lu_factor, then lu_solve."""
+
     def test_identity(self):
-        x = solve_square(np.eye(2), [3.0, 5.0])
+        x = lu_solve(lu_factor(np.eye(2)), [3.0, 5.0])
         np.testing.assert_allclose(x, [3.0, 5.0])
 
     def test_diagonal(self):
-        x = solve_square([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
+        x = lu_solve(lu_factor([[2.0, 0.0], [0.0, 4.0]]), [2.0, 4.0])
         np.testing.assert_allclose(x, [1.0, 1.0])
 
     def test_round_trip_4x4(self):
@@ -57,7 +59,7 @@ class TestSolveSquare:
         rng = np.random.default_rng(7)
         M = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
         x_true = rng.standard_normal(4)
-        x = solve_square(M, M @ x_true)
+        x = lu_solve(lu_factor(M), M @ x_true)
         np.testing.assert_allclose(x, x_true, rtol=1e-9, atol=1e-12)
 
     def test_residual_contract(self):
@@ -68,13 +70,13 @@ class TestSolveSquare:
             if abs(np.linalg.det(M)) < 1e-3:
                 continue
             rhs = rng.standard_normal(3)
-            x = solve_square(M, rhs)
+            x = lu_solve(lu_factor(M), rhs)
             resid = np.max(np.abs(M @ x - rhs))
             assert resid <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            solve_square([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+            lu_solve(lu_factor([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_same_bits_as_lu_factor_lu_solve(self, n):
@@ -88,7 +90,7 @@ class TestSolveSquare:
                 ref = scipy.linalg.lu_solve(
                     scipy.linalg.lu_factor(A, check_finite=False), rhs,
                     check_finite=False)
-                x = solve_square(A, rhs)
+                x = lu_solve(lu_factor(A), rhs)
                 assert x.shape == ref.shape
                 assert x.tobytes() == ref.tobytes()
 
@@ -101,13 +103,13 @@ class TestSolveSquare:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrix):
-                solve_square(M, np.ones(len(M)))
+                lu_solve(lu_factor(M), np.ones(len(M)))
 
     def test_nearly_singular_raises(self):
         # the second pivot is 1e-12, below SINGULAR_TOL; at 1e-8 it solves
         with pytest.raises(SingularMatrix):
-            solve_square([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 2.0])
-        x = solve_square([[1.0, 1.0], [1.0, 1.0 + 1e-8]], [1.0, 2.0])
+            lu_solve(lu_factor([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), [1.0, 2.0])
+        x = lu_solve(lu_factor([[1.0, 1.0], [1.0, 1.0 + 1e-8]]), [1.0, 2.0])
         np.testing.assert_allclose(x, [1.0 - 1e8, 1e8], rtol=1e-6)
 
     def test_round_trip_property(self):
@@ -118,7 +120,7 @@ class TestSolveSquare:
             if abs(np.linalg.det(M)) < 1e-4:
                 continue
             x_true = rng.standard_normal(n)
-            x = solve_square(M, M @ x_true)
+            x = lu_solve(lu_factor(M), M @ x_true)
             assert np.linalg.norm(x - x_true) <= 1e-7 * (1 + np.linalg.norm(x_true))
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import conewalk.geometry as geometry_module
+import conewalk.simplex as simplex_module
 from conewalk.errors import NoLargeCoefficient
 from conewalk.identify import (
     coefficient_threshold,
@@ -67,6 +69,22 @@ class TestExtractElement:
         elem = extract_element(unit_square, (0, 1), c_prime, 1.0)
         assert elem.row == 0
         assert elem.gap < 1.0 / 4.0
+
+    def test_coefficients_are_the_cone_tests(self, unit_square,
+                                              monkeypatch):
+        # the cone test's coefficients, bit for bit, from the factors
+        # verify_problem1 left in the program's memo: nothing is factored
+        c_prime = unit_square.c + np.array([0.01, -0.02])
+        assert verify_problem1(unit_square, (1, 0), c_prime, 1.0)
+        factored = []
+        for module in (geometry_module, simplex_module):
+            monkeypatch.setattr(module, "lu_factor",
+                                lambda m, real=module.lu_factor:
+                                factored.append(m) or real(m))
+        elem = extract_element(unit_square, (1, 0), c_prime, 1.0)
+        coeffs = cone_membership(unit_square, (0, 1), c_prime).coeffs
+        assert elem.mu.tobytes() == coeffs.tobytes()
+        assert factored == []
 
     def test_no_large_coefficient(self, unit_square):
         with pytest.raises(NoLargeCoefficient):

@@ -13,7 +13,7 @@ from conewalk.errors import (
     ZeroObjective,
     ZeroRow,
 )
-from conewalk.geometry import dist_to_span
+from conewalk.geometry import det_abs, dist_to_span
 from conewalk.lp import (
     DeltaCertificate,
     DeltaMethod,
@@ -25,7 +25,7 @@ from conewalk.lp import (
 )
 from conewalk.oracle import check_nondegenerate, pad_redundant, tu_instance_generator
 from conewalk.reduction import solve
-from conewalk.tolerances import DUPLICATE_TOL
+from conewalk.tolerances import DUPLICATE_TOL, SINGULAR_TOL
 from conewalk.walk import WalkConfig
 
 from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instance
@@ -516,5 +516,46 @@ class TestCheckNondegenerate:
         assert check_nondegenerate(nlp) is True
 
     def test_budget(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge,
+                           match=r"^C\(4,2\) exceeds the enumeration budget$"):
             check_nondegenerate(make_square(), limit=1)
+
+    @staticmethod
+    def per_subset_rule(lp):
+        """The former check: each n-row subset alone, in index order."""
+        tol = lp.feas_tol()
+        for rows in itertools.combinations(range(lp.m), lp.n):
+            sub = lp.A[list(rows)]
+            if det_abs(sub) <= SINGULAR_TOL:
+                continue
+            x = np.linalg.solve(sub, lp.b[list(rows)])
+            if not lp.is_feasible(x, tol=tol):
+                continue
+            if int(np.sum(np.abs(lp.A @ x - lp.b) <= tol)) != lp.n:
+                return False
+        return True
+
+    # kinds x n = 2..4 at m = 3n + 2, generator seeds 0-3 (odd seeds
+    # rotated, as the acceptance screening rotates some), and the three
+    # degenerate instances among that grid's first 40 seeds
+    GRID = [(kind, n, seed, seed % 2 == 1)
+            for kind in ("box", "interval", "network")
+            for n in (2, 3, 4) for seed in range(4)]
+    GRID += [("interval", 4, 20, False), ("network", 3, 13, False),
+             ("network", 3, 16, False)]
+
+    @pytest.mark.parametrize("kind, n, seed, rotated", GRID)
+    def test_same_verdict_as_per_subset_rule(self, kind, n, seed, rotated):
+        lp = tu_instance_generator(kind, n, 3 * n + 2, seed)
+        if rotated:
+            lp = rotate_instance(lp, seed + 99991)
+        nlp = normalize(lp)
+        assert check_nondegenerate(nlp) is self.per_subset_rule(nlp)
+
+    def test_small_cases_same_verdict_as_per_subset_rule(self):
+        t = make_triangle()
+        dup = normalize(LinearProgram(
+            A=np.vstack([t.A, t.A[2:]]), b=np.concatenate([t.b, t.b[2:]]),
+            c=t.c))
+        for lp in (make_square(), dup):
+            assert check_nondegenerate(lp) is self.per_subset_rule(lp)

@@ -11,6 +11,7 @@ list what moved in CHANGES.md:
     PYTHONPATH=src python tests/test_pinned_outcomes.py
 """
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,41 @@ def test_pinned_file_covers_every_instance_and_seed():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_solve_matches_pinned_outcome(name, seed):
     assert outcome(PROGRAMS[name], seed) == pinned()[(name, seed)]
+
+
+def exact_solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """M x = rhs for square nonsingular M, by Gaussian elimination in
+    fractions: no rounding anywhere."""
+    k = len(M)
+    rows = [[*row, r] for row, r in zip(M, rhs)]
+    for col in range(k):
+        pivot = next(i for i in range(col, k) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(k):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [a - f * p for a, p in zip(rows[i], rows[col])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+OPTIMA = [key for key, out in pinned().items() if "basis" in out]
+
+
+@pytest.mark.parametrize("name, seed", OPTIMA)
+def test_pinned_optimum_has_an_exact_certificate(name, seed):
+    # The reported basis, checked in exact arithmetic on the input's own
+    # floats: its vertex x_B satisfies every input row, and the objective
+    # lies in the cone of its rows (mu >= 0).
+    lp = PROGRAMS[name]
+    A = [[Fraction(a) for a in row] for row in lp.A.tolist()]
+    b = [Fraction(v) for v in lp.b.tolist()]
+    c = [Fraction(v) for v in lp.c.tolist()]
+    basis = pinned()[(name, seed)]["basis"]
+    x = exact_solve([A[r] for r in basis], [b[r] for r in basis])
+    assert all(sum(a * t for a, t in zip(row, x)) <= rhs
+               for row, rhs in zip(A, b))
+    A_B_T = [[A[r][j] for r in basis] for j in range(lp.n)]
+    assert all(mu >= 0 for mu in exact_solve(A_B_T, c))
 
 
 if __name__ == "__main__":

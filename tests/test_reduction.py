@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import conewalk
+import conewalk.geometry as geometry
 from conewalk.errors import (
     DegeneratePivot,
     Infeasible,
@@ -37,13 +38,13 @@ def identifying_walk(alpha, outcomes):
     rounding: an outcome verify_problem1 would pass.  Each (walked
     program, outcome) is appended to ``outcomes``.
     """
-    from conewalk.geometry import solve_square
+    from conewalk.geometry import lu_factor, lu_solve
     from conewalk.simplex import basis_matrix
     from conewalk.walk import Parallelepiped, WalkOutcome
 
     def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
         basis = start_vertex.basis
-        mu = solve_square(basis_matrix(nlp, basis).T, nlp.c)
+        mu = lu_solve(lu_factor(basis_matrix(nlp, basis).T), nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
         cell = Parallelepiped(basis=basis, index=tuple(index))
         outcome = WalkOutcome(final=cell, stopped_with_c_in_cone=False,
@@ -848,10 +849,9 @@ def _package_imports(node, here):
 
 def test_one_function_factors_a_basis():
     # lu_factor is named only by simplex.basis_factors, which keeps every
-    # program's factors in its memo, and by geometry.solve_square, the
-    # one-off solve identify and oracle use; and no function takes an LU or
-    # a memo of factors through a private parameter.  A second factor path
-    # has to break one of these.
+    # program's factors in its memo; geometry has no one-off solve beside
+    # it; and no function takes an LU or a memo of factors through a
+    # private parameter.  A second factor path has to break one of these.
     package = Path(conewalk.__file__).resolve().parent
     users, private = set(), []
     for path in sorted(package.glob("*.py")):
@@ -870,8 +870,28 @@ def test_one_function_factors_a_basis():
                     or isinstance(node, ast.Attribute)
                     and node.attr == "lu_factor"):
                 users.add((path.stem, owner.get(id(node))))
-    assert users == {("simplex", "basis_factors"), ("geometry", "solve_square")}
+    assert users == {("simplex", "basis_factors")}
     assert private == []
+    assert not hasattr(geometry, "solve_square")
+
+
+def test_oracle_checks_with_numpy_alone():
+    # The ground truth the solver is checked against shares none of its
+    # linear algebra: no LAPACK wrapper, no basis factors, no solver step,
+    # and nothing from geometry.
+    path = Path(conewalk.__file__).resolve().parent / "oracle.py"
+    tree = ast.parse(path.read_text())
+    solver = {"lu_factor", "lu_solve", "basis_factors", "cone_membership",
+              "vertex_of_basis", "pivot_across_facet"}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert named & solver == set()
+    imported = {target for node in ast.walk(tree)
+                for target in _package_imports(node, {})}
+    assert "geometry" not in imported
 
 
 def test_package_import_graph_is_acyclic():

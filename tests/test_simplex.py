@@ -14,7 +14,7 @@ from conewalk.errors import (
     UnboundedEdge,
     UnboundedLP,
 )
-from conewalk.geometry import solve_square
+from conewalk.geometry import lu_factor, lu_solve
 from conewalk.lp import LinearProgram, NormalizedLP, delta_bruteforce, normalize
 from conewalk.oracle import pad_redundant, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
@@ -45,7 +45,7 @@ def running_min_pivot(lp, v, leaving):
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
-    d = solve_square(basis_matrix(lp, basis), rhs)
+    d = lu_solve(lu_factor(basis_matrix(lp, basis)), rhs)
 
     advance = lp.A @ d
     slack = lp.b - lp.A @ v.point

@@ -14,6 +14,7 @@ from .lp import (
     DeltaCertificate,
     LinearProgram,
     delta_bruteforce,
+    delta_from_structure,
     delta_integer_bound,
     normalize,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "SolveReport",
     "WalkConfig",
     "delta_bruteforce",
+    "delta_from_structure",
     "delta_integer_bound",
     "errors",
     "normalize",

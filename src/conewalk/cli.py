@@ -28,7 +28,7 @@ from .lp import (
     delta_value_and_method,
     normalize,
 )
-from .reduction import MAX_RETRIES, solve
+from .reduction import MAX_RETRIES, certify_delta, solve
 from .walk import WalkConfig
 
 EXIT_OPTIMAL = 0
@@ -147,8 +147,10 @@ def _resolve_delta(spec: str | float, lp: LinearProgram,
 
     A certificate lets solve size the box from it; a bare number is only a
     claim, which solve certifies by brute force before it sizes the box.
-    'auto' falls back to the integral bound only when the brute force is
-    over its budget, not when normalize raises TooLarge.
+    'auto' certifies as solve does by default (reduction.certify_delta:
+    the rows' structure, then brute force) and falls back to the integral
+    bound only when the brute force is over its budget, not when normalize
+    raises TooLarge.
     """
     if isinstance(spec, float):
         return spec
@@ -156,7 +158,7 @@ def _resolve_delta(spec: str | float, lp: LinearProgram,
         return _integral_bound(lp, raw, "--delta bound needs integral data")
     nlp = normalize(lp)
     try:
-        return delta_bruteforce(nlp)
+        return delta_bruteforce(nlp) if spec == "brute" else certify_delta(nlp)
     except TooLarge:
         if spec == "brute":
             raise

@@ -3,7 +3,10 @@
 The central quantity, delta, is the minimum distance from any constraint row
 to a hyperplane spanned by n-1 other rows, restricted to rows outside that
 hyperplane (Brunsch and Roeglin's separation).  All walk parameters are
-derived from it.
+derived from it.  It is certified from the rows' structure when they are
+scaled rows of a totally unimodular matrix (delta_from_structure), else by
+enumeration (delta_bruteforce), or bounded from integral data with a known
+sub-determinant bound (delta_integer_bound).
 """
 from __future__ import annotations
 
@@ -142,6 +145,8 @@ def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 class DeltaMethod(Enum):
     BRUTE_FORCE = "brute_force"
     INTEGER_BOUND = "integer_bound"
+    NETWORK_ROWS = "network_rows"
+    INTERVAL_ROWS = "interval_rows"
 
 
 @dataclass(frozen=True)
@@ -341,3 +346,37 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
                        f"n={n}, Delta of {len(str(Delta))} digits") from None
     return DeltaCertificate(delta=delta, method=DeltaMethod.INTEGER_BOUND,
                             Delta=int(Delta))
+
+
+def delta_from_structure(lp: NormalizedLP) -> DeltaCertificate | None:
+    """The bound 1/n for rows that are scaled rows of a totally unimodular matrix.
+
+    A row qualifies when its nonzero entries share one absolute value,
+    compared exactly: a scaled {0, +1, -1} row does, bit for bit.  The sign
+    patterns are totally unimodular when every row has at most one positive
+    and at most one negative entry (NETWORK_ROWS: the transpose of a
+    directed incidence matrix), or when every row's nonzeros have one sign
+    and sit in consecutive columns (INTERVAL_ROWS: an interval matrix with
+    some rows negated), by Heller & Tompkins (1956) and Fulkerson & Gross
+    (1965).  One rule must hold for every row: the rules do not mix.
+    Sub-determinants are then bounded by Delta = 1, and
+    delta_integer_bound's 1/(n * Delta^2) holds.  Any other matrix gives
+    None.
+    """
+    network = interval = True
+    for row in lp.A.tolist():  # a Python loop beats numpy at these sizes
+        nonzeros = [v for v in row if v]
+        k = len(nonzeros)
+        size = abs(nonzeros[0])
+        pos = nonzeros.count(size)
+        if pos + nonzeros.count(-size) != k:
+            return None
+        network = network and pos <= 1 and k - pos <= 1
+        if interval:
+            first = row.index(nonzeros[0])
+            interval = pos in (0, k) and all(row[first:first + k])
+        if not (network or interval):
+            return None
+    return DeltaCertificate(
+        delta=1.0 / lp.n, Delta=1,
+        method=DeltaMethod.NETWORK_ROWS if network else DeltaMethod.INTERVAL_ROWS)

@@ -43,6 +43,7 @@ from .lp import (
     NormalizedLP,
     _derived,
     delta_bruteforce,
+    delta_from_structure,
     delta_value_and_method,
     normalize,
     tightest_rows,
@@ -236,6 +237,13 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
         f"optimal cone (n={lp.n})")
 
 
+def certify_delta(lp: NormalizedLP) -> DeltaCertificate:
+    """lp's row separation: from the rows' structure when they are scaled
+    rows of a totally unimodular matrix (lp.delta_from_structure), else by
+    brute force, which may raise TooLarge."""
+    return delta_from_structure(lp) or delta_bruteforce(lp)
+
+
 def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
           delta: float | DeltaCertificate | None = None) -> SolveReport:
     """Solve max c^T x s.t. Ax <= b end to end.
@@ -243,7 +251,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     Normalizes and keeps the tightest row of each direction
     (lp.tightest_rows), which leaves the region unchanged.  The rest runs
     on the kept rows, the walked program: it certifies the row
-    separation once (brute force unless supplied), reduces to a bounded
+    separation once (certify_delta, unless supplied), reduces to a bounded
     instance via an enclosing box, finds an initial vertex or a certified
     infeasibility, and resolves the walk parameters at that delta, which
     SolveReport.delta reports.  The boxed program's optimal basis comes
@@ -274,7 +282,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     walked = _derived(nlp.A[kept], nlp.b[kept], nlp.c)
 
     if delta is None:
-        delta = delta_bruteforce(walked)
+        delta = certify_delta(walked)
         delta_value, delta_method = delta_value_and_method(delta)
 
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, delta))

@@ -15,6 +15,10 @@ from conewalk.oracle import tu_instance_generator
 from conewalk.walk import WalkConfig
 
 SQRT2 = float(np.sqrt(2.0))
+# unit rows with (1, 1, 1) and (1, 1, 0), interval rows, and (-1, 0, 1), a
+# network row: brute-force delta 0.2887 < 1/3, so the TU rules must not mix
+MIXED_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0],
+              [0, 0, -1], [1, 1, 1], [1, 1, 0], [-1, 0, 1]]
 # the modules of the solve path: a spy hooks the names each one imports
 PACKAGE_MODULES = (geometry_module, simplex_module, phase1_module,
                    walk_module, reduction_module)

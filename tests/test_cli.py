@@ -107,9 +107,10 @@ class TestSolveCommand:
         assert report["status"] == "optimal"
         assert report["basis"] == [1, 2]
         assert report["value"] == pytest.approx(np.sqrt(2.0), abs=1e-7)
-        assert report["delta"] == pytest.approx(1.0)
-        assert report["delta_method"] == "brute_force"
-        assert report["walk"]["alpha"] == pytest.approx(32.0)
+        # unit rows are network rows: delta 1/n, not the square's exact 1
+        assert report["delta"] == pytest.approx(0.5)
+        assert report["delta_method"] == "network_rows"
+        assert report["walk"]["alpha"] == pytest.approx(64.0)
         assert report["seed"] == 0
 
     def test_infeasible_exit_code(self, capsys, infeasible_file):
@@ -520,20 +521,27 @@ class TestWalkStatsCommand:
 
     def test_delta_certified_once_per_instance(self, capsys, square_file,
                                                infeasible_file, monkeypatch):
+        # both files have network rows: their structure certifies delta,
+        # and the enumeration never runs
         import conewalk.cli as cli_module
+        import conewalk.reduction as reduction_module
 
-        calls = []
+        calls = {"certify": 0, "brute": 0}
 
-        def counting(lp):
-            calls.append(lp.m)
-            return original(lp)
+        def counting(name, original):
+            def count(lp):
+                calls[name] += 1
+                return original(lp)
+            return count
 
-        original = cli_module.delta_bruteforce
-        monkeypatch.setattr(cli_module, "delta_bruteforce", counting)
+        monkeypatch.setattr(cli_module, "certify_delta",
+                            counting("certify", cli_module.certify_delta))
+        monkeypatch.setattr(reduction_module, "delta_bruteforce",
+                            counting("brute", reduction_module.delta_bruteforce))
         code, _ = run_cli(capsys, ["walk-stats", "--input", square_file,
                                    "--input", infeasible_file, "--seeds", "3"])
         assert code == 0
-        assert len(calls) == 2
+        assert calls == {"certify": 2, "brute": 0}
 
     def test_failed_seed_is_recorded(self, capsys, square_file, monkeypatch):
         import conewalk.cli as cli_module

@@ -19,6 +19,7 @@ from conewalk.lp import (
     DeltaMethod,
     LinearProgram,
     delta_bruteforce,
+    delta_from_structure,
     delta_integer_bound,
     normalize,
     tightest_rows,
@@ -28,7 +29,15 @@ from conewalk.reduction import solve
 from conewalk.tolerances import DUPLICATE_TOL, SINGULAR_TOL
 from conewalk.walk import WalkConfig
 
-from conftest import SQRT2, make_square, make_triangle, random_lp, rotate_instance
+from conftest import (
+    MIXED_ROWS,
+    SQRT2,
+    bounded_random_lp,
+    make_square,
+    make_triangle,
+    random_lp,
+    rotate_instance,
+)
 
 
 class TestLinearProgram:
@@ -484,6 +493,63 @@ class TestDeltaIntegerBound:
         assert delta_bruteforce(square).delta >= \
             delta_integer_bound(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]),
                                 1).delta - 1e-9
+
+
+def _rows(rows, b=None) -> LinearProgram:
+    """A program on the given rows, objective all ones."""
+    A = np.array(rows, dtype=float)
+    return LinearProgram(A=A, b=np.ones(len(A)) if b is None else b,
+                         c=np.ones(A.shape[1]))
+
+
+class TestDeltaFromStructure:
+    @pytest.mark.parametrize("kind, method", [
+        ("network", DeltaMethod.NETWORK_ROWS),
+        ("interval", DeltaMethod.INTERVAL_ROWS),
+        ("box", DeltaMethod.NETWORK_ROWS),  # unit rows satisfy both rules
+    ])
+    def test_generator_instances(self, kind, method):
+        for n in (2, 3, 4, 5):
+            nlp = normalize(tu_instance_generator(kind, n, 4 * n, n))
+            cert = delta_from_structure(nlp)
+            assert cert == DeltaCertificate(delta=1.0 / n, method=method,
+                                            Delta=1)
+            assert cert.delta <= delta_bruteforce(nlp).delta
+
+    def test_negated_and_scaled_rows_qualify(self):
+        # (-3, -3, 0) is an interval row negated and scaled; (0, 2, -2) a
+        # scaled network row, which is no interval row: one rule each
+        eye = np.eye(3)
+        interval = normalize(_rows([*eye, *-eye, [-3, -3, 0], [0, 5, 5]]))
+        assert delta_from_structure(interval).method is DeltaMethod.INTERVAL_ROWS
+        network = normalize(_rows([*eye, *-eye, [0, 2, -2], [7, 0, -7]]))
+        assert delta_from_structure(network).method is DeltaMethod.NETWORK_ROWS
+
+    def test_mixed_rules_are_not_certified(self):
+        nlp = normalize(_rows(MIXED_ROWS))
+        assert delta_bruteforce(nlp).delta == pytest.approx(0.2887, abs=1e-4)
+        assert delta_bruteforce(nlp).delta < 1 / 3
+        assert delta_from_structure(nlp) is None
+
+    @pytest.mark.parametrize("lp", [
+        pytest.param(_rows([[2, -1], [0, 1], [-1, 0], [0, -1]]), id="2,-1"),
+        pytest.param(_rows([[math.cos(2 * math.pi * k / 7),
+                             math.sin(2 * math.pi * k / 7)] for k in range(7)]),
+                     id="7-gon"),
+        pytest.param(bounded_random_lp(3, 4, 0), id="bounded_random_lp"),
+    ])
+    def test_other_rows_are_not_certified(self, lp):
+        assert delta_from_structure(normalize(lp)) is None
+
+    def test_bound_is_attained(self):
+        # (1, 1, 1) lies 1/3 from the span of (1, 1, 0) and (0, 1, 1)
+        nlp = normalize(_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+        assert delta_from_structure(nlp).delta == 1 / 3
+        assert delta_bruteforce(nlp).delta == pytest.approx(1 / 3, rel=1e-12)
+
+    def test_n1(self):
+        cert = delta_from_structure(normalize(_rows([[1], [-2], [3]])))
+        assert cert.delta == 1.0
 
 
 class TestDeltaCertificate:

@@ -9,6 +9,7 @@ from conewalk.lp import (
     LinearProgram,
     NormalizedLP,
     delta_bruteforce,
+    delta_from_structure,
     delta_integer_bound,
     normalize,
     tightest_rows,
@@ -286,7 +287,7 @@ class TestPhase1Vertex:
         m, n = walked.m, walked.n
         assert (m, len(regions)) == (13, 13)
         boxed = bounding_box(walked, certified_radius(
-            walked, delta_bruteforce(walked)))
+            walked, delta_from_structure(walked)))
         for i, region in enumerate(regions):
             assert np.array_equal(region.A, boxed.A[:2 * n + i])
             assert np.array_equal(region.b, boxed.b[:2 * n + i])
@@ -334,7 +335,7 @@ class TestPhase1Vertex:
             nlp = normalize(tu_instance_generator(kind, n, 2 * n + 6, seed))
             kept = tightest_rows(nlp.A, nlp.b)
             walked = NormalizedLP(A=nlp.A[kept], b=nlp.b[kept], c=nlp.c)
-            radius = certified_radius(walked, delta_bruteforce(walked))
+            radius = certified_radius(walked, delta_from_structure(walked))
             boxed = bounding_box(walked, radius)
             v = phase1_vertex(walked, boxed)
             drift = np.max(np.abs(v.point - vertex_of_basis(boxed, v.basis).point))

@@ -29,7 +29,7 @@ from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import WalkConfig
 
-from conftest import SQRT2, SolveSpy, bounded_random_lp
+from conftest import MIXED_ROWS, SQRT2, SolveSpy, bounded_random_lp
 
 
 def identifying_walk(alpha, outcomes):
@@ -275,9 +275,19 @@ class TestSolve:
         assert rep.alpha == 4.0 * lp.n**3 / 0.3
 
     @pytest.mark.parametrize("m", [112, 1000])
-    def test_many_padded_rows(self, m):
-        # padding repeats directions, so neither the box nor the brute-force
-        # certificate, which enumerates distinct directions only, grows with m
+    def test_many_padded_rows(self, m, monkeypatch):
+        # padding repeats directions, and solve keeps the tightest row of
+        # each, so neither the box nor the structural certificate grows with m
+        import conewalk.phase1 as phase1_module
+
+        radii = []
+        real = phase1_module.bounding_box
+
+        def recording(walked, radius):
+            radii.append(radius)
+            return real(walked, radius)
+
+        monkeypatch.setattr(phase1_module, "bounding_box", recording)
         base = tu_instance_generator("network", 4, 16, 7)
         lp = pad_redundant(base, m, 7)
         optimum = enumerate_vertices(normalize(base)).optimal_point
@@ -285,8 +295,17 @@ class TestSolve:
             rep = solve(lp, WalkConfig(seed=0), delta=delta)
             assert lp.is_feasible(rep.x, tol=1e-9)
             assert rep.value == pytest.approx(float(lp.c @ optimum), abs=1e-9)
-        assert rep.delta == delta_bruteforce(normalize(base)).delta
+        assert rep.delta == 1 / 4
+        assert rep.delta_method == "network_rows"
+        unpadded = solve(base, WalkConfig(seed=0))
+        assert unpadded.delta == rep.delta
+        assert radii[1] == radii[2]
+
+    def test_mixed_rules_are_certified_by_brute_force(self):
+        lp = LinearProgram(A=MIXED_ROWS, b=[1.0] * 9, c=[1.0, 2.0, 3.0])
+        rep = solve(lp, WalkConfig(seed=0))
         assert rep.delta_method == "brute_force"
+        assert rep.delta == delta_bruteforce(normalize(lp)).delta < 1 / 3
 
     def test_many_distinct_directions_too_large(self):
         # 4 box directions and 108 random ones at n=4: C(112, 3) * 112 > 10^7
@@ -323,6 +342,46 @@ class TestSolve:
         assert rep.value == pytest.approx(6.0)
 
 
+def _arc_network(n: int, m: int, seed: int) -> LinearProgram:
+    """2n unit rows boxing the origin, then m - 2n arcs e_u - e_w with
+    generic right-hand sides: network rows past tu_instance_generator's
+    size cap."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n)
+    rows = [*eye, *-eye]
+    rhs = [*(1.0 + rng.integers(0, 32, n) / 64.0),
+           *((1.0 + rng.integers(0, 31, n)) / 64.0)]
+    for _ in range(m - 2 * n):
+        u, w = rng.choice(n, 2, replace=False)
+        rows.append(eye[u] - eye[w])
+        rhs.append(float(rng.uniform(0.1, 0.6)))
+    c = rng.choice([-1.0, 1.0], n) * (1.0 + rng.integers(0, 64, n)) / 64.0
+    return LinearProgram(A=np.array(rows), b=np.array(rhs), c=c)
+
+
+class TestStructuralReach:
+    """Network rows are certified from their structure, so solve reaches
+    sizes where the brute-force enumeration is over its budget."""
+
+    # generator and solve seeds of walks that take 0.01-0.03 s; over
+    # generator seeds 0-29 at n = 10 a solve took 0.02-20 s
+    @pytest.mark.parametrize("n, m, seed", [(8, 48, 6), (8, 48, 7),
+                                            (10, 60, 19), (10, 60, 24)])
+    def test_solves_past_the_enumeration_budget(self, n, m, seed):
+        from scipy.optimize import linprog
+
+        lp = _arc_network(n, m, seed)
+        with pytest.raises(TooLarge):
+            delta_bruteforce(normalize(lp))
+        rep = solve(lp, WalkConfig(seed=0))
+        assert (rep.delta, rep.delta_method) == (1 / n, "network_rows")
+        assert lp.is_feasible(rep.x, tol=1e-9)
+        ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=[(None, None)] * n,
+                      method="highs")
+        assert ref.status == 0
+        assert rep.value == pytest.approx(-ref.fun, abs=1e-9)
+
+
 def _network(n, m, gen_seed):
     return tu_instance_generator("network", n, m, gen_seed)
 
@@ -351,7 +410,10 @@ class TestKnownDegeneratePivots:
     @pytest.mark.parametrize("lp, region, seed, facet", DEGENERATE_SOLVES)
     def test_solves_to_the_oracle_optimum(self, lp, region, seed, facet):
         try:
-            rep = solve(lp, WalkConfig(seed=seed))
+            # pinned at the brute-force delta: at the structural 1/n the
+            # first instance's walk ties at facet 10 instead
+            rep = solve(lp, WalkConfig(seed=seed),
+                        delta=delta_bruteforce(normalize(lp)))
         except DegeneratePivot as exc:
             # the same tie as before: another one fails the test
             assert str(exc) == f"ratio-test tie leaving facet {facet}"

@@ -25,7 +25,6 @@ from .lp import (
     LinearProgram,
     delta_bruteforce,
     delta_integer_bound,
-    delta_value_and_method,
     normalize,
 )
 from .reduction import MAX_RETRIES, certify_delta, solve
@@ -72,14 +71,6 @@ def _non_negative(value: int) -> bool:
 
 def _positive(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
-
-
-_delta_number = _checked(float, lambda v: 0.0 < v <= 1.0,
-                         "'auto', 'brute', 'bound' or a number in (0, 1]")
-
-
-def _delta_spec(text: str) -> str | float:
-    return text if text in ("auto", "brute", "bound") else _delta_number(text)
 
 
 def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
@@ -141,19 +132,16 @@ def _integral_bound(lp: LinearProgram, raw: dict,
     return delta_integer_bound(lp.A, Delta)
 
 
-def _resolve_delta(spec: str | float, lp: LinearProgram,
-                   raw: dict) -> DeltaCertificate | float:
-    """The certificate for 'brute', 'bound' and 'auto'; a typed number as is.
+def _resolve_delta(spec: str, lp: LinearProgram,
+                   raw: dict) -> DeltaCertificate:
+    """The certificate for --delta 'brute', 'bound' or 'auto'.
 
-    A certificate lets solve size the box from it; a bare number is only a
-    claim, which solve certifies by brute force before it sizes the box.
-    'auto' certifies as solve does by default (reduction.certify_delta:
-    the rows' structure, then brute force) and falls back to the integral
-    bound only when the brute force is over its budget, not when normalize
-    raises TooLarge.
+    solve sizes the box from it, sets the auto walk parameters from it and
+    reports it.  'auto' certifies as solve does by default
+    (reduction.certify_delta: the rows' structure, then brute force) and
+    falls back to the integral bound only when the brute force is over its
+    budget, not when normalize raises TooLarge.
     """
-    if isinstance(spec, float):
-        return spec
     if spec == "bound":
         return _integral_bound(lp, raw, "--delta bound needs integral data")
     nlp = normalize(lp)
@@ -174,27 +162,26 @@ def _error_report(message: str) -> dict:
     return {"status": "error", "error": message}
 
 
-def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
+def _solve_once(lp: LinearProgram, cert: DeltaCertificate,
                 cfg: WalkConfig) -> tuple[dict, int]:
-    delta_value, delta_method = delta_value_and_method(delta)
     try:
-        report = solve(lp, cfg, delta=delta)
+        report = solve(lp, cfg, delta=cert)
     except Infeasible as exc:
         return ({"status": "infeasible", "witness_iteration": exc.iteration,
-                 "witness_value": exc.value, "delta": delta_value,
-                 "delta_method": delta_method, "seed": cfg.seed},
+                 "witness_value": exc.value, "delta": cert.delta,
+                 "delta_method": cert.method.value, "seed": cfg.seed},
                 EXIT_INFEASIBLE)
     except Unbounded as exc:
         return ({"status": "unbounded", "box_row": exc.box_row,
-                 "delta": delta_value, "delta_method": delta_method,
+                 "delta": cert.delta, "delta_method": cert.method.value,
                  "seed": cfg.seed}, EXIT_UNBOUNDED)
     return ({
         "status": "optimal",
         "basis": [p + 1 for p in report.basis],
         "x": [float(t) for t in report.x],
         "value": report.value,
-        "delta": delta_value,
-        "delta_method": delta_method,
+        "delta": cert.delta,
+        "delta_method": cert.method.value,
         "walk": {
             "alpha": report.alpha,
             "steps_per_level": list(report.steps_per_level),
@@ -208,7 +195,7 @@ def _solve_once(lp: LinearProgram, delta: DeltaCertificate | float,
 
 def cmd_solve(args) -> int:
     lp, raw = load_lp_file(args.input)
-    delta = _resolve_delta(args.delta, lp, raw)
+    cert = _resolve_delta(args.delta, lp, raw)
     # the solve itself does no I/O: an OSError here comes from opening,
     # writing or closing the trace
     try:
@@ -216,7 +203,7 @@ def cmd_solve(args) -> int:
         with trace or contextlib.nullcontext():
             cfg = WalkConfig(alpha=args.alpha, steps=args.steps,
                              seed=args.seed, trace=trace)
-            report, code = _solve_once(lp, delta, cfg)
+            report, code = _solve_once(lp, cert, cfg)
     except OSError as exc:
         raise CliError(f"cannot write trace file {args.trace}: {exc}") from exc
     print(jsonio.dumps(report))
@@ -244,11 +231,11 @@ def cmd_walk_stats(args) -> int:
     instances = []
     for path in args.input:
         lp, raw = load_lp_file(path)
-        delta = _resolve_delta(args.delta, lp, raw)
+        cert = _resolve_delta(args.delta, lp, raw)
         per_seed = []
         for seed in range(cfg.seed, cfg.seed + args.seeds):
             try:
-                report, _ = _solve_once(lp, delta, replace(cfg, seed=seed))
+                report, _ = _solve_once(lp, cert, replace(cfg, seed=seed))
             except ConewalkError as exc:  # this seed failed; keep the others
                 record = {**_error_report(_describe(exc)),
                           "pivots": None, "retries": None}
@@ -289,9 +276,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    type=_checked(float, _positive, "a positive number",
                                  auto=True),
                    help="objective scaling (default: auto)")
-    p.add_argument("--delta", default="auto", type=_delta_spec,
-                   help="row separation: a number in (0, 1], 'auto', "
-                        "'brute' or 'bound'")
+    p.add_argument("--delta", default="auto",
+                   choices=("auto", "brute", "bound"),
+                   help="how the row separation is certified: 'auto' (the "
+                        "rows' structure, then brute force, then the "
+                        "integral bound), 'brute' or 'bound'; the "
+                        "certificate sizes the box and sets the auto walk "
+                        "parameters (default: auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:

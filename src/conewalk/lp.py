@@ -163,17 +163,6 @@ class DeltaCertificate:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
 
 
-def delta_value_and_method(delta: float | DeltaCertificate) -> tuple[float, str]:
-    """The separation value and its report label.
-
-    A certificate is labelled with its method; a bare number, which the
-    caller vouches for, is labelled "provided".
-    """
-    if isinstance(delta, DeltaCertificate):
-        return delta.delta, delta.method.value
-    return float(delta), "provided"
-
-
 def normalize(lp: LinearProgram) -> NormalizedLP:
     """Scale every row (with its right-hand side) and the objective to unit norm.
 

@@ -6,13 +6,14 @@ first occur (lp.tightest_rows).  The boxed program is 2n slab rows along n
 linearly independent rows of it, then its rows, in one order every stage
 reads.  It introduces no direction beyond negations, so the row-separation
 property is preserved: the boxed program has the input's delta.  The box
-radius follows in closed form from a certified delta, so no basic system
-is ever solved to size it.  A vertex of the boxed program is grown one
-constraint at a time, on its prefixes, which share the boxed program's
-memo of basis factors (lp.NormalizedLP.lu_memo).  solve finds the boxed
-optimum itself; solve_bounded, the last step, reads x from its basis's
-factors in that memo, and an optimum touching the box certifies
-unboundedness.  Nothing here imports the walk or the solver.
+radius follows in closed form from the solve's delta certificate
+(lp.DeltaCertificate), so no basic system is ever solved to size it.  A
+vertex of the boxed program is grown one constraint at a time, on its
+prefixes, which share the boxed program's memo of basis factors
+(lp.NormalizedLP.lu_memo).  solve finds the boxed optimum itself;
+solve_bounded, the last step, reads x from its basis's factors in that
+memo, and an optimum touching the box certifies unboundedness.  Nothing
+here imports the walk or the solver.
 """
 from __future__ import annotations
 
@@ -22,7 +23,10 @@ import numpy as np
 
 from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
 from .geometry import lu_solve, residual
-from .lp import DeltaCertificate, NormalizedLP, _derived, delta_bruteforce
+from .lp import DeltaCertificate, NormalizedLP, _derived
+# Not called here: bound so that the span perfbench/tracing.py PATCH_POINTS
+# names on this module keeps resolving; ROADMAP item 7(c) deletes it.
+from .lp import delta_bruteforce  # noqa: F401
 from .simplex import (
     Basis,
     Vertex,
@@ -73,8 +77,7 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
                     lp.c)
 
 
-def certified_radius(lp: NormalizedLP,
-                     delta: float | DeltaCertificate) -> float:
+def certified_radius(lp: NormalizedLP, cert: DeltaCertificate) -> float:
     """A ball radius that strictly holds every basic point of the instance.
 
     Column j of A_B^{-1} has norm 1/dist(a_j, span(B minus j)) <= 1/delta,
@@ -82,22 +85,19 @@ def certified_radius(lp: NormalizedLP,
     beyond that is 1, or twice the input's feasibility tolerance when that
     is larger, so every box row is slack at every basic point by more than
     the tolerance at which solve_bounded judges contact.  Only a
-    certificate may size the box: a bare float is a claim, and one that is
-    too large would shrink the box onto a vertex and turn a bounded program
-    into an "unbounded" verdict, so the input is certified by brute force
-    instead (which may raise TooLarge).  A radius whose box-corner slacks,
-    about 2 * radius + max|b|, leave the float range raises TooLarge too:
-    phase 1 could not subtract them.
+    certificate sizes the box: a delta above the true separation would
+    shrink the box onto a vertex and turn a bounded program into an
+    "unbounded" verdict.  A radius whose box-corner slacks, about
+    2 * radius + max|b|, leave the float range raises TooLarge: phase 1
+    could not subtract them.
     """
-    if not isinstance(delta, DeltaCertificate):
-        delta = delta_bruteforce(lp)
     b_max = float(np.max(np.abs(lp.b)))
-    radius = lp.n * b_max / delta.delta + max(1.0, 2.0 * lp.feas_tol())
+    radius = lp.n * b_max / cert.delta + max(1.0, 2.0 * lp.feas_tol())
     if not math.isfinite(2.0 * radius + b_max):
         raise TooLarge(f"box radius n * max|b| / delta leaves the box-corner "
                        f"slacks 2 * radius + max|b| past the float range: "
                        f"n={lp.n}, max|b|={b_max:.6g}, "
-                       f"delta={delta.delta:.6g}")
+                       f"delta={cert.delta:.6g}")
     return radius
 
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .geometry import rotation_to_e1
 # Not called here: bound so that the spans perfbench/tracing.py PATCH_POINTS
-# names on this module keep resolving.
+# names on this module keep resolving; ROADMAP item 7(c) deletes it.
 from .identify import extract_element, verify_problem1  # noqa: F401
 from .lp import (
     DeltaCertificate,
@@ -44,7 +44,6 @@ from .lp import (
     _derived,
     delta_bruteforce,
     delta_from_structure,
-    delta_value_and_method,
     normalize,
     tightest_rows,
 )
@@ -245,33 +244,35 @@ def certify_delta(lp: NormalizedLP) -> DeltaCertificate:
 
 
 def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
-          delta: float | DeltaCertificate | None = None) -> SolveReport:
+          delta: DeltaCertificate | None = None) -> SolveReport:
     """Solve max c^T x s.t. Ax <= b end to end.
 
     Normalizes and keeps the tightest row of each direction
     (lp.tightest_rows), which leaves the region unchanged.  The rest runs
-    on the kept rows, the walked program: it certifies the row
-    separation once (certify_delta, unless supplied), reduces to a bounded
-    instance via an enclosing box, finds an initial vertex or a certified
-    infeasibility, and resolves the walk parameters at that delta, which
-    SolveReport.delta reports.  The boxed program's optimal basis comes
-    from one Las Vegas walk, or at n = 1 from Bland's rule started at the
-    phase-1 vertex (at most one pivot); phase1.solve_bounded solves x with
-    that basis's factors, from the boxed program's memo, and reads the
-    box's verdict.  The box radius comes in closed form from the certified
-    delta; a bare float delta drives the walk but is certified by brute
-    force before it may size the box.
-    Reported positions (basis and the Infeasible witness) are input
-    positions, and the optimum is certified against every input row.
+    on the kept rows, the walked program.  Its row separation comes from
+    one certificate: delta, or certify_delta's when delta is None.  That
+    certificate sizes the enclosing box, which reduces the program to a
+    bounded instance; sets the walk parameters the config leaves auto
+    (WalkConfig.resolved); and is reported (SolveReport.delta and
+    delta_method).  Phase 1 finds an initial vertex or a certified
+    infeasibility.  The boxed program's optimal basis comes from one Las
+    Vegas walk, or at n = 1 from Bland's rule started at the phase-1
+    vertex (at most one pivot); phase1.solve_bounded solves x with that
+    basis's factors, from the boxed program's memo, and reads the box's
+    verdict.  Reported positions (basis and the Infeasible witness) are
+    input positions, and the optimum is certified against every input row.
     Raises Infeasible or Unbounded with certificates, RetriesExhausted if
     MAX_RETRIES + 1 full-budget walk attempts fail, and TooLarge if delta
     is too small for a finite box radius or walk parameters, at every n.
-    A delta outside (0, 1] raises ValueError before any work.
+    A delta that is not a DeltaCertificate raises TypeError before any
+    work: a bare number would size the box unchecked.
     """
-    if delta is not None:
-        delta_value, delta_method = delta_value_and_method(delta)
-        if not 0.0 < delta_value <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    if delta is not None and not isinstance(delta, DeltaCertificate):
+        raise TypeError(
+            f"delta must be a DeltaCertificate or None, got {delta!r}; set "
+            "WalkConfig.alpha and steps to tune the walk, and pass a "
+            "certificate from delta_bruteforce, delta_from_structure or "
+            "delta_integer_bound to set the row separation")
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
     # A kept row takes the place of its direction's first row, so the
@@ -281,17 +282,14 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     kept = tightest_rows(nlp.A, nlp.b)
     walked = _derived(nlp.A[kept], nlp.b[kept], nlp.c)
 
-    if delta is None:
-        delta = certify_delta(walked)
-        delta_value, delta_method = delta_value_and_method(delta)
-
-    boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, delta))
+    cert = delta or certify_delta(walked)
+    boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, cert))
     try:
         start = phase1.phase1_vertex(walked, boxed)
     except Infeasible as exc:
         row = int(kept[exc.iteration - 1])
         raise phase1.infeasibility(row, exc.value, float(nlp.b[row])) from None
-    walk_cfg = cfg.resolved(boxed.n, delta_value)  # once per solve: warns once
+    walk_cfg = cfg.resolved(boxed.n, cert.delta)  # once per solve: warns once
     if boxed.n == 1:
         # After the collapse each direction has one row and the box rows lie
         # beyond the margin: Bland's rule pivots at most once, with no tie.
@@ -312,8 +310,8 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         basis=basis,
         x=x,
         value=float(lp.c @ x),
-        delta=delta_value,
-        delta_method=delta_method,
+        delta=cert.delta,
+        delta_method=cert.method.value,
         alpha=walk_cfg.alpha,
         steps_per_level=(stats.steps_taken,),
         pivots=stats.pivots,

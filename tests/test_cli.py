@@ -246,18 +246,11 @@ class TestSolveCommand:
         assert report["delta"] == pytest.approx(0.5)
         assert report["delta_method"] == "integer_bound"
 
-    def test_explicit_delta(self, capsys, square_file):
-        code, out = run_cli(capsys, ["solve", "--input", square_file,
-                                     "--delta", "0.75"])
-        assert code == 0
-        report = json.loads(out)
-        assert report["delta"] == pytest.approx(0.75)
-        assert report["delta_method"] == "provided"
-
     @pytest.mark.parametrize("spec", ["auto", "brute", "bound"])
     def test_certificate_sizes_the_box_without_a_second_brute_force(
             self, capsys, square_file, monkeypatch, spec):
-        # a bare float would make solve certify delta again for the box
+        # the certificate --delta resolves sizes the box as it is: solve
+        # certifies nothing again
         import conewalk.phase1 as phase1_module
 
         def forbidden(lp):
@@ -278,17 +271,6 @@ class TestSolveCommand:
             "error": "instance too large for brute-force delta; add "
                      "'integral': true and a 'Delta' field to the instance "
                      "file"}
-
-    def test_typed_delta_over_budget_is_too_large(self, capsys, wide_file):
-        # A typed number is only a claim: the box is still sized from the
-        # brute-force certificate, so it cannot get past the budget.
-        code, out = run_cli(capsys, ["solve", "--input", wide_file,
-                                     "--delta", "0.05"])
-        assert code == 1
-        assert json.loads(out) == {
-            "status": "error",
-            "error": "TooLarge: C(124,3)*124 over 124 distinct row "
-                     "directions exceeds the enumeration budget"}
 
     def test_trace_file(self, capsys, square_file, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -401,6 +383,9 @@ class TestMalformedArguments:
          "--max-retries"),
         (["walk-stats", "--input", "x.json", "--max-retries", "3"],
          "--max-retries"),
+        # a number is no certificate: --delta names how to certify one
+        (["solve", "--input", "x.json", "--delta", "0.5"], "--delta"),
+        (["walk-stats", "--input", "x.json", "--delta", "0.5"], "--delta"),
     ])
     def test_argparse_errors(self, capsys, argv, mention):
         self.assert_usage_error(capsys, argv, mention)

@@ -230,12 +230,6 @@ class TestCertifiedRadius:
         radius = certified_radius(nlp, delta_integer_bound(nlp.A, 10**153))
         assert radius == pytest.approx(1e306)
 
-    def test_bare_float_is_certified_first(self, triangle):
-        # a claimed separation above the true one would shrink the box
-        cert = delta_bruteforce(triangle)
-        assert certified_radius(triangle, 1.0) == certified_radius(triangle, cert)
-        assert certified_radius(triangle, 1e-3) == certified_radius(triangle, cert)
-
 
 class TestAugmentedLp:
     """The boxed program: the directions, then their negations, then the

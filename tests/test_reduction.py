@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,23 +257,46 @@ class TestSolve:
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=1, trace=io.StringIO()))
 
-    def test_provided_delta_drives_the_walk(self, monkeypatch):
-        # the boxed system used to be re-certified by brute force, and the
-        # walk ran at that value while the report claimed the caller's
-        import conewalk.reduction as reduction_module
-        seen = []
-        real_run_walk = reduction_module.run_walk
-
-        def spy(nlp, cfg, start, _cache=None, _beta=1.0):
-            seen.append(cfg.alpha)
-            return real_run_walk(nlp, cfg, start, _cache=_cache, _beta=_beta)
-
-        monkeypatch.setattr(reduction_module, "run_walk", spy)
+    def test_a_bare_number_delta_is_a_type_error(self):
+        # a number would size the box and set the walk unchecked: the error
+        # names the way to tune the walk and the certificates to pass
         lp = tu_instance_generator("network", 3, 8, 5)
-        rep = solve(lp, WalkConfig(seed=0), delta=0.3)
-        assert seen and all(a == 4.0 * lp.n**3 / 0.3 for a in seen)
-        assert rep.delta == 0.3
-        assert rep.alpha == 4.0 * lp.n**3 / 0.3
+        for delta in (0.3, 1):
+            with pytest.raises(TypeError,
+                               match="WalkConfig.alpha and steps") as info:
+                solve(lp, WalkConfig(seed=0), delta=delta)
+            for name in ("delta_bruteforce", "delta_from_structure",
+                         "delta_integer_bound"):
+                assert name in str(info.value)
+
+    # (kind, generator seed, solve seed) -> the outcome of
+    # solve(lp, WalkConfig(seed=...), delta=0.3) when solve took a number:
+    # basis, x bytes, steps, pivots.  The walk starts optimal on the first
+    # and pivots 20 times on the second.
+    BARE_DELTA_OUTCOMES = {
+        ("network", 5, 0): ((2, 3, 4), "000000000000dabf000000000000cebf"
+                            "000000000000f03f", 0, 0),
+        ("box", 3, 3): ((3, 4, 5), "000000000000c0bf000000000000b8bf"
+                        "000000000000d9bf", 228, 20),
+    }
+
+    @pytest.mark.parametrize("program", sorted(BARE_DELTA_OUTCOMES))
+    def test_a_certificate_and_walk_fields_reproduce_a_bare_delta(
+            self, program):
+        # what delta=d used to run: the brute-force certificate sizes the
+        # box, as it did then, and alpha = 4 n^3 / d and the step budget
+        # ceil(n^5.5 / d^3) set the walk
+        kind, gen_seed, seed = program
+        basis, x_hex, steps, pivots = self.BARE_DELTA_OUTCOMES[program]
+        lp = tu_instance_generator(kind, 3, 8, gen_seed)
+        cfg = WalkConfig(seed=seed, alpha=4 * 27 / 0.3,
+                         steps=math.ceil(3**5.5 / 0.3**3))
+        rep = solve(lp, cfg, delta=delta_bruteforce(normalize(lp)))
+        assert (rep.basis, rep.x.tobytes().hex()) == (basis, x_hex)
+        assert (rep.steps_per_level, rep.pivots, rep.retries) == \
+            ((steps,), pivots, 0)
+        assert rep.alpha == 360.0
+        assert rep.delta_method == "brute_force"
 
     @pytest.mark.parametrize("m", [112, 1000])
     def test_many_padded_rows(self, m, monkeypatch):
@@ -321,7 +345,8 @@ class TestSolve:
             solve(lp, WalkConfig(seed=0))
 
     def test_out_of_range_delta_rejected_before_any_work(self, monkeypatch):
-        # (0, 1] is the one range: the walk's step budget accepts no more
+        # (0, 1] is checked where a certificate is made
+        # (DeltaCertificate); a bare number, in range or not, is refused
         import conewalk.reduction as reduction_module
 
         def forbidden(*args, **kwargs):
@@ -331,7 +356,7 @@ class TestSolve:
         lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
                            b=[1.0, 1.0, 0.0, 0.0], c=[1.0, 1.0])
         for delta in (1.0 + 5e-10, 0.0, -0.5, float("nan")):
-            with pytest.raises(ValueError, match="delta"):
+            with pytest.raises(TypeError, match="DeltaCertificate"):
                 solve(lp, WalkConfig(seed=0), delta=delta)
 
     def test_n1_instance(self):
@@ -573,7 +598,8 @@ class TestRestarts:
             monkeypatch.setattr(reduction_module, name, spy)
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", 2)
         with pytest.raises(RetriesExhausted, match="^3 full-budget walk "):
-            solve(lp, WalkConfig(alpha=64.0, steps=46, seed=0), delta=1.0)
+            solve(lp, WalkConfig(alpha=64.0, steps=46, seed=0),
+                  delta=delta_bruteforce(normalize(lp)))
         assert called == []
         assert [o.steps_taken for _, o in outcomes] == [46] * 3
         assert all(verify_problem1(nlp, o.final.basis,
@@ -711,11 +737,6 @@ class TestOneDimension:
         # with the budget given, alpha = 4 n^3 / delta overflows instead
         with pytest.raises(TooLarge, match="^alpha"):
             solve(lp, WalkConfig(seed=0, steps=10), delta=delta)
-        # a provided delta sizes no box, but still sets the budget, which
-        # leaves the float range below about 1.77e-103
-        assert solve(lp, WalkConfig(seed=0), delta=1.8e-103).basis == (0,)
-        with pytest.raises(TooLarge, match="^step budget"):
-            solve(lp, WalkConfig(seed=0), delta=1.75e-103)
 
     def test_low_alpha_warns(self):
         import warnings

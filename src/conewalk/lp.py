@@ -101,10 +101,14 @@ class NormalizedLP(LinearProgram):
 
     lu_memo maps a sorted basis to the LU factors of A_B; only
     simplex.basis_factors reads and fills it.  It starts empty, unless
-    _derived makes the program a prefix of another.
+    _derived makes the program a prefix of another.  walk_memo maps a
+    sorted basis to the walk's record of it, and a (basis, leaving row)
+    pair to the vertex across that facet; only walk._record and
+    walk._pivot read and fill it.  It starts empty.
     """
 
     lu_memo: dict = field(default_factory=dict, init=False, repr=False)
+    walk_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -133,12 +137,13 @@ def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     normalize vouches for them itself.  The float arrays are made read-only
     in place and stored as they are, not copied: the caller hands over
     fresh arrays or slices of read-only ones.  The lu_memo is empty, or
-    prefix_of's, whose first rows the caller guarantees ``A`` to be.
+    prefix_of's, whose first rows the caller guarantees ``A`` to be; the
+    walk_memo is empty.
     """
     A.flags.writeable = b.flags.writeable = c.flags.writeable = False
     lp = object.__new__(NormalizedLP)
     lp.__dict__.update(A=A, b=b, c=c, lu_memo={} if prefix_of is None
-                       else prefix_of.lu_memo)
+                       else prefix_of.lu_memo, walk_memo={})
     return lp
 
 

@@ -55,7 +55,7 @@ from .simplex import (
     vertex_of_basis,
 )
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, _WalkCache, run_walk
+from .walk import WalkConfig, run_walk
 
 MAX_RETRIES = 10  # failed full-budget attempts after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
@@ -202,9 +202,9 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
     cone has failed, and MAX_RETRIES + 1 failed ones raise
     RetriesExhausted.  A short term that ends on a ratio-test tie is
     restarted like any other; a full-budget one raises DegeneratePivot
-    with the tie's message.
+    with the tie's message.  Every term shares lp's walk memo, which
+    changes no step (walk module docstring).
     """
-    cache = _WalkCache(lp)  # shared by every walk of the solve
     stats = LevelStats(n=lp.n)
     for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
@@ -215,8 +215,7 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
             full = steps == cfg.steps  # the paper's attempt
             stats.terms += 1
             outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps),
-                               start, _cache=cache,
-                               _beta=1.0 if full else float(lp.n**2))
+                               start, _beta=1.0 if full else float(lp.n**2))
             stats.steps_taken += outcome.steps_taken
             stats.pivots += outcome.pivots
             stats.accepted_moves += outcome.accepted_moves

@@ -21,10 +21,12 @@ _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
-The walk keeps one record per basis it enters (_WalkCache.record): the
-scaled rows A_B / n^2, the cell volume (log |det A_B|) and the in-cone stop
-(A_B^T mu = c).  Those and every pivot out of the basis (A_B d = -e_k) read
-the program's LU factors of A_B (simplex.basis_factors), shared with phase 1.
+The program keeps, in lp.walk_memo, one record per basis a walk enters
+(_record): the scaled rows A_B / n^2, the cell volume (log |det A_B|) and
+the in-cone stop (A_B^T mu = c); and every pivot out of a basis (_pivot,
+A_B d = -e_k).  Both read the program's LU factors of A_B
+(simplex.basis_factors), shared with phase 1.  They depend only on the
+program, so every walk of it shares them, and sharing changes no step.
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
 
 The stop is an exact certificate, so the walk is sound under any weight;
@@ -94,27 +96,24 @@ class WalkConfig:
     seed: int = 0
     trace: IO[str] | None = None
 
-    def resolved(self, n: int, delta: float | None) -> "WalkConfig":
-        """Fill in the auto fields; requires delta when any field is auto.
+    def resolved(self, n: int, delta: float) -> "WalkConfig":
+        """Fill in the auto fields from (n, delta).
 
         A delta so small that alpha or the step budget leaves the float
         range raises TooLarge.
         """
         alpha, steps = self.alpha, self.steps
-        if alpha is None or steps is None:
-            if delta is None:
-                raise ValueError("delta is required to resolve auto walk parameters")
-            if alpha is None:
-                alpha = default_alpha(n, delta)
-            if steps is None:
-                steps = default_steps(n, delta)
+        if alpha is None:
+            alpha = default_alpha(n, delta)
+        if steps is None:
+            steps = default_steps(n, delta)
         if not alpha > 0.0:
             raise ValueError("alpha must be > 0")
         if steps < 0:
             raise ValueError("steps must be >= 0")
         if not math.isfinite(alpha):
             raise TooLarge(f"alpha is not a finite float: n={n}, delta={delta!r}")
-        if delta is not None and alpha < 2.0 * n**3 / delta:
+        if alpha < 2.0 * n**3 / delta:
             warnings.warn(
                 f"alpha={alpha:g} is below 2*n^3/delta={2 * n**3 / delta:g}; "
                 "the failure-probability guarantee degrades", stacklevel=2)
@@ -205,36 +204,27 @@ class _BasisRecord(NamedTuple):
     in_cone: bool                 # c lies in the basis cone: the basis is optimal
 
 
-class _WalkCache:
-    """Memo of one program's walks: one _BasisRecord per basis, and the
-    pivot results."""
+def _record(lp: NormalizedLP, basis: Basis) -> _BasisRecord:
+    """The record of a sorted basis: read from lp.walk_memo, or made and
+    kept there."""
+    rec = lp.walk_memo.get(basis)
+    if rec is None:
+        rows = basis_matrix(lp, basis) / lp.n**2
+        rec = lp.walk_memo[basis] = _BasisRecord(
+            basis, rows, rows.tolist(),
+            log_abs_det(basis_factors(lp, basis)) - 2.0 * lp.n * math.log(lp.n),
+            cone_membership(lp, basis, lp.c).inside)
+    return rec
 
-    def __init__(self, lp: NormalizedLP):
-        self.lp = lp
-        self.records: dict[Basis, _BasisRecord] = {}
-        self.pivots: dict[tuple[Basis, int], Vertex] = {}
 
-    def record(self, basis: Basis) -> _BasisRecord:
-        rec = self.records.get(basis)
-        if rec is None:
-            lp = self.lp
-            rows = basis_matrix(lp, basis) / lp.n**2
-            rec = self.records[basis] = _BasisRecord(
-                basis, rows, rows.tolist(),
-                log_abs_det(basis_factors(lp, basis)) - 2.0 * lp.n * math.log(lp.n),
-                cone_membership(lp, basis, lp.c).inside)
-        return rec
-
-    def scaled_rows(self, basis: Basis) -> np.ndarray:
-        """Cell edge vectors a_i / n^2, one per basis row (sorted order)."""
-        return self.record(basis).rows
-
-    def pivot(self, vertex: Vertex, leaving: int) -> Vertex:
-        key = (vertex.basis, leaving)
-        out = self.pivots.get(key)
-        if out is None:
-            out = self.pivots[key] = pivot_across_facet(self.lp, vertex, leaving)
-        return out
+def _pivot(lp: NormalizedLP, vertex: Vertex, leaving: int) -> Vertex:
+    """The vertex across the facet of row leaving: read from lp.walk_memo,
+    keyed (basis, leaving), or pivoted and kept there."""
+    key = (vertex.basis, leaving)
+    out = lp.walk_memo.get(key)
+    if out is None:
+        out = lp.walk_memo[key] = pivot_across_facet(lp, vertex, leaving)
+    return out
 
 
 def _center(rec: _BasisRecord, index: Sequence[int]) -> list[float]:
@@ -250,7 +240,7 @@ def _l1(z: list[float], ac: list[float]) -> float:
     return total
 
 
-def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
+def _propose(lp: NormalizedLP, ac: list[float], vertex: Vertex,
              rec: _BasisRecord, index: Sequence[int], z: list[float],
              l1: float, pos: int, sign: int, beta: float = 1.0,
              ) -> tuple:
@@ -274,8 +264,8 @@ def _propose(cache: _WalkCache, ac: list[float], vertex: Vertex,
         l1_new = _l1(z_new, ac)
         return vertex, rec, None, z_new, l1_new, beta * (l1 - l1_new)
     basis = rec.basis
-    new_vertex = cache.pivot(vertex, basis[pos])
-    new_rec = cache.record(new_vertex.basis)
+    new_vertex = _pivot(lp, vertex, basis[pos])
+    new_rec = _record(lp, new_vertex.basis)
     coords = dict(zip(basis, index))
     new_index = [coords.get(r, 0) for r in new_rec.basis]
     z_new = _center(new_rec, new_index)
@@ -342,8 +332,7 @@ def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
 
 
 def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
-         rng: np.random.Generator, *, _cache: _WalkCache | None = None,
-         ) -> tuple[WalkState, StepInfo]:
+         rng: np.random.Generator) -> tuple[WalkState, StepInfo]:
     """One lazy Metropolis step, through the proposal kernel run_walk uses.
 
     Picks one of the 2n facet neighbors uniformly, then moves there with
@@ -355,15 +344,14 @@ def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
     """
     if cfg.alpha is None:
         raise ValueError("walk config must be resolved before stepping")
-    cache = _cache if _cache is not None else _WalkCache(lp)
     v, cell = state
     pos, sign, u = _draw(rng, lp.n)
     ac = (cfg.alpha * lp.c).tolist()
-    rec = cache.record(cell.basis)
+    rec = _record(lp, cell.basis)
     z = _center(rec, cell.index)
     l1 = _l1(z, ac)
     v_new, rec_new, index_new, _, l1_new, dlog = _propose(
-        cache, ac, v, rec, cell.index, z, l1, pos, sign)
+        lp, ac, v, rec, cell.index, z, l1, pos, sign)
     pivoted = index_new is not None
     if not pivoted:
         index_new = list(cell.index)
@@ -385,7 +373,6 @@ _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
 
 
 def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
-             _cache: _WalkCache | None = None,
              _beta: float = 1.0) -> WalkOutcome:
     """Run the walk from the apex cell of the start vertex's cone.
 
@@ -413,13 +400,10 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     cfg must be resolved, as for step().  A pivot into a ratio-test tie
     ends the walk: the outcome counts the steps completed before it and
     holds the DegeneratePivot's message in tie, and the tied step wrote no
-    record and is not counted.  run_walk never raises on a tie.  _cache is
-    a _WalkCache of lp shared with other walks: its records and pivots
-    depend only on lp, so sharing it changes no step.
+    record and is not counted.  run_walk never raises on a tie.
     """
     if cfg.alpha is None or cfg.steps is None:
         raise ValueError("walk config must be resolved before walking")
-    cache = _cache if _cache is not None else _WalkCache(lp)
     n = lp.n
     draws = _draws(np.random.PCG64(cfg.seed), n,
                    min(_DRAW_BLOCK, max(16, 2 * cfg.steps)))
@@ -427,7 +411,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     trace = cfg.trace
 
     vertex = start
-    rec = cache.record(start.basis)
+    rec = _record(lp, start.basis)
     index = [0] * n
     z = _center(rec, index)
     l1 = _l1(z, ac)
@@ -447,7 +431,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
         else:
             try:
                 new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
-                    cache, ac, vertex, rec, index, z, l1, pos, sign, _beta)
+                    lp, ac, vertex, rec, index, z, l1, pos, sign, _beta)
             except DegeneratePivot as exc:
                 tie, steps = str(exc), steps - 1  # the tied step changed nothing
                 break

@@ -114,7 +114,8 @@ class SolveSpy:
       the error raised;
     - cone_tests: (program, basis, w, inside) for each cone_membership call
       bland_simplex makes (phase 1's cone tests);
-    - caches: every _WalkCache the solve built.
+    - walked: every program a Las Vegas walk walked, its walk memo
+      (NormalizedLP.walk_memo) as the solve left it.
     """
 
     def __init__(self, lp: LinearProgram, seed: int):
@@ -123,7 +124,7 @@ class SolveSpy:
         self.det_calls = 0
         self.pivots: list[tuple] = []
         self.cone_tests: list[tuple] = []
-        self.caches: list = []
+        self.walked: list = []
         self.stray_factorizations = 0
         scope, serial = [None], count()
         factoring = [None]  # (program, basis) of the running basis_factors
@@ -146,9 +147,10 @@ class SolveSpy:
             self.cone_tests.append((prog, basis, np.array(w), res.inside))
             return res
 
-        def cache(*args, real=reduction_module._WalkCache):
-            self.caches.append(real(*args))
-            return self.caches[-1]
+        def walk(prog, *args, real=scoped(
+                "walk", reduction_module._las_vegas_walk)):
+            self.walked.append(prog)
+            return real(prog, *args)
 
         def counted(prog, basis):
             self.factorizations[scope[0], basis] += 1
@@ -159,13 +161,11 @@ class SolveSpy:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(phase1_module, "phase1_vertex",
                        scoped("phase1", phase1_module.phase1_vertex))
-            mp.setattr(reduction_module, "_las_vegas_walk",
-                       scoped("walk", reduction_module._las_vegas_walk))
+            mp.setattr(reduction_module, "_las_vegas_walk", walk)
             mp.setattr(reduction_module, "bland_simplex",
                        scoped("bland", reduction_module.bland_simplex))
             mp.setattr(np.linalg, "det", det)
             mp.setattr(simplex_module, "cone_membership", cone)
-            mp.setattr(reduction_module, "_WalkCache", cache)
             for module in PACKAGE_MODULES:
                 if hasattr(module, "basis_factors"):
                     def factors(prog, basis, real=module.basis_factors):

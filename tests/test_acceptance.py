@@ -29,8 +29,8 @@ from conewalk.oracle import (
 )
 from conewalk.phase1 import bounding_box, phase1_vertex
 from conewalk.reduction import reduce_lp, solve
-from conewalk.simplex import vertex_of_basis
-from conewalk.walk import Parallelepiped, WalkConfig, WalkState, _WalkCache, step
+from conewalk.simplex import basis_matrix, vertex_of_basis
+from conewalk.walk import Parallelepiped, WalkConfig, WalkState, step
 
 from conftest import bounded_random_lp, rotate_instance
 
@@ -202,22 +202,20 @@ def walk_samples():
     alpha = 4.0 * aug.n**3 / delta
 
     cfg = WalkConfig(alpha=alpha, steps=1)
-    cache = _WalkCache(aug)
     samples = []
     rng = np.random.default_rng(4242)
     state = WalkState(start, Parallelepiped(start.basis, (0,) * aug.n))
     while len(samples) < 10_000:
-        state, info = step(aug, cfg, state, rng, _cache=cache)
+        state, info = step(aug, cfg, state, rng)
         samples.append((state, info))
         if len(samples) % 2500 == 0:  # restart to diversify the region
             state = WalkState(start, Parallelepiped(start.basis,
                                                     (0,) * aug.n))
-    return {"lp": aug, "alpha": alpha, "delta": delta, "samples": samples,
-            "cache": cache}
+    return {"lp": aug, "alpha": alpha, "delta": delta, "samples": samples}
 
 
-def _cell_corner_distances(lp, alpha, cell, cache):
-    rows = cache.scaled_rows(cell.basis)
+def _cell_corner_distances(lp, alpha, cell):
+    rows = basis_matrix(lp, cell.basis) / lp.n**2
     base = rows.T @ np.array(cell.index, dtype=float)
     n = lp.n
     bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
@@ -228,11 +226,10 @@ def _cell_corner_distances(lp, alpha, cell, cache):
 def test_criterion_4_neighbor_cell_ratio(walk_samples):
     lp = walk_samples["lp"]
     alpha = walk_samples["alpha"]
-    cache = walk_samples["cache"]
     worst = 0.0
     for state, info in walk_samples["samples"]:
-        d_here = _cell_corner_distances(lp, alpha, state.cell, cache)
-        d_prop = _cell_corner_distances(lp, alpha, info.proposal, cache)
+        d_here = _cell_corner_distances(lp, alpha, state.cell)
+        d_prop = _cell_corner_distances(lp, alpha, info.proposal)
         both = np.concatenate([d_here, d_prop])
         worst = max(worst, float(both.max() - both.min()))
     assert math.exp(worst) <= math.e * (1.0 + 1e-9)

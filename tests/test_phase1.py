@@ -458,7 +458,7 @@ class TestSolveBoundedViaSolve:
         import conewalk.walk as walk_module
 
         state = {"after_phase1": False, "walking": False}
-        outside, walks, caches, records, memoized = [], [], [], [], []
+        outside, walks, records, memoized = [], [], [], []
 
         def vertex(*args, real=phase1_module.phase1_vertex, **kwargs):
             out = real(*args, **kwargs)
@@ -473,13 +473,9 @@ class TestSolveBoundedViaSolve:
             finally:
                 state["walking"] = False
 
-        def cache(*args, real=reduction_module._WalkCache):
-            caches.append(real(*args))
-            return caches[-1]
-
-        def las_vegas(*args, real=reduction_module._las_vegas_walk):
-            basis, stats = real(*args)
-            records.append(caches[-1].records[basis])
+        def las_vegas(prog, *args, real=reduction_module._las_vegas_walk):
+            basis, stats = real(prog, *args)
+            records.append(prog.walk_memo[basis])
             return basis, stats
 
         def bounded(lp, boxed, basis, real=phase1_module.solve_bounded):
@@ -503,7 +499,6 @@ class TestSolveBoundedViaSolve:
         monkeypatch.setattr(phase1_module, "solve_bounded", bounded)
         monkeypatch.setattr(reduction_module, "run_walk", walk)
         monkeypatch.setattr(reduction_module, "_las_vegas_walk", las_vegas)
-        monkeypatch.setattr(reduction_module, "_WalkCache", cache)
         solve(lp, WalkConfig(seed=0))
         (_,), (same,) = records, memoized  # one Las Vegas walk
         return len(outside), len(walks), same

@@ -43,7 +43,7 @@ def identifying_walk(alpha, outcomes):
     from conewalk.simplex import basis_matrix
     from conewalk.walk import Parallelepiped, WalkOutcome
 
-    def fake_run_walk(nlp, cfg, start_vertex, _cache=None, _beta=1.0):
+    def fake_run_walk(nlp, cfg, start_vertex, _beta=1.0):
         basis = start_vertex.basis
         mu = lu_solve(lu_factor(basis_matrix(nlp, basis).T), nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
@@ -468,7 +468,7 @@ class TestRestarts:
         cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
         calls = []
 
-        def fake_run_walk(nlp, cfg, s, _cache=None, _beta=1.0):
+        def fake_run_walk(nlp, cfg, s, _beta=1.0):
             calls.append((cfg.steps, cfg.seed))
             steps = cfg.steps // 2 if len(calls) in degenerate_at else cfg.steps
             outcome = WalkOutcome(final=cell,
@@ -571,7 +571,7 @@ class TestRestarts:
         attempts = []
         monkeypatch.setattr(
             reduction_module, "run_walk",
-            lambda nlp, cfg, s, _cache=None, _beta=1.0:
+            lambda nlp, cfg, s, _beta=1.0:
             attempts.append(1) or fake)
         with pytest.raises(RetriesExhausted):
             self.walk(monkeypatch, unit_square, start, 46, 3)
@@ -757,7 +757,7 @@ class TestOneFactorMemo:
 
     def test_each_basis_is_factored_once_per_solve(self, solve_spies):
         for spy in solve_spies:
-            assert spy.caches  # the solve walked
+            assert spy.walked  # the solve walked
             assert max(spy.solve_factorizations.values()) == 1
             assert spy.stray_factorizations == 0
 
@@ -766,7 +766,7 @@ class TestOneFactorMemo:
     def test_one_dimension_factors_each_basis_once(self, name):
         (A, b, c), _ = TestOneDimension.PINNED[name]
         spy = SolveSpy(LinearProgram(A=A, b=b, c=c), seed=0)
-        assert not spy.caches  # Bland's rule, not the walk
+        assert not spy.walked  # Bland's rule, not the walk
         assert max(spy.solve_factorizations.values()) == 1
         assert spy.stray_factorizations == 0
         # the one-pivot program's second basis is factored by Bland's rule
@@ -786,10 +786,10 @@ class TestShortTermPull:
         real_run_walk = reduction_module.run_walk
         calls = []
 
-        def spy(nlp, cfg, start, _cache=None, _beta=1.0):
+        def spy(nlp, cfg, start, _beta=1.0):
             calls.append((nlp, cfg, start, _beta))
             beta = _beta if force_beta is None else force_beta
-            return real_run_walk(nlp, cfg, start, _cache=_cache, _beta=beta)
+            return real_run_walk(nlp, cfg, start, _beta=beta)
 
         monkeypatch.setattr(reduction_module, "run_walk", spy)
         return calls
@@ -933,10 +933,13 @@ def _package_imports(node, here):
 def test_one_function_factors_a_basis():
     # lu_factor is named only by simplex.basis_factors, which keeps every
     # program's factors in its memo; geometry has no one-off solve beside
-    # it; and no function takes an LU or a memo of factors through a
-    # private parameter.  A second factor path has to break one of these.
+    # it; and no function takes an LU or a memo of factors or walk records
+    # through a private parameter: run_walk's _beta is the only one.  A
+    # second factor path has to break one of these.  Likewise the program's walk memo is read and filled only
+    # by walk._record and walk._pivot; lp only declares it and starts
+    # _derived's empty.
     package = Path(conewalk.__file__).resolve().parent
-    users, private = set(), []
+    users, private, memo = set(), [], set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}  # id(node) -> the innermost function around it
@@ -947,14 +950,24 @@ def test_one_function_factors_a_basis():
                 private += [(path.stem, fn.name, a.arg) for a in (
                     *args.posonlyargs, *args.args, *args.kwonlyargs,
                     args.vararg, args.kwarg)
-                    if a is not None and a.arg in ("_lu", "_factors")]
+                    if a is not None and a.arg.startswith("_")]
         for node in ast.walk(tree):
             if (isinstance(node, ast.Name) and node.id == "lu_factor"
                     or isinstance(node, ast.Attribute)
                     and node.attr == "lu_factor"):
                 users.add((path.stem, owner.get(id(node))))
+            if (isinstance(node, ast.Attribute) and node.attr == "walk_memo"
+                    or isinstance(node, ast.Name) and node.id == "walk_memo"
+                    or isinstance(node, ast.keyword)
+                    and node.arg == "walk_memo"):
+                memo.add((path.stem, owner.get(id(node)),
+                          type(node).__name__))
     assert users == {("simplex", "basis_factors")}
-    assert private == []
+    assert private == [("walk", "run_walk", "_beta")]
+    assert memo == {("walk", "_record", "Attribute"),
+                    ("walk", "_pivot", "Attribute"),
+                    ("lp", None, "Name"),  # NormalizedLP's field
+                    ("lp", "_derived", "keyword")}
     assert not hasattr(geometry, "solve_square")
 
 

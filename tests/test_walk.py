@@ -13,16 +13,18 @@ from conewalk.identify import scaled_center
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
+from conewalk.reduction import certify_delta
 from conewalk.simplex import cone_membership, vertex_of_basis
 from conewalk.walk import (
     Parallelepiped,
     WalkConfig,
     WalkState,
-    _WalkCache,
+    _BasisRecord,
     _block_sizes,
     _draws,
     _l1,
     _propose,
+    _record,
     center,
     default_alpha,
     default_steps,
@@ -36,6 +38,7 @@ from conftest import (
     SQRT2,
     afresh,
     bounded_random_lp,
+    factor_instances,
     rotate_instance,
     same_pivot,
 )
@@ -300,17 +303,16 @@ class TestInConeMove:
         box = LinearProgram(A=np.vstack([np.eye(n), -np.eye(n)]),
                             b=1.0 + rng.random(2 * n), c=rng.standard_normal(n))
         lp = normalize(rotate_instance(box, seed=n))
-        cache = _WalkCache(lp)
         basis = tuple(range(n))  # a corner of the rotated box
         vertex = vertex_of_basis(lp, basis)
-        rec = cache.record(basis)
+        rec = _record(lp, basis)
         for _ in range(2000):
             scale = 10.0 ** rng.integers(-3, 4, size=n)
             z = rng.standard_normal(n) * scale
             ac = (rng.standard_normal(n) * 100.0).tolist()
             pos, sign = int(rng.integers(0, n)), int(rng.choice((-1, 1)))
             *_, index, z_new, l1_new, _ = _propose(
-                cache, ac, vertex, rec, [1] * n, z.tolist(), 0.0, pos, sign)
+                lp, ac, vertex, rec, [1] * n, z.tolist(), 0.0, pos, sign)
             ref = z + sign * rec.rows[pos]
             assert index is None
             assert np.array(z_new).tobytes() == ref.tobytes()
@@ -319,7 +321,7 @@ class TestInConeMove:
             index = rng.integers(0, 5, size=n).tolist()
             index[pos] = 0
             _, new_rec, new_index, z_new, l1_new, _ = _propose(
-                cache, ac, vertex, rec, index, z.tolist(), 0.0, pos, -1)
+                lp, ac, vertex, rec, index, z.tolist(), 0.0, pos, -1)
             ref = new_rec.rows.T @ (np.array(new_index, dtype=float) + 0.5)
             assert new_rec.basis != basis
             assert np.array(z_new).tobytes() == ref.tobytes()
@@ -469,7 +471,6 @@ class TestReplay:
         assert len(records) == out.steps_taken
 
         draws = np.random.default_rng(seed)
-        cache = _WalkCache(lp)
         state = WalkState(start, Parallelepiped(start.basis, (0,) * lp.n))
         # log_weight sums the n terms in numpy's order: allow n roundings,
         # which exceed 1e-9 at n=8, where |log f| reaches 3e7
@@ -483,8 +484,7 @@ class TestReplay:
                     (state.cell.basis, state.cell.index)
                 continue
             before = state.cell
-            state, info = step(lp, cfg, state, QueuedRng([choice], [u]),
-                               _cache=cache)
+            state, info = step(lp, cfg, state, QueuedRng([choice], [u]))
             assert list(info.direction) == rec["direction"]
             assert list(state.cell.basis) == rec["basis"]
             assert list(state.cell.index) == rec["k"]
@@ -621,9 +621,11 @@ class TestBasisRecords:
     def test_records_equal_the_standalone_functions(self, solve_spies):
         records = pivots = 0
         for spy in solve_spies:
-            for cache in spy.caches:
-                lp = afresh(cache.lp)
-                for basis, rec in cache.records.items():
+            for prog in spy.walked:
+                lp = afresh(prog)
+                for basis, rec in prog.walk_memo.items():
+                    if not isinstance(rec, _BasisRecord):
+                        continue  # a pivot, checked below
                     assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
                     assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
                     records += 1
@@ -634,7 +636,7 @@ class TestBasisRecords:
         assert records > len(solve_spies) and pivots > 0
 
     def test_record_is_an_immutable_named_tuple(self, unit_square):
-        rec = _WalkCache(unit_square).record((0, 1))
+        rec = _record(unit_square, (0, 1))
         assert rec._fields == ("basis", "rows", "row_lists", "log_vol",
                                "in_cone")
         with pytest.raises(AttributeError):
@@ -642,8 +644,9 @@ class TestBasisRecords:
 
     def test_records_read_and_fill_the_given_memo(self, monkeypatch,
                                                   unit_square):
-        # the memo is the program's: a basis factored before the walk is
-        # not factored again, and a new one is left in the memo
+        # the memos are the program's: a basis factored before the walk is
+        # not factored again, a new one is left in the memo, and a record
+        # is made once and kept in the program's walk memo
         import conewalk.simplex as simplex_module
 
         lu = simplex_module.basis_factors(unit_square, (0, 1))
@@ -654,9 +657,39 @@ class TestBasisRecords:
             return real(a_b)
 
         monkeypatch.setattr(simplex_module, "lu_factor", counted)
-        cache = _WalkCache(unit_square)
-        cache.record((0, 1))
+        assert unit_square.walk_memo == {}
+        rec = _record(unit_square, (0, 1))
         assert unit_square.lu_memo[(0, 1)] is lu and calls == []
-        cache.record((1, 2))
+        assert unit_square.walk_memo == {(0, 1): rec}
+        assert _record(unit_square, (0, 1)) is rec
+        _record(unit_square, (1, 2))
         assert set(unit_square.lu_memo) == {(0, 1), (1, 2)}
+        assert set(unit_square.walk_memo) == {(0, 1), (1, 2)}
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("lp, seed", factor_instances())
+    def test_a_filled_memo_changes_no_walk(self, lp, seed):
+        # the walk memo lives as long as the program: a walk over the
+        # records and pivots an earlier walk left ends, counts and traces
+        # as the same walk on a copy that starts with empty memos
+        nlp = normalize(lp)
+        cert = certify_delta(nlp)
+        boxed = bounding_box(nlp, certified_radius(nlp, cert))
+        start = phase1_vertex(nlp, boxed)
+        fresh = afresh(boxed)
+
+        def walk(prog):
+            buf = io.StringIO()
+            cfg = WalkConfig(steps=2000, seed=seed, trace=buf).resolved(
+                boxed.n, cert.delta)
+            return run_walk(prog, cfg, start,
+                            _beta=float(boxed.n**2)), buf.getvalue()
+
+        walk(boxed)
+        filled = dict(boxed.walk_memo)
+        assert filled and fresh.walk_memo == {}
+        again, trace = walk(boxed)
+        # every record and pivot it needed was read, none made again
+        assert boxed.walk_memo.keys() == filled.keys()
+        assert all(boxed.walk_memo[key] is v for key, v in filled.items())
+        assert (again, trace) == walk(fresh)

@@ -27,7 +27,7 @@ from .lp import (
     delta_integer_bound,
     normalize,
 )
-from .reduction import MAX_RETRIES, certify_delta, solve
+from .reduction import MAX_RETRIES, certify_delta, solve, walked_program
 from .walk import WalkConfig
 
 EXIT_OPTIMAL = 0
@@ -137,16 +137,18 @@ def _resolve_delta(spec: str, lp: LinearProgram,
     """The certificate for --delta 'brute', 'bound' or 'auto'.
 
     solve sizes the box from it, sets the auto walk parameters from it and
-    reports it.  'auto' certifies as solve does by default
-    (reduction.certify_delta: the rows' structure, then brute force) and
-    falls back to the integral bound only when the brute force is over its
-    budget, not when normalize raises TooLarge.
+    reports it.  'auto' and 'brute' certify the rows solve walks, the
+    tightest of each direction (reduction.walked_program); 'auto' certifies
+    as solve does by default (reduction.certify_delta: the rows' structure,
+    then brute force) and falls back to the integral bound only when the
+    brute force is over its budget, not when normalize raises TooLarge.
     """
     if spec == "bound":
         return _integral_bound(lp, raw, "--delta bound needs integral data")
-    nlp = normalize(lp)
+    _, walked = walked_program(normalize(lp))
     try:
-        return delta_bruteforce(nlp) if spec == "brute" else certify_delta(nlp)
+        return (delta_bruteforce(walked) if spec == "brute"
+                else certify_delta(walked))
     except TooLarge:
         if spec == "brute":
             raise

@@ -103,7 +103,7 @@ class NormalizedLP(LinearProgram):
     simplex.basis_factors reads and fills it.  It starts empty, unless
     _derived makes the program a prefix of another.  walk_memo maps a
     sorted basis to the walk's record of it, and a (basis, leaving row)
-    pair to the vertex across that facet; only walk._record and
+    pair to the basis across that facet; only walk._record and
     walk._pivot read and fill it.  It starts empty.
     """
 

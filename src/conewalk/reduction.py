@@ -235,6 +235,15 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
         f"optimal cone (n={lp.n})")
 
 
+def walked_program(nlp: NormalizedLP) -> tuple[np.ndarray, NormalizedLP]:
+    """The input positions of the tightest row of each direction
+    (lp.tightest_rows), in the order of the directions' first rows, and the
+    program of those rows, which solve walks and certifies delta for.  Each
+    dropped row repeats a kept direction, so the kept rows span R^n."""
+    kept = tightest_rows(nlp.A, nlp.b)
+    return kept, _derived(nlp.A[kept], nlp.b[kept], nlp.c)
+
+
 def certify_delta(lp: NormalizedLP) -> DeltaCertificate:
     """lp's row separation: from the rows' structure when they are scaled
     rows of a totally unimodular matrix (lp.delta_from_structure), else by
@@ -247,7 +256,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     """Solve max c^T x s.t. Ax <= b end to end.
 
     Normalizes and keeps the tightest row of each direction
-    (lp.tightest_rows), which leaves the region unchanged.  The rest runs
+    (walked_program), which leaves the region unchanged.  The rest runs
     on the kept rows, the walked program.  Its row separation comes from
     one certificate: delta, or certify_delta's when delta is None.  That
     certificate sizes the enclosing box, which reduces the program to a
@@ -274,12 +283,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
             "delta_integer_bound to set the row separation")
     cfg = cfg or WalkConfig()
     nlp = normalize(lp)
-    # A kept row takes the place of its direction's first row, so the
-    # directions, and with them the box rows, come in the input's order;
-    # each dropped row repeats a kept direction, so the kept rows still
-    # span R^n.
-    kept = tightest_rows(nlp.A, nlp.b)
-    walked = _derived(nlp.A[kept], nlp.b[kept], nlp.c)
+    kept, walked = walked_program(nlp)
 
     cert = delta or certify_delta(walked)
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, cert))

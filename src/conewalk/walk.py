@@ -6,25 +6,28 @@ between facet-adjacent cells, weighting a cell P by
 
     f(P) = exp(-||z_P - alpha*c||_1) * (1/n^2)^n * |det(A_B)|
 
-with z_P the cell center.  Crossing a cone facet is a simplex pivot, so the
-walk drives the vertex bookkeeping for free.  As soon as the objective lies
-in the current cone, the current basis is optimal and the walk stops.  A
-walk that runs out of steps first returns its final cell, whose scaled
-center c' = z_P/alpha (identify.scaled_center) is the input of the paper's
-identification step; solve does not run that step and counts such a walk
-as a failed attempt.  A pivot into a ratio-test tie (a degenerate vertex)
-also ends the walk: run_walk returns its outcome with the tie's message
-in WalkOutcome.tie, where step() raises DegeneratePivot.
+with z_P the cell center.  The walk's state is a cell: its basis fixes the
+vertex, so crossing a cone facet is a simplex pivot from that vertex.  As
+soon as the objective lies in the current cone, the current basis is
+optimal and the walk stops.  A walk that runs out of steps first returns
+its final cell, whose scaled center c' = z_P/alpha (identify.scaled_center)
+is the input of the paper's identification step; solve does not run that
+step and counts such a walk as a failed attempt.  A pivot into a ratio-test
+tie (a degenerate vertex) also ends the walk: run_walk returns its outcome
+with the tie's message in WalkOutcome.tie, where step() raises
+DegeneratePivot.
 
-step() and run_walk share one arithmetic at every n: a center is taken by
-_center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
+step() maps a cell and one draw (pos, sign, u) of _draws to a cell by the
+kernel run_walk iterates, with one arithmetic at every n: a center is taken
+by _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
 row to a neighbor's center; an l1 distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
 The program keeps, in lp.walk_memo, one record per basis a walk enters
-(_record): the scaled rows A_B / n^2, the cell volume (log |det A_B|) and
-the in-cone stop (A_B^T mu = c); and every pivot out of a basis (_pivot,
-A_B d = -e_k).  Both read the program's LU factors of A_B
+(_record): the vertex (A_B x = b_B), the scaled rows A_B / n^2, the cell
+volume (log |det A_B|) and the in-cone stop (A_B^T mu = c); and the basis
+across every facet a walk pivots over (_pivot, from the record's vertex
+along A_B d = -e_k).  All read the program's LU factors of A_B
 (simplex.basis_factors), shared with phase 1.  They depend only on the
 program, so every walk of it shares them, and sharing changes no step.
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
@@ -53,7 +56,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConewalkError, DegeneratePivot, TooLarge
-from .geometry import det_abs, log_abs_det
+from .geometry import det_abs, log_abs_det, lu_solve
 from .jsonio import json_line
 from .lp import NormalizedLP
 from .simplex import (
@@ -66,6 +69,7 @@ from .simplex import (
 )
 
 Direction = tuple[int, int]  # (basis row, +1 outward / -1 toward the facet)
+Draw = tuple[int, int, float]  # (basis position, sign, coin u in [0, 1))
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,6 @@ class WalkConfig:
                 f"alpha={alpha:g} is below 2*n^3/delta={2 * n**3 / delta:g}; "
                 "the failure-probability guarantee degrades", stacklevel=2)
         return replace(self, alpha=float(alpha), steps=int(steps))
-
-
-class WalkState(NamedTuple):
-    vertex: Vertex
-    cell: Parallelepiped
 
 
 @dataclass
@@ -198,6 +197,7 @@ class _BasisRecord(NamedTuple):
     """What the walk uses of one basis, computed the first time it needs it."""
 
     basis: Basis
+    point: np.ndarray             # the basis's vertex, A_B^{-1} b_B
     rows: np.ndarray              # cell edges a_i / n^2, in sorted basis order
     row_lists: list[list[float]]  # rows as float lists, for in-cone moves
     log_vol: float                # log of the cell volume
@@ -209,21 +209,23 @@ def _record(lp: NormalizedLP, basis: Basis) -> _BasisRecord:
     kept there."""
     rec = lp.walk_memo.get(basis)
     if rec is None:
+        lu = basis_factors(lp, basis)
         rows = basis_matrix(lp, basis) / lp.n**2
         rec = lp.walk_memo[basis] = _BasisRecord(
-            basis, rows, rows.tolist(),
-            log_abs_det(basis_factors(lp, basis)) - 2.0 * lp.n * math.log(lp.n),
+            basis, lu_solve(lu, lp.b.take(basis)), rows, rows.tolist(),
+            log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),
             cone_membership(lp, basis, lp.c).inside)
     return rec
 
 
-def _pivot(lp: NormalizedLP, vertex: Vertex, leaving: int) -> Vertex:
-    """The vertex across the facet of row leaving: read from lp.walk_memo,
-    keyed (basis, leaving), or pivoted and kept there."""
-    key = (vertex.basis, leaving)
+def _pivot(lp: NormalizedLP, rec: _BasisRecord, leaving: int) -> Basis:
+    """The basis across the facet of row leaving: read from lp.walk_memo,
+    keyed (basis, leaving), or pivoted from the record's vertex and kept."""
+    key = (rec.basis, leaving)
     out = lp.walk_memo.get(key)
     if out is None:
-        out = lp.walk_memo[key] = pivot_across_facet(lp, vertex, leaving)
+        out = lp.walk_memo[key] = pivot_across_facet(
+            lp, Vertex(rec.point, rec.basis), leaving).basis
     return out
 
 
@@ -240,16 +242,15 @@ def _l1(z: list[float], ac: list[float]) -> float:
     return total
 
 
-def _propose(lp: NormalizedLP, ac: list[float], vertex: Vertex,
-             rec: _BasisRecord, index: Sequence[int], z: list[float],
-             l1: float, pos: int, sign: int, beta: float = 1.0,
-             ) -> tuple:
+def _propose(lp: NormalizedLP, ac: list[float], rec: _BasisRecord,
+             index: Sequence[int], z: list[float], l1: float, pos: int,
+             sign: int, beta: float = 1.0) -> tuple:
     """The facet-adjacent cell of (rec.basis, index) across coordinate pos, sign.
 
     Moving inward (-1) at lattice coordinate 0 crosses the cone facet: the
-    vertex pivots, and the shared-facet grid identifies the new cell's
-    coordinates (staying rows keep theirs, the entering row starts at 0).
-    Returns (vertex, rec, index, z, l1, dlog) of the proposal, where index
+    basis pivots (_pivot), and the shared-facet grid identifies the new
+    cell's coordinates (staying rows keep theirs, the entering row starts
+    at 0).  Returns (rec, index, z, l1, dlog) of the proposal, where index
     is None when the move stays in the cone (the caller then adds sign to
     index[pos]) and dlog = log f_beta(proposal) - log f_beta(current)
     = beta * (l1 - l1_new) + (log_vol_new - log_vol); beta = 1 is f.
@@ -262,28 +263,19 @@ def _propose(lp: NormalizedLP, ac: list[float], vertex: Vertex,
         row = rec.row_lists[pos]
         z_new = list(map(add if sign > 0 else sub, z, row))
         l1_new = _l1(z_new, ac)
-        return vertex, rec, None, z_new, l1_new, beta * (l1 - l1_new)
-    basis = rec.basis
-    new_vertex = _pivot(lp, vertex, basis[pos])
-    new_rec = _record(lp, new_vertex.basis)
-    coords = dict(zip(basis, index))
+        return rec, None, z_new, l1_new, beta * (l1 - l1_new)
+    new_rec = _record(lp, _pivot(lp, rec, rec.basis[pos]))
+    coords = dict(zip(rec.basis, index))
     new_index = [coords.get(r, 0) for r in new_rec.basis]
     z_new = _center(new_rec, new_index)
     l1_new = _l1(z_new, ac)
-    return (new_vertex, new_rec, new_index, z_new, l1_new,
+    return (new_rec, new_index, z_new, l1_new,
             beta * (l1 - l1_new) + (new_rec.log_vol - rec.log_vol))
 
 
 def _accepts(u: float, dlog: float) -> bool:
     """Lazy Metropolis rule: move iff u < (1/2) * min(1, exp(dlog))."""
     return math.log(2.0 * u) < (dlog if dlog < 0.0 else 0.0)
-
-
-def _draw(rng: np.random.Generator, n: int) -> tuple[int, int, float]:
-    """One step's randomness: direction (pos, sign) over 2n choices, then the coin."""
-    choice = int(rng.integers(0, 2 * n))
-    u = float(rng.random())
-    return choice // 2, +1 if choice % 2 == 0 else -1, u
 
 
 _DRAW_BLOCK = 1024  # most raw 64-bit words read from the bit generator at once
@@ -298,8 +290,10 @@ def _block_sizes(first: int) -> Iterator[int]:
 
 
 def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
-           ) -> Iterator[tuple[int, int, float]]:
-    """_draw(np.random.Generator(bitgen), n), step after step (2n <= 2^32).
+           ) -> Iterator[Draw]:
+    """One draw (pos, sign, u) per step (2n <= 2^32): with rng =
+    np.random.Generator(bitgen), choice = rng.integers(0, 2n) gives pos =
+    choice // 2 and sign = +1 if choice is even else -1; then u = rng.random().
 
     Reads the raw 64-bit words in blocks (_block_sizes(first): the sizes
     change when words are read, never which) and decodes them as the
@@ -331,27 +325,27 @@ def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
                (word() >> 11) * 2.0**-53)
 
 
-def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
-         rng: np.random.Generator) -> tuple[WalkState, StepInfo]:
-    """One lazy Metropolis step, through the proposal kernel run_walk uses.
+def step(lp: NormalizedLP, cfg: WalkConfig, cell: Parallelepiped,
+         draw: Draw) -> tuple[Parallelepiped, StepInfo]:
+    """One lazy Metropolis step from cell, by run_walk's proposal kernel.
 
-    Picks one of the 2n facet neighbors uniformly, then moves there with
-    probability (1/2) * min(1, f(P')/f(P)), evaluated in log space.  The
-    center of the current cell is taken afresh by _center, and its l1
-    distance by _l1: the rules run_walk uses, at every n.  Unlike run_walk,
-    the proposal is evaluated on lazy steps too, so that the returned
-    StepInfo always describes it.  The weight is the paper's f (beta = 1).
+    draw = (pos, sign, u), as _draws yields it, names the facet neighbor
+    across basis position pos (sign +1 outward, -1 inward) and the coin:
+    the step moves there iff u < (1/2) * min(1, f(P')/f(P)), in log space.
+    The center of the current cell is taken afresh by _center, and its l1
+    distance by _l1, as in run_walk.  Unlike run_walk, the proposal is
+    evaluated on lazy steps too, so the returned StepInfo always describes
+    it.  The weight is the paper's f (beta = 1).
     """
     if cfg.alpha is None:
         raise ValueError("walk config must be resolved before stepping")
-    v, cell = state
-    pos, sign, u = _draw(rng, lp.n)
+    pos, sign, u = draw
     ac = (cfg.alpha * lp.c).tolist()
     rec = _record(lp, cell.basis)
     z = _center(rec, cell.index)
     l1 = _l1(z, ac)
-    v_new, rec_new, index_new, _, l1_new, dlog = _propose(
-        lp, ac, v, rec, cell.index, z, l1, pos, sign)
+    rec_new, index_new, _, l1_new, dlog = _propose(
+        lp, ac, rec, cell.index, z, l1, pos, sign)
     pivoted = index_new is not None
     if not pivoted:
         index_new = list(cell.index)
@@ -364,9 +358,7 @@ def step(lp: NormalizedLP, cfg: WalkConfig, state: WalkState,
                     accepted=accepted, pivoted=pivoted and accepted, lazy=lazy,
                     log_weight=-l1 + rec.log_vol,
                     log_weight_proposal=-l1_new + rec_new.log_vol)
-    if accepted:
-        return WalkState(v_new, proposal), info
-    return state, info
+    return (proposal if accepted else cell), info
 
 
 _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
@@ -376,21 +368,20 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
              _beta: float = 1.0) -> WalkOutcome:
     """Run the walk from the apex cell of the start vertex's cone.
 
-    Each iteration first stops if the objective lies in the current cone
-    (the current basis is then optimal); otherwise it performs one step.
-    The membership test is applied once more after the final step.
+    Only start.basis is read.  Each iteration first stops if the objective
+    lies in the current cone (the current basis is then optimal); otherwise
+    it performs one step.  The membership test is applied once more after
+    the final step.
 
-    Each step takes a direction and a coin: the values step()'s _draw takes
-    from np.random.default_rng(cfg.seed), which _draws reads from the same
-    bit generator in blocks, the first of 2 * cfg.steps words within [16,
-    _DRAW_BLOCK] (a step takes about 1.5).  A lazy coin ends the step
-    without evaluating the proposal; otherwise the proposal comes from the
-    same kernel as step()'s.  The cell center is kept incrementally, and taken afresh by
-    _center at the start, on a pivot and every _RESYNC_INTERVAL-th step that
-    is not lazy; every l1 distance to alpha*c is taken by _l1.  With
-    cfg.trace set, one JSON record per step is written after the step; a
-    lazy step's record has log_weight_proposal null.  Tracing never changes
-    the walk.
+    Step by step the walk reads _draws(np.random.PCG64(cfg.seed), n), in
+    blocks whose first is 2 * cfg.steps words within [16, _DRAW_BLOCK] (a
+    step takes about 1.5).  A lazy coin ends the step without evaluating
+    the proposal; otherwise the proposal comes from step()'s kernel.  The
+    cell center is kept incrementally, and taken afresh by _center at the
+    start, on a pivot and every _RESYNC_INTERVAL-th step that is not lazy;
+    every l1 distance to alpha*c is taken by _l1.  With cfg.trace set, one
+    JSON record per step is written after the step; a lazy step's record
+    has log_weight_proposal null.  Tracing never changes the walk.
 
     _beta scales the l1 term of the weight the walk follows, f_beta (see
     the module docstring); the default 1 is the paper's f.  The trace's
@@ -410,7 +401,6 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     ac = (cfg.alpha * lp.c).tolist()
     trace = cfg.trace
 
-    vertex = start
     rec = _record(lp, start.basis)
     index = [0] * n
     z = _center(rec, index)
@@ -430,8 +420,8 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
             lw_proposal = None
         else:
             try:
-                new_vertex, new_rec, new_index, z_new, l1_new, dlog = _propose(
-                    lp, ac, vertex, rec, index, z, l1, pos, sign, _beta)
+                new_rec, new_index, z_new, l1_new, dlog = _propose(
+                    lp, ac, rec, index, z, l1, pos, sign, _beta)
             except DegeneratePivot as exc:
                 tie, steps = str(exc), steps - 1  # the tied step changed nothing
                 break
@@ -441,7 +431,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
                 if new_index is None:
                     index[pos] += sign
                 else:
-                    vertex, index = new_vertex, new_index
+                    index = new_index
                     pivoted = True
                     pivots += 1
                 rec, z, l1 = new_rec, z_new, l1_new

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import count
 
 import numpy as np
@@ -199,6 +200,35 @@ class SolveSpy:
                 reduction_module.solve(lp, WalkConfig(seed=seed))
             except ConewalkError:
                 pass
+
+
+def exact_solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """M x = rhs for square nonsingular M, by Gaussian elimination in
+    fractions: no rounding anywhere."""
+    k = len(M)
+    rows = [[*row, r] for row, r in zip(M, rhs)]
+    for col in range(k):
+        pivot = next(i for i in range(col, k) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(k):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [a - f * p for a, p in zip(rows[i], rows[col])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+def assert_exact_optimum(lp: LinearProgram, basis) -> None:
+    """The basis certifies lp's optimum in exact arithmetic on the input's
+    own floats: its vertex x_B satisfies every input row, and the objective
+    lies in the cone of its rows (mu >= 0)."""
+    A = [[Fraction(a) for a in row] for row in lp.A.tolist()]
+    b = [Fraction(v) for v in lp.b.tolist()]
+    c = [Fraction(v) for v in lp.c.tolist()]
+    x = exact_solve([A[r] for r in basis], [b[r] for r in basis])
+    assert all(sum(a * t for a, t in zip(row, x)) <= rhs
+               for row, rhs in zip(A, b))
+    A_B_T = [[A[r][j] for r in basis] for j in range(lp.n)]
+    assert all(mu >= 0 for mu in exact_solve(A_B_T, c))
 
 
 def afresh(prog: NormalizedLP) -> NormalizedLP:

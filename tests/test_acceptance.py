@@ -30,7 +30,7 @@ from conewalk.oracle import (
 from conewalk.phase1 import bounding_box, phase1_vertex
 from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import basis_matrix, vertex_of_basis
-from conewalk.walk import Parallelepiped, WalkConfig, WalkState, step
+from conewalk.walk import Parallelepiped, WalkConfig, _draws, step
 
 from conftest import bounded_random_lp, rotate_instance
 
@@ -203,14 +203,13 @@ def walk_samples():
 
     cfg = WalkConfig(alpha=alpha, steps=1)
     samples = []
-    rng = np.random.default_rng(4242)
-    state = WalkState(start, Parallelepiped(start.basis, (0,) * aug.n))
+    draws = _draws(np.random.PCG64(4242), aug.n)
+    apex = cell = Parallelepiped(start.basis, (0,) * aug.n)
     while len(samples) < 10_000:
-        state, info = step(aug, cfg, state, rng)
-        samples.append((state, info))
+        cell, info = step(aug, cfg, cell, next(draws))
+        samples.append((cell, info))
         if len(samples) % 2500 == 0:  # restart to diversify the region
-            state = WalkState(start, Parallelepiped(start.basis,
-                                                    (0,) * aug.n))
+            cell = apex
     return {"lp": aug, "alpha": alpha, "delta": delta, "samples": samples}
 
 
@@ -227,8 +226,8 @@ def test_criterion_4_neighbor_cell_ratio(walk_samples):
     lp = walk_samples["lp"]
     alpha = walk_samples["alpha"]
     worst = 0.0
-    for state, info in walk_samples["samples"]:
-        d_here = _cell_corner_distances(lp, alpha, state.cell)
+    for cell, info in walk_samples["samples"]:
+        d_here = _cell_corner_distances(lp, alpha, cell)
         d_prop = _cell_corner_distances(lp, alpha, info.proposal)
         both = np.concatenate([d_here, d_prop])
         worst = max(worst, float(both.max() - both.min()))
@@ -241,7 +240,7 @@ def test_criterion_4_neighbor_cell_ratio(walk_samples):
 def test_criterion_5_detailed_balance(walk_samples):
     n = walk_samples["lp"].n
     worst = 0.0
-    for state, info in walk_samples["samples"]:
+    for cell, info in walk_samples["samples"]:
         lw, lw_prop = info.log_weight, info.log_weight_proposal
         log_flow_fwd = lw + math.log(1 / (4 * n)) + min(0.0, lw_prop - lw)
         log_flow_rev = lw_prop + math.log(1 / (4 * n)) + min(0.0, lw - lw_prop)
@@ -257,8 +256,8 @@ def test_criterion_6_transition_lower_bound(walk_samples):
     n = walk_samples["lp"].n
     pivoted = 0
     worst_ratio = math.inf
-    for state, info in walk_samples["samples"]:
-        if info.proposal.basis == state.cell.basis:
+    for cell, info in walk_samples["samples"]:
+        if info.proposal.basis == cell.basis:
             continue
         pivoted += 1
         ratio = math.exp(info.log_weight_proposal - info.log_weight)

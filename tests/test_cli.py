@@ -7,6 +7,8 @@ import pytest
 
 from conewalk.cli import main, write_lp_file
 from conewalk.lp import LinearProgram
+from conewalk.reduction import solve
+from conewalk.walk import WalkConfig
 
 from conftest import SQRT2, make_square
 
@@ -261,6 +263,23 @@ class TestSolveCommand:
                                      "--delta", spec])
         assert code == 0
         assert json.loads(out)["status"] == "optimal"
+
+    def test_auto_delta_certifies_the_rows_solve_walks(self, capsys,
+                                                       tmp_path):
+        # rows 5 and 6 share a direction within DUPLICATE_TOL; solve keeps
+        # row 5, a network row, and drops row 6, which is none
+        lp = LinearProgram(
+            A=[[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [1, -1.000000000001]],
+            b=[1, 1, 0, 0, 0.5, 5], c=[0.3, 1])
+        path = tmp_path / "near-copy.json"
+        write_lp_file(str(path), lp, name="near-copy")
+        code, out = run_cli(capsys, ["solve", "--input", str(path),
+                                     "--seed", "0"])
+        report = json.loads(out)
+        rep = solve(lp, WalkConfig(seed=0))
+        assert code == 0
+        assert (report["delta"], report["delta_method"]) == \
+            (rep.delta, rep.delta_method) == (0.5, "network_rows")
 
     def test_over_budget_auto_names_only_the_integral_delta_route(
             self, capsys, wide_file):

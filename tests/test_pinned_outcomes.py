@@ -11,7 +11,6 @@ list what moved in CHANGES.md:
     PYTHONPATH=src python tests/test_pinned_outcomes.py
 """
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,8 @@ from conewalk.lp import LinearProgram
 from conewalk.oracle import tu_instance_generator
 from conewalk.reduction import solve
 from conewalk.walk import WalkConfig
+
+from conftest import assert_exact_optimum
 
 PINNED = Path(__file__).with_name("pinned_solve_outcomes.jsonl")
 SIZES = ((3, 8), (3, 12), (4, 14), (4, 18), (5, 12))
@@ -83,39 +84,12 @@ def test_solve_matches_pinned_outcome(name, seed):
     assert outcome(PROGRAMS[name], seed) == pinned()[(name, seed)]
 
 
-def exact_solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """M x = rhs for square nonsingular M, by Gaussian elimination in
-    fractions: no rounding anywhere."""
-    k = len(M)
-    rows = [[*row, r] for row, r in zip(M, rhs)]
-    for col in range(k):
-        pivot = next(i for i in range(col, k) if rows[i][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(k):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[col])]
-    return [rows[i][k] / rows[i][i] for i in range(k)]
-
-
 OPTIMA = [key for key, out in pinned().items() if "basis" in out]
 
 
 @pytest.mark.parametrize("name, seed", OPTIMA)
 def test_pinned_optimum_has_an_exact_certificate(name, seed):
-    # The reported basis, checked in exact arithmetic on the input's own
-    # floats: its vertex x_B satisfies every input row, and the objective
-    # lies in the cone of its rows (mu >= 0).
-    lp = PROGRAMS[name]
-    A = [[Fraction(a) for a in row] for row in lp.A.tolist()]
-    b = [Fraction(v) for v in lp.b.tolist()]
-    c = [Fraction(v) for v in lp.c.tolist()]
-    basis = pinned()[(name, seed)]["basis"]
-    x = exact_solve([A[r] for r in basis], [b[r] for r in basis])
-    assert all(sum(a * t for a, t in zip(row, x)) <= rhs
-               for row, rhs in zip(A, b))
-    A_B_T = [[A[r][j] for r in basis] for j in range(lp.n)]
-    assert all(mu >= 0 for mu in exact_solve(A_B_T, c))
+    assert_exact_optimum(PROGRAMS[name], pinned()[(name, seed)]["basis"])
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,12 @@ from conewalk.lp import (
     delta_integer_bound,
     normalize,
 )
-from conewalk.oracle import enumerate_vertices, pad_redundant, tu_instance_generator
+from conewalk.oracle import (
+    _generic_rationals,
+    enumerate_vertices,
+    pad_redundant,
+    tu_instance_generator,
+)
 from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import WalkConfig
@@ -429,22 +435,74 @@ DEGENERATE_SOLVES = [
 ]
 
 
+def _ladder(n: int, m: int, gen_seed: int) -> LinearProgram:
+    """An n-ladder program: tu_instance_generator's network branch without
+    its n <= 5, m <= 30 cap, with cut right-hand sides from 1/193..96/193."""
+    rng = np.random.default_rng(gen_seed)
+    eye = np.eye(n)
+    rows = [*eye, *-eye]
+    rhs = [*(1.0 + rng.integers(0, 32, size=n) / 64.0),
+           *((1.0 + rng.integers(0, 31, size=n)) / 64.0)]
+    cut_rhs = _generic_rationals(rng, m - 2 * n, 1, 96, 193)
+    for j in range(m - 2 * n):
+        u = int(rng.integers(0, n))
+        w = int(rng.integers(0, n - 1))
+        w += w >= u
+        rows.append(eye[u] - eye[w])
+        rhs.append(float(cut_rhs[j]))
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    c = signs * (1.0 + rng.integers(0, 64, size=n)) / 64.0
+    return LinearProgram(A=np.array(rows), b=np.array(rhs), c=c)
+
+
+# The n-ladder's phase-1 ties: (program, solve seed s, facet), generator
+# seed 1000n + s.
+LADDER_TIES = [
+    pytest.param(_ladder(n, m, 1000 * n + s), s, facet,
+                 id=f"ladder-n{n}-m{m}-s{s}")
+    for n, m, s, facet in ((4, 24, 1, 19), (7, 42, 1, 30), (8, 48, 2, 46))
+]
+
+
+@contextmanager
+def pinned_tie(facet):
+    """A DegeneratePivot raised in the block must be the tie leaving facet:
+    another one fails the test."""
+    try:
+        yield
+    except DegeneratePivot as exc:
+        assert str(exc) == f"ratio-test tie leaving facet {facet}"
+        raise
+
+
 class TestKnownDegeneratePivots:
     @pytest.mark.xfail(strict=True, raises=DegeneratePivot,
                        reason="ratio-test tie; needs a lexicographic rule")
     @pytest.mark.parametrize("lp, region, seed, facet", DEGENERATE_SOLVES)
     def test_solves_to_the_oracle_optimum(self, lp, region, seed, facet):
-        try:
-            # pinned at the brute-force delta: at the structural 1/n the
-            # first instance's walk ties at facet 10 instead
+        # pinned at the brute-force delta: at the structural 1/n the first
+        # instance's walk ties at facet 10 instead
+        with pinned_tie(facet):
             rep = solve(lp, WalkConfig(seed=seed),
                         delta=delta_bruteforce(normalize(lp)))
-        except DegeneratePivot as exc:
-            # the same tie as before: another one fails the test
-            assert str(exc) == f"ratio-test tie leaving facet {facet}"
-            raise
         best = enumerate_vertices(normalize(region or lp)).optimal_point
         assert rep.value == pytest.approx(float(lp.c @ best), abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=DegeneratePivot,
+                       reason="phase-1 ratio-test tie; needs a lexicographic "
+                              "rule")
+    @pytest.mark.parametrize("lp, seed, facet", LADDER_TIES)
+    def test_ladder_solves_to_the_highs_optimum(self, lp, seed, facet):
+        # delta=None: brute force is TooLarge at n = 8, and enumerating
+        # the C(48, 8) bases is out of reach, so HiGHS is the reference
+        from scipy.optimize import linprog
+
+        with pinned_tie(facet):
+            rep = solve(lp, WalkConfig(seed=seed))
+        ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b,
+                      bounds=[(None, None)] * lp.n, method="highs")
+        assert ref.status == 0
+        assert rep.value == pytest.approx(-ref.fun, abs=1e-9)
 
 
 class TestRestarts:

@@ -1,0 +1,110 @@
+"""Pivot reversibility, as hypothesis properties.
+
+A walk pivot across the facet of row r, from a vertex the walk can reach,
+enters one row e.  Crossing back over e's facet must return the first
+basis: through simplex.pivot_across_facet, with the points within
+1e-9 * (1 + max|x|); and through walk.step, an inward draw at an apex
+coordinate and then an inward draw at e's coordinate return the first cell.
+A forward pivot into a ratio-test tie has no inverse to check: such an
+example is skipped, not counted.
+
+The programs are conftest.bounded_random_lp programs, and generator
+instances, boxed by certified_radius.
+"""
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conewalk.errors import DegeneratePivot  # noqa: E402
+from conewalk.lp import normalize  # noqa: E402
+from conewalk.oracle import tu_instance_generator  # noqa: E402
+from conewalk.phase1 import (  # noqa: E402
+    bounding_box,
+    certified_radius,
+    phase1_vertex,
+)
+from conewalk.reduction import certify_delta  # noqa: E402
+from conewalk.simplex import pivot_across_facet, vertex_of_basis  # noqa: E402
+from conewalk.walk import Parallelepiped, WalkConfig, step  # noqa: E402
+
+from conftest import bounded_random_lp  # noqa: E402
+
+ALWAYS = 1e-300  # a coin that accepts every move of these small programs
+
+
+@lru_cache(maxsize=None)
+def boxed(kind: str, n: int, seed: int):
+    """(boxed program, its phase-1 vertex)."""
+    if kind == "random":
+        nlp = bounded_random_lp(n, 2 * n, seed)
+    else:
+        nlp = normalize(tu_instance_generator(kind, n, 4 * n, seed))
+    box = bounding_box(nlp, certified_radius(nlp, certify_delta(nlp)))
+    return box, phase1_vertex(nlp, box)
+
+
+programs = st.one_of(
+    st.tuples(st.just("random"), st.sampled_from([2, 3, 4, 6]),
+              st.integers(0, 39)),
+    st.tuples(st.sampled_from(["interval", "network"]), st.integers(2, 5),
+              st.integers(0, 9)))
+
+
+@st.composite
+def reachable_pivots(draw):
+    """(program, a basis the walk reaches, a basis position to pivot at).
+
+    The basis is reached from the phase-1 vertex by up to 8 pivots at
+    drawn positions; a pivot into a tie is passed over."""
+    lp, start = boxed(*draw(programs))
+    basis = start.basis
+    for pos in draw(st.lists(st.integers(0, lp.n - 1), max_size=8)):
+        try:
+            basis = pivot_across_facet(lp, vertex_of_basis(lp, basis),
+                                       basis[pos]).basis
+        except DegeneratePivot:
+            pass
+    return lp, basis, draw(st.integers(0, lp.n - 1))
+
+
+def across(lp, basis, row):
+    """The pivot across row's facet, or a skipped example on a tie."""
+    try:
+        return pivot_across_facet(lp, vertex_of_basis(lp, basis), row)
+    except DegeneratePivot:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reachable_pivots())
+def test_pivot_back_across_the_entering_row_returns(case):
+    lp, basis, pos = case
+    there = across(lp, basis, basis[pos])
+    (entering,) = set(there.basis) - set(basis)
+    back = pivot_across_facet(lp, there, entering)
+    x = vertex_of_basis(lp, basis).point
+    assert back.basis == basis
+    assert np.max(np.abs(back.point - x)) <= 1e-9 * (1.0 + np.max(np.abs(x)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reachable_pivots(), st.data())
+def test_step_back_across_the_entering_row_returns(case, data):
+    lp, basis, pos = case
+    across(lp, basis, basis[pos])  # skip a forward tie
+    index = data.draw(st.lists(st.integers(0, 3), min_size=lp.n,
+                               max_size=lp.n))
+    index[pos] = 0
+    cell = Parallelepiped(basis, tuple(index))
+    cfg = WalkConfig(alpha=1.0, steps=1)
+    there, info = step(lp, cfg, cell, (pos, -1, ALWAYS))
+    assert info.accepted and info.pivoted
+    (entering,) = set(there.basis) - set(basis)
+    back, info = step(lp, cfg, there, (there.basis.index(entering), -1, ALWAYS))
+    assert info.accepted and info.pivoted
+    assert back == cell

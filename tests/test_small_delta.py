@@ -4,7 +4,8 @@ The program has the K rows (cos theta_k, sin theta_k), theta_k =
 2 pi (k + 0.3) / K, with b = 1, so its row separation delta = sin(2 pi / K)
 shrinks with K while n = 2 stays fixed.  Objective s points at angle
 2 pi (s + 0.5) / 8 + 0.01, away from every row, and is solved with seed s.
-No instance is screened: every solve must end in the oracle's optimum.
+No instance is screened: every solve must end in the oracle's optimum,
+and its basis must certify that optimum exactly on the rows' own floats.
 """
 import math
 
@@ -16,6 +17,8 @@ from conewalk.lp import LinearProgram, normalize
 from conewalk.oracle import enumerate_vertices
 from conewalk.reduction import solve
 from conewalk.walk import WalkConfig
+
+from conftest import assert_exact_optimum
 
 
 def k_gon(K: int, s: int) -> LinearProgram:
@@ -31,6 +34,7 @@ def assert_oracle_optimum(K: int, s: int) -> None:
     oracle = enumerate_vertices(normalize(lp))
     assert rep.basis == oracle.optimal_basis
     np.testing.assert_allclose(rep.x, oracle.optimal_point, rtol=0, atol=1e-9)
+    assert_exact_optimum(lp, rep.basis)
 
 
 @pytest.mark.parametrize("s", range(8))

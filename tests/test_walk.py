@@ -18,7 +18,6 @@ from conewalk.simplex import cone_membership, vertex_of_basis
 from conewalk.walk import (
     Parallelepiped,
     WalkConfig,
-    WalkState,
     _BasisRecord,
     _block_sizes,
     _draws,
@@ -44,34 +43,19 @@ from conftest import (
 )
 
 
-class QueuedRng:
-    """Deterministic stand-in for a Generator: pops pre-seeded draws."""
-
-    def __init__(self, integer_draws, uniform_draws):
-        self.integer_draws = list(integer_draws)
-        self.uniform_draws = list(uniform_draws)
-
-    def integers(self, low, high):
-        return self.integer_draws.pop(0)
-
-    def random(self):
-        return self.uniform_draws.pop(0)
-
-
 # A coin this small accepts every proposal whose log-weight ratio exceeds
 # log(2e-300), i.e. every move on the small instances below.
 ALWAYS = 1e-300
 
 
-def move(lp, v, cell, direction, alpha=1.0):
-    """Take the given direction with step(); returns (state, StepInfo)."""
+def move(lp, cell, direction, alpha=1.0):
+    """Take the given direction with step(); returns (cell, StepInfo)."""
     row, sign = direction
-    choice = 2 * cell.basis.index(row) + (0 if sign > 0 else 1)
     cfg = WalkConfig(alpha=alpha, steps=1)
-    state, info = step(lp, cfg, WalkState(v, cell),
-                       QueuedRng([choice], [ALWAYS]))
+    new_cell, info = step(lp, cfg, cell,
+                          (cell.basis.index(row), sign, ALWAYS))
     assert info.accepted and info.direction == direction
-    return state, info
+    return new_cell, info
 
 
 class TestParallelepiped:
@@ -130,9 +114,8 @@ class TestWeight:
     def test_log_weight_never_underflows(self, unit_square):
         # f itself underflows to 0 this far from alpha*c; the step still
         # compares finite log weights
-        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
-        _, info = move(unit_square, v, cell, (0, +1), alpha=1e6)
+        _, info = move(unit_square, cell, (0, +1), alpha=1e6)
         for lw, c in ((info.log_weight, cell),
                       (info.log_weight_proposal, info.proposal)):
             assert math.isfinite(lw)
@@ -143,50 +126,47 @@ class TestWeight:
 
 class TestNeighbor:
     def test_outward_same_cone(self, unit_square):
-        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
-        (new_v, new_cell), info = move(unit_square, v, cell, (0, +1))
+        new_cell, info = move(unit_square, cell, (0, +1))
         assert not info.pivoted
         assert new_cell.basis == (0, 1)
         assert new_cell.index == (1, 0)
-        assert new_v is v
+        # a move in the cone keeps the basis, so it keeps the vertex
+        assert _record(unit_square, new_cell.basis) is \
+            _record(unit_square, cell.basis)
 
     def test_inward_within_cone(self, unit_square):
-        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(2, 0))
-        (_, new_cell), info = move(unit_square, v, cell, (0, -1))
+        new_cell, info = move(unit_square, cell, (0, -1))
         assert not info.pivoted
         assert new_cell.index == (1, 0)
 
     def test_cross_cone_pivot(self, unit_square):
-        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 5))
-        (new_v, new_cell), info = move(unit_square, v, cell, (0, -1))
+        new_cell, info = move(unit_square, cell, (0, -1))
         assert info.pivoted
-        assert new_v.basis == (1, 2)
-        np.testing.assert_allclose(new_v.point, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(_record(unit_square, new_cell.basis).point,
+                                   [0.0, 1.0], atol=1e-12)
         # shared row 1 keeps its coordinate, entering row 2 starts at 0
         assert new_cell.basis == (1, 2)
         assert new_cell.coordinate(1) == 5
         assert new_cell.coordinate(2) == 0
 
     def test_pivot_reversible(self, unit_square):
-        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 3))
-        (new_v, new_cell), _ = move(unit_square, v, cell, (0, -1))
+        new_cell, _ = move(unit_square, cell, (0, -1))
         entering = next(iter(set(new_cell.basis) - set(cell.basis)))
-        (back_v, back_cell), info = move(unit_square, new_v, new_cell,
-                                         (entering, -1))
+        back_cell, info = move(unit_square, new_cell, (entering, -1))
         assert info.pivoted
         assert back_cell == cell
-        assert back_v.basis == v.basis
-        np.testing.assert_allclose(back_v.point, v.point, atol=1e-12)
+        np.testing.assert_allclose(_record(unit_square, back_cell.basis).point,
+                                   vertex_of_basis(unit_square, (0, 1)).point,
+                                   atol=1e-12)
 
     def test_facet_grid_consistency(self, unit_square):
         # the shared facet has identical corner sets seen from both cells
-        v = vertex_of_basis(unit_square, (0, 1))
         cell = Parallelepiped(basis=(0, 1), index=(0, 4))
-        (_, new_cell), _ = move(unit_square, v, cell, (0, -1))
+        new_cell, _ = move(unit_square, cell, (0, -1))
         n = unit_square.n
         scale = 1.0 / n**2
 
@@ -210,9 +190,9 @@ class TestNeighbor:
 
 
 class TestStep:
-    def make_state(self, lp, basis=(0, 1), index=(4, 4)):
-        return WalkState(vertex_of_basis(lp, basis),
-                         Parallelepiped(basis=basis, index=index))
+    def test_step_takes_a_cell_and_a_draw(self):
+        assert list(inspect.signature(step).parameters) == \
+            ["lp", "cfg", "cell", "draw"]
 
     def test_equal_weights_accept_at_half(self, unit_square):
         # alpha*c = (1,1) sits midway between the centers of cells (3,3)
@@ -220,24 +200,22 @@ class TestStep:
         # lands below 1/2
         alpha = 1.0 / float(unit_square.c[0])
         cfg = WalkConfig(alpha=alpha, steps=1)
-        state = self.make_state(unit_square, index=(3, 3))
-        lw_here = log_weight(unit_square, alpha, state.cell)
+        cell = Parallelepiped(basis=(0, 1), index=(3, 3))
+        lw_here = log_weight(unit_square, alpha, cell)
         prop = Parallelepiped(basis=(0, 1), index=(4, 3))
         lw_prop = log_weight(unit_square, alpha, prop)
         assert lw_here == pytest.approx(lw_prop, abs=1e-12)
-        _, info = step(unit_square, cfg, state,
-                       QueuedRng([0], [0.499999]))
-        assert info.accepted
-        _, info = step(unit_square, cfg, state,
-                       QueuedRng([0], [0.5]))
-        assert not info.accepted and info.lazy
+        moved, info = step(unit_square, cfg, cell, (0, +1, 0.499999))
+        assert info.accepted and moved == prop
+        stayed, info = step(unit_square, cfg, cell, (0, +1, 0.5))
+        assert not info.accepted and info.lazy and stayed == cell
 
     def test_counters_split(self, unit_square):
         cfg = WalkConfig(alpha=32.0, steps=1)
-        state = self.make_state(unit_square, index=(0, 0))
-        # direction choice 1 is (row 0, -1): pivots away from the optimum,
-        # so the ratio is tiny and a mid-range coin rejects (not lazy)
-        _, info = step(unit_square, cfg, state, QueuedRng([1], [0.4]))
+        cell = Parallelepiped(basis=(0, 1), index=(0, 0))
+        # (row 0, -1) pivots away from the optimum, so the ratio is tiny
+        # and a mid-range coin rejects (not lazy)
+        _, info = step(unit_square, cfg, cell, (0, -1, 0.4))
         assert not info.accepted and not info.lazy
 
     def test_seeded_replay(self, unit_square):
@@ -304,15 +282,14 @@ class TestInConeMove:
                             b=1.0 + rng.random(2 * n), c=rng.standard_normal(n))
         lp = normalize(rotate_instance(box, seed=n))
         basis = tuple(range(n))  # a corner of the rotated box
-        vertex = vertex_of_basis(lp, basis)
         rec = _record(lp, basis)
         for _ in range(2000):
             scale = 10.0 ** rng.integers(-3, 4, size=n)
             z = rng.standard_normal(n) * scale
             ac = (rng.standard_normal(n) * 100.0).tolist()
             pos, sign = int(rng.integers(0, n)), int(rng.choice((-1, 1)))
-            *_, index, z_new, l1_new, _ = _propose(
-                lp, ac, vertex, rec, [1] * n, z.tolist(), 0.0, pos, sign)
+            _, index, z_new, l1_new, _ = _propose(
+                lp, ac, rec, [1] * n, z.tolist(), 0.0, pos, sign)
             ref = z + sign * rec.rows[pos]
             assert index is None
             assert np.array(z_new).tobytes() == ref.tobytes()
@@ -320,8 +297,8 @@ class TestInConeMove:
 
             index = rng.integers(0, 5, size=n).tolist()
             index[pos] = 0
-            _, new_rec, new_index, z_new, l1_new, _ = _propose(
-                lp, ac, vertex, rec, index, z.tolist(), 0.0, pos, -1)
+            new_rec, new_index, z_new, l1_new, _ = _propose(
+                lp, ac, rec, index, z.tolist(), 0.0, pos, -1)
             ref = new_rec.rows.T @ (np.array(new_index, dtype=float) + 0.5)
             assert new_rec.basis != basis
             assert np.array(z_new).tobytes() == ref.tobytes()
@@ -399,12 +376,11 @@ class TestRunWalk:
         alpha = 32.0
         n = unit_square.n
         rng = np.random.default_rng(77)
-        v = vertex_of_basis(unit_square, (2, 3))
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))
         for _ in range(400):
             row = cell.basis[int(rng.integers(0, n))]
             sign = +1 if rng.random() < 0.5 else -1
-            (v2, prop), info = move(unit_square, v, cell, (row, sign), alpha)
+            prop, info = move(unit_square, cell, (row, sign), alpha)
             lw1, lw2 = info.log_weight, info.log_weight_proposal
             assert lw1 == pytest.approx(log_weight(unit_square, alpha, cell),
                                         abs=1e-9)
@@ -413,18 +389,17 @@ class TestRunWalk:
             flow12 = lw1 + min(0.0, lw2 - lw1)
             flow21 = lw2 + min(0.0, lw1 - lw2)
             assert flow12 == pytest.approx(flow21, abs=1e-9)
-            v, cell = v2, prop
+            cell = prop
 
     def test_volume_ratio_bound_on_pivots(self, unit_square):
         # vol(P')/vol(P) >= delta for facet-crossing neighbors
         delta = delta_bruteforce(unit_square).delta
-        v = vertex_of_basis(unit_square, (2, 3))
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))
         seen = 0
         rng = np.random.default_rng(5)
         for _ in range(300):
             row = cell.basis[int(rng.integers(0, unit_square.n))]
-            (v2, prop), info = move(unit_square, v, cell, (row, -1))
+            prop, info = move(unit_square, cell, (row, -1))
             if info.pivoted:
                 lv1 = info.log_weight \
                     + np.sum(np.abs(center(unit_square, cell) - unit_square.c))
@@ -432,7 +407,7 @@ class TestRunWalk:
                     + np.sum(np.abs(center(unit_square, prop) - unit_square.c))
                 assert math.exp(lv2 - lv1) >= delta - 1e-9
                 seen += 1
-            v, cell = v2, prop
+            cell = prop
         assert seen > 10
 
 
@@ -470,24 +445,24 @@ class TestReplay:
         records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
         assert len(records) == out.steps_taken
 
-        draws = np.random.default_rng(seed)
-        state = WalkState(start, Parallelepiped(start.basis, (0,) * lp.n))
+        draws = _draws(np.random.PCG64(seed), lp.n)
+        cell = Parallelepiped(start.basis, (0,) * lp.n)
         # log_weight sums the n terms in numpy's order: allow n roundings,
         # which exceed 1e-9 at n=8, where |log f| reaches 3e7
         reference_tol = {"abs": 1e-9, "rel": lp.n * np.finfo(float).eps}
         replayed = 0
         for rec in records:
-            choice, u = int(draws.integers(0, 2 * lp.n)), float(draws.random())
+            draw = next(draws)
             if rec["log_weight_proposal"] is None:
-                assert u >= 0.5
+                assert draw[2] >= 0.5
                 assert (tuple(rec["basis"]), tuple(rec["k"])) == \
-                    (state.cell.basis, state.cell.index)
+                    (cell.basis, cell.index)
                 continue
-            before = state.cell
-            state, info = step(lp, cfg, state, QueuedRng([choice], [u]))
+            before = cell
+            cell, info = step(lp, cfg, cell, draw)
             assert list(info.direction) == rec["direction"]
-            assert list(state.cell.basis) == rec["basis"]
-            assert list(state.cell.index) == rec["k"]
+            assert list(cell.basis) == rec["basis"]
+            assert list(cell.index) == rec["k"]
             assert info.accepted == rec["accepted"]
             assert info.pivoted == rec["pivoted"]
             assert info.log_weight == pytest.approx(rec["log_weight"], abs=1e-9)
@@ -498,7 +473,7 @@ class TestReplay:
             assert rec["log_weight_proposal"] == pytest.approx(
                 log_weight(lp, cfg.alpha, info.proposal), **reference_tol)
             replayed += 1
-        assert state.cell == out.final
+        assert cell == out.final
         assert replayed > 4000 and out.pivots > 50
 
 
@@ -512,15 +487,13 @@ class TestPulledWeight:
         # exp(-||a_2||_1 / n^2) = exp(-1/4), f_beta's with beta = n^2 would
         # be exp(-1); a coin between the two accepts only under f
         alpha = 32.0
-        start = vertex_of_basis(unit_square, (2, 3))
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))
-        choice = 2 * cell.basis.index(2)  # row 2 outward
         u = 0.5 * math.exp(-0.5)
-        state, info = step(unit_square, WalkConfig(alpha=alpha, steps=1),
-                           WalkState(start, cell), QueuedRng([choice], [u]))
+        moved, info = step(unit_square, WalkConfig(alpha=alpha, steps=1),
+                           cell, (cell.basis.index(2), +1, u))  # row 2 outward
         assert info.log_weight_proposal - info.log_weight == \
             pytest.approx(-0.25)
-        assert info.accepted and state.cell.index == (1, 0)
+        assert info.accepted and moved.index == (1, 0)
 
     @pytest.mark.parametrize("boxed, seed", [
         pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 2, id="n=3"),
@@ -626,6 +599,8 @@ class TestBasisRecords:
                 for basis, rec in prog.walk_memo.items():
                     if not isinstance(rec, _BasisRecord):
                         continue  # a pivot, checked below
+                    assert rec.point.tobytes() == \
+                        vertex_of_basis(lp, basis).point.tobytes()
                     assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
                     assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
                     records += 1
@@ -637,8 +612,8 @@ class TestBasisRecords:
 
     def test_record_is_an_immutable_named_tuple(self, unit_square):
         rec = _record(unit_square, (0, 1))
-        assert rec._fields == ("basis", "rows", "row_lists", "log_vol",
-                               "in_cone")
+        assert rec._fields == ("basis", "point", "rows", "row_lists",
+                               "log_vol", "in_cone")
         with pytest.raises(AttributeError):
             rec.log_vol = 0.0
 

@@ -6,11 +6,14 @@ matrix and with its transpose (lu_solve) and its log-determinant
 (log_abs_det), calling LAPACK directly.  One function calls lu_factor:
 simplex.basis_factors, which factors each basis matrix A_B of a program
 once and serves the vertex, the pivot's edge direction, the cone
-coefficients and the cell volume from those factors.
+coefficients and the cell volume from those factors.  Gram-Schmidt
+(residual) runs over Python floats: on vectors of a few entries a numpy
+call costs more than the arithmetic.
 """
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -63,31 +66,37 @@ def det_abs(matrix: np.ndarray) -> float:
     return abs(float(np.linalg.det(np.asarray(matrix, dtype=float))))
 
 
-def residual(v, basis) -> np.ndarray:
-    """v minus its projection on the span of orthonormal rows, as a new array.
+def residual(v, basis) -> list[float]:
+    """v minus its projection on the span of orthonormal rows, as a float list.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass: the vector
-    orthonormal_basis would append for v, before normalizing.
+    Modified Gram-Schmidt with one re-orthogonalization pass, over Python
+    floats: each coefficient is math.fsum of the rounded products, so it
+    does not depend on a BLAS kernel.  basis holds the rows as float lists.
+    This is the vector orthonormal_basis would append for v, before
+    normalizing; find_independent_rows and dist_to_span test it too.
     """
-    w = np.array(v, dtype=float)
+    w = list(map(float, v))
     for _ in range(2):
         for q in basis:
-            w -= (q @ w) * q
+            s = math.fsum(map(mul, q, w))
+            if s:  # subtracting 0 * q would leave w as it is, up to signed zeros
+                w = [wi - s * qi for wi, qi in zip(w, q)]
     return w
 
 
 def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormal basis of the span of the given vectors, as matrix rows.
 
-    Each vector's residual against the rows so far is appended, normalized,
-    when its norm exceeds SINGULAR_TOL; the others do not grow the rank.
+    Each vector's residual against the rows so far is appended, divided by
+    its norm (math.hypot), when that norm exceeds SINGULAR_TOL; the others
+    do not grow the rank.
     """
-    basis: list[np.ndarray] = []
+    basis: list[list[float]] = []
     for v in vectors:
         w = residual(v, basis)
-        norm = float(np.linalg.norm(w))
+        norm = math.hypot(*w)
         if norm > SINGULAR_TOL:
-            basis.append(w / norm)
+            basis.append([x / norm for x in w])
     if not basis:
         return np.empty((0, len(np.atleast_1d(vectors[0])) if len(vectors) else 0))
     return np.array(basis)
@@ -98,9 +107,7 @@ def dist_to_span(v: np.ndarray, span_vectors) -> float:
 
     An empty collection spans {0}, so the distance is ``||v||``.
     """
-    if len(span_vectors) == 0:
-        return float(np.linalg.norm(np.asarray(v, dtype=float)))
-    return float(np.linalg.norm(residual(v, orthonormal_basis(span_vectors))))
+    return math.hypot(*residual(v, orthonormal_basis(span_vectors).tolist()))
 
 
 def _check_unit(a: np.ndarray) -> np.ndarray:

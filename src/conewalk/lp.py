@@ -88,7 +88,11 @@ class LinearProgram:
         return self.A.shape[1]
 
     def feas_tol(self) -> float:
-        return feas_tol_for(self.b)
+        """feas_tol_for(b), computed once per program and kept."""
+        tol = self.__dict__.get("_feas_tol")
+        if tol is None:
+            tol = self.__dict__["_feas_tol"] = feas_tol_for(self.b)
+        return tol
 
     def is_feasible(self, x: np.ndarray, *, tol: float | None = None) -> bool:
         tol = self.feas_tol() if tol is None else tol
@@ -100,11 +104,12 @@ class NormalizedLP(LinearProgram):
     """A LinearProgram whose rows and objective all have unit Euclidean norm.
 
     lu_memo maps a sorted basis to the LU factors of A_B; only
-    simplex.basis_factors reads and fills it.  It starts empty, unless
-    _derived makes the program a prefix of another.  walk_memo maps a
-    sorted basis to the walk's record of it, and a (basis, leaving row)
-    pair to the basis across that facet; only walk._record and
-    walk._pivot read and fill it.  It starts empty.
+    simplex.basis_factors reads and fills it.  walk_memo maps a sorted
+    basis to the walk's record of it, and a (basis, leaving row) pair to
+    the basis across that facet; only walk._record and walk._pivot read
+    and fill it.  Every program starts with both empty: no program shares
+    another's memo, and phase 1 bounds its descents to the boxed program's
+    first rows instead of building programs of them.
     """
 
     lu_memo: dict = field(default_factory=dict, init=False, repr=False)
@@ -119,8 +124,7 @@ class NormalizedLP(LinearProgram):
             raise NotUnitVector("objective must have unit norm")
 
 
-def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-             prefix_of: NormalizedLP | None = None) -> NormalizedLP:
+def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> NormalizedLP:
     """A program built from validated data without re-running validation.
 
     The NormalizedLP constructor checks finiteness, unit rows and
@@ -136,14 +140,11 @@ def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     normalize vouches for them itself.  The float arrays are made read-only
     in place and stored as they are, not copied: the caller hands over
-    fresh arrays or slices of read-only ones.  The lu_memo is empty, or
-    prefix_of's, whose first rows the caller guarantees ``A`` to be; the
-    walk_memo is empty.
+    fresh arrays or slices of read-only ones.  Both memos start empty.
     """
     A.flags.writeable = b.flags.writeable = c.flags.writeable = False
     lp = object.__new__(NormalizedLP)
-    lp.__dict__.update(A=A, b=b, c=c, lu_memo={} if prefix_of is None
-                       else prefix_of.lu_memo, walk_memo={})
+    lp.__dict__.update(A=A, b=b, c=c, lu_memo={}, walk_memo={})
     return lp
 
 

@@ -8,12 +8,13 @@ reads.  It introduces no direction beyond negations, so the row-separation
 property is preserved: the boxed program has the input's delta.  The box
 radius follows in closed form from the solve's delta certificate
 (lp.DeltaCertificate), so no basic system is ever solved to size it.  A
-vertex of the boxed program is grown one constraint at a time, on its
-prefixes, which share the boxed program's memo of basis factors
-(lp.NormalizedLP.lu_memo).  solve finds the boxed optimum itself;
-solve_bounded, the last step, reads x from its basis's factors in that
-memo, and an optimum touching the box certifies unboundedness.  Nothing
-here imports the walk or the solver.
+vertex of the boxed program is grown one constraint at a time: Bland's
+rule descends on the boxed program itself, bounded to its first 2n + i
+rows, so no program is built per row and every basis is factored once in
+the boxed program's memo (lp.NormalizedLP.lu_memo).  solve finds the
+boxed optimum itself; solve_bounded, the last step, reads x from its
+basis's factors in that memo, and an optimum touching the box certifies
+unboundedness.  Nothing here imports the walk or the solver.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .simplex import (
     Vertex,
     basis_factors,
     bland_simplex,
-    vertex_of_basis,
 )
 from .tolerances import SPAN_TOL
 
@@ -43,17 +43,18 @@ def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
     A row is chosen when its distance to the span of the rows chosen before
     exceeds SPAN_TOL.  The orthonormal basis of that span grows by one row
     per row chosen: the residual tested is the vector orthonormal_basis
-    would append for the row, so every distance is dist_to_span's, bit for
-    bit, and no basis is rebuilt.
+    would append for the row, and its norm is taken as there (math.hypot),
+    so every distance is dist_to_span's, bit for bit, and no basis is
+    rebuilt.  The rows are read once as Python floats.
     """
     chosen: list[int] = []
-    onb: list[np.ndarray] = []
-    for i in range(lp.m):
-        w = residual(lp.A[i], onb)
-        norm = float(np.linalg.norm(w))
+    onb: list[list[float]] = []
+    for i, row in enumerate(lp.A.tolist()):
+        w = residual(row, onb)
+        norm = math.hypot(*w)
         if norm > SPAN_TOL:
             chosen.append(i)
-            onb.append(w / norm)
+            onb.append([x / norm for x in w])
             if len(chosen) == lp.n:
                 return tuple(chosen)
     raise RankDeficient("fewer than n independent rows; invalid instance")
@@ -116,35 +117,33 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     ``boxed`` is ``bounding_box(lp, radius)``.  Starting from the box corner
     where the n box rows along the directions (not their negations) are
     tight, constraint i is brought in by minimizing a_i^T x over the region
-    satisfying the box and the first i-1 constraints, the first 2n + i rows
-    of boxed; a minimum above b_i certifies the whole program infeasible,
-    with the iteration index as witness.  solve passes its walked program,
-    the tightest row of each direction: that region is still cut by input
-    rows, so it holds every feasible point in the box, and the box holds
-    every vertex.  solve reports row i's input position.
+    satisfying the box and the first i-1 constraints: Bland's rule on boxed
+    itself, bounded to its first 2n + i rows (bland_simplex's ``rows``).  A
+    minimum above b_i certifies the whole program infeasible, with the
+    iteration index as witness.  solve passes its walked program, the
+    tightest row of each direction: that region is still cut by input rows,
+    so it holds every feasible point in the box, and the box holds every
+    vertex.  solve reports row i's input position.
 
-    The vertex returned is boxed's.  A prefix has boxed's rows at its
-    positions, so it shares boxed's memo of basis factors: each basis is
-    factored once for every prefix and boxed.  The test uses the input's
-    tolerance: box corners are exact up to rounding of order radius * eps,
-    and a tolerance growing with the radius would let real infeasibility
-    through.
+    The vertex returned is boxed's.  No program is built per row: every
+    descent reads and fills boxed's memo of basis factors, so each basis is
+    factored once for phase 1 and the stages after it.  bounding_box took
+    the box directions from find_independent_rows, so the corner's rows are
+    independent, and the corner satisfies every box row.  The test uses
+    the input's tolerance: box corners are exact up to rounding of order
+    radius * eps, and a tolerance growing with the radius would let real
+    infeasibility through.
     """
     n = lp.n
     ftol = lp.feas_tol()
-
-    # bounding_box took the box directions from find_independent_rows, so
-    # every prefix, the 2n box rows alone included, holds n independent
-    # rows: it is derived from boxed's read-only slices, unvalidated.
-    def prefix(k: int) -> NormalizedLP:
-        return _derived(boxed.A[:k], boxed.b[:k], lp.c, prefix_of=boxed)
-
-    v = vertex_of_basis(prefix(2 * n), tuple(range(n)))
-    for i in range(lp.m):
-        v = bland_simplex(prefix(2 * n + i), v, -lp.A[i])
-        value = float(lp.A[i] @ v.point)
-        if value > lp.b[i] + ftol:
-            raise infeasibility(i, value, float(lp.b[i]))
+    corner = tuple(range(n))
+    v = Vertex(lu_solve(basis_factors(boxed, corner), boxed.b.take(corner)),
+               corner)
+    for i, (a, minus_a, rhs) in enumerate(zip(lp.A, -lp.A, lp.b.tolist())):
+        v = bland_simplex(boxed, v, minus_a, rows=2 * n + i)
+        value = float(a @ v.point)
+        if value > rhs + ftol:
+            raise infeasibility(i, value, rhs)
         # The minimizer is already a vertex of the grown region; keep it.
     return v
 

@@ -9,13 +9,20 @@ One LU factorization of A_B serves everything asked of a basis: its vertex
 and a pivot's edge direction solve with A_B, its cone coefficients with
 A_B^T.  basis_factors is the only code in the package that factors a
 matrix: it keeps the factors in the program's lu_memo, so a program factors
-each basis once whoever asks, and phase 1's prefixes share the boxed
-program's memo.
+each basis once whoever asks.
 A_B is gathered with one take, and a sorted basis is not sorted again.
+
+Bland's rule and the pivot act on a region: the program's first ``rows``
+rows, all of them by default.  Phase 1 descends on the boxed program's
+prefixes this way, reading the boxed program's own memo, with no program
+built per prefix.  The ratio test runs over Python floats, read once from
+the region's advances A d and slacks b - A x.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +49,11 @@ class Vertex(NamedTuple):
 class ConeResult(NamedTuple):
     inside: bool
     coeffs: np.ndarray  # conic coefficients, aligned with the sorted basis
+
+
+# The membership rule for one conic coefficient mu: -CONE_TOL <= mu, so a
+# NaN coefficient is outside.
+_in_cone = partial(le, -CONE_TOL)
 
 
 def basis_matrix(lp: NormalizedLP, basis: Basis) -> np.ndarray:
@@ -77,67 +89,83 @@ def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray,
     coefficient is outside.
     """
     mu = lu_solve(basis_factors(lp, tuple(sorted(basis))), w, trans=1)
-    return ConeResult(inside=all(m >= -CONE_TOL for m in mu.tolist()),
-                      coeffs=mu)
+    return ConeResult(all(map(_in_cone, mu.tolist())), mu)
 
 
-def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
+def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
+                       rows: int | None = None) -> Vertex:
     """Cross the facet of the leaving row to the unique neighboring vertex.
 
-    The edge direction d satisfies a_j^T d = 0 for the staying rows and
-    a_leaving^T d = -1; it is solved with the factors of v's basis.  The
-    candidates are the non-basis rows j with
+    The region is lp's first ``rows`` rows (all of lp's by default); v is a
+    vertex of it.  The edge direction d satisfies a_j^T d = 0 for the
+    staying rows and a_leaving^T d = -1; it is solved with the factors of
+    v's basis.  The candidates are the region's non-basis rows j with
     a_j^T d > RATIO_TOL, each with the ratio t_j = slack_j / a_j^T d; the
-    entering row is the candidate of least ratio.  If any other candidate's
-    ratio is within RATIO_TOL of that least one, the pivot is degenerate and
-    raises rather than picks.  The rule reads only the set of (row, ratio)
-    pairs, so it does not depend on the order of the rows.
+    entering row is the first candidate of least ratio.  If any other
+    candidate's ratio is within RATIO_TOL of that least one, the pivot is
+    degenerate and raises rather than picks.  The rule reads only the set of
+    (row, ratio) pairs, so it does not depend on the order of the rows.
+
+    The advances A d and slacks b - A x are read once each as Python
+    floats, and one pass keeps the least ratio and the least of the others:
+    the divisions and comparisons of the vectorized rule, bit for bit.
     """
     basis = v.basis
     if leaving not in basis:
         raise ValueError(f"row {leaving} is not in basis {basis}")
+    if rows is None:
+        A, b = lp.A, lp.b
+    elif basis[-1] < rows:
+        A, b = lp.A[:rows], lp.b[:rows]
+    else:
+        raise ValueError(f"basis {basis} is not in the first {rows} rows")
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
     d = lu_solve(basis_factors(lp, basis), rhs)
 
-    advance = lp.A @ d
-    slack = lp.b - lp.A @ v.point
-    candidate = advance > RATIO_TOL
-    candidate.put(basis, False)
-    rows = candidate.nonzero()[0]
-    if rows.size == 0:
+    advance = (A @ d).tolist()
+    slack = (b - A @ v.point).tolist()
+    for p in basis:
+        advance[p] = 0.0  # a basis row never enters
+    entering, t_min, t_next = -1, math.inf, math.inf
+    for j, a in enumerate(advance):
+        if a > RATIO_TOL:
+            t = slack[j] / a
+            if t < t_min:
+                entering, t_min, t_next = j, t, t_min
+            elif t < t_next:
+                t_next = t
+    if entering < 0:
         raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
-    t = slack[rows] / advance[rows]
-    k = int(t.argmin())
-    t_min = t[k]
-    if np.count_nonzero(t <= t_min + RATIO_TOL) > 1:
+    if t_next <= t_min + RATIO_TOL:
         raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
-    entering = int(rows[k])
 
     new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
     return Vertex(v.point + t_min * d, new_basis)
 
 
-def bland_simplex(lp: NormalizedLP, start: Vertex,
-                  objective: np.ndarray) -> Vertex:
+def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,
+                  rows: int | None = None) -> Vertex:
     """Deterministic reference simplex: maximize objective^T x from start.
 
-    Always leaves the facet of the smallest-index row with a negative conic
-    coefficient; optimality is certified by cone membership of the objective.
-    Gives up after 10 * C(m, n) pivots.  Each basis is factored once, and
+    The region is lp's first ``rows`` rows (all of lp's by default), and
+    start is a vertex of it.  Always leaves the facet of the smallest-index
+    row whose conic coefficient fails cone_membership's rule; optimality is
+    certified by cone membership of the objective.  Gives up after
+    10 * C(rows, n) pivots.  Each basis is factored once, in lp's memo, and
     its factors serve both its cone test and its pivot.
     """
-    max_pivots = 10 * math.comb(lp.m, lp.n)
+    max_pivots = 10 * math.comb(lp.m if rows is None else rows, lp.n)
     v = start
     for _ in range(max_pivots + 1):
         res = cone_membership(lp, v.basis, objective)
         if res.inside:
             return v
-        leaving = next(row for row, coeff in zip(v.basis, res.coeffs.tolist())
-                       if coeff < -CONE_TOL)
+        leaving = next(row for row, inside in zip(
+            v.basis, map(_in_cone, res.coeffs.tolist())) if not inside)
         try:
-            v = pivot_across_facet(lp, v, leaving)
+            v = pivot_across_facet(lp, v, leaving, rows=rows)
         except UnboundedEdge as exc:
             raise UnboundedLP("objective improves along an unbounded edge") from exc
     raise IterationLimit(f"exceeded {max_pivots} pivots")

@@ -10,9 +10,12 @@ import conewalk.phase1 as phase1_module
 import conewalk.reduction as reduction_module
 import conewalk.simplex as simplex_module
 import conewalk.walk as walk_module
-from conewalk.errors import ConewalkError
+from conewalk.errors import ConewalkError, DegeneratePivot, UnboundedEdge
+from conewalk.geometry import lu_factor, lu_solve
 from conewalk.lp import LinearProgram, NormalizedLP, normalize
 from conewalk.oracle import tu_instance_generator
+from conewalk.simplex import Vertex, basis_matrix
+from conewalk.tolerances import RATIO_TOL
 from conewalk.walk import WalkConfig
 
 SQRT2 = float(np.sqrt(2.0))
@@ -109,9 +112,10 @@ class SolveSpy:
       box row repeats an input row or its negation, but with the box
       radius as its right-hand side;
     - det_calls: how often np.linalg.det ran;
-    - pivots: (caller, program, vertex, leaving, result) for each
+    - pivots: (caller, program, vertex, leaving, rows, result) for each
       pivot_across_facet call phase 1 ("simplex", through bland_simplex)
-      and the walk ("walk") make, result being the Vertex or the type of
+      and the walk ("walk") make, rows being the region's row count (None
+      for all of the program's rows) and result the Vertex or the type of
       the error raised;
     - cone_tests: (program, basis, w, inside) for each cone_membership call
       bland_simplex makes (phase 1's cone tests);
@@ -185,15 +189,16 @@ class SolveSpy:
                         return real(matrix)
                     mp.setattr(module, "lu_factor", factor)
             for module in (simplex_module, walk_module):
-                def pivot(prog, v, leaving, real=module.pivot_across_facet,
+                def pivot(prog, v, leaving, *, rows=None,
+                          real=module.pivot_across_facet,
                           caller=module.__name__.rsplit(".", 1)[1]):
                     try:
-                        out = real(prog, v, leaving)
+                        out = real(prog, v, leaving, rows=rows)
                     except ConewalkError as exc:
-                        self.pivots.append((caller, prog, v, leaving,
+                        self.pivots.append((caller, prog, v, leaving, rows,
                                             type(exc)))
                         raise
-                    self.pivots.append((caller, prog, v, leaving, out))
+                    self.pivots.append((caller, prog, v, leaving, rows, out))
                     return out
                 mp.setattr(module, "pivot_across_facet", pivot)
             try:
@@ -237,17 +242,62 @@ def afresh(prog: NormalizedLP) -> NormalizedLP:
     return NormalizedLP(A=prog.A, b=prog.b, c=prog.c)
 
 
-def same_pivot(prog, v, leaving, result):
-    """Does the standalone pivot, on a copy of prog that factors afresh,
-    give result: the same Vertex, bit for bit, or the same error type?"""
-    prog = afresh(prog)
-    if isinstance(result, type):
-        with pytest.raises(result):
-            simplex_module.pivot_across_facet(prog, v, leaving)
-        return True
-    ref = simplex_module.pivot_across_facet(prog, v, leaving)
-    return (ref.basis == result.basis
-            and ref.point.tobytes() == result.point.tobytes())
+def prefix(prog: NormalizedLP, rows) -> NormalizedLP:
+    """The program of prog's first ``rows`` rows (prog itself for None),
+    built and validated by the public constructor."""
+    if rows is None:
+        return prog
+    return NormalizedLP(A=prog.A[:rows], b=prog.b[:rows], c=prog.c)
+
+
+def vectorized_pivot(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
+    """The former ratio test, vectorized in numpy, kept as the reference.
+
+    The candidates are the non-basis rows j with a_j^T d > RATIO_TOL; the
+    entering row is argmin's first least ratio, and another ratio within
+    RATIO_TOL of it raises DegeneratePivot.  It factors A_B afresh.
+    """
+    basis = v.basis
+    local = basis.index(leaving)
+    rhs = np.zeros(lp.n)
+    rhs[local] = -1.0
+    d = lu_solve(lu_factor(basis_matrix(lp, basis)), rhs)
+
+    advance = lp.A @ d
+    slack = lp.b - lp.A @ v.point
+    candidate = advance > RATIO_TOL
+    candidate.put(basis, False)
+    rows = candidate.nonzero()[0]
+    if rows.size == 0:
+        raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
+    t = slack[rows] / advance[rows]
+    k = int(t.argmin())
+    t_min = t[k]
+    if np.count_nonzero(t <= t_min + RATIO_TOL) > 1:
+        raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
+    entering = int(rows[k])
+
+    new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
+    return Vertex(v.point + t_min * d, new_basis)
+
+
+def pivot_outcome(pivot, *args, **kwargs):
+    """(entering basis, point bytes) of a pivot, or the class it raised."""
+    try:
+        w = pivot(*args, **kwargs)
+    except ConewalkError as exc:
+        return type(exc)
+    return w.basis, w.point.tobytes()
+
+
+def same_pivot(prog, v, leaving, rows, result):
+    """Does the standalone pivot over the region of prog's first ``rows``
+    rows (all for None), on a copy of prog that factors afresh, give
+    result: the same Vertex, bit for bit, or the same error type?"""
+    expected = result if isinstance(result, type) else (
+        result.basis, result.point.tobytes())
+    return pivot_outcome(simplex_module.pivot_across_facet, afresh(prog), v,
+                         leaving, rows=rows) == expected
 
 
 @pytest.fixture(scope="session")

@@ -265,13 +265,20 @@ class TestPhase1Vertex:
         regions = []
         real = phase1_module.bland_simplex
 
-        def checked(region, start, objective):
-            # the public constructor re-runs every check the region skipped
-            NormalizedLP(A=region.A, b=region.b, c=region.c)
-            regions.append(region)
-            return real(region, start, objective)
+        def checked(prog, start, objective, *, rows=None):
+            # the public constructor runs every check on the region, the
+            # first rows of the program the descent runs on
+            NormalizedLP(A=prog.A[:rows], b=prog.b[:rows], c=prog.c)
+            regions.append((prog, rows))
+            return real(prog, start, objective, rows=rows)
 
+        def vertex(walked, boxed, real=phase1_module.phase1_vertex):
+            given.append(boxed)
+            return real(walked, boxed)
+
+        given = []
         monkeypatch.setattr(phase1_module, "bland_simplex", checked)
+        monkeypatch.setattr(phase1_module, "phase1_vertex", vertex)
         lp = pad_redundant(tu_instance_generator("network", 4, 14, 11), 30, 11)
         rep = solve(lp, WalkConfig(seed=0))
         # phase 1 walks the kept rows: the tightest of each direction
@@ -282,11 +289,40 @@ class TestPhase1Vertex:
         assert (m, len(regions)) == (13, 13)
         boxed = bounding_box(walked, certified_radius(
             walked, delta_from_structure(walked)))
-        for i, region in enumerate(regions):
-            assert np.array_equal(region.A, boxed.A[:2 * n + i])
-            assert np.array_equal(region.b, boxed.b[:2 * n + i])
-            assert np.array_equal(region.c, nlp.c)
+        # every descent runs on the boxed program phase 1 was given, itself
+        assert [(prog is given[0], rows) for prog, rows in regions] == \
+            [(True, 2 * n + i) for i in range(m)]
+        for prog, _ in regions:
+            assert np.array_equal(prog.A, boxed.A)
+            assert np.array_equal(prog.b, boxed.b)
+            assert np.array_equal(prog.c, nlp.c)
         assert lp.is_feasible(rep.x, tol=1e-9)
+
+    def test_builds_no_program_per_row(self, monkeypatch):
+        # each descent bounds Bland's rule to boxed's first rows, so phase 1
+        # neither derives nor constructs a program: no prefix per row
+        import conewalk.phase1 as phase1_module
+
+        nlp = normalize(tu_instance_generator("network", 4, 14, 3))
+        boxed = bounding_box(nlp, certified_radius(
+            nlp, delta_from_structure(nlp)))
+        expected = phase1_vertex(nlp, boxed)
+        built = []
+
+        def derived(*args, real=phase1_module._derived, **kwargs):
+            built.append("derived")
+            return real(*args, **kwargs)
+
+        def post_init(self, real=NormalizedLP.__post_init__):
+            built.append("constructed")
+            real(self)
+
+        monkeypatch.setattr(phase1_module, "_derived", derived)
+        monkeypatch.setattr(NormalizedLP, "__post_init__", post_init)
+        v = phase1_vertex(nlp, boxed)
+        assert built == []
+        assert v.basis == expected.basis
+        assert v.point.tobytes() == expected.point.tobytes()
 
     def test_square_returns_a_vertex_of_the_region(self, unit_square):
         boxed = bounding_box(unit_square, 2.0)

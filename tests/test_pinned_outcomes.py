@@ -2,7 +2,9 @@
 
 ``pinned_solve_outcomes.jsonl`` holds one record per instance and solve
 seed: the basis, the bytes of x (as hex), the walk's steps, pivots, terms
-and retries, or the class of the error raised.  Every field must match
+and retries, or the class of the error raised, with an Infeasible's
+phase-1 witness (its iteration and the repr of its value) and an
+Unbounded's box row.  Every field must match
 exactly, so any change to the arithmetic or the random stream of a solve
 shows here.  Regenerate the file only when the walk changes (its random
 stream or its weight) or when a change means to alter the arithmetic;
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from conewalk import jsonio
-from conewalk.errors import ConewalkError
+from conewalk.errors import ConewalkError, Infeasible, Unbounded
 from conewalk.lp import LinearProgram
 from conewalk.oracle import tu_instance_generator
 from conewalk.reduction import solve
@@ -58,6 +60,11 @@ def instances() -> dict[str, LinearProgram]:
 def outcome(lp: LinearProgram, seed: int) -> dict:
     try:
         report = solve(lp, WalkConfig(seed=seed))
+    except Infeasible as exc:
+        return {"error": "Infeasible", "iteration": exc.iteration,
+                "value": repr(exc.value)}
+    except Unbounded as exc:
+        return {"error": "Unbounded", "box_row": exc.box_row}
     except ConewalkError as exc:
         return {"error": type(exc).__name__}
     (stats,) = report.levels

@@ -31,7 +31,15 @@ from conewalk.simplex import (
 from conewalk.tolerances import CONE_TOL, RATIO_TOL
 from conewalk.walk import WalkConfig
 
-from conftest import SQRT2, afresh, bounded_random_lp, same_pivot
+from conftest import (
+    SQRT2,
+    afresh,
+    bounded_random_lp,
+    pivot_outcome,
+    prefix,
+    same_pivot,
+    vectorized_pivot,
+)
 
 
 def running_min_pivot(lp, v, leaving):
@@ -80,7 +88,8 @@ def near_tie_square(cuts):
 
 
 def pivoted_vertices(lp, seed):
-    """(program, vertex, source) for each vertex a short solve pivots from.
+    """(program, vertex, source) for each vertex a short solve pivots from,
+    the program being the region the pivot was bounded to.
 
     Records the calls phase 1 makes through the simplex module and those
     the walk makes through its own import, before they run.
@@ -89,10 +98,12 @@ def pivoted_vertices(lp, seed):
     with pytest.MonkeyPatch.context() as mp:
         for module, source in ((simplex_module, "phase1"),
                                (walk_module, "walk")):
-            def recording(prog, v, leaving, inner=module.pivot_across_facet,
-                          source=source):
-                seen.setdefault((id(prog), v.basis), (prog, v, source))
-                return inner(prog, v, leaving)
+            def recording(prog, v, leaving, *, rows=None,
+                          inner=module.pivot_across_facet, source=source):
+                key = (id(prog), rows, v.basis)
+                if key not in seen:
+                    seen[key] = (prefix(prog, rows), v, source)
+                return inner(prog, v, leaving, rows=rows)
             mp.setattr(module, "pivot_across_facet", recording)
         mp.setattr(reduction_module, "MAX_RETRIES", 0)
         try:
@@ -304,6 +315,31 @@ class TestRatioTestRule:
                 assert w.basis == ref.basis
                 assert w.point.tobytes() == ref.point.tobytes()
 
+    @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
+    def test_agrees_bitwise_with_the_vectorized_rule(self, lp, seed):
+        # ties and unbounded edges included: the same class is raised
+        checked = 0
+        for prog, v, _ in pivoted_vertices(lp, seed):
+            for leaving in v.basis:
+                assert pivot_outcome(pivot_across_facet, prog, v, leaving) \
+                    == pivot_outcome(vectorized_pivot, prog, v, leaving)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("cuts", [(6e-10, 1.2e-9), (1.2e-9, 6e-10),
+                                      (6e-10, 1.7e-9), (1e-3, 1e-3)])
+    def test_near_ties_agree_with_the_vectorized_rule(self, cuts):
+        lp = near_tie_square(cuts)
+        v = vertex_of_basis(lp, (1, 2))
+        for rows in (None, 4, 5, 6):
+            assert pivot_outcome(pivot_across_facet, lp, v, 2, rows=rows) \
+                == pivot_outcome(vectorized_pivot, prefix(lp, rows), v, 2)
+
+    def test_a_region_must_hold_the_basis(self, unit_square):
+        v = vertex_of_basis(unit_square, (0, 1))
+        with pytest.raises(ValueError, match="first 1 rows"):
+            pivot_across_facet(unit_square, v, 0, rows=1)
+
     def test_running_minimum_misses_a_chained_tie(self):
         # the reference enters the 1.2e-9 cut silently in this row order,
         # although the other cut is 6e-10 away
@@ -315,29 +351,34 @@ class TestRatioTestRule:
 
 
 class TestMemoScope:
-    """A program owns its memo of basis factors: phase 1's prefixes share
-    the boxed program's, and every other program starts with its own,
-    empty one."""
+    """A program owns its memo of basis factors: phase 1's descents run on
+    the boxed program itself and read its memo, and every other program
+    starts with its own, empty one."""
 
-    def test_a_prefix_returns_the_boxed_programs_factors(self, monkeypatch):
-        regions = []
-        real = phase1_module.bland_simplex
+    def test_phase1_descents_read_the_boxed_programs_memo(self, monkeypatch):
+        descents, lookups = [], []
+        real_bland = phase1_module.bland_simplex
 
-        def recording(region, start, objective):
-            regions.append(region)
-            return real(region, start, objective)
+        def recording(prog, start, objective, *, rows=None):
+            descents.append((prog, rows))
+            return real_bland(prog, start, objective, rows=rows)
 
         monkeypatch.setattr(phase1_module, "bland_simplex", recording)
+        for module in (simplex_module, phase1_module):
+            def factors(prog, basis, real=module.basis_factors):
+                lookups.append((prog, basis, basis in prog.lu_memo))
+                return real(prog, basis)
+            monkeypatch.setattr(module, "basis_factors", factors)
         nlp = normalize(tu_instance_generator("network", 4, 14, 0))
         boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
         phase1_vertex(nlp, boxed)
-        shared = 0
-        for region in regions:
-            for basis, lu in list(boxed.lu_memo.items()):
-                if max(basis) < region.m:
-                    assert basis_factors(region, basis) is lu
-                    shared += 1
-        assert len(regions) == nlp.m and shared > nlp.m
+        n = nlp.n
+        assert descents == [(boxed, 2 * n + i) for i in range(nlp.m)]
+        assert all(prog is boxed for prog, _, _ in lookups)
+        assert set(boxed.lu_memo) == {basis for _, basis, _ in lookups}
+        # every descent starts at a basis factored before it, and each
+        # pivot reads the factors its cone test left
+        assert sum(hit for _, _, hit in lookups) > nlp.m
 
     def test_new_programs_start_with_an_empty_memo(self, unit_square):
         v = vertex_of_basis(unit_square, (0, 1))
@@ -370,9 +411,9 @@ class TestFactorMemo:
     def test_memo_answers_equal_the_standalone_functions(self, solve_spies):
         pivots = cone_tests = 0
         for spy in solve_spies:
-            for caller, prog, v, leaving, result in spy.pivots:
+            for caller, prog, v, leaving, rows, result in spy.pivots:
                 if caller == "simplex":
-                    assert same_pivot(prog, v, leaving, result)
+                    assert same_pivot(prog, v, leaving, rows, result)
                     pivots += 1
             for prog, basis, w, inside in spy.cone_tests:
                 assert cone_membership(afresh(prog), basis, w).inside == inside

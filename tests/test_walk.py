@@ -604,9 +604,10 @@ class TestBasisRecords:
                     assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
                     assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
                     records += 1
-            for caller, prog, v, leaving, result in spy.pivots:
+            for caller, prog, v, leaving, rows, result in spy.pivots:
                 if caller == "walk":
-                    assert same_pivot(prog, v, leaving, result)
+                    assert rows is None  # the walk's region is the program
+                    assert same_pivot(prog, v, leaving, rows, result)
                     pivots += 1
         assert records > len(solve_spies) and pivots > 0
 

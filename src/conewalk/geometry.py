@@ -72,8 +72,8 @@ def residual(v, basis) -> list[float]:
     Modified Gram-Schmidt with one re-orthogonalization pass, over Python
     floats: each coefficient is math.fsum of the rounded products, so it
     does not depend on a BLAS kernel.  basis holds the rows as float lists.
-    This is the vector orthonormal_basis would append for v, before
-    normalizing; find_independent_rows and dist_to_span test it too.
+    dist_to_span and find_independent_rows grow their orthonormal bases by
+    it: each appends v's residual divided by its norm.
     """
     w = list(map(float, v))
     for _ in range(2):
@@ -84,30 +84,20 @@ def residual(v, basis) -> list[float]:
     return w
 
 
-def orthonormal_basis(vectors) -> np.ndarray:
-    """Orthonormal basis of the span of the given vectors, as matrix rows.
-
-    Each vector's residual against the rows so far is appended, divided by
-    its norm (math.hypot), when that norm exceeds SINGULAR_TOL; the others
-    do not grow the rank.
-    """
-    basis: list[list[float]] = []
-    for v in vectors:
-        w = residual(v, basis)
-        norm = math.hypot(*w)
-        if norm > SINGULAR_TOL:
-            basis.append([x / norm for x in w])
-    if not basis:
-        return np.empty((0, len(np.atleast_1d(vectors[0])) if len(vectors) else 0))
-    return np.array(basis)
-
-
 def dist_to_span(v: np.ndarray, span_vectors) -> float:
     """Euclidean distance from v to the linear span of the given vectors.
 
-    An empty collection spans {0}, so the distance is ``||v||``.
+    The span's orthonormal basis grows by each vector's residual, divided
+    by its norm (math.hypot), when that norm exceeds SINGULAR_TOL.  An
+    empty collection spans {0}, so the distance is ``||v||``.
     """
-    return math.hypot(*residual(v, orthonormal_basis(span_vectors).tolist()))
+    basis: list[list[float]] = []
+    for u in span_vectors:
+        w = residual(u, basis)
+        norm = math.hypot(*w)
+        if norm > SINGULAR_TOL:
+            basis.append([x / norm for x in w])
+    return math.hypot(*residual(v, basis))
 
 
 def _check_unit(a: np.ndarray) -> np.ndarray:

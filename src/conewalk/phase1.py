@@ -26,7 +26,7 @@ from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
 from .geometry import lu_solve, residual
 from .lp import DeltaCertificate, NormalizedLP, _derived
 # Not called here: bound so that the span perfbench/tracing.py PATCH_POINTS
-# names on this module keeps resolving; ROADMAP item 7(c) deletes it.
+# names on this module keeps resolving; ROADMAP's stage records delete it.
 from .lp import delta_bruteforce  # noqa: F401
 from .simplex import (
     Basis,
@@ -42,8 +42,8 @@ def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
 
     A row is chosen when its distance to the span of the rows chosen before
     exceeds SPAN_TOL.  The orthonormal basis of that span grows by one row
-    per row chosen: the residual tested is the vector orthonormal_basis
-    would append for the row, and its norm is taken as there (math.hypot),
+    per row chosen, as dist_to_span grows its own: the residual tested is
+    the vector it appends for the row, divided by its norm (math.hypot),
     so every distance is dist_to_span's, bit for bit, and no basis is
     rebuilt.  The rows are read once as Python floats.
     """

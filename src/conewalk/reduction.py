@@ -35,7 +35,7 @@ from .errors import (
 )
 from .geometry import rotation_to_e1
 # Not called here: bound so that the spans perfbench/tracing.py PATCH_POINTS
-# names on this module keep resolving; ROADMAP item 7(c) deletes it.
+# names on this module keep resolving; ROADMAP's stage records delete it.
 from .identify import extract_element, verify_problem1  # noqa: F401
 from .lp import (
     DeltaCertificate,
@@ -151,7 +151,6 @@ class LevelStats:
     steps_taken still holds.
     """
 
-    n: int
     retries: int = 0               # failed full-budget attempts
     steps_taken: int = 0
     pivots: int = 0
@@ -205,7 +204,7 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
     with the tie's message.  Every term shares lp's walk memo, which
     changes no step (walk module docstring).
     """
-    stats = LevelStats(n=lp.n)
+    stats = LevelStats()
     for retry in range(MAX_RETRIES + 1):
         stats.retries = retry
         for term in count(1):
@@ -297,7 +296,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         # After the collapse each direction has one row and the box rows lie
         # beyond the margin: Bland's rule pivots at most once, with no tie.
         basis = bland_simplex(boxed, start, boxed.c).basis
-        stats = LevelStats(n=1)
+        stats = LevelStats()
     else:
         basis, stats = _las_vegas_walk(boxed, walk_cfg, start)
     x = phase1.solve_bounded(walked, boxed, basis)

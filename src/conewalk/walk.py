@@ -72,23 +72,11 @@ Direction = tuple[int, int]  # (basis row, +1 outward / -1 toward the facet)
 Draw = tuple[int, int, float]  # (basis position, sign, coin u in [0, 1))
 
 
-@dataclass(frozen=True)
-class Parallelepiped:
+class Parallelepiped(NamedTuple):
     """One grid cell: a basis plus lattice coordinates along its rays."""
 
-    basis: Basis
-    index: tuple[int, ...]  # aligned with the sorted basis, entries >= 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(sorted(self.basis)))
-        object.__setattr__(self, "index", tuple(int(k) for k in self.index))
-        if len(self.index) != len(self.basis):
-            raise ValueError("index length must match basis size")
-        if any(k < 0 for k in self.index):
-            raise ValueError("index entries must be non-negative")
-
-    def coordinate(self, row: int) -> int:
-        return self.index[self.basis.index(row)]
+    basis: Basis            # sorted
+    index: tuple[int, ...]  # coordinates >= 0, aligned with the sorted basis
 
 
 @dataclass(frozen=True)
@@ -128,7 +116,8 @@ class WalkConfig:
 class WalkOutcome:
     """How a walk ended: its final cell, whether c lies in that cell's
     cone, the message of the ratio-test tie that ended it (None when none
-    did), and its step counters."""
+    did), and its step counters.  Each step counted is accepted, rejected
+    or lazy: accepted_moves + rejected_moves + lazy_stays == steps_taken."""
 
     final: Parallelepiped
     stopped_with_c_in_cone: bool
@@ -138,10 +127,6 @@ class WalkOutcome:
     rejected_moves: int = 0
     lazy_stays: int = 0
     tie: str | None = None
-
-    def counters_consistent(self) -> bool:
-        return self.accepted_moves + self.rejected_moves + self.lazy_stays \
-            == self.steps_taken
 
 
 @dataclass
@@ -281,23 +266,15 @@ def _accepts(u: float, dlog: float) -> bool:
 _DRAW_BLOCK = 1024  # most raw 64-bit words read from the bit generator at once
 
 
-def _block_sizes(first: int) -> Iterator[int]:
-    """first, then doubling, up to _DRAW_BLOCK and _DRAW_BLOCK from then on."""
-    while first < _DRAW_BLOCK:
-        yield first
-        first *= 2
-    yield from repeat(_DRAW_BLOCK)
-
-
 def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
            ) -> Iterator[Draw]:
     """One draw (pos, sign, u) per step (2n <= 2^32): with rng =
     np.random.Generator(bitgen), choice = rng.integers(0, 2n) gives pos =
     choice // 2 and sign = +1 if choice is even else -1; then u = rng.random().
 
-    Reads the raw 64-bit words in blocks (_block_sizes(first): the sizes
-    change when words are read, never which) and decodes them as the
-    Generator does for PCG64:
+    Reads the raw 64-bit words in blocks, first words and then _DRAW_BLOCK
+    at a time (the sizes change when words are read, never which), and
+    decodes them as the Generator does for PCG64:
     - integers(0, k), k = 2n, takes 32-bit halves of words: the low half of
       a new word first, its high half kept for the next integer.  Lemire's
       rule maps a half x to (x*k) >> 32 and takes the next half instead
@@ -307,7 +284,8 @@ def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
     """
     k = 2 * n
     threshold = (1 << 32) % k
-    blocks = (bitgen.random_raw(size).tolist() for size in _block_sizes(first))
+    blocks = (bitgen.random_raw(size).tolist()
+              for size in chain([first], repeat(_DRAW_BLOCK)))
     word = chain.from_iterable(blocks).__next__  # endless
     half = None
     while True:
@@ -373,15 +351,16 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     it performs one step.  The membership test is applied once more after
     the final step.
 
-    Step by step the walk reads _draws(np.random.PCG64(cfg.seed), n), in
-    blocks whose first is 2 * cfg.steps words within [16, _DRAW_BLOCK] (a
-    step takes about 1.5).  A lazy coin ends the step without evaluating
-    the proposal; otherwise the proposal comes from step()'s kernel.  The
-    cell center is kept incrementally, and taken afresh by _center at the
-    start, on a pivot and every _RESYNC_INTERVAL-th step that is not lazy;
-    every l1 distance to alpha*c is taken by _l1.  With cfg.trace set, one
-    JSON record per step is written after the step; a lazy step's record
-    has log_weight_proposal null.  Tracing never changes the walk.
+    Step by step the walk reads _draws(np.random.PCG64(cfg.seed), n): a
+    first block of 2 * cfg.steps words within [16, _DRAW_BLOCK] (a step
+    takes about 1.5), then _DRAW_BLOCK words at a time.  A lazy coin ends
+    the step without evaluating the proposal; otherwise the proposal comes
+    from step()'s kernel.  The cell center is kept incrementally, and taken
+    afresh by _center at the start, on a pivot and every
+    _RESYNC_INTERVAL-th step that is not lazy; every l1 distance to
+    alpha*c is taken by _l1.  With cfg.trace set, one JSON record per step
+    is written after the step; a lazy step's record has
+    log_weight_proposal null.  Tracing never changes the walk.
 
     _beta scales the l1 term of the weight the walk follows, f_beta (see
     the module docstring); the default 1 is the paper's f.  The trace's

@@ -36,7 +36,13 @@ from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import WalkConfig
 
-from conftest import MIXED_ROWS, SQRT2, SolveSpy, bounded_random_lp
+from conftest import (
+    MIXED_ROWS,
+    SQRT2,
+    SolveSpy,
+    assert_exact_optimum,
+    bounded_random_lp,
+)
 
 
 def identifying_walk(alpha, outcomes):
@@ -505,6 +511,36 @@ class TestKnownDegeneratePivots:
         assert rep.value == pytest.approx(-ref.fun, abs=1e-9)
 
 
+# Bounded programs whose c is orthogonal to a recession direction, so the
+# optimal face reaches the box: the walk may stop at a box vertex's basis
+# whose cone holds c, and solve_bounded reads its box row as contact.
+WRONG_UNBOUNDED = [
+    # the half-strip x1 <= 1, 0 <= x2 <= 1, max x2: optimum 1 at (1, 1)
+    # (HiGHS); Unbounded(box_row=2) at every seed 0..19
+    pytest.param(LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                               b=[1.0, 1.0, 0.0], c=[0.0, 1.0]), seed,
+                 id=f"half-strip-seed{seed}")
+    for seed in range(3)
+] + [
+    # a cone with its optimum -8/49 at the apex: Unbounded(box_row=5) at
+    # seeds 0, 1, 4, 5, 6 and 9, the optimum at seeds 2, 3, 7 and 8
+    pytest.param(LinearProgram(A=[[2.0, -2.0, 0.0], [0.0, 0.0, -14.0],
+                                  [2.0, 0.0, 1.0]],
+                               b=[-2 / 7, -1 / 7, 5 / 7], c=[1.0, -1.0, -2.0]),
+                 0, id="cone-seed0"),
+]
+
+
+class TestKnownWrongVerdicts:
+    @pytest.mark.xfail(strict=True, raises=Unbounded,
+                       reason="the optimal face reaches the box, and a box "
+                              "row in the final basis reads as contact")
+    @pytest.mark.parametrize("lp, seed", WRONG_UNBOUNDED)
+    def test_bounded_program_solves_to_its_optimum(self, lp, seed):
+        rep = solve(lp, WalkConfig(seed=seed))
+        assert_exact_optimum(lp, rep.basis)
+
+
 class TestRestarts:
     """Each attempt walks on Luby's schedule, capped at the budget."""
 
@@ -726,7 +762,8 @@ class TestRestarts:
             "ratio-test tie leaving facet 16", None]
         for o in outcomes[:2]:
             assert not o.stopped_with_c_in_cone
-            assert o.counters_consistent()
+            assert o.accepted_moves + o.rejected_moves + o.lazy_stays == \
+                o.steps_taken
         assert sum(o.steps_taken for o in outcomes) == sum(rep.steps_per_level)
 
 
@@ -747,7 +784,7 @@ class TestOneDimension:
         for seed in range(200):
             rep = solve(lp, WalkConfig(seed=seed))
             assert (rep.basis, rep.x.tolist(), rep.value) == ((1,), [1.0], -1.0)
-            assert [(s.n, s.terms) for s in rep.levels] == [(1, 0)]
+            assert [s.terms for s in rep.levels] == [0]
 
     # (A, b, c) and the outcome recorded when a 1-D program was solved by
     # picking its tightest bound along c: basis and x bytes, or the error

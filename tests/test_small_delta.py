@@ -44,7 +44,8 @@ def test_k_gon_solves_to_the_oracle_optimum(K, s):
 
 
 # At K = 24 (delta 0.26) the short terms drift toward sign(c)'s cone, not
-# c's, and the full-budget term cannot make up for it (ROADMAP item 1).
+# c's, and the full-budget term cannot make up for it (ROADMAP: a reachable
+# target for the short Las Vegas terms).
 @pytest.mark.xfail(strict=True, raises=RetriesExhausted,
                    reason="11 full-budget walk terms end outside c's cone")
 def test_k_gon_24():

@@ -86,6 +86,8 @@ def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
     for key in ("n", "m", "A", "b", "c"):
         if key not in raw:
             raise CliError(f"{path} is missing required field {key!r}")
+        if key in ("n", "m") and type(raw[key]) is not int:
+            raise CliError(f"{path}: {key!r} must be an integer, got {raw[key]!r}")
     try:
         A = np.array(raw["A"], dtype=float)
         b = np.array(raw["b"], dtype=float)
@@ -169,8 +171,9 @@ def _solve_once(lp: LinearProgram, cert: DeltaCertificate,
     try:
         report = solve(lp, cfg, delta=cert)
     except Infeasible as exc:
+        row_norm = float(np.linalg.norm(lp.A[exc.iteration - 1]))
         return ({"status": "infeasible", "witness_iteration": exc.iteration,
-                 "witness_value": exc.value, "delta": cert.delta,
+                 "witness_value": exc.value * row_norm, "delta": cert.delta,
                  "delta_method": cert.method.value, "seed": cfg.seed},
                 EXIT_INFEASIBLE)
     except Unbounded as exc:

@@ -74,7 +74,8 @@ class Infeasible(ConewalkError):
 
     Carries the sequential-LP witness: the first constraint index whose
     minimum over the previously feasible region exceeds its right-hand side,
-    and that minimum value.
+    and that minimum value, for the row scaled to unit length as is the
+    message (the command line rescales the value to the file's row).
     """
 
     def __init__(self, message: str, iteration: int | None = None,
@@ -85,7 +86,7 @@ class Infeasible(ConewalkError):
 
 
 class Unbounded(ConewalkError):
-    """Certified: the optimum of the boxed system lies on the artificial box."""
+    """Certified: the boxed optimum's basis holds a box row (box_row: the least)."""
 
     def __init__(self, message: str, box_row: int | None = None) -> None:
         super().__init__(message)

@@ -13,8 +13,8 @@ rule descends on the boxed program itself, bounded to its first 2n + i
 rows, so no program is built per row and every basis is factored once in
 the boxed program's memo (lp.NormalizedLP.lu_memo).  solve finds the
 boxed optimum itself; solve_bounded, the last step, reads x from its
-basis's factors in that memo, and an optimum touching the box certifies
-unboundedness.  Nothing here imports the walk or the solver.
+basis's factors in that memo, or unboundedness from a box row in that
+basis.  Nothing here imports the walk or the solver.
 """
 from __future__ import annotations
 
@@ -84,8 +84,8 @@ def certified_radius(lp: NormalizedLP, cert: DeltaCertificate) -> float:
     Column j of A_B^{-1} has norm 1/dist(a_j, span(B minus j)) <= 1/delta,
     so every basic point satisfies ||x|| <= n * max|b| / delta.  The margin
     beyond that is 1, or twice the input's feasibility tolerance when that
-    is larger, so every box row is slack at every basic point by more than
-    the tolerance at which solve_bounded judges contact.  Only a
+    is larger, which rounding cannot erase at any max|b|: no box row meets
+    a basic point of the input, so none joins the basis of one.  Only a
     certificate sizes the box: a delta above the true separation would
     shrink the box onto a vertex and turn a bounded program into an
     "unbounded" verdict.  A radius whose box-corner slacks, about
@@ -148,25 +148,18 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     return v
 
 
-def solve_bounded(lp: NormalizedLP, boxed: NormalizedLP,
-                  basis: Basis) -> np.ndarray:
-    """The boxed optimum's point x, or the box's verdict that lp is unbounded.
+def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
+    """The boxed optimum's point x, or the box's verdict of unboundedness.
 
     basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``),
-    and x is solved with its factors in boxed's memo: solve's search left
-    them there, so nothing is factored again.  The first box row (positions
-    0..2n-1) that lies in the basis or is tight at x certifies
-    unboundedness.  Contact is judged at the input's tolerance,
-    as in phase1_vertex; degenerate contact counts too.  No input row can
-    hide a tight box row: a basis without box rows gives a basic point of
-    the input, and certified_radius leaves every box row slack there by
-    more than that tolerance.
+    sorted like every memo key.  A box row (positions 0..2n-1) in it
+    certifies unboundedness; the least, basis[0], is the error's box_row.
+    A basis of input rows proves its point optimal for the input, tight box
+    rows or not, so no tolerance is read.  x is solved with the basis's
+    factors in boxed's memo, where solve's search left them.
     """
-    x = lu_solve(basis_factors(boxed, basis), boxed.b[list(basis)])
-    ftol = lp.feas_tol()
-    for p in range(2 * lp.n):
-        if p in basis or abs(float(boxed.A[p] @ x - boxed.b[p])) <= ftol:
-            raise Unbounded(
-                "optimum of the boxed system lies on the artificial box",
-                box_row=p)
-    return x
+    if basis[0] < 2 * boxed.n:
+        raise Unbounded(
+            "optimum of the boxed system lies on the artificial box",
+            box_row=basis[0])
+    return lu_solve(basis_factors(boxed, basis), boxed.b[list(basis)])

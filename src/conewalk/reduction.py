@@ -264,10 +264,11 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     delta_method).  Phase 1 finds an initial vertex or a certified
     infeasibility.  The boxed program's optimal basis comes from one Las
     Vegas walk, or at n = 1 from Bland's rule started at the phase-1
-    vertex (at most one pivot); phase1.solve_bounded solves x with that
-    basis's factors, from the boxed program's memo, and reads the box's
-    verdict.  Reported positions (basis and the Infeasible witness) are
-    input positions, and the optimum is certified against every input row.
+    vertex (at most one pivot); phase1.solve_bounded raises Unbounded if
+    that basis holds a box row, else solves x with its factors from the
+    boxed program's memo.  Reported positions (basis and the Infeasible
+    witness) are input positions, Infeasible's value is for the row
+    scaled to unit length, and x is certified against every input row.
     Raises Infeasible or Unbounded with certificates, RetriesExhausted if
     MAX_RETRIES + 1 full-budget walk attempts fail, and TooLarge if delta
     is too small for a finite box radius or walk parameters, at every n.
@@ -299,8 +300,8 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         stats = LevelStats()
     else:
         basis, stats = _las_vegas_walk(boxed, walk_cfg, start)
-    x = phase1.solve_bounded(walked, boxed, basis)
-    # no box row is in the basis: solve_bounded raised Unbounded otherwise
+    x = phase1.solve_bounded(boxed, basis)
+    # a basis of input rows: solve_bounded raised Unbounded on a box row
     basis = tuple(sorted(int(kept[p - 2 * boxed.n]) for p in basis))
 
     if not nlp.is_feasible(x):

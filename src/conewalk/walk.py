@@ -85,7 +85,7 @@ class WalkConfig:
 
     alpha: float | None = None
     steps: int | None = None
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0  # solve: a SeedSequence per term
     trace: IO[str] | None = None
 
     def resolved(self, n: int, delta: float) -> "WalkConfig":

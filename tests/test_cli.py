@@ -122,6 +122,20 @@ class TestSolveCommand:
         assert report["status"] == "infeasible"
         assert report["witness_iteration"] == 2
 
+    def test_infeasible_witness_value_is_in_the_file_rows_units(
+            self, capsys, tmp_path):
+        # row 4, 2x <= 1, normalizes to x <= 0.5; its minimum over x >= 0.6
+        # is 0.6 for the normalized row and 1.2 for the file's
+        raw = {"n": 2, "m": 4, "A": [[-1, 0], [0, 1], [0, -1], [2, 0]],
+               "b": [-0.6, 1, 0, 1], "c": [1, 1]}
+        path = tmp_path / "scaled-witness.json"
+        path.write_text(json.dumps(raw))
+        code, out = run_cli(capsys, ["solve", "--input", str(path)])
+        report = json.loads(out)
+        assert (code, report["witness_iteration"]) == (2, 4), report
+        assert report["witness_value"] > raw["b"][3]
+        assert report["witness_value"] == pytest.approx(1.2, rel=1e-12)
+
     def test_unbounded_exit_code(self, capsys, unbounded_file):
         code, out = run_cli(capsys, ["solve", "--input", unbounded_file])
         assert code == 3
@@ -149,6 +163,18 @@ class TestSolveCommand:
         bad.write_text(text)
         assert_one_error_record(capsys, ["solve", "--input", str(bad)],
                                 "must hold a JSON object")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", True), ("n", 1.0), ("m", 2.0), ("m", "2"), ("m", None)])
+    def test_n_and_m_must_be_json_integers(self, capsys, tmp_path, field,
+                                           value):
+        # (2, 1) == (2.0, True): a shape check alone would accept these
+        raw = {"n": 1, "m": 2, "A": [[1], [-1]], "b": [1, 0], "c": [1],
+               field: value}
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(raw))
+        assert_one_error_record(capsys, ["solve", "--input", str(path)],
+                                f"{field!r} must be an integer, got {value!r}")
 
     @pytest.mark.parametrize("field", ["A", "b", "c"])
     def test_number_past_the_float_range_is_malformed(self, capsys, tmp_path,

@@ -437,13 +437,26 @@ class TestSolveBoundedViaSolve:
         boxed = bounding_box(nlp, 1.0)
         basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
         with pytest.raises(Unbounded) as info:
-            solve_bounded(nlp, boxed, basis)
+            solve_bounded(boxed, basis)
         assert info.value.box_row == 0  # x_1 <= 1, the first box row
 
-    @pytest.mark.parametrize("scale", [1e7, 1e12])
+    def test_a_tight_box_row_outside_the_basis_is_not_contact(self):
+        # a box of radius 1 passes through the unit square's optimum (1, 1):
+        # box rows 0 and 1 are tight there, but the basis (4, 5) holds the
+        # input rows x <= 1 and y <= 1 alone, which prove (1, 1) optimal
+        nlp = normalize(LinearProgram(
+            A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            b=[1.0, 1.0, 0.0, 0.0], c=[1.0, 1.0]))
+        boxed = bounding_box(nlp, 1.0)
+        x = solve_bounded(boxed, (4, 5))
+        assert x.tolist() == [1.0, 1.0]
+        assert (boxed.A[:2] @ x).tolist() == boxed.b[:2].tolist()
+
+    @pytest.mark.parametrize("scale", [1e7, 1e12, 1e16])
     def test_large_rhs_optimum_is_not_box_contact(self, scale):
-        # the feasibility tolerance 1e-7 * (1 + max|b|) exceeds 1 here; a
-        # margin of 1 would leave the box row within it of the optimum
+        # the feasibility tolerance 1e-7 * (1 + max|b|) exceeds 1 here; at
+        # 1e16 a margin of 1 rounds away, the box row meets the optimum and
+        # the ratio test ties, while twice the tolerance keeps them apart
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[scale, 0.0], c=[1.0])
         rep = solve(lp, WalkConfig(seed=0))
         assert rep.basis == (0,)
@@ -476,7 +489,7 @@ class TestSolveBoundedViaSolve:
         boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
         basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
         assert basis in boxed.lu_memo
-        x = solve_bounded(nlp, boxed, basis)
+        x = solve_bounded(boxed, basis)
         rows = list(basis)
         ref = lu_solve(lu_factor(boxed.A[rows]), boxed.b[rows])
         assert x.tobytes() == ref.tobytes()
@@ -514,10 +527,10 @@ class TestSolveBoundedViaSolve:
             records.append(prog.walk_memo[basis])
             return basis, stats
 
-        def bounded(lp, boxed, basis, real=phase1_module.solve_bounded):
+        def bounded(boxed, basis, real=phase1_module.solve_bounded):
             memoized.append(basis in boxed.lu_memo)
             try:
-                return real(lp, boxed, basis)
+                return real(boxed, basis)
             finally:
                 state["after_phase1"] = False
 

@@ -73,6 +73,20 @@ def _positive(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
+def _check_numbers(path: str, key: str, value) -> None:
+    """CliError naming key unless every entry of the nested lists value is
+    a JSON number: a string or a boolean is not one, though numpy would
+    read it as one."""
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if type(item) is list:
+            todo.extend(reversed(item))
+        elif type(item) not in (int, float):
+            raise CliError(f"{path}: entries of {key!r} must be JSON numbers, "
+                           f"got {item!r}")
+
+
 def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
     """Read an instance file; returns the program and the raw record."""
     try:
@@ -88,6 +102,8 @@ def load_lp_file(path: str) -> tuple[LinearProgram, dict]:
             raise CliError(f"{path} is missing required field {key!r}")
         if key in ("n", "m") and type(raw[key]) is not int:
             raise CliError(f"{path}: {key!r} must be an integer, got {raw[key]!r}")
+    for key in ("A", "b", "c"):
+        _check_numbers(path, key, raw[key])
     try:
         A = np.array(raw["A"], dtype=float)
         b = np.array(raw["b"], dtype=float)

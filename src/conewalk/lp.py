@@ -105,9 +105,8 @@ class NormalizedLP(LinearProgram):
 
     lu_memo maps a sorted basis to the LU factors of A_B; only
     simplex.basis_factors reads and fills it.  walk_memo maps a sorted
-    basis to the walk's record of it, and a (basis, leaving row) pair to
-    the basis across that facet; only walk._record and walk._pivot read
-    and fill it.  Every program starts with both empty: no program shares
+    basis to the walk's record of it; only walk._record reads and fills
+    it.  Every program starts with both empty: no program shares
     another's memo, and phase 1 bounds its descents to the boxed program's
     first rows instead of building programs of them.
     """

@@ -20,6 +20,7 @@ the projected rows by the rule solve applies to the input.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from itertools import count
 
@@ -183,9 +184,9 @@ class SolveReport:
 
 
 def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
-                    start: Vertex) -> tuple[Basis, LevelStats]:
-    """Walk lp from start to an optimal basis: the basis, whose factors the
-    walk left in lp's memo, and the walk's stats.
+                    start: Basis) -> tuple[Basis, LevelStats]:
+    """Walk lp from the sorted start basis to an optimal basis: the basis,
+    whose factors the walk left in lp's memo, and the walk's stats.
 
     cfg is resolved (WalkConfig.resolved): its alpha and steps are set.  An
     attempt is a series of terms on Luby's schedule: term t walks
@@ -270,10 +271,15 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     witness) are input positions, Infeasible's value is for the row
     scaled to unit length, and x is certified against every input row.
     Raises Infeasible or Unbounded with certificates, RetriesExhausted if
-    MAX_RETRIES + 1 full-budget walk attempts fail, and TooLarge if delta
-    is too small for a finite box radius or walk parameters, at every n.
-    A delta that is not a DeltaCertificate raises TypeError before any
-    work: a bare number would size the box unchecked.
+    MAX_RETRIES + 1 full-budget walk attempts fail, TooLarge if delta is
+    too small for a finite box radius or walk parameters, at every n, and
+    ConewalkError if the certificate rejects the optimum it reconstructed
+    (x infeasible for an input row beyond the feasibility tolerance, or c
+    outside the reported basis's cone).  Before any work, a delta that is
+    not a DeltaCertificate raises TypeError (a bare number would size the
+    box unchecked), and so does a cfg.seed that is not an integer
+    (operator.index: numpy integers pass); a negative seed raises
+    ValueError.
     """
     if delta is not None and not isinstance(delta, DeltaCertificate):
         raise TypeError(
@@ -282,6 +288,14 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
             "certificate from delta_bruteforce, delta_from_structure or "
             "delta_integer_bound to set the row separation")
     cfg = cfg or WalkConfig()
+    try:
+        seed = operator.index(cfg.seed)
+    except TypeError:
+        raise TypeError(f"WalkConfig.seed must be a non-negative integer, "
+                        f"got {cfg.seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"WalkConfig.seed must be a non-negative integer, "
+                         f"got {cfg.seed!r}")
     nlp = normalize(lp)
     kept, walked = walked_program(nlp)
 
@@ -299,7 +313,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
         basis = bland_simplex(boxed, start, boxed.c).basis
         stats = LevelStats()
     else:
-        basis, stats = _las_vegas_walk(boxed, walk_cfg, start)
+        basis, stats = _las_vegas_walk(boxed, walk_cfg, start.basis)
     x = phase1.solve_bounded(boxed, basis)
     # a basis of input rows: solve_bounded raised Unbounded on a box row
     basis = tuple(sorted(int(kept[p - 2 * boxed.n]) for p in basis))

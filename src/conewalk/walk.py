@@ -25,9 +25,9 @@ center() and log_weight() are from-scratch references for tests.
 
 The program keeps, in lp.walk_memo, one record per basis a walk enters
 (_record): the vertex (A_B x = b_B), the scaled rows A_B / n^2, the cell
-volume (log |det A_B|) and the in-cone stop (A_B^T mu = c); and the basis
-across every facet a walk pivots over (_pivot, from the record's vertex
-along A_B d = -e_k).  All read the program's LU factors of A_B
+volume (log |det A_B|), the in-cone stop (A_B^T mu = c), and the basis
+across every facet a walk has pivoted over (_pivot, from the vertex along
+A_B d = -e_k).  All read the program's LU factors of A_B
 (simplex.basis_factors), shared with phase 1.  They depend only on the
 program, so every walk of it shares them, and sharing changes no step.
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
@@ -85,7 +85,9 @@ class WalkConfig:
 
     alpha: float | None = None
     steps: int | None = None
-    seed: int | np.random.SeedSequence = 0  # solve: a SeedSequence per term
+    # solve takes an int >= 0 and walks term t of retry r on
+    # SeedSequence([seed, 0, r, t]); run_walk takes either
+    seed: int | np.random.SeedSequence = 0
     trace: IO[str] | None = None
 
     def resolved(self, n: int, delta: float) -> "WalkConfig":
@@ -187,6 +189,7 @@ class _BasisRecord(NamedTuple):
     row_lists: list[list[float]]  # rows as float lists, for in-cone moves
     log_vol: float                # log of the cell volume
     in_cone: bool                 # c lies in the basis cone: the basis is optimal
+    across: dict[int, Basis]      # leaving row -> the basis across its facet
 
 
 def _record(lp: NormalizedLP, basis: Basis) -> _BasisRecord:
@@ -199,17 +202,16 @@ def _record(lp: NormalizedLP, basis: Basis) -> _BasisRecord:
         rec = lp.walk_memo[basis] = _BasisRecord(
             basis, lu_solve(lu, lp.b.take(basis)), rows, rows.tolist(),
             log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),
-            cone_membership(lp, basis, lp.c).inside)
+            cone_membership(lp, basis, lp.c).inside, {})
     return rec
 
 
 def _pivot(lp: NormalizedLP, rec: _BasisRecord, leaving: int) -> Basis:
-    """The basis across the facet of row leaving: read from lp.walk_memo,
-    keyed (basis, leaving), or pivoted from the record's vertex and kept."""
-    key = (rec.basis, leaving)
-    out = lp.walk_memo.get(key)
+    """The basis across the facet of row leaving: read from rec.across, or
+    pivoted from the record's vertex and kept there."""
+    out = rec.across.get(leaving)
     if out is None:
-        out = lp.walk_memo[key] = pivot_across_facet(
+        out = rec.across[leaving] = pivot_across_facet(
             lp, Vertex(rec.point, rec.basis), leaving).basis
     return out
 
@@ -235,9 +237,10 @@ def _propose(lp: NormalizedLP, ac: list[float], rec: _BasisRecord,
     Moving inward (-1) at lattice coordinate 0 crosses the cone facet: the
     basis pivots (_pivot), and the shared-facet grid identifies the new
     cell's coordinates (staying rows keep theirs, the entering row starts
-    at 0).  Returns (rec, index, z, l1, dlog) of the proposal, where index
-    is None when the move stays in the cone (the caller then adds sign to
-    index[pos]) and dlog = log f_beta(proposal) - log f_beta(current)
+    at 0).  Any other move keeps the record and adds sign to index[pos].
+    Returns (rec, index, z, l1, dlog) of the proposal, with index a new
+    list, so the move pivoted iff the record returned is not rec, and
+    dlog = log f_beta(proposal) - log f_beta(current)
     = beta * (l1 - l1_new) + (log_vol_new - log_vol); beta = 1 is f.
 
     The center z and ac = alpha*c are float lists.  A move inside the cone
@@ -245,10 +248,11 @@ def _propose(lp: NormalizedLP, ac: list[float], rec: _BasisRecord,
     cell's center by _center.  Both take the l1 distance by _l1.
     """
     if sign > 0 or index[pos] > 0:
-        row = rec.row_lists[pos]
-        z_new = list(map(add if sign > 0 else sub, z, row))
+        new_index = list(index)
+        new_index[pos] += sign
+        z_new = list(map(add if sign > 0 else sub, z, rec.row_lists[pos]))
         l1_new = _l1(z_new, ac)
-        return rec, None, z_new, l1_new, beta * (l1 - l1_new)
+        return rec, new_index, z_new, l1_new, beta * (l1 - l1_new)
     new_rec = _record(lp, _pivot(lp, rec, rec.basis[pos]))
     coords = dict(zip(rec.basis, index))
     new_index = [coords.get(r, 0) for r in new_rec.basis]
@@ -324,16 +328,13 @@ def step(lp: NormalizedLP, cfg: WalkConfig, cell: Parallelepiped,
     l1 = _l1(z, ac)
     rec_new, index_new, _, l1_new, dlog = _propose(
         lp, ac, rec, cell.index, z, l1, pos, sign)
-    pivoted = index_new is not None
-    if not pivoted:
-        index_new = list(cell.index)
-        index_new[pos] += sign
     proposal = Parallelepiped(rec_new.basis, tuple(index_new))
 
     lazy = u >= 0.5
     accepted = not lazy and _accepts(u, dlog)
     info = StepInfo(direction=(cell.basis[pos], sign), proposal=proposal,
-                    accepted=accepted, pivoted=pivoted and accepted, lazy=lazy,
+                    accepted=accepted, pivoted=accepted and rec_new is not rec,
+                    lazy=lazy,
                     log_weight=-l1 + rec.log_vol,
                     log_weight_proposal=-l1_new + rec_new.log_vol)
     return (proposal if accepted else cell), info
@@ -342,14 +343,13 @@ def step(lp: NormalizedLP, cfg: WalkConfig, cell: Parallelepiped,
 _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
 
 
-def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
+def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Basis, *,
              _beta: float = 1.0) -> WalkOutcome:
-    """Run the walk from the apex cell of the start vertex's cone.
+    """Run the walk from the apex cell of the sorted start basis's cone.
 
-    Only start.basis is read.  Each iteration first stops if the objective
-    lies in the current cone (the current basis is then optimal); otherwise
-    it performs one step.  The membership test is applied once more after
-    the final step.
+    Each iteration first stops if the objective lies in the current cone
+    (the current basis is then optimal); otherwise it performs one step.
+    The membership test is applied once more after the final step.
 
     Step by step the walk reads _draws(np.random.PCG64(cfg.seed), n): a
     first block of 2 * cfg.steps words within [16, _DRAW_BLOCK] (a step
@@ -380,7 +380,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
     ac = (cfg.alpha * lp.c).tolist()
     trace = cfg.trace
 
-    rec = _record(lp, start.basis)
+    rec = _record(lp, start)
     index = [0] * n
     z = _center(rec, index)
     l1 = _l1(z, ac)
@@ -407,13 +407,9 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
             lw_proposal = -_beta * l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
             if accepted:
-                if new_index is None:
-                    index[pos] += sign
-                else:
-                    index = new_index
-                    pivoted = True
-                    pivots += 1
-                rec, z, l1 = new_rec, z_new, l1_new
+                pivoted = new_rec is not rec
+                pivots += pivoted
+                rec, index, z, l1 = new_rec, new_index, z_new, l1_new
                 accepted_moves += 1
             else:
                 rejected_moves += 1
@@ -425,7 +421,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Vertex, *,
             trace.write(json_line({
                 "step": steps,
                 "basis": list(rec.basis),
-                "k": list(index),
+                "k": index,
                 "direction": [row, sign],
                 "log_weight": lw,
                 "log_weight_proposal": lw_proposal,

@@ -176,6 +176,22 @@ class TestSolveCommand:
         assert_one_error_record(capsys, ["solve", "--input", str(path)],
                                 f"{field!r} must be an integer, got {value!r}")
 
+    @pytest.mark.parametrize("value", ["1", "1e0", " 1 ", True, False])
+    @pytest.mark.parametrize("field", ["A", "b", "c"])
+    def test_array_entries_must_be_json_numbers(self, capsys, tmp_path, field,
+                                                value):
+        # numpy reads "1", " 1 " and true as 1.0: without the check each of
+        # these files solves the unit square and exits 0
+        raw = {"n": 2, "m": 4, "A": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+               "b": [1, 1, 0, 0], "c": [1, 1]}
+        row = raw[field][0] if field == "A" else raw[field]
+        row[0] = value
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(raw))
+        assert_one_error_record(
+            capsys, ["solve", "--input", str(path)],
+            f"entries of {field!r} must be JSON numbers, got {value!r}")
+
     @pytest.mark.parametrize("field", ["A", "b", "c"])
     def test_number_past_the_float_range_is_malformed(self, capsys, tmp_path,
                                                       field):

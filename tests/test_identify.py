@@ -37,7 +37,7 @@ class TestVerifyProblem1:
     def test_walk_output_most_seeds(self, unit_square):
         # a stopped walk solves the target problem with c' = c itself;
         # otherwise the scaled final center must verify
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         good = 0
         for seed in range(100):
             cfg = WalkConfig(seed=seed, steps=363).resolved(2, 1.0)

@@ -14,6 +14,7 @@ import pytest
 import conewalk
 import conewalk.geometry as geometry
 from conewalk.errors import (
+    ConewalkError,
     DegeneratePivot,
     Infeasible,
     ObjectiveVanishes,
@@ -47,7 +48,7 @@ from conftest import (
 
 def identifying_walk(alpha, outcomes):
     """A fake run_walk whose every walk ends outside the cone, in a cell of
-    the start vertex's cone whose center over alpha is the objective up to
+    the start basis's cone whose center over alpha is the objective up to
     rounding: an outcome verify_problem1 would pass.  Each (walked
     program, outcome) is appended to ``outcomes``.
     """
@@ -55,8 +56,7 @@ def identifying_walk(alpha, outcomes):
     from conewalk.simplex import basis_matrix
     from conewalk.walk import Parallelepiped, WalkOutcome
 
-    def fake_run_walk(nlp, cfg, start_vertex, _beta=1.0):
-        basis = start_vertex.basis
+    def fake_run_walk(nlp, cfg, basis, _beta=1.0):
         mu = lu_solve(lu_factor(basis_matrix(nlp, basis).T), nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
         cell = Parallelepiped(basis=basis, index=tuple(index))
@@ -371,6 +371,32 @@ class TestSolve:
             with pytest.raises(TypeError, match="DeltaCertificate"):
                 solve(lp, WalkConfig(seed=0), delta=delta)
 
+    @pytest.mark.parametrize("seed, error", [
+        (np.random.SeedSequence(5), TypeError), (1.5, TypeError),
+        ("1", TypeError), (None, TypeError), (-1, ValueError),
+        (np.int64(-3), ValueError)])
+    def test_bad_seed_rejected_before_any_work(self, monkeypatch, seed, error):
+        # each once failed only at the first walk term, after normalize,
+        # the collapse, delta, the box and phase 1, with numpy's message
+        import conewalk.reduction as reduction_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve did work before checking the seed")
+
+        monkeypatch.setattr(reduction_module, "normalize", forbidden)
+        lp = tu_instance_generator("network", 4, 14, 3)
+        with pytest.raises(error, match=r"^WalkConfig\.seed must be a "
+                                        r"non-negative integer, got "):
+            solve(lp, WalkConfig(seed=seed))
+
+    @pytest.mark.parametrize("seed", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_seed_solves_as_its_int(self, seed):
+        lp = tu_instance_generator("network", 4, 14, 3)
+        rep = solve(lp, WalkConfig(seed=seed))
+        want = solve(lp, WalkConfig(seed=2))
+        assert (rep.basis, rep.x.tobytes(), rep.steps_per_level) == \
+            (want.basis, want.x.tobytes(), want.steps_per_level)
+
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])
         rep = solve(lp, WalkConfig(seed=0))
@@ -541,6 +567,32 @@ class TestKnownWrongVerdicts:
         assert_exact_optimum(lp, rep.basis)
 
 
+class TestKnownCertificateRejections:
+    # Rows spanning eleven orders of magnitude: HiGHS calls the program
+    # infeasible, yet a point lies within 3.7e-8 of every normalized row.
+    # The phase-1 start vertex violates the sixth row, normalized, by
+    # 1.76e-7, past the normalized program's feasibility tolerance of
+    # 1.18e-7, so at seeds 0-4 solve's certificate rejects the optimum it
+    # reconstructs.
+    DRIFT = LinearProgram(
+        A=[[-1e4, 1e4], [2e-4, 0], [1e7, 2e7], [0, -2e6], [-1e-8, -1e-8],
+           [-1e5, 1e5]],
+        b=[2.5e-7, 9.999999999999999e-6, -2.5, 1e-3, 2.5e-9, 5e-9],
+        c=[0, -1])
+
+    @pytest.mark.xfail(strict=True, raises=ConewalkError,
+                       reason="phase 1's start vertex drifts past the "
+                              "feasibility tolerance: the certificate "
+                              "raises 'reconstructed optimum is infeasible'")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_phase1_start_within_the_feasibility_tolerance(self, seed):
+        try:
+            rep = solve(self.DRIFT, WalkConfig(seed=seed))
+        except Infeasible:
+            return  # a certified verdict, as HiGHS gives
+        assert self.DRIFT.is_feasible(rep.x)
+
+
 class TestRestarts:
     """Each attempt walks on Luby's schedule, capped at the budget."""
 
@@ -559,7 +611,7 @@ class TestRestarts:
         import conewalk.reduction as reduction_module
         from conewalk.walk import Parallelepiped, WalkOutcome
 
-        cell = Parallelepiped(basis=start.basis, index=(0,) * lp.n)
+        cell = Parallelepiped(basis=start, index=(0,) * lp.n)
         calls = []
 
         def fake_run_walk(nlp, cfg, s, _beta=1.0):
@@ -588,7 +640,7 @@ class TestRestarts:
         from conewalk.errors import RetriesExhausted
         from conewalk.reduction import RESTART_UNIT, luby
 
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         calls = self.recording_walk(monkeypatch, unit_square, start)
         verified = []
         real_verify = reduction_module.verify_problem1
@@ -617,13 +669,13 @@ class TestRestarts:
 
     def test_counters_sum_over_terms_and_attempts(self, monkeypatch,
                                                   unit_square):
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         # budget 100: terms of 64 and 64 steps, then the full budget; the
         # first attempt fails, the second stops in the cone in its 2nd term
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=5)
         basis, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
-        assert basis == start.basis  # the in-cone term's final basis
+        assert basis == start  # the in-cone term's final basis
         assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
         assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
         assert stats.steps_taken == stats.accepted_moves == 356
@@ -631,11 +683,11 @@ class TestRestarts:
 
     def test_short_term_degenerate_pivot_moves_on(self, monkeypatch,
                                                   unit_square):
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     in_cone_at=3, degenerate_at=(2,))
         basis, stats = self.walk(monkeypatch, unit_square, start, 1000, 0)
-        assert basis == start.basis
+        assert basis == start
         assert [steps for steps, _ in calls] == [64, 64, 128]
         assert (stats.terms, stats.degenerate_ends, stats.retries) == (3, 1, 0)
         # the ended term counts the 32 steps it completed before the tie
@@ -645,7 +697,7 @@ class TestRestarts:
     def test_full_budget_degenerate_pivot_propagates(self, monkeypatch,
                                                      unit_square):
         from conewalk.errors import DegeneratePivot
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         calls = self.recording_walk(monkeypatch, unit_square, start,
                                     degenerate_at=(3,))
         with pytest.raises(DegeneratePivot):
@@ -658,7 +710,7 @@ class TestRestarts:
         from conewalk.errors import RetriesExhausted
         from conewalk.walk import Parallelepiped, WalkOutcome
 
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))  # far from alpha*c
         fake = WalkOutcome(final=cell, stopped_with_c_in_cone=False,
                            steps_taken=46)
@@ -909,7 +961,7 @@ class TestShortTermPull:
         first = records[:next(i for i, r in enumerate(records[1:], 1)
                               if r["step"] == 1)]
         assert len(first) == 64
-        cell = Parallelepiped(start.basis, (0,) * nlp.n)
+        cell = Parallelepiped(start, (0,) * nlp.n)
         for rec in first:
             l1 = float(np.sum(np.abs(center(nlp, cell) - cfg.alpha * nlp.c)))
             assert rec["log_weight"] == pytest.approx(
@@ -1030,9 +1082,10 @@ def test_one_function_factors_a_basis():
     # program's factors in its memo; geometry has no one-off solve beside
     # it; and no function takes an LU or a memo of factors or walk records
     # through a private parameter: run_walk's _beta is the only one.  A
-    # second factor path has to break one of these.  Likewise the program's walk memo is read and filled only
-    # by walk._record and walk._pivot; lp only declares it and starts
-    # _derived's empty.
+    # second factor path has to break one of these.  Likewise the program's
+    # walk memo is read and filled only by walk._record (walk._pivot fills
+    # a record, not the memo); lp only declares it and starts _derived's
+    # empty.
     package = Path(conewalk.__file__).resolve().parent
     users, private, memo = set(), [], set()
     for path in sorted(package.glob("*.py")):
@@ -1060,7 +1113,6 @@ def test_one_function_factors_a_basis():
     assert users == {("simplex", "basis_factors")}
     assert private == [("walk", "run_walk", "_beta")]
     assert memo == {("walk", "_record", "Attribute"),
-                    ("walk", "_pivot", "Attribute"),
                     ("lp", None, "Name"),  # NormalizedLP's field
                     ("lp", "_derived", "keyword")}
     assert not hasattr(geometry, "solve_square")

@@ -13,7 +13,11 @@ from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
 from conewalk.reduction import certify_delta
-from conewalk.simplex import cone_membership, vertex_of_basis
+from conewalk.simplex import (
+    cone_membership,
+    pivot_across_facet,
+    vertex_of_basis,
+)
 from conewalk.walk import (
     Parallelepiped,
     WalkConfig,
@@ -206,7 +210,7 @@ class TestStep:
 
     def test_seeded_replay(self, unit_square):
         cfg = WalkConfig(alpha=32.0, steps=25, seed=123)
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         a = run_walk(unit_square, cfg.resolved(2, 1.0), start)
         b = run_walk(unit_square, cfg.resolved(2, 1.0), start)
         assert a.final == b.final
@@ -269,10 +273,11 @@ class TestInConeMove:
             z = rng.standard_normal(n) * scale
             ac = (rng.standard_normal(n) * 100.0).tolist()
             pos, sign = int(rng.integers(0, n)), int(rng.choice((-1, 1)))
-            _, index, z_new, l1_new, _ = _propose(
+            same_rec, index, z_new, l1_new, _ = _propose(
                 lp, ac, rec, [1] * n, z.tolist(), 0.0, pos, sign)
             ref = z + sign * rec.rows[pos]
-            assert index is None
+            assert same_rec is rec
+            assert index == [1 + sign if i == pos else 1 for i in range(n)]
             assert np.array(z_new).tobytes() == ref.tobytes()
             assert l1_new == _l1(ref.tolist(), ac)
 
@@ -288,7 +293,7 @@ class TestInConeMove:
 
 class TestRunWalk:
     def test_stops_immediately_when_optimal(self, unit_square):
-        start = vertex_of_basis(unit_square, (0, 1))
+        start = (0, 1)
         out = run_walk(unit_square, WalkConfig(seed=1).resolved(2, 1.0), start)
         assert out.stopped_with_c_in_cone
         assert out.steps_taken == 0
@@ -298,12 +303,12 @@ class TestRunWalk:
                                      WalkConfig(alpha=32.0, seed=1),
                                      WalkConfig(steps=10, seed=1)])
     def test_unresolved_config_rejected(self, unit_square, cfg):
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         with pytest.raises(ValueError, match="resolved"):
             run_walk(unit_square, cfg, start)
 
     def test_zero_steps_returns_start_cell(self, unit_square):
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         cfg = WalkConfig(alpha=32.0, steps=0, seed=5)
         out = run_walk(unit_square, cfg, start)
         assert out.final == Parallelepiped(basis=(2, 3), index=(0, 0))
@@ -317,7 +322,7 @@ class TestRunWalk:
         # rate saturates near 2/3 at the default ceil(2^5.5) = 46 steps
         # (measured), so the 95-percent claim is pinned at eight times that
         # budget, ceil(8 * 2^5.5) = 363 steps.
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         hits = 0
         for seed in range(100):
             out = run_walk(unit_square,
@@ -328,7 +333,7 @@ class TestRunWalk:
         assert hits >= 95
 
     def test_counters_consistent(self, unit_square):
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         cfg = WalkConfig(alpha=32.0, steps=200, seed=9)
         out = run_walk(unit_square, cfg, start)
         assert out.accepted_moves + out.rejected_moves + out.lazy_stays == \
@@ -336,7 +341,7 @@ class TestRunWalk:
 
     def test_trace_stream(self, unit_square):
         buf = io.StringIO()
-        start = vertex_of_basis(unit_square, (2, 3))
+        start = (2, 3)
         cfg = WalkConfig(alpha=32.0, steps=30, seed=3, trace=buf)
         out = run_walk(unit_square, cfg, start)
         lines = [ln for ln in buf.getvalue().splitlines() if ln]
@@ -418,7 +423,7 @@ class TestReplay:
         # every non-lazy trace record, fed back through step() with the
         # walk's own draws, reproduces the record
         nlp, lp = boxed()
-        start = phase1_vertex(nlp, lp)
+        start = phase1_vertex(nlp, lp).basis
         cfg = WalkConfig(steps=9000, seed=seed).resolved(
             lp.n, delta_bruteforce(lp).delta)
         buf = io.StringIO()
@@ -428,7 +433,7 @@ class TestReplay:
         assert len(records) == out.steps_taken
 
         draws = _draws(np.random.PCG64(seed), lp.n)
-        cell = Parallelepiped(start.basis, (0,) * lp.n)
+        cell = Parallelepiped(start, (0,) * lp.n)
         # log_weight sums the n terms in numpy's order: allow n roundings,
         # which exceed 1e-9 at n=8, where |log f| reaches 3e7
         reference_tol = {"abs": 1e-9, "rel": lp.n * np.finfo(float).eps}
@@ -486,7 +491,7 @@ class TestPulledWeight:
         # the center taken from scratch, so exp of their difference is the
         # ratio the accept rule read
         nlp, lp = boxed()
-        start = phase1_vertex(nlp, lp)
+        start = phase1_vertex(nlp, lp).basis
         alpha = default_alpha(lp.n, delta_bruteforce(lp).delta)
         beta = float(lp.n**2)
         buf = io.StringIO()
@@ -499,7 +504,7 @@ class TestPulledWeight:
             l1 = float(np.sum(np.abs(center(lp, cell) - alpha * lp.c)))
             return -beta * l1 + log_volume(lp, cell.basis)
 
-        before = Parallelepiped(start.basis, (0,) * lp.n)
+        before = Parallelepiped(start, (0,) * lp.n)
         checked = 0
         for rec in records:
             after = Parallelepiped(tuple(rec["basis"]), tuple(rec["k"]))
@@ -574,17 +579,20 @@ class TestBasisRecords:
         assert bases > len(solve_spies)  # the walks pivoted
 
     def test_records_equal_the_standalone_functions(self, solve_spies):
-        records = pivots = 0
+        records = crossings = pivots = 0
         for spy in solve_spies:
             for prog in spy.walked:
                 lp = afresh(prog)
                 for basis, rec in prog.walk_memo.items():
-                    if not isinstance(rec, _BasisRecord):
-                        continue  # a pivot, checked below
-                    assert rec.point.tobytes() == \
-                        vertex_of_basis(lp, basis).point.tobytes()
+                    assert isinstance(rec, _BasisRecord) and rec.basis == basis
+                    v = vertex_of_basis(lp, basis)
+                    assert rec.point.tobytes() == v.point.tobytes()
                     assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
                     assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
+                    for leaving, across in rec.across.items():
+                        assert pivot_across_facet(lp, v, leaving).basis \
+                            == across
+                        crossings += 1
                     records += 1
             for caller, prog, v, leaving, rows, result in spy.pivots:
                 if caller == "walk":
@@ -592,11 +600,12 @@ class TestBasisRecords:
                     assert same_pivot(prog, v, leaving, rows, result)
                     pivots += 1
         assert records > len(solve_spies) and pivots > 0
+        assert crossings > 0
 
     def test_record_is_an_immutable_named_tuple(self, unit_square):
         rec = _record(unit_square, (0, 1))
         assert rec._fields == ("basis", "point", "rows", "row_lists",
-                               "log_vol", "in_cone")
+                               "log_vol", "in_cone", "across")
         with pytest.raises(AttributeError):
             rec.log_vol = 0.0
 
@@ -633,7 +642,7 @@ class TestBasisRecords:
         nlp = normalize(lp)
         cert = certify_delta(nlp)
         boxed = bounding_box(nlp, certified_radius(nlp, cert))
-        start = phase1_vertex(nlp, boxed)
+        start = phase1_vertex(nlp, boxed).basis
         fresh = afresh(boxed)
 
         def walk(prog):
@@ -645,9 +654,12 @@ class TestBasisRecords:
 
         walk(boxed)
         filled = dict(boxed.walk_memo)
+        crossed = {basis: dict(rec.across) for basis, rec in filled.items()}
         assert filled and fresh.walk_memo == {}
         again, trace = walk(boxed)
-        # every record and pivot it needed was read, none made again
+        # every record and pivot it needed was read, none made again: no
+        # basis joined the memo and no record's crossings grew
         assert boxed.walk_memo.keys() == filled.keys()
         assert all(boxed.walk_memo[key] is v for key, v in filled.items())
+        assert {basis: rec.across for basis, rec in filled.items()} == crossed
         assert (again, trace) == walk(fresh)

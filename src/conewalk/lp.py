@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -225,44 +226,42 @@ def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     order of their first rows, and a row joins the first direction whose
     first row it is within the tolerance of.
 
-    Byte-equal rows are grouped by one dict pass; the first rows of those
-    groups are then compared pairwise within the tolerance, in blocks of
-    about 2^20 entry differences, and a group joins the first earlier group
-    near it that opened a direction.
+    One pass over the rows applies that rule.  A row byte-equal to an
+    earlier row takes its direction from a dict.  Any other row is compared
+    entrywise only with the first rows whose key h.w, w_k = cos(1.618 k),
+    lies within 2 * DUPLICATE_TOL * ||w||_1 of its own, found by bisection
+    in the first rows sorted by key (parallel rows by sorting a generic
+    projection: Bixby & Wagner 1987).  Rows within the tolerance differ in
+    the exact key by at most DUPLICATE_TOL * ||w||_1, and rounding moves
+    the key of a unit row by under n^1.5 * 2^-52, far less than the rest of
+    the window, so the window holds every first row the rule can join.  A
+    row thus costs a dict lookup, and a new row also a bisection and the
+    comparisons in its window, which for distinct directions is empty.
     """
+    rows = np.ascontiguousarray(A, dtype=float)
     rhs = b.tolist()
-    raw = np.ascontiguousarray(A, dtype=float).tobytes()
-    width = 8 * A.shape[1]  # bytes per row
-    groups: dict[bytes, int] = {}
-    firsts: list[int] = []    # first row of each byte-equal group
-    tightest: list[int] = []  # tightest row of each byte-equal group
-    for i in range(A.shape[0]):
-        g = groups.setdefault(raw[i * width:(i + 1) * width], len(firsts))
-        if g == len(firsts):
-            firsts.append(i)
-            tightest.append(i)
-        elif rhs[i] < rhs[tightest[g]]:
-            tightest[g] = i
-    heads = A.T[:, firsts]  # the groups' first rows, one column each
-    n, g = heads.shape
-    earlier: dict[int, list[int]] = {}  # group -> earlier groups near it
-    block = max(1, (1 << 20) // max(1, g * n))
-    for lo in range(0, g, block):
-        diff = np.abs(heads[:, lo:lo + block, None] - heads[:, None, :])
-        later, near = np.nonzero(diff.max(axis=0) <= DUPLICATE_TOL)
-        later += lo
-        before = near < later
-        for j, p in zip(later[before].tolist(), near[before].tolist()):
-            earlier.setdefault(j, []).append(p)  # p ascending per j
-    slot: dict[int, int] = {}  # group that opened a direction -> kept position
-    kept: list[int] = []
-    for j, i in enumerate(tightest):
-        s = next((slot[p] for p in earlier.get(j, ()) if p in slot), None)
-        if s is None:
-            slot[j] = len(kept)
-            kept.append(i)
-        elif (rhs[i], i) < (rhs[kept[s]], kept[s]):
-            kept[s] = i
+    w = np.cos(1.618 * np.arange(rows.shape[1]))
+    reach = 2.0 * DUPLICATE_TOL * float(np.abs(w).sum())
+    width = 8 * rows.shape[1]  # bytes per row
+    raw = rows.tobytes()
+    direction: dict[bytes, int] = {}  # row bytes -> its direction
+    firsts: list[tuple[float, int, int]] = []  # (key, direction, first row)
+    kept: list[int] = []  # the tightest row of each direction
+    for i, key in enumerate((rows @ w).tolist()):
+        row = raw[i * width:(i + 1) * width]
+        d = direction.get(row)
+        if d is None:
+            lo = bisect_left(firsts, (key - reach,))
+            hi = bisect_right(firsts, (key + reach, math.inf))
+            d = direction[row] = min(
+                (j for _, j, f in firsts[lo:hi]
+                 if np.abs(rows[f] - rows[i]).max() <= DUPLICATE_TOL),
+                default=len(kept))
+            if d == len(kept):  # the first row of a new direction
+                insort(firsts, (key, d, i))
+                kept.append(i)
+        if rhs[i] < rhs[kept[d]]:
+            kept[d] = i
     return np.array(kept, dtype=int)
 
 

@@ -279,7 +279,8 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     not a DeltaCertificate raises TypeError (a bare number would size the
     box unchecked), and so does a cfg.seed that is not an integer
     (operator.index: numpy integers pass); a negative seed raises
-    ValueError.
+    ValueError.  A bad alpha or steps never reaches solve: WalkConfig
+    raises TypeError or ValueError for it when it is built.
     """
     if delta is not None and not isinstance(delta, DeltaCertificate):
         raise TypeError(

@@ -47,6 +47,8 @@ default and the solver's full-budget terms walk f itself, beta = 1.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -81,14 +83,39 @@ class Parallelepiped(NamedTuple):
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walk parameters.  alpha=None / steps=None resolve from (n, delta)."""
+    """Walk parameters.  alpha=None / steps=None resolve from (n, delta).
 
+    A bad alpha or steps raises TypeError or ValueError, naming the field,
+    when the config is built, so no solve or walk starts with one.
+    """
+
+    # a number > 0 (NaN is not); inf passes here and resolved raises
+    # TooLarge for it
     alpha: float | None = None
+    # an integer >= 0 (operator.index: numpy integers pass, 2.5 does not)
     steps: int | None = None
     # solve takes an int >= 0 and walks term t of retry r on
     # SeedSequence([seed, 0, r, t]); run_walk takes either
     seed: int | np.random.SeedSequence = 0
     trace: IO[str] | None = None
+
+    def __post_init__(self) -> None:
+        if self.alpha is not None:
+            if not isinstance(self.alpha, numbers.Real):
+                raise TypeError(f"WalkConfig.alpha must be None or a number, "
+                                f"got {self.alpha!r}")
+            if not self.alpha > 0.0:
+                raise ValueError(f"WalkConfig.alpha must be > 0, "
+                                 f"got {self.alpha!r}")
+        if self.steps is not None:
+            try:
+                steps = operator.index(self.steps)
+            except TypeError:
+                raise TypeError(f"WalkConfig.steps must be None or an integer, "
+                                f"got {self.steps!r}") from None
+            if steps < 0:
+                raise ValueError(f"WalkConfig.steps must be >= 0, "
+                                 f"got {self.steps!r}")
 
     def resolved(self, n: int, delta: float) -> "WalkConfig":
         """Fill in the auto fields from (n, delta).
@@ -101,10 +128,6 @@ class WalkConfig:
             alpha = default_alpha(n, delta)
         if steps is None:
             steps = default_steps(n, delta)
-        if not alpha > 0.0:
-            raise ValueError("alpha must be > 0")
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
         if not math.isfinite(alpha):
             raise TooLarge(f"alpha is not a finite float: n={n}, delta={delta!r}")
         if alpha < 2.0 * n**3 / delta:

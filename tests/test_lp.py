@@ -39,6 +39,10 @@ from conftest import (
     rotate_instance,
 )
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 
 class TestLinearProgram:
     def test_zero_row_rejected(self):
@@ -390,6 +394,49 @@ def pairwise_merge(A, b):
     return [slot[2] for slot in slots]
 
 
+@st.composite
+def near_copies(draw):
+    """Rows built from a few unit directions, each from a direction or an
+    earlier row: exact copies; entries moved by DUPLICATE_TOL * {0.5, 1,
+    1 +- 1e-7}; negations; zeros of the other sign; +-1e-12 noise; and
+    r + t v with v orthogonal to tightest_rows' key weights w, which keeps
+    the key, so that one key window holds several first rows.  The
+    right-hand sides tie often."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dirs = rng.standard_normal((draw(st.integers(1, 4)), n))
+    dirs[rng.random(dirs.shape) < 0.3] = 0.0
+    dirs[~dirs.any(axis=1), 0] = 1.0
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    w = np.array([math.cos(1.618 * k) for k in range(n)])
+    rows = list(dirs)
+    for _ in range(draw(st.integers(1, 30))):
+        r = rows[draw(st.integers(0, len(rows) - 1))].copy()
+        op = draw(st.sampled_from(
+            ["copy", "move", "negate", "zeros", "noise", "same key"]))
+        if op == "move":
+            r += DUPLICATE_TOL * np.array(draw(st.lists(
+                st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1 - 1e-7,
+                                 -(1 - 1e-7), 1 + 1e-7, -(1 + 1e-7)]),
+                min_size=n, max_size=n)))
+        elif op == "negate":
+            r = -r
+        elif op == "zeros":
+            r[r == 0.0] *= -1.0
+        elif op == "noise":
+            r += rng.uniform(-1e-12, 1e-12, size=n)
+        elif op == "same key" and n > 1:
+            v = rng.standard_normal(n)
+            v -= (v @ w) / (w @ w) * w
+            r += draw(st.sampled_from([5e-10, 1e-9, 2e-9, 1e-3])) \
+                * v / np.abs(v).max()
+        rows.append(r)
+    A = np.array(rows[len(dirs):])
+    b = np.array(draw(st.lists(st.integers(0, 3), min_size=len(A),
+                               max_size=len(A)))) / 4.0
+    return A, b
+
+
 class TestTightestRows:
     """The one rule for rows that repeat a direction."""
 
@@ -408,16 +455,20 @@ class TestTightestRows:
         b = rng.integers(0, 4, size=len(picks)) / 4.0
         assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
 
-    def test_blocked_comparison_agrees_with_the_pairwise_loop(self):
-        # 400 byte-distinct rows at n = 8 are compared in two blocks; the
-        # near copies in the second block must find their first rows in
-        # the first
+    def test_near_copies_among_400_rows_agree_with_the_pairwise_loop(self):
+        # 400 byte-distinct rows at n = 8: each of the last 100 is a near
+        # copy that must find its first row among the 300 before it
         rng = np.random.default_rng(3)
         dirs = rng.standard_normal((300, 8))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         A = np.vstack([dirs, dirs[rng.integers(0, 300, size=100)] + 1e-12])
         b = rng.integers(0, 4, size=len(A)) / 4.0
-        assert 400**2 * 8 > 1 << 20
+        assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_copies())
+    def test_one_pass_agrees_with_the_pairwise_loop(self, program):
+        A, b = program
         assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
 
     def test_keeps_the_least_rhs_in_first_occurrence_order(self):

@@ -33,7 +33,7 @@ from conewalk.oracle import (
     pad_redundant,
     tu_instance_generator,
 )
-from conewalk.reduction import reduce_lp, solve
+from conewalk.reduction import reduce_lp, solve, walked_program
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import WalkConfig
 
@@ -388,6 +388,29 @@ class TestSolve:
         with pytest.raises(error, match=r"^WalkConfig\.seed must be a "
                                         r"non-negative integer, got "):
             solve(lp, WalkConfig(seed=seed))
+
+    @pytest.mark.parametrize("b", [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, -2.0, 0.0]],
+                             ids=["square", "infeasible"])
+    @pytest.mark.parametrize("fields, error", [
+        ({"alpha": -1.0}, ValueError), ({"alpha": 0.0}, ValueError),
+        ({"alpha": math.nan}, ValueError), ({"alpha": "3"}, TypeError),
+        ({"steps": -1}, ValueError), ({"steps": 2.5}, TypeError),
+        ({"steps": "3"}, TypeError)])
+    def test_bad_alpha_or_steps_rejected_before_any_work(
+            self, monkeypatch, b, fields, error):
+        # each once raised only after phase 1, or never: the infeasible
+        # twin's verdict hid it, and steps=2.5 walked a budget of 2
+        import conewalk.reduction as reduction_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve did work before checking the config")
+
+        monkeypatch.setattr(reduction_module, "normalize", forbidden)
+        lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                           b=b, c=[1.0, 1.0])
+        (field,) = fields
+        with pytest.raises(error, match=rf"^WalkConfig\.{field} must be "):
+            solve(lp, WalkConfig(seed=0, **fields))
 
     @pytest.mark.parametrize("seed", [np.int64(2), np.uint8(2)])
     def test_numpy_integer_seed_solves_as_its_int(self, seed):
@@ -1031,6 +1054,26 @@ class TestParallelRows:
         reports = [jsonio.dumps(dataclasses.asdict(solve(lp, cfg)))
                    for lp in (base, padded)]
         assert reports[0] == reports[1]
+
+    def test_noisy_copies_solve_as_the_base(self):
+        # 2,000 byte-distinct copies, each a base row with +-1e-12 noise per
+        # entry and a right-hand side up to 1e-3 looser: every copy lies
+        # within DUPLICATE_TOL of its row and is never tighter, so the
+        # walked program is the base's 14 rows
+        base = tu_instance_generator("network", 5, 14, 3)
+        rng = np.random.default_rng(0)
+        pick = rng.integers(0, base.m, size=2000)
+        noisy = LinearProgram(
+            A=np.vstack([base.A, base.A[pick]
+                         + rng.uniform(-1e-12, 1e-12, size=(2000, base.n))]),
+            b=np.concatenate([base.b, base.b[pick]
+                              + rng.uniform(0.0, 1e-3, size=2000)]),
+            c=base.c)
+        assert walked_program(normalize(noisy))[0].tolist() == list(range(14))
+        rep, want = (solve(lp, WalkConfig(seed=0)) for lp in (noisy, base))
+        assert (rep.basis, rep.x.tobytes(), rep.value, rep.steps_per_level,
+                rep.delta_method) == (want.basis, want.x.tobytes(), want.value,
+                                      want.steps_per_level, want.delta_method)
 
     def test_dropped_copy_before_its_kept_twin(self):
         # row 0 is a slack copy of row 4 and row 5 an exact one

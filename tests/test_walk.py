@@ -2,6 +2,7 @@ import inspect
 import io
 import json
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -534,6 +535,25 @@ class TestDefaults:
         for alpha in (0.0, -5.0, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 WalkConfig(alpha=alpha, steps=5).resolved(2, 1.0)
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"alpha": -1.0}, ValueError), ({"alpha": math.nan}, ValueError),
+        ({"alpha": "3"}, TypeError), ({"steps": -1}, ValueError),
+        ({"steps": 2.5}, TypeError), ({"steps": np.float64(3.0)}, TypeError)])
+    def test_bad_field_rejected_when_built(self, fields, error):
+        # run_walk and step() take configs made by replace, which checks too
+        (field,) = fields
+        with pytest.raises(error, match=rf"^WalkConfig\.{field} must be "):
+            WalkConfig(**fields)
+        resolved = WalkConfig(alpha=32.0, steps=10)
+        with pytest.raises(error, match=rf"^WalkConfig\.{field} must be "):
+            replace(resolved, **fields)
+
+    def test_numpy_numbers_resolve_to_python_numbers(self):
+        cfg = WalkConfig(alpha=np.float64(40.0), steps=np.int64(7))
+        resolved = cfg.resolved(2, 1.0)
+        assert (type(resolved.alpha), type(resolved.steps)) == (float, int)
+        assert (resolved.alpha, resolved.steps) == (40.0, 7)
 
     def test_alpha_warning_below_threshold(self, unit_square):
         cfg = WalkConfig(alpha=1.0, steps=5)

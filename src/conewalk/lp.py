@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +67,12 @@ class LinearProgram:
             raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
         if b.shape != (m,) or c.shape != (n,):
             raise ValueError("b/c shapes inconsistent with A")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))
-                and np.all(np.isfinite(c))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()
+                and np.isfinite(c).all()):
             raise ValueError("non-finite entries")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, not 0
             row_norms = np.linalg.norm(A, axis=1)
-        if np.any(row_norms <= SPAN_TOL):
+        if (row_norms <= SPAN_TOL).any():
             raise ZeroRow("constraint matrix has an all-zero row")
         # the rank of normalize's unit rows, so scaling a row cannot change
         # it; a row whose norm overflows is scaled by its largest entry
@@ -97,7 +98,7 @@ class LinearProgram:
 
     def is_feasible(self, x: np.ndarray, *, tol: float | None = None) -> bool:
         tol = self.feas_tol() if tol is None else tol
-        return bool(np.all(self.A @ x <= self.b + tol))
+        return bool((self.A @ x <= self.b + tol).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +119,7 @@ class NormalizedLP(LinearProgram):
     def __post_init__(self) -> None:
         super().__post_init__()
         row_norms = np.linalg.norm(self.A, axis=1)
-        if np.any(np.abs(row_norms - 1.0) > NORM_TOL):
+        if (abs(row_norms - 1.0) > NORM_TOL).any():
             raise NotUnitVector("rows must have unit norm")
         if abs(float(np.linalg.norm(self.c)) - 1.0) > NORM_TOL:
             raise NotUnitVector("objective must have unit norm")
@@ -181,7 +182,7 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
     """
     with np.errstate(over="ignore"):
         row_norms = np.linalg.norm(lp.A, axis=1)
-        if np.any(row_norms <= SPAN_TOL):
+        if (row_norms <= SPAN_TOL).any():
             raise ZeroRow("cannot normalize an all-zero row")
         c_norm = float(np.linalg.norm(lp.c))
         if c_norm <= SPAN_TOL:
@@ -213,6 +214,16 @@ def _subset_distances(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.linalg.norm(resid, axis=2), full_rank
 
 
+@lru_cache
+def _key_weights(n: int) -> tuple[np.ndarray, float]:
+    """tightest_rows' key weights w_k = cos(1.618 k) for rows of n entries,
+    read-only, and the half-width 2 * DUPLICATE_TOL * ||w||_1 of its key
+    window: computed once per n."""
+    w = np.cos(1.618 * np.arange(n))
+    w.flags.writeable = False
+    return w, 2.0 * DUPLICATE_TOL * float(abs(w).sum())
+
+
 def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Position of the tightest row of each distinct direction of (A, b).
 
@@ -236,12 +247,12 @@ def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     the key of a unit row by under n^1.5 * 2^-52, far less than the rest of
     the window, so the window holds every first row the rule can join.  A
     row thus costs a dict lookup, and a new row also a bisection and the
-    comparisons in its window, which for distinct directions is empty.
+    comparisons in its window, which for distinct directions is empty and
+    costs none.
     """
     rows = np.ascontiguousarray(A, dtype=float)
     rhs = b.tolist()
-    w = np.cos(1.618 * np.arange(rows.shape[1]))
-    reach = 2.0 * DUPLICATE_TOL * float(np.abs(w).sum())
+    w, reach = _key_weights(rows.shape[1])
     width = 8 * rows.shape[1]  # bytes per row
     raw = rows.tobytes()
     direction: dict[bytes, int] = {}  # row bytes -> its direction
@@ -253,7 +264,7 @@ def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if d is None:
             lo = bisect_left(firsts, (key - reach,))
             hi = bisect_right(firsts, (key + reach, math.inf))
-            d = direction[row] = min(
+            d = direction[row] = len(kept) if lo == hi else min(
                 (j for _, j, f in firsts[lo:hi]
                  if np.abs(rows[f] - rows[i]).max() <= DUPLICATE_TOL),
                 default=len(kept))

@@ -11,7 +11,12 @@ radius follows in closed form from the solve's delta certificate
 vertex of the boxed program is grown one constraint at a time: Bland's
 rule descends on the boxed program itself, bounded to its first 2n + i
 rows, so no program is built per row and every basis is factored once in
-the boxed program's memo (lp.NormalizedLP.lu_memo).  solve finds the
+the boxed program's memo (lp.NormalizedLP.lu_memo).  The descents start at
+the box corner where the negated directions are tight: when the
+directions are the walked program's first n rows, as find_independent_rows
+picks them whenever those are independent, descent i < n minimizes
+direction i, which that corner already does, so the first n descents
+pivot nowhere.  solve finds the
 boxed optimum itself; solve_bounded, the last step, reads x from its
 basis's factors in that memo, or unboundedness from a box row in that
 basis.  Nothing here imports the walk or the solver.
@@ -73,7 +78,7 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     dirs = lp.A[list(find_independent_rows(lp))]
-    return _derived(np.vstack([dirs, -dirs, lp.A]),
+    return _derived(np.concatenate([dirs, -dirs, lp.A]),
                     np.concatenate([np.full(2 * lp.n, float(radius)), lp.b]),
                     lp.c)
 
@@ -92,7 +97,7 @@ def certified_radius(lp: NormalizedLP, cert: DeltaCertificate) -> float:
     2 * radius + max|b|, leave the float range raises TooLarge: phase 1
     could not subtract them.
     """
-    b_max = float(np.max(np.abs(lp.b)))
+    b_max = float(abs(lp.b).max())
     radius = lp.n * b_max / cert.delta + max(1.0, 2.0 * lp.feas_tol())
     if not math.isfinite(2.0 * radius + b_max):
         raise TooLarge(f"box radius n * max|b| / delta leaves the box-corner "
@@ -115,8 +120,9 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     """Grow a vertex of P intersected with the box, or certify infeasibility.
 
     ``boxed`` is ``bounding_box(lp, radius)``.  Starting from the box corner
-    where the n box rows along the directions (not their negations) are
-    tight, constraint i is brought in by minimizing a_i^T x over the region
+    where the n box rows along the negated directions are tight (rows n to
+    2n - 1, each direction at -radius), constraint i is brought in by
+    minimizing a_i^T x over the region
     satisfying the box and the first i-1 constraints: Bland's rule on boxed
     itself, bounded to its first 2n + i rows (bland_simplex's ``rows``).  A
     minimum above b_i certifies the whole program infeasible, with the
@@ -129,14 +135,17 @@ def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
     descent reads and fills boxed's memo of basis factors, so each basis is
     factored once for phase 1 and the stages after it.  bounding_box took
     the box directions from find_independent_rows, so the corner's rows are
-    independent, and the corner satisfies every box row.  The test uses
+    independent, and the corner satisfies every box row.  Those directions
+    are lp's first n rows whenever these are independent; descent i < n
+    then minimizes direction i, which is already least at the corner, so
+    its cone test passes and it pivots nowhere.  The test uses
     the input's tolerance: box corners are exact up to rounding of order
     radius * eps, and a tolerance growing with the radius would let real
     infeasibility through.
     """
     n = lp.n
     ftol = lp.feas_tol()
-    corner = tuple(range(n))
+    corner = tuple(range(n, 2 * n))
     v = Vertex(lu_solve(basis_factors(boxed, corner), boxed.b.take(corner)),
                corner)
     for i, (a, minus_a, rhs) in enumerate(zip(lp.A, -lp.A, lp.b.tolist())):

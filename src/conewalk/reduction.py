@@ -239,8 +239,12 @@ def walked_program(nlp: NormalizedLP) -> tuple[np.ndarray, NormalizedLP]:
     """The input positions of the tightest row of each direction
     (lp.tightest_rows), in the order of the directions' first rows, and the
     program of those rows, which solve walks and certifies delta for.  Each
-    dropped row repeats a kept direction, so the kept rows span R^n."""
+    dropped row repeats a kept direction, so the kept rows span R^n.  When
+    no row is dropped, kept is every position in order and the program is
+    nlp itself."""
     kept = tightest_rows(nlp.A, nlp.b)
+    if len(kept) == nlp.m:
+        return kept, nlp
     return kept, _derived(nlp.A[kept], nlp.b[kept], nlp.c)
 
 

@@ -36,7 +36,6 @@ DUPLICATE_TOL = 1e-9
 
 
 def feas_tol_for(b) -> float:
-    """Feasibility tolerance scaled to the magnitude of the right-hand side."""
-    import numpy as np
-
-    return FEAS_TOL * (1.0 + float(np.max(np.abs(b))))
+    """Feasibility tolerance scaled to the magnitude of the right-hand side,
+    a float array."""
+    return FEAS_TOL * (1.0 + float(abs(b).max()))

@@ -471,6 +471,14 @@ class TestTightestRows:
         A, b = program
         assert tightest_rows(A, b).tolist() == pairwise_merge(A, b)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_key_weights_are_cached_and_read_only(self, n):
+        w, reach = lp_module._key_weights(n)
+        assert lp_module._key_weights(n)[0] is w
+        assert w.flags.writeable is False
+        assert w.tobytes() == np.cos(1.618 * np.arange(n)).tobytes()
+        assert reach == 2.0 * DUPLICATE_TOL * float(np.abs(w).sum())
+
     def test_keeps_the_least_rhs_in_first_occurrence_order(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
                       [1.0, 0.0]])

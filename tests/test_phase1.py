@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import conewalk.simplex as simplex_module
 from conewalk.errors import Infeasible, RankDeficient, TooLarge, Unbounded
 from conewalk.geometry import det_abs, dist_to_span, lu_factor, lu_solve
 from conewalk.lp import (
@@ -25,11 +26,12 @@ from conewalk.phase1 import (
     bounding_box,
     certified_radius,
     find_independent_rows,
+    infeasibility,
     phase1_vertex,
     solve_bounded,
 )
-from conewalk.reduction import solve
-from conewalk.simplex import bland_simplex, vertex_of_basis
+from conewalk.reduction import solve, walked_program
+from conewalk.simplex import Vertex, basis_factors, bland_simplex, vertex_of_basis
 from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
@@ -55,6 +57,40 @@ def greedy_independent_rows(lp):
             if len(chosen) == lp.n:
                 return tuple(chosen)
     raise RankDeficient("fewer than n independent rows")
+
+
+def plus_corner_phase1(lp, boxed):
+    """The former start, kept as the reference: phase 1's descents from the
+    box corner where the directions, not their negations, are tight."""
+    n = lp.n
+    ftol = lp.feas_tol()
+    corner = tuple(range(n))
+    v = Vertex(lu_solve(basis_factors(boxed, corner), boxed.b.take(corner)),
+               corner)
+    for i, (a, minus_a, rhs) in enumerate(zip(lp.A, -lp.A, lp.b.tolist())):
+        v = bland_simplex(boxed, v, minus_a, rows=2 * n + i)
+        value = float(a @ v.point)
+        if value > rhs + ftol:
+            raise infeasibility(i, value, rhs)
+    return v
+
+
+def counted_phase1(monkeypatch, run, lp, radius):
+    """run(lp, bounding_box(lp, radius)), raised Infeasible or returned
+    vertex, and the simplex.pivot_across_facet calls it made."""
+    calls = []
+
+    def pivot(*args, real=simplex_module.pivot_across_facet, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex_module, "pivot_across_facet", pivot)
+        try:
+            result = run(lp, bounding_box(lp, radius))
+        except Infeasible as exc:
+            result = exc
+    return result, len(calls)
 
 
 def near_span_lp(n, seed):
@@ -417,6 +453,116 @@ class TestPhase1Vertex:
             v = phase1_vertex(nlp, bounding_box(nlp, 4.0))
             assert nlp.is_feasible(v.point)
             assert np.all(np.abs(v.point) <= 4.0 + 1e-7)
+
+
+class TestNegatedCornerStart:
+    """Phase 1 starts where the former start's first n descents ended."""
+
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_saves_exactly_n_pivots_and_changes_nothing_else(
+            self, monkeypatch, kind, n):
+        # the generator's first n rows are the axis directions, so they are
+        # the box directions, and the former start's first n descents each
+        # crossed the box, by an exact flip of +radius to -radius
+        for seed in range(10):
+            lp = tu_instance_generator(kind, n, min(3 * n + 2, 30), seed)
+            _, walked = walked_program(normalize(lp))
+            assert find_independent_rows(walked) == tuple(range(n))
+            radius = certified_radius(walked, delta_from_structure(walked))
+            v, pivots = counted_phase1(monkeypatch, phase1_vertex, walked,
+                                       radius)
+            ref, ref_pivots = counted_phase1(monkeypatch, plus_corner_phase1,
+                                             walked, radius)
+            assert v.basis == ref.basis, seed
+            assert v.point.tobytes() == ref.point.tobytes(), seed
+            assert pivots == ref_pivots - n, (seed, pivots, ref_pivots)
+
+    @pytest.mark.parametrize("K", [8, 16, 24])
+    def test_k_gon_keeps_the_basis_and_the_infeasible_row(
+            self, monkeypatch, K):
+        # general rows: the box directions are the K-gon's rows 0 and 1, and
+        # the flips are no longer exact, so only the basis (or the
+        # certified row) is the same, the point within rounding of radius;
+        # an odd seed sets one row 0.1 past its opposite row, infeasible
+        theta = 2.0 * np.pi * (np.arange(K) + 0.3) / K
+        A = np.column_stack([np.cos(theta), np.sin(theta)])
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            b = rng.uniform(0.5, 1.5, size=K)
+            if seed % 2:
+                k = int(rng.integers(K))
+                b[k] = -b[(k + K // 2) % K] - 0.1
+            lp = NormalizedLP(A=A, b=b, c=[1.0, 0.0])
+            radius = certified_radius(lp, delta_bruteforce(lp))
+            v, pivots = counted_phase1(monkeypatch, phase1_vertex, lp, radius)
+            ref, ref_pivots = counted_phase1(monkeypatch, plus_corner_phase1,
+                                             lp, radius)
+            assert type(v) is type(ref), seed
+            assert isinstance(v, Infeasible) == bool(seed % 2), seed
+            if isinstance(ref, Infeasible):
+                assert v.iteration == ref.iteration, seed
+                assert v.value == pytest.approx(ref.value, abs=1e-12 * radius)
+            else:
+                assert v.basis == ref.basis, seed
+                np.testing.assert_allclose(v.point, ref.point, rtol=0.0,
+                                           atol=1e-12 * radius)
+            assert pivots == ref_pivots - 2, (seed, pivots, ref_pivots)
+
+
+class TestBoxDirectionsNotTheFirstRows:
+    """Rows 0 and 2 are the box directions: the start changes phase 1's
+    path, not its verdicts."""
+
+    A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]]
+
+    @staticmethod
+    def highs_first_infeasible_row(lp):
+        """The least i with rows 0..i infeasible by HiGHS, else None."""
+        from scipy.optimize import linprog
+
+        for i in range(lp.m):
+            res = linprog(np.zeros(lp.n), A_ub=lp.A[:i + 1], b_ub=lp.b[:i + 1],
+                          bounds=[(None, None)] * lp.n, method="highs")
+            assert res.status in (0, 2), res.message
+            if res.status == 2:
+                return i
+        return None
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_highs(self, seed):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        lp = LinearProgram(A=self.A, b=rng.uniform(-0.5, 1.0, size=5),
+                           c=rng.standard_normal(2))
+        nlp = normalize(lp)
+        assert find_independent_rows(nlp) == (0, 2)
+        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+        first = self.highs_first_infeasible_row(nlp)
+        if first is not None:
+            with pytest.raises(Infeasible) as info:
+                solve(lp, WalkConfig(seed=seed))
+            assert info.value.iteration == first + 1
+            return
+        v = phase1_vertex(nlp, boxed)
+        assert (boxed.A @ v.point <= boxed.b + nlp.feas_tol()).all()
+        rep = solve(lp, WalkConfig(seed=seed))
+        ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b,
+                      bounds=[(None, None)] * 2, method="highs")
+        assert ref.status == 0
+        assert rep.value == pytest.approx(-ref.fun, abs=1e-9)
+        np.testing.assert_allclose(rep.x, ref.x, rtol=0.0, atol=1e-9)
+
+    def test_infeasible_twin_fails_at_the_last_row(self):
+        # the box of rows 0-3 holds x + y >= -1, so x + y <= -1.5 (row 4)
+        # is the first row HiGHS cannot add
+        lp = LinearProgram(A=self.A, b=[1.0, 0.5, 1.0, 0.5, -1.5],
+                           c=[1.0, 1.0])
+        assert self.highs_first_infeasible_row(normalize(lp)) == 4
+        with pytest.raises(Infeasible) as info:
+            solve(lp, WalkConfig(seed=0))
+        assert info.value.iteration == 5
 
 
 class TestSolveBoundedViaSolve:

@@ -1075,6 +1075,21 @@ class TestParallelRows:
                 rep.delta_method) == (want.basis, want.x.tobytes(), want.value,
                                       want.steps_per_level, want.delta_method)
 
+    def test_walked_program_is_the_input_when_no_row_is_dropped(self):
+        nlp = normalize(LinearProgram(A=self.SQUARE_A, b=[1, 1, 0, 0],
+                                      c=[1, 1]))
+        kept, walked = walked_program(nlp)
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert walked is nlp
+        # a copy of row 0 is dropped: a new program of the kept rows
+        padded = normalize(LinearProgram(A=self.SQUARE_A + [[1, 0]],
+                                         b=[1, 1, 0, 0, 2], c=[1, 1]))
+        kept, walked = walked_program(padded)
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert walked is not padded
+        assert walked.A.tobytes() == padded.A[:4].tobytes()
+        assert walked.b.tobytes() == padded.b[:4].tobytes()
+
     def test_dropped_copy_before_its_kept_twin(self):
         # row 0 is a slack copy of row 4 and row 5 an exact one
         lp = LinearProgram(A=[[1, 0]] + self.SQUARE_A[1:] + [[1, 0], [1, 0]],

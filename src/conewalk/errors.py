@@ -69,6 +69,12 @@ class RetriesExhausted(ConewalkError):
     """Every full-budget walk attempt ended outside the optimal cone."""
 
 
+class FaceReachesBox(ConewalkError):
+    """Not a verdict: the program is bounded, but the boxed optimum's basis
+    holds box rows, each with cone multiplier 0 for c, so the optimal face
+    reaches the box and no basis of input rows was found to report."""
+
+
 class Infeasible(ConewalkError):
     """Certified: the constraint system has no feasible point.
 
@@ -86,7 +92,8 @@ class Infeasible(ConewalkError):
 
 
 class Unbounded(ConewalkError):
-    """Certified: the boxed optimum's basis holds a box row (box_row: the least)."""
+    """Certified: the boxed optimum's basis holds a box row with a positive
+    cone multiplier for c (box_row: the least box row of that basis)."""
 
     def __init__(self, message: str, box_row: int | None = None) -> None:
         super().__init__(message)

@@ -18,8 +18,9 @@ picks them whenever those are independent, descent i < n minimizes
 direction i, which that corner already does, so the first n descents
 pivot nowhere.  solve finds the
 boxed optimum itself; solve_bounded, the last step, reads x from its
-basis's factors in that memo, or unboundedness from a box row in that
-basis.  Nothing here imports the walk or the solver.
+basis's factors in that memo, or unboundedness from a box row of that
+basis whose cone multiplier for c is positive.  Nothing here imports the
+walk or the solver.
 """
 from __future__ import annotations
 
@@ -27,7 +28,13 @@ import math
 
 import numpy as np
 
-from .errors import Infeasible, RankDeficient, TooLarge, Unbounded
+from .errors import (
+    FaceReachesBox,
+    Infeasible,
+    RankDeficient,
+    TooLarge,
+    Unbounded,
+)
 from .geometry import lu_solve, residual
 from .lp import DeltaCertificate, NormalizedLP, _derived
 # Not called here: bound so that the span perfbench/tracing.py PATCH_POINTS
@@ -39,7 +46,7 @@ from .simplex import (
     basis_factors,
     bland_simplex,
 )
-from .tolerances import SPAN_TOL
+from .tolerances import CONE_TOL, SPAN_TOL
 
 
 def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
@@ -161,14 +168,26 @@ def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
     """The boxed optimum's point x, or the box's verdict of unboundedness.
 
     basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``),
-    sorted like every memo key.  A box row (positions 0..2n-1) in it
-    certifies unboundedness; the least, basis[0], is the error's box_row.
-    A basis of input rows proves its point optimal for the input, tight box
-    rows or not, so no tolerance is read.  x is solved with the basis's
-    factors in boxed's memo, where solve's search left them.
+    sorted like every memo key, so its box rows (positions 0..2n-1) come
+    first.  A basis of input rows proves its point optimal for the input,
+    tight box rows or not, so no tolerance is read: x is solved with the
+    basis's factors in boxed's memo, where solve's search left them.
+    Otherwise the same factors give c's cone multipliers, A_B^T mu = c.  A
+    box row whose multiplier exceeds CONE_TOL certifies unboundedness; the
+    least box row, basis[0], is the error's box_row.  If none does, c lies
+    in the cone of the basis's input rows, so the program is bounded and
+    its optimal face reaches the box: FaceReachesBox, not a verdict.
     """
-    if basis[0] < 2 * boxed.n:
-        raise Unbounded(
-            "optimum of the boxed system lies on the artificial box",
-            box_row=basis[0])
-    return lu_solve(basis_factors(boxed, basis), boxed.b[list(basis)])
+    lu = basis_factors(boxed, basis)
+    box = 2 * boxed.n
+    if basis[0] < box:
+        mu = lu_solve(lu, boxed.c, trans=1).tolist()
+        if any(m > CONE_TOL for p, m in zip(basis, mu) if p < box):
+            raise Unbounded(
+                "optimum of the boxed system lies on the artificial box",
+                box_row=basis[0])
+        raise FaceReachesBox(
+            f"the program is bounded, but its optimal face reaches the box: "
+            f"box rows {[p for p in basis if p < box]} of the optimal basis "
+            f"have cone multiplier 0")
+    return lu_solve(lu, boxed.b[list(basis)])

@@ -20,8 +20,7 @@ the projected rows by the rule solve applies to the input.
 """
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -189,10 +188,11 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
     whose factors the walk left in lp's memo, and the walk's stats.
 
     cfg is resolved (WalkConfig.resolved): its alpha and steps are set.  An
-    attempt is a series of terms on Luby's schedule: term t walks
-    min(RESTART_UNIT * luby(t), budget) steps from start on
-    SeedSequence([cfg.seed, 0, retry, t]), budget being cfg.steps.  The
-    in-cone stop is an exact optimality certificate, so a restart only
+    attempt is a series of terms on Luby's schedule, each one run_walk call
+    with its own seed, step budget and weight, at cfg.alpha and onto
+    cfg.trace: term t walks min(RESTART_UNIT * luby(t), budget) steps from
+    start on SeedSequence([cfg.seed, 0, retry, t]), budget being cfg.steps.
+    The in-cone stop is an exact optimality certificate, so a restart only
     costs work, and a short term (fewer steps than the budget) may follow
     any weight: it walks f_beta with beta = n^2, the paper's weight on
     cells of edge 1, which pulls it toward alpha*c (walk module docstring).
@@ -214,8 +214,9 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
             seed = np.random.SeedSequence([cfg.seed, 0, retry, term])
             full = steps == cfg.steps  # the paper's attempt
             stats.terms += 1
-            outcome = run_walk(lp, replace(cfg, seed=seed, steps=steps),
-                               start, _beta=1.0 if full else float(lp.n**2))
+            outcome = run_walk(lp, start, alpha=cfg.alpha, steps=steps,
+                               seed=seed, trace=cfg.trace,
+                               _beta=1.0 if full else float(lp.n**2))
             stats.steps_taken += outcome.steps_taken
             stats.pivots += outcome.pivots
             stats.accepted_moves += outcome.accepted_moves
@@ -270,21 +271,21 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     infeasibility.  The boxed program's optimal basis comes from one Las
     Vegas walk, or at n = 1 from Bland's rule started at the phase-1
     vertex (at most one pivot); phase1.solve_bounded raises Unbounded if
-    that basis holds a box row, else solves x with its factors from the
-    boxed program's memo.  Reported positions (basis and the Infeasible
-    witness) are input positions, Infeasible's value is for the row
-    scaled to unit length, and x is certified against every input row.
-    Raises Infeasible or Unbounded with certificates, RetriesExhausted if
+    that basis holds a box row of positive cone multiplier, FaceReachesBox
+    if its box rows all have multiplier 0, else solves x with its factors
+    from the boxed program's memo.  Reported positions (basis and the
+    Infeasible witness) are input positions, Infeasible's value is for the
+    row scaled to unit length, and x is certified against every input row.
+    Raises Infeasible or Unbounded with certificates, FaceReachesBox (no
+    verdict) as above, RetriesExhausted if
     MAX_RETRIES + 1 full-budget walk attempts fail, TooLarge if delta is
     too small for a finite box radius or walk parameters, at every n, and
     ConewalkError if the certificate rejects the optimum it reconstructed
     (x infeasible for an input row beyond the feasibility tolerance, or c
     outside the reported basis's cone).  Before any work, a delta that is
     not a DeltaCertificate raises TypeError (a bare number would size the
-    box unchecked), and so does a cfg.seed that is not an integer
-    (operator.index: numpy integers pass); a negative seed raises
-    ValueError.  A bad alpha or steps never reaches solve: WalkConfig
-    raises TypeError or ValueError for it when it is built.
+    box unchecked).  A bad alpha, steps or seed never reaches solve:
+    WalkConfig raises TypeError or ValueError for it when it is built.
     """
     if delta is not None and not isinstance(delta, DeltaCertificate):
         raise TypeError(
@@ -293,14 +294,6 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
             "certificate from delta_bruteforce, delta_from_structure or "
             "delta_integer_bound to set the row separation")
     cfg = cfg or WalkConfig()
-    try:
-        seed = operator.index(cfg.seed)
-    except TypeError:
-        raise TypeError(f"WalkConfig.seed must be a non-negative integer, "
-                        f"got {cfg.seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"WalkConfig.seed must be a non-negative integer, "
-                         f"got {cfg.seed!r}")
     nlp = normalize(lp)
     kept, walked = walked_program(nlp)
 
@@ -320,7 +313,7 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     else:
         basis, stats = _las_vegas_walk(boxed, walk_cfg, start.basis)
     x = phase1.solve_bounded(boxed, basis)
-    # a basis of input rows: solve_bounded raised Unbounded on a box row
+    # a basis of input rows: solve_bounded raised on a box row
     basis = tuple(sorted(int(kept[p - 2 * boxed.n]) for p in basis))
 
     if not nlp.is_feasible(x):

@@ -83,10 +83,11 @@ class Parallelepiped(NamedTuple):
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walk parameters.  alpha=None / steps=None resolve from (n, delta).
+    """The caller's walk settings.  alpha=None / steps=None resolve from
+    (n, delta).
 
-    A bad alpha or steps raises TypeError or ValueError, naming the field,
-    when the config is built, so no solve or walk starts with one.
+    A bad alpha, steps or seed raises TypeError or ValueError, naming the
+    field, when the config is built, so no solve starts with one.
     """
 
     # a number > 0 (NaN is not); inf passes here and resolved raises
@@ -94,9 +95,9 @@ class WalkConfig:
     alpha: float | None = None
     # an integer >= 0 (operator.index: numpy integers pass, 2.5 does not)
     steps: int | None = None
-    # solve takes an int >= 0 and walks term t of retry r on
-    # SeedSequence([seed, 0, r, t]); run_walk takes either
-    seed: int | np.random.SeedSequence = 0
+    # an integer >= 0, as steps; solve walks term t of retry r on
+    # SeedSequence([seed, 0, r, t])
+    seed: int = 0
     trace: IO[str] | None = None
 
     def __post_init__(self) -> None:
@@ -116,6 +117,14 @@ class WalkConfig:
             if steps < 0:
                 raise ValueError(f"WalkConfig.steps must be >= 0, "
                                  f"got {self.steps!r}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise TypeError(f"WalkConfig.seed must be a non-negative integer, "
+                            f"got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"WalkConfig.seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
 
     def resolved(self, n: int, delta: float) -> "WalkConfig":
         """Fill in the auto fields from (n, delta).
@@ -330,7 +339,7 @@ def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
                (word() >> 11) * 2.0**-53)
 
 
-def step(lp: NormalizedLP, cfg: WalkConfig, cell: Parallelepiped,
+def step(lp: NormalizedLP, alpha: float, cell: Parallelepiped,
          draw: Draw) -> tuple[Parallelepiped, StepInfo]:
     """One lazy Metropolis step from cell, by run_walk's proposal kernel.
 
@@ -342,10 +351,8 @@ def step(lp: NormalizedLP, cfg: WalkConfig, cell: Parallelepiped,
     evaluated on lazy steps too, so the returned StepInfo always describes
     it.  The weight is the paper's f (beta = 1).
     """
-    if cfg.alpha is None:
-        raise ValueError("walk config must be resolved before stepping")
     pos, sign, u = draw
-    ac = (cfg.alpha * lp.c).tolist()
+    ac = (alpha * lp.c).tolist()
     rec = _record(lp, cell.basis)
     z = _center(rec, cell.index)
     l1 = _l1(z, ac)
@@ -366,7 +373,8 @@ def step(lp: NormalizedLP, cfg: WalkConfig, cell: Parallelepiped,
 _RESYNC_INTERVAL = 4096  # exact center recomputation, bounds float drift
 
 
-def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Basis, *,
+def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
+             seed: int | np.random.SeedSequence, trace: IO[str] | None = None,
              _beta: float = 1.0) -> WalkOutcome:
     """Run the walk from the apex cell of the sorted start basis's cone.
 
@@ -374,45 +382,43 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Basis, *,
     (the current basis is then optimal); otherwise it performs one step.
     The membership test is applied once more after the final step.
 
-    Step by step the walk reads _draws(np.random.PCG64(cfg.seed), n): a
-    first block of 2 * cfg.steps words within [16, _DRAW_BLOCK] (a step
-    takes about 1.5), then _DRAW_BLOCK words at a time.  A lazy coin ends
-    the step without evaluating the proposal; otherwise the proposal comes
-    from step()'s kernel.  The cell center is kept incrementally, and taken
-    afresh by _center at the start, on a pivot and every
-    _RESYNC_INTERVAL-th step that is not lazy; every l1 distance to
-    alpha*c is taken by _l1.  With cfg.trace set, one JSON record per step
-    is written after the step; a lazy step's record has
-    log_weight_proposal null.  Tracing never changes the walk.
+    The walk takes at most steps steps toward alpha*c and reads its draws
+    from _draws(np.random.PCG64(seed), n): a first block of 2 * steps
+    words within [16, _DRAW_BLOCK] (a step takes about 1.5), then
+    _DRAW_BLOCK words at a time.  A lazy coin ends the step without
+    evaluating the proposal; otherwise the proposal comes from step()'s
+    kernel.  The cell center is kept incrementally, and taken afresh by
+    _center at the start, on a pivot and every _RESYNC_INTERVAL-th step
+    that is not lazy; every l1 distance to alpha*c is taken by _l1.  With
+    trace set, one JSON record per step is written to it after the step;
+    a lazy step's record has log_weight_proposal null.  Tracing never
+    changes the walk.
 
     _beta scales the l1 term of the weight the walk follows, f_beta (see
     the module docstring); the default 1 is the paper's f.  The trace's
     log_weight and log_weight_proposal are those of f_beta,
     -beta * l1 + log_vol, the weights the accept rule compared.
 
-    cfg must be resolved, as for step().  A pivot into a ratio-test tie
-    ends the walk: the outcome counts the steps completed before it and
-    holds the DegeneratePivot's message in tie, and the tied step wrote no
-    record and is not counted.  run_walk never raises on a tie.
+    A pivot into a ratio-test tie ends the walk: the outcome counts the
+    steps completed before it and holds the DegeneratePivot's message in
+    tie, and the tied step wrote no record and is not counted.  run_walk
+    never raises on a tie.
     """
-    if cfg.alpha is None or cfg.steps is None:
-        raise ValueError("walk config must be resolved before walking")
     n = lp.n
-    draws = _draws(np.random.PCG64(cfg.seed), n,
-                   min(_DRAW_BLOCK, max(16, 2 * cfg.steps)))
-    ac = (cfg.alpha * lp.c).tolist()
-    trace = cfg.trace
+    draws = _draws(np.random.PCG64(seed), n,
+                   min(_DRAW_BLOCK, max(16, 2 * steps)))
+    ac = (alpha * lp.c).tolist()
 
     rec = _record(lp, start)
     index = [0] * n
     z = _center(rec, index)
     l1 = _l1(z, ac)
-    steps = pivots = accepted_moves = rejected_moves = lazy_stays = 0
+    taken = pivots = accepted_moves = rejected_moves = lazy_stays = 0
     tie = None
 
-    while not rec.in_cone and steps < cfg.steps:
+    while not rec.in_cone and taken < steps:
         pos, sign, u = next(draws)
-        steps += 1
+        taken += 1
         if trace is not None:
             row, lw = rec.basis[pos], -_beta * l1 + rec.log_vol
         accepted = pivoted = False
@@ -425,7 +431,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Basis, *,
                 new_rec, new_index, z_new, l1_new, dlog = _propose(
                     lp, ac, rec, index, z, l1, pos, sign, _beta)
             except DegeneratePivot as exc:
-                tie, steps = str(exc), steps - 1  # the tied step changed nothing
+                tie, taken = str(exc), taken - 1  # the tied step changed nothing
                 break
             lw_proposal = -_beta * l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
@@ -436,13 +442,13 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Basis, *,
                 accepted_moves += 1
             else:
                 rejected_moves += 1
-            if steps % _RESYNC_INTERVAL == 0:
+            if taken % _RESYNC_INTERVAL == 0:
                 z = _center(rec, index)
                 l1 = _l1(z, ac)
 
         if trace is not None:
             trace.write(json_line({
-                "step": steps,
+                "step": taken,
                 "basis": list(rec.basis),
                 "k": index,
                 "direction": [row, sign],
@@ -454,7 +460,7 @@ def run_walk(lp: NormalizedLP, cfg: WalkConfig, start: Basis, *,
 
     return WalkOutcome(final=Parallelepiped(rec.basis, tuple(index)),
                        stopped_with_c_in_cone=rec.in_cone,
-                       steps_taken=steps, pivots=pivots,
+                       steps_taken=taken, pivots=pivots,
                        accepted_moves=accepted_moves,
                        rejected_moves=rejected_moves, lazy_stays=lazy_stays,
                        tie=tie)

@@ -201,12 +201,11 @@ def walk_samples():
     delta = delta_bruteforce(aug).delta
     alpha = 4.0 * aug.n**3 / delta
 
-    cfg = WalkConfig(alpha=alpha, steps=1)
     samples = []
     draws = _draws(np.random.PCG64(4242), aug.n)
     apex = cell = Parallelepiped(start.basis, (0,) * aug.n)
     while len(samples) < 10_000:
-        cell, info = step(aug, cfg, cell, next(draws))
+        cell, info = step(aug, alpha, cell, next(draws))
         samples.append((cell, info))
         if len(samples) % 2500 == 0:  # restart to diversify the region
             cell = apex

@@ -14,7 +14,7 @@ from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import check_lemma4, enumerate_vertices
 from conewalk.reduction import reduce_lp
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
-from conewalk.walk import Parallelepiped, WalkConfig, run_walk
+from conewalk.walk import Parallelepiped, run_walk
 
 from conftest import SQRT2, bounded_random_lp
 
@@ -40,10 +40,11 @@ class TestVerifyProblem1:
         start = (2, 3)
         good = 0
         for seed in range(100):
-            cfg = WalkConfig(seed=seed, steps=363).resolved(2, 1.0)
-            out = run_walk(unit_square, cfg, start)
+            # alpha is default_alpha(2, 1.0)
+            out = run_walk(unit_square, start, alpha=32.0, steps=363,
+                           seed=seed)
             c_prime = unit_square.c if out.stopped_with_c_in_cone \
-                else scaled_center(unit_square, out.final, cfg.alpha)
+                else scaled_center(unit_square, out.final, 32.0)
             if verify_problem1(unit_square, out.final.basis, c_prime, 1.0):
                 good += 1
         assert good >= 95

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import conewalk.simplex as simplex_module
-from conewalk.errors import Infeasible, RankDeficient, TooLarge, Unbounded
+from conewalk.errors import (
+    FaceReachesBox,
+    Infeasible,
+    RankDeficient,
+    TooLarge,
+    Unbounded,
+)
 from conewalk.geometry import det_abs, dist_to_span, lu_factor, lu_solve
 from conewalk.lp import (
     DeltaCertificate,
@@ -31,7 +37,13 @@ from conewalk.phase1 import (
     solve_bounded,
 )
 from conewalk.reduction import solve, walked_program
-from conewalk.simplex import Vertex, basis_factors, bland_simplex, vertex_of_basis
+from conewalk.simplex import (
+    Vertex,
+    basis_factors,
+    bland_simplex,
+    cone_membership,
+    vertex_of_basis,
+)
 from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
@@ -585,6 +597,17 @@ class TestSolveBoundedViaSolve:
         with pytest.raises(Unbounded) as info:
             solve_bounded(boxed, basis)
         assert info.value.box_row == 0  # x_1 <= 1, the first box row
+
+    def test_a_box_row_of_multiplier_zero_is_no_verdict(self):
+        # the half-strip's optimal face x2 = 1 runs to the box: at the box
+        # vertex of rows 2 (-x1 <= radius) and 5 (x2 <= 1), c = e2 has
+        # cone multiplier 0 on the box row, so the program is bounded
+        nlp = normalize(LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                      b=[1.0, 1.0, 0.0], c=[0.0, 1.0]))
+        boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
+        assert cone_membership(boxed, (2, 5), boxed.c).inside
+        with pytest.raises(FaceReachesBox, match=r"box rows \[2\] of the "):
+            solve_bounded(boxed, (2, 5))
 
     def test_a_tight_box_row_outside_the_basis_is_not_contact(self):
         # a box of radius 1 passes through the unit square's optimum (1, 1):

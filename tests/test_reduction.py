@@ -6,16 +6,20 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import conewalk
 import conewalk.geometry as geometry
+from conewalk import jsonio
 from conewalk.errors import (
     ConewalkError,
     DegeneratePivot,
+    FaceReachesBox,
     Infeasible,
     ObjectiveVanishes,
     TooLarge,
@@ -56,12 +60,12 @@ def identifying_walk(alpha, outcomes):
     from conewalk.simplex import basis_matrix
     from conewalk.walk import Parallelepiped, WalkOutcome
 
-    def fake_run_walk(nlp, cfg, basis, _beta=1.0):
+    def fake_run_walk(nlp, basis, *, steps, **term):
         mu = lu_solve(lu_factor(basis_matrix(nlp, basis).T), nlp.c)
         index = [max(0, round(m * alpha * nlp.n**2 - 0.5)) for m in mu]
         cell = Parallelepiped(basis=basis, index=tuple(index))
         outcome = WalkOutcome(final=cell, stopped_with_c_in_cone=False,
-                              steps_taken=cfg.steps)
+                              steps_taken=steps)
         outcomes.append((nlp, outcome))
         return outcome
 
@@ -377,7 +381,8 @@ class TestSolve:
         (np.int64(-3), ValueError)])
     def test_bad_seed_rejected_before_any_work(self, monkeypatch, seed, error):
         # each once failed only at the first walk term, after normalize,
-        # the collapse, delta, the box and phase 1, with numpy's message
+        # the collapse, delta, the box and phase 1, with numpy's message;
+        # building the WalkConfig raises now, so no solve starts
         import conewalk.reduction as reduction_module
 
         def forbidden(*args, **kwargs):
@@ -419,6 +424,12 @@ class TestSolve:
         want = solve(lp, WalkConfig(seed=2))
         assert (rep.basis, rep.x.tobytes(), rep.steps_per_level) == \
             (want.basis, want.x.tobytes(), want.steps_per_level)
+
+    def test_numpy_integer_seed_gives_the_report_of_its_int(self):
+        # every field, the walk's counters and the seed among them
+        lp = tu_instance_generator("network", 4, 14, 3)
+        rep, want = (solve(lp, WalkConfig(seed=s)) for s in (np.int64(3), 3))
+        assert jsonio.dumps(asdict(rep)) == jsonio.dumps(asdict(want))
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])
@@ -562,32 +573,43 @@ class TestKnownDegeneratePivots:
 
 # Bounded programs whose c is orthogonal to a recession direction, so the
 # optimal face reaches the box: the walk may stop at a box vertex's basis
-# whose cone holds c, and solve_bounded reads its box row as contact.
-WRONG_UNBOUNDED = [
-    # the half-strip x1 <= 1, 0 <= x2 <= 1, max x2: optimum 1 at (1, 1)
-    # (HiGHS); Unbounded(box_row=2) at every seed 0..19
-    pytest.param(LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-                               b=[1.0, 1.0, 0.0], c=[0.0, 1.0]), seed,
-                 id=f"half-strip-seed{seed}")
-    for seed in range(3)
-] + [
-    # a cone with its optimum -8/49 at the apex: Unbounded(box_row=5) at
-    # seeds 0, 1, 4, 5, 6 and 9, the optimum at seeds 2, 3, 7 and 8
-    pytest.param(LinearProgram(A=[[2.0, -2.0, 0.0], [0.0, 0.0, -14.0],
-                                  [2.0, 0.0, 1.0]],
-                               b=[-2 / 7, -1 / 7, 5 / 7], c=[1.0, -1.0, -2.0]),
-                 0, id="cone-seed0"),
-]
+# whose cone holds c.  Its box rows have cone multiplier 0, so
+# solve_bounded raises FaceReachesBox there, not Unbounded.
+# The half-strip x1 <= 1, 0 <= x2 <= 1, max x2: optimum 1 at (1, 1)
+# (HiGHS); FaceReachesBox (box row 2) at every seed 0..19.
+HALF_STRIP = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                           b=[1.0, 1.0, 0.0], c=[0.0, 1.0])
+# A cone with its optimum -8/49 at the apex: FaceReachesBox (box row 5) at
+# seeds 0, 1, 4, 5, 6 and 9, the optimum at seeds 2, 3, 7 and 8.
+APEX_CONE = LinearProgram(A=[[2.0, -2.0, 0.0], [0.0, 0.0, -14.0],
+                             [2.0, 0.0, 1.0]],
+                          b=[-2 / 7, -1 / 7, 5 / 7], c=[1.0, -1.0, -2.0])
+FACE_ON_BOX = [pytest.param(HALF_STRIP, seed, id=f"half-strip-seed{seed}")
+               for seed in range(3)] + [
+    pytest.param(APEX_CONE, 0, id="cone-seed0")]
 
 
 class TestKnownWrongVerdicts:
-    @pytest.mark.xfail(strict=True, raises=Unbounded,
-                       reason="the optimal face reaches the box, and a box "
-                              "row in the final basis reads as contact")
-    @pytest.mark.parametrize("lp, seed", WRONG_UNBOUNDED)
+    @pytest.mark.xfail(strict=True, raises=FaceReachesBox,
+                       reason="the optimal face reaches the box, and no "
+                              "pivot moves the final basis's box rows out")
+    @pytest.mark.parametrize("lp, seed", FACE_ON_BOX)
     def test_bounded_program_solves_to_its_optimum(self, lp, seed):
         rep = solve(lp, WalkConfig(seed=seed))
         assert_exact_optimum(lp, rep.basis)
+
+    @pytest.mark.parametrize("lp, seeds", [(HALF_STRIP, range(20)),
+                                           (APEX_CONE, range(10))],
+                             ids=["half-strip", "cone"])
+    def test_a_bounded_program_is_never_unbounded(self, lp, seeds):
+        # box rows of multiplier 0 are no verdict: the solve ends in the
+        # optimum or in FaceReachesBox, at every seed
+        for seed in seeds:
+            try:
+                rep = solve(lp, WalkConfig(seed=seed))
+            except FaceReachesBox:
+                continue
+            assert_exact_optimum(lp, rep.basis)
 
 
 class TestKnownCertificateRejections:
@@ -627,23 +649,23 @@ class TestRestarts:
     @staticmethod
     def recording_walk(monkeypatch, lp, start, *, in_cone_at=None,
                        degenerate_at=()):
-        """Fake run_walk on lp: records (cfg.steps, cfg.seed) per call and
-        returns an outcome of cfg.steps steps, far from alpha*c, that stops
-        in the cone on call number in_cone_at; ends on a ratio-test tie on
-        the calls numbered in degenerate_at, after half of cfg.steps."""
+        """Fake run_walk on lp: records (steps, seed) per call and returns
+        an outcome of that many steps, far from alpha*c, that stops in the
+        cone on call number in_cone_at; ends on a ratio-test tie on the
+        calls numbered in degenerate_at, after half of them."""
         import conewalk.reduction as reduction_module
         from conewalk.walk import Parallelepiped, WalkOutcome
 
         cell = Parallelepiped(basis=start, index=(0,) * lp.n)
         calls = []
 
-        def fake_run_walk(nlp, cfg, s, _beta=1.0):
-            calls.append((cfg.steps, cfg.seed))
-            steps = cfg.steps // 2 if len(calls) in degenerate_at else cfg.steps
+        def fake_run_walk(nlp, s, *, steps, seed, **term):
+            calls.append((steps, seed))
+            taken = steps // 2 if len(calls) in degenerate_at else steps
             outcome = WalkOutcome(final=cell,
                                   stopped_with_c_in_cone=len(calls) == in_cone_at,
-                                  steps_taken=steps, pivots=1,
-                                  accepted_moves=steps)
+                                  steps_taken=taken, pivots=1,
+                                  accepted_moves=taken)
             if len(calls) in degenerate_at:
                 outcome.tie = "ratio-test tie"
             return outcome
@@ -740,8 +762,7 @@ class TestRestarts:
         attempts = []
         monkeypatch.setattr(
             reduction_module, "run_walk",
-            lambda nlp, cfg, s, _beta=1.0:
-            attempts.append(1) or fake)
+            lambda *args, **kwargs: attempts.append(1) or fake)
         with pytest.raises(RetriesExhausted):
             self.walk(monkeypatch, unit_square, start, 46, 3)
         assert len(attempts) == 4  # the first try plus three retries
@@ -950,16 +971,17 @@ class TestShortTermPull:
 
     @staticmethod
     def spy_walk(monkeypatch, force_beta=None):
-        """Wrap run_walk: records (walked program, cfg, start, _beta) per
-        term and, with force_beta set, walks every term at that beta."""
+        """Wrap run_walk: records (walked program, the term's alpha, steps,
+        seed and trace as attributes, start, _beta) per term and, with
+        force_beta set, walks every term at that beta."""
         import conewalk.reduction as reduction_module
         real_run_walk = reduction_module.run_walk
         calls = []
 
-        def spy(nlp, cfg, start, _beta=1.0):
-            calls.append((nlp, cfg, start, _beta))
+        def spy(nlp, start, *, _beta=1.0, **term):
+            calls.append((nlp, SimpleNamespace(**term), start, _beta))
             beta = _beta if force_beta is None else force_beta
-            return real_run_walk(nlp, cfg, start, _beta=beta)
+            return real_run_walk(nlp, start, **term, _beta=beta)
 
         monkeypatch.setattr(reduction_module, "run_walk", spy)
         return calls

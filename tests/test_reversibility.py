@@ -30,7 +30,7 @@ from conewalk.phase1 import (  # noqa: E402
 )
 from conewalk.reduction import certify_delta  # noqa: E402
 from conewalk.simplex import pivot_across_facet, vertex_of_basis  # noqa: E402
-from conewalk.walk import Parallelepiped, WalkConfig, step  # noqa: E402
+from conewalk.walk import Parallelepiped, step  # noqa: E402
 
 from conftest import bounded_random_lp  # noqa: E402
 
@@ -101,10 +101,9 @@ def test_step_back_across_the_entering_row_returns(case, data):
                                max_size=lp.n))
     index[pos] = 0
     cell = Parallelepiped(basis, tuple(index))
-    cfg = WalkConfig(alpha=1.0, steps=1)
-    there, info = step(lp, cfg, cell, (pos, -1, ALWAYS))
+    there, info = step(lp, 1.0, cell, (pos, -1, ALWAYS))
     assert info.accepted and info.pivoted
     (entering,) = set(there.basis) - set(basis)
-    back, info = step(lp, cfg, there, (there.basis.index(entering), -1, ALWAYS))
+    back, info = step(lp, 1.0, there, (there.basis.index(entering), -1, ALWAYS))
     assert info.accepted and info.pivoted
     assert back == cell

@@ -54,8 +54,7 @@ ALWAYS = 1e-300
 def move(lp, cell, direction, alpha=1.0):
     """Take the given direction with step(); returns (cell, StepInfo)."""
     row, sign = direction
-    cfg = WalkConfig(alpha=alpha, steps=1)
-    new_cell, info = step(lp, cfg, cell,
+    new_cell, info = step(lp, alpha, cell,
                           (cell.basis.index(row), sign, ALWAYS))
     assert info.accepted and info.direction == direction
     return new_cell, info
@@ -183,37 +182,34 @@ class TestNeighbor:
 class TestStep:
     def test_step_takes_a_cell_and_a_draw(self):
         assert list(inspect.signature(step).parameters) == \
-            ["lp", "cfg", "cell", "draw"]
+            ["lp", "alpha", "cell", "draw"]
 
     def test_equal_weights_accept_at_half(self, unit_square):
         # alpha*c = (1,1) sits midway between the centers of cells (3,3)
         # and (4,3), so f(P') = f(P) and the move happens iff the coin
         # lands below 1/2
         alpha = 1.0 / float(unit_square.c[0])
-        cfg = WalkConfig(alpha=alpha, steps=1)
         cell = Parallelepiped(basis=(0, 1), index=(3, 3))
         lw_here = log_weight(unit_square, alpha, cell)
         prop = Parallelepiped(basis=(0, 1), index=(4, 3))
         lw_prop = log_weight(unit_square, alpha, prop)
         assert lw_here == pytest.approx(lw_prop, abs=1e-12)
-        moved, info = step(unit_square, cfg, cell, (0, +1, 0.499999))
+        moved, info = step(unit_square, alpha, cell, (0, +1, 0.499999))
         assert info.accepted and moved == prop
-        stayed, info = step(unit_square, cfg, cell, (0, +1, 0.5))
+        stayed, info = step(unit_square, alpha, cell, (0, +1, 0.5))
         assert not info.accepted and info.lazy and stayed == cell
 
     def test_counters_split(self, unit_square):
-        cfg = WalkConfig(alpha=32.0, steps=1)
         cell = Parallelepiped(basis=(0, 1), index=(0, 0))
         # (row 0, -1) pivots away from the optimum, so the ratio is tiny
         # and a mid-range coin rejects (not lazy)
-        _, info = step(unit_square, cfg, cell, (0, -1, 0.4))
+        _, info = step(unit_square, 32.0, cell, (0, -1, 0.4))
         assert not info.accepted and not info.lazy
 
     def test_seeded_replay(self, unit_square):
-        cfg = WalkConfig(alpha=32.0, steps=25, seed=123)
         start = (2, 3)
-        a = run_walk(unit_square, cfg.resolved(2, 1.0), start)
-        b = run_walk(unit_square, cfg.resolved(2, 1.0), start)
+        a = run_walk(unit_square, start, alpha=32.0, steps=25, seed=123)
+        b = run_walk(unit_square, start, alpha=32.0, steps=25, seed=123)
         assert a.final == b.final
         assert (a.steps_taken, a.pivots, a.accepted_moves, a.rejected_moves,
                 a.lazy_stays) == (b.steps_taken, b.pivots, b.accepted_moves,
@@ -295,23 +291,15 @@ class TestInConeMove:
 class TestRunWalk:
     def test_stops_immediately_when_optimal(self, unit_square):
         start = (0, 1)
-        out = run_walk(unit_square, WalkConfig(seed=1).resolved(2, 1.0), start)
+        # default_alpha(2, 1.0) and default_steps(2, 1.0)
+        out = run_walk(unit_square, start, alpha=32.0, steps=46, seed=1)
         assert out.stopped_with_c_in_cone
         assert out.steps_taken == 0
         assert out.pivots == 0
 
-    @pytest.mark.parametrize("cfg", [WalkConfig(seed=1),
-                                     WalkConfig(alpha=32.0, seed=1),
-                                     WalkConfig(steps=10, seed=1)])
-    def test_unresolved_config_rejected(self, unit_square, cfg):
-        start = (2, 3)
-        with pytest.raises(ValueError, match="resolved"):
-            run_walk(unit_square, cfg, start)
-
     def test_zero_steps_returns_start_cell(self, unit_square):
         start = (2, 3)
-        cfg = WalkConfig(alpha=32.0, steps=0, seed=5)
-        out = run_walk(unit_square, cfg, start)
+        out = run_walk(unit_square, start, alpha=32.0, steps=0, seed=5)
         assert out.final == Parallelepiped(basis=(2, 3), index=(0, 0))
         # the apex cell of rows -e1, -e2 at n = 2: center -(1/2)/n^2 each
         np.testing.assert_allclose(
@@ -326,25 +314,23 @@ class TestRunWalk:
         start = (2, 3)
         hits = 0
         for seed in range(100):
-            out = run_walk(unit_square,
-                           WalkConfig(seed=seed, steps=363).resolved(2, 1.0),
-                           start)
+            out = run_walk(unit_square, start, alpha=32.0, steps=363,
+                           seed=seed)
             if out.stopped_with_c_in_cone and out.final.basis == (0, 1):
                 hits += 1
         assert hits >= 95
 
     def test_counters_consistent(self, unit_square):
         start = (2, 3)
-        cfg = WalkConfig(alpha=32.0, steps=200, seed=9)
-        out = run_walk(unit_square, cfg, start)
+        out = run_walk(unit_square, start, alpha=32.0, steps=200, seed=9)
         assert out.accepted_moves + out.rejected_moves + out.lazy_stays == \
             out.steps_taken
 
     def test_trace_stream(self, unit_square):
         buf = io.StringIO()
         start = (2, 3)
-        cfg = WalkConfig(alpha=32.0, steps=30, seed=3, trace=buf)
-        out = run_walk(unit_square, cfg, start)
+        out = run_walk(unit_square, start, alpha=32.0, steps=30, seed=3,
+                       trace=buf)
         lines = [ln for ln in buf.getvalue().splitlines() if ln]
         assert len(lines) == out.steps_taken
         record = json.loads(lines[0])
@@ -425,11 +411,10 @@ class TestReplay:
         # walk's own draws, reproduces the record
         nlp, lp = boxed()
         start = phase1_vertex(nlp, lp).basis
-        cfg = WalkConfig(steps=9000, seed=seed).resolved(
-            lp.n, delta_bruteforce(lp).delta)
+        alpha = default_alpha(lp.n, delta_bruteforce(lp).delta)
         buf = io.StringIO()
-        out = run_walk(lp, WalkConfig(alpha=cfg.alpha, steps=cfg.steps,
-                                      seed=seed, trace=buf), start)
+        out = run_walk(lp, start, alpha=alpha, steps=9000, seed=seed,
+                       trace=buf)
         records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
         assert len(records) == out.steps_taken
 
@@ -447,7 +432,7 @@ class TestReplay:
                     (cell.basis, cell.index)
                 continue
             before = cell
-            cell, info = step(lp, cfg, cell, draw)
+            cell, info = step(lp, alpha, cell, draw)
             assert list(info.direction) == rec["direction"]
             assert list(cell.basis) == rec["basis"]
             assert list(cell.index) == rec["k"]
@@ -457,9 +442,9 @@ class TestReplay:
             assert info.log_weight_proposal == pytest.approx(
                 rec["log_weight_proposal"], abs=1e-9)
             assert rec["log_weight"] == pytest.approx(
-                log_weight(lp, cfg.alpha, before), **reference_tol)
+                log_weight(lp, alpha, before), **reference_tol)
             assert rec["log_weight_proposal"] == pytest.approx(
-                log_weight(lp, cfg.alpha, info.proposal), **reference_tol)
+                log_weight(lp, alpha, info.proposal), **reference_tol)
             replayed += 1
         assert cell == out.final
         assert replayed > 4000 and out.pivots > 50
@@ -477,8 +462,8 @@ class TestPulledWeight:
         alpha = 32.0
         cell = Parallelepiped(basis=(2, 3), index=(0, 0))
         u = 0.5 * math.exp(-0.5)
-        moved, info = step(unit_square, WalkConfig(alpha=alpha, steps=1),
-                           cell, (cell.basis.index(2), +1, u))  # row 2 outward
+        moved, info = step(unit_square, alpha, cell,
+                           (cell.basis.index(2), +1, u))  # row 2 outward
         assert info.log_weight_proposal - info.log_weight == \
             pytest.approx(-0.25)
         assert info.accepted and moved.index == (1, 0)
@@ -496,8 +481,8 @@ class TestPulledWeight:
         alpha = default_alpha(lp.n, delta_bruteforce(lp).delta)
         beta = float(lp.n**2)
         buf = io.StringIO()
-        out = run_walk(lp, WalkConfig(alpha=alpha, steps=400, seed=seed,
-                                      trace=buf), start, _beta=beta)
+        out = run_walk(lp, start, alpha=alpha, steps=400, seed=seed,
+                       trace=buf, _beta=beta)
         records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
         assert len(records) == out.steps_taken > 100
 
@@ -541,7 +526,7 @@ class TestDefaults:
         ({"alpha": "3"}, TypeError), ({"steps": -1}, ValueError),
         ({"steps": 2.5}, TypeError), ({"steps": np.float64(3.0)}, TypeError)])
     def test_bad_field_rejected_when_built(self, fields, error):
-        # run_walk and step() take configs made by replace, which checks too
+        # a config made by replace, as resolved makes one, checks too
         (field,) = fields
         with pytest.raises(error, match=rf"^WalkConfig\.{field} must be "):
             WalkConfig(**fields)
@@ -667,9 +652,9 @@ class TestBasisRecords:
 
         def walk(prog):
             buf = io.StringIO()
-            cfg = WalkConfig(steps=2000, seed=seed, trace=buf).resolved(
-                boxed.n, cert.delta)
-            return run_walk(prog, cfg, start,
+            return run_walk(prog, start,
+                            alpha=default_alpha(boxed.n, cert.delta),
+                            steps=2000, seed=seed, trace=buf,
                             _beta=float(boxed.n**2)), buf.getvalue()
 
         walk(boxed)

@@ -37,6 +37,11 @@ from .tolerances import (
 
 BRUTE_FORCE_LIMIT = 10**7
 
+# The smallest norm normalize scales by: below it the squares of a row's
+# entries underflow and its norm loses precision, down to 0 for a nonzero
+# row.  A row or objective counts as zero only when every entry is 0.
+MIN_NORM = math.sqrt(np.finfo(float).tiny)
+
 
 def _frozen_array(obj, name, value, dtype=float):
     arr = np.array(value, dtype=dtype)
@@ -70,14 +75,15 @@ class LinearProgram:
         if not (np.isfinite(A).all() and np.isfinite(b).all()
                 and np.isfinite(c).all()):
             raise ValueError("non-finite entries")
+        if not A.any(axis=1).all():
+            raise ZeroRow("constraint matrix has an all-zero row")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, not 0
             row_norms = np.linalg.norm(A, axis=1)
-        if (row_norms <= SPAN_TOL).any():
-            raise ZeroRow("constraint matrix has an all-zero row")
         # the rank of normalize's unit rows, so scaling a row cannot change
-        # it; a row whose norm overflows is scaled by its largest entry
-        scale = np.where(np.isfinite(row_norms), row_norms,
-                         np.abs(A).max(axis=1))
+        # it; a row whose norm overflows or underflows is scaled by its
+        # largest entry
+        scale = np.where(np.isfinite(row_norms) & (row_norms >= MIN_NORM),
+                         row_norms, np.abs(A).max(axis=1))
         if np.linalg.matrix_rank(A / scale[:, None]) < n:
             raise RankDeficient("A does not have full column rank")
 
@@ -166,6 +172,8 @@ class DeltaCertificate:
     Delta: int | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.delta, (bool, np.bool_)):
+            raise TypeError(f"delta must lie in (0, 1], got {self.delta!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
 
@@ -175,18 +183,24 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
 
     The feasible region and the optimal face are unchanged.  What
     LinearProgram validated survives the scaling (a positive row scaling
-    keeps the rank), and finite norms above SPAN_TOL scale to unit norms
-    within a few ulps, so NormalizedLP's validation is not run again.  A
-    norm or a scaled right-hand side past the float range raises TooLarge,
-    without a warning.
+    keeps the rank), and finite norms of at least MIN_NORM scale to unit
+    norms within a few ulps, so NormalizedLP's validation is not run
+    again.  A row or objective is zero only when every entry is: then
+    ZeroRow or ZeroObjective.  A nonzero one whose norm is below MIN_NORM,
+    or a norm or a scaled right-hand side past the float range, raises
+    TooLarge, without a warning.
     """
     with np.errstate(over="ignore"):
         row_norms = np.linalg.norm(lp.A, axis=1)
-        if (row_norms <= SPAN_TOL).any():
-            raise ZeroRow("cannot normalize an all-zero row")
         c_norm = float(np.linalg.norm(lp.c))
-        if c_norm <= SPAN_TOL:
-            raise ZeroObjective("objective vector is zero")
+        if not (row_norms.min() >= MIN_NORM and c_norm >= MIN_NORM):
+            if not lp.A.any(axis=1).all():
+                raise ZeroRow("cannot normalize an all-zero row")
+            if not lp.c.any():
+                raise ZeroObjective("objective vector is zero")
+            raise TooLarge("scaling to unit norms leaves the float range: a "
+                           f"norm is below {MIN_NORM:.3g}, where the "
+                           "squares of its entries underflow")
         A, b, c = lp.A / row_norms[:, None], lp.b / row_norms, lp.c / c_norm
     if not (math.isfinite(c_norm) and np.isfinite(row_norms).all()
             and np.isfinite(b).all()):
@@ -339,7 +353,8 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
     A_int = np.asarray(A_int)
     if not np.all(np.equal(np.mod(A_int, 1), 0)):
         raise NonIntegerEntries("matrix entries must be integral")
-    if not ((isinstance(Delta, int) or float(Delta).is_integer())
+    if isinstance(Delta, (bool, np.bool_)) or not (
+            (isinstance(Delta, int) or float(Delta).is_integer())
             and Delta >= 1):
         raise ValueError(f"Delta must be a positive integer, got {Delta!r}")
     n = A_int.shape[1]

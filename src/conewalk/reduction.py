@@ -1,4 +1,4 @@
-"""The solver, its Las Vegas walk, and dimension reduction as library code.
+"""The solver, its Las Vegas walk, and the paper's step 5 as library code.
 
 solve runs every stage of the solve in order: normalize, keep the tightest
 row of each direction (lp.tightest_rows), certify the row separation, box
@@ -9,14 +9,20 @@ and certify the optimum against every input row.  The boxed program's
 memo of basis factors (simplex.basis_factors) serves every stage after
 the box, so no basis is factored twice in a solve.
 
-reduce_lp is the paper's reduction step: once one row of the optimal basis
-is certified (identify.extract_element), its constraint is set to
-equality, coordinates rotate so the fixed row becomes the first unit
-vector, the first variable is substituted away, and the remaining rows are
-projected and rescaled to unit length.  solve does not call it: at the
-paper's constants a full-budget walk cannot reach the verification ball
-that would certify the row (README, "How it works", step 5).  It merges
-the projected rows by the rule solve applies to the input.
+Step 5 turns a walk into one certified row of the optimal basis, then
+drops a dimension; solve calls neither half: at the paper's constants a
+full-budget walk cannot reach the verification ball that would certify
+the row (README, "How it works", step 5).  Identification: when a vector
+c' close to the objective (gap below delta/(2n)) lies in the cone of a
+basis B', at least one conic coefficient of c' over B' exceeds
+(1/n)(1 - delta/(2n)), and every row achieving that belongs to the true
+optimal basis.  verify_problem1 and extract_element read those
+coefficients from one solve with the program's factors of A_B
+(simplex.cone_membership).  Reduction: reduce_lp sets the certified row's
+constraint to equality, rotates coordinates so the fixed row becomes the
+first unit vector, substitutes the first variable away, and projects the
+remaining rows and rescales them to unit length.  It merges the projected
+rows by the rule solve applies to the input.
 """
 from __future__ import annotations
 
@@ -30,13 +36,11 @@ from .errors import (
     ConewalkError,
     DegeneratePivot,
     Infeasible,
+    NoLargeCoefficient,
     ObjectiveVanishes,
     RetriesExhausted,
 )
 from .geometry import rotation_to_e1
-# Not called here: bound so that the spans perfbench/tracing.py PATCH_POINTS
-# names on this module keep resolving; ROADMAP's stage records delete it.
-from .identify import extract_element, verify_problem1  # noqa: F401
 from .lp import (
     DeltaCertificate,
     LinearProgram,
@@ -55,7 +59,7 @@ from .simplex import (
     vertex_of_basis,
 )
 from .tolerances import OBJ_TOL, SPAN_TOL
-from .walk import WalkConfig, run_walk
+from .walk import Parallelepiped, WalkConfig, center, run_walk
 
 MAX_RETRIES = 10  # failed full-budget attempts after the first
 RESTART_UNIT = 64  # walk steps per unit of Luby's restart schedule
@@ -73,6 +77,51 @@ def luby(t: int) -> int:
         if t == (1 << k) - 1:
             return 1 << (k - 1)
         t -= (1 << (k - 1)) - 1
+
+
+@dataclass(frozen=True)
+class IdentifiedElement:
+    row: int                      # row position certified optimal
+    mu: np.ndarray                # conic coefficients over the basis (sorted order)
+    c_prime: np.ndarray
+    gap: float                    # ||c - c'||_2
+    qualifying: tuple[int, ...]   # every row clearing the threshold
+
+
+def scaled_center(lp: NormalizedLP, cell: Parallelepiped,
+                  alpha: float) -> np.ndarray:
+    """c' = z_P / alpha for a walk's final cell P: its input to Problem 1."""
+    return center(lp, cell) / alpha
+
+
+def coefficient_threshold(n: int, delta: float) -> float:
+    return (1.0 / n) * (1.0 - delta / (2.0 * n))
+
+
+def verify_problem1(lp: NormalizedLP, basis: Basis, c_prime: np.ndarray,
+                    delta: float) -> bool:
+    """Both success conditions: c' in the cone of the basis, and gap < delta/(2n)."""
+    gap = float(np.linalg.norm(lp.c - c_prime))
+    if gap >= delta / (2.0 * lp.n):
+        return False
+    return cone_membership(lp, basis, c_prime).inside
+
+
+def extract_element(lp: NormalizedLP, basis: Basis, c_prime: np.ndarray,
+                    delta: float) -> IdentifiedElement:
+    """Pick the certified optimal row: largest coefficient, ties to smallest index."""
+    basis = tuple(sorted(basis))
+    mu = cone_membership(lp, basis, np.asarray(c_prime, dtype=float)).coeffs
+    threshold = coefficient_threshold(lp.n, delta)
+    qualifying = tuple(row for row, m in zip(basis, mu) if m > threshold)
+    if not qualifying:
+        raise NoLargeCoefficient(
+            f"no coefficient exceeds {threshold:g}; verification tolerances "
+            "were likely breached")
+    best = max(qualifying, key=lambda row: (mu[basis.index(row)], -row))
+    gap = float(np.linalg.norm(lp.c - c_prime))
+    return IdentifiedElement(row=best, mu=mu, c_prime=np.asarray(c_prime, float),
+                             gap=gap, qualifying=qualifying)
 
 
 def reduce_lp(lp: NormalizedLP, fixed: int, v: Vertex,

@@ -10,7 +10,7 @@ with z_P the cell center.  The walk's state is a cell: its basis fixes the
 vertex, so crossing a cone facet is a simplex pivot from that vertex.  As
 soon as the objective lies in the current cone, the current basis is
 optimal and the walk stops.  A walk that runs out of steps first returns
-its final cell, whose scaled center c' = z_P/alpha (identify.scaled_center)
+its final cell, whose scaled center c' = z_P/alpha (reduction.scaled_center)
 is the input of the paper's identification step; solve does not run that
 step and counts such a walk as a failed attempt.  A pivot into a ratio-test
 tie (a degenerate vertex) also ends the walk: run_walk returns its outcome
@@ -81,6 +81,17 @@ class Parallelepiped(NamedTuple):
     index: tuple[int, ...]  # coordinates >= 0, aligned with the sorted basis
 
 
+def _integer(value, message: str) -> int:
+    """operator.index(value); a bool, or a value that is no integer, raises
+    TypeError with the message."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """The caller's walk settings.  alpha=None / steps=None resolve from
@@ -90,10 +101,11 @@ class WalkConfig:
     field, when the config is built, so no solve starts with one.
     """
 
-    # a number > 0 (NaN is not); inf passes here and resolved raises
-    # TooLarge for it
+    # a number > 0 (NaN and bools are not); inf passes here and resolved
+    # raises TooLarge for it
     alpha: float | None = None
-    # an integer >= 0 (operator.index: numpy integers pass, 2.5 does not)
+    # an integer >= 0 (operator.index: numpy integers pass, 2.5 and bools
+    # do not)
     steps: int | None = None
     # an integer >= 0, as steps; solve walks term t of retry r on
     # SeedSequence([seed, 0, r, t])
@@ -102,26 +114,20 @@ class WalkConfig:
 
     def __post_init__(self) -> None:
         if self.alpha is not None:
-            if not isinstance(self.alpha, numbers.Real):
+            if (isinstance(self.alpha, (bool, np.bool_))
+                    or not isinstance(self.alpha, numbers.Real)):
                 raise TypeError(f"WalkConfig.alpha must be None or a number, "
                                 f"got {self.alpha!r}")
             if not self.alpha > 0.0:
                 raise ValueError(f"WalkConfig.alpha must be > 0, "
                                  f"got {self.alpha!r}")
         if self.steps is not None:
-            try:
-                steps = operator.index(self.steps)
-            except TypeError:
-                raise TypeError(f"WalkConfig.steps must be None or an integer, "
-                                f"got {self.steps!r}") from None
+            steps = _integer(self.steps,
+                             "WalkConfig.steps must be None or an integer")
             if steps < 0:
                 raise ValueError(f"WalkConfig.steps must be >= 0, "
                                  f"got {self.steps!r}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise TypeError(f"WalkConfig.seed must be a non-negative integer, "
-                            f"got {self.seed!r}") from None
+        seed = _integer(self.seed, "WalkConfig.seed must be a non-negative integer")
         if seed < 0:
             raise ValueError(f"WalkConfig.seed must be a non-negative integer, "
                              f"got {self.seed!r}")

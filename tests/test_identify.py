@@ -4,15 +4,15 @@ import pytest
 import conewalk.geometry as geometry_module
 import conewalk.simplex as simplex_module
 from conewalk.errors import NoLargeCoefficient
-from conewalk.identify import (
+from conewalk.lp import LinearProgram, delta_bruteforce, normalize
+from conewalk.oracle import check_lemma4, enumerate_vertices
+from conewalk.reduction import (
     coefficient_threshold,
     extract_element,
+    reduce_lp,
     scaled_center,
     verify_problem1,
 )
-from conewalk.lp import LinearProgram, delta_bruteforce, normalize
-from conewalk.oracle import check_lemma4, enumerate_vertices
-from conewalk.reduction import reduce_lp
 from conewalk.simplex import bland_simplex, cone_membership, vertex_of_basis
 from conewalk.walk import Parallelepiped, run_walk
 

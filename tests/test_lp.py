@@ -103,13 +103,36 @@ class TestNormalize:
          [1, 1]),
         # and the objective's
         ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], [1e200, 1]),
-    ], ids=["rhs", "row-norm", "objective-norm"])
+        # nonzero, but the squares of the entries underflow: the norm
+        # cannot scale the row, or the objective
+        ([[1, 0], [0, 1], [-1, 0], [0, -1], [1e-170, 1e-170]],
+         [1, 1, 0, 0, 1], [1, 1]),
+        ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], [1e-170, 1e-170]),
+    ], ids=["rhs", "row-norm", "objective-norm", "row-norm-underflow",
+            "objective-norm-underflow"])
     def test_scaling_past_the_float_range_is_too_large(self, A, b, c):
         lp = LinearProgram(A=A, b=b, c=c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TooLarge, match="float range"):
                 normalize(lp)
+
+    @pytest.mark.parametrize("rows, objective", [
+        (2.0**-40, 1.0), (1.0, 2.0**-40), (2.0**-40, 2.0**-40)],
+        ids=["rows", "objective", "both"])
+    def test_small_units_solve_as_the_unscaled_program(self, rows, objective):
+        # a positive scaling of A and b, or of c, changes neither the region
+        # nor the optimum; by a power of 2 it changes no normalized bit
+        base = tu_instance_generator("network", 4, 14, 5)
+        want = solve(base, WalkConfig(seed=0))
+        lp = LinearProgram(A=base.A * rows, b=base.b * rows,
+                           c=base.c * objective)
+        got = solve(lp, WalkConfig(seed=0))
+        assert got.basis == want.basis == (5, 7, 8, 9)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.steps_per_level == want.steps_per_level
+        assert got.pivots == want.pivots
+        assert got.value == want.value * objective
 
     def test_same_arrays_as_the_validating_constructor(self):
         # normalize skips NormalizedLP's validation, not its arithmetic:
@@ -620,6 +643,23 @@ class TestDeltaCertificate:
 
     def test_one_accepted(self):
         assert DeltaCertificate(1.0, DeltaMethod.BRUTE_FORCE).delta == 1.0
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_],
+                         ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("build, error, message", [
+    (lambda v: WalkConfig(alpha=v), TypeError, r"^WalkConfig\.alpha must be "),
+    (lambda v: WalkConfig(steps=v), TypeError, r"^WalkConfig\.steps must be "),
+    (lambda v: WalkConfig(seed=v), TypeError, r"^WalkConfig\.seed must be "),
+    (lambda v: DeltaCertificate(delta=v, method=DeltaMethod.INTEGER_BOUND),
+     TypeError, r"^delta must lie in \(0, 1\]"),
+    (lambda v: delta_integer_bound(np.eye(2), v), ValueError,
+     r"^Delta must be a positive integer"),
+], ids=["alpha", "steps", "seed", "delta", "Delta"])
+def test_a_bool_is_not_a_number(build, error, message, value):
+    # True == 1 in Python: unchecked, it would reach a report as true
+    with pytest.raises(error, match=message):
+        build(value)
 
 
 class TestCheckNondegenerate:

@@ -774,7 +774,7 @@ class TestRestarts:
         # full-budget term is a failed attempt
         import conewalk.reduction as reduction_module
         from conewalk.errors import RetriesExhausted
-        from conewalk.identify import scaled_center, verify_problem1
+        from conewalk.reduction import scaled_center, verify_problem1
 
         lp = LinearProgram(A=np.vstack([np.eye(3), -np.eye(3)]),
                            b=[1, 1, 1, 0, 0, 0], c=[1.0, 0.5, 0.25])

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from conewalk.errors import TooLarge
-from conewalk.identify import scaled_center
 from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
-from conewalk.reduction import certify_delta
+from conewalk.reduction import certify_delta, scaled_center
 from conewalk.simplex import (
     cone_membership,
     pivot_across_facet,

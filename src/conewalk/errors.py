@@ -41,14 +41,6 @@ class UnboundedEdge(ConewalkError):
     """Ratio test found no blocking constraint along a pivot edge."""
 
 
-class DegeneratePivot(ConewalkError):
-    """Two ratio-test candidates tie; the instance violates non-degeneracy.
-
-    run_walk does not raise it: a tie ends the walk, and WalkOutcome.tie
-    holds the message it would carry.
-    """
-
-
 class UnboundedLP(ConewalkError):
     """Objective is unbounded over the feasible region."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -164,7 +165,8 @@ class DeltaMethod(Enum):
 
 @dataclass(frozen=True)
 class DeltaCertificate:
-    """A certified lower bound on the row-to-span separation of an instance."""
+    """A certified lower bound on the row-to-span separation of an instance.
+    Each field is checked when it is built; a bool is no number."""
 
     delta: float
     method: DeltaMethod
@@ -176,6 +178,15 @@ class DeltaCertificate:
             raise TypeError(f"delta must lie in (0, 1], got {self.delta!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
+        if not isinstance(self.method, DeltaMethod):
+            raise TypeError(f"DeltaCertificate.method must be a DeltaMethod, "
+                            f"got {self.method!r}")
+        if self.Delta is not None and (
+                isinstance(self.Delta, bool)
+                or not isinstance(self.Delta, numbers.Integral)
+                or self.Delta < 1):
+            raise ValueError(f"DeltaCertificate.Delta must be None or a "
+                             f"positive integer, got {self.Delta!r}")
 
 
 def normalize(lp: LinearProgram) -> NormalizedLP:

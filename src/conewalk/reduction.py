@@ -34,7 +34,6 @@ import numpy as np
 from . import phase1
 from .errors import (
     ConewalkError,
-    DegeneratePivot,
     Infeasible,
     NoLargeCoefficient,
     ObjectiveVanishes,
@@ -193,11 +192,7 @@ class LevelStats:
     """Statistics of the solve's Las Vegas walk.
 
     The counters sum over every walk it started: each attempt runs as
-    restarts (terms), and all of them count.  A short term that ends on a
-    ratio-test tie (its WalkOutcome.tie is set) counts in degenerate_ends
-    and adds the steps it completed; the step whose pivot tied wrote no
-    trace record and is not counted, so accepted + rejected + lazy ==
-    steps_taken still holds.
+    restarts (terms), and all of them count.
     """
 
     retries: int = 0               # failed full-budget attempts
@@ -207,7 +202,6 @@ class LevelStats:
     rejected_moves: int = 0
     lazy_stays: int = 0
     terms: int = 0                 # walks started
-    degenerate_ends: int = 0       # short terms ended on a ratio-test tie
 
 
 @dataclass
@@ -249,10 +243,8 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
     whole budget; only that full-budget term is a paper attempt, walking
     the paper's weight (beta = 1) and alpha.  One that ends outside the
     cone has failed, and MAX_RETRIES + 1 failed ones raise
-    RetriesExhausted.  A short term that ends on a ratio-test tie is
-    restarted like any other; a full-budget one raises DegeneratePivot
-    with the tie's message.  Every term shares lp's walk memo, which
-    changes no step (walk module docstring).
+    RetriesExhausted.  Every term shares lp's walk memo, which changes no
+    step (walk module docstring).
     """
     stats = LevelStats()
     for retry in range(MAX_RETRIES + 1):
@@ -271,10 +263,6 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
             stats.accepted_moves += outcome.accepted_moves
             stats.rejected_moves += outcome.rejected_moves
             stats.lazy_stays += outcome.lazy_stays
-            if outcome.tie is not None:
-                if full:
-                    raise DegeneratePivot(outcome.tie)
-                stats.degenerate_ends += 1
             if outcome.stopped_with_c_in_cone:
                 return outcome.final.basis, stats
             if full:

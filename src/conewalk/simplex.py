@@ -3,7 +3,7 @@
 A basis is a sorted tuple of n row positions whose rows are linearly
 independent; the vertex it determines is the solution of the corresponding
 tight system.  Pivoting moves to the unique neighboring vertex across a
-chosen facet via the standard ratio test.
+chosen facet via the standard ratio test, ties broken lexicographically.
 
 One LU factorization of A_B serves everything asked of a basis: its vertex
 and a pivot's edge direction solve with A_B, its cone coefficients with
@@ -27,13 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegeneratePivot,
-    InfeasibleBasis,
-    IterationLimit,
-    UnboundedEdge,
-    UnboundedLP,
-)
+from .errors import InfeasibleBasis, IterationLimit, UnboundedEdge, UnboundedLP
 from .geometry import LU, lu_factor, lu_solve
 from .lp import NormalizedLP
 from .tolerances import CONE_TOL, RATIO_TOL
@@ -101,10 +95,20 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     staying rows and a_leaving^T d = -1; it is solved with the factors of
     v's basis.  The candidates are the region's non-basis rows j with
     a_j^T d > RATIO_TOL, each with the ratio t_j = slack_j / a_j^T d; the
-    entering row is the first candidate of least ratio.  If any other
-    candidate's ratio is within RATIO_TOL of that least one, the pivot is
-    degenerate and raises rather than picks.  The rule reads only the set of
-    (row, ratio) pairs, so it does not depend on the order of the rows.
+    point moves by the least ratio, and its candidate enters.  Off ties the
+    rule reads only the set of (row, ratio) pairs, so it does not depend on
+    the order of the rows.
+
+    A tie, candidates within RATIO_TOL of the least ratio, is broken by the
+    lexicographic rule (Charnes 1952; Dantzig, Orden & Wolfe 1955): with
+    b_i perturbed by eps^i, tied row j's ratio gains the key
+    (e_j - a_j^T A_B^{-1} on B) / a_j^T d over the row indices, and the
+    least key enters, compared row by row within RATIO_TOL (the first row
+    left).  One transposed solve with the basis's factors gives every
+    a_j^T A_B^{-1}.  Row j alone is nonzero at its own index, so keys never
+    tie and the pivot never raises on one; at a tie the choice depends on
+    the row order.  Whether phase 1 keeps every basis lexicographically
+    feasible when a row joins its region at slack 0 is not proven.
 
     The advances A d and slacks b - A x are read once each as Python
     floats, and one pass keeps the least ratio and the least of the others:
@@ -139,7 +143,18 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     if entering < 0:
         raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
     if t_next <= t_min + RATIO_TOL:
-        raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
+        tied = [j for j, a in enumerate(advance)
+                if a > RATIO_TOL and slack[j] / a <= t_min + RATIO_TOL]
+        keys = np.zeros((len(tied), len(advance)))
+        keys[:, basis] = -lu_solve(basis_factors(lp, basis), A[tied].T,
+                                   trans=1).T
+        keys[range(len(tied)), tied] = 1.0
+        keys /= np.array([advance[j] for j in tied])[:, None]
+        alive = list(range(len(tied)))
+        for key in keys.T.tolist():
+            least = min(key[q] for q in alive)
+            alive = [q for q in alive if key[q] <= least + RATIO_TOL]
+        entering = tied[alive[0]]
 
     new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
     return Vertex(v.point + t_min * d, new_basis)

@@ -22,7 +22,8 @@ CONE_TOL = 1e-9
 # Base feasibility tolerance; scaled by (1 + ||b||_inf) at use sites.
 FEAS_TOL = 1e-7
 
-# Ratio-test tolerance: positivity threshold and tie detection.
+# Ratio-test tolerance: positivity threshold, tie detection, and the
+# per-row tolerance of the lexicographic tie-break.
 RATIO_TOL = 1e-9
 
 # Threshold below which a projected objective counts as vanished.

@@ -12,10 +12,7 @@ soon as the objective lies in the current cone, the current basis is
 optimal and the walk stops.  A walk that runs out of steps first returns
 its final cell, whose scaled center c' = z_P/alpha (reduction.scaled_center)
 is the input of the paper's identification step; solve does not run that
-step and counts such a walk as a failed attempt.  A pivot into a ratio-test
-tie (a degenerate vertex) also ends the walk: run_walk returns its outcome
-with the tie's message in WalkOutcome.tie, where step() raises
-DegeneratePivot.
+step and counts such a walk as a failed attempt.
 
 step() maps a cell and one draw (pos, sign, u) of _draws to a cell by the
 kernel run_walk iterates, with one arithmetic at every n: a center is taken
@@ -57,7 +54,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConewalkError, DegeneratePivot, TooLarge
+from .errors import ConewalkError, TooLarge
 from .geometry import det_abs, log_abs_det, lu_solve
 from .jsonio import json_line
 from .lp import NormalizedLP
@@ -155,8 +152,7 @@ class WalkConfig:
 @dataclass
 class WalkOutcome:
     """How a walk ended: its final cell, whether c lies in that cell's
-    cone, the message of the ratio-test tie that ended it (None when none
-    did), and its step counters.  Each step counted is accepted, rejected
+    cone, and its step counters.  Each step counted is accepted, rejected
     or lazy: accepted_moves + rejected_moves + lazy_stays == steps_taken."""
 
     final: Parallelepiped
@@ -166,7 +162,6 @@ class WalkOutcome:
     accepted_moves: int = 0
     rejected_moves: int = 0
     lazy_stays: int = 0
-    tie: str | None = None
 
 
 @dataclass
@@ -404,11 +399,6 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
     the module docstring); the default 1 is the paper's f.  The trace's
     log_weight and log_weight_proposal are those of f_beta,
     -beta * l1 + log_vol, the weights the accept rule compared.
-
-    A pivot into a ratio-test tie ends the walk: the outcome counts the
-    steps completed before it and holds the DegeneratePivot's message in
-    tie, and the tied step wrote no record and is not counted.  run_walk
-    never raises on a tie.
     """
     n = lp.n
     draws = _draws(np.random.PCG64(seed), n,
@@ -420,7 +410,6 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
     z = _center(rec, index)
     l1 = _l1(z, ac)
     taken = pivots = accepted_moves = rejected_moves = lazy_stays = 0
-    tie = None
 
     while not rec.in_cone and taken < steps:
         pos, sign, u = next(draws)
@@ -433,12 +422,8 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
             lazy_stays += 1
             lw_proposal = None
         else:
-            try:
-                new_rec, new_index, z_new, l1_new, dlog = _propose(
-                    lp, ac, rec, index, z, l1, pos, sign, _beta)
-            except DegeneratePivot as exc:
-                tie, taken = str(exc), taken - 1  # the tied step changed nothing
-                break
+            new_rec, new_index, z_new, l1_new, dlog = _propose(
+                lp, ac, rec, index, z, l1, pos, sign, _beta)
             lw_proposal = -_beta * l1_new + new_rec.log_vol
             accepted = _accepts(u, dlog)
             if accepted:
@@ -468,5 +453,4 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
                        stopped_with_c_in_cone=rec.in_cone,
                        steps_taken=taken, pivots=pivots,
                        accepted_moves=accepted_moves,
-                       rejected_moves=rejected_moves, lazy_stays=lazy_stays,
-                       tie=tie)
+                       rejected_moves=rejected_moves, lazy_stays=lazy_stays)

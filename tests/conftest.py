@@ -10,7 +10,7 @@ import conewalk.phase1 as phase1_module
 import conewalk.reduction as reduction_module
 import conewalk.simplex as simplex_module
 import conewalk.walk as walk_module
-from conewalk.errors import ConewalkError, DegeneratePivot, UnboundedEdge
+from conewalk.errors import ConewalkError, UnboundedEdge
 from conewalk.geometry import lu_factor, lu_solve
 from conewalk.lp import LinearProgram, NormalizedLP, normalize
 from conewalk.oracle import tu_instance_generator
@@ -251,17 +251,22 @@ def prefix(prog: NormalizedLP, rows) -> NormalizedLP:
 
 
 def vectorized_pivot(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
-    """The former ratio test, vectorized in numpy, kept as the reference.
+    """The ratio test, vectorized in numpy, kept as the reference.
 
-    The candidates are the non-basis rows j with a_j^T d > RATIO_TOL; the
-    entering row is argmin's first least ratio, and another ratio within
-    RATIO_TOL of it raises DegeneratePivot.  It factors A_B afresh.
+    The candidates are the non-basis rows j with a_j^T d > RATIO_TOL, and
+    the point moves by their least ratio.  The tied rows are the
+    candidates whose ratio is within RATIO_TOL of it: one row without a
+    tie.  Each tied row's lexicographic key (e_j - a_j^T A_B^{-1} on B) /
+    a_j^T d is a row of one matrix, and its columns, in row order, drop
+    the rows whose key exceeds the least by more than RATIO_TOL; the first
+    row left enters.  It factors A_B afresh.
     """
     basis = v.basis
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
-    d = lu_solve(lu_factor(basis_matrix(lp, basis)), rhs)
+    lu = lu_factor(basis_matrix(lp, basis))
+    d = lu_solve(lu, rhs)
 
     advance = lp.A @ d
     slack = lp.b - lp.A @ v.point
@@ -271,11 +276,16 @@ def vectorized_pivot(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
     if rows.size == 0:
         raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
     t = slack[rows] / advance[rows]
-    k = int(t.argmin())
-    t_min = t[k]
-    if np.count_nonzero(t <= t_min + RATIO_TOL) > 1:
-        raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
-    entering = int(rows[k])
+    t_min = t.min()
+    tied = rows[t <= t_min + RATIO_TOL]
+    keys = np.zeros((tied.size, lp.m))
+    keys[:, basis] = -lu_solve(lu, lp.A[tied].T, trans=1).T
+    keys[np.arange(tied.size), tied] = 1.0
+    keys /= advance[tied, None]
+    alive = np.arange(tied.size)
+    for key in keys.T:
+        alive = alive[key[alive] <= key[alive].min() + RATIO_TOL]
+    entering = int(tied[alive[0]])
 
     new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
     return Vertex(v.point + t_min * d, new_basis)

@@ -227,7 +227,7 @@ class TestSolveCommand:
 
     def test_box_corner_slacks_past_the_float_range(self, capsys, tmp_path):
         # delta = 1e-308 gives a finite radius of 1e308, but phase 1 would
-        # overflow on the corner slacks and end in a DegeneratePivot
+        # overflow on the corner slacks
         path = tmp_path / "huge-1d.json"
         write_lp_file(str(path), LinearProgram(A=[[1.0], [-1.0]],
                                                b=[1.0, 0.0], c=[1.0]),

@@ -644,6 +644,22 @@ class TestDeltaCertificate:
     def test_one_accepted(self):
         assert DeltaCertificate(1.0, DeltaMethod.BRUTE_FORCE).delta == 1.0
 
+    def test_method_must_be_a_delta_method(self):
+        # a string once passed here and failed only after a whole solve,
+        # when the report read cert.method.value
+        with pytest.raises(TypeError, match=r"^DeltaCertificate\.method "):
+            DeltaCertificate(1 / 3, method="network_rows")
+
+    @pytest.mark.parametrize("Delta", [0, -3, 2.0, "1"])
+    def test_Delta_must_be_a_positive_integer(self, Delta):
+        with pytest.raises(ValueError, match=r"^DeltaCertificate\.Delta "):
+            DeltaCertificate(0.5, DeltaMethod.INTEGER_BOUND, Delta=Delta)
+
+    def test_integer_Delta_accepted(self):
+        for Delta in (None, 1, np.int64(3), 10**400):
+            cert = DeltaCertificate(0.5, DeltaMethod.INTEGER_BOUND, Delta=Delta)
+            assert cert.Delta is Delta
+
 
 @pytest.mark.parametrize("value", [True, False, np.True_],
                          ids=["True", "False", "np.True_"])
@@ -655,7 +671,9 @@ class TestDeltaCertificate:
      TypeError, r"^delta must lie in \(0, 1\]"),
     (lambda v: delta_integer_bound(np.eye(2), v), ValueError,
      r"^Delta must be a positive integer"),
-], ids=["alpha", "steps", "seed", "delta", "Delta"])
+    (lambda v: DeltaCertificate(0.5, DeltaMethod.INTEGER_BOUND, Delta=v),
+     ValueError, r"^DeltaCertificate\.Delta must be None or a positive "),
+], ids=["alpha", "steps", "seed", "delta", "Delta", "certificate-Delta"])
 def test_a_bool_is_not_a_number(build, error, message, value):
     # True == 1 in Python: unchecked, it would reach a report as true
     with pytest.raises(error, match=message):

@@ -2,7 +2,8 @@
 properties.
 
 simplex.pivot_across_facet reads the advances and slacks as Python floats;
-conftest.vectorized_pivot is the numpy rule it replaced.  Over the region
+conftest.vectorized_pivot is the numpy rule it replaced, with the same
+lexicographic tie-break.  Over the region
 of a program's first ``rows`` rows (all of them for None), the pivot must
 equal the reference on the program of those rows, built by the public
 constructor (conftest.prefix): the same entering basis and point bytes, or
@@ -72,7 +73,7 @@ def region_vertices(draw):
     A bounded region starts at the box corner, a vertex of every region
     holding the 2n box rows; the whole program starts at its phase-1
     vertex.  Up to 8 reference pivots at drawn positions follow, each that
-    ties or finds no blocking row passed over."""
+    finds no blocking row passed over."""
     _, box, corner, start = boxed(*draw(programs))
     rows = draw(st.one_of(st.none(), st.integers(2 * box.n, box.m)))
     region = prefix(box, rows)

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +17,6 @@ import conewalk.geometry as geometry
 from conewalk import jsonio
 from conewalk.errors import (
     ConewalkError,
-    DegeneratePivot,
     FaceReachesBox,
     Infeasible,
     ObjectiveVanishes,
@@ -251,8 +249,8 @@ class TestSolve:
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_trace_does_not_change_the_solve(self):
-        # a lazy step's proposal here would pivot into a degenerate tie;
-        # tracing used to evaluate it and raise DegeneratePivot
+        # a lazy step's proposal here would pivot through a ratio-test tie;
+        # tracing used to evaluate it, and a tie then raised
         lp = tu_instance_generator("network", 4, 20, 522376955)
         plain = solve(lp, WalkConfig(seed=2))
         traced = solve(lp, WalkConfig(seed=2, trace=io.StringIO()))
@@ -483,20 +481,18 @@ def _network(n, m, gen_seed):
     return tu_instance_generator("network", n, m, gen_seed)
 
 
-# Solves a ratio-test tie still ends: (program, its region for the oracle,
-# solve seed, the facet the tied pivot leaves, a position in the boxed
-# program: the 2n box rows, then the kept rows).  The first tie is in a walk
-# term, the other three in phase 1.  A lexicographic ratio test should solve
-# every one.
+# Solves that a ratio-test tie ended before the lexicographic rule:
+# (program, its region for the oracle, solve seed).  The first tie was in a
+# walk term, the other three in phase 1.
 DEGENERATE_SOLVES = [
-    pytest.param(_network(4, 16, 145401439), None, 1710842164, 20,
+    pytest.param(_network(4, 16, 145401439), None, 1710842164,
                  id="network-n4-m16-gen145401439-solve1710842164"),
-    pytest.param(_network(4, 18, 1692237961), None, 786869279, 12,
+    pytest.param(_network(4, 18, 1692237961), None, 786869279,
                  id="network-n4-m18-gen1692237961-solve786869279"),
-    pytest.param(_network(4, 20, 750225238), None, 272275497, 22,
+    pytest.param(_network(4, 20, 750225238), None, 272275497,
                  id="network-n4-m20-gen750225238-solve272275497"),
     pytest.param(pad_redundant(_network(3, 12, 174693283), 42, 174693283),
-                 _network(3, 12, 174693283), 668160086, 11,
+                 _network(3, 12, 174693283), 668160086,
                  id="padded-network-n3-m12-gen174693283-solve668160086"),
 ]
 
@@ -521,50 +517,30 @@ def _ladder(n: int, m: int, gen_seed: int) -> LinearProgram:
     return LinearProgram(A=np.array(rows), b=np.array(rhs), c=c)
 
 
-# The n-ladder's phase-1 ties: (program, solve seed s, facet), generator
-# seed 1000n + s.
+# The n-ladder's phase-1 ties: (program, solve seed s), generator seed
+# 1000n + s.
 LADDER_TIES = [
-    pytest.param(_ladder(n, m, 1000 * n + s), s, facet,
-                 id=f"ladder-n{n}-m{m}-s{s}")
-    for n, m, s, facet in ((4, 24, 1, 19), (7, 42, 1, 30), (8, 48, 2, 46))
+    pytest.param(_ladder(n, m, 1000 * n + s), s, id=f"ladder-n{n}-m{m}-s{s}")
+    for n, m, s in ((4, 24, 1), (7, 42, 1), (8, 48, 2))
 ]
 
 
-@contextmanager
-def pinned_tie(facet):
-    """A DegeneratePivot raised in the block must be the tie leaving facet:
-    another one fails the test."""
-    try:
-        yield
-    except DegeneratePivot as exc:
-        assert str(exc) == f"ratio-test tie leaving facet {facet}"
-        raise
-
-
-class TestKnownDegeneratePivots:
-    @pytest.mark.xfail(strict=True, raises=DegeneratePivot,
-                       reason="ratio-test tie; needs a lexicographic rule")
-    @pytest.mark.parametrize("lp, region, seed, facet", DEGENERATE_SOLVES)
-    def test_solves_to_the_oracle_optimum(self, lp, region, seed, facet):
-        # pinned at the brute-force delta: at the structural 1/n the first
-        # instance's walk ties at facet 10 instead
-        with pinned_tie(facet):
-            rep = solve(lp, WalkConfig(seed=seed),
-                        delta=delta_bruteforce(normalize(lp)))
+class TestRatioTestTies:
+    @pytest.mark.parametrize("lp, region, seed", DEGENERATE_SOLVES)
+    def test_solves_to_the_oracle_optimum(self, lp, region, seed):
+        # at the brute-force delta, the one these ties were found at
+        rep = solve(lp, WalkConfig(seed=seed),
+                    delta=delta_bruteforce(normalize(lp)))
         best = enumerate_vertices(normalize(region or lp)).optimal_point
         assert rep.value == pytest.approx(float(lp.c @ best), abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, raises=DegeneratePivot,
-                       reason="phase-1 ratio-test tie; needs a lexicographic "
-                              "rule")
-    @pytest.mark.parametrize("lp, seed, facet", LADDER_TIES)
-    def test_ladder_solves_to_the_highs_optimum(self, lp, seed, facet):
+    @pytest.mark.parametrize("lp, seed", LADDER_TIES)
+    def test_ladder_solves_to_the_highs_optimum(self, lp, seed):
         # delta=None: brute force is TooLarge at n = 8, and enumerating
         # the C(48, 8) bases is out of reach, so HiGHS is the reference
         from scipy.optimize import linprog
 
-        with pinned_tie(facet):
-            rep = solve(lp, WalkConfig(seed=seed))
+        rep = solve(lp, WalkConfig(seed=seed))
         ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b,
                       bounds=[(None, None)] * lp.n, method="highs")
         assert ref.status == 0
@@ -647,12 +623,10 @@ class TestRestarts:
             [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
     @staticmethod
-    def recording_walk(monkeypatch, lp, start, *, in_cone_at=None,
-                       degenerate_at=()):
+    def recording_walk(monkeypatch, lp, start, *, in_cone_at=None):
         """Fake run_walk on lp: records (steps, seed) per call and returns
         an outcome of that many steps, far from alpha*c, that stops in the
-        cone on call number in_cone_at; ends on a ratio-test tie on the
-        calls numbered in degenerate_at, after half of them."""
+        cone on call number in_cone_at."""
         import conewalk.reduction as reduction_module
         from conewalk.walk import Parallelepiped, WalkOutcome
 
@@ -661,14 +635,10 @@ class TestRestarts:
 
         def fake_run_walk(nlp, s, *, steps, seed, **term):
             calls.append((steps, seed))
-            taken = steps // 2 if len(calls) in degenerate_at else steps
-            outcome = WalkOutcome(final=cell,
-                                  stopped_with_c_in_cone=len(calls) == in_cone_at,
-                                  steps_taken=taken, pivots=1,
-                                  accepted_moves=taken)
-            if len(calls) in degenerate_at:
-                outcome.tie = "ratio-test tie"
-            return outcome
+            return WalkOutcome(final=cell,
+                               stopped_with_c_in_cone=len(calls) == in_cone_at,
+                               steps_taken=steps, pivots=1,
+                               accepted_moves=steps)
 
         monkeypatch.setattr(reduction_module, "run_walk", fake_run_walk)
         return calls
@@ -722,32 +692,9 @@ class TestRestarts:
         basis, stats = self.walk(monkeypatch, unit_square, start, 100, 3)
         assert basis == start  # the in-cone term's final basis
         assert [steps for steps, _ in calls] == [64, 64, 100, 64, 64]
-        assert (stats.retries, stats.terms, stats.degenerate_ends) == (1, 5, 0)
+        assert (stats.retries, stats.terms) == (1, 5)
         assert stats.steps_taken == stats.accepted_moves == 356
         assert stats.pivots == 5
-
-    def test_short_term_degenerate_pivot_moves_on(self, monkeypatch,
-                                                  unit_square):
-        start = (2, 3)
-        calls = self.recording_walk(monkeypatch, unit_square, start,
-                                    in_cone_at=3, degenerate_at=(2,))
-        basis, stats = self.walk(monkeypatch, unit_square, start, 1000, 0)
-        assert basis == start
-        assert [steps for steps, _ in calls] == [64, 64, 128]
-        assert (stats.terms, stats.degenerate_ends, stats.retries) == (3, 1, 0)
-        # the ended term counts the 32 steps it completed before the tie
-        assert stats.steps_taken == stats.accepted_moves == 64 + 32 + 128
-        assert stats.pivots == 3
-
-    def test_full_budget_degenerate_pivot_propagates(self, monkeypatch,
-                                                     unit_square):
-        from conewalk.errors import DegeneratePivot
-        start = (2, 3)
-        calls = self.recording_walk(monkeypatch, unit_square, start,
-                                    degenerate_at=(3,))
-        with pytest.raises(DegeneratePivot):
-            self.walk(monkeypatch, unit_square, start, 100, 5)
-        assert [steps for steps, _ in calls] == [64, 64, 100]
 
     def test_retries_exhaust_on_persistent_failure(self, monkeypatch,
                                                    unit_square):
@@ -824,40 +771,60 @@ class TestRestarts:
         assert sum('"step": 1,' in ln for ln in records) == \
             sum(s.terms for s in rep.levels)
 
-    def test_trace_holds_the_steps_of_degenerate_terms(self):
-        # 2 of this solve's 3 terms end on a degenerate pivot; their traced
-        # steps count too, but not the tied steps themselves.  No row of
-        # the instance repeats a direction, so all 15 are walked.
+    @staticmethod
+    def walk_tie_breaks(monkeypatch):
+        """Spy on the solve's walk terms and on simplex's tie-break, the one
+        solve there with a matrix right-hand side: returns the outcomes of
+        the terms, and for each tie broken, how many terms had started."""
+        import conewalk.reduction as reduction_module
+        import conewalk.simplex as simplex_module
+        outcomes, breaks, started = [], [], []
+        real_run_walk = reduction_module.run_walk
+        real_lu_solve = simplex_module.lu_solve
+
+        def spy_walk(*args, **kwargs):
+            started.append(None)
+            outcomes.append(real_run_walk(*args, **kwargs))
+            return outcomes[-1]
+
+        def spy_lu_solve(lu, rhs, trans=0):
+            if np.ndim(rhs) == 2:
+                breaks.append(len(started))
+            return real_lu_solve(lu, rhs, trans)
+
+        monkeypatch.setattr(reduction_module, "run_walk", spy_walk)
+        monkeypatch.setattr(simplex_module, "lu_solve", spy_lu_solve)
+        return outcomes, breaks
+
+    def test_trace_holds_the_steps_of_degenerate_terms(self, monkeypatch):
+        # the first of this solve's 3 terms pivots through two ratio-test
+        # ties; every term's steps are traced and counted.  No row of the
+        # instance repeats a direction, so all 15 are walked.
+        _, breaks = self.walk_tie_breaks(monkeypatch)
         lp = tu_instance_generator("network", 4, 15, 766077746)
         buf = io.StringIO()
         rep = solve(lp, WalkConfig(seed=1606168144, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         (stats,) = rep.levels
-        assert (stats.terms, stats.degenerate_ends) == (3, 2)
-        assert len(records) == sum(rep.steps_per_level) == 105
+        assert breaks == [1, 1]
+        assert stats.terms == 3
+        assert sum('"step": 1,' in ln for ln in records) == stats.terms
+        assert len(records) == sum(rep.steps_per_level) == 197
         assert stats.accepted_moves + stats.rejected_moves + \
             stats.lazy_stays == stats.steps_taken
         assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
 
     def test_a_tie_ended_term_returns_its_outcome(self, monkeypatch):
-        # the solve above: run_walk returns the two tied terms' outcomes,
-        # tie set, instead of raising, and every term's steps are reported
-        import conewalk.reduction as reduction_module
-        outcomes = []
-        real_run_walk = reduction_module.run_walk
-
-        def spy(*args, **kwargs):
-            outcomes.append(real_run_walk(*args, **kwargs))
-            return outcomes[-1]
-
-        monkeypatch.setattr(reduction_module, "run_walk", spy)
+        # the solve above: the terms that ended on a ratio-test tie before
+        # the lexicographic rule now pivot through it and run on, and every
+        # term's steps are reported
+        outcomes, breaks = self.walk_tie_breaks(monkeypatch)
         lp = tu_instance_generator("network", 4, 15, 766077746)
         rep = solve(lp, WalkConfig(seed=1606168144))
-        assert [o.tie for o in outcomes] == [
-            "ratio-test tie leaving facet 14",
-            "ratio-test tie leaving facet 16", None]
-        for o in outcomes[:2]:
-            assert not o.stopped_with_c_in_cone
+        assert breaks == [1, 1]
+        assert [(o.steps_taken, o.stopped_with_c_in_cone)
+                for o in outcomes] == [(64, False), (64, False), (69, True)]
+        for o in outcomes:
             assert o.accepted_moves + o.rejected_moves + o.lazy_stays == \
                 o.steps_taken
         assert sum(o.steps_taken for o in outcomes) == sum(rep.steps_per_level)

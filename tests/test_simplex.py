@@ -9,7 +9,6 @@ import conewalk.simplex as simplex_module
 import conewalk.walk as walk_module
 from conewalk.errors import (
     ConewalkError,
-    DegeneratePivot,
     InfeasibleBasis,
     UnboundedEdge,
     UnboundedLP,
@@ -45,9 +44,9 @@ from conftest import (
 def running_min_pivot(lp, v, leaving):
     """The former ratio test: a running minimum over rows in index order.
 
-    Kept as a reference.  Whether it reports a near-tie depends on the
-    order of the rows; when it reports none, its entering row is the unique
-    least ratio.
+    Kept as a reference off ties: it returns None for a near-tie it sees.
+    Whether it sees one depends on the order of the rows; when it sees
+    none, its entering row is the unique least ratio.
     """
     basis = v.basis
     local = basis.index(leaving)
@@ -73,7 +72,7 @@ def running_min_pivot(lp, v, leaving):
     if entering < 0:
         raise UnboundedEdge(f"no blocking row leaving facet {leaving}")
     if tie:
-        raise DegeneratePivot(f"ratio-test tie leaving facet {leaving}")
+        return None
 
     new_basis = tuple(sorted(set(basis) - {leaving} | {entering}))
     return Vertex(point=v.point + t_min * d, basis=new_basis)
@@ -221,16 +220,22 @@ class TestPivotAcrossFacet:
                     assert back.basis == v.basis
                     np.testing.assert_allclose(back.point, v.point, atol=1e-9)
 
-    def test_degenerate_tie_raises(self):
+    def test_degenerate_tie_enters_the_lexicographic_row(self):
         # two parallel-cut corners meet the moving edge at the same step
         lp = normalize(LinearProgram(
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
                [1.0 / SQRT2, 1.0 / SQRT2]],
             b=[1.0, 1.0, 0.0, 0.0, 2.0 / SQRT2], c=[1.0, 1.0]))
         v = vertex_of_basis(lp, (1, 2))  # (0, 1)
-        with pytest.raises(DegeneratePivot):
-            # moving along +x from (0,1): row 0 at t=1 and row 4 at t=1
-            pivot_across_facet(lp, v, 2)
+        # moving along +x from (0,1): row 0 at t=1 and row 4 at t=1; their
+        # keys over rows 0..4 are (1, 0, 1, 0, 0) and (0, -1, 1, 0, sqrt 2),
+        # so row 4 is least at row 0 and enters
+        w = pivot_across_facet(lp, v, 2)
+        assert w.basis == (1, 4)
+        np.testing.assert_allclose(w.point, [1.0, 1.0], atol=1e-12)
+        back = pivot_across_facet(lp, w, 4)
+        assert back.basis == (1, 2)
+        np.testing.assert_allclose(back.point, v.point, atol=1e-12)
 
 
 class TestBlandSimplex:
@@ -269,12 +274,18 @@ class TestBlandSimplex:
 class TestRatioTestRule:
     @pytest.mark.parametrize("cuts", [(6e-10, 1.2e-9), (1.2e-9, 6e-10)])
     def test_near_tie_raises_in_either_row_order(self, cuts):
+        # the name is kept from the former rule, which raised here; the
+        # pivot now enters the lexicographic row instead.
         # from (0, 1) along +x the two cuts block at t = 1 - 1.2e-9 and
-        # 1 - 6e-10, closer together than RATIO_TOL
+        # 1 - 6e-10, closer together than RATIO_TOL; both are x <= b, so
+        # their keys differ only at their own rows, and the cut in row 5
+        # is 0 at row 4 where the other is 1: row 5 enters in either order,
+        # and the point moves by the least ratio
         lp = near_tie_square(cuts)
         v = vertex_of_basis(lp, (1, 2))
-        with pytest.raises(DegeneratePivot):
-            pivot_across_facet(lp, v, 2)
+        w = pivot_across_facet(lp, v, 2)
+        assert w.basis == (1, 5)
+        assert w.point.tolist() == [1.0 - max(cuts), 1.0]
 
     @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
     def test_row_order_does_not_change_the_pivot(self, lp, seed):
@@ -287,10 +298,12 @@ class TestRatioTestRule:
             perm[others] = rng.permutation(others)
             permuted = NormalizedLP(A=prog.A[perm], b=prog.b[perm], c=prog.c)
             for leaving in v.basis:
+                # off ties the rule reads only the (row, ratio) pairs, and
+                # these pivots have none
                 try:
                     w = pivot_across_facet(prog, v, leaving)
-                except (DegeneratePivot, UnboundedEdge) as exc:
-                    with pytest.raises(type(exc)):
+                except UnboundedEdge:
+                    with pytest.raises(UnboundedEdge):
                         pivot_across_facet(permuted, v, leaving)
                     continue
                 wp = pivot_across_facet(permuted, v, leaving)
@@ -306,18 +319,20 @@ class TestRatioTestRule:
             for leaving in v.basis:
                 try:
                     ref = running_min_pivot(prog, v, leaving)
-                except (DegeneratePivot, UnboundedEdge) as exc:
-                    # a tie the running minimum sees is a tie of the set
-                    with pytest.raises(type(exc)):
+                except UnboundedEdge:
+                    with pytest.raises(UnboundedEdge):
                         pivot_across_facet(prog, v, leaving)
                     continue
+                if ref is None:
+                    continue  # a tie: the vectorized rule is its reference
                 w = pivot_across_facet(prog, v, leaving)
                 assert w.basis == ref.basis
                 assert w.point.tobytes() == ref.point.tobytes()
 
     @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
     def test_agrees_bitwise_with_the_vectorized_rule(self, lp, seed):
-        # ties and unbounded edges included: the same class is raised
+        # ties and unbounded edges included: the same choice, or the same
+        # class raised
         checked = 0
         for prog, v, _ in pivoted_vertices(lp, seed):
             for leaving in v.basis:
@@ -346,8 +361,8 @@ class TestRatioTestRule:
         lp = near_tie_square((6e-10, 1.2e-9))
         v = vertex_of_basis(lp, (1, 2))
         assert running_min_pivot(lp, v, 2).basis == (1, 5)
-        with pytest.raises(DegeneratePivot):
-            running_min_pivot(near_tie_square((1.2e-9, 6e-10)), v, 2)
+        assert running_min_pivot(near_tie_square((1.2e-9, 6e-10)), v, 2) \
+            is None
 
 
 class TestMemoScope:

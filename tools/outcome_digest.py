@@ -6,8 +6,8 @@ tu-walk / padded-rows / verdicts (perfbench/workloads.build, the counts a
 solve count and one sha256 over every outcome field:
 
 - an optimum: its basis, the bytes of x, value, delta, delta_method,
-  alpha, retries, and every walk counter: steps, pivots, terms, the
-  accepted, rejected and lazy steps, and the degenerate ends;
+  alpha, retries, and every walk counter: steps, pivots, terms, and the
+  accepted, rejected and lazy steps;
 - an error: its class and message, and Infeasible's iteration and
   repr(value) or Unbounded's box_row.
 
@@ -52,8 +52,7 @@ def outcome(inst: workloads.Instance) -> dict:
             "steps": stats.steps_taken, "pivots": rep.pivots,
             "retries": rep.retries, "terms": stats.terms,
             "accepted": stats.accepted_moves,
-            "rejected": stats.rejected_moves, "lazy": stats.lazy_stays,
-            "degenerate_ends": stats.degenerate_ends}
+            "rejected": stats.rejected_moves, "lazy": stats.lazy_stays}
 
 
 def digest(workload: str, seed: int) -> tuple[int, str]:

@@ -174,8 +174,10 @@ class DeltaCertificate:
     Delta: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.delta, (bool, np.bool_)):
-            raise TypeError(f"delta must lie in (0, 1], got {self.delta!r}")
+        if (isinstance(self.delta, (bool, np.bool_))
+                or not isinstance(self.delta, numbers.Real)):
+            raise TypeError(f"delta must lie in (0, 1] as a real number, "
+                            f"got {self.delta!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         if not isinstance(self.method, DeltaMethod):

@@ -319,18 +319,26 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     too small for a finite box radius or walk parameters, at every n, and
     ConewalkError if the certificate rejects the optimum it reconstructed
     (x infeasible for an input row beyond the feasibility tolerance, or c
-    outside the reported basis's cone).  Before any work, a delta that is
-    not a DeltaCertificate raises TypeError (a bare number would size the
-    box unchecked).  A bad alpha, steps or seed never reaches solve:
-    WalkConfig raises TypeError or ValueError for it when it is built.
+    outside the reported basis's cone).  Before any work, an lp that is
+    not a LinearProgram, a cfg that is not a WalkConfig or None, or a
+    delta that is not a DeltaCertificate or None raises TypeError (a bare
+    number would size the box unchecked).  A bad alpha, steps or seed never
+    reaches solve: WalkConfig raises TypeError or ValueError for it when it
+    is built.
     """
+    if not isinstance(lp, LinearProgram):
+        raise TypeError(f"lp must be a LinearProgram, got "
+                        f"{type(lp).__name__}")
+    if cfg is None:
+        cfg = WalkConfig()
+    elif not isinstance(cfg, WalkConfig):
+        raise TypeError(f"cfg must be a WalkConfig or None, got {cfg!r}")
     if delta is not None and not isinstance(delta, DeltaCertificate):
         raise TypeError(
             f"delta must be a DeltaCertificate or None, got {delta!r}; set "
             "WalkConfig.alpha and steps to tune the walk, and pass a "
             "certificate from delta_bruteforce, delta_from_structure or "
             "delta_integer_bound to set the row separation")
-    cfg = cfg or WalkConfig()
     nlp = normalize(lp)
     kept, walked = walked_program(nlp)
 

@@ -1,4 +1,15 @@
+"""The command line, `python -m conewalk.cli`: every check of its behaviour.
+
+Most tests call cli.main in process (run_cli): its exit code and stdout,
+and nothing on stderr, since every outcome, errors included, is one JSON
+record on stdout.  TestEntryPoint runs the real entry point in a
+subprocess, once per path out of main, and checks that a solve's report
+and trace do not depend on PYTHONHASHSEED.
+"""
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -57,18 +68,19 @@ def wide_file(tmp_path):
 
 
 def run_cli(capsys, argv):
+    """main's exit code and stdout; anything on stderr (a warning, a
+    traceback) fails the test."""
     code = main(argv)
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
 
 
 def assert_one_error_record(capsys, argv, mention):
     """Exit 1 with one JSON error record on stdout and nothing on stderr."""
-    code = main(argv)
-    captured = capsys.readouterr()
+    code, out = run_cli(capsys, argv)
     assert code == 1
-    assert captured.err == ""
-    line, = captured.out.splitlines()
+    line, = out.splitlines()
     record = json.loads(line)
     assert record["status"] == "error"
     assert mention in record["error"]
@@ -140,6 +152,18 @@ class TestSolveCommand:
         code, out = run_cli(capsys, ["solve", "--input", unbounded_file])
         assert code == 3
         assert json.loads(out)["status"] == "unbounded"
+
+    def test_face_reaching_the_box_is_one_error_record(self, capsys,
+                                                       tmp_path):
+        # the half-strip x1 <= 1, 0 <= x2 <= 1, max x2 is bounded, but its
+        # optimal face x2 = 1 reaches the box: a box row of cone multiplier
+        # 0 in the final basis is no unbounded verdict (exit 3)
+        path = tmp_path / "half-strip.json"
+        write_lp_file(str(path), LinearProgram(
+            A=[[1, 0], [0, 1], [0, -1]], b=[1, 1, 0], c=[0, 1]))
+        assert_one_error_record(
+            capsys, ["solve", "--input", str(path), "--seed", "0"],
+            "FaceReachesBox: ")
 
     def test_byte_identical_reports(self, capsys, square_file):
         argv = ["solve", "--input", square_file, "--seed", "42"]
@@ -486,6 +510,25 @@ class TestVerifyDeltaCommand:
         assert code == 0
         assert json.loads(out)["delta"] == pytest.approx(1.0 / SQRT2, abs=1e-9)
 
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in INSTANCES.glob("*.json")))
+    def test_brute_witness_spans_a_hyperplane(self, capsys, name):
+        # n - 1 rows, or none at delta 1
+        path = INSTANCES / name
+        code, out = run_cli(capsys, ["verify-delta", "--input", str(path),
+                                     "--method", "brute"])
+        assert code == 0
+        record = json.loads(out)
+        subset = record["witness_subset"]
+        assert "witness_row" in record
+        assert (len(subset) == json.loads(path.read_text())["n"] - 1
+                or (subset == [] and record["delta"] == 1)), record
+
+    def test_brute_over_budget_is_one_error_record(self, capsys, wide_file):
+        assert_one_error_record(
+            capsys, ["verify-delta", "--input", wide_file, "--method", "brute"],
+            "TooLarge: C(124,3)*124 ")
+
     def test_square_bound(self, capsys, square_file):
         code, out = run_cli(capsys, ["verify-delta", "--input", square_file,
                                      "--method", "bound"])
@@ -563,6 +606,7 @@ class TestWalkStatsCommand:
         assert code == 0
         stats = json.loads(out)
         assert len(stats["instances"]) == 2
+        assert all(len(i["per_seed"]) == 2 for i in stats["instances"])
         assert stats["instances"][1]["median_pivots"] is None
 
     def test_delta_certified_once_per_instance(self, capsys, square_file,
@@ -628,3 +672,66 @@ class TestWalkStatsCommand:
         report = json.loads(out)
         assert report["status"] == "error"
         assert "Delta" in report["error"]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_entry_point(argv, tmp_path, **env):
+    """python -m conewalk.cli from this checkout's src/, in tmp_path: its
+    exit code and stdout.  Nothing may reach stderr, and the last stdout
+    line is JSON."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conewalk.cli", *map(str, argv)],
+        cwd=tmp_path, env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    json.loads(proc.stdout.splitlines()[-1])
+    return proc.returncode, proc.stdout
+
+
+class TestEntryPoint:
+    """The real entry point, argparse's exits and sys.exit included: one
+    run per path out of main."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--input", INSTANCES / "unit-square.json"], 0),
+        (["solve", "--input", INSTANCES / "infeasible-strip.json"], 2),
+        (["solve", "--input", INSTANCES / "halfplane-ray.json"], 3),
+        (["solve"], 1),
+        (["verify-delta", "--input", INSTANCES / "network-n3.json",
+          "--method", "brute"], 0),
+        (["walk-stats", "--input", INSTANCES / "unit-square.json",
+          "--seeds", "2"], 0),
+    ], ids=["optimal", "infeasible", "unbounded", "usage-error",
+            "verify-delta", "walk-stats"])
+    def test_exit_code(self, tmp_path, argv, code):
+        assert run_entry_point(argv, tmp_path)[0] == code
+
+    def test_string_entry_is_one_error_record(self, tmp_path):
+        # numpy reads the string "1" as 1.0
+        path = tmp_path / "string-entry.json"
+        path.write_text(json.dumps({
+            "n": 2, "m": 4, "A": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+            "b": ["1", 1, 0, 0], "c": [1, 1]}))
+        code, out = run_entry_point(["solve", "--input", path], tmp_path)
+        (line,) = out.splitlines()
+        assert code == 1
+        assert "entries of 'b' must be JSON numbers" in json.loads(line)["error"]
+
+    def test_outcome_is_independent_of_the_hash_seed(self, tmp_path):
+        # solve keys dicts by row bytes and basis tuples: an outcome that
+        # followed a hash-ordered container's iteration order differs here
+        outputs = []
+        for hash_seed in ("0", "1"):
+            trace = tmp_path / f"trace-{hash_seed}.jsonl"
+            code, out = run_entry_point(
+                ["solve", "--input", INSTANCES / "network-n3-padded.json",
+                 "--seed", "1", "--trace", trace],
+                tmp_path, PYTHONHASHSEED=hash_seed)
+            assert code == 0
+            outputs.append((out, trace.read_bytes()))
+        assert outputs[0][1]
+        assert outputs[0] == outputs[1]

@@ -641,6 +641,14 @@ class TestDeltaCertificate:
         with pytest.raises(ValueError, match="delta"):
             DeltaCertificate(delta=delta, method=DeltaMethod.BRUTE_FORCE)
 
+    @pytest.mark.parametrize("delta", ["0.5", None, 0.5 + 0j],
+                             ids=["str", "None", "complex"])
+    def test_delta_must_be_a_real_number(self, delta):
+        # each once raised the comparison's own TypeError, naming no field
+        with pytest.raises(TypeError, match=r"^delta must lie in \(0, 1\] as "
+                                            r"a real number, got "):
+            DeltaCertificate(delta=delta, method=DeltaMethod.BRUTE_FORCE)
+
     def test_one_accepted(self):
         assert DeltaCertificate(1.0, DeltaMethod.BRUTE_FORCE).delta == 1.0
 

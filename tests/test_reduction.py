@@ -392,6 +392,27 @@ class TestSolve:
                                         r"non-negative integer, got "):
             solve(lp, WalkConfig(seed=seed))
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda lp: solve(np.eye(2)), "lp"),
+        (lambda lp: solve(lp, {"seed": 3}), "cfg"),
+        (lambda lp: solve(lp, 0), "cfg")],
+        ids=["array-lp", "dict-cfg", "zero-cfg"])
+    def test_wrong_typed_argument_rejected_before_any_work(self, monkeypatch,
+                                                           call, name):
+        # a dict once failed only after phase 1, on cfg.resolved; a falsy
+        # cfg solved with the defaults; an array failed on lp.A
+        import conewalk.reduction as reduction_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve did work before checking its "
+                                 "arguments")
+
+        monkeypatch.setattr(reduction_module, "normalize", forbidden)
+        lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                           b=[1.0, 1.0, 0.0, 0.0], c=[1.0, 1.0])
+        with pytest.raises(TypeError, match=rf"^{name} must be a "):
+            call(lp)
+
     @pytest.mark.parametrize("b", [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, -2.0, 0.0]],
                              ids=["square", "infeasible"])
     @pytest.mark.parametrize("fields, error", [
@@ -533,6 +554,21 @@ class TestRatioTestTies:
                     delta=delta_bruteforce(normalize(lp)))
         best = enumerate_vertices(normalize(region or lp)).optimal_point
         assert rep.value == pytest.approx(float(lp.c @ best), abs=1e-6)
+
+    @pytest.mark.parametrize("lp, region, seed", DEGENERATE_SOLVES)
+    def test_solves_to_the_highs_optimum_at_the_default_delta(self, lp, region,
+                                                              seed):
+        # delta=None, as `conewalk solve` runs by default: network rows
+        # certify delta 1/n, below the brute-force delta, so the box and
+        # alpha differ from the test above
+        from scipy.optimize import linprog
+
+        rep = solve(lp, WalkConfig(seed=seed))
+        ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b,
+                      bounds=[(None, None)] * lp.n, method="highs")
+        assert rep.delta_method == "network_rows"
+        assert ref.status == 0
+        assert rep.value == pytest.approx(-ref.fun, abs=1e-9)
 
     @pytest.mark.parametrize("lp, seed", LADDER_TIES)
     def test_ladder_solves_to_the_highs_optimum(self, lp, seed):

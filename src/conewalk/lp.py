@@ -361,8 +361,13 @@ def delta_integer_bound(A_int: np.ndarray, Delta: int) -> DeltaCertificate:
     ``Delta`` must be at least the maximum absolute sub-determinant of the
     matrix (caller-certified, or computed by the oracle module when small).
     A bound too small to form as a float raises TooLarge, at any size of
-    Delta: an int is integral without a float conversion.
+    Delta: an int is integral without a float conversion.  A Delta that is
+    no real number raises TypeError before any work; a bool, or a number
+    below 1 or not integral, raises ValueError.
     """
+    if not isinstance(Delta, (numbers.Real, np.bool_)):
+        raise TypeError(f"Delta must be a positive integer as a number, "
+                        f"got {Delta!r}")
     A_int = np.asarray(A_int)
     if not np.all(np.equal(np.mod(A_int, 1), 0)):
         raise NonIntegerEntries("matrix entries must be integral")

@@ -234,11 +234,13 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
     attempt is a series of terms on Luby's schedule, each one run_walk call
     with its own seed, step budget and weight, at cfg.alpha and onto
     cfg.trace: term t walks min(RESTART_UNIT * luby(t), budget) steps from
-    start on SeedSequence([cfg.seed, 0, retry, t]), budget being cfg.steps.
-    The in-cone stop is an exact optimality certificate, so a restart only
-    costs work, and a short term (fewer steps than the budget) may follow
-    any weight: it walks f_beta with beta = n^2, the paper's weight on
-    cells of edge 1, which pulls it toward alpha*c (walk module docstring).
+    start on SeedSequence([cfg.seed, retry, t]), budget being cfg.steps;
+    step i reads raw words 2i and 2i + 1 of that seed's PCG64 stream
+    (walk._draws).  The in-cone stop is an exact optimality certificate,
+    so a restart only costs work, and a short term (fewer steps than the
+    budget) may follow any weight: it walks f_beta with beta = n^2, the
+    paper's weight on cells of edge 1, which pulls it toward alpha*c (walk
+    module docstring).
     The series ends at the first term that stops in the cone or runs the
     whole budget; only that full-budget term is a paper attempt, walking
     the paper's weight (beta = 1) and alpha.  One that ends outside the
@@ -251,8 +253,7 @@ def _las_vegas_walk(lp: NormalizedLP, cfg: WalkConfig,
         stats.retries = retry
         for term in count(1):
             steps = min(RESTART_UNIT * luby(term), cfg.steps)
-            # the constant 0 keeps each seed's stream, and the golden reports
-            seed = np.random.SeedSequence([cfg.seed, 0, retry, term])
+            seed = np.random.SeedSequence([cfg.seed, retry, term])
             full = steps == cfg.steps  # the paper's attempt
             stats.terms += 1
             outcome = run_walk(lp, start, alpha=cfg.alpha, steps=steps,

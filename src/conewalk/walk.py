@@ -14,10 +14,14 @@ its final cell, whose scaled center c' = z_P/alpha (reduction.scaled_center)
 is the input of the paper's identification step; solve does not run that
 step and counts such a walk as a failed attempt.
 
-step() maps a cell and one draw (pos, sign, u) of _draws to a cell by the
-kernel run_walk iterates, with one arithmetic at every n: a center is taken
-by _center, rows^T (k + 1/2) with rows = A_B / n^2, or by adding one scaled
-row to a neighbor's center; an l1 distance is taken by _l1, left to right.
+step() maps a cell and one draw (pos, sign, u) to a cell by the kernel
+run_walk iterates.  Draw i of a walk reads raw words w[2i] and w[2i + 1]
+of its PCG64 stream (_draws): choice = w[2i] mod 2n picks basis position
+choice // 2, outward (+1) if choice is even, else inward (-1), and the
+coin is u = (w[2i + 1] >> 11) * 2^-53.  The kernel has one arithmetic at
+every n: a center is taken by _center, rows^T (k + 1/2) with rows =
+A_B / n^2, or by adding one scaled row to a neighbor's center; an l1
+distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
 The program keeps, in lp.walk_memo, one record per basis a walk enters
@@ -48,7 +52,6 @@ import numbers
 import operator
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from operator import add, sub
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -94,8 +97,9 @@ class WalkConfig:
     """The caller's walk settings.  alpha=None / steps=None resolve from
     (n, delta).
 
-    A bad alpha, steps or seed raises TypeError or ValueError, naming the
-    field, when the config is built, so no solve starts with one.
+    A bad alpha, steps, seed or trace raises TypeError or ValueError,
+    naming the field, when the config is built, so no solve starts with
+    one.
     """
 
     # a number > 0 (NaN and bools are not); inf passes here and resolved
@@ -104,9 +108,10 @@ class WalkConfig:
     # an integer >= 0 (operator.index: numpy integers pass, 2.5 and bools
     # do not)
     steps: int | None = None
-    # an integer >= 0, as steps; solve walks term t of retry r on
-    # SeedSequence([seed, 0, r, t])
+    # an integer >= 0, as steps; solve walks term t of retry r on the raw
+    # words of PCG64(SeedSequence([seed, r, t])) (_draws)
     seed: int = 0
+    # None or a text stream (an object with a callable write)
     trace: IO[str] | None = None
 
     def __post_init__(self) -> None:
@@ -128,6 +133,10 @@ class WalkConfig:
         if seed < 0:
             raise ValueError(f"WalkConfig.seed must be a non-negative integer, "
                              f"got {self.seed!r}")
+        if self.trace is not None and not callable(
+                getattr(self.trace, "write", None)):
+            raise TypeError(f"WalkConfig.trace must be None or a text stream "
+                            f"with a write method, got {self.trace!r}")
 
     def resolved(self, n: int, delta: float) -> "WalkConfig":
         """Fill in the auto fields from (n, delta).
@@ -296,48 +305,30 @@ def _propose(lp: NormalizedLP, ac: list[float], rec: _BasisRecord,
 
 
 def _accepts(u: float, dlog: float) -> bool:
-    """Lazy Metropolis rule: move iff u < (1/2) * min(1, exp(dlog))."""
-    return math.log(2.0 * u) < (dlog if dlog < 0.0 else 0.0)
+    """Lazy Metropolis rule: move iff u < (1/2) * min(1, exp(dlog)); a zero
+    coin moves, as exp(dlog) > 0."""
+    return u == 0.0 or math.log(2.0 * u) < (dlog if dlog < 0.0 else 0.0)
 
 
-_DRAW_BLOCK = 1024  # most raw 64-bit words read from the bit generator at once
+_DRAW_BLOCK = 64  # draws decoded at once: one restart unit
 
 
-def _draws(bitgen: np.random.BitGenerator, n: int, first: int = _DRAW_BLOCK,
-           ) -> Iterator[Draw]:
-    """One draw (pos, sign, u) per step (2n <= 2^32): with rng =
-    np.random.Generator(bitgen), choice = rng.integers(0, 2n) gives pos =
-    choice // 2 and sign = +1 if choice is even else -1; then u = rng.random().
+def _draws(bitgen: np.random.BitGenerator, n: int) -> Iterator[Draw]:
+    """One draw (pos, sign, u) per step, draw i decoded from raw words
+    w[2i] and w[2i + 1] of bitgen by the module docstring's rule; u is
+    numpy's double rule, (w >> 11) * 2^-53.
 
-    Reads the raw 64-bit words in blocks, first words and then _DRAW_BLOCK
-    at a time (the sizes change when words are read, never which), and
-    decodes them as the Generator does for PCG64:
-    - integers(0, k), k = 2n, takes 32-bit halves of words: the low half of
-      a new word first, its high half kept for the next integer.  Lemire's
-      rule maps a half x to (x*k) >> 32 and takes the next half instead
-      while (x*k) mod 2^32 < 2^32 mod k.
-    - random() takes a whole new word w, returns (w >> 11) * 2^-53 and
-      leaves a kept half for the next integer.
+    Words are read and decoded _DRAW_BLOCK draws at a time, in uint64 with
+    uint64 operands only (numpy 1.24 then gives the same integers), and
+    none before the first draw; the block size never changes a draw.
     """
-    k = 2 * n
-    threshold = (1 << 32) % k
-    blocks = (bitgen.random_raw(size).tolist()
-              for size in chain([first], repeat(_DRAW_BLOCK)))
-    word = chain.from_iterable(blocks).__next__  # endless
-    half = None
+    k, one, shift = np.uint64(2 * n), np.uint64(1), np.uint64(11)
     while True:
-        while True:
-            if half is None:
-                w = word()
-                x, half = w & 0xFFFFFFFF, w >> 32
-            else:
-                x, half = half, None
-            m = x * k
-            if m & 0xFFFFFFFF >= threshold:
-                break
-        choice = m >> 32
-        yield (choice // 2, +1 if choice % 2 == 0 else -1,
-               (word() >> 11) * 2.0**-53)
+        words = bitgen.random_raw(2 * _DRAW_BLOCK)
+        choice = words[0::2] % k
+        yield from zip((choice >> one).tolist(),
+                       np.where(choice & one, -1, 1).tolist(),
+                       ((words[1::2] >> shift) * 2.0**-53).tolist())
 
 
 def step(lp: NormalizedLP, alpha: float, cell: Parallelepiped,
@@ -383,17 +374,16 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
     (the current basis is then optimal); otherwise it performs one step.
     The membership test is applied once more after the final step.
 
-    The walk takes at most steps steps toward alpha*c and reads its draws
-    from _draws(np.random.PCG64(seed), n): a first block of 2 * steps
-    words within [16, _DRAW_BLOCK] (a step takes about 1.5), then
-    _DRAW_BLOCK words at a time.  A lazy coin ends the step without
-    evaluating the proposal; otherwise the proposal comes from step()'s
-    kernel.  The cell center is kept incrementally, and taken afresh by
-    _center at the start, on a pivot and every _RESYNC_INTERVAL-th step
-    that is not lazy; every l1 distance to alpha*c is taken by _l1.  With
-    trace set, one JSON record per step is written to it after the step;
-    a lazy step's record has log_weight_proposal null.  Tracing never
-    changes the walk.
+    The walk takes at most steps steps toward alpha*c.  Step i takes draw
+    i of _draws(np.random.PCG64(seed), n), decoded from raw words 2i and
+    2i + 1; a walk of no steps reads no word.  A lazy coin ends the step
+    without evaluating the proposal; otherwise the proposal comes from
+    step()'s kernel.  The cell center is kept incrementally, and taken
+    afresh by _center at the start, on a pivot and every
+    _RESYNC_INTERVAL-th step that is not lazy; every l1 distance to
+    alpha*c is taken by _l1.  With trace set, one JSON record per step is
+    written to it after the step; a lazy step's record has
+    log_weight_proposal null.  Tracing never changes the walk.
 
     _beta scales the l1 term of the weight the walk follows, f_beta (see
     the module docstring); the default 1 is the paper's f.  The trace's
@@ -401,8 +391,7 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
     -beta * l1 + log_vol, the weights the accept rule compared.
     """
     n = lp.n
-    draws = _draws(np.random.PCG64(seed), n,
-                   min(_DRAW_BLOCK, max(16, 2 * steps)))
+    draws = _draws(np.random.PCG64(seed), n)
     ac = (alpha * lp.c).tolist()
 
     rec = _record(lp, start)

@@ -560,6 +560,18 @@ class TestDeltaIntegerBound:
         with pytest.raises(ValueError, match="Delta"):
             delta_integer_bound(np.eye(2), Delta)
 
+    @pytest.mark.parametrize("Delta", ["3", None, [2], 2 + 0j],
+                             ids=["str", "None", "list", "complex"])
+    def test_Delta_that_is_no_number_is_a_type_error(self, Delta):
+        # "3" once raised the bare '>=' comparison error, None float()'s;
+        # a non-integral matrix would raise first if any work ran
+        with pytest.raises(TypeError, match=r"^Delta must be a positive "
+                                            r"integer as a number, got "):
+            delta_integer_bound(np.array([[0.5, 1.0]]), Delta)
+
+    def test_integral_float_Delta_accepted(self):
+        assert delta_integer_bound(np.eye(2), 2.0).Delta == 2
+
     def test_bound_past_the_float_range_is_too_large(self):
         # 1/(2 * 10^400) is no float; 10^150 still gives one
         with pytest.raises(TooLarge, match="float range"):

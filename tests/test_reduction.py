@@ -286,12 +286,12 @@ class TestSolve:
     # (kind, generator seed, solve seed) -> the outcome of
     # solve(lp, WalkConfig(seed=...), delta=0.3) when solve took a number:
     # basis, x bytes, steps, pivots.  The walk starts optimal on the first
-    # and pivots 20 times on the second.
+    # and pivots 3 times on the second.
     BARE_DELTA_OUTCOMES = {
         ("network", 5, 0): ((2, 3, 4), "000000000000dabf000000000000cebf"
                             "000000000000f03f", 0, 0),
         ("box", 3, 3): ((3, 4, 5), "000000000000c0bf000000000000b8bf"
-                        "000000000000d9bf", 228, 20),
+                        "000000000000d9bf", 17, 3),
     }
 
     @pytest.mark.parametrize("program", sorted(BARE_DELTA_OUTCOMES))
@@ -435,6 +435,23 @@ class TestSolve:
         (field,) = fields
         with pytest.raises(error, match=rf"^WalkConfig\.{field} must be "):
             solve(lp, WalkConfig(seed=0, **fields))
+
+    @pytest.mark.parametrize("trace", [
+        5, "trace.jsonl", Path("trace.jsonl"), SimpleNamespace(write=None)],
+        ids=["int", "str", "path", "write-not-callable"])
+    def test_bad_trace_rejected_before_any_work(self, monkeypatch, trace):
+        # an int once failed only mid-walk, after normalize, delta, the
+        # box and phase 1, with 'int' object has no attribute 'write'
+        import conewalk.reduction as reduction_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve did work before checking the trace")
+
+        monkeypatch.setattr(reduction_module, "normalize", forbidden)
+        lp = tu_instance_generator("network", 3, 10, 3)
+        with pytest.raises(TypeError, match=r"^WalkConfig\.trace must be "
+                                            r"None or a text stream"):
+            solve(lp, WalkConfig(seed=2, trace=trace))
 
     @pytest.mark.parametrize("seed", [np.int64(2), np.uint8(2)])
     def test_numpy_integer_seed_solves_as_its_int(self, seed):
@@ -714,7 +731,7 @@ class TestRestarts:
         # them that end outside the cone exhaust the walk, unverified
         assert verified == []
         entropies = [tuple(seed.entropy) for _, seed in calls]
-        assert entropies == [(7, 0, retry, t) for retry in range(max_retries + 1)
+        assert entropies == [(7, retry, t) for retry in range(max_retries + 1)
                              for t in range(1, 16)]
         assert len(set(entropies)) == len(calls)
 
@@ -779,7 +796,7 @@ class TestRestarts:
                                    scaled_center(nlp, o.final, 64.0), 1.0)
                    for nlp, o in outcomes)
 
-    def test_low_alpha_warns_once_per_level(self):
+    def test_low_alpha_warns_once_per_solve(self):
         import warnings
 
         # no row of this instance repeats a direction, so all 10 are walked
@@ -789,7 +806,7 @@ class TestRestarts:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = solve(lp, cfg)
-        assert [s.terms for s in rep.levels] == [4]
+        assert [s.terms for s in rep.levels] == [2]
         assert [str(w.message).split(" ")[0] for w in caught] == \
             [f"alpha={cfg.alpha:g}"]
 
@@ -800,7 +817,7 @@ class TestRestarts:
         monkeypatch.setattr(reduction_module, "MAX_RETRIES", 30)
         lp = tu_instance_generator("network", 3, 10, 3)
         buf = io.StringIO()
-        rep = solve(lp, WalkConfig(seed=2, steps=100, trace=buf))
+        rep = solve(lp, WalkConfig(seed=7, steps=100, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         assert rep.retries > 0 and rep.levels[0].terms > rep.retries + 1
         assert len(records) == sum(rep.steps_per_level)
@@ -808,7 +825,7 @@ class TestRestarts:
             sum(s.terms for s in rep.levels)
 
     @staticmethod
-    def walk_tie_breaks(monkeypatch):
+    def spy_terms_and_tie_breaks(monkeypatch):
         """Spy on the solve's walk terms and on simplex's tie-break, the one
         solve there with a matrix right-hand side: returns the outcomes of
         the terms, and for each tie broken, how many terms had started."""
@@ -833,33 +850,33 @@ class TestRestarts:
         return outcomes, breaks
 
     def test_trace_holds_the_steps_of_degenerate_terms(self, monkeypatch):
-        # the first of this solve's 3 terms pivots through two ratio-test
+        # the first two of this solve's 4 terms pivot through ratio-test
         # ties; every term's steps are traced and counted.  No row of the
         # instance repeats a direction, so all 15 are walked.
-        _, breaks = self.walk_tie_breaks(monkeypatch)
+        _, breaks = self.spy_terms_and_tie_breaks(monkeypatch)
         lp = tu_instance_generator("network", 4, 15, 766077746)
         buf = io.StringIO()
-        rep = solve(lp, WalkConfig(seed=1606168144, trace=buf))
+        rep = solve(lp, WalkConfig(seed=2, trace=buf))
         records = [ln for ln in buf.getvalue().splitlines() if ln]
         (stats,) = rep.levels
-        assert breaks == [1, 1]
-        assert stats.terms == 3
+        assert breaks == [1, 2]
+        assert stats.terms == 4
         assert sum('"step": 1,' in ln for ln in records) == stats.terms
-        assert len(records) == sum(rep.steps_per_level) == 197
+        assert len(records) == sum(rep.steps_per_level) == 311
         assert stats.accepted_moves + stats.rejected_moves + \
             stats.lazy_stays == stats.steps_taken
         assert stats.pivots == sum('"pivoted": true' in ln for ln in records)
 
-    def test_a_tie_ended_term_returns_its_outcome(self, monkeypatch):
-        # the solve above: the terms that ended on a ratio-test tie before
-        # the lexicographic rule now pivot through it and run on, and every
-        # term's steps are reported
-        outcomes, breaks = self.walk_tie_breaks(monkeypatch)
+    def test_a_term_that_breaks_a_tie_runs_on(self, monkeypatch):
+        # the solve above: the terms that pivot through a ratio-test tie
+        # run on, and every term's steps are reported
+        outcomes, breaks = self.spy_terms_and_tie_breaks(monkeypatch)
         lp = tu_instance_generator("network", 4, 15, 766077746)
-        rep = solve(lp, WalkConfig(seed=1606168144))
-        assert breaks == [1, 1]
+        rep = solve(lp, WalkConfig(seed=2))
+        assert breaks == [1, 2]
         assert [(o.steps_taken, o.stopped_with_c_in_cone)
-                for o in outcomes] == [(64, False), (64, False), (69, True)]
+                for o in outcomes] == [(64, False), (64, False), (128, False),
+                                       (55, True)]
         for o in outcomes:
             assert o.accepted_moves + o.rejected_moves + o.lazy_stays == \
                 o.steps_taken
@@ -998,7 +1015,7 @@ class TestShortTermPull:
         calls = self.spy_walk(monkeypatch)
         lp = tu_instance_generator("network", 3, 10, 3)
         buf = io.StringIO()
-        rep = solve(lp, WalkConfig(seed=2, steps=100, trace=buf))
+        rep = solve(lp, WalkConfig(seed=7, steps=100, trace=buf))
         assert rep.retries == 2
         assert [(cfg.steps, beta) for _, cfg, _, beta in calls] == \
             [(64, 9.0), (64, 9.0), (100, 1.0)] * 2 + [(64, 9.0)]

@@ -205,6 +205,15 @@ class TestStep:
         _, info = step(unit_square, 32.0, cell, (0, -1, 0.4))
         assert not info.accepted and not info.lazy
 
+    def test_a_zero_coin_accepts(self, unit_square):
+        # u = 0 is a draw ((w >> 11) == 0): 2u = 0 lies below every
+        # min(1, f'/f), so even the move the test above rejects happens
+        cell = Parallelepiped(basis=(0, 1), index=(0, 0))
+        moved, info = step(unit_square, 32.0, cell, (0, -1, 0.0))
+        assert info.accepted and info.pivoted and not info.lazy
+        assert moved == info.proposal != cell
+        assert info.log_weight_proposal < info.log_weight
+
     def test_seeded_replay(self, unit_square):
         start = (2, 3)
         a = run_walk(unit_square, start, alpha=32.0, steps=25, seed=123)
@@ -215,39 +224,50 @@ class TestStep:
                                   b.rejected_moves, b.lazy_stays)
 
 
-class TestBlockDraws:
-    """run_walk's _draws must give rng.integers(0, 2n), then rng.random()."""
+def decoded(words, n):
+    """The draws the walk reads from raw words, decoded in Python ints:
+    (pos, sign, u) per pair, choice = w[2i] mod 2n, u = (w[2i + 1] >> 11)
+    * 2^-53."""
+    out = []
+    for i in range(0, len(words) - 1, 2):
+        choice = int(words[i]) % (2 * n)
+        out.append((choice // 2, +1 if choice % 2 == 0 else -1,
+                    (int(words[i + 1]) >> 11) * 2.0**-53))
+    return out
 
-    # k = 2n for n = 1..8, and k = 3 * 2^30, where Lemire's rule rejects a
-    # quarter of the 32-bit halves (2^32 mod k = 2^30)
+
+class TestBlockDraws:
+    """Draw i of _draws decodes raw words 2i and 2i + 1 of the bit
+    generator, whatever the block size."""
+
+    # 2n for n = 1..8, and a 2n of 32 bits that is no power of 2, 3 * 2^30
     @pytest.mark.parametrize("n", [*range(1, 9), 3 * 2**29])
     def test_values_match_the_generator(self, n):
         seed = np.random.SeedSequence([20260, n % 7, n % 3])  # as _las_vegas_walk
-        rng = np.random.default_rng(seed)
+        steps = 50_001  # across about 780 blocks of draws
+        want = decoded(np.random.PCG64(seed).random_raw(2 * steps).tolist(), n)
         draws = _draws(np.random.PCG64(seed), n)
-        steps = 50_001  # over 10^5 values, across about 73 blocks of words
-        for _ in range(steps):
-            choice, u = int(rng.integers(0, 2 * n)), float(rng.random())
-            pos, sign, v = next(draws)
-            assert (2 * pos + (0 if sign > 0 else 1), v) == (choice, u)
+        got = [next(draws) for _ in range(steps)]
+        assert got == want
+        assert all(type(pos) is int and type(sign) is int and 0 <= pos < n
+                   for pos, sign, _ in got)
 
-    # run_walk's first block is 2 * steps words within [16, 1024], and the
-    # blocks hold 1024 from there; budgets around one 64-step restart unit
-    @pytest.mark.parametrize("first", [1, 16, 64, 1024])
+    # budgets around one 64-step restart unit, read in blocks of 1 to 1024
+    # draws
+    @pytest.mark.parametrize("block", [1, 7, 16, 64, 1024])
     @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 5000])
     @pytest.mark.parametrize("n", [1, 5])
-    def test_sized_blocks_give_the_generator_values(self, n, first, steps):
-        seed = np.random.SeedSequence([20261, n, first, steps])
-        rng = np.random.default_rng(seed)
+    def test_sized_blocks_give_the_generator_values(self, monkeypatch, n,
+                                                    steps, block):
+        import conewalk.walk as walk_module
+        monkeypatch.setattr(walk_module, "_DRAW_BLOCK", block)
+        seed = np.random.SeedSequence([20261, n, steps])
         bitgen = np.random.PCG64(seed)
         untouched = bitgen.state
-        draws = _draws(bitgen, n, first)
+        draws = _draws(bitgen, n)
         got = [next(draws) for _ in range(steps)]
-        want = []
-        for _ in range(steps):
-            choice, u = int(rng.integers(0, 2 * n)), float(rng.random())
-            want.append((choice // 2, +1 if choice % 2 == 0 else -1, u))
-        assert got == want
+        assert got == decoded(
+            np.random.PCG64(seed).random_raw(2 * steps).tolist(), n)
         if steps == 0:
             assert bitgen.state == untouched  # a walk of no steps reads none
 
@@ -400,8 +420,8 @@ class TestReplay:
     # (boxed instance, walk seed); each walk uses its whole budget, through
     # a resync at step 4096
     @pytest.mark.parametrize("boxed, seed", [
-        pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 0, id="n=3"),
-        pytest.param(partial(tu_boxed, "interval", 4, 14, 77), 5, id="n=4"),
+        pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 8, id="n=3"),
+        pytest.param(partial(tu_boxed, "interval", 4, 14, 77), 2, id="n=4"),
         pytest.param(partial(tu_boxed, "interval", 5, 12, 1), 0, id="n=5"),
         pytest.param(partial(random_boxed, 8, 6, 0), 0, id="n=8"),
     ])
@@ -415,7 +435,7 @@ class TestReplay:
         out = run_walk(lp, start, alpha=alpha, steps=9000, seed=seed,
                        trace=buf)
         records = [json.loads(ln) for ln in buf.getvalue().splitlines()]
-        assert len(records) == out.steps_taken
+        assert len(records) == out.steps_taken == 9000
 
         draws = _draws(np.random.PCG64(seed), lp.n)
         cell = Parallelepiped(start, (0,) * lp.n)
@@ -468,8 +488,8 @@ class TestPulledWeight:
         assert info.accepted and moved.index == (1, 0)
 
     @pytest.mark.parametrize("boxed, seed", [
-        pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 2, id="n=3"),
-        pytest.param(partial(tu_boxed, "interval", 5, 12, 1), 0, id="n=5"),
+        pytest.param(partial(tu_boxed, "interval", 3, 10, 14), 1, id="n=3"),
+        pytest.param(partial(tu_boxed, "interval", 5, 12, 1), 8, id="n=5"),
     ])
     def test_trace_records_the_pulled_weight(self, boxed, seed):
         # every record's weights are f_beta's, -beta * l1 + log_vol with

@@ -3,7 +3,8 @@
 For each seed and workload, solves the first 102 / 84 / 540 instances of
 tu-walk / padded-rows / verdicts (perfbench/workloads.build, the counts a
 30-second run sized them at) with this checkout's package, and prints the
-solve count and one sha256 over every outcome field:
+solve count and two sha256 digests.  The first is over every outcome
+field:
 
 - an optimum: its basis, the bytes of x, value, delta, delta_method,
   alpha, retries, and every walk counter: steps, pivots, terms, and the
@@ -11,8 +12,11 @@ solve count and one sha256 over every outcome field:
 - an error: its class and message, and Infeasible's iteration and
   repr(value) or Unbounded's box_row.
 
-Two checkouts that print the same digests solved every instance alike,
-bit for bit.  Only perfbench/workloads.py is read from perfbench/.
+The second is over the answers alone: the same fields without retries
+and the walk counters (ANSWER_FIELDS).  Two checkouts that print the
+same first digests solved every instance alike, bit for bit; the same
+second digests, with the answers alike, however the walks went.  Only
+perfbench/workloads.py is read from perfbench/.
 
     python tools/outcome_digest.py --seeds 1 2
 """
@@ -32,6 +36,8 @@ from conewalk import WalkConfig, solve  # noqa: E402
 from conewalk.errors import ConewalkError, Infeasible, Unbounded  # noqa: E402
 
 PREFIX = {"tu-walk": 102, "padded-rows": 84, "verdicts": 540}
+ANSWER_FIELDS = ("basis", "x", "value", "delta", "delta_method", "alpha",
+                 "error", "message", "iteration", "box_row")
 
 
 def outcome(inst: workloads.Instance) -> dict:
@@ -55,13 +61,17 @@ def outcome(inst: workloads.Instance) -> dict:
             "rejected": stats.rejected_moves, "lazy": stats.lazy_stays}
 
 
-def digest(workload: str, seed: int) -> tuple[int, str]:
-    """The solve count and the sha256 of the workload's prefix outcomes."""
-    h = hashlib.sha256()
+def digest(workload: str, seed: int) -> tuple[int, str, str]:
+    """The solve count and the sha256 of the workload's prefix outcomes,
+    then of their answers."""
+    full, answers = hashlib.sha256(), hashlib.sha256()
     pool = workloads.build(workload, seed, PREFIX[workload])
     for inst in pool:
-        h.update(json.dumps(outcome(inst), sort_keys=True).encode() + b"\n")
-    return len(pool), h.hexdigest()
+        out = outcome(inst)
+        answer = {k: out[k] for k in ANSWER_FIELDS if k in out}
+        full.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+        answers.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
+    return len(pool), full.hexdigest(), answers.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -70,9 +80,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     for seed in args.seeds:
         for workload in PREFIX:
-            count, hexdigest = digest(workload, seed)
+            count, full, answers = digest(workload, seed)
             print(f"seed {seed} {workload:<11} {count:4d} solves "
-                  f"sha256 {hexdigest}")
+                  f"sha256 {full} {answers}")
     return 0
 
 

@@ -5,8 +5,8 @@ no sparsity.  One LU factorization (lu_factor) serves every solve with a
 matrix and with its transpose (lu_solve) and its log-determinant
 (log_abs_det), calling LAPACK directly.  One function calls lu_factor:
 simplex.basis_factors, which factors each basis matrix A_B of a program
-once and serves the vertex, the pivot's edge direction, the cone
-coefficients and the cell volume from those factors.  Gram-Schmidt
+once, solves its vertex once, and serves the pivot's edge direction, the
+cone coefficients and the cell volume from those factors.  Gram-Schmidt
 (residual) runs over Python floats: on vectors of a few entries a numpy
 call costs more than the arithmetic.
 """

@@ -112,12 +112,13 @@ class LinearProgram:
 class NormalizedLP(LinearProgram):
     """A LinearProgram whose rows and objective all have unit Euclidean norm.
 
-    lu_memo maps a sorted basis to the LU factors of A_B; only
-    simplex.basis_factors reads and fills it.  walk_memo maps a sorted
-    basis to the walk's record of it; only walk._record reads and fills
-    it.  Every program starts with both empty: no program shares
-    another's memo, and phase 1 bounds its descents to the boxed program's
-    first rows instead of building programs of them.
+    lu_memo maps a sorted basis to the LU factors of A_B and the basis's
+    vertex A_B^{-1} b_B, solved with them; only simplex.basis_factors reads
+    and fills it.  walk_memo maps a sorted basis to the walk's record of
+    it; only walk._record reads and fills it.  Every program starts with
+    both empty: no program shares another's memo, and phase 1 bounds its
+    descents to the boxed program's first rows instead of building programs
+    of them.
     """
 
     lu_memo: dict = field(default_factory=dict, init=False, repr=False)

@@ -7,20 +7,20 @@ linearly independent rows of it, then its rows, in one order every stage
 reads.  It introduces no direction beyond negations, so the row-separation
 property is preserved: the boxed program has the input's delta.  The box
 radius follows in closed form from the solve's delta certificate
-(lp.DeltaCertificate), so no basic system is ever solved to size it.  A
-vertex of the boxed program is grown one constraint at a time: Bland's
+(lp.DeltaCertificate), so no basic system is ever solved to size it.
+A vertex of the boxed program is grown one constraint at a time: Bland's
 rule descends on the boxed program itself, bounded to its first 2n + i
-rows, so no program is built per row and every basis is factored once in
-the boxed program's memo (lp.NormalizedLP.lu_memo).  The descents start at
-the box corner where the negated directions are tight: when the
-directions are the walked program's first n rows, as find_independent_rows
-picks them whenever those are independent, descent i < n minimizes
-direction i, which that corner already does, so the first n descents
-pivot nowhere.  solve finds the
-boxed optimum itself; solve_bounded, the last step, reads x from its
-basis's factors in that memo, or unboundedness from a box row of that
-basis whose cone multiplier for c is positive.  Nothing here imports the
-walk or the solver.
+rows, so no program is built per row and every basis is factored, and its
+vertex solved, once in the boxed program's memo (lp.NormalizedLP.lu_memo).
+The descents pass bases, not points.  They start at the box corner where
+the negated directions are tight: when the directions are the walked
+program's first n rows, as find_independent_rows picks them whenever those
+are independent, descent i < n minimizes direction i, which that corner
+already does, so the first n descents pivot nowhere.  solve finds the
+boxed optimum itself; solve_bounded, the last step, reads x, its basis's
+vertex, from that memo, or unboundedness from a box row of that basis
+whose cone multiplier for c is positive.  Nothing here imports the walk or
+the solver.
 """
 from __future__ import annotations
 
@@ -40,12 +40,7 @@ from .lp import DeltaCertificate, NormalizedLP, _derived
 # Not called here: bound so that the span perfbench/tracing.py PATCH_POINTS
 # names on this module keeps resolving; ROADMAP's stage records delete it.
 from .lp import delta_bruteforce  # noqa: F401
-from .simplex import (
-    Basis,
-    Vertex,
-    basis_factors,
-    bland_simplex,
-)
+from .simplex import Basis, basis_factors, bland_simplex
 from .tolerances import CONE_TOL, SPAN_TOL
 
 
@@ -123,45 +118,45 @@ def infeasibility(row: int, value: float, rhs: float) -> Infeasible:
         iteration=row + 1, value=value)
 
 
-def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Vertex:
-    """Grow a vertex of P intersected with the box, or certify infeasibility.
+def phase1_vertex(lp: NormalizedLP, boxed: NormalizedLP) -> Basis:
+    """The sorted basis of a vertex of P intersected with the box, grown
+    one row at a time, or a certificate of infeasibility.
 
     ``boxed`` is ``bounding_box(lp, radius)``.  Starting from the box corner
     where the n box rows along the negated directions are tight (rows n to
     2n - 1, each direction at -radius), constraint i is brought in by
-    minimizing a_i^T x over the region
-    satisfying the box and the first i-1 constraints: Bland's rule on boxed
-    itself, bounded to its first 2n + i rows (bland_simplex's ``rows``).  A
-    minimum above b_i certifies the whole program infeasible, with the
-    iteration index as witness.  solve passes its walked program, the
+    minimizing a_i^T x over the region satisfying the box and the first i-1
+    constraints: Bland's rule on boxed itself, bounded to its first 2n + i
+    rows (bland_simplex's ``rows``).  The minimum is a_i^T x at the vertex x
+    of the descent's final basis, as boxed's memo solved it.  A minimum
+    above b_i certifies the whole program infeasible, with the iteration
+    index and that minimum as witness.  solve passes its walked program, the
     tightest row of each direction: that region is still cut by input rows,
     so it holds every feasible point in the box, and the box holds every
     vertex.  solve reports row i's input position.
 
-    The vertex returned is boxed's.  No program is built per row: every
-    descent reads and fills boxed's memo of basis factors, so each basis is
-    factored once for phase 1 and the stages after it.  bounding_box took
-    the box directions from find_independent_rows, so the corner's rows are
-    independent, and the corner satisfies every box row.  Those directions
-    are lp's first n rows whenever these are independent; descent i < n
-    then minimizes direction i, which is already least at the corner, so
-    its cone test passes and it pivots nowhere.  The test uses
+    The basis returned is boxed's.  No program is built per row: every
+    descent reads and fills boxed's memo, so each basis is factored and its
+    vertex solved once for phase 1 and the stages after it.  bounding_box
+    took the box directions from find_independent_rows, so the corner's
+    rows are independent, and the corner satisfies every box row.  Those
+    directions are lp's first n rows whenever these are independent;
+    descent i < n then minimizes direction i, which is already least at the
+    corner, so its cone test passes and it pivots nowhere.  The test uses
     the input's tolerance: box corners are exact up to rounding of order
     radius * eps, and a tolerance growing with the radius would let real
     infeasibility through.
     """
     n = lp.n
     ftol = lp.feas_tol()
-    corner = tuple(range(n, 2 * n))
-    v = Vertex(lu_solve(basis_factors(boxed, corner), boxed.b.take(corner)),
-               corner)
+    basis = tuple(range(n, 2 * n))  # the corner
     for i, (a, minus_a, rhs) in enumerate(zip(lp.A, -lp.A, lp.b.tolist())):
-        v = bland_simplex(boxed, v, minus_a, rows=2 * n + i)
-        value = float(a @ v.point)
+        basis = bland_simplex(boxed, basis, minus_a, rows=2 * n + i)
+        value = float(a @ basis_factors(boxed, basis)[1])
         if value > rhs + ftol:
             raise infeasibility(i, value, rhs)
         # The minimizer is already a vertex of the grown region; keep it.
-    return v
+    return basis
 
 
 def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
@@ -170,15 +165,15 @@ def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
     basis is an optimal basis of ``boxed`` (``bounding_box(lp, radius)``),
     sorted like every memo key, so its box rows (positions 0..2n-1) come
     first.  A basis of input rows proves its point optimal for the input,
-    tight box rows or not, so no tolerance is read: x is solved with the
-    basis's factors in boxed's memo, where solve's search left them.
-    Otherwise the same factors give c's cone multipliers, A_B^T mu = c.  A
+    tight box rows or not, so no tolerance is read: x is the basis's vertex
+    in boxed's memo, where solve's search left it beside its factors.
+    Otherwise those factors give c's cone multipliers, A_B^T mu = c.  A
     box row whose multiplier exceeds CONE_TOL certifies unboundedness; the
     least box row, basis[0], is the error's box_row.  If none does, c lies
     in the cone of the basis's input rows, so the program is bounded and
     its optimal face reaches the box: FaceReachesBox, not a verdict.
     """
-    lu = basis_factors(boxed, basis)
+    lu, x = basis_factors(boxed, basis)
     box = 2 * boxed.n
     if basis[0] < box:
         mu = lu_solve(lu, boxed.c, trans=1).tolist()
@@ -190,4 +185,4 @@ def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
             f"the program is bounded, but its optimal face reaches the box: "
             f"box rows {[p for p in basis if p < box]} of the optimal basis "
             f"have cone multiplier 0")
-    return lu_solve(lu, boxed.b[list(basis)])
+    return x

@@ -2,12 +2,12 @@
 
 solve runs every stage of the solve in order: normalize, keep the tightest
 row of each direction (lp.tightest_rows), certify the row separation, box
-the program, find a start vertex by phase 1, resolve the walk parameters,
+the program, find a start basis by phase 1, resolve the walk parameters,
 take an optimal basis of the boxed program (one Las Vegas walk, or Bland's
-rule at n = 1), solve x and read the box's verdict (phase1.solve_bounded),
-and certify the optimum against every input row.  The boxed program's
-memo of basis factors (simplex.basis_factors) serves every stage after
-the box, so no basis is factored twice in a solve.
+rule at n = 1), read x and the box's verdict (phase1.solve_bounded), and
+certify the optimum against every input row.  The boxed program's memo of
+basis factors and vertices (simplex.basis_factors) serves every stage
+after the box, so no basis is factored or solved twice in a solve.
 
 Step 5 turns a walk into one certified row of the optimal basis, then
 drops a dimension; solve calls neither half: at the paper's constants a
@@ -305,13 +305,13 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     certificate sizes the enclosing box, which reduces the program to a
     bounded instance; sets the walk parameters the config leaves auto
     (WalkConfig.resolved); and is reported (SolveReport.delta and
-    delta_method).  Phase 1 finds an initial vertex or a certified
+    delta_method).  Phase 1 finds an initial basis or a certified
     infeasibility.  The boxed program's optimal basis comes from one Las
     Vegas walk, or at n = 1 from Bland's rule started at the phase-1
-    vertex (at most one pivot); phase1.solve_bounded raises Unbounded if
+    basis (at most one pivot); phase1.solve_bounded raises Unbounded if
     that basis holds a box row of positive cone multiplier, FaceReachesBox
-    if its box rows all have multiplier 0, else solves x with its factors
-    from the boxed program's memo.  Reported positions (basis and the
+    if its box rows all have multiplier 0, else reads x, the basis's
+    vertex, from the boxed program's memo.  Reported positions (basis and the
     Infeasible witness) are input positions, Infeasible's value is for the
     row scaled to unit length, and x is certified against every input row.
     Raises Infeasible or Unbounded with certificates, FaceReachesBox (no
@@ -354,10 +354,10 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     if boxed.n == 1:
         # After the collapse each direction has one row and the box rows lie
         # beyond the margin: Bland's rule pivots at most once, with no tie.
-        basis = bland_simplex(boxed, start, boxed.c).basis
+        basis = bland_simplex(boxed, start, boxed.c)
         stats = LevelStats()
     else:
-        basis, stats = _las_vegas_walk(boxed, walk_cfg, start.basis)
+        basis, stats = _las_vegas_walk(boxed, walk_cfg, start)
     x = phase1.solve_bounded(boxed, basis)
     # a basis of input rows: solve_bounded raised on a box row
     basis = tuple(sorted(int(kept[p - 2 * boxed.n]) for p in basis))

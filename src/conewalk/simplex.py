@@ -5,18 +5,19 @@ independent; the vertex it determines is the solution of the corresponding
 tight system.  Pivoting moves to the unique neighboring vertex across a
 chosen facet via the standard ratio test, ties broken lexicographically.
 
-One LU factorization of A_B serves everything asked of a basis: its vertex
-and a pivot's edge direction solve with A_B, its cone coefficients with
-A_B^T.  basis_factors is the only code in the package that factors a
-matrix: it keeps the factors in the program's lu_memo, so a program factors
-each basis once whoever asks.
+The simplex state is a basis: the pivot and Bland's rule take a sorted
+basis and return one.  One LU factorization of A_B serves everything asked
+of a basis: its vertex and a pivot's edge direction solve with A_B, its
+cone coefficients with A_B^T.  basis_factors is the only code in the
+package that factors a matrix: the program's lu_memo keeps the factors and
+the vertex, so a program factors and solves each basis once whoever asks.
 A_B is gathered with one take, and a sorted basis is not sorted again.
 
 Bland's rule and the pivot act on a region: the program's first ``rows``
 rows, all of them by default.  Phase 1 descends on the boxed program's
 prefixes this way, reading the boxed program's own memo, with no program
 built per prefix.  The ratio test runs over Python floats, read once from
-the region's advances A d and slacks b - A x.
+the region's advances A d and slacks b - A x, x being the basis's vertex.
 """
 from __future__ import annotations
 
@@ -55,19 +56,23 @@ def basis_matrix(lp: NormalizedLP, basis: Basis) -> np.ndarray:
     return lp.A.take(basis, axis=0)
 
 
-def basis_factors(lp: NormalizedLP, basis: Basis) -> LU:
-    """LU factors of A_B, rows in the (sorted) basis order: read from
-    lp.lu_memo, or factored and kept there."""
-    lu = lp.lu_memo.get(basis)
-    if lu is None:
-        lu = lp.lu_memo[basis] = lu_factor(basis_matrix(lp, basis))
-    return lu
+def basis_factors(lp: NormalizedLP, basis: Basis) -> tuple[LU, np.ndarray]:
+    """LU factors of A_B, rows in the (sorted) basis order, and the basis's
+    vertex A_B^{-1} b_B solved with them: read from lp.lu_memo, or factored,
+    solved and kept there.  The vertex is read-only: every caller shares it."""
+    entry = lp.lu_memo.get(basis)
+    if entry is None:
+        lu = lu_factor(basis_matrix(lp, basis))
+        x = lu_solve(lu, lp.b.take(basis))
+        x.flags.writeable = False
+        entry = lp.lu_memo[basis] = lu, x
+    return entry
 
 
 def vertex_of_basis(lp: NormalizedLP, basis: Basis) -> Vertex:
-    """Solve the tight system of a basis and verify it is feasible."""
+    """The vertex of a basis, from lp's memo, verified feasible."""
     basis = tuple(sorted(basis))
-    x = lu_solve(basis_factors(lp, basis), lp.b.take(basis))
+    x = basis_factors(lp, basis)[1]
     if not lp.is_feasible(x):
         worst = float(np.max(lp.A @ x - lp.b))
         raise InfeasibleBasis(f"basis {basis} violates a constraint by {worst:g}")
@@ -82,22 +87,24 @@ def cone_membership(lp: NormalizedLP, basis: Basis, w: np.ndarray,
     order; membership allows coefficients down to -CONE_TOL, and a NaN
     coefficient is outside.
     """
-    mu = lu_solve(basis_factors(lp, tuple(sorted(basis))), w, trans=1)
+    mu = lu_solve(basis_factors(lp, tuple(sorted(basis)))[0], w, trans=1)
     return ConeResult(all(map(_in_cone, mu.tolist())), mu)
 
 
-def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
-                       rows: int | None = None) -> Vertex:
-    """Cross the facet of the leaving row to the unique neighboring vertex.
+def pivot_across_facet(lp: NormalizedLP, basis: Basis, leaving: int, *,
+                       rows: int | None = None) -> Basis:
+    """The sorted basis across the facet of the leaving row: the unique
+    neighboring vertex's.
 
-    The region is lp's first ``rows`` rows (all of lp's by default); v is a
-    vertex of it.  The edge direction d satisfies a_j^T d = 0 for the
-    staying rows and a_leaving^T d = -1; it is solved with the factors of
-    v's basis.  The candidates are the region's non-basis rows j with
-    a_j^T d > RATIO_TOL, each with the ratio t_j = slack_j / a_j^T d; the
-    point moves by the least ratio, and its candidate enters.  Off ties the
-    rule reads only the set of (row, ratio) pairs, so it does not depend on
-    the order of the rows.
+    The region is lp's first ``rows`` rows (all of lp's by default); the
+    sorted basis is one of its vertices.  The edge direction d satisfies
+    a_j^T d = 0 for the staying rows and a_leaving^T d = -1; it is solved
+    with the basis's factors, and the slacks b - A x are read at the
+    basis's vertex x, both from lp's memo (basis_factors).  The candidates
+    are the region's non-basis rows j with a_j^T d > RATIO_TOL, each with
+    the ratio t_j = slack_j / a_j^T d; the least ratio's candidate enters.
+    Off ties the rule reads only the set of (row, ratio) pairs, so it does
+    not depend on the order of the rows.
 
     A tie, candidates within RATIO_TOL of the least ratio, is broken by the
     lexicographic rule (Charnes 1952; Dantzig, Orden & Wolfe 1955): with
@@ -114,7 +121,6 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     floats, and one pass keeps the least ratio and the least of the others:
     the divisions and comparisons of the vectorized rule, bit for bit.
     """
-    basis = v.basis
     if leaving not in basis:
         raise ValueError(f"row {leaving} is not in basis {basis}")
     if rows is None:
@@ -126,10 +132,11 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
-    d = lu_solve(basis_factors(lp, basis), rhs)
+    lu, x = basis_factors(lp, basis)
+    d = lu_solve(lu, rhs)
 
     advance = (A @ d).tolist()
-    slack = (b - A @ v.point).tolist()
+    slack = (b - A @ x).tolist()
     for p in basis:
         advance[p] = 0.0  # a basis row never enters
     entering, t_min, t_next = -1, math.inf, math.inf
@@ -146,8 +153,7 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
         tied = [j for j, a in enumerate(advance)
                 if a > RATIO_TOL and slack[j] / a <= t_min + RATIO_TOL]
         keys = np.zeros((len(tied), len(advance)))
-        keys[:, basis] = -lu_solve(basis_factors(lp, basis), A[tied].T,
-                                   trans=1).T
+        keys[:, basis] = -lu_solve(lu, A[tied].T, trans=1).T
         keys[range(len(tied)), tied] = 1.0
         keys /= np.array([advance[j] for j in tied])[:, None]
         alive = list(range(len(tied)))
@@ -156,31 +162,30 @@ def pivot_across_facet(lp: NormalizedLP, v: Vertex, leaving: int, *,
             alive = [q for q in alive if key[q] <= least + RATIO_TOL]
         entering = tied[alive[0]]
 
-    new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
-    return Vertex(v.point + t_min * d, new_basis)
+    return tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
 
 
-def bland_simplex(lp: NormalizedLP, start: Vertex, objective: np.ndarray, *,
-                  rows: int | None = None) -> Vertex:
-    """Deterministic reference simplex: maximize objective^T x from start.
+def bland_simplex(lp: NormalizedLP, basis: Basis, objective: np.ndarray, *,
+                  rows: int | None = None) -> Basis:
+    """Deterministic reference simplex: the sorted basis maximizing
+    objective^T x, reached from the sorted basis given.
 
     The region is lp's first ``rows`` rows (all of lp's by default), and
-    start is a vertex of it.  Always leaves the facet of the smallest-index
-    row whose conic coefficient fails cone_membership's rule; optimality is
-    certified by cone membership of the objective.  Gives up after
-    10 * C(rows, n) pivots.  Each basis is factored once, in lp's memo, and
-    its factors serve both its cone test and its pivot.
+    the basis given is one of its vertices.  Always leaves the facet of the
+    smallest-index row whose conic coefficient fails cone_membership's
+    rule; optimality is certified by cone membership of the objective.
+    Gives up after 10 * C(rows, n) pivots.  Each basis is factored once, in
+    lp's memo, and its factors serve both its cone test and its pivot.
     """
     max_pivots = 10 * math.comb(lp.m if rows is None else rows, lp.n)
-    v = start
     for _ in range(max_pivots + 1):
-        res = cone_membership(lp, v.basis, objective)
+        res = cone_membership(lp, basis, objective)
         if res.inside:
-            return v
+            return basis
         leaving = next(row for row, inside in zip(
-            v.basis, map(_in_cone, res.coeffs.tolist())) if not inside)
+            basis, map(_in_cone, res.coeffs.tolist())) if not inside)
         try:
-            v = pivot_across_facet(lp, v, leaving, rows=rows)
+            basis = pivot_across_facet(lp, basis, leaving, rows=rows)
         except UnboundedEdge as exc:
             raise UnboundedLP("objective improves along an unbounded edge") from exc
     raise IterationLimit(f"exceeded {max_pivots} pivots")

@@ -25,12 +25,13 @@ distance is taken by _l1, left to right.
 center() and log_weight() are from-scratch references for tests.
 
 The program keeps, in lp.walk_memo, one record per basis a walk enters
-(_record): the vertex (A_B x = b_B), the scaled rows A_B / n^2, the cell
-volume (log |det A_B|), the in-cone stop (A_B^T mu = c), and the basis
-across every facet a walk has pivoted over (_pivot, from the vertex along
-A_B d = -e_k).  All read the program's LU factors of A_B
-(simplex.basis_factors), shared with phase 1.  They depend only on the
-program, so every walk of it shares them, and sharing changes no step.
+(_record): the scaled rows A_B / n^2, the cell volume (log |det A_B|), the
+in-cone stop (A_B^T mu = c), and the basis across every facet a walk has
+pivoted over (_pivot, from the basis's vertex along A_B d = -e_k).  All
+read the program's LU factors of A_B and the vertex A_B x = b_B kept
+beside them (simplex.basis_factors), shared with phase 1.  They depend
+only on the program, so every walk of it shares them, and sharing
+changes no step.
 log_volume() takes the volume from scratch, through np.linalg.det, for tests.
 
 The stop is an exact certificate, so the walk is sound under any weight;
@@ -58,12 +59,11 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConewalkError, TooLarge
-from .geometry import det_abs, log_abs_det, lu_solve
+from .geometry import det_abs, log_abs_det
 from .jsonio import json_line
 from .lp import NormalizedLP
 from .simplex import (
     Basis,
-    Vertex,
     basis_factors,
     basis_matrix,
     cone_membership,
@@ -226,7 +226,6 @@ class _BasisRecord(NamedTuple):
     """What the walk uses of one basis, computed the first time it needs it."""
 
     basis: Basis
-    point: np.ndarray             # the basis's vertex, A_B^{-1} b_B
     rows: np.ndarray              # cell edges a_i / n^2, in sorted basis order
     row_lists: list[list[float]]  # rows as float lists, for in-cone moves
     log_vol: float                # log of the cell volume
@@ -239,22 +238,21 @@ def _record(lp: NormalizedLP, basis: Basis) -> _BasisRecord:
     kept there."""
     rec = lp.walk_memo.get(basis)
     if rec is None:
-        lu = basis_factors(lp, basis)
         rows = basis_matrix(lp, basis) / lp.n**2
         rec = lp.walk_memo[basis] = _BasisRecord(
-            basis, lu_solve(lu, lp.b.take(basis)), rows, rows.tolist(),
-            log_abs_det(lu) - 2.0 * lp.n * math.log(lp.n),
+            basis, rows, rows.tolist(),
+            log_abs_det(basis_factors(lp, basis)[0])
+            - 2.0 * lp.n * math.log(lp.n),
             cone_membership(lp, basis, lp.c).inside, {})
     return rec
 
 
 def _pivot(lp: NormalizedLP, rec: _BasisRecord, leaving: int) -> Basis:
     """The basis across the facet of row leaving: read from rec.across, or
-    pivoted from the record's vertex and kept there."""
+    pivoted from the record's basis and kept there."""
     out = rec.across.get(leaving)
     if out is None:
-        out = rec.across[leaving] = pivot_across_facet(
-            lp, Vertex(rec.point, rec.basis), leaving).basis
+        out = rec.across[leaving] = pivot_across_facet(lp, rec.basis, leaving)
     return out
 
 

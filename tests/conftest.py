@@ -14,7 +14,7 @@ from conewalk.errors import ConewalkError, UnboundedEdge
 from conewalk.geometry import lu_factor, lu_solve
 from conewalk.lp import LinearProgram, NormalizedLP, normalize
 from conewalk.oracle import tu_instance_generator
-from conewalk.simplex import Vertex, basis_matrix
+from conewalk.simplex import basis_matrix, vertex_of_basis
 from conewalk.tolerances import RATIO_TOL
 from conewalk.walk import WalkConfig
 
@@ -112,11 +112,11 @@ class SolveSpy:
       box row repeats an input row or its negation, but with the box
       radius as its right-hand side;
     - det_calls: how often np.linalg.det ran;
-    - pivots: (caller, program, vertex, leaving, rows, result) for each
+    - pivots: (caller, program, basis, leaving, rows, result) for each
       pivot_across_facet call phase 1 ("simplex", through bland_simplex)
       and the walk ("walk") make, rows being the region's row count (None
-      for all of the program's rows) and result the Vertex or the type of
-      the error raised;
+      for all of the program's rows) and result the basis returned or the
+      type of the error raised;
     - cone_tests: (program, basis, w, inside) for each cone_membership call
       bland_simplex makes (phase 1's cone tests);
     - walked: every program a Las Vegas walk walked, its walk memo
@@ -189,16 +189,17 @@ class SolveSpy:
                         return real(matrix)
                     mp.setattr(module, "lu_factor", factor)
             for module in (simplex_module, walk_module):
-                def pivot(prog, v, leaving, *, rows=None,
+                def pivot(prog, basis, leaving, *, rows=None,
                           real=module.pivot_across_facet,
                           caller=module.__name__.rsplit(".", 1)[1]):
                     try:
-                        out = real(prog, v, leaving, rows=rows)
+                        out = real(prog, basis, leaving, rows=rows)
                     except ConewalkError as exc:
-                        self.pivots.append((caller, prog, v, leaving, rows,
+                        self.pivots.append((caller, prog, basis, leaving, rows,
                                             type(exc)))
                         raise
-                    self.pivots.append((caller, prog, v, leaving, rows, out))
+                    self.pivots.append((caller, prog, basis, leaving, rows,
+                                        out))
                     return out
                 mp.setattr(module, "pivot_across_facet", pivot)
             try:
@@ -250,18 +251,19 @@ def prefix(prog: NormalizedLP, rows) -> NormalizedLP:
     return NormalizedLP(A=prog.A[:rows], b=prog.b[:rows], c=prog.c)
 
 
-def vectorized_pivot(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
-    """The ratio test, vectorized in numpy, kept as the reference.
+def vectorized_pivot(lp: NormalizedLP, basis, leaving: int) -> tuple:
+    """The ratio test, vectorized in numpy, kept as the reference: the
+    basis across the facet of the leaving row.
 
-    The candidates are the non-basis rows j with a_j^T d > RATIO_TOL, and
-    the point moves by their least ratio.  The tied rows are the
-    candidates whose ratio is within RATIO_TOL of it: one row without a
-    tie.  Each tied row's lexicographic key (e_j - a_j^T A_B^{-1} on B) /
-    a_j^T d is a row of one matrix, and its columns, in row order, drop
-    the rows whose key exceeds the least by more than RATIO_TOL; the first
-    row left enters.  It factors A_B afresh.
+    The slacks are read at the basis's vertex.  The candidates are the
+    non-basis rows j with a_j^T d > RATIO_TOL, and the least ratio's row
+    enters.  The tied rows are the candidates whose ratio is within
+    RATIO_TOL of it: one row without a tie.  Each tied row's lexicographic
+    key (e_j - a_j^T A_B^{-1} on B) / a_j^T d is a row of one matrix, and
+    its columns, in row order, drop the rows whose key exceeds the least by
+    more than RATIO_TOL; the first row left enters.  It factors A_B and
+    solves the vertex afresh.
     """
-    basis = v.basis
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
@@ -269,7 +271,7 @@ def vectorized_pivot(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
     d = lu_solve(lu, rhs)
 
     advance = lp.A @ d
-    slack = lp.b - lp.A @ v.point
+    slack = lp.b - lp.A @ lu_solve(lu, lp.b.take(basis))
     candidate = advance > RATIO_TOL
     candidate.put(basis, False)
     rows = candidate.nonzero()[0]
@@ -287,27 +289,31 @@ def vectorized_pivot(lp: NormalizedLP, v: Vertex, leaving: int) -> Vertex:
         alive = alive[key[alive] <= key[alive].min() + RATIO_TOL]
     entering = int(tied[alive[0]])
 
-    new_basis = tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
-    return Vertex(v.point + t_min * d, new_basis)
+    return tuple(sorted((*basis[:local], *basis[local + 1:], entering)))
+
+
+def memo_vertex_is_afresh(prog: NormalizedLP, basis, rows=None) -> bool:
+    """Is the vertex prog's memo keeps beside the basis's factors the one
+    vertex_of_basis solves, bit for bit, on a copy of the region of prog's
+    first ``rows`` rows (all for None) that factors afresh?"""
+    return prog.lu_memo[basis][1].tobytes() == vertex_of_basis(
+        afresh(prefix(prog, rows)), basis).point.tobytes()
 
 
 def pivot_outcome(pivot, *args, **kwargs):
-    """(entering basis, point bytes) of a pivot, or the class it raised."""
+    """The basis a pivot returns, or the class it raised."""
     try:
-        w = pivot(*args, **kwargs)
+        return pivot(*args, **kwargs)
     except ConewalkError as exc:
         return type(exc)
-    return w.basis, w.point.tobytes()
 
 
-def same_pivot(prog, v, leaving, rows, result):
+def same_pivot(prog, basis, leaving, rows, result):
     """Does the standalone pivot over the region of prog's first ``rows``
     rows (all for None), on a copy of prog that factors afresh, give
-    result: the same Vertex, bit for bit, or the same error type?"""
-    expected = result if isinstance(result, type) else (
-        result.basis, result.point.tobytes())
-    return pivot_outcome(simplex_module.pivot_across_facet, afresh(prog), v,
-                         leaving, rows=rows) == expected
+    result: the same basis, or the same error type?"""
+    return pivot_outcome(simplex_module.pivot_across_facet, afresh(prog),
+                         basis, leaving, rows=rows) == result
 
 
 @pytest.fixture(scope="session")

@@ -203,7 +203,7 @@ def walk_samples():
 
     samples = []
     draws = _draws(np.random.PCG64(4242), aug.n)
-    apex = cell = Parallelepiped(start.basis, (0,) * aug.n)
+    apex = cell = Parallelepiped(start, (0,) * aug.n)
     while len(samples) < 10_000:
         cell, info = step(aug, alpha, cell, next(draws))
         samples.append((cell, info))

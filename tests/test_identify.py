@@ -148,7 +148,7 @@ class TestIdentifyThenReduce:
 
         reduced, reduced_start, index_map = reduce_lp(lp, elem.row, start)
         assert reduced.n == 1
-        (p,) = bland_simplex(reduced, reduced_start, reduced.c).basis
+        (p,) = bland_simplex(reduced, reduced_start.basis, reduced.c)
         basis = tuple(sorted([elem.row, index_map[p]]))
         assert basis == (0, 1)  # the true optimal basis for c
         assert cone_membership(lp, basis, lp.c).inside

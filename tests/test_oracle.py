@@ -43,8 +43,8 @@ class TestEnumerateVertices:
                 lp = tu_instance_generator(kind, 3, 10, seed)
                 nlp = normalize(lp)
                 res = enumerate_vertices(nlp)
-                start = vertex_of_basis(nlp, res.vertices[0].basis)
-                v = bland_simplex(nlp, start, nlp.c)
+                basis = bland_simplex(nlp, res.vertices[0].basis, nlp.c)
+                v = vertex_of_basis(nlp, basis)
                 assert float(nlp.c @ v.point) == pytest.approx(
                     res.optimal_value, abs=1e-7)
 

@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import conewalk.phase1 as phase1_module
 import conewalk.simplex as simplex_module
 from conewalk.errors import (
     FaceReachesBox,
@@ -38,16 +42,21 @@ from conewalk.phase1 import (
 )
 from conewalk.reduction import solve, walked_program
 from conewalk.simplex import (
-    Vertex,
     basis_factors,
+    basis_matrix,
     bland_simplex,
     cone_membership,
-    vertex_of_basis,
 )
 from conewalk.tolerances import SPAN_TOL
 from conewalk.walk import WalkConfig
 
-from conftest import bounded_random_lp, random_rotation, rotate_instance
+from conftest import (
+    bounded_random_lp,
+    exact_solve,
+    memo_vertex_is_afresh,
+    random_rotation,
+    rotate_instance,
+)
 
 # A certificate far below the square's true separation of 1: the closed-form
 # radius is then 2001, against a largest basic-point norm of sqrt(2).
@@ -76,33 +85,33 @@ def plus_corner_phase1(lp, boxed):
     box corner where the directions, not their negations, are tight."""
     n = lp.n
     ftol = lp.feas_tol()
-    corner = tuple(range(n))
-    v = Vertex(lu_solve(basis_factors(boxed, corner), boxed.b.take(corner)),
-               corner)
+    basis = tuple(range(n))
     for i, (a, minus_a, rhs) in enumerate(zip(lp.A, -lp.A, lp.b.tolist())):
-        v = bland_simplex(boxed, v, minus_a, rows=2 * n + i)
-        value = float(a @ v.point)
+        basis = bland_simplex(boxed, basis, minus_a, rows=2 * n + i)
+        value = float(a @ basis_factors(boxed, basis)[1])
         if value > rhs + ftol:
             raise infeasibility(i, value, rhs)
-    return v
+    return basis
 
 
 def counted_phase1(monkeypatch, run, lp, radius):
-    """run(lp, bounding_box(lp, radius)), raised Infeasible or returned
-    vertex, and the simplex.pivot_across_facet calls it made."""
+    """run(lp, boxed), boxed being bounding_box(lp, radius): the raised
+    Infeasible or the returned basis, the simplex.pivot_across_facet calls
+    it made, and boxed."""
     calls = []
 
     def pivot(*args, real=simplex_module.pivot_across_facet, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    boxed = bounding_box(lp, radius)
     with monkeypatch.context() as patch:
         patch.setattr(simplex_module, "pivot_across_facet", pivot)
         try:
-            result = run(lp, bounding_box(lp, radius))
+            result = run(lp, boxed)
         except Infeasible as exc:
             result = exc
-    return result, len(calls)
+    return result, len(calls), boxed
 
 
 def near_span_lp(n, seed):
@@ -367,57 +376,48 @@ class TestPhase1Vertex:
 
         monkeypatch.setattr(phase1_module, "_derived", derived)
         monkeypatch.setattr(NormalizedLP, "__post_init__", post_init)
-        v = phase1_vertex(nlp, boxed)
+        basis = phase1_vertex(nlp, boxed)
         assert built == []
-        assert v.basis == expected.basis
-        assert v.point.tobytes() == expected.point.tobytes()
+        assert basis == expected
+        assert memo_vertex_is_afresh(boxed, basis)
 
     def test_square_returns_a_vertex_of_the_region(self, unit_square):
         boxed = bounding_box(unit_square, 2.0)
-        v = phase1_vertex(unit_square, boxed)
-        assert boxed.is_feasible(v.point)
+        x = basis_factors(boxed, phase1_vertex(unit_square, boxed))[1]
+        assert boxed.is_feasible(x)
         # exactly n rows of the boxed program are tight
-        tight = np.sum(np.abs(boxed.A @ v.point - boxed.b) <= boxed.feas_tol())
+        tight = np.sum(np.abs(boxed.A @ x - boxed.b) <= boxed.feas_tol())
         assert tight == unit_square.n
         corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert any(np.allclose(v.point, c, atol=1e-9) for c in corners)
+        assert any(np.allclose(x, c, atol=1e-9) for c in corners)
 
     def test_returns_a_vertex_of_the_boxed_program(self, unit_square):
-        # the basis indexes boxed as it is: its tight system there gives the
-        # point, bit for bit on the square, whose pivots are exact
+        # the basis indexes boxed as it is: the vertex boxed's memo keeps
+        # for it is its tight system's solve there, bit for bit
         boxed = bounding_box(unit_square, 2.0)
-        v = phase1_vertex(unit_square, boxed)
-        assert v.point.tobytes() == \
-            vertex_of_basis(boxed, v.basis).point.tobytes()
-        # elsewhere the point sums pivot steps, so rounding may part them
+        assert memo_vertex_is_afresh(boxed, phase1_vertex(unit_square, boxed))
         for kind in ("box", "interval", "network"):
             for seed in range(6):
                 nlp = normalize(tu_instance_generator(kind, 4, 14, seed))
                 radius = certified_radius(nlp, delta_bruteforce(nlp))
                 boxed = bounding_box(nlp, radius)
-                v = phase1_vertex(nlp, boxed)
-                assert boxed.is_feasible(v.point)
-                np.testing.assert_allclose(
-                    v.point, vertex_of_basis(boxed, v.basis).point,
-                    rtol=0.0, atol=1e-12 * radius)
+                basis = phase1_vertex(nlp, boxed)
+                assert boxed.is_feasible(boxed.lu_memo[basis][1])
+                assert memo_vertex_is_afresh(boxed, basis)
 
     @pytest.mark.parametrize("kind", ["box", "interval", "network"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_start_point_stays_within_rounding_of_its_basis_solve(
             self, kind, n):
-        # the walk starts from the point phase 1's pivots summed, not from
-        # the solve of its basis: on the programs solve boxes they part by
-        # at most about 1e-16 * (1 + radius) (15 of these 54 differ at all),
-        # and solving the basis afresh moved no tie and no solve outcome
+        # the walk starts from the vertex of phase 1's basis, kept in the
+        # boxed program's memo: bit for bit its solve afresh, with no drift
         for seed in range(6):
             nlp = normalize(tu_instance_generator(kind, n, 2 * n + 6, seed))
             kept = tightest_rows(nlp.A, nlp.b)
             walked = NormalizedLP(A=nlp.A[kept], b=nlp.b[kept], c=nlp.c)
             radius = certified_radius(walked, delta_from_structure(walked))
             boxed = bounding_box(walked, radius)
-            v = phase1_vertex(walked, boxed)
-            drift = np.max(np.abs(v.point - vertex_of_basis(boxed, v.basis).point))
-            assert drift <= 1e-13 * (1.0 + radius), (seed, drift, radius)
+            assert memo_vertex_is_afresh(boxed, phase1_vertex(walked, boxed))
 
     def test_infeasible_with_witness(self):
         # x <= 0 and -x <= -1 cannot both hold; y is boxed to keep rank
@@ -455,16 +455,18 @@ class TestPhase1Vertex:
         lp = normalize(LinearProgram(
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
             b=[5.0, 5.0, 5.0, 5.0], c=[1.0, 1.0]))
-        v = phase1_vertex(lp, bounding_box(lp, 1.0))
-        np.testing.assert_allclose(np.abs(v.point), [1.0, 1.0], atol=1e-9)
-        assert lp.is_feasible(v.point)
+        boxed = bounding_box(lp, 1.0)
+        x = basis_factors(boxed, phase1_vertex(lp, boxed))[1]
+        np.testing.assert_allclose(np.abs(x), [1.0, 1.0], atol=1e-9)
+        assert lp.is_feasible(x)
 
     def test_feasible_random_instances(self):
         for seed in range(10):
             nlp = bounded_random_lp(3, 3, seed + 40)
-            v = phase1_vertex(nlp, bounding_box(nlp, 4.0))
-            assert nlp.is_feasible(v.point)
-            assert np.all(np.abs(v.point) <= 4.0 + 1e-7)
+            boxed = bounding_box(nlp, 4.0)
+            x = basis_factors(boxed, phase1_vertex(nlp, boxed))[1]
+            assert nlp.is_feasible(x)
+            assert np.all(np.abs(x) <= 4.0 + 1e-7)
 
 
 class TestNegatedCornerStart:
@@ -482,12 +484,12 @@ class TestNegatedCornerStart:
             _, walked = walked_program(normalize(lp))
             assert find_independent_rows(walked) == tuple(range(n))
             radius = certified_radius(walked, delta_from_structure(walked))
-            v, pivots = counted_phase1(monkeypatch, phase1_vertex, walked,
-                                       radius)
-            ref, ref_pivots = counted_phase1(monkeypatch, plus_corner_phase1,
-                                             walked, radius)
-            assert v.basis == ref.basis, seed
-            assert v.point.tobytes() == ref.point.tobytes(), seed
+            basis, pivots, boxed = counted_phase1(monkeypatch, phase1_vertex,
+                                                  walked, radius)
+            ref, ref_pivots, _ = counted_phase1(
+                monkeypatch, plus_corner_phase1, walked, radius)
+            assert basis == ref, seed
+            assert memo_vertex_is_afresh(boxed, basis), seed
             assert pivots == ref_pivots - n, (seed, pivots, ref_pivots)
 
     @pytest.mark.parametrize("K", [8, 16, 24])
@@ -495,7 +497,7 @@ class TestNegatedCornerStart:
             self, monkeypatch, K):
         # general rows: the box directions are the K-gon's rows 0 and 1, and
         # the flips are no longer exact, so only the basis (or the
-        # certified row) is the same, the point within rounding of radius;
+        # certified row, its value within rounding of radius) is the same;
         # an odd seed sets one row 0.1 past its opposite row, infeasible
         theta = 2.0 * np.pi * (np.arange(K) + 0.3) / K
         A = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -507,18 +509,18 @@ class TestNegatedCornerStart:
                 b[k] = -b[(k + K // 2) % K] - 0.1
             lp = NormalizedLP(A=A, b=b, c=[1.0, 0.0])
             radius = certified_radius(lp, delta_bruteforce(lp))
-            v, pivots = counted_phase1(monkeypatch, phase1_vertex, lp, radius)
-            ref, ref_pivots = counted_phase1(monkeypatch, plus_corner_phase1,
-                                             lp, radius)
+            v, pivots, boxed = counted_phase1(monkeypatch, phase1_vertex, lp,
+                                              radius)
+            ref, ref_pivots, _ = counted_phase1(
+                monkeypatch, plus_corner_phase1, lp, radius)
             assert type(v) is type(ref), seed
             assert isinstance(v, Infeasible) == bool(seed % 2), seed
             if isinstance(ref, Infeasible):
                 assert v.iteration == ref.iteration, seed
                 assert v.value == pytest.approx(ref.value, abs=1e-12 * radius)
             else:
-                assert v.basis == ref.basis, seed
-                np.testing.assert_allclose(v.point, ref.point, rtol=0.0,
-                                           atol=1e-12 * radius)
+                assert v == ref, seed
+                assert memo_vertex_is_afresh(boxed, v), seed
             assert pivots == ref_pivots - 2, (seed, pivots, ref_pivots)
 
 
@@ -557,8 +559,8 @@ class TestBoxDirectionsNotTheFirstRows:
                 solve(lp, WalkConfig(seed=seed))
             assert info.value.iteration == first + 1
             return
-        v = phase1_vertex(nlp, boxed)
-        assert (boxed.A @ v.point <= boxed.b + nlp.feas_tol()).all()
+        x = basis_factors(boxed, phase1_vertex(nlp, boxed))[1]
+        assert (boxed.A @ x <= boxed.b + nlp.feas_tol()).all()
         rep = solve(lp, WalkConfig(seed=seed))
         ref = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b,
                       bounds=[(None, None)] * 2, method="highs")
@@ -577,6 +579,51 @@ class TestBoxDirectionsNotTheFirstRows:
         assert info.value.iteration == 5
 
 
+class TestInfeasibleWitness:
+    """Infeasible's value is row i's minimum at the vertex of the last
+    descent's basis, as that basis's solve gives it: rounded once from the
+    exact value, not summed over the descent's pivots."""
+
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("n, m", [(3, 10), (4, 14), (5, 14)])
+    def test_value_is_the_final_basis_solve(self, monkeypatch, kind, n, m):
+        descents = []
+
+        def recording(prog, basis, objective, *, rows=None,
+                      real=phase1_module.bland_simplex):
+            out = real(prog, basis, objective, rows=rows)
+            descents.append((prog, rows, out))
+            return out
+
+        monkeypatch.setattr(phase1_module, "bland_simplex", recording)
+        for seed in range(20):
+            # the upper bound x_axis <= u is row axis; the appended row asks
+            # x_axis >= u + 1/16, so phase 1 certifies it infeasible
+            base = tu_instance_generator(kind, n, m, seed)
+            axis = seed % n
+            row = np.zeros(n)
+            row[axis] = -1.0
+            lp = LinearProgram(
+                A=np.vstack([base.A, row]),
+                b=np.append(base.b, -(base.b[axis] + 1.0 / 16.0)),
+                c=base.c)
+            descents.clear()
+            with pytest.raises(Infeasible) as info:
+                solve(lp, WalkConfig(seed=seed))
+            boxed, rows, basis = descents[-1]
+            a = boxed.A[rows]  # the row the last descent minimized
+            x = lu_solve(lu_factor(basis_matrix(boxed, basis)),
+                         boxed.b.take(basis))
+            value = info.value.value
+            assert value.hex() == float(a @ x).hex(), seed
+            A = [[Fraction(t) for t in boxed.A[p].tolist()] for p in basis]
+            exact = sum(Fraction(t) * xi for t, xi in zip(
+                a.tolist(), exact_solve(A, [Fraction(boxed.b[p])
+                                            for p in basis])))
+            assert abs(Fraction(value) - exact) \
+                <= Fraction(math.ulp(float(exact))), (seed, value, exact)
+
+
 class TestSolveBoundedViaSolve:
     def test_unbounded_half_plane(self):
         lp = LinearProgram(A=[[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -593,7 +640,7 @@ class TestSolveBoundedViaSolve:
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
             b=[2.0, 2.0, 0.0, 0.0], c=[3.0, 4.0]))
         boxed = bounding_box(nlp, 1.0)
-        basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
+        basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c)
         with pytest.raises(Unbounded) as info:
             solve_bounded(boxed, basis)
         assert info.value.box_row == 0  # x_1 <= 1, the first box row
@@ -656,7 +703,7 @@ class TestSolveBoundedViaSolve:
         # the solve of the tight system A_B x = b_B
         nlp = normalize(tu_instance_generator(kind, 3, 9, seed))
         boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
-        basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c).basis
+        basis = bland_simplex(boxed, phase1_vertex(nlp, boxed), boxed.c)
         assert basis in boxed.lu_memo
         x = solve_bounded(boxed, basis)
         rows = list(basis)

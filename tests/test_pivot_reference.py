@@ -6,9 +6,11 @@ conftest.vectorized_pivot is the numpy rule it replaced, with the same
 lexicographic tie-break.  Over the region
 of a program's first ``rows`` rows (all of them for None), the pivot must
 equal the reference on the program of those rows, built by the public
-constructor (conftest.prefix): the same entering basis and point bytes, or
-the same error class.  Bland's rule bounded to ``rows`` rows must equal
-Bland's rule on that program, bit for bit.
+constructor (conftest.prefix): the same basis, or the same error class,
+and the vertex the program's memo keeps for the basis pivoted from must be
+its solve on a copy that factors afresh, bit for bit.  Bland's rule
+bounded to ``rows`` rows must equal Bland's rule on that program, and the
+memo's vertex of the basis it returns its solve afresh.
 
 The programs are boxed conftest.bounded_random_lp programs and generator
 instances; rotated boxes with two cuts whose ratios lie within a few
@@ -33,14 +35,16 @@ from conewalk.phase1 import (  # noqa: E402
 )
 from conewalk.reduction import certify_delta  # noqa: E402
 from conewalk.simplex import (  # noqa: E402
+    basis_factors,
     bland_simplex,
     pivot_across_facet,
-    vertex_of_basis,
 )
 from conewalk.tolerances import RATIO_TOL  # noqa: E402
 
 from conftest import (  # noqa: E402
+    afresh,
     bounded_random_lp,
+    memo_vertex_is_afresh,
     pivot_outcome,
     prefix,
     random_rotation,
@@ -50,14 +54,14 @@ from conftest import (  # noqa: E402
 
 @lru_cache(maxsize=None)
 def boxed(kind: str, n: int, seed: int):
-    """(input program, boxed program, its box corner, its phase-1 vertex)."""
+    """(input program, boxed program, its box corner's basis, its phase-1
+    basis)."""
     if kind == "random":
         nlp = bounded_random_lp(n, 2 * n, seed)
     else:
         nlp = normalize(tu_instance_generator(kind, n, 4 * n, seed))
     box = bounding_box(nlp, certified_radius(nlp, certify_delta(nlp)))
-    corner = vertex_of_basis(prefix(box, 2 * n), tuple(range(n)))
-    return nlp, box, corner, phase1_vertex(nlp, box)
+    return nlp, box, tuple(range(n)), phase1_vertex(nlp, box)
 
 
 programs = st.one_of(
@@ -67,31 +71,42 @@ programs = st.one_of(
 
 
 @st.composite
-def region_vertices(draw):
-    """(boxed program, rows, a vertex of its region, a leaving row).
+def region_bases(draw):
+    """(boxed program, rows, a vertex's basis in its region, a leaving row).
 
-    A bounded region starts at the box corner, a vertex of every region
-    holding the 2n box rows; the whole program starts at its phase-1
-    vertex.  Up to 8 reference pivots at drawn positions follow, each that
-    finds no blocking row passed over."""
+    A bounded region starts at the box corner, a basis of every region
+    holding the 2n box rows and a vertex of the box, though not always of
+    the region; the whole program starts at its phase-1 basis.  Up to 8
+    reference pivots at drawn positions follow, each that finds no
+    blocking row passed over."""
     _, box, corner, start = boxed(*draw(programs))
     rows = draw(st.one_of(st.none(), st.integers(2 * box.n, box.m)))
     region = prefix(box, rows)
-    v = start if rows is None else corner
+    basis = start if rows is None else corner
     for pos in draw(st.lists(st.integers(0, box.n - 1), max_size=8)):
         try:
-            v = vectorized_pivot(region, v, v.basis[pos])
+            basis = vectorized_pivot(region, basis, basis[pos])
         except ConewalkError:
             pass
-    return box, rows, v, v.basis[draw(st.integers(0, box.n - 1))]
+    return box, rows, basis, basis[draw(st.integers(0, box.n - 1))]
+
+
+def same_memo_vertex(box, basis, rows):
+    """Is the vertex box's memo keeps for the basis, bit for bit, its solve
+    on a copy of the region that factors afresh?  A basis reached from the
+    box corner need not be a feasible vertex of the region, so unlike
+    conftest.memo_vertex_is_afresh this does not check feasibility."""
+    return box.lu_memo[basis][1].tobytes() == basis_factors(
+        afresh(prefix(box, rows)), basis)[1].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(region_vertices())
+@given(region_bases())
 def test_pivot_equals_the_vectorized_rule_on_the_region(case):
-    box, rows, v, leaving = case
-    assert pivot_outcome(pivot_across_facet, box, v, leaving, rows=rows) \
-        == pivot_outcome(vectorized_pivot, prefix(box, rows), v, leaving)
+    box, rows, basis, leaving = case
+    assert pivot_outcome(pivot_across_facet, box, basis, leaving, rows=rows) \
+        == pivot_outcome(vectorized_pivot, prefix(box, rows), basis, leaving)
+    assert same_memo_vertex(box, basis, rows)
 
 
 def cut_box(n: int, seed: int, offset: float, gap: float):
@@ -123,13 +138,13 @@ def cut_box(n: int, seed: int, offset: float, gap: float):
 def test_near_ties_agree_with_the_vectorized_rule(n, seed, offset, gaps,
                                                    data):
     lp, basis, toward_cuts = cut_box(n, seed, offset, gaps * RATIO_TOL)
-    v = vertex_of_basis(lp, basis)
     leaving = data.draw(st.one_of(st.just(toward_cuts),
                                   st.sampled_from(basis)))
     rows = data.draw(st.one_of(st.none(),
                                st.integers(basis[-1] + 1, lp.m)))
-    assert pivot_outcome(pivot_across_facet, lp, v, leaving, rows=rows) \
-        == pivot_outcome(vectorized_pivot, prefix(lp, rows), v, leaving)
+    assert pivot_outcome(pivot_across_facet, lp, basis, leaving, rows=rows) \
+        == pivot_outcome(vectorized_pivot, prefix(lp, rows), basis, leaving)
+    assert memo_vertex_is_afresh(lp, basis, rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,11 +163,13 @@ def test_an_edge_no_region_row_blocks_raises_unbounded_edge(n, seed):
                         rng.uniform(0.5, 1.5, n), [1.0]])
     q = random_rotation(n, rng)
     lp = NormalizedLP(A=A @ q, b=b, c=q[0])
-    v = vertex_of_basis(lp, tuple(range(n)))
+    basis = tuple(range(n))
     for rows in (lp.m - 1, None):
-        ours = pivot_outcome(pivot_across_facet, lp, v, 0, rows=rows)
-        assert ours == pivot_outcome(vectorized_pivot, prefix(lp, rows), v, 0)
+        ours = pivot_outcome(pivot_across_facet, lp, basis, 0, rows=rows)
+        assert ours == pivot_outcome(vectorized_pivot, prefix(lp, rows),
+                                     basis, 0)
         assert (ours is UnboundedEdge) == (rows is not None)
+        assert memo_vertex_is_afresh(lp, basis, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,5 +179,8 @@ def test_bounded_bland_equals_bland_on_the_prefix_program(program, data):
     rows = data.draw(st.integers(2 * box.n, box.m))
     i = data.draw(st.integers(0, nlp.m - 1))
     objective = -nlp.A[i] if data.draw(st.booleans()) else nlp.c
-    assert pivot_outcome(bland_simplex, box, corner, objective, rows=rows) \
-        == pivot_outcome(bland_simplex, prefix(box, rows), corner, objective)
+    ours = pivot_outcome(bland_simplex, box, corner, objective, rows=rows)
+    assert ours == pivot_outcome(bland_simplex, prefix(box, rows), corner,
+                                 objective)
+    if isinstance(ours, tuple):
+        assert same_memo_vertex(box, ours, rows)

@@ -223,8 +223,8 @@ class TestSolve:
                     continue  # optimum not unique; basis comparison undefined
                 rep = solve(lp, WalkConfig(seed=seed))
                 assert rep.basis == res.optimal_basis
-                start = vertex_of_basis(nlp, res.vertices[0].basis)
-                ref = bland_simplex(nlp, start, nlp.c)
+                ref = vertex_of_basis(nlp, bland_simplex(
+                    nlp, res.vertices[0].basis, nlp.c))
                 assert float(lp.c @ rep.x) == pytest.approx(
                     float(lp.c @ ref.point), abs=1e-7)
 

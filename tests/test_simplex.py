@@ -19,7 +19,6 @@ from conewalk.oracle import pad_redundant, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
 from conewalk.reduction import reduce_lp, solve
 from conewalk.simplex import (
-    Vertex,
     basis_factors,
     basis_matrix,
     bland_simplex,
@@ -34,6 +33,7 @@ from conftest import (
     SQRT2,
     afresh,
     bounded_random_lp,
+    memo_vertex_is_afresh,
     pivot_outcome,
     prefix,
     same_pivot,
@@ -41,21 +41,22 @@ from conftest import (
 )
 
 
-def running_min_pivot(lp, v, leaving):
+def running_min_pivot(lp, basis, leaving):
     """The former ratio test: a running minimum over rows in index order.
 
     Kept as a reference off ties: it returns None for a near-tie it sees.
     Whether it sees one depends on the order of the rows; when it sees
-    none, its entering row is the unique least ratio.
+    none, its entering row is the unique least ratio.  It factors A_B and
+    solves the vertex afresh.
     """
-    basis = v.basis
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
-    d = lu_solve(lu_factor(basis_matrix(lp, basis)), rhs)
+    lu = lu_factor(basis_matrix(lp, basis))
+    d = lu_solve(lu, rhs)
 
     advance = lp.A @ d
-    slack = lp.b - lp.A @ v.point
+    slack = lp.b - lp.A @ lu_solve(lu, lp.b.take(basis))
     entering = -1
     t_min = math.inf
     tie = False
@@ -74,8 +75,7 @@ def running_min_pivot(lp, v, leaving):
     if tie:
         return None
 
-    new_basis = tuple(sorted(set(basis) - {leaving} | {entering}))
-    return Vertex(point=v.point + t_min * d, basis=new_basis)
+    return tuple(sorted(set(basis) - {leaving} | {entering}))
 
 
 def near_tie_square(cuts):
@@ -86,8 +86,8 @@ def near_tie_square(cuts):
                         c=[1.0 / SQRT2, 1.0 / SQRT2])
 
 
-def pivoted_vertices(lp, seed):
-    """(program, vertex, source) for each vertex a short solve pivots from,
+def pivoted_bases(lp, seed):
+    """(program, basis, source) for each basis a short solve pivots from,
     the program being the region the pivot was bounded to.
 
     Records the calls phase 1 makes through the simplex module and those
@@ -97,12 +97,12 @@ def pivoted_vertices(lp, seed):
     with pytest.MonkeyPatch.context() as mp:
         for module, source in ((simplex_module, "phase1"),
                                (walk_module, "walk")):
-            def recording(prog, v, leaving, *, rows=None,
+            def recording(prog, basis, leaving, *, rows=None,
                           inner=module.pivot_across_facet, source=source):
-                key = (id(prog), rows, v.basis)
+                key = (id(prog), rows, basis)
                 if key not in seen:
-                    seen[key] = (prefix(prog, rows), v, source)
-                return inner(prog, v, leaving, rows=rows)
+                    seen[key] = (prefix(prog, rows), basis, source)
+                return inner(prog, basis, leaving, rows=rows)
             mp.setattr(module, "pivot_across_facet", recording)
         mp.setattr(reduction_module, "MAX_RETRIES", 0)
         try:
@@ -192,33 +192,30 @@ class TestConeMembership:
 
 class TestPivotAcrossFacet:
     def test_square_top_to_left(self, unit_square):
-        v = vertex_of_basis(unit_square, (0, 1))
-        w = pivot_across_facet(unit_square, v, 0)
-        np.testing.assert_allclose(w.point, [0.0, 1.0], atol=1e-12)
-        assert w.basis == (1, 2)
+        w = pivot_across_facet(unit_square, (0, 1), 0)
+        assert w == (1, 2)
+        np.testing.assert_allclose(vertex_of_basis(unit_square, w).point,
+                                   [0.0, 1.0], atol=1e-12)
 
     def test_square_origin_to_right(self, unit_square):
-        v = vertex_of_basis(unit_square, (2, 3))
-        w = pivot_across_facet(unit_square, v, 2)
-        np.testing.assert_allclose(w.point, [1.0, 0.0], atol=1e-12)
-        assert w.basis == (0, 3)
+        w = pivot_across_facet(unit_square, (2, 3), 2)
+        assert w == (0, 3)
+        np.testing.assert_allclose(vertex_of_basis(unit_square, w).point,
+                                   [1.0, 0.0], atol=1e-12)
 
     def test_triangle_leaves_hypotenuse(self, triangle):
-        v = vertex_of_basis(triangle, (1, 2))  # the corner (1, 0)
-        w = pivot_across_facet(triangle, v, 2)
-        np.testing.assert_allclose(w.point, [0.0, 0.0], atol=1e-12)
-        assert w.basis == (0, 1)  # entering row is x >= 0
+        w = pivot_across_facet(triangle, (1, 2), 2)  # from the corner (1, 0)
+        assert w == (0, 1)  # entering row is x >= 0
+        np.testing.assert_allclose(vertex_of_basis(triangle, w).point,
+                                   [0.0, 0.0], atol=1e-12)
 
     def test_involution(self, unit_square, triangle):
         for lp in (unit_square, triangle):
             for basis in [(0, 1), (1, 2)] if lp is unit_square else [(0, 1)]:
-                v = vertex_of_basis(lp, basis)
                 for leaving in basis:
-                    w = pivot_across_facet(lp, v, leaving)
-                    entering = next(iter(set(w.basis) - set(basis)))
-                    back = pivot_across_facet(lp, w, entering)
-                    assert back.basis == v.basis
-                    np.testing.assert_allclose(back.point, v.point, atol=1e-9)
+                    w = pivot_across_facet(lp, basis, leaving)
+                    entering = next(iter(set(w) - set(basis)))
+                    assert pivot_across_facet(lp, w, entering) == basis
 
     def test_degenerate_tie_enters_the_lexicographic_row(self):
         # two parallel-cut corners meet the moving edge at the same step
@@ -226,118 +223,113 @@ class TestPivotAcrossFacet:
             A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
                [1.0 / SQRT2, 1.0 / SQRT2]],
             b=[1.0, 1.0, 0.0, 0.0, 2.0 / SQRT2], c=[1.0, 1.0]))
-        v = vertex_of_basis(lp, (1, 2))  # (0, 1)
         # moving along +x from (0,1): row 0 at t=1 and row 4 at t=1; their
         # keys over rows 0..4 are (1, 0, 1, 0, 0) and (0, -1, 1, 0, sqrt 2),
         # so row 4 is least at row 0 and enters
-        w = pivot_across_facet(lp, v, 2)
-        assert w.basis == (1, 4)
-        np.testing.assert_allclose(w.point, [1.0, 1.0], atol=1e-12)
-        back = pivot_across_facet(lp, w, 4)
-        assert back.basis == (1, 2)
-        np.testing.assert_allclose(back.point, v.point, atol=1e-12)
+        w = pivot_across_facet(lp, (1, 2), 2)
+        assert w == (1, 4)
+        np.testing.assert_allclose(vertex_of_basis(lp, w).point, [1.0, 1.0],
+                                   atol=1e-12)
+        assert pivot_across_facet(lp, w, 4) == (1, 2)
 
 
 class TestBlandSimplex:
     def test_square_to_top_corner(self, unit_square):
-        start = vertex_of_basis(unit_square, (2, 3))
-        v = bland_simplex(unit_square, start, unit_square.c)
-        np.testing.assert_allclose(v.point, [1.0, 1.0])
-        assert v.basis == (0, 1)
+        basis = bland_simplex(unit_square, (2, 3), unit_square.c)
+        assert basis == (0, 1)
+        np.testing.assert_allclose(vertex_of_basis(unit_square, basis).point,
+                                   [1.0, 1.0])
 
     def test_square_degenerate_objective_face(self, unit_square):
-        start = vertex_of_basis(unit_square, (0, 1))
-        v = bland_simplex(unit_square, start, np.array([-1.0, 0.0]))
-        assert v.point[0] == pytest.approx(0.0, abs=1e-12)
+        basis = bland_simplex(unit_square, (0, 1), np.array([-1.0, 0.0]))
+        assert vertex_of_basis(unit_square, basis).point[0] \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_triangle(self, triangle):
-        start = vertex_of_basis(triangle, (1, 2))
-        v = bland_simplex(triangle, start, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(v.point, [0.0, 1.0], atol=1e-12)
+        basis = bland_simplex(triangle, (1, 2), np.array([0.0, 1.0]))
+        np.testing.assert_allclose(vertex_of_basis(triangle, basis).point,
+                                   [0.0, 1.0], atol=1e-12)
 
     def test_unbounded(self):
         lp = normalize(LinearProgram(
             A=[[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             b=[0.0, 1.0, 0.0], c=[1.0, 0.0]))
-        start = vertex_of_basis(lp, (0, 1))
         with pytest.raises(UnboundedLP):
-            bland_simplex(lp, start, np.array([1.0, 0.0]))
+            bland_simplex(lp, (0, 1), np.array([1.0, 0.0]))
 
     def test_optimality_certified_by_cone(self, unit_square, triangle):
         for lp, basis, obj in [(unit_square, (2, 3), [0.3, 0.9]),
                                (triangle, (0, 1), [0.8, -0.1])]:
             obj = np.asarray(obj)
-            v = bland_simplex(lp, vertex_of_basis(lp, basis), obj)
-            assert cone_membership(lp, v.basis, obj).inside
+            assert cone_membership(lp, bland_simplex(lp, basis, obj),
+                                   obj).inside
 
 
 class TestRatioTestRule:
     @pytest.mark.parametrize("cuts", [(6e-10, 1.2e-9), (1.2e-9, 6e-10)])
-    def test_near_tie_raises_in_either_row_order(self, cuts):
-        # the name is kept from the former rule, which raised here; the
-        # pivot now enters the lexicographic row instead.
+    def test_near_tie_enters_the_same_row_in_either_row_order(self, cuts):
         # from (0, 1) along +x the two cuts block at t = 1 - 1.2e-9 and
         # 1 - 6e-10, closer together than RATIO_TOL; both are x <= b, so
         # their keys differ only at their own rows, and the cut in row 5
         # is 0 at row 4 where the other is 1: row 5 enters in either order,
-        # and the point moves by the least ratio
+        # and the vertex is row 5's, read from the memo
         lp = near_tie_square(cuts)
-        v = vertex_of_basis(lp, (1, 2))
-        w = pivot_across_facet(lp, v, 2)
-        assert w.basis == (1, 5)
-        assert w.point.tolist() == [1.0 - max(cuts), 1.0]
+        w = pivot_across_facet(lp, (1, 2), 2)
+        assert w == (1, 5)
+        assert basis_factors(lp, w)[1].tolist() == [1.0 - cuts[1], 1.0]
 
     @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
     def test_row_order_does_not_change_the_pivot(self, lp, seed):
         rng = np.random.default_rng(seed)
-        pairs = pivoted_vertices(lp, seed)
+        pairs = pivoted_bases(lp, seed)
         assert pairs
-        for prog, v, _ in pairs:
-            others = np.array([j for j in range(prog.m) if j not in v.basis])
+        for prog, basis, _ in pairs:
+            others = np.array([j for j in range(prog.m) if j not in basis])
             perm = np.arange(prog.m)
             perm[others] = rng.permutation(others)
             permuted = NormalizedLP(A=prog.A[perm], b=prog.b[perm], c=prog.c)
-            for leaving in v.basis:
+            for leaving in basis:
                 # off ties the rule reads only the (row, ratio) pairs, and
                 # these pivots have none
                 try:
-                    w = pivot_across_facet(prog, v, leaving)
+                    w = pivot_across_facet(prog, basis, leaving)
                 except UnboundedEdge:
                     with pytest.raises(UnboundedEdge):
-                        pivot_across_facet(permuted, v, leaving)
+                        pivot_across_facet(permuted, basis, leaving)
                     continue
-                wp = pivot_across_facet(permuted, v, leaving)
-                assert sorted(perm[list(wp.basis)]) == list(w.basis)
-                np.testing.assert_allclose(wp.point, w.point, rtol=0,
+                wp = pivot_across_facet(permuted, basis, leaving)
+                assert sorted(perm[list(wp)]) == list(w)
+                np.testing.assert_allclose(basis_factors(permuted, wp)[1],
+                                           basis_factors(prog, w)[1], rtol=0,
                                            atol=1e-12)
 
     @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
     def test_agrees_bitwise_with_running_minimum_without_ties(self, lp, seed):
-        pairs = pivoted_vertices(lp, seed)
+        pairs = pivoted_bases(lp, seed)
         assert {source for _, _, source in pairs} == {"phase1", "walk"}
-        for prog, v, _ in pairs:
-            for leaving in v.basis:
+        for prog, basis, _ in pairs:
+            for leaving in basis:
                 try:
-                    ref = running_min_pivot(prog, v, leaving)
+                    ref = running_min_pivot(prog, basis, leaving)
                 except UnboundedEdge:
                     with pytest.raises(UnboundedEdge):
-                        pivot_across_facet(prog, v, leaving)
+                        pivot_across_facet(prog, basis, leaving)
                     continue
                 if ref is None:
                     continue  # a tie: the vectorized rule is its reference
-                w = pivot_across_facet(prog, v, leaving)
-                assert w.basis == ref.basis
-                assert w.point.tobytes() == ref.point.tobytes()
+                assert pivot_across_facet(prog, basis, leaving) == ref
+                assert memo_vertex_is_afresh(prog, basis)
 
     @pytest.mark.parametrize("lp,seed", list(pivot_instances()))
     def test_agrees_bitwise_with_the_vectorized_rule(self, lp, seed):
         # ties and unbounded edges included: the same choice, or the same
         # class raised
         checked = 0
-        for prog, v, _ in pivoted_vertices(lp, seed):
-            for leaving in v.basis:
-                assert pivot_outcome(pivot_across_facet, prog, v, leaving) \
-                    == pivot_outcome(vectorized_pivot, prog, v, leaving)
+        for prog, basis, _ in pivoted_bases(lp, seed):
+            for leaving in basis:
+                assert pivot_outcome(pivot_across_facet, prog, basis,
+                                     leaving) \
+                    == pivot_outcome(vectorized_pivot, prog, basis, leaving)
                 checked += 1
         assert checked
 
@@ -345,24 +337,22 @@ class TestRatioTestRule:
                                       (6e-10, 1.7e-9), (1e-3, 1e-3)])
     def test_near_ties_agree_with_the_vectorized_rule(self, cuts):
         lp = near_tie_square(cuts)
-        v = vertex_of_basis(lp, (1, 2))
         for rows in (None, 4, 5, 6):
-            assert pivot_outcome(pivot_across_facet, lp, v, 2, rows=rows) \
-                == pivot_outcome(vectorized_pivot, prefix(lp, rows), v, 2)
+            assert pivot_outcome(pivot_across_facet, lp, (1, 2), 2,
+                                 rows=rows) \
+                == pivot_outcome(vectorized_pivot, prefix(lp, rows), (1, 2), 2)
 
     def test_a_region_must_hold_the_basis(self, unit_square):
-        v = vertex_of_basis(unit_square, (0, 1))
         with pytest.raises(ValueError, match="first 1 rows"):
-            pivot_across_facet(unit_square, v, 0, rows=1)
+            pivot_across_facet(unit_square, (0, 1), 0, rows=1)
 
     def test_running_minimum_misses_a_chained_tie(self):
         # the reference enters the 1.2e-9 cut silently in this row order,
         # although the other cut is 6e-10 away
         lp = near_tie_square((6e-10, 1.2e-9))
-        v = vertex_of_basis(lp, (1, 2))
-        assert running_min_pivot(lp, v, 2).basis == (1, 5)
-        assert running_min_pivot(near_tie_square((1.2e-9, 6e-10)), v, 2) \
-            is None
+        assert running_min_pivot(lp, (1, 2), 2) == (1, 5)
+        assert running_min_pivot(near_tie_square((1.2e-9, 6e-10)), (1, 2),
+                                 2) is None
 
 
 class TestMemoScope:
@@ -426,9 +416,10 @@ class TestFactorMemo:
     def test_memo_answers_equal_the_standalone_functions(self, solve_spies):
         pivots = cone_tests = 0
         for spy in solve_spies:
-            for caller, prog, v, leaving, rows, result in spy.pivots:
+            for caller, prog, basis, leaving, rows, result in spy.pivots:
                 if caller == "simplex":
-                    assert same_pivot(prog, v, leaving, rows, result)
+                    assert same_pivot(prog, basis, leaving, rows, result)
+                    assert memo_vertex_is_afresh(prog, basis, rows)
                     pivots += 1
             for prog, basis, w, inside in spy.cone_tests:
                 assert cone_membership(afresh(prog), basis, w).inside == inside

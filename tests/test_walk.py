@@ -13,11 +13,7 @@ from conewalk.lp import LinearProgram, delta_bruteforce, normalize
 from conewalk.oracle import default_radius, tu_instance_generator
 from conewalk.phase1 import bounding_box, certified_radius, phase1_vertex
 from conewalk.reduction import certify_delta, scaled_center
-from conewalk.simplex import (
-    cone_membership,
-    pivot_across_facet,
-    vertex_of_basis,
-)
+from conewalk.simplex import cone_membership, pivot_across_facet
 from conewalk.walk import (
     Parallelepiped,
     WalkConfig,
@@ -40,6 +36,7 @@ from conftest import (
     afresh,
     bounded_random_lp,
     factor_instances,
+    memo_vertex_is_afresh,
     rotate_instance,
     same_pivot,
 )
@@ -135,7 +132,7 @@ class TestNeighbor:
         cell = Parallelepiped(basis=(0, 1), index=(0, 5))
         new_cell, info = move(unit_square, cell, (0, -1))
         assert info.pivoted
-        np.testing.assert_allclose(_record(unit_square, new_cell.basis).point,
+        np.testing.assert_allclose(unit_square.lu_memo[new_cell.basis][1],
                                    [0.0, 1.0], atol=1e-12)
         # shared row 1 keeps its coordinate, entering row 2 starts at 0
         assert new_cell.basis == (1, 2)
@@ -148,9 +145,7 @@ class TestNeighbor:
         back_cell, info = move(unit_square, new_cell, (entering, -1))
         assert info.pivoted
         assert back_cell == cell
-        np.testing.assert_allclose(_record(unit_square, back_cell.basis).point,
-                                   vertex_of_basis(unit_square, (0, 1)).point,
-                                   atol=1e-12)
+        assert memo_vertex_is_afresh(unit_square, back_cell.basis)
 
     def test_facet_grid_consistency(self, unit_square):
         # the shared facet has identical corner sets seen from both cells
@@ -429,7 +424,7 @@ class TestReplay:
         # every non-lazy trace record, fed back through step() with the
         # walk's own draws, reproduces the record
         nlp, lp = boxed()
-        start = phase1_vertex(nlp, lp).basis
+        start = phase1_vertex(nlp, lp)
         alpha = default_alpha(lp.n, delta_bruteforce(lp).delta)
         buf = io.StringIO()
         out = run_walk(lp, start, alpha=alpha, steps=9000, seed=seed,
@@ -496,7 +491,7 @@ class TestPulledWeight:
         # the center taken from scratch, so exp of their difference is the
         # ratio the accept rule read
         nlp, lp = boxed()
-        start = phase1_vertex(nlp, lp).basis
+        start = phase1_vertex(nlp, lp)
         alpha = default_alpha(lp.n, delta_bruteforce(lp).delta)
         beta = float(lp.n**2)
         buf = io.StringIO()
@@ -591,7 +586,7 @@ class TestBasisRecords:
     memo, and its records' answers are the standalone functions' on a copy
     that factors afresh."""
 
-    def test_each_basis_is_factored_once_per_level_without_det(
+    def test_each_basis_is_factored_once_per_walk_without_det(
             self, solve_spies):
         bases = 0
         for spy in solve_spies:
@@ -609,27 +604,26 @@ class TestBasisRecords:
                 lp = afresh(prog)
                 for basis, rec in prog.walk_memo.items():
                     assert isinstance(rec, _BasisRecord) and rec.basis == basis
-                    v = vertex_of_basis(lp, basis)
-                    assert rec.point.tobytes() == v.point.tobytes()
+                    assert memo_vertex_is_afresh(prog, basis)
                     assert rec.in_cone == cone_membership(lp, basis, lp.c).inside
                     assert abs(rec.log_vol - log_volume(lp, basis)) <= 1e-12
                     for leaving, across in rec.across.items():
-                        assert pivot_across_facet(lp, v, leaving).basis \
-                            == across
+                        assert pivot_across_facet(lp, basis, leaving) == across
                         crossings += 1
                     records += 1
-            for caller, prog, v, leaving, rows, result in spy.pivots:
+            for caller, prog, basis, leaving, rows, result in spy.pivots:
                 if caller == "walk":
                     assert rows is None  # the walk's region is the program
-                    assert same_pivot(prog, v, leaving, rows, result)
+                    assert same_pivot(prog, basis, leaving, rows, result)
+                    assert memo_vertex_is_afresh(prog, basis)
                     pivots += 1
         assert records > len(solve_spies) and pivots > 0
         assert crossings > 0
 
     def test_record_is_an_immutable_named_tuple(self, unit_square):
         rec = _record(unit_square, (0, 1))
-        assert rec._fields == ("basis", "point", "rows", "row_lists",
-                               "log_vol", "in_cone", "across")
+        assert rec._fields == ("basis", "rows", "row_lists", "log_vol",
+                               "in_cone", "across")
         with pytest.raises(AttributeError):
             rec.log_vol = 0.0
 
@@ -640,7 +634,7 @@ class TestBasisRecords:
         # is made once and kept in the program's walk memo
         import conewalk.simplex as simplex_module
 
-        lu = simplex_module.basis_factors(unit_square, (0, 1))
+        entry = simplex_module.basis_factors(unit_square, (0, 1))
         calls = []
 
         def counted(a_b, real=simplex_module.lu_factor):
@@ -650,7 +644,7 @@ class TestBasisRecords:
         monkeypatch.setattr(simplex_module, "lu_factor", counted)
         assert unit_square.walk_memo == {}
         rec = _record(unit_square, (0, 1))
-        assert unit_square.lu_memo[(0, 1)] is lu and calls == []
+        assert unit_square.lu_memo[(0, 1)] is entry and calls == []
         assert unit_square.walk_memo == {(0, 1): rec}
         assert _record(unit_square, (0, 1)) is rec
         _record(unit_square, (1, 2))
@@ -666,7 +660,7 @@ class TestBasisRecords:
         nlp = normalize(lp)
         cert = certify_delta(nlp)
         boxed = bounding_box(nlp, certified_radius(nlp, cert))
-        start = phase1_vertex(nlp, boxed).basis
+        start = phase1_vertex(nlp, boxed)
         fresh = afresh(boxed)
 
         def walk(prog):

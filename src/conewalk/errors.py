@@ -70,10 +70,17 @@ class FaceReachesBox(ConewalkError):
 class Infeasible(ConewalkError):
     """Certified: the constraint system has no feasible point.
 
-    Carries the sequential-LP witness: the first constraint index whose
-    minimum over the previously feasible region exceeds its right-hand side,
-    and that minimum value, for the row scaled to unit length as is the
-    message (the command line rescales the value to the file's row).
+    Carries a witness: iteration, the 1-based index of a constraint that
+    cannot be satisfied, and value, a certified lower bound on that row's
+    minimum over the feasible points which exceeds its right-hand side.
+    value is for the row scaled to unit length, as is the message (the
+    command line rescales it to the file's row).  The witness comes from
+    one of two places, which solve tries in this order.  A crossed pair:
+    the row is the exact negation of an earlier kept row whose right-hand
+    side is b, so value is -b, and y = 1 on the two rows is a Farkas
+    vector, y^T A = 0 and y^T b < 0 (lp.crossed_opposite_rows).  Otherwise
+    phase 1: value is the row's minimum over the box and the kept rows
+    before it.
     """
 
     def __init__(self, message: str, iteration: int | None = None,

@@ -1,4 +1,10 @@
-"""LP instances, row normalization, and row-separation (delta) certification.
+"""LP instances, row normalization, the parallel-row presolve, and
+row-separation (delta) certification.
+
+solve reads these in order: normalize; tightest_rows, the tightest row of
+each direction; crossed_opposite_rows, which certifies a row and its exact
+negation whose bounds cross infeasible before any later stage runs; then
+delta, by one of the three functions below.
 
 The central quantity, delta, is the minimum distance from any constraint row
 to a hyperplane spanned by n-1 other rows, restricted to rows outside that
@@ -302,6 +308,35 @@ def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if rhs[i] < rhs[kept[d]]:
             kept[d] = i
     return np.array(kept, dtype=int)
+
+
+def crossed_opposite_rows(A: np.ndarray, b: np.ndarray,
+                          tol: float) -> tuple[int, int] | None:
+    """The pair (i, j), i < j, with j least, of rows that are exact
+    negations of each other and whose bounds cross by more than tol:
+    a_j = -a_i and -b_i > b_j + tol, else None.
+
+    The rows are one per direction, as tightest_rows keeps them, so a row
+    has at most one exact negation among them.  This is the
+    opposite-direction half of the parallel-row step that tightest_rows
+    does for one direction (Andersen & Andersen 1995).  Row i gives
+    a_j x = -a_i x >= -b_i > b_j, so no point satisfies both rows, and
+    e_i + e_j is a Farkas vector: y^T A = 0 and y^T b < 0.  Each row's
+    negation is looked up by its bytes in a dict of the earlier rows, with
+    -0.0 folded to 0.0 (``+ 0.0``) on both sides, so the pass is O(m) and
+    pivots nowhere.  Rows that are negations only within rounding, and
+    bounds that do not cross, are left to phase 1.
+    """
+    width = 8 * A.shape[1]  # bytes per row
+    rows, negated = (A + 0.0).tobytes(), (-A + 0.0).tobytes()
+    rhs = b.tolist()
+    earlier: dict[bytes, int] = {}  # row bytes -> its position
+    for j in range(len(rhs)):
+        i = earlier.get(negated[j * width:(j + 1) * width])
+        if i is not None and -rhs[i] > rhs[j] + tol:
+            return i, j
+        earlier[rows[j * width:(j + 1) * width]] = j
+    return None
 
 
 def _distinct_directions(A: np.ndarray) -> np.ndarray:

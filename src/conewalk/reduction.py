@@ -1,13 +1,15 @@
 """The solver, its Las Vegas walk, and the paper's step 5 as library code.
 
 solve runs every stage of the solve in order: normalize, keep the tightest
-row of each direction (lp.tightest_rows), certify the row separation, box
-the program, find a start basis by phase 1, resolve the walk parameters,
-take an optimal basis of the boxed program (one Las Vegas walk, or Bland's
-rule at n = 1), read x and the box's verdict (phase1.solve_bounded), and
-certify the optimum against every input row.  The boxed program's memo of
-basis factors and vertices (simplex.basis_factors) serves every stage
-after the box, so no basis is factored or solved twice in a solve.
+row of each direction (lp.tightest_rows), certify a row and its exact
+negation whose bounds cross infeasible (lp.crossed_opposite_rows), certify
+the row separation, box the program, find a start basis by phase 1,
+resolve the walk parameters, take an optimal basis of the boxed program
+(one Las Vegas walk, or Bland's rule at n = 1), read x and the box's
+verdict (phase1.solve_bounded), and certify the optimum against every
+input row.  The boxed program's memo of basis factors and vertices
+(simplex.basis_factors) serves every stage after the box, so no basis is
+factored or solved twice in a solve.
 
 Step 5 turns a walk into one certified row of the optimal basis, then
 drops a dimension; solve calls neither half: at the paper's constants a
@@ -45,6 +47,7 @@ from .lp import (
     LinearProgram,
     NormalizedLP,
     _derived,
+    crossed_opposite_rows,
     delta_bruteforce,
     delta_from_structure,
     normalize,
@@ -300,10 +303,15 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
 
     Normalizes and keeps the tightest row of each direction
     (walked_program), which leaves the region unchanged.  The rest runs
-    on the kept rows, the walked program.  Its row separation comes from
-    one certificate: delta, or certify_delta's when delta is None.  That
-    certificate sizes the enclosing box, which reduces the program to a
-    bounded instance; sets the walk parameters the config leaves auto
+    on the kept rows, the walked program.  First, a kept row that is the
+    exact negation of an earlier one, with bounds crossed by more than the
+    walked program's feasibility tolerance, raises Infeasible at once
+    (lp.crossed_opposite_rows): O(m) work, with no delta, box or pivot.
+    Its witness is the later row, and its value the bound -b_i the earlier
+    row i puts on it.  Otherwise the walked program's row separation comes
+    from one certificate: delta, or certify_delta's when delta is None.
+    That certificate sizes the enclosing box, which reduces the program to
+    a bounded instance; sets the walk parameters the config leaves auto
     (WalkConfig.resolved); and is reported (SolveReport.delta and
     delta_method).  Phase 1 finds an initial basis or a certified
     infeasibility.  The boxed program's optimal basis comes from one Las
@@ -342,6 +350,14 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
             "delta_integer_bound to set the row separation")
     nlp = normalize(lp)
     kept, walked = walked_program(nlp)
+    pair = crossed_opposite_rows(walked.A, walked.b, walked.feas_tol())
+    if pair is not None:
+        i, j = (int(kept[p]) for p in pair)
+        value, rhs = 0.0 - float(nlp.b[i]), float(nlp.b[j])  # -b, but not -0.0
+        raise Infeasible(
+            f"constraint {j + 1} cannot be satisfied: it negates constraint "
+            f"{i + 1}, so it is at least {value:.12g} > {rhs:.12g} wherever "
+            f"that one holds", iteration=j + 1, value=value)
 
     cert = delta or certify_delta(walked)
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, cert))

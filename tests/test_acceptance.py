@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import conewalk.phase1 as phase1_module
 import conewalk.reduction as reduction_module
 from conewalk.cli import main, write_lp_file
 from conewalk.errors import Infeasible, Unbounded
@@ -371,6 +372,46 @@ def test_criterion_9_phase1_certificates(suite):
     print(f"ACCEPTANCE 9 PASS: {infeasible_hits}/20 infeasible certified "
           f"with witness, {unbounded_hits}/10 unbounded certified, 0/50 "
           f"false positives on feasible bounded systems")
+
+
+def _infeasible_without_a_crossed_pair(n: int, seed: int) -> LinearProgram:
+    """x_k >= 3/4 for every k and sum(x) <= 1, rotated: no two rows are
+    negations, so no crossed pair certifies it, and phase 1 must."""
+    A = np.vstack([-np.eye(n), np.ones(n)])
+    b = np.append(np.full(n, -0.75), 1.0)
+    return rotate_instance(LinearProgram(A=A, b=b, c=np.ones(n)), seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_phase1_certifies_infeasibility_without_a_crossed_pair(
+        monkeypatch, n):
+    # criterion 9's infeasible programs are all crossed pairs, which solve
+    # certifies before phase 1; these reach phase 1, and its witness is the
+    # row's minimum over the region before it, by enumeration
+    raised = []
+
+    def vertex(walked, boxed, real=phase1_module.phase1_vertex):
+        try:
+            return real(walked, boxed)
+        except Infeasible as exc:
+            raised.append((walked, boxed, exc))
+            raise
+
+    monkeypatch.setattr(phase1_module, "phase1_vertex", vertex)
+    for seed in range(5):
+        with pytest.raises(Infeasible) as info:
+            solve(_infeasible_without_a_crossed_pair(n, 800 + seed),
+                  WalkConfig(seed=seed))
+        assert len(raised) == 1
+        walked, boxed, exc = raised.pop()
+        assert info.value.iteration == n + 1  # the walked rows are the input
+        i = exc.iteration - 1
+        region = normalize(LinearProgram(A=boxed.A[:2 * n + i],
+                                         b=boxed.b[:2 * n + i], c=walked.c))
+        least = min(float(walked.A[i] @ v.point)
+                    for v in enumerate_vertices(region).vertices)
+        assert info.value.value == pytest.approx(least, abs=1e-9)
+        assert least > walked.b[i]
 
 
 def test_criterion_10_separation_bound_chain(suite):

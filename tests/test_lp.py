@@ -18,6 +18,7 @@ from conewalk.lp import (
     DeltaCertificate,
     DeltaMethod,
     LinearProgram,
+    crossed_opposite_rows,
     delta_bruteforce,
     delta_from_structure,
     delta_integer_bound,
@@ -536,6 +537,64 @@ class TestTightestRows:
         inside = [walked.is_feasible(x, tol=0.0) for x in points]
         assert inside == [nlp.is_feasible(x, tol=0.0) for x in points]
         assert 0 < sum(inside) < len(points)
+
+
+def pairwise_crossing(A, b, tol):
+    """Reference: the first j, then its i < j, with A[i] == -A[j] entry by
+    entry (where -0.0 equals 0.0) and -b[i] > b[j] + tol."""
+    for j in range(len(A)):
+        for i in range(j):
+            if np.array_equal(A[i], -A[j]) and -b[i] > b[j] + tol:
+                return i, j
+    return None
+
+
+class TestCrossedOppositeRows:
+    """The opposite-direction half of the parallel-row step: a row and its
+    exact negation whose bounds cross."""
+
+    def test_finds_the_first_crossing_pair(self):
+        # rows 1 and 3 do not cross (x in [0, 2]); rows 0 and 4 do
+        A = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8], [-1.0, 0.0],
+                      [0.0, -1.0], [-0.6, -0.8]])
+        b = np.array([1.0, 2.0, 1.0, 0.0, -1.5, -2.0])
+        assert crossed_opposite_rows(A, b, 1e-7) == (0, 4)
+        assert crossed_opposite_rows(A[1:4], b[1:4], 1e-7) is None
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    @pytest.mark.parametrize("second", [0.0, -0.0])
+    def test_signed_zeros_pair(self, first, second):
+        # the bytes of -e_0 hold -0.0 where e_0 holds 0.0: both fold to 0.0
+        A = np.array([[1.0, first], [-1.0, second]])
+        assert crossed_opposite_rows(A, np.array([0.0, -1.0]), 1e-7) == (0, 1)
+
+    def test_a_crossing_of_exactly_tol_is_not_certified(self):
+        tol = 5e-7
+        low = -0.25 - tol
+        assert low + tol == -0.25  # the rows cross by tol, after rounding
+        A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert crossed_opposite_rows(A, np.array([0.25, low]), tol) is None
+        assert crossed_opposite_rows(
+            A, np.array([0.25, np.nextafter(low, -1.0)]), tol) == (0, 1)
+
+    def test_a_negation_one_ulp_off_is_not_paired(self):
+        A = np.array([[0.6, 0.8], [np.nextafter(-0.6, -1.0), -0.8]])
+        assert crossed_opposite_rows(A, np.array([0.0, -1.0]), 1e-7) is None
+        assert crossed_opposite_rows(
+            np.array([[0.6, 0.8], [-0.6, -0.8]]), np.array([0.0, -1.0]),
+            1e-7) == (0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_copies())
+    def test_agrees_with_the_pairwise_loop_on_kept_rows(self, program):
+        # the kept rows of near_copies' programs: negations, sign-flipped
+        # zeros and near copies, with right-hand sides of both signs
+        A, b = program
+        b = b - 0.5
+        kept = tightest_rows(A, b)
+        A, b = A[kept], b[kept]
+        assert crossed_opposite_rows(A, b, 1e-7) == pairwise_crossing(
+            A, b, 1e-7)
 
 
 class TestDeltaIntegerBound:

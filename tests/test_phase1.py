@@ -40,7 +40,7 @@ from conewalk.phase1 import (
     phase1_vertex,
     solve_bounded,
 )
-from conewalk.reduction import solve, walked_program
+from conewalk.reduction import certify_delta, solve, walked_program
 from conewalk.simplex import (
     basis_factors,
     basis_matrix,
@@ -579,10 +579,34 @@ class TestBoxDirectionsNotTheFirstRows:
         assert info.value.iteration == 5
 
 
+def crossed_bound_program(kind, n, m, seed):
+    """tu_instance_generator's program with the row -x_axis <= -(u + 1/16)
+    appended against its upper bound x_axis <= u (axis = seed % n), as
+    perfbench's verdicts build an infeasible instance."""
+    base = tu_instance_generator(kind, n, m, seed)
+    axis = seed % n
+    row = np.zeros(n)
+    row[axis] = -1.0
+    return LinearProgram(A=np.vstack([base.A, row]),
+                         b=np.append(base.b, -(base.b[axis] + 1.0 / 16.0)),
+                         c=base.c)
+
+
+def walked_and_boxed(lp):
+    """The input positions of the walked rows, the walked program and the
+    boxed one, built as solve builds them."""
+    kept, walked = walked_program(normalize(lp))
+    radius = certified_radius(walked, certify_delta(walked))
+    return kept, walked, bounding_box(walked, radius)
+
+
 class TestInfeasibleWitness:
     """Infeasible's value is row i's minimum at the vertex of the last
     descent's basis, as that basis's solve gives it: rounded once from the
-    exact value, not summed over the descent's pivots."""
+    exact value, not summed over the descent's pivots.  solve certifies
+    these crossed bounds from the pair of rows before phase 1 runs
+    (lp.crossed_opposite_rows), so phase 1 is driven directly on the
+    programs solve would build."""
 
     @pytest.mark.parametrize("kind", ["box", "interval", "network"])
     @pytest.mark.parametrize("n, m", [(3, 10), (4, 14), (5, 14)])
@@ -599,18 +623,13 @@ class TestInfeasibleWitness:
         for seed in range(20):
             # the upper bound x_axis <= u is row axis; the appended row asks
             # x_axis >= u + 1/16, so phase 1 certifies it infeasible
-            base = tu_instance_generator(kind, n, m, seed)
-            axis = seed % n
-            row = np.zeros(n)
-            row[axis] = -1.0
-            lp = LinearProgram(
-                A=np.vstack([base.A, row]),
-                b=np.append(base.b, -(base.b[axis] + 1.0 / 16.0)),
-                c=base.c)
+            _, walked, boxed = walked_and_boxed(
+                crossed_bound_program(kind, n, m, seed))
             descents.clear()
             with pytest.raises(Infeasible) as info:
-                solve(lp, WalkConfig(seed=seed))
-            boxed, rows, basis = descents[-1]
+                phase1_vertex(walked, boxed)
+            prog, rows, basis = descents[-1]
+            assert prog is boxed, seed
             a = boxed.A[rows]  # the row the last descent minimized
             x = lu_solve(lu_factor(basis_matrix(boxed, basis)),
                          boxed.b.take(basis))
@@ -622,6 +641,30 @@ class TestInfeasibleWitness:
                                             for p in basis])))
             assert abs(Fraction(value) - exact) \
                 <= Fraction(math.ulp(float(exact))), (seed, value, exact)
+
+    @pytest.mark.parametrize("kind", ["box", "interval", "network"])
+    @pytest.mark.parametrize("n, m", [(3, 10), (4, 14), (5, 14)])
+    def test_solve_gives_phase_1s_witness(self, monkeypatch, kind, n, m):
+        # the pair's witness on these programs is the one phase 1 gives:
+        # the same input row and the same value, bit for bit
+        reached = []
+
+        def vertex(*args, real=phase1_module.phase1_vertex):
+            reached.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(phase1_module, "phase1_vertex", vertex)
+        for seed in range(20):
+            lp = crossed_bound_program(kind, n, m, seed)
+            kept, walked, boxed = walked_and_boxed(lp)
+            with pytest.raises(Infeasible) as ref:
+                phase1_vertex(walked, boxed)
+            reached.clear()
+            with pytest.raises(Infeasible) as info:
+                solve(lp, WalkConfig(seed=seed))
+            assert reached == [], seed
+            assert info.value.iteration == kept[ref.value.iteration - 1] + 1
+            assert info.value.value.hex() == ref.value.value.hex(), seed
 
 
 class TestSolveBoundedViaSolve:

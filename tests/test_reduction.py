@@ -14,6 +14,8 @@ import pytest
 
 import conewalk
 import conewalk.geometry as geometry
+import conewalk.phase1 as phase1_module
+import conewalk.reduction as reduction_module
 from conewalk import jsonio
 from conewalk.errors import (
     ConewalkError,
@@ -1140,13 +1142,115 @@ class TestParallelRows:
 
     def test_infeasible_witness_is_an_input_position(self):
         # x >= 2 (row 3) against x <= 1 (row 4); row 3 takes the place of
-        # its slack copy x >= 0 (row 1), so phase 1 walks rows 0, 3, 2, 4
-        # and meets x <= 1 fourth
+        # its slack copy x >= 0 (row 1), so the walked rows are 0, 3, 2, 4
+        # and the crossed pair is walked rows 1 and 3, input rows 3 and 4
         lp = LinearProgram(A=[[0, 1], [-1, 0], [0, -1], [-1, 0], [1, 0]],
                            b=[1, 0, 0, -2, 1], c=[1, 1])
         with pytest.raises(Infeasible, match="^constraint 5 ") as info:
             solve(lp, WalkConfig(seed=0))
         assert (info.value.iteration, info.value.value) == (5, 2.0)
+
+
+class TestCrossedOppositeRows:
+    """A row and its exact negation whose bounds cross end the solve in the
+    collapse, before delta, the box and phase 1 (lp.crossed_opposite_rows)."""
+
+    SQUARE_A = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+
+    @staticmethod
+    def stages_raise(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage after the collapse ran")
+
+        monkeypatch.setattr(reduction_module, "certify_delta", unreachable)
+        monkeypatch.setattr(phase1_module, "bounding_box", unreachable)
+        monkeypatch.setattr(phase1_module, "phase1_vertex", unreachable)
+
+    @staticmethod
+    def phase1_reached(monkeypatch):
+        calls = []
+
+        def vertex(*args, real=phase1_module.phase1_vertex):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(phase1_module, "phase1_vertex", vertex)
+        return calls
+
+    def test_no_stage_after_the_collapse_runs(self, monkeypatch):
+        # x <= 1/4 (row 1) and x >= 1/2 (row 4, a slack copy of x >= 0 at
+        # row 2 before it), with the unit square's other rows
+        self.stages_raise(monkeypatch)
+        lp = LinearProgram(A=self.SQUARE_A + [[-2.0, 0.0], [4.0, 0.0]],
+                           b=[1.0, 1.0, 0.0, 0.0, -1.0, 1.0], c=[1.0, 1.0])
+        with pytest.raises(Infeasible) as info:
+            solve(lp, WalkConfig(seed=0))
+        # the tightest x <= u is row 5, the tightest -x <= -l row 4; both
+        # are named, and the value is the bound row 5 puts on row 4
+        assert str(info.value).startswith(
+            "constraint 5 cannot be satisfied: it negates constraint 6, ")
+        assert (info.value.iteration, info.value.value) == (5, -0.25)
+
+    @pytest.mark.parametrize("zeros", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0),
+                                       (-0.0, -0.0)])
+    def test_rows_with_signed_zeros_pair(self, monkeypatch, zeros):
+        self.stages_raise(monkeypatch)
+        lp = LinearProgram(A=[[1.0, zeros[0]], [0.0, 1.0], [-1.0, zeros[1]],
+                              [0.0, -1.0]], b=[0.0, 1.0, -1.0, 0.0],
+                           c=[1.0, 1.0])
+        assert np.signbit(normalize(lp).A[[0, 2], 1]).tolist() == [
+            np.signbit(z) for z in zeros]
+        with pytest.raises(Infeasible, match="^constraint 3 .* constraint 1,"):
+            solve(lp, WalkConfig(seed=0))
+
+    def test_a_crossing_of_exactly_the_tolerance_goes_to_phase_1(
+            self, monkeypatch):
+        # x <= 1/4 and -x <= -1/4 - tol, tol the walked program's feasibility
+        # tolerance, 1e-7 * (1 + 4): within it the region is the segment
+        # x = 1/4, so the pair certifies nothing and phase 1 finds a vertex
+        reached = self.phase1_reached(monkeypatch)
+        tol = 5e-7
+        lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                              [-1.0, 0.0]],
+                           b=[0.25, 4.0, 4.0, -0.25 - tol], c=[0.0, 1.0])
+        nlp = normalize(lp)
+        assert nlp.feas_tol() == tol and nlp.b[3] + tol == -0.25
+        rep = solve(lp, WalkConfig(seed=0))
+        assert len(reached) == 1
+        assert 1 in rep.basis and lp.is_feasible(rep.x)
+
+    def test_a_negation_one_ulp_off_goes_to_phase_1(self, monkeypatch):
+        # row 3 normalizes to (-0.6000000000000001, -0.8), an ulp from the
+        # negation of row 0, so only phase 1 certifies the crossing
+        reached = self.phase1_reached(monkeypatch)
+        lp = LinearProgram(A=[[0.6, 0.8], [0.0, 1.0], [-1.0, 0.0],
+                              [-0.6, np.nextafter(-0.8, 0.0)]],
+                           b=[0.0, 1.0, 1.0, -1.0], c=[1.0, 0.0])
+        nlp = normalize(lp)
+        assert nlp.A[3].tolist() == [np.nextafter(-0.6, -1.0), -0.8]
+        with pytest.raises(Infeasible, match="previous region") as info:
+            solve(lp, WalkConfig(seed=0))
+        assert len(reached) == 1
+        assert info.value.iteration == 4
+
+    def test_gaussian_rows_past_the_delta_budget_are_certified(self):
+        # 96 Gaussian rows at n = 5: brute-force delta would enumerate
+        # C(96, 4) * 96 hyperplane distances and raises TooLarge, which
+        # ended the solve before; a crossed copy of row 0 now ends it first
+        rng = np.random.default_rng(7000 + 100 * 5)
+        A = rng.standard_normal((96, 5))
+        b = rng.uniform(0.5, 1.0, size=96)
+        lp = LinearProgram(A=np.vstack([A, -A[0]]),
+                           b=np.append(b, -(b[0] + 1.0 / 16.0)),
+                           c=rng.standard_normal(5))
+        _, walked = walked_program(normalize(lp))
+        with pytest.raises(TooLarge):
+            reduction_module.certify_delta(walked)
+        with pytest.raises(Infeasible) as info:
+            solve(lp, WalkConfig(seed=0))
+        norm = float(np.linalg.norm(A[0]))
+        assert info.value.iteration == 97
+        assert info.value.value == pytest.approx(-b[0] / norm, rel=1e-15)
 
 
 @pytest.mark.parametrize("module", ["conewalk.phase1", "conewalk.reduction"])

@@ -1,7 +1,8 @@
 """Command-line front end: solve, verify-delta, walk-stats.
 
-Instances travel as JSON files; reports are single-line JSON on stdout with
-17-significant-digit floats, so identical flags produce identical bytes.
+Instances travel as JSON files; reports are single-line standard JSON on
+stdout (json.dumps, allow_nan=False), so identical flags produce identical
+bytes and every float reads back as the double the library returned.
 Exit codes: 0 optimal, 1 error (also for malformed arguments), 2 infeasible,
 3 unbounded.
 """
@@ -18,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import jsonio
 from .errors import ConewalkError, Infeasible, TooLarge, Unbounded
 from .lp import (
     DeltaCertificate,
@@ -130,7 +130,7 @@ def write_lp_file(path: str, lp: LinearProgram, *, name: str = "",
         record["integral"] = bool(integral)
     if Delta is not None:
         record["Delta"] = int(Delta)
-    Path(path).write_text(jsonio.json_line(record))
+    Path(path).write_text(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _integral_bound(lp: LinearProgram, raw: dict,
@@ -214,7 +214,7 @@ def _solve_once(lp: LinearProgram, cert: DeltaCertificate,
     }, EXIT_OPTIMAL)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, int]:
     lp, raw = load_lp_file(args.input)
     cert = _resolve_delta(args.delta, lp, raw)
     # the solve itself does no I/O: an OSError here comes from opening,
@@ -224,14 +224,12 @@ def cmd_solve(args) -> int:
         with trace or contextlib.nullcontext():
             cfg = WalkConfig(alpha=args.alpha, steps=args.steps,
                              seed=args.seed, trace=trace)
-            report, code = _solve_once(lp, cert, cfg)
+            return _solve_once(lp, cert, cfg)
     except OSError as exc:
         raise CliError(f"cannot write trace file {args.trace}: {exc}") from exc
-    print(jsonio.dumps(report))
-    return code
 
 
-def cmd_verify_delta(args) -> int:
+def cmd_verify_delta(args) -> tuple[dict, int]:
     lp, raw = load_lp_file(args.input)
     if args.method == "brute":
         cert = delta_bruteforce(normalize(lp))
@@ -243,11 +241,10 @@ def cmd_verify_delta(args) -> int:
         cert = _integral_bound(lp, raw, "--method bound needs integral data")
         record = {"delta": cert.delta, "method": cert.method.value,
                   "Delta": cert.Delta}
-    print(jsonio.dumps(record))
-    return EXIT_OPTIMAL
+    return record, EXIT_OPTIMAL
 
 
-def cmd_walk_stats(args) -> int:
+def cmd_walk_stats(args) -> tuple[dict, int]:
     cfg = WalkConfig(alpha=args.alpha, steps=args.steps, seed=args.seed)
     instances = []
     for path in args.input:
@@ -280,8 +277,7 @@ def cmd_walk_stats(args) -> int:
             if pivot_counts else None,
             "per_seed": per_seed,
         })
-    print(jsonio.dumps({"instances": instances}))
-    return EXIT_OPTIMAL
+    return {"instances": instances}, EXIT_OPTIMAL
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -348,16 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and print its record, or the error record, as one
+    JSON line; a NaN or an infinity in a record raises ValueError and
+    prints nothing."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        record, code = args.func(args)
     except CliError as exc:
-        print(jsonio.dumps(_error_report(str(exc))))
-        return EXIT_ERROR
+        record, code = _error_report(str(exc)), EXIT_ERROR
     except ConewalkError as exc:
-        print(jsonio.dumps(_error_report(_describe(exc))))
-        return EXIT_ERROR
+        record, code = _error_report(_describe(exc)), EXIT_ERROR
+    print(json.dumps(record, allow_nan=False))
+    return code
 
 
 def run() -> None:

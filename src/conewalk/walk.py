@@ -48,6 +48,7 @@ default and the solver's full-budget terms walk f itself, beta = 1.
 """
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
@@ -60,7 +61,6 @@ import numpy as np
 
 from .errors import ConewalkError, TooLarge
 from .geometry import det_abs, log_abs_det
-from .jsonio import json_line
 from .lp import NormalizedLP
 from .simplex import (
     Basis,
@@ -425,7 +425,7 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
                 l1 = _l1(z, ac)
 
         if trace is not None:
-            trace.write(json_line({
+            trace.write(json.dumps({
                 "step": taken,
                 "basis": list(rec.basis),
                 "k": index,
@@ -434,7 +434,7 @@ def run_walk(lp: NormalizedLP, start: Basis, *, alpha: float, steps: int,
                 "log_weight_proposal": lw_proposal,
                 "accepted": accepted,
                 "pivoted": pivoted,
-            }))
+            }, allow_nan=False) + "\n")
 
     return WalkOutcome(final=Parallelepiped(rec.basis, tuple(index)),
                        stopped_with_c_in_cone=rec.in_cone,

@@ -2,21 +2,25 @@
 
 Most tests call cli.main in process (run_cli): its exit code and stdout,
 and nothing on stderr, since every outcome, errors included, is one JSON
-record on stdout.  TestEntryPoint runs the real entry point in a
-subprocess, once per path out of main, and checks that a solve's report
-and trace do not depend on PYTHONHASHSEED.
+record on stdout, which a strict reader (strict_loads) must accept.
+TestEntryPoint runs the real entry point in a subprocess, once per path
+out of main, and checks that a solve's report and trace do not depend on
+PYTHONHASHSEED.
 """
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conewalk.cli import main, write_lp_file
+from conewalk import cli
+from conewalk.cli import load_lp_file, main, write_lp_file
 from conewalk.lp import LinearProgram
 from conewalk.reduction import solve
 from conewalk.walk import WalkConfig
@@ -67,12 +71,23 @@ def wide_file(tmp_path):
     return str(path)
 
 
+def strict_loads(text: str):
+    """json.loads that refuses NaN and Infinity, which json.loads accepts
+    but are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, argv):
     """main's exit code and stdout; anything on stderr (a warning, a
-    traceback) fails the test."""
+    traceback), or a stdout line that strict_loads refuses, fails the
+    test."""
     code = main(argv)
     captured = capsys.readouterr()
     assert captured.err == ""
+    for line in captured.out.splitlines():
+        strict_loads(line)
     return code, captured.out
 
 
@@ -112,6 +127,28 @@ class TestSolveCommand:
         report = json.loads(out)
         assert (code, report["status"]) == (0, "optimal"), report
         assert report["value"] == pytest.approx(1e9 + 1, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "cli._resolve_delta certifies delta before solve runs its "
+        "crossed-rows check: the 96 Gaussian rows are past the brute-force "
+        "budget, so the command exits 1 ('instance too large for "
+        "brute-force delta') where the library's solve raises Infeasible "
+        "at iteration 97 (test_reduction.py::TestCrossedOppositeRows)"))
+    def test_crossed_rows_past_the_delta_budget_are_infeasible(self, capsys,
+                                                               tmp_path):
+        rng = np.random.default_rng(7500)
+        A = rng.standard_normal((96, 5))
+        b = rng.uniform(0.5, 1.0, 96)
+        c = rng.standard_normal(5)
+        path = tmp_path / "crossed.json"
+        write_lp_file(str(path), LinearProgram(
+            A=np.vstack([A, -A[0]]), b=np.append(b, -(b[0] + 1.0 / 16.0)),
+            c=c), name="crossed")
+        code, out = run_cli(capsys, ["solve", "--input", str(path),
+                                     "--seed", "0"])
+        report = json.loads(out)
+        assert (code, report["status"], report.get("witness_iteration")) \
+            == (2, "infeasible", 97), report
 
     def test_square(self, capsys, square_file):
         code, out = run_cli(capsys, ["solve", "--input", square_file,
@@ -419,7 +456,6 @@ class TestSolveCommand:
 
     def test_report_self_certifies(self, capsys, square_file):
         # feasibility and cone membership re-check from the report alone
-        from conewalk.cli import load_lp_file
         from conewalk.lp import normalize
         from conewalk.simplex import cone_membership
 
@@ -435,15 +471,40 @@ class TestSolveCommand:
                                    nlp.b[list(basis)], atol=1e-9)
         assert cone_membership(nlp, basis, nlp.c).inside
 
-    def test_floats_serialized_with_17_digits(self, capsys, square_file):
-        import re
+    def test_floats_read_back_as_the_library_doubles(self, capsys,
+                                                     tmp_path):
+        # at c = [-1, -1] the square's optimum is the origin, which the
+        # library returns as [-0.0, -0.0]
+        sq = make_square()
+        lp = LinearProgram(A=sq.A, b=sq.b, c=[-1.0, -1.0])
+        path = tmp_path / "square-min.json"
+        write_lp_file(str(path), lp, name="square-min")
+        _, out = run_cli(capsys, ["solve", "--input", str(path),
+                                  "--seed", "0"])
+        report = strict_loads(out)
+        want = solve(lp, WalkConfig(seed=0)).x
+        assert [type(t) for t in report["x"]] == [float, float]
+        assert [math.copysign(1.0, t) for t in report["x"]] == [-1.0, -1.0]
+        assert np.array(report["x"]).tobytes() == want.tobytes()
+        for value in (report["value"], report["delta"],
+                      report["walk"]["alpha"]):
+            assert type(value) is float
 
-        _, out = run_cli(capsys, ["solve", "--input", square_file])
-        match = re.search(r'"value": (1\.\d+)', out)
-        assert match is not None
-        # 17 significant digits: one before the point, 16 after
-        assert len(match.group(1).replace(".", "")) == 17
-        assert float(match.group(1)) == json.loads(out)["value"]
+    def test_x_reads_back_bit_for_bit(self, capsys):
+        path = str(INSTANCES / "network-n3.json")
+        _, out = run_cli(capsys, ["solve", "--input", path, "--seed", "0"])
+        lp, _ = load_lp_file(path)
+        assert np.array(strict_loads(out)["x"]).tobytes() == \
+            solve(lp, WalkConfig(seed=0)).x.tobytes()
+
+    def test_a_nan_in_the_report_raises_and_prints_nothing(
+            self, capsys, monkeypatch, square_file):
+        real = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: replace(
+            real(*args, **kwargs), value=math.nan))
+        with pytest.raises(ValueError):
+            main(["solve", "--input", square_file])
+        assert capsys.readouterr().out == ""
 
 
 class TestMalformedArguments:
@@ -680,7 +741,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def run_entry_point(argv, tmp_path, **env):
     """python -m conewalk.cli from this checkout's src/, in tmp_path: its
     exit code and stdout.  Nothing may reach stderr, and the last stdout
-    line is JSON."""
+    line is strict JSON."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -688,7 +749,7 @@ def run_entry_point(argv, tmp_path, **env):
         cwd=tmp_path, env={**os.environ, **env, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
-    json.loads(proc.stdout.splitlines()[-1])
+    strict_loads(proc.stdout.splitlines()[-1])
     return proc.returncode, proc.stdout
 
 

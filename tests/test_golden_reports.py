@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from conewalk import jsonio
 from conewalk.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -81,5 +80,6 @@ def test_slack_copies_leave_the_report_unchanged(seed):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(jsonio.json_line(fresh_record(name, seed))
-                              for name in NAMES for seed in SEEDS))
+    GOLDEN.write_text("".join(
+        json.dumps(fresh_record(name, seed), allow_nan=False) + "\n"
+        for name in NAMES for seed in SEEDS))

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewalk import jsonio
 from conewalk.errors import ConewalkError, Infeasible, Unbounded
 from conewalk.lp import LinearProgram
 from conewalk.oracle import tu_instance_generator
@@ -101,6 +100,6 @@ def test_pinned_optimum_has_an_exact_certificate(name, seed):
 
 if __name__ == "__main__":
     PINNED.write_text("".join(
-        jsonio.json_line({"instance": name, "seed": seed,
-                          "outcome": outcome(lp, seed)})
+        json.dumps({"instance": name, "seed": seed,
+                    "outcome": outcome(lp, seed)}, allow_nan=False) + "\n"
         for name, lp in PROGRAMS.items() for seed in SEEDS))

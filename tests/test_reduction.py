@@ -16,7 +16,6 @@ import conewalk
 import conewalk.geometry as geometry
 import conewalk.phase1 as phase1_module
 import conewalk.reduction as reduction_module
-from conewalk import jsonio
 from conewalk.errors import (
     ConewalkError,
     FaceReachesBox,
@@ -464,10 +463,12 @@ class TestSolve:
             (want.basis, want.x.tobytes(), want.steps_per_level)
 
     def test_numpy_integer_seed_gives_the_report_of_its_int(self):
-        # every field, the walk's counters and the seed among them
+        # every field, the walk's counters and the seed among them; x and
+        # a numpy seed are written as their tolist()
         lp = tu_instance_generator("network", 4, 14, 3)
         rep, want = (solve(lp, WalkConfig(seed=s)) for s in (np.int64(3), 3))
-        assert jsonio.dumps(asdict(rep)) == jsonio.dumps(asdict(want))
+        assert json.dumps(asdict(rep), default=lambda v: v.tolist()) == \
+            json.dumps(asdict(want), default=lambda v: v.tolist())
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])
@@ -1087,15 +1088,12 @@ class TestParallelRows:
         assert rep.value == pytest.approx(float(np.dot(c, best)), abs=1e-12)
 
     def test_padded_report_equals_the_base_report(self):
-        import dataclasses
-
-        from conewalk import jsonio
-
         # padding appends slack copies: the kept rows are the base's rows
         base = tu_instance_generator("network", 3, 8, 838355994)
         padded = pad_redundant(base, 42, 838355994)
         cfg = WalkConfig(seed=1731453872)
-        reports = [jsonio.dumps(dataclasses.asdict(solve(lp, cfg)))
+        reports = [json.dumps(asdict(solve(lp, cfg)),
+                              default=np.ndarray.tolist)
                    for lp in (base, padded)]
         assert reports[0] == reports[1]
 

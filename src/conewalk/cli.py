@@ -4,7 +4,8 @@ Instances travel as JSON files; reports are single-line standard JSON on
 stdout (json.dumps, allow_nan=False), so identical flags produce identical
 bytes and every float reads back as the double the library returned.
 Exit codes: 0 optimal, 1 error (also for malformed arguments), 2 infeasible,
-3 unbounded.
+3 unbounded.  solve and each seed of walk-stats are one reduction.solve
+call, which under --delta auto certifies delta itself.
 """
 from __future__ import annotations
 
@@ -22,12 +23,13 @@ import numpy as np
 from .errors import ConewalkError, Infeasible, TooLarge, Unbounded
 from .lp import (
     DeltaCertificate,
+    DeltaMethod,
     LinearProgram,
     delta_bruteforce,
     delta_integer_bound,
     normalize,
 )
-from .reduction import MAX_RETRIES, certify_delta, solve, walked_program
+from .reduction import MAX_RETRIES, SolveReport, solve, walked_program
 from .walk import WalkConfig
 
 EXIT_OPTIMAL = 0
@@ -150,28 +152,18 @@ def _integral_bound(lp: LinearProgram, raw: dict,
     return delta_integer_bound(lp.A, Delta)
 
 
-def _resolve_delta(spec: str, lp: LinearProgram,
-                   raw: dict) -> DeltaCertificate:
-    """The certificate for --delta 'brute', 'bound' or 'auto'.
-
-    solve sizes the box from it, sets the auto walk parameters from it and
-    reports it.  'auto' and 'brute' certify the rows solve walks, the
-    tightest of each direction (reduction.walked_program); 'auto' certifies
-    as solve does by default (reduction.certify_delta: the rows' structure,
-    then brute force) and falls back to the integral bound only when the
-    brute force is over its budget, not when normalize raises TooLarge.
-    """
+def _named_certificate(spec: str, lp: LinearProgram,
+                       raw: dict) -> DeltaCertificate | None:
+    """The certificate --delta names, taken before the solve: 'bound' is the
+    file's integral bound, 'brute' enumerates the rows solve walks, the
+    tightest of each direction (reduction.walked_program).  'auto' names
+    none: solve certifies as it does by default (reduction.certify_delta),
+    and only when its verdict needs a box."""
     if spec == "bound":
         return _integral_bound(lp, raw, "--delta bound needs integral data")
-    _, walked = walked_program(normalize(lp))
-    try:
-        return (delta_bruteforce(walked) if spec == "brute"
-                else certify_delta(walked))
-    except TooLarge:
-        if spec == "brute":
-            raise
-        return _integral_bound(lp, raw,
-                               "instance too large for brute-force delta")
+    if spec == "brute":
+        return delta_bruteforce(walked_program(normalize(lp))[1])
+    return None
 
 
 def _describe(exc: ConewalkError) -> str:
@@ -182,27 +174,56 @@ def _error_report(message: str) -> dict:
     return {"status": "error", "error": message}
 
 
-def _solve_once(lp: LinearProgram, cert: DeltaCertificate,
-                cfg: WalkConfig) -> tuple[dict, int]:
+def _certified_solve(lp: LinearProgram, raw: dict,
+                     cert: DeltaCertificate | None,
+                     cfg: WalkConfig) -> SolveReport:
+    """solve(lp, cfg, delta=cert).  With no certificate named (--delta
+    auto), solve certifies one; its brute force over budget, and nothing
+    else, retries with the file's integral bound."""
     try:
-        report = solve(lp, cfg, delta=cert)
+        return solve(lp, cfg, delta=cert)
+    except TooLarge as exc:
+        if cert is not None or exc.budget is None:
+            raise
+    return solve(lp, cfg, delta=_integral_bound(
+        lp, raw, "instance too large for brute-force delta"))
+
+
+def _delta_fields(cert: DeltaCertificate | None) -> dict:
+    """A verdict's delta fields: null for a crossed pair, which no
+    certificate sized a box for."""
+    if cert is None:
+        return {"delta": None, "delta_method": None}
+    return {"delta": cert.delta, "delta_method": cert.method.value}
+
+
+def _solve_once(lp: LinearProgram, raw: dict, cert: DeltaCertificate | None,
+                cfg: WalkConfig) -> tuple[dict, int, DeltaCertificate | None]:
+    """One solve's record and exit code, and the certificate that sized its
+    box, None for a crossed pair.  The record's delta fields are the
+    report's or the verdict's certificate's."""
+    try:
+        report = _certified_solve(lp, raw, cert, cfg)
     except Infeasible as exc:
         row_norm = float(np.linalg.norm(lp.A[exc.iteration - 1]))
         return ({"status": "infeasible", "witness_iteration": exc.iteration,
-                 "witness_value": exc.value * row_norm, "delta": cert.delta,
-                 "delta_method": cert.method.value, "seed": cfg.seed},
-                EXIT_INFEASIBLE)
+                 "witness_value": exc.value * row_norm,
+                 **_delta_fields(exc.certificate), "seed": cfg.seed},
+                EXIT_INFEASIBLE, exc.certificate)
     except Unbounded as exc:
         return ({"status": "unbounded", "box_row": exc.box_row,
-                 "delta": cert.delta, "delta_method": cert.method.value,
-                 "seed": cfg.seed}, EXIT_UNBOUNDED)
+                 **_delta_fields(exc.certificate), "seed": cfg.seed},
+                EXIT_UNBOUNDED, exc.certificate)
+    # the report keeps the certificate's delta and method: all that a
+    # later solve reads of it
+    used = DeltaCertificate(report.delta, DeltaMethod(report.delta_method))
     return ({
         "status": "optimal",
         "basis": [p + 1 for p in report.basis],
         "x": [float(t) for t in report.x],
         "value": report.value,
-        "delta": cert.delta,
-        "delta_method": cert.method.value,
+        "delta": report.delta,
+        "delta_method": report.delta_method,
         "walk": {
             "alpha": report.alpha,
             "steps_per_level": list(report.steps_per_level),
@@ -211,12 +232,12 @@ def _solve_once(lp: LinearProgram, cert: DeltaCertificate,
             "terms": sum(s.terms for s in report.levels),
         },
         "seed": report.seed,
-    }, EXIT_OPTIMAL)
+    }, EXIT_OPTIMAL, used)
 
 
 def cmd_solve(args) -> tuple[dict, int]:
     lp, raw = load_lp_file(args.input)
-    cert = _resolve_delta(args.delta, lp, raw)
+    cert = _named_certificate(args.delta, lp, raw)
     # the solve itself does no I/O: an OSError here comes from opening,
     # writing or closing the trace
     try:
@@ -224,7 +245,8 @@ def cmd_solve(args) -> tuple[dict, int]:
         with trace or contextlib.nullcontext():
             cfg = WalkConfig(alpha=args.alpha, steps=args.steps,
                              seed=args.seed, trace=trace)
-            return _solve_once(lp, cert, cfg)
+            record, code, _ = _solve_once(lp, raw, cert, cfg)
+            return record, code
     except OSError as exc:
         raise CliError(f"cannot write trace file {args.trace}: {exc}") from exc
 
@@ -249,12 +271,16 @@ def cmd_walk_stats(args) -> tuple[dict, int]:
     instances = []
     for path in args.input:
         lp, raw = load_lp_file(path)
-        cert = _resolve_delta(args.delta, lp, raw)
+        cert = _named_certificate(args.delta, lp, raw)
         per_seed = []
         for seed in range(cfg.seed, cfg.seed + args.seeds):
             try:
-                report, _ = _solve_once(lp, cert, replace(cfg, seed=seed))
+                report, _, used = _solve_once(lp, raw, cert,
+                                              replace(cfg, seed=seed))
+            except CliError:  # the file's fault, not the seed's: abort
+                raise
             except ConewalkError as exc:  # this seed failed; keep the others
+                used = exc.certificate
                 record = {**_error_report(_describe(exc)),
                           "pivots": None, "retries": None}
             else:
@@ -262,6 +288,7 @@ def cmd_walk_stats(args) -> tuple[dict, int]:
                 record = {"status": report["status"],
                           "pivots": walk.get("pivots"),
                           "retries": walk.get("retries")}
+            cert = cert or used  # delta is certified once per file
             per_seed.append({"seed": seed, **record})
         solved = [r for r in per_seed if r["status"] == "optimal"]
         pivot_counts = [r["pivots"] for r in solved]
@@ -295,9 +322,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="objective scaling (default: auto)")
     p.add_argument("--delta", default="auto",
                    choices=("auto", "brute", "bound"),
-                   help="how the row separation is certified: 'auto' (the "
-                        "rows' structure, then brute force, then the "
-                        "integral bound), 'brute' or 'bound'; the "
+                   help="how the row separation is certified: 'auto' (by "
+                        "solve, when a verdict needs a box: the rows' "
+                        "structure, then brute force, then the integral "
+                        "bound), 'brute' or 'bound'; the "
                         "certificate sizes the box and sets the auto walk "
                         "parameters (default: auto)")
 

@@ -2,7 +2,15 @@
 
 
 class ConewalkError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    certificate is the lp.DeltaCertificate that sized the box of the solve
+    that raised the error: reduction.solve sets it on every error of the
+    stages after it certified delta.  It is None for any other error,
+    such as a crossed pair's Infeasible, which ends the solve before delta.
+    """
+
+    certificate = None
 
 
 class SingularMatrix(ConewalkError):
@@ -26,7 +34,19 @@ class NonIntegerEntries(ConewalkError):
 
 
 class TooLarge(ConewalkError):
-    """Enumeration budget or float range exceeded: not desk-scale."""
+    """Not desk-scale: an enumeration over its budget, or a value past the
+    float range.
+
+    budget is the enumeration budget the work would exceed (raised by
+    lp.delta_bruteforce and the oracle's enumerations), and None when a
+    value leaves the float range.  Only the first kind can be met by
+    another certificate: the command line's --delta auto falls back to the
+    file's integral bound for it alone.
+    """
+
+    def __init__(self, message: str, budget: int | None = None) -> None:
+        super().__init__(message)
+        self.budget = budget
 
 
 class RankDeficient(ConewalkError):
@@ -80,7 +100,8 @@ class Infeasible(ConewalkError):
     side is b, so value is -b, and y = 1 on the two rows is a Farkas
     vector, y^T A = 0 and y^T b < 0 (lp.crossed_opposite_rows).  Otherwise
     phase 1: value is the row's minimum over the box and the kept rows
-    before it.
+    before it, and certificate (ConewalkError) sized that box; a crossed
+    pair needs none.
     """
 
     def __init__(self, message: str, iteration: int | None = None,
@@ -92,7 +113,8 @@ class Infeasible(ConewalkError):
 
 class Unbounded(ConewalkError):
     """Certified: the boxed optimum's basis holds a box row with a positive
-    cone multiplier for c (box_row: the least box row of that basis)."""
+    cone multiplier for c (box_row: the least box row of that basis);
+    certificate (ConewalkError) sized that box."""
 
     def __init__(self, message: str, box_row: int | None = None) -> None:
         super().__init__(message)

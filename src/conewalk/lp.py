@@ -369,14 +369,15 @@ def delta_bruteforce(lp: NormalizedLP, *,
     padding.  With no hyperplane closer than 1, as always at n = 1, delta
     is 1 with witness (0, ()); otherwise the witness (row, subset) holds
     n-1 subset rows, in input row positions, and re-evaluates to the
-    reported value.
+    reported value.  A count past limit raises TooLarge, with budget=limit,
+    before any distance is taken.
     """
     n = lp.n
     rows = _distinct_directions(lp.A)
     d = len(rows)
     if math.comb(d, n - 1) * d > limit:
         raise TooLarge(f"C({d},{n - 1})*{d} over {d} distinct row directions "
-                       "exceeds the enumeration budget")
+                       "exceeds the enumeration budget", budget=limit)
     best = 1.0
     best_witness = (0, ())
     if n > 1:

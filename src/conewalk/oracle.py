@@ -37,7 +37,8 @@ def _all_basic_points(lp: NormalizedLP, limit: int) -> list[tuple[Basis, np.ndar
     """Solve every nonsingular n-row subsystem (feasible or not)."""
     m, n = lp.m, lp.n
     if math.comb(m, n) > limit:
-        raise TooLarge(f"C({m},{n}) exceeds the enumeration budget")
+        raise TooLarge(f"C({m},{n}) exceeds the enumeration budget",
+                       budget=limit)
     combos = np.array(list(itertools.combinations(range(m), n)), dtype=int)
     subs = lp.A[combos]                      # (K, n, n)
     dets = np.abs(np.linalg.det(subs))
@@ -116,7 +117,8 @@ def max_subdeterminant(A_int: np.ndarray, *, limit: int = SUBDET_LIMIT) -> int:
     m, n = len(A), len(A[0])
     total = sum(math.comb(m, k) * math.comb(n, k) for k in range(1, min(m, n) + 1))
     if total > limit:
-        raise TooLarge(f"{total} sub-matrices exceed the enumeration budget")
+        raise TooLarge(f"{total} sub-matrices exceed the enumeration budget",
+                       budget=limit)
     best = 0
     for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):

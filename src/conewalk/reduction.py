@@ -308,24 +308,31 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
     walked program's feasibility tolerance, raises Infeasible at once
     (lp.crossed_opposite_rows): O(m) work, with no delta, box or pivot.
     Its witness is the later row, and its value the bound -b_i the earlier
-    row i puts on it.  Otherwise the walked program's row separation comes
-    from one certificate: delta, or certify_delta's when delta is None.
-    That certificate sizes the enclosing box, which reduces the program to
-    a bounded instance; sets the walk parameters the config leaves auto
-    (WalkConfig.resolved); and is reported (SolveReport.delta and
-    delta_method).  Phase 1 finds an initial basis or a certified
-    infeasibility.  The boxed program's optimal basis comes from one Las
-    Vegas walk, or at n = 1 from Bland's rule started at the phase-1
-    basis (at most one pivot); phase1.solve_bounded raises Unbounded if
-    that basis holds a box row of positive cone multiplier, FaceReachesBox
-    if its box rows all have multiplier 0, else reads x, the basis's
-    vertex, from the boxed program's memo.  Reported positions (basis and the
-    Infeasible witness) are input positions, Infeasible's value is for the
-    row scaled to unit length, and x is certified against every input row.
+    row i puts on it; its certificate is None.  Otherwise the walked
+    program's row separation comes from one certificate: delta, or
+    certify_delta's when delta is None.  That certificate sizes the
+    enclosing box, which reduces the program to a bounded instance; sets
+    the walk parameters the config leaves auto (WalkConfig.resolved); and
+    is reported: as SolveReport.delta and delta_method, or as the
+    certificate of every ConewalkError raised after it, an Infeasible or
+    Unbounded verdict read from the box among them.  The command line's
+    --delta auto passes None, so which rows delta is certified for, and
+    when, is decided here alone.  Phase 1 finds an initial basis or a
+    certified infeasibility.  The boxed program's
+    optimal basis comes from one Las Vegas walk, or at n = 1 from Bland's
+    rule started at the phase-1 basis (at most one pivot);
+    phase1.solve_bounded raises Unbounded if that basis holds a box row of
+    positive cone multiplier, FaceReachesBox if its box rows all have
+    multiplier 0, else reads x, the basis's vertex, from the boxed
+    program's memo.  Reported positions (basis and the Infeasible witness)
+    are input positions, Infeasible's value is for the row scaled to unit
+    length, and x is certified against every input row.
     Raises Infeasible or Unbounded with certificates, FaceReachesBox (no
-    verdict) as above, RetriesExhausted if
-    MAX_RETRIES + 1 full-budget walk attempts fail, TooLarge if delta is
-    too small for a finite box radius or walk parameters, at every n, and
+    verdict) as above, RetriesExhausted if MAX_RETRIES + 1 full-budget
+    walk attempts fail, TooLarge with its budget set if certify_delta's
+    brute force is over its budget, TooLarge with budget None if
+    normalizing leaves the float range or delta is too small for a finite
+    box radius or walk parameters, at every n, and
     ConewalkError if the certificate rejects the optimum it reconstructed
     (x infeasible for an input row beyond the feasibility tolerance, or c
     outside the reported basis's cone).  Before any work, an lp that is
@@ -360,6 +367,18 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
             f"that one holds", iteration=j + 1, value=value)
 
     cert = delta or certify_delta(walked)
+    try:
+        return _solve_in_box(lp, nlp, kept, walked, cert, cfg)
+    except ConewalkError as exc:
+        exc.certificate = cert
+        raise
+
+
+def _solve_in_box(lp: LinearProgram, nlp: NormalizedLP, kept: np.ndarray,
+                  walked: NormalizedLP, cert: DeltaCertificate,
+                  cfg: WalkConfig) -> SolveReport:
+    """solve's stages after delta, on the walked program boxed by cert:
+    phase 1, the walk, the box's verdict and the certificate."""
     boxed = phase1.bounding_box(walked, phase1.certified_radius(walked, cert))
     try:
         start = phase1.phase1_vertex(walked, boxed)

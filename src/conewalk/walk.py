@@ -108,8 +108,9 @@ class WalkConfig:
     # an integer >= 0 (operator.index: numpy integers pass, 2.5 and bools
     # do not)
     steps: int | None = None
-    # an integer >= 0, as steps; solve walks term t of retry r on the raw
-    # words of PCG64(SeedSequence([seed, r, t])) (_draws)
+    # an integer >= 0, as steps, kept as its int (a numpy integer's report
+    # is its int's); solve walks term t of retry r on the raw words of
+    # PCG64(SeedSequence([seed, r, t])) (_draws)
     seed: int = 0
     # None or a text stream (an object with a callable write)
     trace: IO[str] | None = None
@@ -133,6 +134,7 @@ class WalkConfig:
         if seed < 0:
             raise ValueError(f"WalkConfig.seed must be a non-negative integer, "
                              f"got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         if self.trace is not None and not callable(
                 getattr(self.trace, "write", None)):
             raise TypeError(f"WalkConfig.trace must be None or a text stream "

@@ -7,6 +7,7 @@ TestEntryPoint runs the real entry point in a subprocess, once per path
 out of main, and checks that a solve's report and trace do not depend on
 PYTHONHASHSEED.
 """
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import pytest
 
 from conewalk import cli
 from conewalk.cli import load_lp_file, main, write_lp_file
-from conewalk.lp import LinearProgram
+from conewalk.lp import LinearProgram, normalize
 from conewalk.reduction import solve
 from conewalk.walk import WalkConfig
 
@@ -69,6 +70,56 @@ def wide_file(tmp_path):
     write_lp_file(str(path), LinearProgram(A=A, b=b, c=np.ones(4)),
                   name="wide")
     return str(path)
+
+
+@pytest.fixture
+def crossed_file(tmp_path):
+    """n=5: 96 seeded Gaussian rows, past the brute-force delta budget, and
+    row 97, the negation of row 1 with its bound crossed by 1/16."""
+    rng = np.random.default_rng(7500)
+    A = rng.standard_normal((96, 5))
+    b = rng.uniform(0.5, 1.0, 96)
+    c = rng.standard_normal(5)
+    path = tmp_path / "crossed.json"
+    write_lp_file(str(path), LinearProgram(
+        A=np.vstack([A, -A[0]]), b=np.append(b, -(b[0] + 1.0 / 16.0)), c=c),
+        name="crossed")
+    return str(path)
+
+
+@pytest.fixture
+def integral_wide_file(tmp_path):
+    """n=3: the 578 primitive integer rows of [-4, 4]^3, 289 directions, past
+    the brute-force delta budget (C(289,2)*289 > 10^7), with 'Delta' 333,
+    Hadamard's bound (48^1.5 < 333).  Rows (-1, 1, 0) and (-1, -1, 0) give
+    x1 >= -1 against row (1, 0, 0)'s x1 <= -2: infeasible by phase 1, with
+    no crossed pair, since row (-1, 0, 0) only asks x1 >= -10."""
+    rows = [v for v in itertools.product(range(-4, 5), repeat=3)
+            if math.gcd(*v) == 1]
+    b = [float(sum(map(abs, v))) for v in rows]
+    for row, rhs in [((1, 0, 0), -2.0), ((-1, 1, 0), 1.0),
+                     ((-1, -1, 0), 1.0), ((-1, 0, 0), 10.0)]:
+        b[rows.index(row)] = rhs
+    path = tmp_path / "integral-wide.json"
+    write_lp_file(str(path), LinearProgram(A=rows, b=b, c=[1, 2, 3]),
+                  name="integral-wide", integral=True, Delta=333)
+    return str(path)
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """The programs normalize is called on, by solve or by the CLI itself."""
+    import conewalk.reduction as reduction_module
+
+    seen = []
+
+    def counting(lp):
+        seen.append(lp)
+        return normalize(lp)
+
+    monkeypatch.setattr(reduction_module, "normalize", counting)
+    monkeypatch.setattr(cli, "normalize", counting)
+    return seen
 
 
 def strict_loads(text: str):
@@ -128,27 +179,16 @@ class TestSolveCommand:
         assert (code, report["status"]) == (0, "optimal"), report
         assert report["value"] == pytest.approx(1e9 + 1, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "cli._resolve_delta certifies delta before solve runs its "
-        "crossed-rows check: the 96 Gaussian rows are past the brute-force "
-        "budget, so the command exits 1 ('instance too large for "
-        "brute-force delta') where the library's solve raises Infeasible "
-        "at iteration 97 (test_reduction.py::TestCrossedOppositeRows)"))
-    def test_crossed_rows_past_the_delta_budget_are_infeasible(self, capsys,
-                                                               tmp_path):
-        rng = np.random.default_rng(7500)
-        A = rng.standard_normal((96, 5))
-        b = rng.uniform(0.5, 1.0, 96)
-        c = rng.standard_normal(5)
-        path = tmp_path / "crossed.json"
-        write_lp_file(str(path), LinearProgram(
-            A=np.vstack([A, -A[0]]), b=np.append(b, -(b[0] + 1.0 / 16.0)),
-            c=c), name="crossed")
-        code, out = run_cli(capsys, ["solve", "--input", str(path),
+    def test_crossed_rows_past_the_delta_budget_are_infeasible(
+            self, capsys, crossed_file):
+        # the library's verdict (test_reduction.py::TestCrossedOppositeRows):
+        # the pair needs no box, so no delta is certified or reported
+        code, out = run_cli(capsys, ["solve", "--input", crossed_file,
                                      "--seed", "0"])
         report = json.loads(out)
         assert (code, report["status"], report.get("witness_iteration")) \
             == (2, "infeasible", 97), report
+        assert (report["delta"], report["delta_method"]) == (None, None)
 
     def test_square(self, capsys, square_file):
         code, out = run_cli(capsys, ["solve", "--input", square_file,
@@ -383,6 +423,26 @@ class TestSolveCommand:
         assert code == 0
         assert (report["delta"], report["delta_method"]) == \
             (rep.delta, rep.delta_method) == (0.5, "network_rows")
+
+    def test_over_budget_auto_falls_back_to_the_integral_bound(
+            self, capsys, integral_wide_file):
+        code, out = run_cli(capsys, ["solve", "--input", integral_wide_file])
+        report = json.loads(out)
+        assert (code, report["status"], report["witness_iteration"]) == \
+            (2, "infeasible", 354), report
+        assert (report["delta"], report["delta_method"]) == \
+            (1.0 / (3 * 333**2), "integer_bound")
+
+    @pytest.mark.parametrize("fixture, calls", [
+        ("square_file", 1), ("crossed_file", 1), ("integral_wide_file", 2)])
+    def test_default_solve_normalizes_once(self, capsys, normalize_calls,
+                                           request, fixture, calls):
+        # solve alone normalizes; a second solve, and a second normalize,
+        # only when the brute-force delta is over budget and the integral
+        # bound retries
+        run_cli(capsys, ["solve", "--input",
+                         request.getfixturevalue(fixture)])
+        assert len(normalize_calls) == calls
 
     def test_over_budget_auto_names_only_the_integral_delta_route(
             self, capsys, wide_file):
@@ -671,10 +731,13 @@ class TestWalkStatsCommand:
         assert stats["instances"][1]["median_pivots"] is None
 
     def test_delta_certified_once_per_instance(self, capsys, square_file,
-                                               infeasible_file, monkeypatch):
-        # both files have network rows: their structure certifies delta,
-        # and the enumeration never runs
-        import conewalk.cli as cli_module
+                                               infeasible_file,
+                                               unbounded_file, monkeypatch):
+        # the first seed's solve certifies delta, and its certificate, from
+        # the report or the unbounded verdict, sizes the later seeds' boxes;
+        # the infeasible file's crossed pair needs none.  Every file has
+        # network rows: their structure certifies delta, and the
+        # enumeration never runs
         import conewalk.reduction as reduction_module
 
         calls = {"certify": 0, "brute": 0}
@@ -685,14 +748,67 @@ class TestWalkStatsCommand:
                 return original(lp)
             return count
 
-        monkeypatch.setattr(cli_module, "certify_delta",
-                            counting("certify", cli_module.certify_delta))
+        monkeypatch.setattr(reduction_module, "certify_delta",
+                            counting("certify", reduction_module.certify_delta))
         monkeypatch.setattr(reduction_module, "delta_bruteforce",
                             counting("brute", reduction_module.delta_bruteforce))
-        code, _ = run_cli(capsys, ["walk-stats", "--input", square_file,
-                                   "--input", infeasible_file, "--seeds", "3"])
+        code, out = run_cli(capsys, [
+            "walk-stats", "--input", square_file, "--input", infeasible_file,
+            "--input", unbounded_file, "--seeds", "3"])
         assert code == 0
+        assert [[r["status"] for r in i["per_seed"]]
+                for i in json.loads(out)["instances"]] == \
+            [["optimal"] * 3, ["infeasible"] * 3, ["unbounded"] * 3]
         assert calls == {"certify": 2, "brute": 0}
+
+    def test_a_failed_seed_passes_its_certificate_on(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # the rows are no network or interval rows, so delta is brute force;
+        # b = 1e308 sends every seed's box radius past the float range
+        import conewalk.reduction as reduction_module
+
+        calls = []
+        original = reduction_module.delta_bruteforce
+        monkeypatch.setattr(reduction_module, "delta_bruteforce",
+                            lambda lp: calls.append(lp) or original(lp))
+        path = tmp_path / "huge-rhs.json"
+        write_lp_file(str(path), LinearProgram(
+            A=[[1, 0], [0, 1], [-1, 0], [0, -1], [0.6, 0.8]],
+            b=[1e308, 1, 0, 0, 1], c=[1, 1]))
+        code, out = run_cli(capsys, ["walk-stats", "--input", str(path),
+                                     "--seeds", "3"])
+        inst, = json.loads(out)["instances"]
+        assert code == 0
+        assert all(r["error"].startswith("TooLarge: box radius")
+                   for r in inst["per_seed"])
+        assert len(calls) == 1
+
+    def test_crossed_rows_past_the_delta_budget_are_infeasible(
+            self, capsys, crossed_file):
+        code, out = run_cli(capsys, ["walk-stats", "--input", crossed_file,
+                                     "--seeds", "2"])
+        assert code == 0, out
+        inst, = json.loads(out)["instances"]
+        assert [r["status"] for r in inst["per_seed"]] == ["infeasible"] * 2
+
+    def test_integral_fallback_runs_once_per_file(self, capsys,
+                                                  normalize_calls,
+                                                  integral_wide_file):
+        # seed 0 solves twice, the brute force over budget and then the
+        # integral bound, which solves seed 1 at once
+        code, out = run_cli(capsys, ["walk-stats", "--input",
+                                     integral_wide_file, "--seeds", "2"])
+        assert code == 0
+        inst, = json.loads(out)["instances"]
+        assert [r["status"] for r in inst["per_seed"]] == ["infeasible"] * 2
+        assert len(normalize_calls) == 3
+
+    def test_over_budget_without_Delta_aborts(self, capsys, wide_file,
+                                               square_file):
+        assert_one_error_record(
+            capsys, ["walk-stats", "--input", square_file, "--input",
+                     wide_file, "--seeds", "2"],
+            "instance too large for brute-force delta")
 
     def test_failed_seed_is_recorded(self, capsys, square_file, monkeypatch):
         import conewalk.cli as cli_module

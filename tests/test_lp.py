@@ -115,8 +115,9 @@ class TestNormalize:
         lp = LinearProgram(A=A, b=b, c=c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TooLarge, match="float range"):
+            with pytest.raises(TooLarge, match="float range") as info:
                 normalize(lp)
+        assert info.value.budget is None  # no other certificate helps
 
     @pytest.mark.parametrize("rows, objective", [
         (2.0**-40, 1.0), (1.0, 2.0**-40), (2.0**-40, 2.0**-40)],

@@ -25,6 +25,7 @@ from conewalk.errors import (
     Unbounded,
 )
 from conewalk.lp import (
+    BRUTE_FORCE_LIMIT,
     LinearProgram,
     delta_bruteforce,
     delta_integer_bound,
@@ -211,6 +212,30 @@ class TestSolve:
                            b=[0.0, 1.0, 0.0], c=[1.0, 0.0])
         with pytest.raises(Unbounded):
             solve(lp, WalkConfig(seed=0))
+
+    @pytest.mark.parametrize("lp, error", [
+        (LinearProgram(A=[[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                       b=[0.0, 1.0, 0.0], c=[1.0, 0.0]), Unbounded),
+        # row 4 is an ulp from the negation of row 1: no crossed pair, so
+        # phase 1 certifies the crossing in the box
+        (LinearProgram(A=[[0.6, 0.8], [0.0, 1.0], [-1.0, 0.0],
+                          [-0.6, np.nextafter(-0.8, 0.0)]],
+                       b=[0.0, 1.0, 1.0, -1.0], c=[1.0, 0.0]), Infeasible),
+        # no verdict: the box radius n * 1e308 / delta leaves the float range
+        (LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                          [0.6, 0.8]],
+                       b=[1e308, 1.0, 0.0, 0.0, 1.0], c=[1.0, 1.0]), TooLarge),
+    ], ids=["unbounded", "infeasible", "box-radius"])
+    def test_errors_after_delta_carry_its_certificate(self, lp, error):
+        _, walked = walked_program(normalize(lp))
+        given = delta_bruteforce(walked)
+        with pytest.raises(error) as info:
+            solve(lp, WalkConfig(seed=0), delta=given)
+        assert info.value.certificate is given
+        with pytest.raises(error) as info:
+            solve(lp, WalkConfig(seed=0))
+        assert info.value.certificate == \
+            reduction_module.certify_delta(walked)
 
     def test_matches_oracles_on_tu_instances(self):
         for kind in ("box", "interval", "network"):
@@ -463,12 +488,14 @@ class TestSolve:
             (want.basis, want.x.tobytes(), want.steps_per_level)
 
     def test_numpy_integer_seed_gives_the_report_of_its_int(self):
-        # every field, the walk's counters and the seed among them; x and
-        # a numpy seed are written as their tolist()
+        # every field, the walk's counters and the seed among them; x is
+        # written as its tolist(), and the seed is the int, which json
+        # writes (an np.int64 raises TypeError)
         lp = tu_instance_generator("network", 4, 14, 3)
         rep, want = (solve(lp, WalkConfig(seed=s)) for s in (np.int64(3), 3))
-        assert json.dumps(asdict(rep), default=lambda v: v.tolist()) == \
-            json.dumps(asdict(want), default=lambda v: v.tolist())
+        assert type(rep.seed) is int
+        assert json.dumps(asdict(rep), default=np.ndarray.tolist) == \
+            json.dumps(asdict(want), default=np.ndarray.tolist)
 
     def test_n1_instance(self):
         lp = LinearProgram(A=[[1.0], [-1.0]], b=[3.0, 0.0], c=[2.0])
@@ -1242,12 +1269,14 @@ class TestCrossedOppositeRows:
                            b=np.append(b, -(b[0] + 1.0 / 16.0)),
                            c=rng.standard_normal(5))
         _, walked = walked_program(normalize(lp))
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge) as over:
             reduction_module.certify_delta(walked)
+        assert over.value.budget == BRUTE_FORCE_LIMIT
         with pytest.raises(Infeasible) as info:
             solve(lp, WalkConfig(seed=0))
         norm = float(np.linalg.norm(A[0]))
         assert info.value.iteration == 97
+        assert info.value.certificate is None  # no box was sized
         assert info.value.value == pytest.approx(-b[0] / norm, rel=1e-15)
 
 

@@ -50,7 +50,8 @@ class TooLarge(ConewalkError):
 
 
 class RankDeficient(ConewalkError):
-    """Constraint matrix does not have full column rank."""
+    """Constraint matrix, or the rows left after merging parallel ones,
+    does not have full column rank."""
 
 
 class InfeasibleBasis(ConewalkError):
@@ -59,10 +60,6 @@ class InfeasibleBasis(ConewalkError):
 
 class UnboundedEdge(ConewalkError):
     """Ratio test found no blocking constraint along a pivot edge."""
-
-
-class UnboundedLP(ConewalkError):
-    """Objective is unbounded over the feasible region."""
 
 
 class IterationLimit(ConewalkError):

@@ -205,17 +205,16 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
     LinearProgram validated survives the scaling (a positive row scaling
     keeps the rank), and finite norms of at least MIN_NORM scale to unit
     norms within a few ulps, so NormalizedLP's validation is not run
-    again.  A row or objective is zero only when every entry is: then
-    ZeroRow or ZeroObjective.  A nonzero one whose norm is below MIN_NORM,
-    or a norm or a scaled right-hand side past the float range, raises
-    TooLarge, without a warning.
+    again.  LinearProgram rejects a zero row, so only the objective can be
+    zero, when every entry is: then ZeroObjective.  A nonzero row or
+    objective whose norm is below MIN_NORM, or a norm or a scaled
+    right-hand side past the float range, raises TooLarge, without a
+    warning.
     """
     with np.errstate(over="ignore"):
         row_norms = np.linalg.norm(lp.A, axis=1)
         c_norm = float(np.linalg.norm(lp.c))
         if not (row_norms.min() >= MIN_NORM and c_norm >= MIN_NORM):
-            if not lp.A.any(axis=1).all():
-                raise ZeroRow("cannot normalize an all-zero row")
             if not lp.c.any():
                 raise ZeroObjective("objective vector is zero")
             raise TooLarge("scaling to unit norms leaves the float range: a "

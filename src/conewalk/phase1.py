@@ -64,7 +64,10 @@ def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
             onb.append([x / norm for x in w])
             if len(chosen) == lp.n:
                 return tuple(chosen)
-    raise RankDeficient("fewer than n independent rows; invalid instance")
+    raise RankDeficient(
+        "fewer than n rows lie more than SPAN_TOL from the span of the rows "
+        "before them; a program of full rank ends here when rows that agree "
+        "within DUPLICATE_TOL were merged")
 
 
 def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:

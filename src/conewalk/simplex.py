@@ -11,7 +11,9 @@ of a basis: its vertex and a pivot's edge direction solve with A_B, its
 cone coefficients with A_B^T.  basis_factors is the only code in the
 package that factors a matrix: the program's lu_memo keeps the factors and
 the vertex, so a program factors and solves each basis once whoever asks.
-A_B is gathered with one take, and a sorted basis is not sorted again.
+A_B is gathered with one take.  The memo is keyed by sorted bases:
+vertex_of_basis and cone_membership accept a basis in any order and sort
+it, a sorted one too, before they read the memo.
 
 Bland's rule and the pivot act on a region: the program's first ``rows``
 rows, all of them by default.  Phase 1 descends on the boxed program's
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleBasis, IterationLimit, UnboundedEdge, UnboundedLP
+from .errors import InfeasibleBasis, IterationLimit, UnboundedEdge
 from .geometry import LU, lu_factor, lu_solve
 from .lp import NormalizedLP
 from .tolerances import CONE_TOL, RATIO_TOL
@@ -123,12 +125,9 @@ def pivot_across_facet(lp: NormalizedLP, basis: Basis, leaving: int, *,
     """
     if leaving not in basis:
         raise ValueError(f"row {leaving} is not in basis {basis}")
-    if rows is None:
-        A, b = lp.A, lp.b
-    elif basis[-1] < rows:
-        A, b = lp.A[:rows], lp.b[:rows]
-    else:
+    if rows is not None and basis[-1] >= rows:
         raise ValueError(f"basis {basis} is not in the first {rows} rows")
+    A, b = lp.A[:rows], lp.b[:rows]
     local = basis.index(leaving)
     rhs = np.zeros(lp.n)
     rhs[local] = -1.0
@@ -174,6 +173,8 @@ def bland_simplex(lp: NormalizedLP, basis: Basis, objective: np.ndarray, *,
     the basis given is one of its vertices.  Always leaves the facet of the
     smallest-index row whose conic coefficient fails cone_membership's
     rule; optimality is certified by cone membership of the objective.
+    The leaving row's edge improves the objective, so an edge that no row
+    blocks raises the pivot's UnboundedEdge: the region is unbounded.
     Gives up after 10 * C(rows, n) pivots.  Each basis is factored once, in
     lp's memo, and its factors serve both its cone test and its pivot.
     """
@@ -184,8 +185,5 @@ def bland_simplex(lp: NormalizedLP, basis: Basis, objective: np.ndarray, *,
             return basis
         leaving = next(row for row, inside in zip(
             basis, map(_in_cone, res.coeffs.tolist())) if not inside)
-        try:
-            basis = pivot_across_facet(lp, basis, leaving, rows=rows)
-        except UnboundedEdge as exc:
-            raise UnboundedLP("objective improves along an unbounded edge") from exc
+        basis = pivot_across_facet(lp, basis, leaving, rows=rows)
     raise IterationLimit(f"exceeded {max_pivots} pivots")

@@ -204,6 +204,14 @@ class TestSolveCommand:
         assert report["walk"]["alpha"] == pytest.approx(64.0)
         assert report["seed"] == 0
 
+    def test_auto_steps_and_alpha_are_the_default_run(self, capsys,
+                                                      square_file):
+        runs = [run_cli(capsys, ["solve", "--input", square_file, "--seed",
+                                 "3", *flags])
+                for flags in ([], ["--steps", "auto", "--alpha", "auto"])]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
     def test_infeasible_exit_code(self, capsys, infeasible_file):
         code, out = run_cli(capsys, ["solve", "--input", infeasible_file])
         assert code == 2
@@ -256,6 +264,12 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["status"] == "error"
         assert "missing" in report["error"]
+
+    def test_input_that_is_not_json(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\"n\": 2,")
+        assert_one_error_record(capsys, ["solve", "--input", str(bad)],
+                                f"{bad} is not valid JSON: ")
 
     @pytest.mark.parametrize("text", ["5", "true", "null", '"nmAbc"',
                                       '["n", "m", "A", "b", "c"]'])

@@ -8,6 +8,7 @@ import pytest
 import conewalk.lp as lp_module
 from conewalk.errors import (
     NonIntegerEntries,
+    NotUnitVector,
     RankDeficient,
     TooLarge,
     ZeroObjective,
@@ -18,6 +19,7 @@ from conewalk.lp import (
     DeltaCertificate,
     DeltaMethod,
     LinearProgram,
+    NormalizedLP,
     crossed_opposite_rows,
     delta_bruteforce,
     delta_from_structure,
@@ -61,6 +63,28 @@ class TestLinearProgram:
         lp = LinearProgram(A=[[s, s], [1, 0], [0, 1], [-1, 0], [0, -1]],
                            b=[1.5 * s, 1, 1, 0, 0], c=[1, 2])
         assert solve(lp, WalkConfig(seed=0)).value == 2.5
+
+    @pytest.mark.parametrize("A,b,c,message", [
+        ([1.0, 0.0], [1.0, 1.0], [1.0, 0.0], "2-d"),
+        ([[1.0, 0.0]], [1.0], [1.0, 0.0], "m >= n"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0], [1.0, 0.0], "shapes"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [1.0], "shapes"),
+        ([[1.0, math.nan], [0.0, 1.0]], [1.0, 1.0], [1.0, 0.0], "non-finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, math.inf], [1.0, 0.0], "non-finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [-math.inf, 0.0], "non-finite"),
+    ], ids=["1-d-A", "m-below-n", "b-shape", "c-shape", "nan-in-A",
+            "inf-in-b", "inf-in-c"])
+    def test_malformed_arrays_are_value_errors(self, A, b, c, message):
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(A=A, b=b, c=c)
+
+    @pytest.mark.parametrize("A,c,message", [
+        ([[2.0, 0.0], [0.0, 1.0]], [1.0, 0.0], "rows"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], "objective"),
+    ])
+    def test_normalized_program_needs_unit_vectors(self, A, c, message):
+        with pytest.raises(NotUnitVector, match=message):
+            NormalizedLP(A=A, b=[1.0, 1.0], c=c)
 
     def test_arrays_are_immutable(self):
         lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0], c=[1.0, 0.0])

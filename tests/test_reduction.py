@@ -21,6 +21,7 @@ from conewalk.errors import (
     FaceReachesBox,
     Infeasible,
     ObjectiveVanishes,
+    RankDeficient,
     TooLarge,
     Unbounded,
 )
@@ -494,6 +495,12 @@ class TestSolve:
         lp = tu_instance_generator("network", 4, 14, 3)
         rep, want = (solve(lp, WalkConfig(seed=s)) for s in (np.int64(3), 3))
         assert type(rep.seed) is int
+        assert json.dumps(asdict(rep), default=np.ndarray.tolist) == \
+            json.dumps(asdict(want), default=np.ndarray.tolist)
+
+    def test_omitted_cfg_is_the_default_walk_config(self):
+        lp = tu_instance_generator("network", 4, 14, 3)
+        rep, want = solve(lp), solve(lp, WalkConfig())
         assert json.dumps(asdict(rep), default=np.ndarray.tolist) == \
             json.dumps(asdict(want), default=np.ndarray.tolist)
 
@@ -1164,6 +1171,20 @@ class TestParallelRows:
         lp = LinearProgram(A=[[1, 0]] + self.SQUARE_A[1:] + [[1, 0], [1, 0]],
                            b=[5, 1, 0, 0, 1, 1], c=[1, 1])
         assert solve(lp, WalkConfig(seed=0)).basis == (1, 4)
+
+    def test_merge_below_full_rank_names_the_merge(self):
+        # the rows 1e-10 apart are no copies, and LinearProgram's rank is 2,
+        # but the collapse merges them within DUPLICATE_TOL: the kept rows
+        # [1, 0] and [-1, 0] leave phase 1 no second independent row
+        lp = LinearProgram(A=[[1, 0], [1, 1e-10], [-1, 0], [-1, -1e-10]],
+                           b=[1, 1, 1, 1], c=[1, 0.5])
+        assert walked_program(normalize(lp))[0].tolist() == [0, 2]
+        with pytest.raises(RankDeficient) as info:
+            solve(lp, WalkConfig(seed=0))
+        assert str(info.value) == (
+            "fewer than n rows lie more than SPAN_TOL from the span of the "
+            "rows before them; a program of full rank ends here when rows "
+            "that agree within DUPLICATE_TOL were merged")
 
     def test_infeasible_witness_is_an_input_position(self):
         # x >= 2 (row 3) against x <= 1 (row 4); row 3 takes the place of

@@ -11,7 +11,6 @@ from conewalk.errors import (
     ConewalkError,
     InfeasibleBasis,
     UnboundedEdge,
-    UnboundedLP,
 )
 from conewalk.geometry import lu_factor, lu_solve
 from conewalk.lp import LinearProgram, NormalizedLP, delta_bruteforce, normalize
@@ -254,7 +253,9 @@ class TestBlandSimplex:
         lp = normalize(LinearProgram(
             A=[[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             b=[0.0, 1.0, 0.0], c=[1.0, 0.0]))
-        with pytest.raises(UnboundedLP):
+        # the leaving row's edge improves the objective, so the pivot's
+        # UnboundedEdge is the verdict
+        with pytest.raises(UnboundedEdge):
             bland_simplex(lp, (0, 1), np.array([1.0, 0.0]))
 
     def test_optimality_certified_by_cone(self, unit_square, triangle):

@@ -34,6 +34,7 @@ from .errors import (
     ZeroObjective,
     ZeroRow,
 )
+from .geometry import residual
 from .tolerances import (
     DUPLICATE_TOL,
     NORM_TOL,
@@ -86,12 +87,12 @@ class LinearProgram:
             raise ZeroRow("constraint matrix has an all-zero row")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, not 0
             row_norms = np.linalg.norm(A, axis=1)
-        # the rank of normalize's unit rows, so scaling a row cannot change
-        # it; a row whose norm overflows or underflows is scaled by its
-        # largest entry
+        # the rank of normalize's unit rows, bit for bit, so scaling a row
+        # cannot change it; a row whose norm overflows or underflows is
+        # scaled by its largest entry
         scale = np.where(np.isfinite(row_norms) & (row_norms >= MIN_NORM),
                          row_norms, np.abs(A).max(axis=1))
-        if np.linalg.matrix_rank(A / scale[:, None]) < n:
+        if len(find_independent_rows(A / scale[:, None])) < n:
             raise RankDeficient("A does not have full column rank")
 
     @property
@@ -143,7 +144,7 @@ def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> NormalizedLP:
     """A program built from validated data without re-running validation.
 
     The NormalizedLP constructor checks finiteness, unit rows and
-    objective, shapes and full column rank (an SVD).  A program derived
+    objective, shapes and full column rank.  A program derived
     from a validated parent keeps all of these when the caller guarantees
     that:
 
@@ -336,6 +337,28 @@ def crossed_opposite_rows(A: np.ndarray, b: np.ndarray,
             return i, j
         earlier[rows[j * width:(j + 1) * width]] = j
     return None
+
+
+def find_independent_rows(A: np.ndarray) -> tuple[int, ...]:
+    """The rank rule: the lexicographically first independent unit rows of A,
+    at most n.  LinearProgram and phase1.bounding_box both decide by it.
+
+    A row is chosen when its distance to the span of the rows chosen before
+    exceeds SPAN_TOL; that span's orthonormal basis grows as dist_to_span
+    grows its own, so every distance is dist_to_span's, bit for bit.  Rows
+    are read as Python floats one at a time: the rule stops after n rows.
+    """
+    chosen: list[int] = []
+    onb: list[list[float]] = []
+    for i, row in enumerate(A):
+        w = residual(row.tolist(), onb)
+        norm = math.hypot(*w)
+        if norm > SPAN_TOL:
+            chosen.append(i)
+            onb.append([x / norm for x in w])
+            if len(chosen) == A.shape[1]:
+                break
+    return tuple(chosen)
 
 
 def _distinct_directions(A: np.ndarray) -> np.ndarray:

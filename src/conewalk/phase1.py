@@ -35,39 +35,12 @@ from .errors import (
     TooLarge,
     Unbounded,
 )
-from .geometry import lu_solve, residual
-from .lp import DeltaCertificate, NormalizedLP, _derived
+from .lp import DeltaCertificate, NormalizedLP, _derived, find_independent_rows
 # Not called here: bound so that the span perfbench/tracing.py PATCH_POINTS
 # names on this module keeps resolving; ROADMAP's stage records delete it.
 from .lp import delta_bruteforce  # noqa: F401
-from .simplex import Basis, basis_factors, bland_simplex
-from .tolerances import CONE_TOL, SPAN_TOL
-
-
-def find_independent_rows(lp: NormalizedLP) -> tuple[int, ...]:
-    """Lexicographically first set of n linearly independent rows.
-
-    A row is chosen when its distance to the span of the rows chosen before
-    exceeds SPAN_TOL.  The orthonormal basis of that span grows by one row
-    per row chosen, as dist_to_span grows its own: the residual tested is
-    the vector it appends for the row, divided by its norm (math.hypot),
-    so every distance is dist_to_span's, bit for bit, and no basis is
-    rebuilt.  The rows are read once as Python floats.
-    """
-    chosen: list[int] = []
-    onb: list[list[float]] = []
-    for i, row in enumerate(lp.A.tolist()):
-        w = residual(row, onb)
-        norm = math.hypot(*w)
-        if norm > SPAN_TOL:
-            chosen.append(i)
-            onb.append([x / norm for x in w])
-            if len(chosen) == lp.n:
-                return tuple(chosen)
-    raise RankDeficient(
-        "fewer than n rows lie more than SPAN_TOL from the span of the rows "
-        "before them; a program of full rank ends here when rows that agree "
-        "within DUPLICATE_TOL were merged")
+from .simplex import Basis, basis_factors, bland_simplex, cone_membership
+from .tolerances import CONE_TOL
 
 
 def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
@@ -82,7 +55,12 @@ def bounding_box(lp: NormalizedLP, radius: float) -> NormalizedLP:
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
-    dirs = lp.A[list(find_independent_rows(lp))]
+    dirs = lp.A[list(find_independent_rows(lp.A))]
+    if len(dirs) < lp.n:  # LinearProgram's rule passed the unit rows
+        raise RankDeficient(
+            "fewer than n rows lie more than SPAN_TOL from the span of the rows "
+            "before them; a program of full rank ends here when rows that agree "
+            "within DUPLICATE_TOL were merged")
     return _derived(np.concatenate([dirs, -dirs, lp.A]),
                     np.concatenate([np.full(2 * lp.n, float(radius)), lp.b]),
                     lp.c)
@@ -170,16 +148,15 @@ def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
     first.  A basis of input rows proves its point optimal for the input,
     tight box rows or not, so no tolerance is read: x is the basis's vertex
     in boxed's memo, where solve's search left it beside its factors.
-    Otherwise those factors give c's cone multipliers, A_B^T mu = c.  A
+    Otherwise cone_membership solves A_B^T mu = c with those factors.  A
     box row whose multiplier exceeds CONE_TOL certifies unboundedness; the
     least box row, basis[0], is the error's box_row.  If none does, c lies
     in the cone of the basis's input rows, so the program is bounded and
     its optimal face reaches the box: FaceReachesBox, not a verdict.
     """
-    lu, x = basis_factors(boxed, basis)
     box = 2 * boxed.n
     if basis[0] < box:
-        mu = lu_solve(lu, boxed.c, trans=1).tolist()
+        mu = cone_membership(boxed, basis, boxed.c).coeffs.tolist()
         if any(m > CONE_TOL for p, m in zip(basis, mu) if p < box):
             raise Unbounded(
                 "optimum of the boxed system lies on the artificial box",
@@ -188,4 +165,4 @@ def solve_bounded(boxed: NormalizedLP, basis: Basis) -> np.ndarray:
             f"the program is bounded, but its optimal face reaches the box: "
             f"box rows {[p for p in basis if p < box]} of the optimal basis "
             f"have cone multiplier 0")
-    return x
+    return basis_factors(boxed, basis)[1]

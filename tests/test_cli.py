@@ -265,6 +265,19 @@ class TestSolveCommand:
         assert report["status"] == "error"
         assert "missing" in report["error"]
 
+    def test_rows_within_span_tol_are_rejected_as_rank_deficient(
+            self, capsys, tmp_path):
+        # the rows are 1e-10 from each other's span, below SPAN_TOL: the
+        # program is refused when it is read, not blamed on a merge later
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "A": [[1, 0], [-1, 1e-10]],
+                                    "b": [1, 1], "c": [1, 0.5]}))
+        code, out = run_cli(capsys, ["solve", "--input", str(path)])
+        assert code == 1
+        record, = map(json.loads, out.splitlines())
+        assert record["status"] == "error"
+        assert record["error"].endswith("A does not have full column rank")
+
     def test_input_that_is_not_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"n\": 2,")

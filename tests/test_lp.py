@@ -24,10 +24,12 @@ from conewalk.lp import (
     delta_bruteforce,
     delta_from_structure,
     delta_integer_bound,
+    find_independent_rows,
     normalize,
     tightest_rows,
 )
 from conewalk.oracle import check_nondegenerate, pad_redundant, tu_instance_generator
+from conewalk.phase1 import bounding_box
 from conewalk.reduction import solve
 from conewalk.tolerances import DUPLICATE_TOL, SINGULAR_TOL
 from conewalk.walk import WalkConfig
@@ -47,6 +49,23 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
+@st.composite
+def rank_edge_matrices(draw):
+    """Matrices near the rank rule's edge: the rows [1, 0] and [+-1, eps]
+    with eps log-uniform in [1e-14, 1e-6], or m in n..n+3 nonzero rows of
+    integers in [-2, 2], n in 2..4, each row scaled by 10^U(-8, 8)."""
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-14.0, -6.0))
+        return np.array([[1.0, 0.0], [draw(st.sampled_from([1.0, -1.0])), eps]])
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                  max_size=n).filter(any),
+                         min_size=n, max_size=n + 3))
+    scale = draw(st.lists(st.floats(-8.0, 8.0), min_size=len(rows),
+                          max_size=len(rows)))
+    return np.array(rows, dtype=float) * 10.0 ** np.array(scale)[:, None]
+
+
 class TestLinearProgram:
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroRow):
@@ -55,6 +74,29 @@ class TestLinearProgram:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             LinearProgram(A=[[1.0, 0.0], [2.0, 0.0]], b=[1.0, 1.0], c=[1.0, 0.0])
+
+    def test_rows_within_span_tol_are_rank_deficient(self):
+        # opposite rows, not parallel ones, 1e-10 from each other's span:
+        # an SVD's rank is 2, the rank rule's (SPAN_TOL = 1e-9) is 1
+        with pytest.raises(RankDeficient) as info:
+            LinearProgram(A=[[1, 0], [-1, 1e-10]], b=[1, 1], c=[1, 0.5])
+        assert str(info.value) == "A does not have full column rank"
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_edge_matrices())
+    def test_validation_and_the_box_apply_one_rule(self, A):
+        m, n = A.shape
+        unit = A / np.linalg.norm(A, axis=1)[:, None]  # normalize's rows
+        full = len(find_independent_rows(unit)) == n
+        try:
+            lp = LinearProgram(A=A, b=np.ones(m), c=np.linspace(1.0, 0.5, n))
+        except RankDeficient:
+            assert not full
+            return
+        assert full
+        nlp = normalize(lp)
+        assert nlp.A.tobytes() == unit.tobytes()
+        bounding_box(nlp, 1.0)  # never solve: at delta ~ 1e-9 it runs forever
 
     @pytest.mark.parametrize("s", [1e15, 1e16])
     def test_rank_is_judged_on_the_unit_rows(self, s):

@@ -22,6 +22,7 @@ from conewalk.lp import (
     delta_bruteforce,
     delta_from_structure,
     delta_integer_bound,
+    find_independent_rows,
     normalize,
     tightest_rows,
 )
@@ -35,7 +36,6 @@ from conewalk.oracle import (
 from conewalk.phase1 import (
     bounding_box,
     certified_radius,
-    find_independent_rows,
     infeasibility,
     phase1_vertex,
     solve_bounded,
@@ -142,7 +142,7 @@ class TestFindIndependentRows:
         taken = skipped = 0
         for seed in range(40):
             lp, first, eps = near_span_lp(n, seed)
-            rows = find_independent_rows(lp)
+            rows = find_independent_rows(lp.A)
             assert rows == greedy_independent_rows(lp)
             # the first near row is decided by the residual built in
             assert (first in rows) == (eps > SPAN_TOL)
@@ -159,22 +159,22 @@ class TestFindIndependentRows:
                 A = np.vstack([-lp.A[::-1], lp.A])
                 for prog in (normalize(lp), normalize(LinearProgram(
                         A=A, b=np.ones(len(A)), c=lp.c))):
-                    assert find_independent_rows(prog) == \
+                    assert find_independent_rows(prog.A) == \
                         greedy_independent_rows(prog)
 
     def test_square(self, unit_square):
-        assert find_independent_rows(unit_square) == (0, 1)
+        assert find_independent_rows(unit_square.A) == (0, 1)
 
     def test_skips_duplicates(self):
         lp = normalize(LinearProgram(
             A=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
             b=[1.0, 2.0, 1.0], c=[1.0, 1.0]))
-        assert find_independent_rows(lp) == (0, 2)
+        assert find_independent_rows(lp.A) == (0, 2)
 
     def test_chosen_rows_are_independent(self):
         for seed in range(10):
             nlp = bounded_random_lp(3, 4, seed)
-            rows = find_independent_rows(nlp)
+            rows = find_independent_rows(nlp.A)
             assert det_abs(nlp.A[list(rows)]) > 1e-10
 
 
@@ -211,7 +211,7 @@ class TestBoundingBox:
                 tu_instance_generator(kind, 4, 12, seed), 30, seed))
             boxed = bounding_box(nlp, 6.5)
             n = nlp.n
-            dirs = nlp.A[list(find_independent_rows(nlp))]
+            dirs = nlp.A[list(find_independent_rows(nlp.A))]
             assert np.array_equal(boxed.A[:n], dirs)
             assert np.array_equal(boxed.A[n:2 * n], -dirs)
             assert np.array_equal(boxed.b[:2 * n], np.full(2 * n, 6.5))
@@ -300,7 +300,7 @@ class TestAugmentedLp:
         assert np.array_equal(boxed.A[2 * n:], nlp.A)
         assert np.array_equal(boxed.b[2 * n:], nlp.b)
         assert np.array_equal(boxed.c, nlp.c)
-        dirs = nlp.A[list(find_independent_rows(nlp))]
+        dirs = nlp.A[list(find_independent_rows(nlp.A))]
         assert np.array_equal(boxed.A[:2 * n], np.vstack([dirs, -dirs]))
         assert np.array_equal(boxed.b[:2 * n], np.full(2 * n, 2.5))
 
@@ -482,7 +482,7 @@ class TestNegatedCornerStart:
         for seed in range(10):
             lp = tu_instance_generator(kind, n, min(3 * n + 2, 30), seed)
             _, walked = walked_program(normalize(lp))
-            assert find_independent_rows(walked) == tuple(range(n))
+            assert find_independent_rows(walked.A) == tuple(range(n))
             radius = certified_radius(walked, delta_from_structure(walked))
             basis, pivots, boxed = counted_phase1(monkeypatch, phase1_vertex,
                                                   walked, radius)
@@ -551,7 +551,7 @@ class TestBoxDirectionsNotTheFirstRows:
         lp = LinearProgram(A=self.A, b=rng.uniform(-0.5, 1.0, size=5),
                            c=rng.standard_normal(2))
         nlp = normalize(lp)
-        assert find_independent_rows(nlp) == (0, 2)
+        assert find_independent_rows(nlp.A) == (0, 2)
         boxed = bounding_box(nlp, certified_radius(nlp, delta_bruteforce(nlp)))
         first = self.highs_first_infeasible_row(nlp)
         if first is not None:

@@ -30,6 +30,7 @@ from conewalk.lp import (
     LinearProgram,
     delta_bruteforce,
     delta_integer_bound,
+    find_independent_rows,
     normalize,
 )
 from conewalk.oracle import (
@@ -1173,11 +1174,16 @@ class TestParallelRows:
         assert solve(lp, WalkConfig(seed=0)).basis == (1, 4)
 
     def test_merge_below_full_rank_names_the_merge(self):
-        # the rows 1e-10 apart are no copies, and LinearProgram's rank is 2,
-        # but the collapse merges them within DUPLICATE_TOL: the kept rows
-        # [1, 0] and [-1, 0] leave phase 1 no second independent row
-        lp = LinearProgram(A=[[1, 0], [1, 1e-10], [-1, 0], [-1, -1e-10]],
+        # f and r lie 1.3e-9 apart at 45 degrees: r is 1.3e-9 > SPAN_TOL
+        # from f's span, so the rank rule takes rows 0 and 1 and
+        # LinearProgram accepts the program, but their entries agree within
+        # DUPLICATE_TOL (9.19e-10 apart): the collapse keeps f and -f, and
+        # the box finds no second independent row among them
+        f = [math.cos(math.pi / 4), math.sin(math.pi / 4)]
+        r = [math.cos(math.pi / 4 + 1.3e-9), math.sin(math.pi / 4 + 1.3e-9)]
+        lp = LinearProgram(A=[f, r, [-v for v in f], [-v for v in r]],
                            b=[1, 1, 1, 1], c=[1, 0.5])
+        assert find_independent_rows(normalize(lp).A) == (0, 1)
         assert walked_program(normalize(lp))[0].tolist() == [0, 2]
         with pytest.raises(RankDeficient) as info:
             solve(lp, WalkConfig(seed=0))
@@ -1368,6 +1374,45 @@ def test_one_function_factors_a_basis():
                     ("lp", None, "Name"),  # NormalizedLP's field
                     ("lp", "_derived", "keyword")}
     assert not hasattr(geometry, "solve_square")
+
+
+def test_one_rule_decides_rank():
+    # Rank is decided once, by lp.find_independent_rows: LinearProgram's
+    # validation and the box are its only callers, and no SVD rank test
+    # sits beside it.  HiGHS checks answers in tests and tools, never in
+    # the package: no module imports scipy.optimize.
+    package = Path(conewalk.__file__).resolve().parent
+    users, optimize = set(), []
+
+    def visit(node, scope, stem):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name), stem)
+                continue
+            if (isinstance(child, ast.Name)
+                    and child.id == "find_independent_rows"
+                    or isinstance(child, ast.Attribute)
+                    and child.attr == "find_independent_rows"):
+                users.add((stem, ".".join(scope)))
+            visit(child, scope, stem)
+
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "matrix_rank" not in text, path.name
+        tree = ast.parse(text)
+        visit(tree, (), path.stem)
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [f"{node.module}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module
+                     else [])
+            optimize += [(path.stem, name) for name in names
+                         if name.startswith("scipy.optimize")]
+    assert users == {("lp", "LinearProgram.__post_init__"),
+                     ("phase1", "bounding_box")}
+    assert optimize == []
 
 
 def test_oracle_checks_with_numpy_alone():

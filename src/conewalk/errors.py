@@ -92,13 +92,15 @@ class Infeasible(ConewalkError):
     minimum over the feasible points which exceeds its right-hand side.
     value is for the row scaled to unit length, as is the message (the
     command line rescales it to the file's row).  The witness comes from
-    one of two places, which solve tries in this order.  A crossed pair:
-    the row is the exact negation of an earlier kept row whose right-hand
-    side is b, so value is -b, and y = 1 on the two rows is a Farkas
-    vector, y^T A = 0 and y^T b < 0 (lp.crossed_opposite_rows).  Otherwise
-    phase 1: value is the row's minimum over the box and the kept rows
-    before it, and certificate (ConewalkError) sized that box; a crossed
-    pair needs none.
+    one of two places, which solve tries in this order.  A crossed pair,
+    found right after normalize, before the collapse: the row is the first
+    in input order to be the exact negation of an earlier row whose bound
+    it crosses by more than the normalized program's feasibility
+    tolerance; of those earlier rows, the tightest has right-hand side b,
+    so value is -b, and y = 1 on the two rows is a Farkas vector, y^T A = 0
+    and y^T b < 0 (lp.crossed_opposite_rows).  Otherwise phase 1: value is
+    the row's minimum over the box and the kept rows before it, and
+    certificate (ConewalkError) sized that box; a crossed pair needs none.
     """
 
     def __init__(self, message: str, iteration: int | None = None,

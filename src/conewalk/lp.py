@@ -1,10 +1,12 @@
 """LP instances, row normalization, the parallel-row presolve, and
 row-separation (delta) certification.
 
-solve reads these in order: normalize; tightest_rows, the tightest row of
-each direction; crossed_opposite_rows, which certifies a row and its exact
-negation whose bounds cross infeasible before any later stage runs; then
-delta, by one of the three functions below.
+solve reads these in order: normalize; crossed_opposite_rows, which
+certifies infeasible a row that exactly negates an earlier row, in input
+order, when their bounds cross by more than the normalized program's
+feasibility tolerance, before any later stage runs; tightest_rows, the
+tightest row of each direction; then delta, by one of the three functions
+below.
 
 The central quantity, delta, is the minimum distance from any constraint row
 to a hyperplane spanned by n-1 other rows, restricted to rows outside that
@@ -85,14 +87,9 @@ class LinearProgram:
             raise ValueError("non-finite entries")
         if not A.any(axis=1).all():
             raise ZeroRow("constraint matrix has an all-zero row")
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, not 0
-            row_norms = np.linalg.norm(A, axis=1)
         # the rank of normalize's unit rows, bit for bit, so scaling a row
-        # cannot change it; a row whose norm overflows or underflows is
-        # scaled by its largest entry
-        scale = np.where(np.isfinite(row_norms) & (row_norms >= MIN_NORM),
-                         row_norms, np.abs(A).max(axis=1))
-        if len(find_independent_rows(A / scale[:, None])) < n:
+        # cannot change it
+        if len(find_independent_rows(self._unit_rows()[1])) < n:
             raise RankDeficient("A does not have full column rank")
 
     @property
@@ -109,6 +106,23 @@ class LinearProgram:
         if tol is None:
             tol = self.__dict__["_feas_tol"] = feas_tol_for(self.b)
         return tol
+
+    def _unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' Euclidean norms and the rows scaled by them, read-only,
+        computed once per program and kept.  A norm that overflows (to inf)
+        or lies below MIN_NORM is kept as computed, but its row is scaled
+        by its largest entry instead, so every scaled row is finite and
+        nonzero; normalize raises TooLarge for such a norm."""
+        pair = self.__dict__.get("_unit_rows_pair")
+        if pair is None:
+            with np.errstate(over="ignore"):  # an overflowing norm is inf
+                norms = np.linalg.norm(self.A, axis=1)
+            scale = np.where(np.isfinite(norms) & (norms >= MIN_NORM),
+                             norms, np.abs(self.A).max(axis=1))
+            unit = self.A / scale[:, None]
+            norms.flags.writeable = unit.flags.writeable = False
+            pair = self.__dict__["_unit_rows_pair"] = (norms, unit)
+        return pair
 
     def is_feasible(self, x: np.ndarray, *, tol: float | None = None) -> bool:
         tol = self.feas_tol() if tol is None else tol
@@ -133,8 +147,7 @@ class NormalizedLP(LinearProgram):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        row_norms = np.linalg.norm(self.A, axis=1)
-        if (abs(row_norms - 1.0) > NORM_TOL).any():
+        if (abs(self._unit_rows()[0] - 1.0) > NORM_TOL).any():
             raise NotUnitVector("rows must have unit norm")
         if abs(float(np.linalg.norm(self.c)) - 1.0) > NORM_TOL:
             raise NotUnitVector("objective must have unit norm")
@@ -156,7 +169,9 @@ def _derived(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> NormalizedLP:
 
     normalize vouches for them itself.  The float arrays are made read-only
     in place and stored as they are, not copied: the caller hands over
-    fresh arrays or slices of read-only ones.  Both memos start empty.
+    fresh arrays or slices of read-only ones.  Both memos start empty, and
+    the rows' norms and unit rows (LinearProgram._unit_rows) are computed
+    only if something reads them.
     """
     A.flags.writeable = b.flags.writeable = c.flags.writeable = False
     lp = object.__new__(NormalizedLP)
@@ -206,14 +221,15 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
     LinearProgram validated survives the scaling (a positive row scaling
     keeps the rank), and finite norms of at least MIN_NORM scale to unit
     norms within a few ulps, so NormalizedLP's validation is not run
-    again.  LinearProgram rejects a zero row, so only the objective can be
-    zero, when every entry is: then ZeroObjective.  A nonzero row or
-    objective whose norm is below MIN_NORM, or a norm or a scaled
-    right-hand side past the float range, raises TooLarge, without a
-    warning.
+    again.  The unit rows are the ones LinearProgram judged rank by
+    (LinearProgram._unit_rows), the same array.  LinearProgram rejects a
+    zero row, so only the objective can be zero, when every entry is: then
+    ZeroObjective.  A nonzero row or objective whose norm is below
+    MIN_NORM, or a norm or a scaled right-hand side past the float range,
+    raises TooLarge, without a warning.
     """
+    row_norms, A = lp._unit_rows()
     with np.errstate(over="ignore"):
-        row_norms = np.linalg.norm(lp.A, axis=1)
         c_norm = float(np.linalg.norm(lp.c))
         if not (row_norms.min() >= MIN_NORM and c_norm >= MIN_NORM):
             if not lp.c.any():
@@ -221,7 +237,7 @@ def normalize(lp: LinearProgram) -> NormalizedLP:
             raise TooLarge("scaling to unit norms leaves the float range: a "
                            f"norm is below {MIN_NORM:.3g}, where the "
                            "squares of its entries underflow")
-        A, b, c = lp.A / row_norms[:, None], lp.b / row_norms, lp.c / c_norm
+        b, c = lp.b / row_norms, lp.c / c_norm
     if not (math.isfinite(c_norm) and np.isfinite(row_norms).all()
             and np.isfinite(b).all()):
         raise TooLarge("scaling to unit norms leaves the float range: a "
@@ -312,30 +328,37 @@ def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def crossed_opposite_rows(A: np.ndarray, b: np.ndarray,
                           tol: float) -> tuple[int, int] | None:
-    """The pair (i, j), i < j, with j least, of rows that are exact
-    negations of each other and whose bounds cross by more than tol:
-    a_j = -a_i and -b_i > b_j + tol, else None.
+    """The pair (i, j), i < j, of rows that are exact negations of each
+    other and whose bounds cross by more than tol, a_j = -a_i and
+    -b_i > b_j + tol, with j the first such row in row order and i the
+    tightest earlier row of a_i's bytes (least b, earliest of equals),
+    else None.
 
-    The rows are one per direction, as tightest_rows keeps them, so a row
-    has at most one exact negation among them.  This is the
+    solve passes every normalized row, in input order, and the normalized
+    program's feasibility tolerance, before the collapse.  This is the
     opposite-direction half of the parallel-row step that tightest_rows
     does for one direction (Andersen & Andersen 1995).  Row i gives
     a_j x = -a_i x >= -b_i > b_j, so no point satisfies both rows, and
-    e_i + e_j is a Farkas vector: y^T A = 0 and y^T b < 0.  Each row's
-    negation is looked up by its bytes in a dict of the earlier rows, with
-    -0.0 folded to 0.0 (``+ 0.0``) on both sides, so the pass is O(m) and
-    pivots nowhere.  Rows that are negations only within rounding, and
-    bounds that do not cross, are left to phase 1.
+    e_i + e_j is a Farkas vector: y^T A = 0 and y^T b < 0.  Of the earlier
+    rows byte-equal to a_i, the tightest puts the greatest bound -b_i on
+    row j, so row j crosses one of them exactly when it crosses that one.
+    A dict maps each row's bytes, with -0.0 folded to 0.0 (``A + 0.0``
+    and ``0.0 - A``) on both sides, to its tightest earlier row, and each
+    row's negation is looked up in it, so the pass is O(m) and pivots
+    nowhere.  Rows that are negations only within rounding, and bounds
+    that do not cross, are left to phase 1.
     """
-    width = 8 * A.shape[1]  # bytes per row
-    rows, negated = (A + 0.0).tobytes(), (-A + 0.0).tobytes()
+    void = np.dtype((np.void, 8 * A.shape[1]))  # one row's bytes
+    rows = np.add(A, 0.0, order="C").view(void).ravel().tolist()
+    negated = np.subtract(0.0, A, order="C").view(void).ravel().tolist()
     rhs = b.tolist()
-    earlier: dict[bytes, int] = {}  # row bytes -> its position
-    for j in range(len(rhs)):
-        i = earlier.get(negated[j * width:(j + 1) * width])
-        if i is not None and -rhs[i] > rhs[j] + tol:
+    tightest: dict[bytes, int] = {}  # row bytes -> its tightest row so far
+    for j, (row, negation, b_j) in enumerate(zip(rows, negated, rhs)):
+        i = tightest.get(negation)
+        if i is not None and -rhs[i] > b_j + tol:
             return i, j
-        earlier[rows[j * width:(j + 1) * width]] = j
+        if b_j < rhs[tightest.setdefault(row, j)]:
+            tightest[row] = j
     return None
 
 

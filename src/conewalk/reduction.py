@@ -1,15 +1,15 @@
 """The solver, its Las Vegas walk, and the paper's step 5 as library code.
 
-solve runs every stage of the solve in order: normalize, keep the tightest
-row of each direction (lp.tightest_rows), certify a row and its exact
-negation whose bounds cross infeasible (lp.crossed_opposite_rows), certify
-the row separation, box the program, find a start basis by phase 1,
-resolve the walk parameters, take an optimal basis of the boxed program
-(one Las Vegas walk, or Bland's rule at n = 1), read x and the box's
-verdict (phase1.solve_bounded), and certify the optimum against every
-input row.  The boxed program's memo of basis factors and vertices
-(simplex.basis_factors) serves every stage after the box, so no basis is
-factored or solved twice in a solve.
+solve runs every stage of the solve in order: normalize, certify infeasible
+a row that exactly negates an earlier row when their bounds cross
+(lp.crossed_opposite_rows), keep the tightest row of each direction
+(lp.tightest_rows), certify the row separation, box the program, find a
+start basis by phase 1, resolve the walk parameters, take an optimal basis
+of the boxed program (one Las Vegas walk, or Bland's rule at n = 1), read x
+and the box's verdict (phase1.solve_bounded), and certify the optimum
+against every input row.  The boxed program's memo of basis factors and
+vertices (simplex.basis_factors) serves every stage after the box, so no
+basis is factored or solved twice in a solve.
 
 Step 5 turns a walk into one certified row of the optimal basis, then
 drops a dimension; solve calls neither half: at the paper's constants a
@@ -283,7 +283,8 @@ def walked_program(nlp: NormalizedLP) -> tuple[np.ndarray, NormalizedLP]:
     program of those rows, which solve walks and certifies delta for.  Each
     dropped row repeats a kept direction, so the kept rows span R^n.  When
     no row is dropped, kept is every position in order and the program is
-    nlp itself."""
+    nlp itself.  solve builds it only after lp.crossed_opposite_rows found
+    no row crossing an earlier row's exact negation among nlp's rows."""
     kept = tightest_rows(nlp.A, nlp.b)
     if len(kept) == nlp.m:
         return kept, nlp
@@ -301,15 +302,16 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
           delta: DeltaCertificate | None = None) -> SolveReport:
     """Solve max c^T x s.t. Ax <= b end to end.
 
-    Normalizes and keeps the tightest row of each direction
-    (walked_program), which leaves the region unchanged.  The rest runs
-    on the kept rows, the walked program.  First, a kept row that is the
-    exact negation of an earlier one, with bounds crossed by more than the
-    walked program's feasibility tolerance, raises Infeasible at once
-    (lp.crossed_opposite_rows): O(m) work, with no delta, box or pivot.
-    Its witness is the later row, and its value the bound -b_i the earlier
-    row i puts on it; its certificate is None.  Otherwise the walked
-    program's row separation comes from one certificate: delta, or
+    Normalizes, then, before any other stage, a row that is the exact
+    negation of an earlier row, in input order, with bounds crossed by
+    more than the normalized program's feasibility tolerance, raises
+    Infeasible (lp.crossed_opposite_rows): O(m) work, with no collapse,
+    delta, box or pivot.  Its witness is the first such row j, and its
+    value the bound -b_i that the tightest earlier negation i of row j
+    puts on it; its certificate is None.  Otherwise solve keeps the
+    tightest row of each direction (walked_program), which leaves the
+    region unchanged, and the rest runs on the kept rows, the walked
+    program.  Its row separation comes from one certificate: delta, or
     certify_delta's when delta is None.  That certificate sizes the
     enclosing box, which reduces the program to a bounded instance; sets
     the walk parameters the config leaves auto (WalkConfig.resolved); and
@@ -356,16 +358,16 @@ def solve(lp: LinearProgram, cfg: WalkConfig | None = None, *,
             "certificate from delta_bruteforce, delta_from_structure or "
             "delta_integer_bound to set the row separation")
     nlp = normalize(lp)
-    kept, walked = walked_program(nlp)
-    pair = crossed_opposite_rows(walked.A, walked.b, walked.feas_tol())
+    pair = crossed_opposite_rows(nlp.A, nlp.b, nlp.feas_tol())
     if pair is not None:
-        i, j = (int(kept[p]) for p in pair)
+        i, j = pair
         value, rhs = 0.0 - float(nlp.b[i]), float(nlp.b[j])  # -b, but not -0.0
         raise Infeasible(
             f"constraint {j + 1} cannot be satisfied: it negates constraint "
             f"{i + 1}, so it is at least {value:.12g} > {rhs:.12g} wherever "
             f"that one holds", iteration=j + 1, value=value)
 
+    kept, walked = walked_program(nlp)
     cert = delta or certify_delta(walked)
     try:
         return _solve_in_box(lp, nlp, kept, walked, cert, cfg)

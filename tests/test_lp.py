@@ -66,6 +66,24 @@ def rank_edge_matrices(draw):
     return np.array(rows, dtype=float) * 10.0 ** np.array(scale)[:, None]
 
 
+@st.composite
+def scaled_rows(draw):
+    """Programs of m in n..n+6 Gaussian rows, n in 1..5, some entries 0,
+    each row and its right-hand side scaled by 10^U(-100, 100)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, n + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    A[rng.random(A.shape) < 0.3] = 0.0
+    A[~A.any(axis=1), 0] = 1.0
+    A[:n][np.eye(n, dtype=bool)] = 1.0  # full column rank
+    scale = 10.0 ** np.array(draw(st.lists(st.floats(-100.0, 100.0),
+                                           min_size=m, max_size=m)))
+    return LinearProgram(A=A * scale[:, None],
+                         b=rng.uniform(-1.0, 1.0, m) * scale,
+                         c=rng.standard_normal(n) + 0.1)
+
+
 class TestLinearProgram:
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroRow):
@@ -220,6 +238,30 @@ class TestNormalize:
                 got, want = getattr(nlp, name), getattr(ref, name)
                 assert got.tobytes() == want.tobytes(), name
                 assert got.shape == want.shape and not got.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_rows())
+    def test_unit_rows_are_the_plain_division(self, lp):
+        # normalize reads the unit rows LinearProgram judged rank by: the
+        # plain division by np.linalg.norm, bit for bit, at any row scale
+        nlp = normalize(lp)
+        norms = np.linalg.norm(lp.A, axis=1)
+        assert nlp.A.tobytes() == (lp.A / norms[:, None]).tobytes()
+        assert nlp.b.tobytes() == (lp.b / norms).tobytes()
+
+    def test_a_derived_program_normalizes(self):
+        # normalize's program skips validation, so it computes its rows'
+        # norms when normalize reads them: unit norms, each row and
+        # right-hand side divided by its norm
+        base = random_lp(8, 3, 5)
+        scale = 10.0 ** np.random.default_rng(5).uniform(-3, 3, 8)
+        nlp = normalize(LinearProgram(A=base.A * scale[:, None],
+                                      b=base.b * scale, c=7.0 * base.c))
+        again = normalize(nlp)
+        norms = np.linalg.norm(nlp.A, axis=1)
+        assert again.A.tobytes() == (nlp.A / norms[:, None]).tobytes()
+        assert again.b.tobytes() == (nlp.b / norms).tobytes()
+        assert again.c.tobytes() == (nlp.c / np.linalg.norm(nlp.c)).tobytes()
 
     def test_feasible_set_preserved(self):
         for seed in range(20):
@@ -607,11 +649,14 @@ class TestTightestRows:
 
 
 def pairwise_crossing(A, b, tol):
-    """Reference: the first j, then its i < j, with A[i] == -A[j] entry by
-    entry (where -0.0 equals 0.0) and -b[i] > b[j] + tol."""
+    """Reference: the first j, then the tightest i < j (least b[i], earliest
+    of equals) with A[i] == -A[j] entry by entry (where -0.0 equals 0.0),
+    when -b[i] > b[j] + tol."""
     for j in range(len(A)):
-        for i in range(j):
-            if np.array_equal(A[i], -A[j]) and -b[i] > b[j] + tol:
+        negations = [i for i in range(j) if np.array_equal(A[i], -A[j])]
+        if negations:
+            i = min(negations, key=lambda i: (b[i], i))
+            if -b[i] > b[j] + tol:
                 return i, j
     return None
 
@@ -627,6 +672,10 @@ class TestCrossedOppositeRows:
         b = np.array([1.0, 2.0, 1.0, 0.0, -1.5, -2.0])
         assert crossed_opposite_rows(A, b, 1e-7) == (0, 4)
         assert crossed_opposite_rows(A[1:4], b[1:4], 1e-7) is None
+        # a row's bytes are read in row order whatever A's memory layout
+        assert crossed_opposite_rows(np.asfortranarray(A), b, 1e-7) == (0, 4)
+        wide = np.hstack([A, np.ones((6, 1))])
+        assert crossed_opposite_rows(wide[:, :2], b, 1e-7) == (0, 4)
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     @pytest.mark.parametrize("second", [0.0, -0.0])
@@ -650,6 +699,48 @@ class TestCrossedOppositeRows:
         assert crossed_opposite_rows(
             np.array([[0.6, 0.8], [-0.6, -0.8]]), np.array([0.0, -1.0]),
             1e-7) == (0, 1)
+
+    def test_a_looser_copy_before_the_row(self):
+        # row 0 = row 1 at a looser bound: -x >= -3 does not cross x <= -2,
+        # and -x >= -1 from row 1 does
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        assert crossed_opposite_rows(A, np.array([3.0, 1.0, -2.0]),
+                                     1e-7) == (1, 2)
+
+    def test_a_looser_copy_after_the_row(self):
+        # the looser copy at row 1 does not hide row 0's tighter bound
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        assert crossed_opposite_rows(A, np.array([1.0, 3.0, -2.0]),
+                                     1e-7) == (0, 2)
+
+    def test_a_tighter_copy_after_the_row(self):
+        # x <= 1 does not cross x >= 0.75, the tighter copy x <= 0.5 does
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        assert crossed_opposite_rows(A, np.array([1.0, 0.0, 0.5, -0.75]),
+                                     1e-7) == (2, 3)
+
+    def test_byte_equal_copies_of_the_negation(self):
+        # rows 1-3 are one negation of row 0, with signed zeros folded: the
+        # first of them to cross x <= 1 is row 2, x >= 1.5
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, -0.0], [-1.0, 0.0]])
+        assert crossed_opposite_rows(A, np.array([1.0, -0.5, -1.5, -2.0]),
+                                     1e-7) == (0, 2)
+
+    def test_equal_bounds_keep_the_earliest(self):
+        A = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                      [-1.0, 0.0]])
+        assert crossed_opposite_rows(A, np.array([1.0, 1.0, 1.0, 1.0, -2.0]),
+                                     1e-7) == (1, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_copies())
+    def test_agrees_with_the_pairwise_loop_on_all_rows(self, program):
+        # near_copies' programs before the collapse: exact copies of rows
+        # and of their negations, whose tightest earlier copy decides
+        A, b = program
+        b = b - 0.5
+        assert crossed_opposite_rows(A, b, 1e-7) == pairwise_crossing(
+            A, b, 1e-7)
 
     @settings(max_examples=200, deadline=None)
     @given(near_copies())

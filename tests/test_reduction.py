@@ -28,10 +28,12 @@ from conewalk.errors import (
 from conewalk.lp import (
     BRUTE_FORCE_LIMIT,
     LinearProgram,
+    crossed_opposite_rows,
     delta_bruteforce,
     delta_integer_bound,
     find_independent_rows,
     normalize,
+    tightest_rows,
 )
 from conewalk.oracle import (
     _generic_rationals,
@@ -1193,9 +1195,9 @@ class TestParallelRows:
             "that agree within DUPLICATE_TOL were merged")
 
     def test_infeasible_witness_is_an_input_position(self):
-        # x >= 2 (row 3) against x <= 1 (row 4); row 3 takes the place of
-        # its slack copy x >= 0 (row 1), so the walked rows are 0, 3, 2, 4
-        # and the crossed pair is walked rows 1 and 3, input rows 3 and 4
+        # x >= 2 (row 3) against x <= 1 (row 4); row 3 is the tighter of
+        # the two copies of -x <= b (rows 1 and 3), so row 4 crosses it, and
+        # both are named by their input positions
         lp = LinearProgram(A=[[0, 1], [-1, 0], [0, -1], [-1, 0], [1, 0]],
                            b=[1, 0, 0, -2, 1], c=[1, 1])
         with pytest.raises(Infeasible, match="^constraint 5 ") as info:
@@ -1204,16 +1206,18 @@ class TestParallelRows:
 
 
 class TestCrossedOppositeRows:
-    """A row and its exact negation whose bounds cross end the solve in the
-    collapse, before delta, the box and phase 1 (lp.crossed_opposite_rows)."""
+    """A row and the exact negation of an earlier row, with bounds that
+    cross, end the solve right after normalize, before the collapse, delta,
+    the box and phase 1 (lp.crossed_opposite_rows)."""
 
     SQUARE_A = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 
     @staticmethod
     def stages_raise(monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("a stage after the collapse ran")
+            raise AssertionError("a stage after normalize ran")
 
+        monkeypatch.setattr(reduction_module, "walked_program", unreachable)
         monkeypatch.setattr(reduction_module, "certify_delta", unreachable)
         monkeypatch.setattr(phase1_module, "bounding_box", unreachable)
         monkeypatch.setattr(phase1_module, "phase1_vertex", unreachable)
@@ -1230,18 +1234,61 @@ class TestCrossedOppositeRows:
         return calls
 
     def test_no_stage_after_the_collapse_runs(self, monkeypatch):
-        # x <= 1/4 (row 1) and x >= 1/2 (row 4, a slack copy of x >= 0 at
-        # row 2 before it), with the unit square's other rows
+        # x >= 1/2 (row 4, a tighter copy of x >= 0 at row 2 before it) and
+        # x <= 1/4 (row 5, a tighter copy of x <= 1 at row 0), with the unit
+        # square's other rows
         self.stages_raise(monkeypatch)
         lp = LinearProgram(A=self.SQUARE_A + [[-2.0, 0.0], [4.0, 0.0]],
                            b=[1.0, 1.0, 0.0, 0.0, -1.0, 1.0], c=[1.0, 1.0])
         with pytest.raises(Infeasible) as info:
             solve(lp, WalkConfig(seed=0))
-        # the tightest x <= u is row 5, the tightest -x <= -l row 4; both
-        # are named, and the value is the bound row 5 puts on row 4
+        # rows 2 and 4 do not cross row 0; row 5 is the first row in input
+        # order to cross an earlier negation, the tightest of which is row
+        # 4, and the value is the bound row 4 puts on row 5
         assert str(info.value).startswith(
-            "constraint 5 cannot be satisfied: it negates constraint 6, ")
-        assert (info.value.iteration, info.value.value) == (5, -0.25)
+            "constraint 6 cannot be satisfied: it negates constraint 5, ")
+        assert (info.value.iteration, info.value.value) == (6, 0.5)
+        assert info.value.certificate is None
+
+    def test_a_pair_the_collapse_would_merge_away_ends_the_solve(
+            self, monkeypatch):
+        # row 1 is a tighter near copy of row 0, an entry 1e-12 away, so the
+        # collapse keeps it in row 0's place and no kept row negates
+        # another; only the pass over every row finds that row 2 exactly
+        # negates row 0, and x >= 2 crosses x <= 1
+        self.stages_raise(monkeypatch)
+        lp = LinearProgram(A=[[1.0, 0.0], [1.0, 1e-12], [-1.0, 0.0],
+                              [0.0, 1.0], [0.0, -1.0]],
+                           b=[1.0, 0.5, -2.0, 1.0, 0.0], c=[1.0, 1.0])
+        nlp = normalize(lp)
+        assert tightest_rows(nlp.A, nlp.b).tolist() == [1, 2, 3, 4]
+        with pytest.raises(Infeasible, match="^constraint 3 .* constraint 1,"
+                           ) as info:
+            solve(lp, WalkConfig(seed=0))
+        assert (info.value.iteration, info.value.value) == (3, -1.0)
+        assert info.value.certificate is None
+
+    def test_a_crossing_inside_the_input_tolerance_goes_to_phase_1(self):
+        # x <= 1/4 and x >= 1/4 + 3e-7 cross by 3e-7: more than the walked
+        # program's tolerance, 1e-7 * (1 + 1), but less than the normalized
+        # program's, 1e-7 * (1 + 100), which the loose copy y <= 100 (row 4)
+        # sets.  The pair certifies nothing at the input's tolerance, and
+        # phase 1, on the walked rows, certifies the crossing
+        lp = LinearProgram(A=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                              [-1.0, 0.0], [0.0, 1.0]],
+                           b=[0.25, 1.0, 1.0, -0.25 - 3e-7, 100.0],
+                           c=[0.0, 1.0])
+        nlp = normalize(lp)
+        kept, walked = walked_program(nlp)
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert walked.feas_tol() < 3e-7 < nlp.feas_tol()
+        assert crossed_opposite_rows(walked.A, walked.b,
+                                     walked.feas_tol()) == (0, 3)
+        assert crossed_opposite_rows(nlp.A, nlp.b, nlp.feas_tol()) is None
+        with pytest.raises(Infeasible, match="previous region") as info:
+            solve(lp, WalkConfig(seed=0))
+        assert info.value.iteration == 4
+        assert info.value.certificate == reduction_module.certify_delta(walked)
 
     @pytest.mark.parametrize("zeros", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0),
                                        (-0.0, -0.0)])

@@ -9,8 +9,10 @@ field:
 - an optimum: its basis, the bytes of x, value, delta, delta_method,
   alpha, retries, and every walk counter: steps, pivots, terms, and the
   accepted, rejected and lazy steps;
-- an error: its class and message, and Infeasible's iteration and
-  repr(value) or Unbounded's box_row.
+- an error: its class and message, its certificate (the delta
+  certificate that sized the box, as repr(delta) and method, or null when
+  the solve ended before one, as a crossed pair does), and Infeasible's
+  iteration and repr(value) or Unbounded's box_row.
 
 The second is over the answers alone: the same fields without retries
 and the walk counters (ANSWER_FIELDS).  Two checkouts that print the
@@ -37,7 +39,7 @@ from conewalk.errors import ConewalkError, Infeasible, Unbounded  # noqa: E402
 
 PREFIX = {"tu-walk": 102, "padded-rows": 84, "verdicts": 540}
 ANSWER_FIELDS = ("basis", "x", "value", "delta", "delta_method", "alpha",
-                 "error", "message", "iteration", "box_row")
+                 "error", "message", "certificate", "iteration", "box_row")
 
 
 def outcome(inst: workloads.Instance) -> dict:
@@ -45,7 +47,10 @@ def outcome(inst: workloads.Instance) -> dict:
     try:
         rep = solve(inst.lp, WalkConfig(seed=inst.solve_seed))
     except ConewalkError as exc:
-        out = {"error": type(exc).__name__, "message": str(exc)}
+        cert = exc.certificate
+        out = {"error": type(exc).__name__, "message": str(exc),
+               "certificate": None if cert is None else {
+                   "delta": repr(cert.delta), "method": cert.method.value}}
         if isinstance(exc, Infeasible):
             out.update(iteration=exc.iteration, value=repr(exc.value))
         if isinstance(exc, Unbounded):
